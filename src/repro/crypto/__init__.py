@@ -3,7 +3,7 @@
 Real Tor uses AES-CTR, Curve25519 and RSA via OpenSSL.  This reproduction
 runs offline with the standard library only, so it substitutes:
 
-* AES-CTR            -> a SHA-256 counter-mode stream cipher (:mod:`.stream`)
+* AES-CTR            -> a SHAKE128 counter-mode stream cipher (:mod:`.stream`)
 * Curve25519 (ntor)  -> classic finite-field Diffie-Hellman (:mod:`.dh`)
 * OpenSSL RSA        -> pure-Python RSA with Miller-Rabin keygen (:mod:`.rsa`)
 

@@ -88,7 +88,7 @@ class RsaPublicKey:
         """Check a hash-and-sign signature over ``message``."""
         try:
             sig_int = int_from_bytes(signature)
-        except Exception:  # pragma: no cover - defensive
+        except (TypeError, ValueError):  # not a byte string: no signature
             return False
         if not 0 <= sig_int < self.n:
             return False

@@ -1,15 +1,17 @@
-"""A SHA-256 counter-mode stream cipher.
+"""An XOF counter-mode stream cipher.
 
 Stands in for AES-CTR in the circuit onion layers and FS Protect.  The
-keystream is ``SHA256(key || nonce || counter)`` blocks; like AES-CTR it is
-a stateful XOR stream, so encrypt and decrypt are the same operation and
-each (key, nonce) pair must never be reused for independent messages.
+keystream is a sequence of 4 KiB batches, batch *k* being ``SHAKE128(prefix
+|| k)`` squeezed to 4096 bytes, with ``prefix = SHA256("stream:" || key ||
+":" || nonce)`` and *k* an 8-byte big-endian counter.  Like AES-CTR it is a
+stateful XOR stream: encrypt and decrypt are the same operation and a
+(key, nonce) pair must never be reused for independent messages.
 
-Keystream blocks are generated in batches into a single buffer consumed by
-an offset cursor; repeated small reads (one 509-byte cell at a time) no
-longer pay one ``hashlib`` round trip per 32-byte block plus quadratic
-byte-string concatenation.  The emitted keystream is byte-for-byte
-identical to generating block by block.
+Why an XOF: Tor pays AES-CTR at hardware speed, and a stand-in that costs
+one ``hashlib`` round trip per 32-byte block hides every other layer of the
+bulk path behind it.  One C call per batch stays stdlib-only at a cost
+closer to the real thing.  Batches land in one buffer read through an offset
+cursor, so the keystream does not depend on how reads are split.
 """
 
 from __future__ import annotations
@@ -18,12 +20,9 @@ import hashlib
 
 from repro.perf.counters import counters as _perf
 
-_BLOCK = 32
-# Blocks generated per refill: 4 KiB of keystream, enough for eight relay
-# cells per hashlib batch while keeping tiny ciphers cheap.
-_BATCH_BLOCKS = 128
-
-_sha256 = hashlib.sha256
+# Keystream bytes per XOF call: eight relay cells, and small enough that
+# a cipher used for one short message wastes little.
+_BATCH = 4096
 
 
 class StreamCipher:
@@ -39,29 +38,29 @@ class StreamCipher:
     def __init__(self, key: bytes, nonce: bytes = b"") -> None:
         if len(key) < 16:
             raise ValueError("stream cipher key must be at least 16 bytes")
-        self._prefix = _sha256(b"stream:" + key + b":" + nonce).digest()
+        self._prefix = hashlib.sha256(b"stream:" + key + b":" + nonce).digest()
         self._counter = 0
         self._buf = b""
         self._pos = 0
 
     def _extend(self, need: int) -> None:
         """Grow the buffer so at least ``need`` unread bytes are available."""
-        blocks = max(_BATCH_BLOCKS, -(-need // _BLOCK))
-        prefix = self._prefix
-        counter = self._counter
-        chunks = [
-            _sha256(prefix + c.to_bytes(8, "big")).digest()
-            for c in range(counter, counter + blocks)
-        ]
-        self._counter = counter + blocks
         unread = self._buf[self._pos:]
-        self._buf = unread + b"".join(chunks) if unread else b"".join(chunks)
+        batches = -(-(need - len(unread)) // _BATCH)
+        counter = self._counter
+        self._counter = counter + batches
+        self._buf = unread + b"".join([
+            hashlib.shake_128(self._prefix + k.to_bytes(8, "big")).digest(_BATCH)
+            for k in range(counter, counter + batches)
+        ])
         self._pos = 0
-        _perf.hash_calls += blocks
-        _perf.keystream_bytes += blocks * _BLOCK
+        _perf.hash_calls += batches
+        _perf.keystream_bytes += batches * _BATCH
 
     def keystream(self, n: int) -> bytes:
         """Return the next ``n`` keystream bytes, advancing the state."""
+        if n < 0:  # would rewind the cursor and re-emit used keystream
+            raise ValueError("keystream length must be non-negative")
         pos = self._pos
         if len(self._buf) - pos < n:
             self._extend(n)

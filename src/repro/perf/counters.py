@@ -21,8 +21,9 @@ _FIELDS = (
     "task_switches",       # trampoline resumptions of coroutine actors
     "legacy_threads_spawned",  # actors that fell back to the OS-thread kernel
     "bytes_zero_copied",   # payload bytes moved as views instead of copies
-    "hash_calls",          # SHA-256 invocations in StreamCipher keystreams
-    "keystream_bytes",     # keystream bytes consumed
+    "hash_calls",          # hash invocations in StreamCipher keystreams:
+                           # one XOF call per 4 KiB batch
+    "keystream_bytes",     # keystream bytes generated
     "cells_crypted",       # relay-cell layer applications (any direction)
     # -- chaos plane / recovery ------------------------------------------
     "faults_injected",     # crashes + link cuts + latency spikes

@@ -8,17 +8,17 @@ consumes it.
 
 Two modes share one interface:
 
-* ``real`` — SHA-256-CTR keystreams (the honest substitute for AES-CTR).
+* ``real`` — XOF counter-mode keystreams (:mod:`repro.crypto.stream`), the
+  stand-in for AES-CTR at one hash call per 4 KiB.
 * ``fast`` — a cached per-hop pad, one big-int XOR per cell.  Structurally
   identical (payloads still mutate per layer, recognition/digests still
-  enforced) but ~20x faster; large-scale benchmarks use it.  This is a
-  simulation-performance knob only, never a security claim.
+  enforced) but ~1.5x faster end to end; large-scale benchmarks use it.  This
+  is a simulation-performance knob only, never a security claim.
 
-Both modes additionally expose ``crypt_*_many`` batch entry points: a
-relay draining a full stream window crypts all those cells with one
-keystream pull and one big XOR (real mode) instead of per-cell calls.
-The ciphertext is identical either way — batching only changes how many
-Python/hashlib round trips the hot path pays.
+Both modes expose ``crypt_*_many`` batch entry points: a relay draining a
+full stream window crypts all those cells with one keystream pull and one
+big XOR (real mode) instead of per-cell calls.  The ciphertext is
+identical either way; batching only saves Python round trips.
 """
 
 from __future__ import annotations

@@ -4,10 +4,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.crypto.aead import AeadError, AeadKey
-from repro.crypto.dh import DH_GROUP_MODP_2048, DiffieHellman
+from repro.crypto.dh import (
+    DH_GROUP_MODP_1024,
+    DH_GROUP_MODP_2048,
+    DiffieHellman,
+    _fixed_base_pow,
+)
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.rsa import RsaError, RsaKeyPair
 from repro.crypto.stream import StreamCipher, stream_xor
+from repro.util.bytesutil import xor_bytes
 from repro.util.rng import DeterministicRandom
 
 
@@ -67,6 +73,63 @@ class TestStreamCipher:
     def test_one_shot_roundtrip(self, data):
         key = b"K" * 32
         assert stream_xor(key, b"n", stream_xor(key, b"n", data)) == data
+
+    def test_negative_length_rejected(self):
+        cipher = StreamCipher(b"k" * 16, b"n")
+        used = cipher.keystream(40)
+        with pytest.raises(ValueError):
+            cipher.keystream(-40)
+        assert cipher.keystream(40) != used   # the cursor did not rewind
+
+    # Read sizes reach past two 4 KiB batches so splits land before, on
+    # and after batch boundaries.
+    @given(st.lists(st.integers(0, 9000), max_size=8))
+    def test_any_split_of_reads_equals_one_read(self, sizes):
+        split = StreamCipher(b"split-key-16byte", b"n")
+        whole = StreamCipher(b"split-key-16byte", b"n")
+        parts = b"".join(split.keystream(n) for n in sizes)
+        assert parts == whole.keystream(sum(sizes))
+        assert split.keystream(33) == whole.keystream(33)
+
+    @given(st.lists(st.binary(max_size=3000), max_size=8))
+    def test_process_many_equals_mapped_process(self, messages):
+        batched = StreamCipher(b"many-key-16bytes", b"n")
+        mapped = StreamCipher(b"many-key-16bytes", b"n")
+        assert batched.process_many(messages) == [
+            mapped.process(m) for m in messages]
+        assert batched.keystream(33) == mapped.keystream(33)
+
+    @given(st.lists(st.one_of(
+        st.integers(0, 6000),
+        st.binary(max_size=3000),
+        st.lists(st.binary(max_size=1500), max_size=4)), max_size=10))
+    def test_same_key_ciphers_stay_in_sync_under_interleaving(self, ops):
+        """Whatever mix of calls consumed them, equal byte counts mean
+        equal positions: one side replays each op as a bare keystream
+        read, the other runs the op itself."""
+        doer = StreamCipher(b"sync-key-16bytes", b"n")
+        shadow = StreamCipher(b"sync-key-16bytes", b"n")
+        for op in ops:
+            if isinstance(op, int):
+                assert doer.keystream(op) == shadow.keystream(op)
+            elif isinstance(op, bytes):
+                assert doer.process(op) == xor_bytes(
+                    op, shadow.keystream(len(op)))
+            else:
+                assert doer.process_many(op) == [
+                    xor_bytes(m, shadow.keystream(len(m))) for m in op]
+        assert doer.keystream(5000) == shadow.keystream(5000)
+
+    @given(st.binary(min_size=16, max_size=48), st.binary(max_size=16),
+           st.binary(min_size=16, max_size=48), st.binary(max_size=16))
+    def test_other_key_or_nonce_gives_other_first_batch(self, key, nonce,
+                                                        other_key, other_nonce):
+        first = StreamCipher(key, nonce).keystream(4096)
+        assert first == StreamCipher(key, nonce).keystream(4096)
+        if other_key != key:
+            assert first != StreamCipher(other_key, nonce).keystream(4096)
+        if other_nonce != nonce:
+            assert first != StreamCipher(key, other_nonce).keystream(4096)
 
 
 class TestAead:
@@ -131,6 +194,29 @@ class TestDiffieHellman:
         a, b, c = (DiffieHellman(rng) for _ in range(3))
         assert a.shared_secret(b.public) != a.shared_secret(c.public)
 
+    # Nibbles drawn from a zero-heavy alphabet so exponents with all-zero
+    # 4-bit windows (table rows that must be skipped) are the common case.
+    @settings(max_examples=60)
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, 7, 15]), min_size=64,
+                    max_size=64),
+           st.sampled_from([DH_GROUP_MODP_1024, DH_GROUP_MODP_2048]))
+    def test_fixed_base_pow_equals_pow(self, nibbles, modulus):
+        exponent = int("".join("%x" % n for n in nibbles), 16)
+        assert _fixed_base_pow(exponent, modulus) == pow(2, exponent, modulus)
+
+    @pytest.mark.parametrize("modulus", [DH_GROUP_MODP_1024,
+                                         DH_GROUP_MODP_2048])
+    def test_fixed_base_pow_edges(self, modulus):
+        for exponent in (0, 1, 15, 16, 1 << 255, (1 << 256) - 1):
+            assert _fixed_base_pow(exponent, modulus) == pow(2, exponent, modulus)
+        for bad in (-1, 1 << 256):
+            with pytest.raises(ValueError):
+                _fixed_base_pow(bad, modulus)
+
+    def test_public_value_is_generator_power(self):
+        a = DiffieHellman(DeterministicRandom("dh-pub"))
+        assert a.public == pow(2, a._private, DH_GROUP_MODP_1024)
+
     def test_degenerate_public_rejected(self):
         rng = DeterministicRandom("dh4")
         a = DiffieHellman(rng)
@@ -152,6 +238,10 @@ class TestRsa:
         signature = bytearray(keypair.sign(b"message"))
         signature[3] ^= 0x40
         assert not keypair.public.verify(b"message", bytes(signature))
+
+    @pytest.mark.parametrize("not_bytes", [None, "text", 12345, [300]])
+    def test_verify_rejects_non_bytes_signature(self, keypair, not_bytes):
+        assert not keypair.public.verify(b"message", not_bytes)
 
     def test_verify_rejects_wrong_key(self, keypair):
         other = RsaKeyPair.generate(DeterministicRandom("other"))

@@ -1,10 +1,11 @@
 """Equivalence and harness tests for the hot-path optimizations.
 
-The batched keystream, the batched layer crypto, and the coalesced bulk
-transfer are all pure optimizations: every one must be byte- and
-float-identical to the straightforward implementation it replaced.  The
-golden hashes below were captured from the pre-optimization code and
-frozen; the coalescing tests compare the fast path against the chunked
+The batched layer crypto and the coalesced bulk transfer are pure
+optimizations: each must be byte- and float-identical to the
+straightforward implementation it replaced.  The keystream golden hashes
+are frozen next to a reference written from the cipher's definition (they
+were re-recorded once, when the XOF construction replaced SHA-256-counter
+blocks); the coalescing tests compare the fast path against the chunked
 path directly (toggled via :data:`repro.netsim.connection.COALESCE`).
 """
 
@@ -29,42 +30,86 @@ def _sha(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-class TestGoldenKeystream:
-    """Frozen vectors from the pre-batching StreamCipher."""
+def _reference_keystream(key: bytes, nonce: bytes, n: int) -> bytes:
+    """The first ``n`` keystream bytes, written straight from the definition.
 
-    LENGTHS = (1, 31, 32, 33, 100, 509, 0, 4096)
+    Batch *k* is SHAKE128(prefix || k as 8 big-endian bytes) squeezed to
+    4096 bytes, prefix = SHA256("stream:" || key || ":" || nonce).  Shares
+    no code with :class:`StreamCipher`; the frozen digests below are
+    therefore derivable, not only recorded.
+    """
+    prefix = hashlib.sha256(b"stream:" + key + b":" + nonce).digest()
+    out = b""
+    k = 0
+    while len(out) < n:
+        out += hashlib.shake_128(prefix + k.to_bytes(8, "big")).digest(4096)
+        k += 1
+    return out[:n]
+
+
+def _reference_xor(data: bytes, pad: bytes) -> bytes:
+    return bytes(a ^ b for a, b in zip(data, pad))
+
+
+class TestGoldenKeystream:
+    """Frozen vectors of the XOF keystream, each beside the reference."""
+
+    KEY, NONCE = b"golden-key-0123456789abcdef", b"nonce-A"
+    # The old block-size cases (706 bytes, then 4096 across the first
+    # boundary), 3390 to land exactly on the end of batch 1, then the batch
+    # boundaries from an aligned start: one short (4095), onto it with one
+    # byte buffered (4096), over it (4097, ends aligned again), two whole
+    # batches plus one byte (8193), and after a partial read (100) one
+    # that straddles the rest of that batch and the next (5000).
+    LENGTHS = (1, 31, 32, 33, 100, 509, 0, 4096,
+               3390, 4095, 4096, 4097, 8193, 100, 5000)
     DIGESTS = (
-        "aa7225e7d5b0a2552bbb58880b3ec00c286995b801a7aeb69281e76a8b4908de",
-        "24d891f173928bd2ba55fe5d771ed23196602df7d9ae61821808916f3119f749",
-        "6a5233cf3cbadbe888f2d4c58afd86a8fe059800b327f95986b44e6aafcee9f0",
-        "f48a3b18bcdca0e74c10eb8410117fd77aedefcf8df9995424f7192c85796b2a",
-        "6d89f4540a193579fafe3689d1b2e4ea0dba16b0d5b7ebc1568d4a51b72be6d5",
-        "9b0a31b975deec80f6f2568a65d0798138078def2fe24349569b14fc54b2e179",
+        "77adfc95029e73b173f60e556f915b0cd8850848111358b1c370fb7c154e61fd",
+        "37fd07104da23bdd8a22863386c5b8950c985bfa0fd5d3f60bd0beffb9888fdd",
+        "f7649cd132f8233daa8ba8151f1fea00683948d7af278c03eb787c4ecbc56bc6",
+        "ecb65b33c0cea284f5ea5e6216cf7ebaf574f146e31f7e74f703f76e05c45c37",
+        "b443c9132d38ba05480b4cbd76de7c803bbf5defb0229773666b234678f83130",
+        "b065d88764ff8190d9216d168584657e1daf2cf04b5aefd7812357a0d275fb6a",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "ec777d387997e893cada243a5bc9403d6220c160467cc961618bdeb211767058",
+        "cc972489847c29acf0059e229e9cf1804b7b7d76c8b217df9e2bef37c947e32d",
+        "584d89df3a198986e1b583b22b9c0a7718421bba520d4d08391e15f00b646b4f",
+        "dbffe73603c9e1995c3247c206211b0e941dc81aedbb687cb89d1e9e410ceb6e",
+        "44cc13f7801f266fff02bafcb4f0fa7bf68bab5f9f55b379ca5c871b6ca35995",
+        "a68edfc1e6f66311dd211e97f3318eaa2e8df4ba4972acce6ae706ea10e9a96a",
+        "cdd1969d1642113d7efc2b5cf354656ebcd0270f323516a8b909211603722dad",
+        "ea68ebfc3b3e5ddb3a2213218aa18e9e0b40833dbff7f1bbd729c269d4986cf1",
+        "b82a37290d4ab07d0cee32693012478f3606bf02eab44d1ab7a067d4412a0120",
     )
-    CAT = "8424dd62dcfc7e64a98e770894c42602dd202f48bbc445ee0013d263acee6c37"
+    CAT = "6b6ff1b9c06405efe30b7519c577f0dea0c173542b9353f4371a8efd68a564e4"
 
     def test_incremental_reads_match_frozen_vectors(self):
-        cipher = StreamCipher(b"golden-key-0123456789abcdef", b"nonce-A")
+        cipher = StreamCipher(self.KEY, self.NONCE)
         parts = [cipher.keystream(n) for n in self.LENGTHS]
+        reference = _reference_keystream(self.KEY, self.NONCE, sum(self.LENGTHS))
+        offset = 0
         for n, part, digest in zip(self.LENGTHS, parts, self.DIGESTS):
             assert len(part) == n
+            assert part == reference[offset:offset + n]
             assert _sha(part) == digest
+            offset += n
+        assert len(self.DIGESTS) == len(self.LENGTHS)
         assert _sha(b"".join(parts)) == self.CAT
 
     def test_one_shot_read_equals_incremental(self):
-        incremental = StreamCipher(b"golden-key-0123456789abcdef", b"nonce-A")
+        incremental = StreamCipher(self.KEY, self.NONCE)
         parts = b"".join(incremental.keystream(n) for n in self.LENGTHS)
-        oneshot = StreamCipher(b"golden-key-0123456789abcdef", b"nonce-A")
+        oneshot = StreamCipher(self.KEY, self.NONCE)
         assert oneshot.keystream(sum(self.LENGTHS)) == parts
 
     def test_process_matches_frozen_vector(self):
         cipher = StreamCipher(b"k" * 16, b"n2")
         messages = [bytes(range(i % 256)) * 3 for i in (5, 97, 200)]
         out = b"".join(cipher.process(m) for m in messages)
+        plain = b"".join(messages)
+        assert out == _reference_xor(
+            plain, _reference_keystream(b"k" * 16, b"n2", len(plain)))
         assert _sha(out) == (
-            "6bc0aadcfebc6b4e46d7787e759509fcc2e406d9d9b268d1957532bd8fa89572")
+            "8d08346bb97e79818aac0175273f950f577c329277b9f54e4abc04953e14bbb0")
 
     def test_process_many_equals_sequential_process(self):
         messages = [bytes([i]) * (50 + 37 * i) for i in range(9)]
@@ -76,9 +121,12 @@ class TestGoldenKeystream:
         assert sequential.keystream(64) == batched.keystream(64)
 
     def test_stream_xor_frozen_vector(self):
-        out = stream_xor(b"key-material-16b", b"iv", b"hello bento" * 50)
+        data = b"hello bento" * 50
+        out = stream_xor(b"key-material-16b", b"iv", data)
+        assert out == _reference_xor(
+            data, _reference_keystream(b"key-material-16b", b"iv", len(data)))
         assert _sha(out) == (
-            "bd8d641d32019a6d4615ac62157607775be1d9c0836857ff5fbb69b2a7c6400a")
+            "259106b4499fb4665a77a346f983d62fed42ffd809ea9636e753d58f7dd8c431")
 
 
 def _mkkeys(tag: bytes) -> CircuitKeys:
@@ -88,33 +136,49 @@ def _mkkeys(tag: bytes) -> CircuitKeys:
 
 
 class TestGoldenLayerCrypto:
-    """Frozen wire bytes for five forward/backward rounds through one hop."""
+    """Frozen wire bytes for five forward/backward rounds through one hop.
+
+    The real-mode vector was re-recorded with the XOF keystream; the
+    fast-mode vector never touches the stream cipher and is unchanged.
+    """
 
     DIGESTS = {
-        False: "b57b252b5cfa8dcc9213acc5fca8e4a550e6802eff3b92a83e68b0718d009006",
+        False: "474bf8ca403915c0207f2cfbb1e79adfb86bc6f1388a3c2f12cb0f49cf2ef938",
         True: "a1ccf225587ebf8ec066c95714f4e685eb413635a1aeec2d47d4cb1a31ea30a6",
     }
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_wire_bytes_match_frozen_vectors(self, fast):
-        sender = HopCrypto(_mkkeys(b"hop"), fast=fast)
-        relay = HopCrypto(_mkkeys(b"hop"), fast=fast)
+        keys = _mkkeys(b"hop")
+        sender = HopCrypto(keys, fast=fast)
+        relay = HopCrypto(keys, fast=fast)
         wire = []
+        sealed = {FORWARD: [], BACKWARD: []}
         for i in range(5):
             cell = RelayCellPayload(command=RelayCommand.DATA, stream_id=7,
                                     data=bytes([i]) * (100 + i))
-            fwd = sender.crypt_forward(sender.seal_payload(cell, FORWARD))
+            sealed[FORWARD].append(sender.seal_payload(cell, FORWARD))
+            fwd = sender.crypt_forward(sealed[FORWARD][-1])
             wire.append(fwd)
             opened = relay.open_payload(relay.crypt_forward(fwd), FORWARD)
             assert opened is not None and opened.data == cell.data
-            reply = relay.seal_payload(RelayCellPayload(
+            sealed[BACKWARD].append(relay.seal_payload(RelayCellPayload(
                 command=RelayCommand.DATA, stream_id=7, data=b"r" * 40),
-                BACKWARD)
-            bwd = relay.crypt_backward(reply)
+                BACKWARD))
+            bwd = relay.crypt_backward(sealed[BACKWARD][-1])
             wire.append(bwd)
             assert sender.open_payload(
                 sender.crypt_backward(bwd), BACKWARD) is not None
         assert _sha(b"".join(wire)) == self.DIGESTS[fast]
+        if not fast:
+            # Each direction is its sealed payloads XOR one reference
+            # keystream, so the real-mode digest is derivable too.
+            for direction, key, nonce, cells in (
+                    (FORWARD, keys.kf, b"layer-f", wire[0::2]),
+                    (BACKWARD, keys.kb, b"layer-b", wire[1::2])):
+                plain = b"".join(sealed[direction])
+                assert b"".join(cells) == _reference_xor(
+                    plain, _reference_keystream(key, nonce, len(plain)))
 
     @pytest.mark.parametrize("fast", [False, True])
     def test_crypt_many_equals_sequential(self, fast):

@@ -1,6 +1,7 @@
 """ntor handshake and layered relay crypto."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.tor import ntor
 from repro.tor.cell import RelayCellPayload, RelayCommand
@@ -40,6 +41,21 @@ class TestNtor:
         mangled = reply[:-1] + bytes([reply[-1] ^ 1])
         with pytest.raises(ProtocolError):
             client.finish(mangled)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.text(max_size=12), st.text(min_size=1, max_size=12),
+           st.binary(min_size=32, max_size=32))
+    def test_any_session_agrees_and_rejects_forged_auth(self, seed, identity,
+                                                        forged):
+        rng = DeterministicRandom("ntor-prop:" + seed)
+        client = ntor.NtorClientState(rng.fork("client"), identity)
+        server_keys, reply = ntor.server_respond(rng.fork("server"), identity,
+                                                 client.onionskin)
+        assert client.finish(reply) == server_keys
+        server_pub, auth = reply[:ntor.PUBLIC_LEN], reply[ntor.PUBLIC_LEN:]
+        if forged != auth:
+            with pytest.raises(ProtocolError):
+                client.finish(server_pub + forged)
 
     def test_short_messages_rejected(self):
         rng = DeterministicRandom("short")
