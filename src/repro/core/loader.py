@@ -7,6 +7,12 @@ the ``api`` object; builtins are reduced to a computational subset and
 unconstrained Python, and safety comes from what the environment lets it
 reach (§5.1: "Rather than enforce safety by limiting functions' code
 itself, Bento servers run functions in sandboxes").
+
+The one structural demand on the code: the entry point is a generator
+function, because every api call is ``yield from api.<call>(...)`` and the
+invocation runs as a :class:`~repro.netsim.simulator.SimTask`.  The source
+comes from outside the program, so :meth:`FunctionRuntime.load` checks it
+and refuses a plain entry while the client is still at ``load_function``.
 """
 
 from __future__ import annotations
@@ -96,6 +102,12 @@ class FunctionRuntime:
         if not callable(entry):
             raise LoaderError(
                 f"entry point {self.manifest.entry!r} not found or not callable")
+        if not inspect.isgeneratorfunction(entry):
+            # A plain entry would call api methods without `yield from`,
+            # and every one of them would silently do nothing.
+            raise LoaderError(
+                f"entry point {self.manifest.entry!r} must be a generator "
+                f"function: api calls are `yield from api.<call>(...)`")
         self.namespace = namespace
         self.entry = entry
 
@@ -129,13 +141,7 @@ class FunctionRuntime:
         self.namespace["restore"](state)
 
     def start(self, args: list, peer) -> None:
-        """Run one invocation in its own actor.
-
-        Generator-function entries (the coroutine style all in-tree
-        functions use) run as :class:`~repro.netsim.simulator.SimTask`\\ s;
-        plain entries keep the legacy sim-thread, where blocking api calls
-        are driven synchronously.
-        """
+        """Run one invocation in its own actor."""
         if self.entry is None:
             raise LoaderError("function not loaded")
         if self.running:
@@ -145,40 +151,27 @@ class FunctionRuntime:
         sim = self.instance.server.sim
         api = self.instance.api
 
-        if inspect.isgeneratorfunction(self.entry):
-            def _run(task):
-                from repro.core.api import FunctionKilled
+        def _run(task):
+            from repro.core.api import FunctionKilled
 
-                api._bind(task, peer)
+            api._bind(task, peer)
+            try:
                 try:
-                    try:
-                        result = yield from self.entry(*args)
-                    except BaseException as exc:  # noqa: BLE001 - to client
-                        self.running = False
-                        if (self.instance.draining
-                                and isinstance(exc, FunctionKilled)):
-                            # A deliberate drain kill: the instance moved;
-                            # the client hears "moved", not "crashed".
-                            return
-                        self.instance.on_error(
-                            FunctionCrashed(f"{type(exc).__name__}: {exc}"),
-                            peer)
-                        return
-                    self.running = False
-                    self.instance.on_done(result, peer)
-                finally:
-                    api._unbind(task)
-        else:
-            def _run(thread) -> None:
-                api._bind(thread, peer)
-                try:
-                    result = self.entry(*args)
+                    result = yield from self.entry(*args)
                 except BaseException as exc:  # noqa: BLE001 - to client
                     self.running = False
+                    if (self.instance.draining
+                            and isinstance(exc, FunctionKilled)):
+                        # A deliberate drain kill: the instance moved;
+                        # the client hears "moved", not "crashed".
+                        return
                     self.instance.on_error(
-                        FunctionCrashed(f"{type(exc).__name__}: {exc}"), peer)
+                        FunctionCrashed(f"{type(exc).__name__}: {exc}"),
+                        peer)
                     return
                 self.running = False
                 self.instance.on_done(result, peer)
+            finally:
+                api._unbind(task)
 
         sim.spawn(_run, name=f"fn:{self.manifest.name}")

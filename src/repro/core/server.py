@@ -39,7 +39,7 @@ from repro.enclave.conclave import Conclave
 from repro.enclave.sgx import EnclaveHost
 from repro.netsim.bytestream import DirectByteStream, FramedStream
 from repro.netsim.connection import Connection
-from repro.netsim.simulator import Actor, Sleep, blocking
+from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -312,7 +312,6 @@ class BentoServer:
         framed = FramedStream(DirectByteStream(conn, self.node))
         self.sim.spawn(self._serve, framed, name=f"bento:{self.relay.nickname}")
 
-    @blocking
     def serve_via_hidden_service(self, thread: Actor,
                                  n_intro: int = 3) -> str:
         """Also expose this server as a hidden service; returns the onion

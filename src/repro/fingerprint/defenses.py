@@ -13,10 +13,9 @@ Browser's offload approach side by side with in-band padding.
 from __future__ import annotations
 
 from repro.fingerprint.lab import standard_tor_visit
-from repro.netsim.simulator import Actor, Join, Sleep, blocking
+from repro.netsim.simulator import Actor, Join, Sleep
 
 
-@blocking
 def padded_tor_visit(thread: Actor, client, hostname: str,
                      pad_rate_cells_per_s: float = 50.0,
                      trailer_s: float = 3.0) -> None:

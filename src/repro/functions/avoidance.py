@@ -25,7 +25,7 @@ import json
 import math
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -97,7 +97,6 @@ class AvoidanceFunction:
             image=image, memory_bytes=2 * MB)
 
     @staticmethod
-    @blocking
     def prove(thread: Actor, session, src: tuple[str, int],
               dst: tuple[str, int], detour_bound: float,
               samples: int = 3, timeout: float = 600.0) -> dict:

@@ -19,7 +19,7 @@ import zlib
 from typing import Optional
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -87,7 +87,6 @@ class BrowserFunction:
         return decompressor.decompress(blob)
 
     @staticmethod
-    @blocking
     def fetch(thread: Actor, session, url: str, padding: int,
               timeout: float = 1200.0) -> tuple[bytes, dict]:
         """Invoke a loaded Browser and return (page_digest, stats).

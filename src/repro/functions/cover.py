@@ -14,7 +14,7 @@ chosen hop — is also exposed (``api.stem.send_padding``).
 from __future__ import annotations
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, Sleep, blocking
+from repro.netsim.simulator import Actor, Sleep
 
 MB = 1024 * 1024
 
@@ -77,7 +77,6 @@ class CoverFunction:
             memory_bytes=memory_bytes)
 
     @staticmethod
-    @blocking
     def run_bidirectional(thread: Actor, session, rate_bytes_per_s: float,
                           duration_s: float, chunk_size: int = 4096) -> dict:
         """Start downstream cover and mirror it upstream; returns stats.

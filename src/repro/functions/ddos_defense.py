@@ -18,7 +18,7 @@ from __future__ import annotations
 import hashlib
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -147,7 +147,6 @@ class DdosDefenseFunction:
             api_calls=cls.API_CALLS, image=image, memory_bytes=memory_bytes)
 
     @staticmethod
-    @blocking
     def start(thread: Actor, session, content: bytes,
               difficulty_bits: int = 8, duration_s: float = 120.0,
               poll_interval: float = 2.0, timeout: float = 600.0) -> dict:

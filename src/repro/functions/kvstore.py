@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
@@ -92,7 +92,6 @@ class KvStoreFunction:
             messages.INVOKE, token=session.invocation_token, args=[]))
 
     @staticmethod
-    @blocking
     def op(thread: Actor, session, request: dict,
            timeout: float = 600.0) -> dict:
         """One request/reply round against the running store."""
@@ -101,7 +100,6 @@ class KvStoreFunction:
         return json.loads(reply.decode("utf-8"))
 
     @classmethod
-    @blocking
     def incr(cls, thread: Actor, session, key: str,
              timeout: float = 600.0) -> int:
         """Increment-and-read a counter."""

@@ -19,7 +19,7 @@ length-prefixed GET protocol; clients hold their stream open (ending with
 The uploaded sources are coroutine-style: every api call is a blocking
 generator delegated to with ``yield from``, so the whole balancer (and
 each replica, and each per-stream handler) runs as one
-:class:`~repro.netsim.simulator.SimTask` instead of an OS thread.
+:class:`~repro.netsim.simulator.SimTask`.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.tor.client import TorClient
@@ -412,7 +412,6 @@ class LoadBalancerFunction:
                           replica_image, timeout, announce, standbys)
 
     @staticmethod
-    @blocking
     def _start(thread: Actor, session, content: bytes, high_water: int,
                low_water: int, max_replicas: int, duration_s: float,
                poll_interval: float, replica_image: str, timeout: float,
@@ -444,7 +443,6 @@ class LoadBalancerFunction:
         return onion
 
     @staticmethod
-    @blocking
     def download(thread: Actor, tor_client: TorClient, onion: str,
                  timeout: float = 1200.0) -> tuple[bytes, float]:
         """One client's full download from the (possibly balanced) service.

@@ -19,7 +19,7 @@ import json
 from repro.coding.erasure import Shard, decode_shards
 from repro.core.manifest import FunctionManifest
 from repro.functions.dropbox import DropboxFunction
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 from repro.obs.span import TRACER as _obs
 
 MB = 1024 * 1024
@@ -116,7 +116,6 @@ class ShardFunction:
             image=image, memory_bytes=memory_bytes)
 
     @staticmethod
-    @blocking
     def scatter(thread: Actor, session, data: bytes, n: int, k: int,
                 name: str = "file", expiry_s: float = 3600.0,
                 timeout: float = 1200.0) -> dict:
@@ -141,7 +140,6 @@ class ShardFunction:
         return result
 
     @staticmethod
-    @blocking
     def gather(thread: Actor, bento_client, metadata: dict,
                use_indices: list[int] | None = None,
                timeout: float = 600.0) -> bytes:

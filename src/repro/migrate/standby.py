@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.core.errors import BentoError
-from repro.netsim.simulator import Actor, Sleep, blocking
+from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -39,7 +39,6 @@ class WarmStandby:
         self.last_sync_at: Optional[float] = None
         self.promoted = False
 
-    @blocking
     def provision(self, thread: Actor, exclude: tuple = (),
                   timeout: float = 240.0) -> str:
         """Stand the clone up on a slack-rich box (excluding the primary's);
@@ -61,7 +60,6 @@ class WarmStandby:
                         track=self.client.tor.node.name, box=box.nickname)
         return box.identity_fp
 
-    @blocking
     def sync(self, thread: Actor, primary_session,
              timeout: float = 240.0) -> int:
         """Ship one checkpoint from the primary; returns the new seq."""
@@ -75,7 +73,6 @@ class WarmStandby:
         self.last_sync_at = self.client.sim.now
         return self.seq
 
-    @blocking
     def promote(self, thread: Actor,
                 adopt_invocation: Optional[str] = None,
                 adopt_shutdown: Optional[str] = None,
@@ -110,7 +107,6 @@ class WarmStandby:
             return float("inf")
         return max(0.0, now - self.last_sync_at)
 
-    @blocking
     def run(self, thread: Actor, primary_session) -> None:
         """Ship checkpoints every ``max_state_lag_s`` until promotion or a
         primary failure (which ends the loop; the owner then promotes)."""

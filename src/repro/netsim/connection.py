@@ -24,7 +24,7 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from repro.netsim.node import Node
-from repro.netsim.simulator import Future, Simulator, Wait, blocking
+from repro.netsim.simulator import Future, Simulator, Wait
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
 
@@ -388,9 +388,8 @@ class Connection:
             return
         self._endpoints[receiver.name]._deliver(self, payload, size)
 
-    # -- receiving (blocking style, for sim-threads) -----------------------
+    # -- receiving (blocking style, for actors) ----------------------------
 
-    @blocking
     def receive(self, node: Node, thread, timeout: Optional[float] = None) -> Any:
         """Block (in an actor) until a message for ``node`` arrives."""
         endpoint = self._endpoints[node.name]
@@ -519,7 +518,6 @@ class LoopbackConnection:
         if on_sent is not None:
             self.sim.schedule(0.0, on_sent)
 
-    @blocking
     def receive(self, _node: Node, thread, timeout: Optional[float] = None) -> Any:
         """Blocking receive of the next queued payload."""
         endpoint = self._endpoint

@@ -6,7 +6,7 @@ from typing import Optional
 
 from repro.netsim.connection import Connection
 from repro.netsim.node import Node, RemoteNode
-from repro.netsim.simulator import Future, Simulator, Wait, blocking
+from repro.netsim.simulator import Future, Simulator, Wait
 from repro.obs.span import TRACER as _obs
 from repro.util.errors import ReproError
 
@@ -230,7 +230,6 @@ class Network:
         self.sim.schedule(handshake_rtts * 2.0 * latency, _complete)
         return future
 
-    @blocking
     def connect_blocking(self, thread, initiator: Node, address: str, port: int,
                          handshake_rtts: float = 1.0,
                          timeout: Optional[float] = None) -> Connection:

@@ -77,8 +77,7 @@ from repro.netsim.connection import (DEFAULT_CHUNK, ConnectionClosed,
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node, RemoteNode
 from repro.netsim.partition import Partition, lookahead_s, partition_nodes
-from repro.netsim.simulator import (Future, SimulationError, Simulator, Wait,
-                                    blocking)
+from repro.netsim.simulator import Future, SimulationError, Simulator, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.obs.span import EventLog
@@ -235,7 +234,6 @@ class HalfConnection:
 
     # -- receiving --------------------------------------------------------
 
-    @blocking
     def receive(self, node: Node, thread,
                 timeout: Optional[float] = None) -> Any:
         """Block (in an actor) until a message for ``node`` arrives."""
@@ -539,10 +537,8 @@ class _ShardRunner:
         return self.next_time(), outbox, processed, busy
 
     def finish(self, include_globals: bool) -> dict:
-        failures = []
-        for actor in self.sim._threads:
-            if actor.finished and actor.exception is not None:
-                failures.append(f"{actor.name}: {actor.exception!r}")
+        failures = [f"{actor.name}: {actor.exception!r}"
+                    for actor in self.sim._failed]
         payload = {
             "records": self.ctx.records,
             "failures": failures,

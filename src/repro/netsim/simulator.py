@@ -1,31 +1,23 @@
 """The discrete-event core: clock, event queue, futures, and actors.
 
-Three execution styles coexist:
+Two execution styles coexist:
 
 * **Event-driven handlers** (relays, servers) register callbacks with
   :meth:`Simulator.schedule`; they must never block.
 * **Coroutine tasks** (clients, Bento functions) run as
   :class:`SimTask`\\ s -- generators multiplexed onto the event loop by a
-  trampoline.  A task-style actor is a generator function that yields
-  suspension requests (:class:`Wait`, :class:`Sleep`, :class:`Join`) and
-  composes with nested actors via ``yield from``.  The whole simulation
-  runs on **one** OS thread: suspending a task costs a generator frame,
-  not a kernel context switch, and memory per actor is O(task) bytes
-  instead of an OS thread stack.
-* **Legacy sim-threads** (:class:`SimThread`) back plain blocking
-  callables with a real OS thread of which at most one runs at a time,
-  hand-scheduled by the simulator.  This is the deprecated compatibility
-  path: :meth:`Simulator.spawn` keeps dispatching plain callables onto
-  it so existing call sites still work, but every in-tree actor is
-  task-style and the ``legacy_threads_spawned`` counter guards CI.
+  trampoline.  An actor is a generator function that yields suspension
+  requests (:class:`Wait`, :class:`Sleep`, :class:`Join`); a blocking
+  operation is a generator function too, and its caller delegates to it
+  with ``yield from``.  The whole simulation runs on **one** OS thread:
+  suspending a task costs a generator frame, and memory per actor is
+  O(task) bytes.
 
-Both kernels share one invariant: every wake-up flows through the
-(deterministic) event queue and exactly one actor runs at any instant,
-so fixed seeds replay bit-identical schedules regardless of kernel.  The
-task kernel's wait/sleep paths issue *exactly* the same
-:meth:`Simulator.schedule` calls in the same order as the thread
-kernel's, which keeps event sequence numbers -- and therefore golden
-traces -- identical across the migration.
+Every wake-up flows through the (deterministic) event queue and exactly
+one actor runs at any instant, so fixed seeds replay bit-identical
+schedules.  The order in which a suspension issues its
+:meth:`Simulator.schedule` calls is part of that contract: event sequence
+numbers break ties between same-instant events, so golden traces pin it.
 
 The event heap stores ``(time, seq, event)`` tuples so ordering
 comparisons run on C-level tuples -- in large runs those comparisons
@@ -45,12 +37,9 @@ entry per actor.
 
 from __future__ import annotations
 
-import functools
 import heapq
-import inspect
-import threading
 from types import GeneratorType
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.perf.counters import counters as _perf
@@ -61,7 +50,6 @@ from repro.util.rng import DeterministicRandom
 # Cached registry handles (the registry resets in place, so these survive).
 _TIMERS_CANCELLED = _metrics.counter("timers_cancelled")
 _TASKS_SPAWNED = _metrics.counter("actors_spawned", labels={"kind": "task"})
-_THREADS_SPAWNED = _metrics.counter("actors_spawned", labels={"kind": "thread"})
 _TASK_SWITCHES = _metrics.counter("task_switches")
 
 # Compact the heap when it holds this many cancelled events and they
@@ -151,11 +139,8 @@ class Future:
 
 # -- suspension requests -----------------------------------------------------
 #
-# Task-style actors yield these to the trampoline; :func:`blocking`-wrapped
-# operations yield them up through ``yield from`` chains.  The legacy
-# driver (:func:`_drive_blocking`) maps each request back onto the
-# corresponding SimThread primitive, so one generator body serves both
-# kernels.
+# Actors yield these to the trampoline; blocking operations yield them up
+# through ``yield from`` chains.
 
 class Wait:
     """Suspend until ``future`` resolves; the yield evaluates to its value.
@@ -185,15 +170,27 @@ class Join:
 
     __slots__ = ("actor", "timeout")
 
-    def __init__(self, actor: "Actor", timeout: Optional[float] = None) -> None:
+    def __init__(self, actor: "SimTask", timeout: Optional[float] = None) -> None:
         self.actor = actor
         self.timeout = timeout
 
 
-class _ActorBase:
-    """State both kernels share: identity, outcome, and the timer slot."""
+class SimTask:
+    """A coroutine actor: a generator multiplexed onto the event loop.
 
-    def __init__(self, sim: "Simulator", name: str) -> None:
+    Created with :meth:`Simulator.spawn` from a callable that receives the
+    :class:`SimTask` as its first argument and returns a generator (in
+    practice a generator function), which suspends by yielding
+    :class:`Wait` / :class:`Sleep` / :class:`Join` requests.  Nested
+    blocking operations compose with ``yield from``.
+
+    Event sequence numbers break same-instant ties, so the calls a
+    suspension makes are pinned by every golden trace: arm the timer slot,
+    then ``add_done_callback`` (one wake event, scheduled at once when the
+    future is already done), then the completion check.
+    """
+
+    def __init__(self, sim: "Simulator", name: str, fn: Callable, args: tuple) -> None:
         self.sim = sim
         self.name = name
         self.finished = False
@@ -205,11 +202,16 @@ class _ActorBase:
         # that resolves long after its timeout lost the race) no longer
         # matches, so it cannot resume the actor spuriously.
         self._wait_generation = 0
-        # Reusable timeout slot: at most one wait() is outstanding per
+        # Reusable timeout slot: at most one wait is outstanding per
         # actor, so one heap entry serves every timeout this actor arms.
         self._timer_event: Optional[Event] = None
         self._timer_deadline: Optional[float] = None
         self._timer_on_fire: Optional[Callable[[], None]] = None
+        self._fn = fn
+        self._args = args
+        self._gen: Optional[GeneratorType] = None
+        self._waiting_on: Optional[Future] = None
+        self._wait_timeout: Optional[float] = None
 
     # -- timer slot -------------------------------------------------------
 
@@ -266,153 +268,14 @@ class _ActorBase:
         """A future resolved with the actor's result when it finishes."""
         return self._done_future
 
-
-class SimThread(_ActorBase):
-    """A blocking actor backed by a real OS thread (legacy kernel).
-
-    Deprecated compatibility shim: :meth:`Simulator.spawn` still routes
-    plain callables here so thread-style call sites keep working, but new
-    actors should be generator functions on the :class:`SimTask` kernel.
-    The target callable receives the :class:`SimThread` as its first
-    argument and may call :meth:`sleep`, :meth:`wait` and :meth:`join` --
-    each suspends this actor and lets simulated time advance.
-
-    The scheduler/actor handoff uses a pair of locks as binary semaphores;
-    unlike ``threading.Event`` pairs they need no clear/set cycle per
-    switch, which roughly halves the cost of each context handoff.
-    """
-
-    #: True while :func:`_drive_blocking` is advancing a generator on this
-    #: thread, so nested :func:`blocking` calls return their generators
-    #: (for ``yield from``) instead of starting a recursive drive.
-    _driving = False
-
-    def __init__(self, sim: "Simulator", name: str, fn: Callable, args: tuple) -> None:
-        super().__init__(sim, name)
-        self._fn = fn
-        self._args = args
-        self._go = threading.Lock()
-        self._go.acquire()
-        self._yielded = threading.Lock()
-        self._yielded.acquire()
-        self._thread = threading.Thread(
-            target=self._run, name=f"sim:{name}", daemon=True
-        )
-
-    # -- scheduler side -------------------------------------------------
-
-    def _start(self) -> None:
-        self._thread.start()
-        self._step()
-
-    def _step(self) -> None:
-        """Run the actor until it blocks again (called from the event loop)."""
-        self._go.release()
-        self._yielded.acquire()
-        if self.finished:
-            if self.exception is not None and not self._done_future.done:
-                self._done_future.reject(self.exception)
-            elif not self._done_future.done:
-                self._done_future.resolve(self.result)
-
-    # -- actor side ------------------------------------------------------
-
-    def _run(self) -> None:
-        self._go.acquire()
-        try:
-            result = self._fn(self, *self._args)
-            if isinstance(result, GeneratorType):
-                # A task-style callable landed on the legacy kernel (for
-                # example via a lambda wrapper that hid the generator
-                # function from spawn's dispatch); drive it to completion
-                # so it still runs rather than silently doing nothing.
-                result = _drive_blocking(self, result)
-            self.result = result
-        except BaseException as exc:  # noqa: BLE001 - surfaced via .exception
-            self.exception = exc
-        finally:
-            self.finished = True
-            self._yielded.release()
-
-    def _block(self) -> None:
-        """Yield control to the scheduler; returns when re-scheduled."""
-        self._yielded.release()
-        self._go.acquire()
-
-    def wait(self, future: Future, timeout: Optional[float] = None) -> Any:
-        """Suspend until ``future`` resolves; returns its value.
-
-        Raises :class:`SimTimeoutError` if ``timeout`` simulated seconds
-        elapse first (the future itself is left untouched).
-        """
-        if threading.current_thread() is not self._thread:
-            raise SimulationError("wait() called from outside this sim-thread")
-        self._wait_generation += 1
-        generation = self._wait_generation
-        timed_out = False
-
-        def _wake(_arg: Any) -> None:
-            if self._wait_generation == generation:
-                self.sim._wake_thread(self)
-
-        def _on_timeout() -> None:
-            nonlocal timed_out
-            timed_out = True
-            self.sim._wake_thread(self)
-
-        if timeout is not None:
-            self._arm_timer(self.sim.now + timeout, _on_timeout)
-        future.add_done_callback(_wake)
-        while not future.done and not timed_out:
-            self._block()
-        if timeout is not None and not timed_out:
-            self._disarm_timer()
-        if not future.done:
-            raise SimTimeoutError(f"wait timed out after {timeout}s")
-        return future.result()
-
-    def sleep(self, duration: float) -> None:
-        """Suspend for ``duration`` simulated seconds."""
-        if duration < 0:
-            raise ValueError("cannot sleep a negative duration")
-        future = Future(self.sim)
-        self.sim.schedule(duration, future.resolve, None)
-        self.wait(future)
-
-    def join(self, other: "Actor", timeout: Optional[float] = None) -> Any:
-        """Suspend until another actor finishes; returns its result."""
-        return self.wait(other._done_future, timeout=timeout)
-
-
-class SimTask(_ActorBase):
-    """A coroutine actor: a generator multiplexed onto the event loop.
-
-    Created with :meth:`Simulator.spawn` from a generator function, which
-    receives the :class:`SimTask` as its first argument (mirroring the
-    thread-style calling convention) and suspends by yielding
-    :class:`Wait` / :class:`Sleep` / :class:`Join` requests.  Nested
-    blocking operations compose with ``yield from``.
-
-    The trampoline replicates the thread kernel's wake-up protocol call
-    for call -- same timer-slot arming, same ``add_done_callback``
-    registration, same number of scheduled events -- so a fixed seed
-    produces bit-identical event sequences on either kernel.
-    """
-
-    def __init__(self, sim: "Simulator", name: str, fn: Callable, args: tuple) -> None:
-        super().__init__(sim, name)
-        self._fn = fn
-        self._args = args
-        self._gen: Optional[GeneratorType] = None
-        self._waiting_on: Optional[Future] = None
-        self._wait_timeout: Optional[float] = None
-
     # -- scheduler side -------------------------------------------------
 
     def _start(self) -> None:
         gen = self._fn(self, *self._args)
         if not isinstance(gen, GeneratorType):
-            self._finish_task(gen, None)    # ran to completion synchronously
+            self._finish_task(None, SimulationError(
+                f"actor {self.name!r}: {self._fn!r} returned {gen!r}, not a "
+                f"generator; actors are generator functions"))
             return
         self._gen = gen
         self._advance(None, None)
@@ -422,9 +285,9 @@ class SimTask(_ActorBase):
 
         Runs until the task suspends on a pending future or finishes.
         Requests on already-done futures are serviced in the loop without
-        suspending -- exactly as :meth:`SimThread.wait` never blocks on a
-        done future -- while still registering the same wake event for
-        sequence-number parity.
+        suspending, but still register their wake event (which arrives
+        stale): the sequence number it consumes is part of every golden
+        trace.
         """
         if self.finished:
             return
@@ -478,11 +341,10 @@ class SimTask(_ActorBase):
     def _suspend(self, future: Future, timeout: Optional[float]) -> bool:
         """Register for wake-up on ``future``; True if actually suspended.
 
-        Mirrors the thread kernel's wait preamble exactly: arm the timer
-        slot first, then register the done-callback (which schedules a
-        wake event immediately when the future is already done), then
-        check completion -- so both kernels consume identical event
-        sequence numbers.
+        The order is load-bearing (see the class docstring): arm the
+        timer slot first, then register the done-callback (which schedules
+        a wake event immediately when the future is already done), then
+        check completion.
         """
         self._wait_generation += 1
         generation = self._wait_generation
@@ -531,8 +393,8 @@ class SimTask(_ActorBase):
         self._wait_timeout = None
         if future.done:
             # The future won at this same instant (resolved earlier in the
-            # tick, wake event still queued): deliver its result now, just
-            # as the thread kernel's wait loop does, and let the queued
+            # tick, wake event still queued): a done future always beats
+            # its timeout, so deliver its result now and let the queued
             # wake arrive stale.
             try:
                 value, exc = future.result(), None
@@ -556,111 +418,15 @@ class SimTask(_ActorBase):
         self._waiting_on = None
         if exception is not None:
             # Retain failed actors so check_failures() can surface them.
-            self.sim._threads.append(self)
+            self.sim._failed.append(self)
             if not self._done_future.done:
                 self._done_future.reject(exception)
         elif not self._done_future.done:
             self._done_future.resolve(result)
 
 
-#: Either kind of actor handle; blocking operations accept both.
-Actor = Union[SimThread, SimTask]
-
-
-def _find_actor(args: tuple, kwargs: dict) -> Optional[Actor]:
-    for value in args:
-        if isinstance(value, (SimThread, SimTask)):
-            return value
-    for value in kwargs.values():
-        if isinstance(value, (SimThread, SimTask)):
-            return value
-    return None
-
-
-def _drive_blocking(thread: SimThread, gen: GeneratorType) -> Any:
-    """Run a task-style generator to completion on a legacy sim-thread.
-
-    Services each yielded request with the corresponding SimThread
-    primitive and sends the outcome (value or exception) back into the
-    generator, so one generator body behaves identically under both
-    kernels.  While driving, nested :func:`blocking` calls on this thread
-    return their generators (``thread._driving``) and delegate here via
-    ``yield from``.
-    """
-    previous = thread._driving
-    thread._driving = True
-    try:
-        value: Any = None
-        exc: Optional[BaseException] = None
-        while True:
-            try:
-                request = gen.throw(exc) if exc is not None else gen.send(value)
-            except StopIteration as stop:
-                return stop.value
-            value = None
-            exc = None
-            try:
-                kind = type(request)
-                if kind is Sleep:
-                    thread.sleep(request.duration)
-                elif kind is Wait:
-                    value = thread.wait(request.future, request.timeout)
-                elif kind is Join:
-                    value = thread.join(request.actor, request.timeout)
-                else:
-                    raise SimulationError(
-                        f"blocking operation yielded {request!r}; expected "
-                        f"Wait, Sleep, or Join")
-            except BaseException as error:  # noqa: BLE001 - rethrown in gen
-                exc = error
-    finally:
-        thread._driving = previous
-
-
-def _drive_inline(gen: GeneratorType) -> Any:
-    """Exhaust a blocking generator that must not actually suspend.
-
-    Used when a :func:`blocking` operation is invoked without an actor
-    (event-handler context): the operation's side effects still run, but
-    any attempt to suspend is a scheduler-misuse error.
-    """
-    try:
-        next(gen)
-    except StopIteration as stop:
-        return stop.value
-    raise SimulationError("blocking operation suspended outside an actor")
-
-
-def blocking(fn: Callable) -> Callable:
-    """Write a blocking operation once -- as a generator -- for both kernels.
-
-    The wrapped generator function yields :class:`Wait`/:class:`Sleep`/
-    :class:`Join` requests (and delegates to other blocking operations
-    with ``yield from``).  At call time the wrapper inspects the actor
-    argument:
-
-    * called with a :class:`SimTask` (or from inside a driven generator):
-      returns the generator for the caller to ``yield from``;
-    * called with an idle :class:`SimThread` (legacy thread-style call
-      sites, e.g. tests): drives the generator to completion synchronously
-      via :func:`_drive_blocking`, preserving the old blocking signature;
-    * called with no actor at all: runs inline, where suspending is an
-      error.
-    """
-    assert inspect.isgeneratorfunction(fn), fn
-
-    @functools.wraps(fn)
-    def wrapper(*args: Any, **kwargs: Any) -> Any:
-        gen = fn(*args, **kwargs)
-        actor = _find_actor(args, kwargs)
-        if actor is None:
-            return _drive_inline(gen)
-        if isinstance(actor, SimThread) and not actor._driving:
-            return _drive_blocking(actor, gen)
-        return gen
-
-    wrapper._blocking_inner = fn
-    return wrapper
+#: The actor handle type blocking operations take as their first argument.
+Actor = SimTask
 
 
 class Simulator:
@@ -673,9 +439,9 @@ class Simulator:
         self._seq = 0
         self._seq_counted = 0   # events_scheduled accounted up to this seq
         self._cancelled = 0
-        # Legacy sim-threads (all of them) plus failed tasks; successful
-        # tasks are dropped on completion to keep memory O(live actors).
-        self._threads: list[Actor] = []
+        # Failed tasks only; successful tasks are dropped on completion
+        # to keep memory O(live actors).
+        self._failed: list[SimTask] = []
         self._running = False
         self._current_task: Optional[SimTask] = None
 
@@ -710,27 +476,13 @@ class Simulator:
 
     def spawn(self, fn: Callable, *args: Any, name: str = "actor",
               delay: float = 0.0) -> Actor:
-        """Create a blocking actor; it starts after ``delay`` sim-seconds.
-
-        Generator functions run on the coroutine :class:`SimTask` kernel;
-        plain callables fall back to the deprecated :class:`SimThread`
-        kernel (one real OS thread per actor).
-        """
-        if inspect.isgeneratorfunction(fn):
-            actor: Actor = SimTask(self, name, fn, args)
-            _perf.tasks_spawned += 1
-            _TASKS_SPAWNED.value += 1
-        else:
-            actor = SimThread(self, name, fn, args)
-            self._threads.append(actor)
-            _perf.legacy_threads_spawned += 1
-            _THREADS_SPAWNED.value += 1
+        """Create an actor from a generator function ``fn(task, *args)``;
+        it starts after ``delay`` sim-seconds."""
+        actor = SimTask(self, name, fn, args)
+        _perf.tasks_spawned += 1
+        _TASKS_SPAWNED.value += 1
         self.schedule(delay, actor._start)
         return actor
-
-    def _wake_thread(self, thread: SimThread) -> None:
-        if not thread.finished:
-            thread._step()
 
     # -- running ------------------------------------------------------------
 
@@ -828,6 +580,5 @@ class Simulator:
 
     def check_failures(self) -> None:
         """Raise the first exception any finished actor recorded."""
-        for thread in self._threads:
-            if thread.finished and thread.exception is not None:
-                raise thread.exception
+        if self._failed:
+            raise self._failed[0].exception

@@ -19,7 +19,6 @@ _FIELDS = (
     "timers_cancelled",    # wait() timeouts disarmed because the future won
     "tasks_spawned",       # coroutine actors started on the SimTask kernel
     "task_switches",       # trampoline resumptions of coroutine actors
-    "legacy_threads_spawned",  # actors that fell back to the OS-thread kernel
     "bytes_zero_copied",   # payload bytes moved as views instead of copies
     "hash_calls",          # hash invocations in StreamCipher keystreams:
                            # one XOF call per 4 KiB batch

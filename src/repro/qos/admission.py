@@ -28,8 +28,7 @@ from typing import Optional
 
 from repro.core.errors import ServerBusy
 from repro.core.manifest import FunctionManifest
-from repro.netsim.simulator import (Actor, Future, SimTimeoutError, Wait,
-                                    blocking)
+from repro.netsim.simulator import Actor, Future, SimTimeoutError, Wait
 from repro.sandbox.cgroups import CGroup, ResourceExceeded
 
 
@@ -104,7 +103,6 @@ class AdmissionController:
         self._held.add(key)
         return True
 
-    @blocking
     def admit(self, thread: Actor, key: object,
               priority: str = "bulk") -> float:
         """Block until ``key`` holds a slot; returns the queued duration.

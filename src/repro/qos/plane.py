@@ -30,7 +30,7 @@ from typing import Optional
 from repro.core.errors import PuzzleRequired, ServerBusy
 from repro.core.manifest import PRIORITY_CLASSES
 from repro.functions.ddos_defense import AdmissionPuzzle
-from repro.netsim.simulator import Actor, Sleep, blocking
+from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.perf.counters import counters as _perf
 from repro.qos.admission import AdmissionController
@@ -108,7 +108,6 @@ class ServingPlane:
 
     # -- admission ---------------------------------------------------------
 
-    @blocking
     def admit_request(self, thread: Actor, conn, message: dict) -> object:
         """Gate one ``request_image``; returns the admission key.
 
@@ -203,8 +202,7 @@ class ServingPlane:
 
     # -- scheduling --------------------------------------------------------
 
-    @blocking
-    def charge_cpu(self, thread: Optional[Actor], instance,
+    def charge_cpu(self, thread: Actor, instance,
                    cost_ms: float) -> None:
         """Meter cpu milliseconds; sleep out any fair-share pacing delay."""
         key = getattr(instance, "qos_key", None)
@@ -213,8 +211,7 @@ class ServingPlane:
         delay = self.cpu_queue.charge(key, cost_ms, self.server.sim.now)
         yield from self._pace(thread, delay)
 
-    @blocking
-    def charge_net(self, thread: Optional[Actor], instance,
+    def charge_net(self, thread: Actor, instance,
                    nbytes: int) -> None:
         """Meter egress/ingress bytes through the fair queue + bucket."""
         key = getattr(instance, "qos_key", None)
@@ -227,8 +224,8 @@ class ServingPlane:
             delay = max(delay, bucket.reserve(float(nbytes), now))
         yield from self._pace(thread, delay)
 
-    def _pace(self, thread: Optional[Actor], delay: float):
-        if delay > 0 and thread is not None:
+    def _pace(self, thread: Actor, delay: float):
+        if delay > 0:
             _perf.qos_throttles += 1
             yield Sleep(delay)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from typing import Optional
 
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 from repro.tor.circuit import Circuit
 from repro.tor.client import TorClient
 from repro.tor.descriptor import RelayDescriptor
@@ -35,7 +35,6 @@ class Controller:
 
     # -- circuits -----------------------------------------------------------
 
-    @blocking
     def new_circuit(self, thread: Actor,
                     path: Optional[list[RelayDescriptor]] = None,
                     length: int = 3,
@@ -65,14 +64,12 @@ class Controller:
         self.get_circuit(circuit_id).close()
         self._circuits.pop(circuit_id, None)
 
-    @blocking
     def attach_stream(self, thread: Actor, circuit_id: str, host: str,
                       port: int) -> TorStream:
         """Open a stream on an existing circuit (stem's ATTACHSTREAM)."""
         return (yield from self.get_circuit(circuit_id).open_stream(
             thread, host, port))
 
-    @blocking
     def fetch(self, thread: Actor, circuit_id: str, url: str,
               offset: Optional[int] = None, length: Optional[int] = None,
               timeout: float = 600.0) -> dict:
@@ -115,7 +112,6 @@ class Controller:
 
     # -- hidden services ----------------------------------------------------------
 
-    @blocking
     def create_hidden_service(self, thread: Actor, handler: StreamHandler,
                               n_intro: int = 3, keypair=None,
                               establish: bool = True,
@@ -135,13 +131,11 @@ class Controller:
         self._services[str(service.onion_address)] = service
         return service
 
-    @blocking
     def wait_introduction(self, thread: Actor, service: HiddenService,
                           timeout: Optional[float] = None) -> dict:
         """Next queued introduction for a manual-mode service."""
         return (yield from service.wait_introduction(thread, timeout=timeout))
 
-    @blocking
     def complete_rendezvous(self, thread: Actor, service: HiddenService,
                             request: dict):
         """Answer one introduction: build the rendezvous circuit (§8.2's
@@ -155,7 +149,6 @@ class Controller:
             raise ControllerError(f"unknown hidden service: {onion_address}")
         service.shut_down()
 
-    @blocking
     def connect_to_hidden_service(self, thread: Actor,
                                   onion_address: str) -> Circuit:
         """Client-side rendezvous to someone else's hidden service."""

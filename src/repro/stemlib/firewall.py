@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.netsim.simulator import Actor, blocking
+from repro.netsim.simulator import Actor
 from repro.stemlib.controller import Controller, ControllerError
 from repro.util.errors import ReproError
 
@@ -72,7 +72,6 @@ class StemFirewall:
 
     # -- mediated routines ----------------------------------------------------
 
-    @blocking
     def new_circuit(self, thread: Actor, **kwargs) -> str:
         """Mediated :meth:`Controller.new_circuit`."""
         self._check("new_circuit")
@@ -87,7 +86,6 @@ class StemFirewall:
         self._controller.close_circuit(circuit_id)
         self._owned_circuits.discard(circuit_id)
 
-    @blocking
     def attach_stream(self, thread: Actor, circuit_id: str, host: str,
                       port: int):
         """Mediated stream attach (ownership enforced)."""
@@ -106,7 +104,6 @@ class StemFirewall:
         self._check("get_info", key)
         return self._controller.get_info(key)
 
-    @blocking
     def create_hidden_service(self, thread: Actor, handler,
                               n_intro: int = 3, keypair=None,
                               establish: bool = True,
@@ -119,7 +116,6 @@ class StemFirewall:
         self._owned_services.add(str(service.onion_address))
         return service
 
-    @blocking
     def hs_wait_introduction(self, thread: Actor, service,
                              timeout: Optional[float] = None) -> dict:
         """Mediated introduction wait (ownership enforced)."""
@@ -128,7 +124,6 @@ class StemFirewall:
         return (yield from self._controller.wait_introduction(
             thread, service, timeout=timeout))
 
-    @blocking
     def hs_complete_rendezvous(self, thread: Actor, service, request: dict):
         """Mediated rendezvous completion (ownership enforced)."""
         self._check("hs_complete_rendezvous")
@@ -136,7 +131,6 @@ class StemFirewall:
         return (yield from self._controller.complete_rendezvous(
             thread, service, request))
 
-    @blocking
     def fetch(self, thread: Actor, circuit_id: str, url: str,
               offset: Optional[int] = None, length: Optional[int] = None,
               timeout: float = 600.0) -> dict:
@@ -161,7 +155,6 @@ class StemFirewall:
         self._controller.remove_hidden_service(onion_address)
         self._owned_services.discard(onion_address)
 
-    @blocking
     def connect_to_hidden_service(self, thread: Actor, onion_address: str):
         """Mediated client-side rendezvous."""
         self._check("connect_to_hidden_service", onion_address)

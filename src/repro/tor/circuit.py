@@ -20,7 +20,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.netsim.connection import Connection, ConnectionClosed
-from repro.netsim.simulator import Actor, Future, Wait, blocking
+from repro.netsim.simulator import Actor, Future, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -237,7 +237,6 @@ class Circuit:
             self._control_waiters.setdefault(command, []).append(future)
         return future
 
-    @blocking
     def wait_control(self, thread: Actor, command: RelayCommand,
                      timeout: Optional[float] = 120.0) -> dict:
         """Blocking form of :meth:`expect_control`."""
@@ -399,7 +398,6 @@ class Circuit:
 
     # -- stream creation (owner side) ----------------------------------------------
 
-    @blocking
     def open_stream(self, thread: Actor, host: str, port: int,
                     timeout: Optional[float] = 120.0):
         """BEGIN a stream to ``host:port`` via the endpoint hop (or hs peer).

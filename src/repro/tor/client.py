@@ -1,8 +1,9 @@
 """The Tor client (onion proxy): builds circuits, opens streams, and runs
 the client side of the hidden-service rendezvous protocol.
 
-All public methods that involve network round trips take the calling
-actor (task or legacy sim-thread) and block in simulated time.
+All public methods that involve network round trips are generator
+functions: they take the calling actor, the caller delegates with
+``yield from``, and they block in simulated time.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from repro.netsim.connection import ConnectionClosed
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node
 from repro.netsim.simulator import (Actor, Future, Sleep, SimTimeoutError,
-                                    Wait, blocking)
+                                    Wait)
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.perf.counters import counters as _perf
@@ -128,7 +129,6 @@ class TorClient:
 
     # -- circuit construction ------------------------------------------------
 
-    @blocking
     def build_circuit(self, thread: Actor,
                       path: Optional[list[RelayDescriptor]] = None,
                       length: int = 3,
@@ -165,7 +165,6 @@ class TorClient:
                      guard=circuit.path[0].nickname)
         return circuit
 
-    @blocking
     def _build_circuit(self, thread: Actor,
                        path: Optional[list[RelayDescriptor]] = None,
                        length: int = 3,
@@ -259,7 +258,6 @@ class TorClient:
         self.circuits.append(circuit)
         return circuit
 
-    @blocking
     def build_circuit_with_retry(self, thread: Actor, attempts: int = 3,
                                  backoff_s: float = 1.0,
                                  timeout: float = 120.0,
@@ -301,7 +299,6 @@ class TorClient:
 
     # -- streams --------------------------------------------------------------
 
-    @blocking
     def open_stream(self, thread: Actor, circuit: Circuit, host: str,
                     port: int, timeout: float = 120.0) -> TorStream:
         """BEGIN a stream through an existing circuit."""
@@ -310,7 +307,6 @@ class TorClient:
 
     # -- hidden services: client side --------------------------------------------
 
-    @blocking
     def connect_to_hidden_service(self, thread: Actor, onion_address: str,
                                   timeout: float = 240.0,
                                   intro_extra=None) -> Circuit:
@@ -341,7 +337,6 @@ class TorClient:
             span.end(self.sim.now, ok=True, circ_id=circuit.circ_id)
         return circuit
 
-    @blocking
     def _connect_to_hidden_service(self, thread: Actor,
                                    onion_address: str,
                                    timeout: float = 240.0,

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from repro.crypto.aead import AeadKey
 from repro.crypto.rsa import RsaKeyPair
-from repro.netsim.simulator import Actor, Wait, blocking
+from repro.netsim.simulator import Actor, Wait
 from repro.tor import ntor
 from repro.tor.cell import RelayCommand
 from repro.tor.circuit import HS_SERVICE, Circuit
@@ -70,7 +70,6 @@ class HiddenService:
 
     # -- setup -----------------------------------------------------------
 
-    @blocking
     def establish(self, thread: Actor, n_intro: int = 3,
                   timeout: float = 240.0) -> None:
         """Create intro circuits and publish the first descriptor."""
@@ -126,7 +125,6 @@ class HiddenService:
         self.sim.spawn(self._rendezvous_worker, request,
                        name=f"hs-rend:{self.onion_address[:8]}")
 
-    @blocking
     def wait_introduction(self, thread: Actor,
                           timeout: Optional[float] = None) -> dict:
         """Block until an introduction arrives (manual mode only)."""
@@ -147,7 +145,6 @@ class HiddenService:
     def _rendezvous_worker(self, thread: Actor, request: dict):
         yield from self.complete_rendezvous(thread, request)
 
-    @blocking
     def complete_rendezvous(self, thread: Actor, request: dict,
                             timeout: float = 240.0) -> Circuit:
         """Build a circuit to the client's rendezvous point and join it.

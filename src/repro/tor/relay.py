@@ -236,9 +236,11 @@ class Relay:
 
     def _on_conn_close(self, conn: Connection) -> None:
         uid = _conn_uid(conn)
-        dead = [key for key in self._routes if key[0] == uid]
-        for key in dead:
-            entry, _side = self._routes[key]
+        # Snapshot entries, not keys: destroying one entry also pops its
+        # other side's key and its spliced rendezvous partner's.
+        dead = [entry for key, (entry, _side) in self._routes.items()
+                if key[0] == uid]
+        for entry in dead:
             self._destroy_entry(entry, notify_prev=True, notify_next=True)
 
     def _on_message(self, conn: Connection, payload: object, _size: int) -> None:

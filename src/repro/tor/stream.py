@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.netsim.bytestream import StreamClosed, _RecvQueue
-from repro.netsim.simulator import Actor, Future, Wait, blocking
+from repro.netsim.simulator import Actor, Future, Wait
 from repro.tor.cell import RelayCommand
 from repro.util.errors import ProtocolError
 from repro.util.serialization import canonical_encode
@@ -35,7 +35,6 @@ class TorStream:
 
     # -- connection setup ------------------------------------------------
 
-    @blocking
     def wait_connected(self, thread: Actor,
                        timeout: Optional[float] = 120.0) -> None:
         """Block until the endpoint confirms (CONNECTED) or refuses (END)."""
@@ -61,7 +60,6 @@ class TorStream:
             self.circuit.send_stream_data(
                 self.stream_id, data if isinstance(data, bytes) else bytes(data))
 
-    @blocking
     def recv(self, thread: Actor, timeout: Optional[float] = None,
              min_bytes: int = 1) -> bytes:
         """Block until ``min_bytes`` bytes arrive; ``b''`` at end of stream."""

@@ -660,7 +660,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         "orphans_reaped", "checkpoints_taken", "migrations_started",
         "migrations_completed", "migrations_failed", "standby_promotions",
         "chain_embeds", "chain_reembeds", "chain_arc_bytes",
-        "chain_units_delivered", "legacy_threads_spawned")}
+        "chain_units_delivered")}
     probe_out = None
     if probe is not None:
         values = probe_state["values"]

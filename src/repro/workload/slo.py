@@ -204,7 +204,6 @@ def build_report(spec: WorkloadSpec, result: dict) -> dict:
         "sim": {
             "time": result["sim_time"],
             "all_finished": int(result["all_finished"]),
-            "legacy_threads": counters["legacy_threads_spawned"],
         },
     }
     slos, passed = evaluate_slos(spec, metrics)

@@ -40,6 +40,7 @@ def bento_net():
 
 
 def run_thread(net, fn, name="test", until=None):
-    """Spawn ``fn`` as a sim-thread and run the simulation to completion."""
+    """Spawn the generator function ``fn(task)`` as an actor and run the
+    simulation to completion; returns the actor's result."""
     thread = net.sim.spawn(fn, name=name)
     return net.sim.run_until_done(thread, until=until)

@@ -397,7 +397,7 @@ class TestChainDeployment:
             session = yield from client.connect_direct(task, box)
             yield from session.request_image(task, "python", verify="none")
             yield from session.load_function(
-                task, "def f(x):\n    return x\n",
+                task, "def f(x):\n    return x\n    yield\n",
                 __import__("repro.core.manifest",
                            fromlist=["FunctionManifest"])
                 .FunctionManifest.create("f", "f", set()))

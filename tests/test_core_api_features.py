@@ -31,13 +31,14 @@ def _run_function(net, code, api_calls, args, image="python"):
     out = {}
 
     def main(thread):
-        session = client.connect(thread, client.pick_box())
-        session.request_image(thread, image)
-        session.load_function(thread, code, FunctionManifest.create(
-            "t", "main", api_calls, image=image))
-        out["result"] = session.invoke(thread, args)
+        session = yield from client.connect(thread, client.pick_box())
+        yield from session.request_image(thread, image)
+        yield from session.load_function(
+            thread, code,
+            FunctionManifest.create("t", "main", api_calls, image=image))
+        out["result"] = yield from session.invoke(thread, args)
         out["session"] = session
-        session.shutdown(thread)
+        yield from session.shutdown(thread)
 
     run_thread(net, main)
     return out["result"]
@@ -47,8 +48,10 @@ class TestHttpSession:
     def test_keepalive_session(self, api_net):
         code = """
 def main():
-    session = api.http_session("api.example")
-    bodies = [session.get(p).body for p in ("/a", "/b", "/c")]
+    session = yield from api.http_session("api.example")
+    bodies = []
+    for p in ("/a", "/b", "/c"):
+        bodies.append((yield from session.get(p)).body)
     session.close()
     return [len(b) for b in bodies]
 """
@@ -58,19 +61,19 @@ def main():
     def test_session_faster_than_separate_gets(self, api_net):
         keepalive = """
 def main():
-    start = api.time()
-    session = api.http_session("api.example")
+    start = yield from api.time()
+    session = yield from api.http_session("api.example")
     for path in ("/a", "/b", "/c"):
-        session.get(path)
+        yield from session.get(path)
     session.close()
-    return api.time() - start
+    return (yield from api.time()) - start
 """
         separate = """
 def main():
-    start = api.time()
+    start = yield from api.time()
     for path in ("/a", "/b", "/c"):
-        api.http_get("https://api.example" + path)
-    return api.time() - start
+        yield from api.http_get("https://api.example" + path)
+    return (yield from api.time()) - start
 """
         fast = _run_function(api_net, keepalive, {"http_get", "time"}, [])
         slow = _run_function(api_net, separate, {"http_get", "time"}, [])
@@ -90,7 +93,7 @@ def main():
         net.create_web_server("api.example", {"/a": b"x"})
         code = """
 def main():
-    api.http_session("api.example", 443)
+    yield from api.http_session("api.example", 443)
 """
         with pytest.raises(BentoError, match="iptables"):
             _run_function(net, code, {"http_get"}, [])
@@ -100,10 +103,10 @@ class TestStemFetch:
     def test_ranged_fetch_through_circuit(self, api_net):
         code = """
 def main():
-    circuit_id = api.stem.new_circuit()
-    part = api.stem.fetch(circuit_id, "https://api.example/big",
-                          offset=100, length=50)
-    api.stem.close_circuit(circuit_id)
+    circuit_id = yield from api.stem.new_circuit()
+    part = yield from api.stem.fetch(circuit_id, "https://api.example/big",
+                                     offset=100, length=50)
+    yield from api.stem.close_circuit(circuit_id)
     return [part["status"], len(part["body"]), part["total"]]
 """
         result = _run_function(
@@ -115,15 +118,19 @@ def main():
     def test_concurrent_fetches_overlap(self, api_net):
         code = """
 def main():
-    circuits = [api.stem.new_circuit() for _ in range(2)]
-    start = api.time()
-    handles = [api.stem.fetch_begin(c, "https://api.example/big")
-               for c in circuits]
-    parts = [api.stem.fetch_join(h) for h in handles]
-    wall = api.time() - start
+    circuits, handles, parts = [], [], []
+    for _ in range(2):
+        circuits.append((yield from api.stem.new_circuit()))
+    start = yield from api.time()
+    for c in circuits:
+        handles.append((yield from api.stem.fetch_begin(
+            c, "https://api.example/big")))
+    for h in handles:
+        parts.append((yield from api.stem.fetch_join(h)))
+    wall = (yield from api.time()) - start
     serial = sum(p["elapsed"] for p in parts)
     for c in circuits:
-        api.stem.close_circuit(c)
+        yield from api.stem.close_circuit(c)
     return [wall, serial, len(parts[0]["body"])]
 """
         wall, serial, size = _run_function(
@@ -134,17 +141,32 @@ def main():
         assert wall < 0.8 * serial   # genuine overlap in simulated time
 
 
+class TestHiddenServiceHandler:
+    def test_plain_handler_rejected_at_the_call(self, api_net):
+        # Its stream.send/recv calls would be un-iterated generators.
+        code = """
+def main():
+    def handler(stream, host, port):
+        stream.send(b"hi")
+    yield from api.stem.create_hidden_service(handler)
+"""
+        with pytest.raises(BentoError,
+                           match="ApiError.*must be a generator function"):
+            _run_function(api_net, code, {"stem.create_hidden_service"}, [])
+
+
 class TestMiscApi:
     def test_log_captured_on_instance(self, api_net):
         client = BentoClient(api_net.create_client(), ias=api_net.ias)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, "def main():\n    api.log('note to self')\n",
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread,
+                "def main():\n    yield from api.log('note to self')\n",
                 FunctionManifest.create("t", "main", {"log"}))
-            session.invoke(thread, [])
+            yield from session.invoke(thread, [])
             server = next(s for s in api_net.servers
                           if s.relay.fingerprint == session.box.identity_fp)
             instance = server._by_invocation[session.invocation_token]
@@ -156,9 +178,9 @@ class TestMiscApi:
     def test_time_is_simulated_time(self, api_net):
         code = """
 def main():
-    before = api.time()
-    api.sleep(3.5)
-    return api.time() - before
+    before = yield from api.time()
+    yield from api.sleep(3.5)
+    return (yield from api.time()) - before
 """
         elapsed = _run_function(api_net, code, {"time", "sleep"}, [])
         assert elapsed == pytest.approx(3.5)
@@ -166,8 +188,8 @@ def main():
     def test_random_bytes_distinct(self, api_net):
         code = """
 def main():
-    a = api.random_bytes(16)
-    b = api.random_bytes(16)
+    a = yield from api.random_bytes(16)
+    b = yield from api.random_bytes(16)
     return [len(a), len(b), a == b]
 """
         result = _run_function(api_net, code, {"random"}, [])
@@ -177,13 +199,14 @@ def main():
         client = BentoClient(api_net.create_client(), ias=api_net.ias)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, "def main():\n    return api.invocation_token\n",
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread,
+                "def main():\n    return api.invocation_token\n    yield\n",
                 FunctionManifest.create("t", "main", {"send"}))
-            token = session.invoke(thread, [])
+            token = yield from session.invoke(thread, [])
             assert token == session.invocation_token
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
 
         run_thread(api_net, main)

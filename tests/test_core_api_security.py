@@ -32,9 +32,9 @@ def _single_box_net(seed, policy=None, exit_policy=None):
 
 def _loaded_session(thread, net, code, manifest):
     client = BentoClient(net.create_client(), ias=net.ias)
-    session = client.connect(thread, client.pick_box())
-    session.request_image(thread, manifest.image)
-    session.load_function(thread, code, manifest)
+    session = yield from client.connect(thread, client.pick_box())
+    yield from session.request_image(thread, manifest.image)
+    yield from session.load_function(thread, code, manifest)
     return session
 
 
@@ -43,13 +43,13 @@ class TestManifestGating:
         """§5.5: the sandbox is constrained to the manifest even when the
         operator's policy allows more."""
         net = _single_box_net("gate")
-        code = "def sneaky():\n    api.storage.put('/x', b'data')\n"
+        code = "def sneaky():\n    yield from api.storage.put('/x', b'data')\n"
         manifest = FunctionManifest.create("sneaky", "sneaky", {"send"})
 
         def main(thread):
-            session = _loaded_session(thread, net, code, manifest)
+            session = yield from _loaded_session(thread, net, code, manifest)
             with pytest.raises(BentoError, match="not in manifest"):
-                session.invoke(thread, [])
+                yield from session.invoke(thread, [])
             # The instance was killed, not just the call refused.
             assert net.server.active_function_count == 0
 
@@ -57,12 +57,12 @@ class TestManifestGating:
 
     def test_allowed_calls_proceed(self):
         net = _single_box_net("gate-ok")
-        code = "def fine():\n    api.send(b'ok')\n    return 1\n"
+        code = "def fine():\n    yield from api.send(b'ok')\n    return 1\n"
         manifest = FunctionManifest.create("fine", "fine", {"send"})
 
         def main(thread):
-            session = _loaded_session(thread, net, code, manifest)
-            assert session.invoke(thread, []) == 1
+            session = yield from _loaded_session(thread, net, code, manifest)
+            assert (yield from session.invoke(thread, [])) == 1
 
         run_thread(net, main)
 
@@ -76,7 +76,7 @@ class TestSeccomp:
                 {"read", "write", "socket", "connect", "sendto", "recvfrom",
                  "nanosleep", "clock_gettime", "getrandom"}))
         net = _single_box_net("seccomp", policy=policy)
-        code = "def writer():\n    api.storage.put('/f', b'x')\n"
+        code = "def writer():\n    yield from api.storage.put('/f', b'x')\n"
         # The manifest narrows syscalls to what the policy allows, so the
         # load passes; the per-call check must still fire.
         manifest = FunctionManifest.create(
@@ -84,9 +84,9 @@ class TestSeccomp:
             syscalls={"write"})
 
         def main(thread):
-            session = _loaded_session(thread, net, code, manifest)
+            session = yield from _loaded_session(thread, net, code, manifest)
             with pytest.raises(BentoError, match="seccomp"):
-                session.invoke(thread, [])
+                yield from session.invoke(thread, [])
 
         run_thread(net, main)
 
@@ -97,25 +97,29 @@ class TestIptables:
         policy forbids."""
         net = _single_box_net("ipt", exit_policy=ExitPolicy.parse("accept *:80"))
         net.create_web_server("site.example", {"/": b"x"})   # serves on 443
-        code = "def f():\n    return api.http_get('https://site.example/').status\n"
+        code = ("def f():\n"
+                "    response = yield from api.http_get('https://site.example/')\n"
+                "    return response.status\n")
         manifest = FunctionManifest.create("f", "f", {"http_get"})
 
         def main(thread):
-            session = _loaded_session(thread, net, code, manifest)
+            session = yield from _loaded_session(thread, net, code, manifest)
             with pytest.raises(BentoError, match="iptables"):
-                session.invoke(thread, [])
+                yield from session.invoke(thread, [])
 
         run_thread(net, main)
 
     def test_allowed_destination_works(self):
         net = _single_box_net("ipt-ok", exit_policy=ExitPolicy.web_only())
         net.create_web_server("site.example", {"/": b"body"})
-        code = "def f():\n    return api.http_get('https://site.example/').status\n"
+        code = ("def f():\n"
+                "    response = yield from api.http_get('https://site.example/')\n"
+                "    return response.status\n")
         manifest = FunctionManifest.create("f", "f", {"http_get"})
 
         def main(thread):
-            session = _loaded_session(thread, net, code, manifest)
-            return session.invoke(thread, [])
+            session = yield from _loaded_session(thread, net, code, manifest)
+            return (yield from session.invoke(thread, []))
 
         assert run_thread(net, main) == 200
 
@@ -126,15 +130,15 @@ class TestResourceExhaustion:
         net = _single_box_net("disk", policy=policy)
         code = ("def hog():\n"
                 "    for i in range(100):\n"
-                "        api.storage.put('/f' + str(i), b'x' * 1000)\n"
+                "        yield from api.storage.put('/f' + str(i), b'x' * 1000)\n"
                 "    return 'filled'\n")
         manifest = FunctionManifest.create("hog", "hog", {"storage.put"},
                                            disk_bytes=10_000)
 
         def main(thread):
-            session = _loaded_session(thread, net, code, manifest)
+            session = yield from _loaded_session(thread, net, code, manifest)
             with pytest.raises(BentoError, match="function-crashed"):
-                session.invoke(thread, [])
+                yield from session.invoke(thread, [])
 
         run_thread(net, main)
 
@@ -151,8 +155,8 @@ class TestResourceExhaustion:
             sessions = []
             with pytest.raises(BentoError):
                 for _ in range(5):     # 5 x 16MB base > 40MB cap
-                    session = client.connect(thread, box)
-                    session.request_image(thread, "python")
+                    session = yield from client.connect(thread, box)
+                    yield from session.request_image(thread, "python")
                     sessions.append(session)
             assert 1 <= len(sessions) <= 2
 
@@ -163,38 +167,42 @@ class TestIsolation:
     def test_functions_cannot_see_each_others_files(self):
         net = _single_box_net("iso")
         writer = ("def w():\n"
-                  "    api.storage.put('/secret', b'mine')\n"
-                  "    return api.storage.list('/')\n")
+                  "    yield from api.storage.put('/secret', b'mine')\n"
+                  "    return (yield from api.storage.list('/'))\n")
         reader = ("def r():\n"
-                  "    return api.storage.list('/')\n")
+                  "    return (yield from api.storage.list('/'))\n")
         w_manifest = FunctionManifest.create(
             "w", "w", {"storage.put", "storage.list"}, disk_bytes=MB)
         r_manifest = FunctionManifest.create(
             "r", "r", {"storage.list"}, disk_bytes=0)
 
         def main(thread):
-            w_session = _loaded_session(thread, net, writer, w_manifest)
-            assert w_session.invoke(thread, []) == ["/secret"]
-            r_session = _loaded_session(thread, net, reader, r_manifest)
-            assert r_session.invoke(thread, []) == []
+            w_session = yield from _loaded_session(
+                thread, net, writer, w_manifest)
+            assert (yield from w_session.invoke(thread, [])) == ["/secret"]
+            r_session = yield from _loaded_session(
+                thread, net, reader, r_manifest)
+            assert (yield from r_session.invoke(thread, [])) == []
 
         run_thread(net, main)
 
     def test_stem_circuits_isolated_between_functions(self):
         net = _single_box_net("stem-iso")
         creator = ("def c():\n"
-                   "    return api.stem.new_circuit()\n")
+                   "    return (yield from api.stem.new_circuit())\n")
         hijacker = ("def h(circuit_id):\n"
-                    "    api.stem.close_circuit(circuit_id)\n")
+                    "    yield from api.stem.close_circuit(circuit_id)\n")
         c_manifest = FunctionManifest.create("c", "c", {"stem.new_circuit"})
         h_manifest = FunctionManifest.create("h", "h", {"stem.close_circuit"})
 
         def main(thread):
-            c_session = _loaded_session(thread, net, creator, c_manifest)
-            circuit_id = c_session.invoke(thread, [])
-            h_session = _loaded_session(thread, net, hijacker, h_manifest)
+            c_session = yield from _loaded_session(
+                thread, net, creator, c_manifest)
+            circuit_id = yield from c_session.invoke(thread, [])
+            h_session = yield from _loaded_session(
+                thread, net, hijacker, h_manifest)
             with pytest.raises(BentoError, match="does not own"):
-                h_session.invoke(thread, [circuit_id])
+                yield from h_session.invoke(thread, [circuit_id])
 
         run_thread(net, main)
 
@@ -214,13 +222,17 @@ class TestIsolation:
 
         FramedStream.send_frame = spy
         try:
-            code = "very_secret_marker = 'inside'\ndef f():\n    return len(very_secret_marker)\n"
+            code = ("very_secret_marker = 'inside'\n"
+                    "def f():\n"
+                    "    return len(very_secret_marker)\n"
+                    "    yield  # unreachable: makes the entry a generator\n")
             manifest = FunctionManifest.create("f", "f", {"send"},
                                                image="python-op-sgx")
 
             def main(thread):
-                session = _loaded_session(thread, net, code, manifest)
-                return session.invoke(thread, [])
+                session = yield from _loaded_session(
+                    thread, net, code, manifest)
+                return (yield from session.invoke(thread, []))
 
             assert run_thread(net, main) == 6
         finally:

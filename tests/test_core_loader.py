@@ -84,9 +84,18 @@ class TestRuntimeLoading:
         return FunctionRuntime(_FakeInstance(), code, manifest)
 
     def test_load_finds_entry(self):
-        runtime = self._runtime("def main():\n    return 1\n")
+        runtime = self._runtime("def main():\n    return 1\n    yield\n")
         runtime.load()
-        assert runtime.entry() == 1
+        with pytest.raises(StopIteration) as done:
+            next(runtime.entry())
+        assert done.value.value == 1
+
+    def test_plain_entry_rejected(self):
+        # Its api calls would be un-iterated generators: refuse it at load.
+        runtime = self._runtime("def main():\n    api.send(b'x')\n")
+        with pytest.raises(LoaderError, match="generator function"):
+            runtime.load()
+        assert runtime.entry is None
 
     def test_missing_entry_rejected(self):
         runtime = self._runtime("x = 5\n")

@@ -16,7 +16,7 @@ MB = 1024 * 1024
 
 ECHO = """
 def echo(text):
-    api.send(text.encode("utf-8"))
+    yield from api.send(text.encode("utf-8"))
     return len(text)
 """
 
@@ -24,11 +24,11 @@ COUNTER = """
 def counter():
     total = 0
     while True:
-        message = api.recv(timeout=300.0)
+        message = yield from api.recv(timeout=300.0)
         if message == b"stop":
             break
         total += int(message.decode("utf-8"))
-        api.send(str(total).encode("utf-8"))
+        yield from api.send(str(total).encode("utf-8"))
     return total
 """
 
@@ -43,8 +43,8 @@ class TestProtocolBasics:
         client = _client(bento_net)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            policy = session.query_policy(thread)
+            session = yield from client.connect(thread, client.pick_box())
+            policy = yield from session.query_policy(thread)
             session.close()
             return policy
 
@@ -55,14 +55,14 @@ class TestProtocolBasics:
         client = _client(bento_net)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
                 thread, ECHO,
                 FunctionManifest.create("echo", "echo", {"send"}))
-            result = session.invoke(thread, ["hello bento"])
-            output = session.next_output(thread)
-            session.shutdown(thread)
+            result = yield from session.invoke(thread, ["hello bento"])
+            output = yield from session.next_output(thread)
+            yield from session.shutdown(thread)
             session.close()
             return result, output
 
@@ -73,9 +73,9 @@ class TestProtocolBasics:
         client = _client(bento_net)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
                 thread, COUNTER,
                 FunctionManifest.create("counter", "counter",
                                         {"send", "recv"}))
@@ -83,12 +83,13 @@ class TestProtocolBasics:
             outputs = []
             for n in (5, 7, 10):
                 session.send_message(str(n).encode())
-                outputs.append(session.next_output(thread))
+                outputs.append((yield from session.next_output(thread)))
             session.send_message(b"stop")
             from repro.core import messages
 
-            final = session._await(thread, messages.DONE, 120.0)["result"]
-            session.shutdown(thread)
+            final = (yield from session._await(
+                thread, messages.DONE, 120.0))["result"]
+            yield from session.shutdown(thread)
             return outputs, final
 
         outputs, final = run_thread(bento_net, main)
@@ -98,14 +99,37 @@ class TestProtocolBasics:
         client = _client(bento_net)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, "def boom():\n    raise ValueError('no')\n",
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, "def boom():\n    raise ValueError('no')\n    yield\n",
                 FunctionManifest.create("boom", "boom", {"send"}))
             with pytest.raises(BentoError, match="function-crashed"):
-                session.invoke(thread, [])
-            session.shutdown(thread)
+                yield from session.invoke(thread, [])
+            yield from session.shutdown(thread)
+
+        run_thread(bento_net, main)
+
+
+    def test_plain_entry_refused_at_load(self, bento_net):
+        client = _client(bento_net)
+
+        def main(thread):
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            with pytest.raises(BentoError, match="generator function"):
+                yield from session.load_function(
+                    thread, "def echo(text):\n    api.send(text.encode())\n",
+                    FunctionManifest.create("echo", "echo", {"send"}))
+            # Nothing to run: the container exists but holds no entry point.
+            with pytest.raises(BentoError, match="function not loaded"):
+                yield from session.invoke(thread, ["hi"])
+            server = next(s for s in bento_net.bento_servers
+                          if s.relay.fingerprint == session.box.identity_fp)
+            instance = server._by_invocation[session.invocation_token]
+            assert instance.runtime.entry is None
+            assert not instance.runtime.running
+            yield from session.shutdown(thread)
 
         run_thread(bento_net, main)
 
@@ -117,17 +141,18 @@ class TestTokens:
 
         def main(thread):
             box = first.pick_box()
-            session = first.connect(thread, box)
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, ECHO, FunctionManifest.create("echo", "echo", {"send"}))
+            session = yield from first.connect(thread, box)
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, ECHO,
+                FunctionManifest.create("echo", "echo", {"send"}))
             token = session.invocation_token
             session.close()
 
-            other = second.connect(thread, box)
-            other.attach(thread, token)
-            result = other.invoke(thread, ["shared!"])
-            assert other.next_output(thread) == b"shared!"
+            other = yield from second.connect(thread, box)
+            yield from other.attach(thread, token)
+            result = yield from other.invoke(thread, ["shared!"])
+            assert (yield from other.next_output(thread)) == b"shared!"
             # ...but the second user cannot shut it down.
             assert other.shutdown_token is None
             other.close()
@@ -139,15 +164,15 @@ class TestTokens:
         client = _client(bento_net)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
             with pytest.raises(BentoError, match="bad-token"):
-                session.attach(thread, "inv-forged")
+                yield from session.attach(thread, "inv-forged")
             # Invocation token cannot be used as shutdown token.
             real_invocation = session.invocation_token
             session.shutdown_token = real_invocation
             with pytest.raises(BentoError, match="bad-token"):
-                session.shutdown(thread)
+                yield from session.shutdown(thread)
 
         run_thread(bento_net, main)
 
@@ -156,18 +181,19 @@ class TestTokens:
 
         def main(thread):
             box = client.pick_box()
-            session = client.connect(thread, box)
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, ECHO, FunctionManifest.create("echo", "echo", {"send"}))
+            session = yield from client.connect(thread, box)
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, ECHO,
+                FunctionManifest.create("echo", "echo", {"send"}))
             server = next(s for s in bento_net.bento_servers
                           if s.relay.fingerprint == box.identity_fp)
             assert server.active_function_count == 1
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             assert server.active_function_count == 0
             # Using the old invocation token now fails.
             with pytest.raises(BentoError):
-                session.invoke(thread, ["x"])
+                yield from session.invoke(thread, ["x"])
 
         run_thread(bento_net, main)
 
@@ -177,16 +203,17 @@ class TestAttestationPaths:
         client = _client(bento_net)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python-op-sgx", verify="stapled")
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(
+                thread, "python-op-sgx", verify="stapled")
             assert session.report is not None
             assert session.channel is not None
-            session.load_function(
+            yield from session.load_function(
                 thread, ECHO,
                 FunctionManifest.create("echo", "echo", {"send"},
                                         image="python-op-sgx"))
-            result = session.invoke(thread, ["sgx"])
-            session.shutdown(thread)
+            result = yield from session.invoke(thread, ["sgx"])
+            yield from session.shutdown(thread)
             return result
 
         assert run_thread(bento_net, main) == 3
@@ -195,11 +222,12 @@ class TestAttestationPaths:
         client = _client(bento_net)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
+            session = yield from client.connect(thread, client.pick_box())
             before = bento_net.sim.now
-            session.request_image(thread, "python-op-sgx", verify="ias")
+            yield from session.request_image(
+                thread, "python-op-sgx", verify="ias")
             elapsed = bento_net.sim.now - before
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return elapsed
 
         # The ias path pays at least one extra WAN round trip.
@@ -212,9 +240,10 @@ class TestAttestationPaths:
         client = BentoClient(user)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
+            session = yield from client.connect(thread, client.pick_box())
             with pytest.raises(BentoError):
-                session.request_image(thread, "python-op-sgx", verify="none")
+                yield from session.request_image(
+                    thread, "python-op-sgx", verify="none")
 
         run_thread(net, main)
 
@@ -228,13 +257,13 @@ class TestPolicyEnforcementAtLoad:
         client = BentoClient(net.create_client(), ias=ias)
 
         def main(thread):
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
             manifest = FunctionManifest.create(
                 "dropper", "dropper", {"storage.put"}, disk_bytes=10)
             with pytest.raises(BentoError, match="manifest-rejected"):
-                session.load_function(thread, "def dropper():\n    pass\n",
-                                      manifest)
+                yield from session.load_function(
+                    thread, "def dropper():\n    pass\n", manifest)
 
         run_thread(net, main)
 
@@ -247,16 +276,16 @@ class TestPolicyEnforcementAtLoad:
 
         def main(thread):
             box = client.pick_box()
-            first = client.connect(thread, box)
-            first.request_image(thread, "python")
-            second = client.connect(thread, box)
-            second.request_image(thread, "python")
-            third = client.connect(thread, box)
+            first = yield from client.connect(thread, box)
+            yield from first.request_image(thread, "python")
+            second = yield from client.connect(thread, box)
+            yield from second.request_image(thread, "python")
+            third = yield from client.connect(thread, box)
             with pytest.raises(BentoError, match="container limit"):
-                third.request_image(thread, "python")
+                yield from third.request_image(thread, "python")
             # Shutting one down frees a slot.
-            first.shutdown(thread)
-            third_retry = client.connect(thread, box)
-            third_retry.request_image(thread, "python")
+            yield from first.shutdown(thread)
+            third_retry = yield from client.connect(thread, box)
+            yield from third_retry.request_image(thread, "python")
 
         run_thread(net, main)

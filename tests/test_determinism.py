@@ -27,16 +27,16 @@ def _full_run(seed):
     out = {}
 
     def main(thread):
-        session = client.connect(thread, client.pick_box())
-        session.request_image(thread, "python-op-sgx")
-        session.load_function(thread, BrowserFunction.SOURCE,
-                              BrowserFunction.manifest())
-        page, stats = BrowserFunction.fetch(thread, session,
-                                            "https://d.example/", 65536)
+        session = yield from client.connect(thread, client.pick_box())
+        yield from session.request_image(thread, "python-op-sgx")
+        yield from session.load_function(thread, BrowserFunction.SOURCE,
+                                         BrowserFunction.manifest())
+        page, stats = yield from BrowserFunction.fetch(
+            thread, session, "https://d.example/", 65536)
         out["stats"] = stats
         out["page_tail"] = page[-64:]
         out["box"] = session.box.nickname
-        session.shutdown(thread)
+        yield from session.shutdown(thread)
         out["t"] = net.sim.now
 
     net.sim.run_until_done(net.sim.spawn(main, name="alice"))

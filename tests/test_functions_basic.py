@@ -35,20 +35,21 @@ def fn_net():
 
 def _session(thread, net, source, manifest):
     client = BentoClient(net.create_client(), ias=net.ias)
-    session = client.connect(thread, client.pick_box())
-    session.request_image(thread, manifest.image)
-    session.load_function(thread, source, manifest)
+    session = yield from client.connect(thread, client.pick_box())
+    yield from session.request_image(thread, manifest.image)
+    yield from session.load_function(thread, source, manifest)
     return session
 
 
 class TestBrowser:
     def test_full_page_fetched(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, BrowserFunction.SOURCE,
-                               BrowserFunction.manifest(image="python"))
-            page, stats = BrowserFunction.fetch(
+            session = yield from _session(
+                thread, fn_net, BrowserFunction.SOURCE,
+                BrowserFunction.manifest(image="python"))
+            page, stats = yield from BrowserFunction.fetch(
                 thread, session, "https://page.example/", padding=0)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return page, stats
 
         page, stats = run_thread(fn_net, main)
@@ -57,11 +58,12 @@ class TestBrowser:
 
     def test_padding_to_multiple(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, BrowserFunction.SOURCE,
-                               BrowserFunction.manifest(image="python"))
-            _page, stats = BrowserFunction.fetch(
+            session = yield from _session(
+                thread, fn_net, BrowserFunction.SOURCE,
+                BrowserFunction.manifest(image="python"))
+            _page, stats = yield from BrowserFunction.fetch(
                 thread, session, "https://page.example/", padding=100_000)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return stats
 
         stats = run_thread(fn_net, main)
@@ -70,11 +72,12 @@ class TestBrowser:
 
     def test_unpack_strips_padding(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, BrowserFunction.SOURCE,
-                               BrowserFunction.manifest(image="python"))
-            page, _stats = BrowserFunction.fetch(
+            session = yield from _session(
+                thread, fn_net, BrowserFunction.SOURCE,
+                BrowserFunction.manifest(image="python"))
+            page, _stats = yield from BrowserFunction.fetch(
                 thread, session, "https://page.example/", padding=200_000)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return page
 
         page = run_thread(fn_net, main)
@@ -82,11 +85,12 @@ class TestBrowser:
 
     def test_works_inside_conclave(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, BrowserFunction.SOURCE,
-                               BrowserFunction.manifest(image="python-op-sgx"))
-            page, _ = BrowserFunction.fetch(
+            session = yield from _session(
+                thread, fn_net, BrowserFunction.SOURCE,
+                BrowserFunction.manifest(image="python-op-sgx"))
+            page, _ = yield from BrowserFunction.fetch(
                 thread, session, "https://page.example/", padding=0)
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return page
 
         assert b"I" * 60_000 in run_thread(fn_net, main)
@@ -101,16 +105,16 @@ class TestCover:
                                  ias=fn_net.ias)
             client_node_holder["node"] = client.tor.node
             recorder = TraceRecorder(client.tor.node)
-            session = client.connect(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(thread, CoverFunction.SOURCE,
-                                  CoverFunction.manifest())
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(thread, CoverFunction.SOURCE,
+                                             CoverFunction.manifest())
             recorder.mark()
-            stats = CoverFunction.run_bidirectional(
+            stats = yield from CoverFunction.run_bidirectional(
                 thread, session, rate_bytes_per_s=20_000.0, duration_s=10.0,
                 chunk_size=2_000)
             records = recorder.cut()
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return stats, records
 
         stats, records = run_thread(fn_net, main)
@@ -122,9 +126,11 @@ class TestCover:
 
     def test_drop_variant_pads_circuit(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, CoverFunction.DROP_SOURCE,
-                               CoverFunction.drop_manifest())
-            return session.invoke(thread, [20.0, 5.0], timeout=300.0)
+            session = yield from _session(
+                thread, fn_net, CoverFunction.DROP_SOURCE,
+                CoverFunction.drop_manifest())
+            return (yield from session.invoke(
+                thread, [20.0, 5.0], timeout=300.0))
 
         stats = run_thread(fn_net, main)
         assert stats["sent_cells"] >= 90
@@ -133,18 +139,24 @@ class TestCover:
 class TestDropbox:
     def test_put_get_list_delete(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, DropboxFunction.SOURCE,
-                               DropboxFunction.manifest(image="python"))
+            session = yield from _session(
+                thread, fn_net, DropboxFunction.SOURCE,
+                DropboxFunction.manifest(image="python"))
             DropboxFunction.start(session, expiry_s=600.0)
-            assert DropboxFunction.put(thread, session, "a.bin", b"AAA")
-            assert DropboxFunction.put(thread, session, "b.bin", b"BBBB")
-            assert sorted(DropboxFunction.list_names(thread, session)) == \
-                ["a.bin", "b.bin"]
-            assert DropboxFunction.get(thread, session, "a.bin") == b"AAA"
-            assert DropboxFunction.delete(thread, session, "a.bin")
-            assert DropboxFunction.get(thread, session, "a.bin") == b""
-            stats = DropboxFunction.close(thread, session)
-            session.shutdown(thread)
+            assert (yield from DropboxFunction.put(
+                thread, session, "a.bin", b"AAA"))
+            assert (yield from DropboxFunction.put(
+                thread, session, "b.bin", b"BBBB"))
+            names = yield from DropboxFunction.list_names(thread, session)
+            assert sorted(names) == ["a.bin", "b.bin"]
+            assert (yield from DropboxFunction.get(
+                thread, session, "a.bin")) == b"AAA"
+            assert (yield from DropboxFunction.delete(
+                thread, session, "a.bin"))
+            assert (yield from DropboxFunction.get(
+                thread, session, "a.bin")) == b""
+            stats = yield from DropboxFunction.close(thread, session)
+            yield from session.shutdown(thread)
             return stats
 
         stats = run_thread(fn_net, main)
@@ -152,38 +164,45 @@ class TestDropbox:
 
     def test_oversize_put_refused(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, DropboxFunction.SOURCE,
-                               DropboxFunction.manifest(image="python"))
+            session = yield from _session(
+                thread, fn_net, DropboxFunction.SOURCE,
+                DropboxFunction.manifest(image="python"))
             DropboxFunction.start(session, max_bytes=10, expiry_s=600.0)
-            ok = DropboxFunction.put(thread, session, "big", b"x" * 100)
-            DropboxFunction.close(thread, session)
+            ok = yield from DropboxFunction.put(
+                thread, session, "big", b"x" * 100)
+            yield from DropboxFunction.close(thread, session)
             return ok
 
         assert run_thread(fn_net, main) is False
 
     def test_get_budget_terminates_function(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, DropboxFunction.SOURCE,
-                               DropboxFunction.manifest(image="python"))
+            session = yield from _session(
+                thread, fn_net, DropboxFunction.SOURCE,
+                DropboxFunction.manifest(image="python"))
             DropboxFunction.start(session, max_gets=2, expiry_s=600.0)
-            DropboxFunction.put(thread, session, "f", b"data")
-            assert DropboxFunction.get(thread, session, "f") == b"data"
-            assert DropboxFunction.get(thread, session, "f") == b"data"
+            yield from DropboxFunction.put(thread, session, "f", b"data")
+            assert (yield from DropboxFunction.get(
+                thread, session, "f")) == b"data"
+            assert (yield from DropboxFunction.get(
+                thread, session, "f")) == b"data"
             # The budget is spent: the loop exits and DONE arrives.
             from repro.core import messages
 
-            result = session._await(thread, messages.DONE, 120.0)["result"]
+            result = (yield from session._await(
+                thread, messages.DONE, 120.0))["result"]
             return result
 
         assert run_thread(fn_net, main)["gets_served"] == 2
 
     def test_files_deleted_on_close(self, fn_net):
         def main(thread):
-            session = _session(thread, fn_net, DropboxFunction.SOURCE,
-                               DropboxFunction.manifest(image="python"))
+            session = yield from _session(
+                thread, fn_net, DropboxFunction.SOURCE,
+                DropboxFunction.manifest(image="python"))
             DropboxFunction.start(session, expiry_s=600.0)
-            DropboxFunction.put(thread, session, "f", b"data")
-            DropboxFunction.close(thread, session)
+            yield from DropboxFunction.put(thread, session, "f", b"data")
+            yield from DropboxFunction.close(thread, session)
             server = next(s for s in fn_net.servers
                           if s.relay.fingerprint == session.box.identity_fp)
             # The only container is the dropbox's; its chroot is empty.
@@ -198,11 +217,12 @@ class TestPolicyQuery:
         operator_policy = MiddleboxNodePolicy.network_measurement_policy()
 
         def main(thread):
-            session = _session(thread, fn_net, PolicyQueryFunction.SOURCE,
-                               PolicyQueryFunction.manifest())
+            session = yield from _session(
+                thread, fn_net, PolicyQueryFunction.SOURCE,
+                PolicyQueryFunction.manifest())
             PolicyQueryFunction.start(session, operator_policy)
-            fetched = PolicyQueryFunction.query(thread, session)
-            session.shutdown(thread)
+            fetched = yield from PolicyQueryFunction.query(thread, session)
+            yield from session.shutdown(thread)
             return fetched
 
         assert run_thread(fn_net, main) == operator_policy

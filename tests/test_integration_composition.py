@@ -10,6 +10,7 @@ from repro.core.manifest import FunctionManifest
 from repro.core.server import BentoServer
 from repro.enclave.attestation import IntelAttestationService
 from repro.functions.dropbox import DropboxFunction
+from repro.netsim.simulator import Sleep
 from repro.tor.testnet import TorTestNetwork
 
 from conftest import run_thread
@@ -18,22 +19,23 @@ BROWSE_TO_DROPBOX = r'''
 import json, zlib
 
 def browse_to_dropbox(url, padding, dropbox_source, dropbox_manifest):
-    first = api.http_get(url)
+    first = yield from api.http_get(url)
     blobs = [first.body]
     scheme, rest = url.split("://", 1)
     base = scheme + "://" + rest.split("/", 1)[0]
     for line in first.body.decode("latin-1", "replace").splitlines():
         if line.strip().startswith("/"):
-            blobs.append(api.http_get(base + line.strip()).body)
+            blobs.append((yield from api.http_get(base + line.strip())).body)
     final = zlib.compress(b"".join(blobs), 1)
     if padding > 0 and len(final) % padding:
-        final += api.random_bytes(padding - len(final) % padding)
-    handle = api.deploy(dropbox_source, dropbox_manifest)
-    api.remote_invoke_nowait(handle, [len(final) + 1024, 10, 600.0])
-    api.remote_send(handle, json.dumps({"op": "put", "name": "page"}).encode())
-    api.remote_send(handle, final)
-    api.remote_recv(handle, timeout=120.0)
-    info = api.remote_info(handle)
+        final += yield from api.random_bytes(padding - len(final) % padding)
+    handle = yield from api.deploy(dropbox_source, dropbox_manifest)
+    yield from api.remote_invoke_nowait(handle, [len(final) + 1024, 10, 600.0])
+    yield from api.remote_send(
+        handle, json.dumps({"op": "put", "name": "page"}).encode())
+    yield from api.remote_send(handle, final)
+    yield from api.remote_recv(handle, timeout=120.0)
+    info = yield from api.remote_info(handle)
     return {"box_fp": info["box_fp"], "invocation": info["invocation"],
             "size": len(final)}
 '''
@@ -63,10 +65,11 @@ class TestComposition:
                        "remote_send", "remote_recv"})
 
         def main(thread):
-            session = alice.connect(thread, alice.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(thread, BROWSE_TO_DROPBOX, manifest)
-            metadata = session.invoke(thread, [
+            session = yield from alice.connect(thread, alice.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, BROWSE_TO_DROPBOX, manifest)
+            metadata = yield from session.invoke(thread, [
                 "https://target.example/", 65536,
                 DropboxFunction.SOURCE,
                 DropboxFunction.manifest(image="python").to_wire()])
@@ -74,11 +77,12 @@ class TestComposition:
             session.close()
 
             # Alice is offline while the work happened; later she fetches.
-            thread.sleep(60.0)
+            yield Sleep(60.0)
             dropbox_box = alice.tor.consensus().find(metadata["box_fp"])
-            fetch_session = alice.connect(thread, dropbox_box)
-            fetch_session.attach(thread, metadata["invocation"])
-            blob = DropboxFunction.get(thread, fetch_session, "page")
+            fetch_session = yield from alice.connect(thread, dropbox_box)
+            yield from fetch_session.attach(thread, metadata["invocation"])
+            blob = yield from DropboxFunction.get(
+                thread, fetch_session, "page")
             fetch_session.close()
 
             import zlib
@@ -97,16 +101,16 @@ class TestComposition:
         manifest = FunctionManifest.create(
             "sneaky", "f", api_calls={"http_get"})
         code = ("def f():\n"
-                "    api.deploy('x = 1', {})\n")
+                "    yield from api.deploy('x = 1', {})\n")
 
         def main(thread):
-            session = alice.connect(thread, alice.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(thread, code, manifest)
+            session = yield from alice.connect(thread, alice.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(thread, code, manifest)
             from repro.core.errors import BentoError
 
             with pytest.raises(BentoError, match="not in manifest"):
-                session.invoke(thread, [])
+                yield from session.invoke(thread, [])
 
         run_thread(comp_net, main)
 
@@ -119,20 +123,22 @@ class TestBentoOverHiddenService:
         onion_holder = {}
 
         def serve(thread):
-            onion_holder["onion"] = server.serve_via_hidden_service(thread)
+            onion_holder["onion"] = yield from server.serve_via_hidden_service(
+                thread)
 
         run_thread(comp_net, serve, name="hs-setup")
 
         client = BentoClient(comp_net.create_client(), ias=comp_net.ias)
 
         def main(thread):
-            session = client.connect_via_onion(thread, onion_holder["onion"])
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, "def hello():\n    return 'over-onion'\n",
+            session = yield from client.connect_via_onion(
+                thread, onion_holder["onion"])
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, "def hello():\n    return 'over-onion'\n    yield\n",
                 FunctionManifest.create("hello", "hello", {"send"}))
-            result = session.invoke(thread, [])
-            session.shutdown(thread)
+            result = yield from session.invoke(thread, [])
+            yield from session.shutdown(thread)
             session.close()
             return result
 

@@ -31,6 +31,7 @@ from repro.migrate import (
     unseal_checkpoint,
 )
 from repro.netsim.faults import FaultPlane
+from repro.netsim.simulator import Sleep
 from repro.perf.counters import counters as _perf
 from repro.tor.testnet import TorTestNetwork
 from repro.util.serialization import canonical_decode, canonical_encode
@@ -38,7 +39,8 @@ from repro.util.serialization import canonical_decode, canonical_encode
 from conftest import run_thread
 
 ECHO = ("def echo(x):\n"
-        "    return x\n")
+        "    return x\n"
+        "    yield  # unreachable: makes the entry a generator function\n")
 
 # Receives, dawdles, then echoes: the dawdle gives the test a window to
 # kill the client transport so the send lands on a dead peer.
@@ -82,11 +84,11 @@ def server_for(net, box):
 
 def echo_session_on(net, thread, box, name):
     client = BentoClient(net.create_client(name), ias=net.ias)
-    session = client.connect(thread, box)
-    session.request_image(thread, "python")
-    session.load_function(thread, ECHO, FunctionManifest.create(
+    session = yield from client.connect(thread, box)
+    yield from session.request_image(thread, "python")
+    yield from session.load_function(thread, ECHO, FunctionManifest.create(
         "echo", "echo", set(), image="python"))
-    assert session.invoke(thread, [1]) == 1
+    assert (yield from session.invoke(thread, [1])) == 1
     return session
 
 
@@ -94,10 +96,10 @@ def kvstore_session(net, thread, name="owner"):
     """A running KvStore on a deterministic box, dialed directly."""
     client = BentoClient(net.create_client(name), ias=net.ias)
     box = client.pick_box()
-    session = client.connect_direct(thread, box)
-    session.request_image(thread, "python")
-    session.load_function(thread, KvStoreFunction.SOURCE,
-                          KvStoreFunction.manifest())
+    session = yield from client.connect_direct(thread, box)
+    yield from session.request_image(thread, "python")
+    yield from session.load_function(thread, KvStoreFunction.SOURCE,
+                                     KvStoreFunction.manifest())
     KvStoreFunction.start(session)
     return client, box, session
 
@@ -112,22 +114,23 @@ class TestReaperRearm:
             picker = BentoClient(net.create_client("picker"), ias=net.ias)
             box = picker.pick_box()
             server = server_for(net, box)
-            session_a = echo_session_on(net, thread, box, "a")
-            session_b = echo_session_on(net, thread, box, "b")
+            session_a = yield from echo_session_on(net, thread, box, "a")
+            session_b = yield from echo_session_on(net, thread, box, "b")
             assert server.active_function_count == 2
 
             session_a.close()            # arms the one pending sweep
             t0 = net.sim.now
-            thread.sleep(20.0)
-            assert session_b.invoke(thread, [2]) == 2   # B freshly active
+            yield Sleep(20.0)
+            # B freshly active
+            assert (yield from session_b.invoke(thread, [2])) == 2
             session_b.close()            # deduplicated: no second arming
 
-            thread.sleep(25.0)           # ~t0+45: first sweep has run
+            yield Sleep(25.0)           # ~t0+45: first sweep has run
             assert server.active_function_count == 1
             assert _perf.orphans_reaped == 1
             assert server._reaper_armed  # re-armed for the survivor
 
-            thread.sleep(30.0)           # ~t0+75: second sweep has run
+            yield Sleep(30.0)           # ~t0+75: second sweep has run
             assert server.active_function_count == 0
             assert _perf.orphans_reaped == 2
             # Nothing left to watch: the final sweep did not re-arm.
@@ -145,25 +148,27 @@ class TestDrainFlush:
         def main(thread):
             client = BentoClient(net.create_client("c"), ias=net.ias)
             box = client.pick_box()
-            session = client.connect(thread, box)
-            session.request_image(thread, "python")
-            session.load_function(thread, SLOWECHO, FunctionManifest.create(
-                "slowecho", "slowecho", {"recv", "sleep", "send"},
-                image="python"))
+            session = yield from client.connect(thread, box)
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, SLOWECHO, FunctionManifest.create(
+                    "slowecho", "slowecho", {"recv", "sleep", "send"},
+                    image="python"))
             server = server_for(net, box)
 
             session.invoke_nowait([])
             session.send_message(b"precious")
-            thread.sleep(2.0)                  # message reaches the box
+            yield Sleep(2.0)                  # message reaches the box
             session.circuit.conn.abort()       # transport dies mid-dawdle
-            thread.sleep(5.0)                  # echo at ~t+3 finds it dead
+            yield Sleep(5.0)                  # echo at ~t+3 finds it dead
             instance = server._by_invocation[session.invocation_token]
             assert len(instance.api._undelivered) == 1
 
-            session.reconnect(thread)
+            yield from session.reconnect(thread)
             instance.kill("drain-teardown", graceful=True)
             assert instance.api._undelivered == []
-            assert session.next_output(thread, timeout=10.0) == b"precious"
+            assert (yield from session.next_output(
+                thread, timeout=10.0)) == b"precious"
             session.close()
 
         run_thread(net, main)
@@ -185,9 +190,9 @@ def conclave_box():
     def main(thread):
         client = BentoClient(net.create_client("owner"), ias=ias)
         box = client.pick_box()
-        session = client.connect_direct(thread, box)
-        session.request_image(thread, "python-op-sgx")
-        session.load_function(
+        session = yield from client.connect_direct(thread, box)
+        yield from session.request_image(thread, "python-op-sgx")
+        yield from session.load_function(
             thread, KvStoreFunction.SOURCE,
             KvStoreFunction.manifest(image="python-op-sgx",
                                      memory_bytes=4 * MB))
@@ -291,9 +296,9 @@ class TestSealedCheckpoints:
             for name in sorted(inventory):
                 source, manifest = inventory[name]
                 box = client.pick_box()
-                session = client.connect_direct(thread, box)
-                session.request_image(thread, manifest.image)
-                session.load_function(thread, source, manifest)
+                session = yield from client.connect_direct(thread, box)
+                yield from session.request_image(thread, manifest.image)
+                yield from session.load_function(thread, source, manifest)
                 server = next(s for s in conclave_box.servers
                               if s.relay.fingerprint == box.identity_fp)
                 instance = server._by_invocation[session.invocation_token]
@@ -320,23 +325,23 @@ class TestDrainThenMigrate:
         net = migrate_net
 
         def main(thread):
-            client, box, session = kvstore_session(net, thread)
+            client, box, session = yield from kvstore_session(net, thread)
             server = server_for(net, box)
-            assert KvStoreFunction.incr(thread, session, "k") == 1
-            assert KvStoreFunction.incr(thread, session, "k") == 2
+            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 1
+            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 2
             instance = server._by_invocation[session.invocation_token]
 
-            dest_fp = server.migrate.drain(thread, instance)
+            dest_fp = yield from server.migrate.drain(thread, instance)
             assert dest_fp is not None and dest_fp != box.identity_fp
             assert instance.terminated
             assert server._moved[session.invocation_token] == dest_fp
 
             def op():
-                return KvStoreFunction.incr(thread, session, "k",
-                                            timeout=30.0)
+                return (yield from KvStoreFunction.incr(
+                    thread, session, "k", timeout=30.0))
 
-            assert client.retrying(thread, op, attempts=4, backoff_s=0.5,
-                                   session=session) == 3
+            assert (yield from client.retrying(
+                thread, op, attempts=4, backoff_s=0.5, session=session)) == 3
             assert session.box.identity_fp == dest_fp
             dest_server = next(s for s in net.servers
                                if s.relay.fingerprint == dest_fp)
@@ -354,27 +359,28 @@ class TestWarmStandby:
         net = migrate_net
 
         def main(thread):
-            client, box, session = kvstore_session(net, thread)
+            client, box, session = yield from kvstore_session(net, thread)
             primary_server = server_for(net, box)
-            assert KvStoreFunction.incr(thread, session, "k") == 1
-            assert KvStoreFunction.incr(thread, session, "k") == 2
+            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 1
+            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 2
 
             standby = WarmStandby(client, KvStoreFunction.SOURCE,
                                   KvStoreFunction.manifest(),
                                   max_state_lag_s=5.0)
-            standby_fp = standby.provision(thread,
-                                           exclude=(box.identity_fp,))
+            standby_fp = yield from standby.provision(
+                thread, exclude=(box.identity_fp,))
             assert standby_fp != box.identity_fp
-            assert standby.sync(thread, session) == 1
+            assert (yield from standby.sync(thread, session)) == 1
             assert standby.state_lag_s(net.sim.now) <= 5.0
             assert _perf.checkpoints_taken >= 1
 
             net.plane.crash_node(primary_server.node.name)
-            promoted = standby.promote(
+            promoted = yield from standby.promote(
                 thread, adopt_invocation=session.invocation_token,
                 adopt_shutdown=session.shutdown_token)
             # The shipped counter survived the crash — no cold rebuild.
-            assert KvStoreFunction.incr(thread, promoted, "k") == 3
+            assert (yield from KvStoreFunction.incr(
+                thread, promoted, "k")) == 3
             assert _perf.standby_promotions == 1
             promoted.close()
 
@@ -384,12 +390,12 @@ class TestWarmStandby:
         net = migrate_net
 
         def main(thread):
-            client, box, session = kvstore_session(net, thread)
+            client, box, session = yield from kvstore_session(net, thread)
             standby = WarmStandby(client, KvStoreFunction.SOURCE,
                                   KvStoreFunction.manifest())
-            standby.provision(thread, exclude=(box.identity_fp,))
+            yield from standby.provision(thread, exclude=(box.identity_fp,))
             with pytest.raises(Exception, match="never synced"):
-                standby.promote(thread)
+                yield from standby.promote(thread)
             session.close()
 
         run_thread(net, main)
@@ -400,15 +406,15 @@ class TestShedByMigration:
         net = migrate_net
 
         def main(thread):
-            client, box, session = kvstore_session(net, thread)
+            client, box, session = yield from kvstore_session(net, thread)
             server = server_for(net, box)
-            assert KvStoreFunction.incr(thread, session, "k") == 1
+            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 1
 
             assert server.migrate.maybe_shed() is True
             # A second rising edge while the drain is in flight (and then
             # inside the rate-limit window) must not start another.
             assert server.migrate.maybe_shed() is False
-            thread.sleep(60.0)  # the spawned drain actor completes
+            yield Sleep(60.0)  # the spawned drain actor completes
             assert _perf.migrations_completed == 1
             assert session.invocation_token not in server._by_invocation
             assert server._moved[session.invocation_token]
@@ -422,10 +428,11 @@ class TestShedByMigration:
         def main(thread):
             client = BentoClient(net.create_client("c"), ias=net.ias)
             box = client.pick_box()
-            session = client.connect_direct(thread, box)
-            session.request_image(thread, "python")
-            session.load_function(thread, ECHO, FunctionManifest.create(
-                "echo", "echo", set(), image="python"))
+            session = yield from client.connect_direct(thread, box)
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, ECHO,
+                FunctionManifest.create("echo", "echo", set(), image="python"))
             server = server_for(net, box)
             # echo exports no checkpoint protocol: nothing to migrate.
             assert server.migrate.maybe_shed() is False

@@ -9,7 +9,7 @@ import pytest
 from repro.netsim.bytestream import DirectByteStream, FramedStream
 from repro.netsim.http import HttpServer, fetch, http_get
 from repro.netsim.network import Network
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import Simulator, Sleep
 
 
 def _bottleneck_net(n_clients, server_rate=100_000.0):
@@ -31,8 +31,8 @@ class TestFairSharing:
         done = {}
 
         def fetcher(thread, index):
-            response = http_get(thread, net, clients[index],
-                                "https://files.example/f")
+            response = yield from http_get(thread, net, clients[index],
+                                           "https://files.example/f")
             done[index] = response.elapsed
 
         for i in range(2):
@@ -49,8 +49,8 @@ class TestFairSharing:
             done = {}
 
             def fetcher(thread, index):
-                response = http_get(thread, net, clients[index],
-                                    "https://files.example/f")
+                response = yield from http_get(thread, net, clients[index],
+                                               "https://files.example/f")
                 done[index] = response.elapsed
 
             for i in range(n):
@@ -69,9 +69,9 @@ class TestFairSharing:
         done = {}
 
         def fetcher(thread, index, delay):
-            thread.sleep(delay)
-            response = http_get(thread, net, clients[index],
-                                "https://files.example/f")
+            yield Sleep(delay)
+            response = yield from http_get(thread, net, clients[index],
+                                           "https://files.example/f")
             done[index] = response.elapsed
 
         sim.spawn(lambda t: fetcher(t, 0, 0.0))
@@ -94,11 +94,11 @@ class TestFastCryptoParity:
         out = {}
 
         def main(thread):
-            circuit = client.build_circuit(thread,
-                                           exit_to=("p.example", 443))
-            stream = circuit.open_stream(thread, "p.example", 443)
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("p.example", 443))
+            stream = yield from circuit.open_stream(thread, "p.example", 443)
             framed = FramedStream(stream)
-            out["body"] = fetch(thread, framed, "/").body
+            out["body"] = (yield from fetch(thread, framed, "/")).body
             out["elapsed"] = net.sim.now
             circuit.close()
 
@@ -123,8 +123,8 @@ class TestFastCryptoParity:
         captured = []
 
         def main(thread):
-            circuit = client.build_circuit(thread,
-                                           exit_to=("w.example", 443))
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("w.example", 443))
             middle = next(r for r in net.relays
                           if r.nickname == circuit.path[1].nickname)
             original = middle._send_cell
@@ -135,9 +135,9 @@ class TestFastCryptoParity:
                 original(conn, cell)
 
             middle._send_cell = spy
-            stream = circuit.open_stream(thread, "w.example", 443)
+            stream = yield from circuit.open_stream(thread, "w.example", 443)
             framed = FramedStream(stream)
-            body = fetch(thread, framed, "/").body
+            body = (yield from fetch(thread, framed, "/")).body
             middle._send_cell = original
             circuit.close()
             return body

@@ -1,13 +1,16 @@
-"""The discrete-event core: ordering, futures, sim-threads."""
+"""The discrete-event core: ordering, futures, actors."""
 
 import pytest
 
 from repro.netsim.simulator import (
     Future,
+    Join,
     SimTimeoutError,
+    SimulationError,
     Simulator,
+    Sleep,
+    Wait,
 )
-from repro.netsim.simulator import SimulationError
 
 
 class TestEventOrdering:
@@ -119,11 +122,14 @@ class TestFuture:
 
 
 class TestSimThreads:
+    """Actors.  (The class keeps the name it had when actors were OS
+    threads so the test ids stay stable.)"""
+
     def test_sleep_advances_virtual_time(self):
         sim = Simulator()
 
         def actor(thread):
-            thread.sleep(2.5)
+            yield Sleep(2.5)
             return sim.now
 
         thread = sim.spawn(actor)
@@ -134,7 +140,7 @@ class TestSimThreads:
         order = []
 
         def actor(thread, name, delay):
-            thread.sleep(delay)
+            yield Sleep(delay)
             order.append(name)
 
         sim.spawn(actor, "slow", 2.0)
@@ -148,7 +154,7 @@ class TestSimThreads:
         sim.schedule(1.0, future.resolve, "ready")
 
         def actor(thread):
-            return thread.wait(future)
+            return (yield Wait(future))
 
         thread = sim.spawn(actor)
         assert sim.run_until_done(thread) == "ready"
@@ -159,7 +165,7 @@ class TestSimThreads:
         future = Future(sim)
 
         def actor(thread):
-            thread.wait(future, timeout=3.0)
+            yield Wait(future, timeout=3.0)
 
         thread = sim.spawn(actor)
         sim.run()
@@ -171,7 +177,7 @@ class TestSimThreads:
         sim.schedule(0.5, future.reject, RuntimeError("down"))
 
         def actor(thread):
-            thread.wait(future)
+            yield Wait(future)
 
         thread = sim.spawn(actor)
         sim.run()
@@ -181,11 +187,11 @@ class TestSimThreads:
         sim = Simulator()
 
         def worker(thread):
-            thread.sleep(1.0)
+            yield Sleep(1.0)
             return "done"
 
         def boss(thread):
-            return thread.join(worker_thread)
+            return (yield Join(worker_thread))
 
         worker_thread = sim.spawn(worker)
         boss_thread = sim.spawn(boss)
@@ -197,6 +203,7 @@ class TestSimThreads:
 
         def actor(thread):
             times.append(sim.now)
+            yield Sleep(0.0)
 
         sim.spawn(actor, delay=4.0)
         sim.run()
@@ -207,6 +214,7 @@ class TestSimThreads:
 
         def actor(thread):
             raise KeyError("oops")
+            yield   # unreachable: fails before its first suspension
 
         thread = sim.spawn(actor)
         with pytest.raises(KeyError):
@@ -217,6 +225,7 @@ class TestSimThreads:
 
         def actor(thread):
             raise ValueError("hidden")
+            yield   # unreachable: fails before its first suspension
 
         sim.spawn(actor)
         sim.run()
@@ -230,7 +239,7 @@ class TestSimThreads:
 
             def actor(thread, name):
                 for _ in range(3):
-                    thread.sleep(sim.rng.uniform(0.1, 1.0))
+                    yield Sleep(sim.rng.uniform(0.1, 1.0))
                     trace.append((name, round(sim.now, 9)))
 
             sim.spawn(actor, "a")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.netsim.network import Network
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import Simulator, Sleep
 from repro.netsim.trace import INCOMING, OUTGOING, TraceRecorder
 
 
@@ -20,7 +20,7 @@ def wired():
 
 def _send(sim, net, a, b, sizes):
     def main(thread):
-        conn = net.connect_blocking(thread, a, b.address, 80)
+        conn = yield from net.connect_blocking(thread, a, b.address, 80)
         for size in sizes:
             conn.send(a, b"x" * size)
 
@@ -38,9 +38,9 @@ class TestTraceRecorder:
         sim, net, a, b, recorder = wired
 
         def main(thread):
-            conn = net.connect_blocking(thread, a, b.address, 80)
+            conn = yield from net.connect_blocking(thread, a, b.address, 80)
             conn.send(b, b"y" * 333)     # peer talks back
-            thread.sleep(1.0)
+            yield Sleep(1.0)
 
         sim.run_until_done(sim.spawn(main))
         incoming = [r for r in recorder.records if r.direction == INCOMING]
@@ -73,11 +73,11 @@ class TestTraceRecorder:
         sim, net, a, b, recorder = wired
 
         def main(thread):
-            conn = net.connect_blocking(thread, a, b.address, 80)
+            conn = yield from net.connect_blocking(thread, a, b.address, 80)
             conn.send(b, b"1" * 1000)
-            thread.sleep(5.0)
+            yield Sleep(5.0)
             conn.send(b, b"2" * 3000)
-            thread.sleep(5.0)
+            yield Sleep(5.0)
 
         sim.run_until_done(sim.spawn(main))
         buckets = dict(recorder.bytes_in_windows(5.0, direction=INCOMING))

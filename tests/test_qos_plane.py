@@ -7,7 +7,7 @@ from repro.core.errors import PuzzleRequired, ServerBusy
 from repro.core.manifest import FunctionManifest
 from repro.core.server import BentoServer
 from repro.functions.ddos_defense import AdmissionPuzzle, solve_pow
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import Simulator, Sleep
 from repro.obs.metrics import REGISTRY
 from repro.perf.counters import counters
 from repro.qos import (
@@ -107,18 +107,18 @@ class TestAdmissionController:
         order = []
 
         def queued(thread):
-            adm.admit(thread, "b")
+            yield from adm.admit(thread, "b")
             order.append(("b", sim.now))
 
         def refused(thread):
-            thread.sleep(1.0)          # arrive after b is queued
+            yield Sleep(1.0)          # arrive after b is queued
             with pytest.raises(ServerBusy) as excinfo:
-                adm.admit(thread, "c")
+                yield from adm.admit(thread, "c")
             assert excinfo.value.retry_after > 0
             order.append(("c-refused", sim.now))
 
         def releaser(thread):
-            thread.sleep(5.0)
+            yield Sleep(5.0)
             adm.release("a")
 
         t1 = sim.spawn(queued, name="queued")
@@ -137,7 +137,7 @@ class TestAdmissionController:
 
         def worker(name, priority):
             def run(thread):
-                adm.admit(thread, name, priority)
+                yield from adm.admit(thread, name, priority)
                 woken.append(name)
                 adm.release(name)
             return run
@@ -145,8 +145,12 @@ class TestAdmissionController:
         sim.spawn(worker("bulk-1", "bulk"), name="b1")
         sim.spawn(worker("inter-1", "interactive"), name="i1", delay=0.5)
         sim.spawn(worker("bulk-2", "bulk"), name="b2", delay=0.6)
-        done = sim.spawn(lambda t: (t.sleep(2.0), adm.release("holder")),
-                         name="rel")
+
+        def releaser(thread):
+            yield Sleep(2.0)
+            adm.release("holder")
+
+        done = sim.spawn(releaser, name="rel")
         sim.run_until_done(done, until=100.0)
         # The interactive waiter overtook the earlier-enqueued bulk one.
         assert woken == ["inter-1", "bulk-1", "bulk-2"]
@@ -160,7 +164,7 @@ class TestAdmissionController:
         def bulk(name):
             def run(thread):
                 try:
-                    adm.admit(thread, name, "bulk")
+                    yield from adm.admit(thread, name, "bulk")
                     outcomes[name] = "admitted"
                     adm.release(name)
                 except ServerBusy:
@@ -168,16 +172,20 @@ class TestAdmissionController:
             return run
 
         def interactive(thread):
-            thread.sleep(1.0)          # queue is full of bulk by now
-            adm.admit(thread, "vip", "interactive")
+            yield Sleep(1.0)          # queue is full of bulk by now
+            yield from adm.admit(thread, "vip", "interactive")
             outcomes["vip"] = "admitted"
             adm.release("vip")
 
         sim.spawn(bulk("bulk-old"), name="b1")
         sim.spawn(bulk("bulk-young"), name="b2", delay=0.1)
         sim.spawn(interactive, name="vip")
-        done = sim.spawn(lambda t: (t.sleep(3.0), adm.release("holder")),
-                         name="rel")
+
+        def releaser(thread):
+            yield Sleep(3.0)
+            adm.release("holder")
+
+        done = sim.spawn(releaser, name="rel")
         sim.run_until_done(done, until=100.0)
         assert outcomes["bulk-young"] == "evicted"     # youngest bulk shed
         assert outcomes["bulk-old"] == "admitted"
@@ -190,7 +198,7 @@ class TestAdmissionController:
 
         def waiter(thread):
             with pytest.raises(ServerBusy):
-                adm.admit(thread, "w")
+                yield from adm.admit(thread, "w")
             return sim.now
 
         thread = sim.spawn(waiter, name="w")
@@ -372,7 +380,9 @@ def _qos_net(slots=1, queue_depth=1, queue_timeout_s=120.0,
 
 
 MANIFEST = FunctionManifest.create("hold", "hold", {"send", "sleep"})
-HOLD_SOURCE = "def hold(duration):\n    api.sleep(duration)\n    return 'done'\n"
+HOLD_SOURCE = ("def hold(duration):\n"
+               "    yield from api.sleep(duration)\n"
+               "    return 'done'\n")
 
 
 class TestServingPlaneE2E:
@@ -384,19 +394,19 @@ class TestServingPlaneE2E:
         def holder(thread):
             client = BentoClient(net.create_client("holder"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            session = client.connect_direct(thread, descriptor)
-            session.request_image(thread, "python")
-            thread.sleep(40.0)
-            session.shutdown(thread)
+            session = yield from client.connect_direct(thread, descriptor)
+            yield from session.request_image(thread, "python")
+            yield Sleep(40.0)
+            yield from session.shutdown(thread)
 
         def queued(thread):
-            thread.sleep(2.0)       # arrive while the slot is held
+            yield Sleep(2.0)       # arrive while the slot is held
             client = BentoClient(net.create_client("queued"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            session = client.connect_direct(thread, descriptor)
-            session.request_image(thread, "python")
+            session = yield from client.connect_direct(thread, descriptor)
+            yield from session.request_image(thread, "python")
             times["admitted_at"] = net.sim.now
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
 
         t = net.sim.spawn(queued, name="queued")
         net.sim.spawn(holder, name="holder")
@@ -412,18 +422,18 @@ class TestServingPlaneE2E:
         def holder(thread):
             client = BentoClient(net.create_client("holder"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            session = client.connect_direct(thread, descriptor)
-            session.request_image(thread, "python")
-            thread.sleep(30.0)
-            session.shutdown(thread)
+            session = yield from client.connect_direct(thread, descriptor)
+            yield from session.request_image(thread, "python")
+            yield Sleep(30.0)
+            yield from session.shutdown(thread)
 
         def overflow(thread):
-            thread.sleep(2.0)
+            yield Sleep(2.0)
             client = BentoClient(net.create_client("overflow"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            session = client.connect_direct(thread, descriptor)
+            session = yield from client.connect_direct(thread, descriptor)
             with pytest.raises(ServerBusy) as excinfo:
-                session.request_image(thread, "python")
+                yield from session.request_image(thread, "python")
             return excinfo.value.retry_after
 
         t = net.sim.spawn(overflow, name="overflow")
@@ -440,6 +450,7 @@ class TestServingPlaneE2E:
         state = {"calls": 0}
 
         def flaky():
+            yield Sleep(0.0)
             state["calls"] += 1
             if state["calls"] == 1:
                 raise ServerBusy("busy", retry_after=7.5)
@@ -447,7 +458,8 @@ class TestServingPlaneE2E:
 
         def main(thread):
             start = net.sim.now
-            finished = client.retrying(thread, flaky, backoff_s=100.0)
+            finished = yield from client.retrying(
+                thread, flaky, backoff_s=100.0)
             return finished - start
 
         # The sleep equals the server's quote, not the 100s backoff.
@@ -462,11 +474,12 @@ class TestServingPlaneE2E:
         def main(thread):
             client = BentoClient(net.create_client("solver"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            session = client.connect_direct(thread, descriptor)
+            session = yield from client.connect_direct(thread, descriptor)
             # Interactive work is admitted under shedding — after the
             # proof of work, which request_image solves transparently.
-            session.request_image(thread, "python", priority="interactive")
-            session.shutdown(thread)
+            yield from session.request_image(
+                thread, "python", priority="interactive")
+            yield from session.shutdown(thread)
             return True
 
         assert run_thread(net, main, until=600.0)
@@ -482,16 +495,17 @@ class TestServingPlaneE2E:
         def main(thread):
             client = BentoClient(net.create_client("refused"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            session = client.connect_direct(thread, descriptor)
+            session = yield from client.connect_direct(thread, descriptor)
             with pytest.raises(PuzzleRequired) as excinfo:
-                session.request_image(thread, "python", solve_puzzles=False)
+                yield from session.request_image(
+                    thread, "python", solve_puzzles=False)
             assert excinfo.value.difficulty > 0
             assert len(excinfo.value.challenge) == 16
 
             # Solving the puzzle is not enough for bulk work: the shedder
             # still refuses it (queue capacity is reserved for interactive).
             with pytest.raises(ServerBusy):
-                session.request_image(thread, "python")
+                yield from session.request_image(thread, "python")
             return True
 
         assert run_thread(net, main, until=600.0)
@@ -505,10 +519,11 @@ class TestServingPlaneE2E:
         def main(thread):
             client = BentoClient(net.create_client("placer"))
             descriptor = net.authority.consensus().find(busy.relay.fingerprint)
-            session = client.connect_direct(thread, descriptor)
-            session.request_image(thread, "python")   # occupy busy's one slot
+            session = yield from client.connect_direct(thread, descriptor)
+            # occupy busy's one slot
+            yield from session.request_image(thread, "python")
             picked = client.pick_box_by_slack()
-            session.shutdown(thread)
+            yield from session.shutdown(thread)
             return picked.identity_fp
 
         picked_fp = run_thread(net, main, until=600.0)
@@ -532,16 +547,17 @@ class TestServingPlaneE2E:
         def main(thread):
             client = BentoClient(net.create_client("pricer"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            first = client.connect_direct(thread, descriptor)
-            first.request_image(thread, "python")
+            first = yield from client.connect_direct(thread, descriptor)
+            yield from first.request_image(thread, "python")
             # Ask for most of the box; policy allows per-function asks up
             # to max_function_memory, so stay under that but hog the box.
             per_fn = net.servers[0].policy.max_function_memory
-            first.load_function(thread, HOLD_SOURCE, FunctionManifest.create(
-                "hold", "hold", {"send", "sleep"}, memory_bytes=per_fn))
+            yield from first.load_function(
+                thread, HOLD_SOURCE, FunctionManifest.create(
+                    "hold", "hold", {"send", "sleep"}, memory_bytes=per_fn))
             used = net.servers[0].qos.admission.ledger.usage["memory"]
             assert used == per_fn
-            first.shutdown(thread)
+            yield from first.shutdown(thread)
             # Shutdown returns the reservation to the ledger.
             return net.servers[0].qos.admission.ledger.usage["memory"]
 
@@ -552,13 +568,14 @@ class TestServingPlaneE2E:
         client = BentoClient(bento_net.create_client(), ias=bento_net.ias)
 
         def main(thread):
-            session = client.connect_direct(thread, client.pick_box())
-            session.request_image(thread, "python")
-            session.load_function(
-                thread, "def f(x):\n    return x + 1\n",
+            session = yield from client.connect_direct(
+                thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, "def f(x):\n    return x + 1\n    yield\n",
                 FunctionManifest.create("f", "f", {"send"}))
-            result = session.invoke(thread, [1])
-            session.shutdown(thread)
+            result = yield from session.invoke(thread, [1])
+            yield from session.shutdown(thread)
             return result
 
         assert run_thread(bento_net, main) == 2
@@ -573,17 +590,18 @@ class TestServingPlaneE2E:
 
         chatty = ("def chatty(n):\n"
                   "    for _ in range(n):\n"
-                  "        api.send(b'x' * 65536)\n"
+                  "        yield from api.send(b'x' * 65536)\n"
                   "    return 'ok'\n")
 
         def main(thread):
             client = BentoClient(net.create_client("chatty"))
             descriptor = net.authority.consensus().find(box.fingerprint)
-            session = client.connect_direct(thread, descriptor)
-            session.request_image(thread, "python")
-            session.load_function(thread, chatty, FunctionManifest.create(
-                "chatty", "chatty", {"send"}))
-            return session.invoke(thread, [200], timeout=3000.0)
+            session = yield from client.connect_direct(thread, descriptor)
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, chatty,
+                FunctionManifest.create("chatty", "chatty", {"send"}))
+            return (yield from session.invoke(thread, [200], timeout=3000.0))
 
         assert run_thread(net, main, until=5000.0) == "ok"
         # 200 * 64 KiB >> the net fair-queue burst: pacing must have fired.

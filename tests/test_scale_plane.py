@@ -16,6 +16,7 @@ from repro.netsim.simulator import (
     Future,
     Simulator,
     SimTimeoutError,
+    Wait,
 )
 from repro.obs.metrics import REGISTRY
 from repro.perf.counters import counters
@@ -33,7 +34,7 @@ def cache_metric(kind: str, layer: str) -> float:
 
 
 class TestTimerSlots:
-    """`SimThread.wait` timeouts reuse one heap slot per thread."""
+    """`Wait` timeouts reuse one heap slot per actor."""
 
     def test_heap_does_not_accumulate_timeout_tombstones(self):
         # Regression: each resolved wait used to leave its cancelled
@@ -46,7 +47,7 @@ class TestTimerSlots:
             for _ in range(300):
                 fut = Future(sim)
                 sim.schedule(0.001, fut.resolve, None)
-                thread.wait(fut, timeout=30.0)
+                yield Wait(fut, timeout=30.0)
                 peak[0] = max(peak[0], len(sim._heap))
 
         sim.spawn(worker)
@@ -62,7 +63,7 @@ class TestTimerSlots:
 
         def worker(thread):
             with pytest.raises(SimTimeoutError):
-                thread.wait(Future(sim), timeout=5.0)
+                yield Wait(Future(sim), timeout=5.0)
             fired.append(sim.now)
 
         sim.spawn(worker)
@@ -78,10 +79,10 @@ class TestTimerSlots:
         def worker(thread):
             fut = Future(sim)
             sim.schedule(0.5, fut.resolve, None)
-            thread.wait(fut, timeout=1.0)     # tombstone parked at t=1.0
+            yield Wait(fut, timeout=1.0)     # tombstone parked at t=1.0
             t0 = sim.now
             with pytest.raises(SimTimeoutError):
-                thread.wait(Future(sim), timeout=30.0)
+                yield Wait(Future(sim), timeout=30.0)
             waited.append(sim.now - t0)
 
         sim.spawn(worker)
@@ -96,7 +97,7 @@ class TestTimerSlots:
             for _ in range(100):
                 fut = Future(sim)
                 sim.schedule(0.003, fut.resolve, None)
-                thread.wait(fut, timeout=60.0)
+                yield Wait(fut, timeout=60.0)
                 peak[0] = max(peak[0], len(sim._heap))
 
         for _ in range(4):
@@ -116,8 +117,10 @@ class TestRecvQueuePartialBuffer:
         out = []
 
         def reader(thread):
-            out.append(bytes(queue.pop(thread, None, min_bytes=10)))
-            out.append(bytes(queue.pop(thread, None, min_bytes=10)))
+            out.append(bytes((yield from queue.pop(
+                thread, None, min_bytes=10))))
+            out.append(bytes((yield from queue.pop(
+                thread, None, min_bytes=10))))
 
         sim.spawn(reader)
         sim.schedule(1.0, queue.push, b"abc")
@@ -135,8 +138,9 @@ class TestRecvQueuePartialBuffer:
 
         def reader(thread):
             with pytest.raises(SimTimeoutError):
-                queue.pop(thread, 1.0, min_bytes=10)
-            out.append(bytes(queue.pop(thread, None, min_bytes=10)))
+                yield from queue.pop(thread, 1.0, min_bytes=10)
+            out.append(bytes((yield from queue.pop(
+                thread, None, min_bytes=10))))
 
         sim.spawn(reader)
         sim.schedule(0.5, queue.push, b"abc")
@@ -151,7 +155,7 @@ class TestRecvQueuePartialBuffer:
         out = []
 
         def reader(thread):
-            out.append(queue.pop(thread, None, min_bytes=16))
+            out.append((yield from queue.pop(thread, None, min_bytes=16)))
 
         queue.push(blob)
         sim.spawn(reader)
@@ -165,8 +169,8 @@ class TestRecvQueuePartialBuffer:
         out = []
 
         def reader(thread):
-            out.append(queue.pop(thread, None))
-            out.append(queue.pop(thread, None))
+            out.append((yield from queue.pop(thread, None)))
+            out.append((yield from queue.pop(thread, None)))
 
         queue.push(b"first")
         queue.push(b"second")

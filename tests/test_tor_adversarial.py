@@ -4,6 +4,7 @@ import pytest
 
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import fetch
+from repro.netsim.simulator import Sleep, Wait
 from repro.tor.cell import CELL_SIZE, Cell, CellCommand
 from repro.tor.testnet import TorTestNetwork
 
@@ -24,12 +25,12 @@ class TestMalformedCells:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             circuit.conn.send(client.node,
                               Cell(circuit.circ_id, CellCommand.RELAY,
                                    b"\xAA" * 509),
                               size=CELL_SIZE)
-            thread.sleep(3.0)
+            yield Sleep(3.0)
             return circuit.destroyed
 
         assert run_thread(net, main) is True
@@ -39,16 +40,17 @@ class TestMalformedCells:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             # A cell with a bogus circuit id on a live connection.
             circuit.conn.send(client.node,
                               Cell(99999, CellCommand.RELAY, b"\x00" * 509),
                               size=CELL_SIZE)
-            thread.sleep(2.0)
+            yield Sleep(2.0)
             # The real circuit still works.
-            stream = circuit.open_stream(thread, "site.example", 443)
+            stream = yield from circuit.open_stream(
+                thread, "site.example", 443)
             framed = FramedStream(stream)
-            body = fetch(thread, framed, "/").body
+            body = (yield from fetch(thread, framed, "/")).body
             circuit.close()
             return body
 
@@ -59,10 +61,10 @@ class TestMalformedCells:
 
         def main(thread):
             relay = net.relays[0]
-            conn = net.network.connect_blocking(
+            conn = yield from net.network.connect_blocking(
                 thread, client_node, relay.node.address, relay.or_port)
             conn.send(client_node, b"GET / HTTP/1.1\r\n\r\n")
-            thread.sleep(2.0)
+            yield Sleep(2.0)
             return relay.active_circuit_count
 
         assert run_thread(net, main) == 0
@@ -75,7 +77,7 @@ class TestTamperingOnPath:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(
+            circuit = yield from client.build_circuit(
                 thread, exit_to=("site.example", 443))
             # Tamper with the guard's forwarding: wrap its send so the
             # next forward cell is corrupted once.
@@ -95,8 +97,8 @@ class TestTamperingOnPath:
             guard._send_cell = corrupting
             try:
                 with pytest.raises(Exception):
-                    stream = circuit.open_stream(thread, "site.example",
-                                                 443, timeout=15.0)
+                    stream = yield from circuit.open_stream(
+                        thread, "site.example", 443, timeout=15.0)
             finally:
                 guard._send_cell = original
             return True
@@ -114,10 +116,10 @@ class TestHsAbuse:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             circuit.send_relay(RelayCommand.RENDEZVOUS1, 0, canonical_encode(
                 {"cookie": b"never-established!!", "blob": b"x"}))
-            thread.sleep(3.0)
+            yield Sleep(3.0)
             return circuit.destroyed
 
         assert run_thread(net, main) is True
@@ -129,11 +131,11 @@ class TestHsAbuse:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread)
+            circuit = yield from client.build_circuit(thread)
             ack = circuit.expect_control(RelayCommand.INTRODUCE_ACK)
             circuit.send_relay(RelayCommand.INTRODUCE1, 0, canonical_encode(
                 {"service": "nosuch.onion", "blob": b""}))
-            info = thread.wait(ack, timeout=30.0)
+            info = yield Wait(ack, timeout=30.0)
             circuit.close()
             return canonical_decode(info["data"])["status"]
 
@@ -151,7 +153,7 @@ class TestHsAbuse:
 
         def host_main(thread):
             service = HiddenService(host, lambda *a: None)
-            service.establish(thread, n_intro=1)
+            yield from service.establish(thread, n_intro=1)
             box["service"] = service
 
         run_thread(net, host_main, name="host")
@@ -162,14 +164,15 @@ class TestHsAbuse:
         def attack(thread):
             intro_fp = service.intro_points[0].identity_fp
             intro_relay = attacker.consensus().find(intro_fp)
-            circuit = attacker.build_circuit(thread, final_hop=intro_relay)
+            circuit = yield from attacker.build_circuit(
+                thread, final_hop=intro_relay)
             ack = circuit.expect_control(RelayCommand.INTRODUCE_ACK)
             circuit.send_relay(RelayCommand.INTRODUCE1, 0, canonical_encode({
                 "service": str(service.onion_address),
                 "blob": b"\xde\xad" * 50,
             }))
-            thread.wait(ack, timeout=30.0)
-            thread.sleep(5.0)
+            yield Wait(ack, timeout=30.0)
+            yield Sleep(5.0)
             circuit.close()
 
         run_thread(net, attack, name="attacker")

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.netsim.connection import Connection
+from repro.netsim.simulator import Sleep
 from repro.tor import ntor
 from repro.tor.cell import CELL_SIZE, Cell, CellCommand, RelayCellPayload, RelayCommand
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
@@ -11,50 +12,48 @@ from repro.util.rng import DeterministicRandom
 from repro.util.serialization import canonical_decode, canonical_encode
 
 
+def _create(net, thread, conn, circ_id):
+    """CREATE handshake for ``circ_id`` on ``conn``; returns its HopCrypto."""
+    client_state = ntor.NtorClientState(
+        DeterministicRandom(f"probe{circ_id}"), net.relay.fingerprint)
+    conn.send(net.probe, Cell(circ_id, CellCommand.CREATE,
+                              client_state.onionskin), size=CELL_SIZE)
+    yield Sleep(2.0)
+    created = net.received.pop(0)
+    assert created.command == CellCommand.CREATED
+    return HopCrypto(client_state.finish(created.payload[:ntor.REPLY_LEN]))
+
+
 @pytest.fixture()
 def rig():
     """One relay plus a raw connection into it, with a completed
     first-hop handshake."""
     net = TorTestNetwork(n_relays=4, seed="relay-unit")
-    relay = net.relays[0]
-    probe = net.create_node("probe")
-    received: list[Cell] = []
-    state = {}
+    net.relay = net.relays[0]
+    net.probe = net.create_node("probe")
+    net.received = []
 
     def main(thread):
-        conn = net.network.connect_blocking(
-            thread, probe, relay.node.address, relay.or_port)
-        conn.endpoint_of(probe).on_message = (
-            lambda _c, payload, _s: received.append(payload))
-        client_state = ntor.NtorClientState(
-            DeterministicRandom("probe"), relay.fingerprint)
-        conn.send(probe, Cell(7, CellCommand.CREATE, client_state.onionskin),
-                  size=CELL_SIZE)
-        thread.sleep(2.0)
-        created = received.pop(0)
-        assert created.command == CellCommand.CREATED
-        keys = client_state.finish(created.payload[:ntor.REPLY_LEN])
-        state["conn"] = conn
-        state["crypto"] = HopCrypto(keys)
+        net.conn = yield from net.network.connect_blocking(
+            thread, net.probe, net.relay.node.address, net.relay.or_port)
+        net.conn.endpoint_of(net.probe).on_message = (
+            lambda _c, payload, _s: net.received.append(payload))
+        net.crypto = yield from _create(net, thread, net.conn, 7)
 
     net.sim.run_until_done(net.sim.spawn(main))
-    net.received = received
-    net.relay = relay
-    net.probe = probe
-    net.conn = state["conn"]
-    net.crypto = state["crypto"]
     return net
 
 
-def _send_relay(net, command, stream_id, data, circ_id=7):
+def _send_relay(net, command, stream_id, data, circ_id=7, crypto=None):
+    crypto = crypto or net.crypto
     cell = RelayCellPayload(command=command, stream_id=stream_id, data=data)
-    payload = net.crypto.seal_payload(cell, FORWARD)
-    payload = net.crypto.crypt_forward(payload)
+    payload = crypto.seal_payload(cell, FORWARD)
+    payload = crypto.crypt_forward(payload)
 
     def main(thread):
         net.conn.send(net.probe, Cell(circ_id, CellCommand.RELAY, payload),
                       size=CELL_SIZE)
-        thread.sleep(3.0)
+        yield Sleep(3.0)
 
     net.sim.run_until_done(net.sim.spawn(main))
 
@@ -108,7 +107,7 @@ class TestRelayStateMachine:
         def main(thread):
             rig.conn.send(rig.probe, Cell(7, CellCommand.DESTROY, b""),
                           size=CELL_SIZE)
-            thread.sleep(2.0)
+            yield Sleep(2.0)
 
         rig.sim.run_until_done(rig.sim.spawn(main))
         assert rig.relay.active_circuit_count == 0
@@ -116,10 +115,32 @@ class TestRelayStateMachine:
     def test_conn_close_destroys_circuits(self, rig):
         def main(thread):
             rig.conn.close()
-            thread.sleep(2.0)
+            yield Sleep(2.0)
 
         rig.sim.run_until_done(rig.sim.spawn(main))
         assert rig.relay.active_circuit_count == 0
+
+    def test_conn_close_with_both_halves_of_a_splice_on_it(self, rig):
+        # Regression: destroying circuit 7's entry also destroys its
+        # spliced partner (circuit 8) and pops *its* route key, which the
+        # close handler had snapshotted and then indexed -> KeyError.
+        def second_circuit(thread):
+            return (yield from _create(rig, thread, rig.conn, 8))
+
+        crypto8 = rig.sim.run_until_done(rig.sim.spawn(second_circuit))
+        _send_relay(rig, RelayCommand.ESTABLISH_RENDEZVOUS, 0,
+                    canonical_encode({"cookie": b"C" * 20}))
+        _send_relay(rig, RelayCommand.RENDEZVOUS1, 0,
+                    canonical_encode({"cookie": b"C" * 20, "blob": b"hs"}),
+                    circ_id=8, crypto=crypto8)
+        entries = {id(entry): entry
+                   for entry, _side in rig.relay._routes.values()}
+        assert len(entries) == 2
+        assert all(e.joined is not None for e in entries.values())
+
+        rig.conn.abort()    # runs the relay's close handler synchronously
+        assert all(e.destroyed for e in entries.values())
+        assert rig.relay._routes == {}
 
     def test_sendme_replenishes_circuit_window(self, rig):
         entry, _side = rig.relay._routes[

@@ -61,9 +61,10 @@ class TestStreamEdgeCases:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread,
-                                           exit_to=("edge.example", 443))
-            stream = circuit.open_stream(thread, "edge.example", 443)
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("edge.example", 443))
+            stream = yield from circuit.open_stream(
+                thread, "edge.example", 443)
             stream.close()
             with pytest.raises(StreamClosed):
                 stream.send(b"late")
@@ -75,14 +76,15 @@ class TestStreamEdgeCases:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread,
-                                           exit_to=("edge.example", 443))
-            stream = circuit.open_stream(thread, "edge.example", 443)
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("edge.example", 443))
+            stream = yield from circuit.open_stream(
+                thread, "edge.example", 443)
             # Ask the server something malformed so it drops the
             # connection -> END arrives -> recv yields EOF.
             stream.send(b"\x00\x00\x00\x02ok")   # bogus frame content
             while True:
-                data = stream.recv(thread, timeout=30.0)
+                data = yield from stream.recv(thread, timeout=30.0)
                 if data == b"":
                     break
             circuit.close()
@@ -94,11 +96,12 @@ class TestStreamEdgeCases:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread,
-                                           exit_to=("edge.example", 443))
-            stream = circuit.open_stream(thread, "edge.example", 443)
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("edge.example", 443))
+            stream = yield from circuit.open_stream(
+                thread, "edge.example", 443)
             circuit.close()
-            assert stream.recv(thread, timeout=5.0) == b""
+            assert (yield from stream.recv(thread, timeout=5.0)) == b""
             assert stream.closed
 
         run_thread(net, main)
@@ -107,9 +110,10 @@ class TestStreamEdgeCases:
         client = net.create_client()
 
         def main(thread):
-            circuit = client.build_circuit(thread,
-                                           exit_to=("edge.example", 443))
-            stream = circuit.open_stream(thread, "edge.example", 443)
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("edge.example", 443))
+            stream = yield from circuit.open_stream(
+                thread, "edge.example", 443)
             before = circuit.cells_sent
             stream.send(b"")
             assert circuit.cells_sent == before
