@@ -18,6 +18,7 @@ and refuses a plain entry while the client is still at ``load_function``.
 from __future__ import annotations
 
 import builtins as _builtins
+import functools
 import inspect
 from typing import Any, Callable, Optional
 
@@ -74,6 +75,18 @@ def build_function_namespace(api) -> dict[str, Any]:
     }
 
 
+@functools.lru_cache(maxsize=256)
+def _compile(source: str, filename: str):
+    """The code object for ``source``, compiled once per process.
+
+    A code object is immutable and holds no globals, so every load of the
+    same upload can share it; a source that fails to compile raises and
+    is not cached.  The filename is part of the key: it carries the
+    manifest name into tracebacks and profiles.
+    """
+    return compile(source, filename, "exec")
+
+
 class FunctionRuntime:
     """Loads source once, then runs the entry per invocation."""
 
@@ -93,8 +106,7 @@ class FunctionRuntime:
         """Compile and execute the module body; locate the entry point."""
         namespace = build_function_namespace(self.instance.api)
         try:
-            compiled = compile(self.code, f"<function:{self.manifest.name}>",
-                               "exec")
+            compiled = _compile(self.code, f"<function:{self.manifest.name}>")
             exec(compiled, namespace)  # noqa: S102 - the point of Bento
         except Exception as exc:
             raise LoaderError(f"function failed to load: {exc!r}") from exc

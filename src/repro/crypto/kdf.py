@@ -7,7 +7,6 @@ from an enclave's ephemeral root key.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
 
 _HASH_LEN = 32
@@ -17,7 +16,7 @@ def hkdf_extract(salt: bytes, ikm: bytes) -> bytes:
     """Extract a pseudorandom key from input keying material."""
     if not salt:
         salt = b"\x00" * _HASH_LEN
-    return hmac.new(salt, ikm, hashlib.sha256).digest()
+    return hmac.digest(salt, ikm, "sha256")
 
 
 def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
@@ -30,7 +29,7 @@ def hkdf_expand(prk: bytes, info: bytes, length: int) -> bytes:
     block = b""
     counter = 1
     while len(output) < length:
-        block = hmac.new(prk, block + info + bytes([counter]), hashlib.sha256).digest()
+        block = hmac.digest(prk, block + info + bytes([counter]), "sha256")
         output += block
         counter += 1
     return output[:length]

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import hashlib
 
+import numpy as np
+
 from repro.perf.counters import counters as _perf
 
 # Keystream bytes per XOF call: eight relay cells, and small enough that
@@ -57,42 +59,43 @@ class StreamCipher:
         _perf.hash_calls += batches
         _perf.keystream_bytes += batches * _BATCH
 
-    def keystream(self, n: int) -> bytes:
-        """Return the next ``n`` keystream bytes, advancing the state."""
-        if n < 0:  # would rewind the cursor and re-emit used keystream
-            raise ValueError("keystream length must be non-negative")
+    def _take(self, n: int) -> int:
+        """Claim the next ``n`` keystream bytes; returns their buffer offset."""
         pos = self._pos
         if len(self._buf) - pos < n:
             self._extend(n)
             pos = 0
-        end = pos + n
-        self._pos = end
-        return self._buf[pos:end]
+        self._pos = pos + n
+        return pos
+
+    def keystream(self, n: int) -> bytes:
+        """Return the next ``n`` keystream bytes, advancing the state."""
+        if n < 0:  # would rewind the cursor and re-emit used keystream
+            raise ValueError("keystream length must be non-negative")
+        pos = self._take(n)
+        return self._buf[pos:pos + n]
 
     def process(self, data: bytes) -> bytes:
         """Encrypt or decrypt ``data`` (XOR with the next keystream bytes)."""
         n = len(data)
         if not n:
             return b""
-        ks = self.keystream(n)
-        return (int.from_bytes(data, "big") ^ int.from_bytes(ks, "big")).to_bytes(n, "big")
+        pos = self._take(n)
+        return np.bitwise_xor(
+            np.frombuffer(data, np.uint8),
+            np.frombuffer(self._buf, np.uint8, count=n, offset=pos)).tobytes()
 
     def process_many(self, messages: list[bytes]) -> list[bytes]:
         """Process consecutive messages with one keystream pull and one XOR.
 
         Equivalent to ``[self.process(m) for m in messages]`` — the
         keystream is consumed in the same order — but the whole batch costs
-        a single big-int XOR, which is what makes multi-cell relay
+        a single vector XOR, which is what makes multi-cell relay
         forwarding cheap.
         """
         if len(messages) < 2:
             return [self.process(m) for m in messages]
-        data = b"".join(messages)
-        n = len(data)
-        if not n:
-            return [b"" for _ in messages]
-        ks = self.keystream(n)
-        out = (int.from_bytes(data, "big") ^ int.from_bytes(ks, "big")).to_bytes(n, "big")
+        out = self.process(b"".join(messages))
         result = []
         offset = 0
         for message in messages:

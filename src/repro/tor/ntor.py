@@ -18,7 +18,6 @@ man-in-the-middle without the relay's identity fingerprint is rejected.
 from __future__ import annotations
 
 import hmac
-import hashlib
 from dataclasses import dataclass
 
 from repro.crypto.dh import DiffieHellman
@@ -50,8 +49,17 @@ def _derive(shared: bytes, identity_fp: str, client_pub: bytes,
     okm = hkdf(shared, salt=_PROTOID, info=transcript, length=32 * 5)
     keys = CircuitKeys(kf=okm[0:32], kb=okm[32:64], df=okm[64:96], db=okm[96:128])
     verify = okm[128:160]
-    auth = hmac.new(verify, _PROTOID + transcript, hashlib.sha256).digest()
+    auth = hmac.digest(verify, _PROTOID + transcript, "sha256")
     return keys, auth
+
+
+def _shared_secret(dh: DiffieHellman, peer_public: bytes) -> bytes:
+    """The DH secret; a degenerate peer value (0, 1, p-1, >= p) arrives
+    from the wire, so it is a protocol failure, not a programming error."""
+    try:
+        return dh.shared_secret(peer_public)
+    except ValueError as exc:
+        raise ProtocolError(f"ntor: {exc}") from exc
 
 
 class NtorClientState:
@@ -71,7 +79,7 @@ class NtorClientState:
         if len(reply) < REPLY_LEN:
             raise ProtocolError("ntor reply too short")
         server_pub, auth = reply[:PUBLIC_LEN], reply[PUBLIC_LEN:REPLY_LEN]
-        shared = self._dh.shared_secret(server_pub)
+        shared = _shared_secret(self._dh, server_pub)
         keys, expected_auth = _derive(
             shared, self._identity_fp, self._dh.public_bytes, server_pub
         )
@@ -87,6 +95,6 @@ def server_respond(rng: DeterministicRandom, identity_fp: str,
         raise ProtocolError("ntor onionskin too short")
     client_pub = onionskin[:ONIONSKIN_LEN]
     dh = DiffieHellman(rng)
-    shared = dh.shared_secret(client_pub)
+    shared = _shared_secret(dh, client_pub)
     keys, auth = _derive(shared, identity_fp, client_pub, dh.public_bytes)
     return keys, dh.public_bytes + auth

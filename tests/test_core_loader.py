@@ -73,14 +73,14 @@ class TestNamespace:
 
 
 class TestRuntimeLoading:
-    def _runtime(self, code, entry="main"):
+    def _runtime(self, code, entry="main", name="t"):
         from repro.core.loader import FunctionRuntime
         from repro.core.manifest import FunctionManifest
 
         class _FakeInstance:
             api = _FakeApi()
 
-        manifest = FunctionManifest.create("t", entry, {"send"})
+        manifest = FunctionManifest.create(name, entry, {"send"})
         return FunctionRuntime(_FakeInstance(), code, manifest)
 
     def test_load_finds_entry(self):
@@ -108,9 +108,45 @@ class TestRuntimeLoading:
             runtime.load()
 
     def test_syntax_error_reported(self):
-        runtime = self._runtime("def main(:\n")
-        with pytest.raises(LoaderError):
-            runtime.load()
+        # On every load: a failed compile must not be remembered as a hit.
+        for _ in range(2):
+            runtime = self._runtime("def main(:\n")
+            with pytest.raises(LoaderError):
+                runtime.load()
+
+    COUNTER_SOURCE = (
+        "count = 0\n"
+        "def main():\n"
+        "    global count\n"
+        "    count += 1\n"
+        "    return count\n"
+        "    yield\n")
+
+    def test_same_source_shares_code_not_namespace(self):
+        """The code object is compiled once per process; a global mutated
+        in one instance is unseen by the other."""
+        first = self._runtime(self.COUNTER_SOURCE)
+        second = self._runtime(self.COUNTER_SOURCE)
+        first.load()
+        second.load()
+        assert first.entry.__code__ is second.entry.__code__
+        assert first.namespace is not second.namespace
+        for _ in range(3):
+            with pytest.raises(StopIteration):
+                next(first.entry())
+        assert first.namespace["count"] == 3
+        assert second.namespace["count"] == 0
+        assert first.namespace["api"] is not second.namespace["api"]
+
+    def test_same_source_other_name_keeps_its_filename(self):
+        """The suite's layer mapping and tracebacks read the manifest name
+        out of ``<function:NAME>``."""
+        first = self._runtime(self.COUNTER_SOURCE, name="alpha")
+        second = self._runtime(self.COUNTER_SOURCE, name="beta")
+        first.load()
+        second.load()
+        assert first.entry.__code__.co_filename == "<function:alpha>"
+        assert second.entry.__code__.co_filename == "<function:beta>"
 
     def test_module_body_crash_reported(self):
         runtime = self._runtime("raise ValueError('boom at import')\n")

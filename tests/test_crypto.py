@@ -1,5 +1,8 @@
 """Unit tests for the crypto substrate: KDF, stream, AEAD, DH, RSA."""
 
+import functools
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -8,18 +11,24 @@ from repro.crypto.dh import (
     DH_GROUP_MODP_1024,
     DH_GROUP_MODP_2048,
     DiffieHellman,
+    _WINDOW_BITS,
     _fixed_base_pow,
 )
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
-from repro.crypto.rsa import RsaError, RsaKeyPair
+from repro.crypto.rsa import RsaError, RsaKeyPair, _digest_to_int
 from repro.crypto.stream import StreamCipher, stream_xor
-from repro.util.bytesutil import xor_bytes
+from repro.util.bytesutil import int_to_bytes, xor_bytes
 from repro.util.rng import DeterministicRandom
 
 
 @pytest.fixture(scope="module")
 def keypair():
     return RsaKeyPair.generate(DeterministicRandom("rsa-test"))
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_keypair(seed: int, bits: int) -> RsaKeyPair:
+    return RsaKeyPair.generate(DeterministicRandom(f"rsa-prop-{seed}"), bits)
 
 
 class TestHkdf:
@@ -42,6 +51,28 @@ class TestHkdf:
         assert len(okm) == 64
         # expansion is prefix-consistent
         assert hkdf_expand(prk, b"info", 32) == okm[:32]
+
+    # RFC 5869 appendix A, test cases 1-3 (SHA-256).
+    @pytest.mark.parametrize("ikm, salt, info, length, prk, okm", [
+        (b"\x0b" * 22, bytes(range(0x00, 0x0d)), bytes(range(0xf0, 0xfa)), 42,
+         "077709362c2e32df0ddc3f0dc47bba6390b6c73bb50f9c3122ec844ad7c2b3e5",
+         "3cb25f25faacd57a90434f64d0362f2a2d2d0a90cf1a5a4c5db02d56ecc4c5bf"
+         "34007208d5b887185865"),
+        (bytes(range(0x00, 0x50)), bytes(range(0x60, 0xb0)),
+         bytes(range(0xb0, 0x100)), 82,
+         "06a6b88c5853361a06104c9ceb35b45cef760014904671014a193f40c15fc244",
+         "b11e398dc80327a1c8e7f78c596a49344f012eda2d4efad8a050cc4c19afa97c"
+         "59045a99cac7827271cb41c65e590e09da3275600c2f09b8367793a9aca3db71"
+         "cc30c58179ec3e87c14c01d5c1f3434f1d87"),
+        (b"\x0b" * 22, b"", b"", 42,
+         "19ef24a32c717b167f33a91d6f648bdf96596776afdb6377ac434c1c293ccb04",
+         "8da4e775a563c18f715f802a063c5a31b8a11f5c5ee1879ec3454e5f3c738d2d"
+         "9d201395faa4b61a96c8"),
+    ], ids=["case1", "case2-long", "case3-empty-salt-info"])
+    def test_rfc5869_known_answers(self, ikm, salt, info, length, prk, okm):
+        assert hkdf_extract(salt, ikm).hex() == prk
+        assert hkdf_expand(bytes.fromhex(prk), info, length).hex() == okm
+        assert hkdf(ikm, salt=salt, info=info, length=length).hex() == okm
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
@@ -194,20 +225,32 @@ class TestDiffieHellman:
         a, b, c = (DiffieHellman(rng) for _ in range(3))
         assert a.shared_secret(b.public) != a.shared_secret(c.public)
 
-    # Nibbles drawn from a zero-heavy alphabet so exponents with all-zero
-    # 4-bit windows (table rows that must be skipped) are the common case.
+    # Digits one table row wide, drawn from a zero-heavy alphabet so that
+    # all-zero windows (rows that must be skipped) are the common case and
+    # all-ones windows (the last entry of a row) are frequent.
+    _TOP_DIGIT = (1 << _WINDOW_BITS) - 1
+
     @settings(max_examples=60)
-    @given(st.lists(st.sampled_from([0, 0, 0, 1, 7, 15]), min_size=64,
-                    max_size=64),
+    @given(st.lists(st.sampled_from([0, 0, 0, 1, _TOP_DIGIT >> 1, _TOP_DIGIT]),
+                    min_size=-(-256 // _WINDOW_BITS),
+                    max_size=-(-256 // _WINDOW_BITS)),
            st.sampled_from([DH_GROUP_MODP_1024, DH_GROUP_MODP_2048]))
-    def test_fixed_base_pow_equals_pow(self, nibbles, modulus):
-        exponent = int("".join("%x" % n for n in nibbles), 16)
+    def test_fixed_base_pow_equals_pow(self, digits, modulus):
+        exponent = sum(d << i * _WINDOW_BITS for i, d in enumerate(digits))
+        exponent &= (1 << 256) - 1  # the top row is narrower than a digit
         assert _fixed_base_pow(exponent, modulus) == pow(2, exponent, modulus)
 
     @pytest.mark.parametrize("modulus", [DH_GROUP_MODP_1024,
                                          DH_GROUP_MODP_2048])
     def test_fixed_base_pow_edges(self, modulus):
-        for exponent in (0, 1, 15, 16, 1 << 255, (1 << 256) - 1):
+        edges = [0, 1, 15, 16, 1 << 255, (1 << 256) - 1]
+        for row in (1, 2, 17, 256 // _WINDOW_BITS):
+            low = row * _WINDOW_BITS
+            # all ones below a row boundary, the boundary bit alone, and a
+            # full digit just above it with every lower row zero
+            edges += [(1 << low) - 1, 1 << low,
+                      (self._TOP_DIGIT << low) & ((1 << 256) - 1)]
+        for exponent in edges:
             assert _fixed_base_pow(exponent, modulus) == pow(2, exponent, modulus)
         for bad in (-1, 1 << 256):
             with pytest.raises(ValueError):
@@ -270,8 +313,62 @@ class TestRsa:
         assert b1 != b2
 
     def test_export_import_parts(self, keypair):
-        clone = RsaKeyPair.from_parts(keypair.export_parts())
-        assert keypair.public.verify(b"x", clone.sign(b"x"))
+        parts = keypair.export_parts()
+        # The wire shape the LoadBalancer ships to replicas: no factors.
+        assert sorted(parts) == ["d", "e", "n"]
+        clone = RsaKeyPair.from_parts(parts)
+        assert clone.sign(b"x") == keypair.sign(b"x")
+        assert clone.decrypt_int(12345) == keypair.decrypt_int(12345)
+
+    @pytest.mark.parametrize("delta", [1, -1, 2, 1 << 77])
+    def test_from_parts_rejects_mismatched_d(self, keypair, delta):
+        parts = keypair.export_parts()
+        with pytest.raises(RsaError):
+            RsaKeyPair.from_parts({**parts, "d": parts["d"] + delta})
+
+    @pytest.mark.parametrize("field, value", [
+        ("d", 0), ("d", 1), ("d", -7), ("n", 0), ("n", 35), ("e", 0)])
+    def test_from_parts_rejects_garbage(self, keypair, field, value):
+        with pytest.raises(RsaError):
+            RsaKeyPair.from_parts({**keypair.export_parts(), field: value})
+
+    def test_from_parts_accepts_equivalent_d(self, keypair):
+        """``d`` plus a multiple of lambda(n) is the same private key."""
+        parts = keypair.export_parts()
+        order = math.lcm(keypair._p - 1, keypair._q - 1)
+        clone = RsaKeyPair.from_parts({**parts, "d": parts["d"] + order})
+        assert clone.sign(b"x") == keypair.sign(b"x")
+
+    # The CRT private operation against the plain exponentiation it
+    # replaced, over generated keys of both sizes the repo mints.
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 7), st.sampled_from([256, 512]), st.binary(max_size=64),
+           st.integers(min_value=0))
+    def test_private_ops_equal_plain_pow(self, key_seed, bits, message, raw):
+        keypair = _generated_keypair(key_seed, bits)
+        n, d = keypair.public.n, keypair._d
+        assert keypair.sign(message) == int_to_bytes(
+            pow(_digest_to_int(message, n), d, n), (n.bit_length() + 7) // 8)
+        m = raw % n
+        assert keypair.decrypt_int(m) == keypair.blind_sign(m) == pow(m, d, n)
+        assert keypair.decrypt_int(keypair.public.encrypt_int(m)) == m
+
+    def test_private_op_on_multiples_of_a_factor(self, keypair):
+        n, d = keypair.public.n, keypair._d
+        for c in (0, 1, n - 1, keypair._p, keypair._q, 3 * keypair._p,
+                  n - keypair._q):
+            assert keypair.decrypt_int(c) == pow(c, d, n)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(0, 7), st.binary(min_size=1, max_size=32),
+           st.integers(0, 2 ** 32))
+    def test_blind_sign_unblind_equals_sign(self, key_seed, token, blind_seed):
+        keypair = _generated_keypair(key_seed, 256)
+        blinded, unblinder = keypair.public.blind(
+            token, DeterministicRandom(f"blind-{blind_seed}"))
+        signature = keypair.public.unblind(keypair.blind_sign(blinded),
+                                           unblinder)
+        assert signature == keypair.sign(token)
 
     def test_fingerprint_stable_and_distinct(self, keypair):
         other = RsaKeyPair.generate(DeterministicRandom("fp-other"))

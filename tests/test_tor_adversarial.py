@@ -5,8 +5,12 @@ import pytest
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import fetch
 from repro.netsim.simulator import Sleep, Wait
+from repro.crypto.dh import DH_GROUP_MODP_1024
+from repro.tor import ntor
 from repro.tor.cell import CELL_SIZE, Cell, CellCommand
 from repro.tor.testnet import TorTestNetwork
+from repro.util.bytesutil import int_to_bytes
+from repro.util.errors import ProtocolError
 
 from conftest import run_thread
 
@@ -66,6 +70,65 @@ class TestMalformedCells:
             conn.send(client_node, b"GET / HTTP/1.1\r\n\r\n")
             yield Sleep(2.0)
             return relay.active_circuit_count
+
+        assert run_thread(net, main) == 0
+
+
+# Group elements a DH party must refuse: the shared secret would be 0,
+# 1 or +-1 whatever the private exponent is.
+DEGENERATE = pytest.mark.parametrize(
+    "value", [0, 1, DH_GROUP_MODP_1024 - 1, DH_GROUP_MODP_1024],
+    ids=["zero", "one", "p-1", "p"])
+
+
+class TestDegenerateHandshakeValues:
+    @DEGENERATE
+    def test_relay_survives_degenerate_onionskin(self, net, value):
+        """A CREATE whose onionskin is a degenerate group element is
+        answered with DESTROY; the relay keeps serving other circuits
+        (the DH range error used to escape ``Simulator.run``)."""
+        scanner = net.create_node("scanner")
+        client = net.create_client()
+        onionskin = int_to_bytes(value, ntor.PUBLIC_LEN)
+        answers = []
+
+        def main(thread):
+            for relay in net.relays:
+                conn = yield from net.network.connect_blocking(
+                    thread, scanner, relay.node.address, relay.or_port)
+                conn.endpoint_of(scanner).on_message = (
+                    lambda _conn, cell, _size: answers.append(cell.command))
+                conn.send(scanner, Cell(7, CellCommand.CREATE, onionskin),
+                          size=CELL_SIZE)
+            yield Sleep(3.0)
+            circuit = yield from client.build_circuit(thread)
+            stream = yield from circuit.open_stream(
+                thread, "site.example", 443)
+            body = (yield from fetch(thread, FramedStream(stream), "/")).body
+            circuit.close()
+            return body
+
+        assert run_thread(net, main) == b"legit"
+        assert answers == [CellCommand.DESTROY] * len(net.relays)
+        assert all(relay.active_circuit_count == 0 for relay in net.relays)
+
+    @DEGENERATE
+    def test_client_rejects_degenerate_created(self, net, value, monkeypatch):
+        """A guard answering CREATE with a degenerate public value fails
+        the build with ProtocolError, before any key is derived."""
+        from repro.tor.relay import Relay
+
+        forged = int_to_bytes(value, ntor.PUBLIC_LEN) + bytes(ntor.AUTH_LEN)
+        monkeypatch.setattr(
+            Relay, "_handle_create",
+            lambda self, conn, cell: self._send_cell(
+                conn, Cell(cell.circ_id, CellCommand.CREATED, forged)))
+        client = net.create_client()
+
+        def main(thread):
+            with pytest.raises(ProtocolError, match="out of range"):
+                yield from client.build_circuit(thread)
+            return len(client.circuits)
 
         assert run_thread(net, main) == 0
 
