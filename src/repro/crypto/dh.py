@@ -7,8 +7,7 @@ construction is reproducible run to run.
 
 from __future__ import annotations
 
-import functools
-
+from repro.crypto.modexp import modexp
 from repro.util.bytesutil import int_from_bytes, int_to_bytes
 from repro.util.rng import DeterministicRandom
 
@@ -37,46 +36,6 @@ DH_GROUP_MODP_1024 = int(
 )
 _GENERATOR = 2
 _EXPONENT_BITS = 256  # short exponents are standard practice for these groups
-# Fixed-base window width: 2**w entries per row to build and to keep.
-# 7 bits (37 multiplies a power; ~20 ms and 0.8 MiB, once) is the widest
-# that fits the benchmark suite's allowance of 5% of set-up time and
-# 1.5 MiB of peak RSS.  8 bits (32 multiplies) measured +1.25-1.55 MiB
-# and twice the build for ~1% more sessions per second.
-_WINDOW_BITS = 7
-
-
-@functools.lru_cache(maxsize=None)
-def _fixed_base_table(modulus: int) -> tuple[tuple[int, ...], ...]:
-    """Row ``i`` holds ``g ** (d << i * _WINDOW_BITS) mod p`` for each digit ``d``.
-
-    Built once per group on first use (37 rows x 128 entries, ~20 ms for
-    the 1024-bit group): every keypair shares the generator, so ``g ** x``
-    becomes one table multiply per non-zero window of ``x`` instead of a
-    general square-and-multiply.
-    """
-    rows = []
-    base = _GENERATOR
-    for _ in range(-(-_EXPONENT_BITS // _WINDOW_BITS)):
-        row = [1]
-        for _ in range(1, 1 << _WINDOW_BITS):
-            row.append(row[-1] * base % modulus)
-        rows.append(tuple(row))
-        base = row[-1] * base % modulus
-    return tuple(rows)
-
-
-def _fixed_base_pow(exponent: int, modulus: int) -> int:
-    """``pow(_GENERATOR, exponent, modulus)`` through the window table."""
-    if not 0 <= exponent < 1 << _EXPONENT_BITS:
-        raise ValueError("fixed-base exponent out of range")
-    acc = 1
-    mask = (1 << _WINDOW_BITS) - 1
-    for row in _fixed_base_table(modulus):
-        digit = exponent & mask
-        if digit:
-            acc = acc * row[digit] % modulus
-        exponent >>= _WINDOW_BITS
-    return acc
 
 
 class DiffieHellman:
@@ -86,7 +45,7 @@ class DiffieHellman:
         self._modulus = modulus
         # Force the top bit so the exponent always has full length.
         self._private = rng.getrandbits(_EXPONENT_BITS) | (1 << (_EXPONENT_BITS - 1))
-        self.public = _fixed_base_pow(self._private, modulus)
+        self.public = modexp(_GENERATOR, self._private, modulus)
 
     @property
     def public_bytes(self) -> bytes:
@@ -99,5 +58,5 @@ class DiffieHellman:
             peer_public = int_from_bytes(bytes(peer_public))
         if not 2 <= peer_public <= self._modulus - 2:
             raise ValueError("peer public value out of range")
-        secret = pow(peer_public, self._private, self._modulus)
+        secret = modexp(peer_public, self._private, self._modulus)
         return int_to_bytes(secret, (self._modulus.bit_length() + 7) // 8)

@@ -16,6 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
+from repro.crypto.modexp import modexp
 from repro.util.bytesutil import int_from_bytes, int_to_bytes
 from repro.util.rng import DeterministicRandom
 
@@ -43,7 +44,7 @@ def _is_probable_prime(n: int, rng: DeterministicRandom, rounds: int = 24) -> bo
         r += 1
     for _ in range(rounds):
         a = rng.randint(2, n - 2)
-        x = pow(a, d, n)
+        x = modexp(a, d, n)
         if x in (1, n - 1):
             continue
         for _ in range(r - 1):
@@ -141,7 +142,7 @@ def _recover_factors(n: int, e: int, d: int) -> tuple[int, int]:
     twos = (k & -k).bit_length() - 1
     odd = k >> twos
     for g in _SMALL_PRIMES:
-        x = pow(g, odd, n)
+        x = modexp(g, odd, n)
         for _ in range(twos):
             y = pow(x, 2, n)
             if y == 1:
@@ -214,8 +215,8 @@ class RsaKeyPair:
     def _private_op(self, c: int) -> int:
         """``pow(c, d, n)`` by CRT (Garner's recombination)."""
         p, q = self._p, self._q
-        m2 = pow(c, self._dq, q)
-        h = (pow(c, self._dp, p) - m2) * self._qinv % p
+        m2 = modexp(c, self._dq, q)
+        h = (modexp(c, self._dp, p) - m2) * self._qinv % p
         return m2 + h * q
 
     def sign(self, message: bytes) -> bytes:

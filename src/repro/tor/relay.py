@@ -329,23 +329,25 @@ class Relay:
         cell.payload = entry.crypto.crypt_backward(cell.payload)
         self._send_cell(entry.conn_prev, cell)
 
+    _RELAY_HANDLERS = {
+        RelayCommand.EXTEND: "_cmd_extend",
+        RelayCommand.BEGIN: "_cmd_begin",
+        RelayCommand.DATA: "_cmd_data",
+        RelayCommand.END: "_cmd_end",
+        RelayCommand.SENDME: "_cmd_sendme",
+        RelayCommand.DROP: "_cmd_drop",
+        RelayCommand.ESTABLISH_INTRO: "_cmd_establish_intro",
+        RelayCommand.INTRODUCE1: "_cmd_introduce1",
+        RelayCommand.ESTABLISH_RENDEZVOUS: "_cmd_establish_rendezvous",
+        RelayCommand.RENDEZVOUS1: "_cmd_rendezvous1",
+    }
+
     def _handle_recognized(self, entry: CircuitEntry,
                            parsed: RelayCellPayload) -> None:
-        handler = {
-            RelayCommand.EXTEND: self._cmd_extend,
-            RelayCommand.BEGIN: self._cmd_begin,
-            RelayCommand.DATA: self._cmd_data,
-            RelayCommand.END: self._cmd_end,
-            RelayCommand.SENDME: self._cmd_sendme,
-            RelayCommand.DROP: self._cmd_drop,
-            RelayCommand.ESTABLISH_INTRO: self._cmd_establish_intro,
-            RelayCommand.INTRODUCE1: self._cmd_introduce1,
-            RelayCommand.ESTABLISH_RENDEZVOUS: self._cmd_establish_rendezvous,
-            RelayCommand.RENDEZVOUS1: self._cmd_rendezvous1,
-        }.get(parsed.command)
-        if handler is None:
+        name = self._RELAY_HANDLERS.get(parsed.command)
+        if name is None:
             raise ProtocolError(f"relay cannot handle {parsed.command.name}")
-        handler(entry, parsed)
+        getattr(self, name)(entry, parsed)
 
     # -- relay commands -----------------------------------------------------------
 

@@ -11,8 +11,6 @@ from repro.crypto.dh import (
     DH_GROUP_MODP_1024,
     DH_GROUP_MODP_2048,
     DiffieHellman,
-    _WINDOW_BITS,
-    _fixed_base_pow,
 )
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.rsa import RsaError, RsaKeyPair, _digest_to_int
@@ -224,37 +222,6 @@ class TestDiffieHellman:
         rng = DeterministicRandom("dh3")
         a, b, c = (DiffieHellman(rng) for _ in range(3))
         assert a.shared_secret(b.public) != a.shared_secret(c.public)
-
-    # Digits one table row wide, drawn from a zero-heavy alphabet so that
-    # all-zero windows (rows that must be skipped) are the common case and
-    # all-ones windows (the last entry of a row) are frequent.
-    _TOP_DIGIT = (1 << _WINDOW_BITS) - 1
-
-    @settings(max_examples=60)
-    @given(st.lists(st.sampled_from([0, 0, 0, 1, _TOP_DIGIT >> 1, _TOP_DIGIT]),
-                    min_size=-(-256 // _WINDOW_BITS),
-                    max_size=-(-256 // _WINDOW_BITS)),
-           st.sampled_from([DH_GROUP_MODP_1024, DH_GROUP_MODP_2048]))
-    def test_fixed_base_pow_equals_pow(self, digits, modulus):
-        exponent = sum(d << i * _WINDOW_BITS for i, d in enumerate(digits))
-        exponent &= (1 << 256) - 1  # the top row is narrower than a digit
-        assert _fixed_base_pow(exponent, modulus) == pow(2, exponent, modulus)
-
-    @pytest.mark.parametrize("modulus", [DH_GROUP_MODP_1024,
-                                         DH_GROUP_MODP_2048])
-    def test_fixed_base_pow_edges(self, modulus):
-        edges = [0, 1, 15, 16, 1 << 255, (1 << 256) - 1]
-        for row in (1, 2, 17, 256 // _WINDOW_BITS):
-            low = row * _WINDOW_BITS
-            # all ones below a row boundary, the boundary bit alone, and a
-            # full digit just above it with every lower row zero
-            edges += [(1 << low) - 1, 1 << low,
-                      (self._TOP_DIGIT << low) & ((1 << 256) - 1)]
-        for exponent in edges:
-            assert _fixed_base_pow(exponent, modulus) == pow(2, exponent, modulus)
-        for bad in (-1, 1 << 256):
-            with pytest.raises(ValueError):
-                _fixed_base_pow(bad, modulus)
 
     def test_public_value_is_generator_power(self):
         a = DiffieHellman(DeterministicRandom("dh-pub"))

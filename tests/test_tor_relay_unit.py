@@ -103,6 +103,16 @@ class TestRelayStateMachine:
         assert rig.received == []   # silently dropped, circuit intact
         assert rig.relay.active_circuit_count == 1
 
+    def test_command_a_relay_does_not_serve_destroys_the_circuit(self, rig):
+        # CONNECTED only ever travels towards the client: the dispatch
+        # table has no entry, the ProtocolError becomes a DESTROY.
+        _send_relay(rig, RelayCommand.CONNECTED, 5, b"")
+        assert rig.received.pop(0).command == CellCommand.DESTROY
+
+    def test_every_dispatch_entry_names_a_handler(self, rig):
+        for command, name in rig.relay._RELAY_HANDLERS.items():
+            assert callable(getattr(rig.relay, name)), command
+
     def test_destroy_cleans_up(self, rig):
         def main(thread):
             rig.conn.send(rig.probe, Cell(7, CellCommand.DESTROY, b""),
