@@ -57,8 +57,8 @@ def _one_setting(high_water: int) -> dict:
             replica_image="python")
         from repro.core import messages
 
-        done = yield from session._await(thread, messages.DONE,
-                                         timeout=600.0)
+        done = yield from session.await_message(thread, messages.DONE,
+                                                timeout=600.0)
         shared["stats"] = done["result"]
 
     durations = []

@@ -129,7 +129,6 @@ def run_overload(engine: str, multiplier: float, seed: int,
     offered = capacity * multiplier
     n_units = max(1, int(offered * duration))
 
-    counters.reset()
     REGISTRY.reset()
     net, dep = _build(seed)
     completed: list[tuple[float, float]] = []   # (arrived, delivered)

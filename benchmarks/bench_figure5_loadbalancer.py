@@ -148,8 +148,8 @@ def run_with_balancer() -> tuple[dict, dict]:
             replica_image="python")
         from repro.core import messages
 
-        done = yield from session._await(thread, messages.DONE,
-                                         timeout=900.0)
+        done = yield from session.await_message(thread, messages.DONE,
+                                                timeout=900.0)
         shared["stats"] = done["result"]
 
     op_thread = net.sim.spawn(op_main, name="operator")

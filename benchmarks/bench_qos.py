@@ -135,7 +135,6 @@ def run_overload(mode: str, multiplier: float, seed: int,
     offered = capacity * multiplier
     n_sessions = max(1, int(offered * duration))
 
-    counters.reset()
     REGISTRY.reset()
     net, box_relay = _build_net(seed)
     if mode == "on":

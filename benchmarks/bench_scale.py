@@ -125,7 +125,6 @@ def _split_sessions(n_sessions: int) -> tuple[int, int]:
 def run_scale(n_sessions: int, seed: int = 2021,
               payload: int = PAYLOAD_BYTES) -> dict:
     """Run N sessions in-process and return the measurement dict."""
-    counters.reset()
     REGISTRY.reset()
     n_clients, per_client = _split_sessions(n_sessions)
     net = TorTestNetwork(n_relays=12, seed=seed, fast_crypto=True,

@@ -26,26 +26,22 @@ import json
 import sys
 from pathlib import Path
 
-#: Counters proportional to bytes transferred; ratio-guarded per byte.
-#: ``task_switches`` is deliberately absent: suspensions are a per-actor
-#: fixed overhead (~39 for the 10 MB macro and ~30 for the 1 MB smoke),
-#: so a per-byte ratio between different transfer sizes is meaningless —
-#: the switches-per-session budget in :func:`check_scale` guards it.
-#: The sharded kernel's barrier/IPC counters (``shard_epochs_completed``,
-#: ``shard_cross_events``, ``shard_barrier_wait_us``) are likewise
-#: excluded: they scale with epochs and partition quality, not bytes —
-#: :data:`SHARD_COUNTERS` pins them to zero here instead, since the
-#: hot-path benchmark always runs single-process.
-VOLUME_COUNTERS = (
-    "bytes_zero_copied",
-    "cells_crypted",
-    "chunks_coalesced",
-    "chunks_transmitted",
-    "events_processed",
-    "events_scheduled",
-    "hash_calls",
-    "keystream_bytes",
-)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.perf.counters import FIELDS  # noqa: E402
+
+#: Which fields are guarded, and how, is read from the one declaration in
+#: ``repro.perf.counters`` (a field cannot be declared without a plane
+#: and a kind, so none escapes this guard by omission).  ``volume`` fields
+#: are proportional to bytes transferred and ratio-guarded per byte.
+#: ``task_switches`` is deliberately ``fixed``: suspensions are a
+#: per-actor overhead (~39 for the 10 MB macro and ~30 for the 1 MB
+#: smoke), so a per-byte ratio between different transfer sizes is
+#: meaningless — the switches-per-session budget in :func:`check_scale`
+#: guards it.  ``plane-off-zero`` fields (qos, migrate, chain, and the
+#: sharded kernel's barrier/IPC bookkeeping) must all read zero: the
+#: hot-path benchmark is a one-process run that enables no plane, so a
+#: nonzero count means plane code leaked into the per-byte path.
 
 #: Upper bound on kernel context switches per completed Bento session in
 #: the scale benchmark.  Measured 14.9 at N=1000 / 14.7 at N=10000 when
@@ -54,30 +50,6 @@ VOLUME_COUNTERS = (
 SWITCHES_PER_SESSION_BUDGET = 20.0
 
 SECTIONS = ("macro_fast", "macro_real", "fanin")
-
-#: The hot-path benchmark never enables a serving plane, so any nonzero
-#: qos counter means plane code leaked into the per-byte transfer path.
-QOS_COUNTERS = ("qos_admitted", "qos_rejected", "qos_shed",
-                "qos_throttles")
-
-#: Same contract for the migration plane: default runs take no
-#: checkpoints and start no migrations, so these must all read zero (and
-#: thus add zero per-byte cost) whenever the plane is left off.
-MIGRATE_COUNTERS = ("checkpoints_taken", "migrations_started",
-                    "migrations_completed", "migrations_failed",
-                    "standby_promotions")
-
-#: And for the sharded kernel: the hot-path benchmark is a one-process
-#: run, so any nonzero epoch/cross-event/barrier count means sharding
-#: machinery leaked into the plain event loop.
-SHARD_COUNTERS = ("shard_epochs_completed", "shard_cross_events",
-                  "shard_barrier_wait_us")
-
-#: And for the chain plane: it is strictly opt-in, so a scenario that
-#: never constructed a ChainDeployment must embed nothing, route no arc
-#: bytes, and deliver no units.
-CHAIN_COUNTERS = ("chain_embeds", "chain_reembeds", "chain_arc_bytes",
-                  "chain_units_delivered")
 
 
 def check(reference: dict, current: dict, tolerance: float) -> list[str]:
@@ -89,9 +61,19 @@ def check(reference: dict, current: dict, tolerance: float) -> list[str]:
             problems.append(f"{section}: missing from "
                             f"{'reference' if ref is None else 'current'}")
             continue
-        for name in VOLUME_COUNTERS:
+        for field in FIELDS:
+            name, value = field.name, cur["counters"].get(field.name, 0)
+            if field.kind == "plane-off-zero":
+                if value != 0:
+                    problems.append(
+                        f"{section}: {name} = {value} — the {field.plane} "
+                        f"plane ran in a benchmark that never enabled it; "
+                        f"it must stay out of the hot path")
+                continue
+            if field.kind != "volume":
+                continue
             ref_per_byte = ref["counters"].get(name, 0) / ref["bytes"]
-            cur_per_byte = cur["counters"].get(name, 0) / cur["bytes"]
+            cur_per_byte = value / cur["bytes"]
             if ref_per_byte == 0:
                 continue
             drift = cur_per_byte / ref_per_byte - 1.0
@@ -103,30 +85,6 @@ def check(reference: dict, current: dict, tolerance: float) -> list[str]:
         if cur["counters"].get("heap_compactions", 0) != 0:
             problems.append(f"{section}: heap_compactions != 0 — timer "
                             f"slots are leaking tombstones again")
-        for name in QOS_COUNTERS:
-            if cur["counters"].get(name, 0) != 0:
-                problems.append(
-                    f"{section}: {name} = {cur['counters'][name]} — the "
-                    f"serving plane ran with qos disabled; it must stay "
-                    f"out of the hot path")
-        for name in MIGRATE_COUNTERS:
-            if cur["counters"].get(name, 0) != 0:
-                problems.append(
-                    f"{section}: {name} = {cur['counters'][name]} — the "
-                    f"migration plane ran in a plane-off scenario; it "
-                    f"must stay out of the hot path")
-        for name in SHARD_COUNTERS:
-            if cur["counters"].get(name, 0) != 0:
-                problems.append(
-                    f"{section}: {name} = {cur['counters'][name]} — the "
-                    f"sharded kernel's barriers ran in a single-process "
-                    f"benchmark; they must stay out of the hot path")
-        for name in CHAIN_COUNTERS:
-            if cur["counters"].get(name, 0) != 0:
-                problems.append(
-                    f"{section}: {name} = {cur['counters'][name]} — the "
-                    f"chain plane ran in a scenario that never opted in; "
-                    f"it must stay out of the hot path")
     fast, real = current.get("macro_fast"), current.get("macro_real")
     if fast and real:
         if (fast["elapsed"], fast["sim_now"]) != \

@@ -99,8 +99,8 @@ def run_with_balancer(content):
             replica_image="python")
         from repro.core import messages
 
-        done = yield from session._await(thread, messages.DONE,
-                                         timeout=400.0)
+        done = yield from session.await_message(thread, messages.DONE,
+                                                timeout=400.0)
         shared["stats"] = done["result"]
 
     times = {}

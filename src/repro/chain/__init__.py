@@ -18,8 +18,7 @@ Entirely opt-in: nothing here is imported by the core stack, and the
 
 from repro.chain.deploy import (ChainDeployError, ChainDeployment,
                                 ChainStageFunction)
-from repro.chain.embed import (EmbedConfig, EmbedError, Overlay, embed,
-                               greedy_embed)
+from repro.chain.embed import EmbedError, Overlay, embed, greedy_embed
 from repro.chain.template import (ArcSpec, ChainSpec, ChainSpecError,
                                   ComponentSpec, apply_transform,
                                   fanout_chain, pipeline_chain)
@@ -27,6 +26,6 @@ from repro.chain.template import (ArcSpec, ChainSpec, ChainSpecError,
 __all__ = [
     "ArcSpec", "ChainSpec", "ChainSpecError", "ComponentSpec",
     "apply_transform", "fanout_chain", "pipeline_chain",
-    "EmbedConfig", "EmbedError", "Overlay", "embed", "greedy_embed",
+    "EmbedError", "Overlay", "embed", "greedy_embed",
     "ChainDeployError", "ChainDeployment", "ChainStageFunction",
 ]

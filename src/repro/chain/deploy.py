@@ -28,17 +28,18 @@ from __future__ import annotations
 import time as _time
 from typing import Mapping, Optional, Sequence
 
-from repro.chain.embed import EmbedConfig, Overlay, embed, greedy_embed
+from repro.chain.embed import Overlay, embed, greedy_embed
 from repro.chain.template import ChainSpec, ChainSpecError, apply_transform
 from repro.core.errors import ServerBusy
 from repro.core.manifest import FunctionManifest
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
 
 __all__ = ["CHAIN_STAGE_SOURCE", "ChainStageFunction", "ChainDeployment",
            "ChainDeployError", "UnitDeadline"]
+
+_UNITS_DELIVERED = _metrics.counter("perf_chain_units_delivered")
 
 
 class ChainDeployError(ChainSpecError):
@@ -136,14 +137,12 @@ class ChainDeployment:
     """
 
     def __init__(self, client, spec: ChainSpec, *,
-                 config: Optional[EmbedConfig] = None,
                  servers: Optional[Mapping[str, object]] = None,
                  image: str = "python",
                  reembed_on_failure: bool = True) -> None:
         self.client = client
         self.sim = client.sim
         self.spec = spec
-        self.config = config or EmbedConfig()
         self.servers = dict(servers or {})
         self.image = image
         self.reembed_on_failure = reembed_on_failure
@@ -169,13 +168,11 @@ class ChainDeployment:
         table = self.client.tor.directory.load_table()
         wall = _time.perf_counter()
         if engine == "joint":
-            overlay = embed(self.spec, boxes, table, self.config,
-                            pinned=pinned)
+            overlay = embed(self.spec, boxes, table, pinned=pinned)
         elif engine == "greedy":
             overlay = greedy_embed(self.spec, boxes, table)
         else:
             raise ChainDeployError(f"unknown embed engine {engine!r}")
-        _perf.chain_embeds += 1
         _metrics.counter("chain_embeds", {"engine": engine}).value += 1
         _metrics.histogram("chain_embed_s").observe(
             _time.perf_counter() - wall)
@@ -258,7 +255,7 @@ class ChainDeployment:
                                          deadline_s=deadline_at - self.sim.now,
                                          _retrying=True))
         self.units_delivered += 1
-        _perf.chain_units_delivered += 1
+        _UNITS_DELIVERED.value += 1
         return outputs
 
     def _pick_replica(self, component: str) -> int:
@@ -302,7 +299,6 @@ class ChainDeployment:
         outputs: dict = {}
         for arc in chosen:
             nbytes = len(out)
-            _perf.chain_arc_bytes += nbytes
             _metrics.counter("chain_arc_bytes", {"arc": arc.key}).value \
                 += nbytes
             sub = yield from self._traverse(task, arc.dst, out, deadline_at)
@@ -368,7 +364,6 @@ class ChainDeployment:
         """
         self._excluded.update(exclude_fps)
         self.reembeds += 1
-        _perf.chain_reembeds += 1
         _metrics.counter("chain_reembeds").value += 1
         log = _obs.log
         if log is not None:

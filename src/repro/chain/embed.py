@@ -31,15 +31,13 @@ dies), then cross-box arc traffic, then fingerprint order for stability.
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from repro.chain.template import ChainSpec, ChainSpecError
+from repro.chain.template import ChainPart, ChainSpec, ChainSpecError
 from repro.qos.placement import pick_box_by_slack
-from repro.util.serialization import canonical_encode
 
-__all__ = ["EmbedConfig", "Replica", "Flow", "Overlay", "EmbedError",
+__all__ = ["Replica", "Flow", "Overlay", "EmbedError",
            "embed", "greedy_embed"]
 
 
@@ -47,30 +45,14 @@ class EmbedError(ChainSpecError):
     """No feasible overlay exists for this template on these boxes."""
 
 
-@dataclass(frozen=True)
-class EmbedConfig:
-    """Knobs for the joint engine (all deterministic).
-
-    ``default_slots`` / ``default_mem_bytes`` stand in for boxes that
-    have never advertised a load report (not running the serving plane,
-    or never busy).  ``headroom`` scales required replica capacity:
-    1.0 sizes exactly to the offered rate, higher values over-provision.
-    """
-
-    default_slots: int = 8
-    default_mem_bytes: int = 64 * 1024 * 1024
-    headroom: float = 1.0
-    max_replicas_per_box: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.default_slots < 1:
-            raise EmbedError("default_slots must be >= 1")
-        if self.headroom < 1.0:
-            raise EmbedError("headroom must be >= 1.0")
+#: What a box that has never advertised a load report (not running the
+#: serving plane, or never busy) is assumed to have free.
+DEFAULT_SLOTS = 8
+DEFAULT_MEM_BYTES = 64 * 1024 * 1024
 
 
 @dataclass(frozen=True)
-class Replica:
+class Replica(ChainPart):
     """One placed instance of a component."""
 
     component: str
@@ -79,7 +61,7 @@ class Replica:
 
 
 @dataclass(frozen=True)
-class Flow:
+class Flow(ChainPart):
     """One routed slice of a template arc between concrete replicas."""
 
     arc: str
@@ -89,8 +71,12 @@ class Flow:
 
 
 @dataclass(frozen=True)
-class Overlay:
-    """A realized chain: replicas, routes, and the placement score."""
+class Overlay(ChainPart):
+    """A realized chain: replicas, routes, and the placement score.
+
+    Plain data like the template it realizes: ``digest()`` is its
+    canonical identity — same inputs must reproduce these bytes.
+    """
 
     chain: str
     chain_digest: str
@@ -108,42 +94,26 @@ class Overlay:
     def boxes_used(self) -> list[str]:
         return sorted({r.box_fp for r in self.replicas})
 
-    def to_dict(self) -> dict:
-        return {
-            "chain": self.chain,
-            "chain_digest": self.chain_digest,
-            "engine": self.engine,
-            "replicas": [asdict(r) for r in self.replicas],
-            "flows": [asdict(f) for f in self.flows],
-            "objective": dict(self.objective),
-        }
 
-    def digest(self) -> str:
-        """Canonical identity: same inputs must reproduce these bytes."""
-        return hashlib.sha256(canonical_encode(self.to_dict())).hexdigest()
-
-
-def _box_budget(fp: str, load_table: Mapping[str, dict],
-                config: EmbedConfig) -> dict:
+def _box_budget(fp: str, load_table: Mapping[str, dict]) -> dict:
     """The ledger line for one box: what the directory says is free."""
     report = load_table.get(fp)
     if report is None:
-        return {"slots": config.default_slots,
-                "mem": config.default_mem_bytes,
-                "queue": 0, "shedding": False, "rate": 0.0, "placed": 0}
+        return {"slots": DEFAULT_SLOTS, "mem": DEFAULT_MEM_BYTES,
+                "queue": 0, "shedding": False, "rate": 0.0}
     return {"slots": int(report.get("slots_free", 0)),
-            "mem": int(report.get("mem_free", config.default_mem_bytes)),
+            "mem": int(report.get("mem_free", DEFAULT_MEM_BYTES)),
             "queue": int(report.get("queue_len", 0)),
             "shedding": bool(report.get("shedding", False)),
-            "rate": 0.0, "placed": 0}
+            "rate": 0.0}
 
 
-def _replica_count(spec: ChainSpec, component: str,
-                   config: EmbedConfig) -> int:
+def _replica_count(spec: ChainSpec, component: str) -> int:
+    """Replicas sized exactly to the offered rate (no over-provisioning)."""
     comp = spec.component(component)
     if comp.stateful:
         return 1
-    demand = spec.ingress_units_per_s(component) * config.headroom
+    demand = spec.ingress_units_per_s(component)
     # Integer ceil over micro-units: float-division-free, so the count is
     # reproducible to the bit on any platform.
     denom = max(1, int(comp.capacity_units_per_s * 1_000_000))
@@ -152,7 +122,6 @@ def _replica_count(spec: ChainSpec, component: str,
 
 
 def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
-          config: Optional[EmbedConfig] = None,
           exclude_fps: Sequence[str] = (),
           pinned: Optional[Mapping[tuple[str, int], str]] = None) -> Overlay:
     """The joint engine: scale out and place against a spent ledger.
@@ -162,7 +131,6 @@ def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
     that must survive — re-embedding after a failure pins every replica
     on a still-healthy box so only the broken ones move.
     """
-    config = config or EmbedConfig()
     pinned = dict(pinned or {})
     excluded = set(exclude_fps)
     candidates = sorted((b for b in boxes
@@ -170,7 +138,7 @@ def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
                         key=lambda b: b.identity_fp)
     if not candidates:
         raise EmbedError("no candidate boxes to embed on")
-    ledger = {b.identity_fp: _box_budget(b.identity_fp, load_table, config)
+    ledger = {b.identity_fp: _box_budget(b.identity_fp, load_table)
               for b in candidates}
     for key, fp in pinned.items():
         if fp in excluded or fp not in ledger:
@@ -178,7 +146,7 @@ def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
                              f"or unknown box {fp}")
 
     order = spec.embed_order()
-    counts = {name: _replica_count(spec, name, config) for name in order}
+    counts = {name: _replica_count(spec, name) for name in order}
     placements: dict[tuple[str, int], str] = {}
     replicas: list[Replica] = []
 
@@ -189,12 +157,11 @@ def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
         for index in range(n):
             fp = pinned.get((name, index))
             if fp is None:
-                fp = _pick(ledger, name, comp, placements, config)
+                fp = _pick(ledger, name, comp, placements)
             line = ledger[fp]
             line["slots"] -= 1
             line["mem"] -= comp.memory_bytes
             line["rate"] += share
-            line["placed"] += 1
             placements[(name, index)] = fp
             replicas.append(Replica(component=name, index=index, box_fp=fp))
 
@@ -205,8 +172,7 @@ def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
                    flows=tuple(flows), objective=objective)
 
 
-def _pick(ledger: dict, name: str, comp, placements: dict,
-          config: EmbedConfig) -> str:
+def _pick(ledger: dict, name: str, comp, placements: dict) -> str:
     """The most attractive box for the next replica of ``name``.
 
     Ranking (ascending = better): non-shedding first, then boxes not
@@ -229,9 +195,7 @@ def _pick(ledger: dict, name: str, comp, placements: dict,
                 fp)
 
     usable = [(fp, line) for fp, line in sorted(ledger.items())
-              if line["slots"] >= 1 and line["mem"] >= comp.memory_bytes
-              and (config.max_replicas_per_box is None
-                   or line["placed"] < config.max_replicas_per_box)]
+              if line["slots"] >= 1 and line["mem"] >= comp.memory_bytes]
     if not usable:
         # Capacity exhausted everywhere: fall back to least-loaded
         # overcommit rather than failing the whole chain.
@@ -264,13 +228,10 @@ def greedy_embed(spec: ChainSpec, boxes: Sequence,
                                 box_fp=box.identity_fp))
     counts = {name: 1 for name in order}
     flows = _route(spec, counts)
-    ledger = {b.identity_fp: _box_budget(b.identity_fp, load_table,
-                                         EmbedConfig())
+    ledger = {b.identity_fp: _box_budget(b.identity_fp, load_table)
               for b in candidates}
     for (name, _i), fp in placements.items():
-        line = ledger[fp]
-        line["rate"] += spec.ingress_units_per_s(name)
-        line["placed"] += 1
+        ledger[fp]["rate"] += spec.ingress_units_per_s(name)
     objective = _score(spec, counts, placements, ledger)
     return Overlay(chain=spec.name, chain_digest=spec.digest(),
                    engine="greedy", replicas=tuple(replicas),

@@ -11,27 +11,19 @@ says how it is realized right now (replica counts, box placement, arc
 routing).
 
 Like :class:`~repro.workload.spec.WorkloadSpec`, templates are plain data
-end to end:
-
-* :meth:`ChainSpec.to_dict` / :meth:`~ChainSpec.from_dict` round-trip
-  losslessly, and :meth:`~ChainSpec.to_json` / :meth:`~ChainSpec.from_json`
-  make the template a reviewable text file;
-* :meth:`ChainSpec.digest` hashes the canonical encoding, so two
-  templates describe the same service iff their digests match;
-* parsing is **strict** — unknown keys, dangling arcs, zero-rate arcs,
-  and (unless explicitly allowed) cycles raise :class:`ChainSpecError`
-  instead of deploying a graph you did not mean to run.
+end to end (:mod:`repro.util.spec`: lossless dict/JSON round-trips, a
+canonical digest that is the template's identity, strict parsing).  On
+top of that, dangling arcs, zero-rate arcs, and (unless explicitly
+allowed) cycles raise :class:`ChainSpecError` instead of deploying a
+graph you did not mean to run.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import dataclass
 
 from repro.util.errors import ReproError
-from repro.util.serialization import canonical_encode
+from repro.util.spec import Spec
 
 __all__ = [
     "ARC_MODES", "TRANSFORMS",
@@ -57,29 +49,14 @@ class ChainSpecError(ReproError):
     """A chain template failed validation or could not be parsed."""
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise ChainSpecError(message)
+class ChainPart(Spec):
+    """Every dataclass of a chain template or overlay raises the one
+    error class."""
+
+    Error = ChainSpecError
 
 
-def _from_mapping(cls, data: Mapping[str, Any], context: str):
-    """Strict dataclass hydration: unknown keys are errors."""
-    _require(isinstance(data, Mapping),
-             f"{context}: expected a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
-    _require(not unknown, f"{context}: unknown keys {unknown}")
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        kind = known[name].type
-        if kind == "float" and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            value = float(value)
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ChainSpecError(f"{context}: {exc}") from exc
+_require = ChainPart._require
 
 
 def _parse_transform(transform: str) -> tuple[str, int]:
@@ -119,7 +96,7 @@ def apply_transform(transform: str, unit: bytes) -> bytes:
 
 
 @dataclass(frozen=True)
-class ComponentSpec:
+class ComponentSpec(ChainPart):
     """One network function in the chain.
 
     ``capacity_units_per_s`` is what a single replica can drain — the
@@ -129,6 +106,8 @@ class ComponentSpec:
     pins the component to exactly one replica (its state cannot be
     sharded by the embedder; only the migrate plane may move it).
     """
+
+    context = "component"
 
     name: str
     cpu_ms_per_unit: float = 1.0
@@ -154,7 +133,7 @@ class ComponentSpec:
 
 
 @dataclass(frozen=True)
-class ArcSpec:
+class ArcSpec(ChainPart):
     """One directed edge: traffic from ``src`` to ``dst``.
 
     ``rate_units_per_s`` is the offered rate the embedding sizes against
@@ -163,6 +142,8 @@ class ArcSpec:
     flow (acks, responses) riding the same edge; the embedder counts it
     against both endpoints' network budgets.
     """
+
+    context = "arc"
 
     src: str
     dst: str
@@ -190,12 +171,14 @@ class ArcSpec:
 
 
 @dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(ChainPart):
     """A complete service-graph template."""
+
+    context = "chain"
 
     name: str
     components: tuple[ComponentSpec, ...]
-    arcs: tuple[ArcSpec, ...]
+    arcs: tuple[ArcSpec, ...] = ()
     sources: tuple[str, ...] = ()
     sinks: tuple[str, ...] = ()
     allow_cycles: bool = False
@@ -350,63 +333,6 @@ class ChainSpec:
             node = incoming[0].src
             path.append(node)
         return [self.component(n).transform for n in reversed(path)]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        out = asdict(self)
-        out["components"] = [asdict(c) for c in self.components]
-        out["arcs"] = [asdict(a) for a in self.arcs]
-        out["sources"] = list(self.sources)
-        out["sinks"] = list(self.sinks)
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "ChainSpec":
-        _require(isinstance(data, Mapping),
-                 f"chain: expected a mapping, got {type(data).__name__}")
-        data = dict(data)
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        _require(not unknown, f"chain: unknown keys {unknown}")
-        components = data.pop("components", None)
-        _require(isinstance(components, (list, tuple)) and components,
-                 "chain needs a non-empty 'components' list")
-        arcs = data.pop("arcs", ())
-        _require(isinstance(arcs, (list, tuple)), "'arcs' must be a list")
-        kwargs = dict(data)
-        kwargs["components"] = tuple(
-            _from_mapping(ComponentSpec, c, "component") for c in components)
-        kwargs["arcs"] = tuple(
-            _from_mapping(ArcSpec, a, "arc") for a in arcs)
-        for key in ("sources", "sinks"):
-            if key in kwargs:
-                _require(isinstance(kwargs[key], (list, tuple)),
-                         f"'{key}' must be a list")
-                kwargs[key] = tuple(kwargs[key])
-        try:
-            return cls(**kwargs)
-        except TypeError as exc:
-            raise ChainSpecError(f"chain: {exc}") from exc
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChainSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChainSpecError(f"chain is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "ChainSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical encoding: the template's identity."""
-        return hashlib.sha256(canonical_encode(self.to_dict())).hexdigest()
 
 
 # -- stock templates -------------------------------------------------------

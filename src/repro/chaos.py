@@ -35,7 +35,7 @@ from repro.netsim.faults import FaultPlane
 from repro.netsim.simulator import Actor, Sleep, SimTimeoutError
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import EventLog, TRACER as _obs
-from repro.perf.counters import counters as _perf
+from repro.perf.counters import FIELDS, counters as _perf
 from repro.tor.testnet import TorTestNetwork
 
 #: How long the LoadBalancer serves; faults all land well before this.
@@ -70,7 +70,6 @@ def run_chaos_soak(seed: int = 2021, n_relays: int = 14,
     * ``"tenant-cold"`` — the same tenant, but its box crashes and the
       owner redeploys from scratch (the cold baseline for ``migrate``).
     """
-    _perf.reset()
     _metrics.reset()
     previous = _obs.log
     if trace_log is not None:
@@ -200,14 +199,12 @@ def _run_soak(seed: int, n_relays: int, n_visitors: int,
         # The events list is authoritative (announcements can be lost in
         # a reconnect window): count respawns from it.
         respawns = sum(1 for e in stats["events"] if e[1] == "respawn")
-        _perf.replicas_respawned += respawns
         _metrics.counter("lb_respawns").value += respawns
         promotions = sum(1 for e in stats["events"]
                          if e[1] == "standby-promoted")
         if promotions:
             # The sandboxed balancer cannot touch host counters; surface
             # its standby promotions the same way as its respawns.
-            _perf.standby_promotions += promotions
             _metrics.counter("standby_promotions").value += promotions
         log = _obs.log
         if log is not None:
@@ -457,6 +454,7 @@ def _run_soak(seed: int, n_relays: int, n_visitors: int,
         }
         key = "migrate" if recovery_mode == "migrate" else "cold-redeploy"
         recovery_samples.setdefault(key, []).append(max(gaps))
+    snap = _perf.snapshot()
     result = {
         "seed": seed,
         "recovery_mode": recovery_mode,
@@ -464,31 +462,18 @@ def _run_soak(seed: int, n_relays: int, n_visitors: int,
         "requests_attempted": shared["attempted"],
         "requests_recovered": shared["recovered"],
         "shard_ok": bool(shared.get("shard_ok")),
-        "faults_injected": _perf.faults_injected,
+        "faults_injected": snap["faults_injected"],
         "fault_log": dict(sorted(Counter(
             kind for _t, kind, _detail in plane.log).items())),
         "lb_events": dict(sorted(Counter(
             e[1] for e in stats["events"]).items())),
         "replicas_lost": stats["replicas_lost"],
         "announcements": len(shared["announced"]),
-        "counters": {
-            "node_crashes": _perf.node_crashes,
-            "node_restarts": _perf.node_restarts,
-            "links_cut": _perf.links_cut,
-            "links_healed": _perf.links_healed,
-            "latency_spikes": _perf.latency_spikes,
-            "conns_torn_down": _perf.conns_torn_down,
-            "retries": _perf.retries,
-            "circuits_rebuilt": _perf.circuits_rebuilt,
-            "session_reconnects": _perf.session_reconnects,
-            "replicas_respawned": _perf.replicas_respawned,
-            "orphans_reaped": _perf.orphans_reaped,
-            "checkpoints_taken": _perf.checkpoints_taken,
-            "migrations_started": _perf.migrations_started,
-            "migrations_completed": _perf.migrations_completed,
-            "migrations_failed": _perf.migrations_failed,
-            "standby_promotions": _perf.standby_promotions,
-        },
+        # Every chaos- and migrate-plane field but the fault total, which
+        # is reported one level up.
+        "counters": {field.name: snap[field.name] for field in FIELDS
+                     if field.plane in ("chaos", "migrate")
+                     and field.name != "faults_injected"},
         "recovery": {
             mode: {"count": len(samples),
                    "p50_s": _percentile(samples, 0.5),

@@ -126,10 +126,8 @@ def _scenario_trace_report(seed: int, out: str = "trace-report") -> None:
     byte-identical artifacts.
     """
     from repro.obs import REGISTRY, TRACER, write_trace_report
-    from repro.perf.counters import counters
     from repro.perf.timing import reset_sections
 
-    counters.reset()
     reset_sections()
     REGISTRY.reset()
     log = TRACER.attach()

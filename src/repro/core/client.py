@@ -30,7 +30,6 @@ from repro.netsim.network import NetworkError
 from repro.netsim.simulator import Actor, Sleep, SimTimeoutError
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
 from repro.tor.circuit import Circuit, CircuitDestroyed
 from repro.tor.client import TorClient, TorError
 from repro.tor.descriptor import RelayDescriptor
@@ -191,7 +190,6 @@ class BentoClient:
         last: Optional[BaseException] = None
         for attempt in range(attempts):
             if attempt > 0:
-                _perf.retries += 1
                 _metrics.counter("client_retries").value += 1
                 log = _obs.log
                 if log is not None:
@@ -298,9 +296,6 @@ class BentoSession:
             return FunctionMoved(text,
                                  box_fp=str(message.get("box_fp", "")))
         return BentoError(text)
-
-    # Backward-compatible private alias for await_message.
-    _await = await_message
 
     # -- protocol steps -----------------------------------------------------------
 
@@ -482,7 +477,6 @@ class BentoSession:
             self.framed = FramedStream(stream)
         yield from self.attach(thread, self.invocation_token,
                                timeout=timeout)
-        _perf.session_reconnects += 1
         _metrics.counter("session_reconnects").value += 1
         log = _obs.log
         if log is not None:

@@ -42,7 +42,6 @@ from repro.netsim.connection import Connection
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
 from repro.sandbox.cgroups import CGroup, ResourceExceeded
 from repro.sandbox.container import Container
 from repro.sandbox.iptables import IptablesRuleset
@@ -62,6 +61,7 @@ _HIT_IMAGE = _metrics.counter("cache_hits", {"layer": "image"})
 _MISS_IMAGE = _metrics.counter("cache_misses", {"layer": "image"})
 _HIT_POLICY = _metrics.counter("cache_hits", {"layer": "policy"})
 _MISS_POLICY = _metrics.counter("cache_misses", {"layer": "policy"})
+_ORPHANS_REAPED = _metrics.counter("perf_orphans_reaped")
 # bento_requests handles by message type, filled on first dispatch of each
 # type — the per-frame hot path skips the registry's label interning.
 _REQ_COUNTERS: dict = {}
@@ -753,7 +753,7 @@ class BentoServer:
             if instance.orphaned and instance.last_activity <= horizon:
                 instance.kill("orphaned: all client connections died")
                 reaped += 1
-        _perf.orphans_reaped += reaped
+        _ORPHANS_REAPED.value += reaped
         return reaped
 
     def _on_node_crash(self, _node) -> None:
@@ -779,8 +779,3 @@ class BentoServer:
     def active_function_count(self) -> int:
         """Live function instances on this server."""
         return len(self._by_invocation)
-
-    @property
-    def total_memory_used(self) -> int:
-        """Aggregate memory charged across all containers."""
-        return self.root_cgroup.usage["memory"]

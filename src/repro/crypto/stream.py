@@ -20,7 +20,10 @@ import hashlib
 
 import numpy as np
 
-from repro.perf.counters import counters as _perf
+from repro.obs.metrics import REGISTRY as _metrics
+
+_HASH_CALLS = _metrics.counter("perf_hash_calls")
+_KEYSTREAM_BYTES = _metrics.counter("perf_keystream_bytes")
 
 # Keystream bytes per XOF call: eight relay cells, and small enough that
 # a cipher used for one short message wastes little.
@@ -56,8 +59,8 @@ class StreamCipher:
             for k in range(counter, counter + batches)
         ])
         self._pos = 0
-        _perf.hash_calls += batches
-        _perf.keystream_bytes += batches * _BATCH
+        _HASH_CALLS.value += batches
+        _KEYSTREAM_BYTES.value += batches * _BATCH
 
     def _take(self, n: int) -> int:
         """Claim the next ``n`` keystream bytes; returns their buffer offset."""

@@ -30,8 +30,10 @@ from typing import Any, Optional
 
 from repro.core.errors import BentoError
 from repro.enclave.sealing import seal_data, unseal_data
-from repro.perf.counters import counters as _perf
+from repro.obs.metrics import REGISTRY as _metrics
 from repro.util.serialization import canonical_decode, canonical_encode
+
+_CHECKPOINTS_TAKEN = _metrics.counter("perf_checkpoints_taken")
 
 #: Where the latest sealed checkpoint rests inside the instance's own
 #: (FS-Protected) store.  Excluded from the files a checkpoint captures.
@@ -130,7 +132,7 @@ def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
         measurement=(instance.conclave.measurement
                      if instance.conclave is not None else ""),
     )
-    _perf.checkpoints_taken += 1
+    _CHECKPOINTS_TAKEN.value += 1
     return cp
 
 

@@ -34,20 +34,23 @@ from repro.migrate.checkpoint import (
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
+
+
+#: How long a drain waits for the instance to park in recv(), and how
+#: long each step of moving it to the destination may take.
+QUIESCE_TIMEOUT_S = 60.0
+TRANSFER_TIMEOUT_S = 240.0
+#: Destinations tried, best slack first, before a drain is given up.
+MAX_DEST_ATTEMPTS = 3
+#: The least time between two shed-by-migration drains of one box.
+MIN_SHED_INTERVAL_S = 60.0
 
 
 @dataclass(frozen=True)
 class MigrationConfig:
     """Knobs for the migration plane (all deterministic)."""
 
-    direct: bool = True            # dial destinations directly (own infra)
     quiesce_poll_s: float = 0.25   # how often to check for the recv() park
-    quiesce_timeout_s: float = 60.0
-    transfer_timeout_s: float = 240.0
-    shed_by_migration: bool = True  # QoS hook: migrate bulk instead of refusing
-    min_shed_interval_s: float = 60.0
-    max_dest_attempts: int = 3
 
 
 class MigrationPlane:
@@ -86,7 +89,6 @@ class MigrationPlane:
         server = self.server
         sim = server.sim
         started_at = sim.now
-        _perf.migrations_started += 1
         _metrics.counter("migrations_started",
                          {"box": server.relay.nickname}).value += 1
         log = _obs.log
@@ -96,7 +98,6 @@ class MigrationPlane:
         self._draining += 1
 
         def fail(why: str):
-            _perf.migrations_failed += 1
             _metrics.counter("migrations_failed",
                              {"box": server.relay.nickname}).value += 1
             instance.draining = False
@@ -115,7 +116,7 @@ class MigrationPlane:
 
         # 1. Quiesce: freeze state at a message boundary.
         instance.draining = True
-        deadline = sim.now + self.config.quiesce_timeout_s
+        deadline = sim.now + QUIESCE_TIMEOUT_S
         while (runtime.running and instance.api._recv_waiter is None
                and not instance.terminated):
             if sim.now >= deadline:
@@ -150,7 +151,7 @@ class MigrationPlane:
 
         session = None
         dest = None
-        for box in ranked[:self.config.max_dest_attempts]:
+        for box in ranked[:MAX_DEST_ATTEMPTS]:
             try:
                 session = yield from self._transfer(thread, client, box,
                                                     instance, cp)
@@ -184,7 +185,6 @@ class MigrationPlane:
         session.close()
         self._draining -= 1
         recovery_s = sim.now - started_at
-        _perf.migrations_completed += 1
         _metrics.counter("migrations_completed",
                          {"box": server.relay.nickname}).value += 1
         _metrics.histogram("migration_recovery_s",
@@ -200,12 +200,10 @@ class MigrationPlane:
         Returns the (token-adopted) session, with the restored entry
         already running when the source was running.
         """
-        timeout = self.config.transfer_timeout_s
-        if self.config.direct:
-            session = yield from client.connect_direct(thread, box,
-                                                       timeout=timeout)
-        else:
-            session = yield from client.connect(thread, box, timeout=timeout)
+        timeout = TRANSFER_TIMEOUT_S
+        # Destinations are the operator's own boxes: dial them directly.
+        session = yield from client.connect_direct(thread, box,
+                                                   timeout=timeout)
         yield from session.request_image(thread, instance.image.name,
                                          timeout=timeout)
         yield from session.load_function(thread, instance.runtime.code,
@@ -222,11 +220,11 @@ class MigrationPlane:
         """Called by the serving plane on a shedding rising edge: move one
         bulk tenant to a slack-rich box instead of refusing work here.
         Rate-limited; returns True when a drain was kicked off."""
-        if not self.config.shed_by_migration or self._draining:
+        if self._draining:
             return False
         now = self.server.sim.now
         if (self._last_shed_at is not None
-                and now - self._last_shed_at < self.config.min_shed_interval_s):
+                and now - self._last_shed_at < MIN_SHED_INTERVAL_S):
             return False
         victim = self._pick_shed_victim()
         if victim is None:

@@ -21,7 +21,6 @@ from repro.core.errors import BentoError
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
 
 
 class WarmStandby:
@@ -92,7 +91,6 @@ class WarmStandby:
             adopt_invocation=adopt_invocation,
             adopt_shutdown=adopt_shutdown, timeout=timeout)
         self.promoted = True
-        _perf.standby_promotions += 1
         _metrics.counter("standby_promotions").value += 1
         log = _obs.log
         if log is not None:

@@ -23,7 +23,6 @@ from repro.netsim.connection import Connection, ConnectionClosed
 from repro.netsim.node import Node
 from repro.netsim.simulator import Actor, Future, Wait
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.perf.counters import counters as _perf
 
 # Cached registry handle (the registry resets in place, so this survives).
 _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
@@ -109,7 +108,6 @@ class _RecvQueue:
                 # accumulation buffer.
                 self._size = 0
                 data = chunks.popleft()
-                _perf.bytes_zero_copied += len(data)
                 _BYTES_ZERO_COPIED.value += len(data)
                 return data
             while True:
@@ -161,7 +159,6 @@ class DirectByteStream:
         if isinstance(payload, bytes):
             # Immutable payloads queue by reference — no per-hop copy.
             self._recv.push(payload)
-            _perf.bytes_zero_copied += len(payload)
             _BYTES_ZERO_COPIED.value += len(payload)
         elif isinstance(payload, (bytearray, memoryview)):
             self._recv.push(bytes(payload))
@@ -232,7 +229,6 @@ class Framer:
             if offset < total:
                 self._buffer.extend(view[offset:])
             if offset:
-                _perf.bytes_zero_copied += offset
                 _BYTES_ZERO_COPIED.value += offset
             return frames
         self._buffer.extend(data)

@@ -25,8 +25,12 @@ from typing import Any, Callable, Optional
 
 from repro.netsim.node import Node
 from repro.netsim.simulator import Future, Simulator, Wait
+from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
+
+_BULK_GRANTS = _metrics.counter("perf_bulk_grants")
+_CHUNKS_COALESCED = _metrics.counter("perf_chunks_coalesced")
+_BULK_PREEMPTIONS = _metrics.counter("perf_bulk_preemptions")
 
 # Chunk size for interleaving concurrent flows on an interface.  Small
 # messages (e.g. 514-byte Tor cells) are never split.
@@ -109,8 +113,8 @@ class _BulkTransfer:
         bulk = cls(conn, sender, receiver, payload, nbytes, chunks, on_sent)
         uplink._bulk = bulk
         downlink._bulk = bulk
-        _perf.bulk_grants += 1
-        _perf.chunks_coalesced += len(chunks)
+        _BULK_GRANTS.value += 1
+        _CHUNKS_COALESCED.value += len(chunks)
         return bulk
 
     def __init__(self, conn: "Connection", sender: Node, receiver: Node,
@@ -256,7 +260,7 @@ class _BulkTransfer:
                             self.payload, self.nbytes)
         # started == last: the (still pending) on_sent event stays scheduled
         # at U[last], exactly where the chunked world would have put it.
-        _perf.bulk_preemptions += 1
+        _BULK_PREEMPTIONS.value += 1
         if self.span is not None:
             self.span.end(t, outcome="preempted",
                           chunks_started=started + 1, chunks_arrived=arrived + 1)
@@ -379,9 +383,6 @@ class Connection:
             self.sim.schedule_at(uplink._busy_until, self._run_chunks, sender,
                                  receiver, payload, nbytes, on_sent, chunks,
                                  index + 1)
-
-    def _size_of(self, payload: Any, size: Optional[int]) -> int:
-        return _message_size(payload, size)
 
     def _deliver(self, receiver: Node, payload: Any, size: int) -> None:
         if self.closed:

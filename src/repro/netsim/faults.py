@@ -37,8 +37,11 @@ from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
 from repro.util.rng import DeterministicRandom
+
+_NODE_RESTARTS = _metrics.counter("perf_node_restarts")
+_LINKS_HEALED = _metrics.counter("perf_links_healed")
+_CONNS_TORN_DOWN = _metrics.counter("perf_conns_torn_down")
 
 
 class FaultPlane:
@@ -116,8 +119,6 @@ class FaultPlane:
         # (and stay off — an observer process does not survive the crash).
         for recorder in list(node.trace_recorders):
             recorder.detach()
-        _perf.faults_injected += 1
-        _perf.node_crashes += 1
         self.log.append((self.sim.now, "crash", name))
         self._count_fault("crash")
         log = _obs.log
@@ -145,7 +146,7 @@ class FaultPlane:
             for port, handler in node._saved_listeners.items():
                 node._listeners.setdefault(port, handler)
             node._saved_listeners = None
-        _perf.node_restarts += 1
+        _NODE_RESTARTS.value += 1
         self.log.append((self.sim.now, "restart", name))
         span = self._node_spans.pop(name, None)
         if span is not None:
@@ -167,8 +168,6 @@ class FaultPlane:
             return
         self._cut.add(key)
         self._abort_connections(self._connections_between(a, b))
-        _perf.faults_injected += 1
-        _perf.links_cut += 1
         self.log.append((self.sim.now, "cut", f"{key[0]}<->{key[1]}"))
         self._count_fault("cut")
         log = _obs.log
@@ -185,7 +184,7 @@ class FaultPlane:
         if key not in self._cut:
             return
         self._cut.discard(key)
-        _perf.links_healed += 1
+        _LINKS_HEALED.value += 1
         self.log.append((self.sim.now, "heal", f"{key[0]}<->{key[1]}"))
         span = self._link_spans.pop(key, None)
         if span is not None:
@@ -216,8 +215,6 @@ class FaultPlane:
         affected = self._connections_between(a, b)
         for conn in affected:
             conn.latency += extra_s
-        _perf.faults_injected += 1
-        _perf.latency_spikes += 1
         self.log.append((self.sim.now, "spike", f"{a}<->{b} +{extra_s:g}s"))
         self._count_fault("spike")
         log = _obs.log
@@ -303,7 +300,7 @@ class FaultPlane:
             if not conn.closed:
                 conn.abort()
                 torn += 1
-        _perf.conns_torn_down += torn
+        _CONNS_TORN_DOWN.value += torn
 
     def __repr__(self) -> str:
         return (f"<FaultPlane faults={len(self.log)} "

@@ -20,7 +20,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from repro.netsim.simulator import Simulator
-from repro.perf.counters import counters as _perf
+from repro.obs.metrics import REGISTRY as _metrics
+
+_CHUNKS_TRANSMITTED = _metrics.counter("perf_chunks_transmitted")
 
 
 class Interface:
@@ -67,7 +69,7 @@ class Interface:
         finish = start + nbytes / self.rate
         self._busy_until = finish
         self.bytes_total += nbytes
-        _perf.chunks_transmitted += 1
+        _CHUNKS_TRANSMITTED.value += 1
         if self._taps:
             for tap in self._taps:
                 tap(finish, nbytes)

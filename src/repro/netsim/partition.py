@@ -59,10 +59,6 @@ class Partition:
         return tuple(name for name, s in self.assignment.items()
                      if s == shard)
 
-    def cut_weight(self) -> float:
-        """Total weight of edges crossing shards."""
-        return sum(edge[2] for edge in self.cut_edges)
-
     def __repr__(self) -> str:
         return (f"<Partition shards={self.n_shards} "
                 f"nodes={len(self.assignment)} cut={len(self.cut_edges)}>")

@@ -81,10 +81,13 @@ from repro.netsim.simulator import Future, SimulationError, Simulator, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.obs.span import EventLog
-from repro.perf.counters import counters as _perf
 
 __all__ = ["HalfConnection", "ShardContext", "ShardedSimulator",
            "canonical_trace_bytes"]
+
+_EPOCHS_COMPLETED = _metrics.counter("perf_shard_epochs_completed")
+_CROSS_EVENTS = _metrics.counter("perf_shard_cross_events")
+_BARRIER_WAIT_US = _metrics.counter("perf_shard_barrier_wait_us")
 
 
 def canonical_trace_bytes(records: list) -> bytes:
@@ -551,7 +554,6 @@ class _ShardRunner:
             # Worker process: ship the process-global observability state
             # (reset at worker start, so these are this run's deltas).
             payload["metrics"] = _metrics.state()
-            payload["counters"] = _perf.snapshot()
             log = _obs.log
             payload["log"] = log.state() if log is not None else None
         return payload
@@ -607,7 +609,7 @@ class _ForkDriver:
 
     The parent never simulates; it routes cross events and commands
     epochs.  Workers inherit the built-up interpreter via fork (no
-    respawn cost), reset the process-global perf/metrics/trace state so
+    respawn cost), reset the process-global metrics/trace state so
     their snapshots hold only this run's deltas, and stream their
     outboxes back after every epoch.
     """
@@ -682,7 +684,6 @@ def _worker_main(pipe, scenario, shard_id: int, partition: Partition,
                  lookahead: float, seed) -> None:
     """Entry point of a forked shard worker."""
     try:
-        _perf.reset()
         _metrics.reset()
         if _obs.log is not None:
             # A fresh log: the parent's pre-run spans were inherited by
@@ -828,9 +829,9 @@ class ShardedSimulator:
                     f"exceeded {self.max_events} events; runaway simulation?")
         payloads = driver.finish()
         self._check_failures(payloads)
-        _perf.shard_epochs_completed += epochs
-        _perf.shard_cross_events += cross_events
-        _perf.shard_barrier_wait_us += int(barrier_wait_s * 1e6)
+        _EPOCHS_COMPLETED.value += epochs
+        _CROSS_EVENTS.value += cross_events
+        _BARRIER_WAIT_US.value += int(barrier_wait_s * 1e6)
         return self._assemble(part, lookahead, payloads, epochs=epochs,
                               cross_events=cross_events,
                               barrier_wait_s=barrier_wait_s,
@@ -855,8 +856,6 @@ class ShardedSimulator:
             # reproducing what a single-process run would have left there.
             for shard, payload in enumerate(payloads):
                 _metrics.merge_state(payload["metrics"])
-                for field, value in payload["counters"].items():
-                    setattr(_perf, field, getattr(_perf, field) + value)
                 if _obs.log is not None and payload["log"] is not None:
                     _obs.log.merge_state(payload["log"],
                                          track_prefix=f"shard{shard}/")

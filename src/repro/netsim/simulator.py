@@ -42,7 +42,6 @@ from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.perf.counters import counters as _perf
 from repro.perf.profiling import active_profile
 from repro.util.errors import ReproError
 from repro.util.rng import DeterministicRandom
@@ -51,6 +50,9 @@ from repro.util.rng import DeterministicRandom
 _TIMERS_CANCELLED = _metrics.counter("timers_cancelled")
 _TASKS_SPAWNED = _metrics.counter("actors_spawned", labels={"kind": "task"})
 _TASK_SWITCHES = _metrics.counter("task_switches")
+_EVENTS_PROCESSED = _metrics.counter("perf_events_processed")
+_EVENTS_SCHEDULED = _metrics.counter("perf_events_scheduled")
+_HEAP_COMPACTIONS = _metrics.counter("perf_heap_compactions")
 
 # Compact the heap when it holds this many cancelled events and they
 # outnumber the live ones.  Small enough to bound garbage, large enough
@@ -245,7 +247,6 @@ class SimTask:
         event = self._timer_event
         if event is not None and not event.cancelled:
             event.cancel()
-            _perf.timers_cancelled += 1
             _TIMERS_CANCELLED.value += 1
 
     def _timer_fire(self) -> None:
@@ -262,11 +263,6 @@ class SimTask:
         self._timer_on_fire = None
         if on_fire is not None:
             on_fire()
-
-    @property
-    def done_future(self) -> Future:
-        """A future resolved with the actor's result when it finishes."""
-        return self._done_future
 
     # -- scheduler side -------------------------------------------------
 
@@ -294,7 +290,6 @@ class SimTask:
         sim = self.sim
         previous = sim._current_task
         sim._current_task = self
-        _perf.task_switches += 1
         _TASK_SWITCHES.value += 1
         gen = self._gen
         try:
@@ -479,7 +474,6 @@ class Simulator:
         """Create an actor from a generator function ``fn(task, *args)``;
         it starts after ``delay`` sim-seconds."""
         actor = SimTask(self, name, fn, args)
-        _perf.tasks_spawned += 1
         _TASKS_SPAWNED.value += 1
         self.schedule(delay, actor._start)
         return actor
@@ -529,10 +523,10 @@ class Simulator:
             return processed
         finally:
             self._running = False
-            _perf.events_processed += processed
+            _EVENTS_PROCESSED.value += processed
             # Scheduling is counted in bulk here rather than per push; the
             # per-call increment is measurable at millions of events.
-            _perf.events_scheduled += self._seq - self._seq_counted
+            _EVENTS_SCHEDULED.value += self._seq - self._seq_counted
             self._seq_counted = self._seq
             if profile is not None:
                 profile.disable()
@@ -553,7 +547,7 @@ class Simulator:
         self._heap = live
         heapq.heapify(self._heap)
         self._cancelled = 0
-        _perf.heap_compactions += 1
+        _HEAP_COMPACTIONS.value += 1
 
     def next_event_time(self) -> float:
         """Earliest pending live event time (``inf`` when idle).

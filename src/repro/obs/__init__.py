@@ -6,7 +6,8 @@ Three pieces, used together or alone:
   process-wide :data:`TRACER` the instrumented layers (netsim, tor, core,
   functions) emit into.  Free when detached.
 * :mod:`repro.obs.metrics` — the labeled :data:`REGISTRY` of counters,
-  gauges, and histograms, with the legacy perf counters bridged on.
+  gauges, and histograms: the one store of every count, including the
+  :mod:`repro.perf.counters` fields, which are a declared view over it.
 * :mod:`repro.obs.export` — deterministic JSONL / Chrome-trace / text
   exporters (``repro trace-report`` on the CLI).
 
@@ -27,13 +28,12 @@ from repro.obs.metrics import (
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    bridge_perf_counters,
 )
 from repro.obs.span import TRACER, EventLog, InstantEvent, Span, Tracer
 
 __all__ = [
     "Span", "InstantEvent", "EventLog", "Tracer", "TRACER",
     "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-    "DEFAULT_BUCKETS", "bridge_perf_counters",
+    "DEFAULT_BUCKETS",
     "events_to_jsonl", "chrome_trace", "metrics_text", "write_trace_report",
 ]

@@ -24,10 +24,11 @@ import os
 from typing import Optional
 
 from repro.obs.metrics import (
+    Counter,
     Histogram,
     MetricsRegistry,
     REGISTRY,
-    bridge_perf_counters,
+    render_labels,
 )
 from repro.obs.span import EventLog
 
@@ -153,54 +154,52 @@ def chrome_trace(log: EventLog) -> str:
 # -- metrics text ----------------------------------------------------------
 
 
-def _render_labels(labels: tuple, extra: Optional[tuple[str, str]] = None) -> str:
-    pairs = list(labels)
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    return "{" + ",".join(f'{k}="{v}"' for k, v in pairs) + "}"
-
-
 def _format_value(value) -> str:
     if isinstance(value, float) and value == int(value) and abs(value) < 1e15:
         return str(int(value))
     return str(value)
 
 
-def metrics_text(registry: Optional[MetricsRegistry] = None,
-                 bridge_perf: bool = True) -> str:
+def metrics_text(registry: Optional[MetricsRegistry] = None) -> str:
     """A plain-text snapshot of the registry, one metric per line.
 
-    With ``bridge_perf`` (the default), the legacy global perf counters
-    are first projected in as ``perf_<field>`` so the snapshot is the one
-    place to look.  Histograms render cumulative ``_bucket`` lines plus
-    ``_count`` and ``_sum``.
+    Every perf field (:data:`repro.perf.counters.FIELDS`) also renders,
+    as a ``perf_<field>`` line in sorted position among the rest: the
+    counter itself for a field stored under that name, the sum over its
+    labelled family otherwise.  Histograms render cumulative ``_bucket``
+    lines plus ``_count`` and ``_sum``.
     """
+    # Imported here: repro.perf.counters itself imports repro.obs.metrics.
+    from repro.perf.counters import counters
+
     registry = registry if registry is not None else REGISTRY
-    if bridge_perf:
-        bridge_perf_counters(registry)
+    metrics = {(metric.name, metric.labels): metric
+               for metric in registry.collect()}
+    for field, value in counters.snapshot().items():
+        line = Counter(f"perf_{field}", ())
+        line.value = value
+        metrics[line.name, line.labels] = line
     lines: list[str] = []
-    for metric in registry.collect():
+    for _key, metric in sorted(metrics.items()):
         if isinstance(metric, Histogram):
             running = 0
             for bound, n in zip(metric.bounds, metric.bucket_counts):
                 running += n
                 lines.append(
                     f"{metric.name}_bucket"
-                    f"{_render_labels(metric.labels, ('le', f'{bound:g}'))}"
+                    f"{render_labels(metric.labels, ('le', f'{bound:g}'))}"
                     f" {running}")
             lines.append(
                 f"{metric.name}_bucket"
-                f"{_render_labels(metric.labels, ('le', '+Inf'))}"
+                f"{render_labels(metric.labels, ('le', '+Inf'))}"
                 f" {metric.count}")
             lines.append(f"{metric.name}_count"
-                         f"{_render_labels(metric.labels)} {metric.count}")
+                         f"{render_labels(metric.labels)} {metric.count}")
             lines.append(f"{metric.name}_sum"
-                         f"{_render_labels(metric.labels)}"
+                         f"{render_labels(metric.labels)}"
                          f" {_format_value(metric.sum)}")
         else:
-            lines.append(f"{metric.name}{_render_labels(metric.labels)}"
+            lines.append(f"{metric.name}{render_labels(metric.labels)}"
                          f" {_format_value(metric.value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 

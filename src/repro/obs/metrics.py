@@ -13,10 +13,9 @@ clients do, but deterministic and allocation-shy:
   discarding the metric objects, so cached handles survive the per-test
   reset and cross-test bleed still dies.
 
-The legacy :mod:`repro.perf.counters` fields stay the cheapest possible
-instrumentation for the innermost loops; :func:`bridge_perf_counters`
-projects their current values onto the registry (as ``perf_<field>``
-counters) so one snapshot shows both worlds.
+This registry is the only place a count is stored.  The fields of
+:mod:`repro.perf.counters` are a declared view over it: each names the
+counter family (:meth:`MetricsRegistry.family`) that holds its value.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from bisect import bisect_left
 from typing import Iterable, Mapping, Optional, Union
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "REGISTRY", "bridge_perf_counters", "DEFAULT_BUCKETS"]
+           "REGISTRY", "DEFAULT_BUCKETS"]
 
 LabelsKey = tuple  # interned, sorted tuple of (key, value) pairs
 
@@ -177,23 +176,14 @@ class MetricsRegistry:
         ``buckets`` only applies on first creation; a later caller asking
         for different buckets on the same key gets the existing histogram.
         """
-        key = (name, self.labels_key(labels))
-        metric = self._metrics.get(key)
-        if metric is None:
-            metric = Histogram(name, key[1], bounds=buckets)
-            self._metrics[key] = metric
-        elif not isinstance(metric, Histogram):
-            raise TypeError(
-                f"{name}{dict(key[1])} already registered as "
-                f"{type(metric).__name__}")
-        return metric
+        return self._get(name, labels, Histogram, buckets)
 
     def _get(self, name: str, labels: Optional[Mapping[str, str]],
-             cls: type) -> object:
+             cls: type, *args) -> object:
         key = (name, self.labels_key(labels))
         metric = self._metrics.get(key)
         if metric is None:
-            metric = cls(name, key[1])
+            metric = cls(name, key[1], *args)
             self._metrics[key] = metric
         elif type(metric) is not cls:
             raise TypeError(
@@ -207,6 +197,16 @@ class MetricsRegistry:
         """Every registered metric, sorted by ``(name, labels)``."""
         return [self._metrics[key] for key in sorted(self._metrics)]
 
+    def family(self, name: str,
+               label: Optional[tuple[str, str]] = None) -> list[Counter]:
+        """Every registered counter called ``name`` (carrying the
+        ``(key, value)`` ``label``, when one is given); creates nothing,
+        so reading a family never adds a line to an export."""
+        return [metric for (metric_name, labels), metric
+                in self._metrics.items()
+                if metric_name == name and type(metric) is Counter
+                and (label is None or label in labels)]
+
     def snapshot(self) -> dict:
         """Plain-data view: ``{name{labels}: value-or-histogram-dict}``.
 
@@ -215,7 +215,7 @@ class MetricsRegistry:
         """
         out: dict = {}
         for metric in self.collect():
-            rendered = _render_key(metric.name, metric.labels)
+            rendered = metric.name + render_labels(metric.labels)
             if isinstance(metric, Histogram):
                 out[rendered] = {
                     "count": metric.count,
@@ -294,26 +294,13 @@ class MetricsRegistry:
         return len(self._metrics)
 
 
-def _render_key(name: str, labels: LabelsKey) -> str:
-    if not labels:
-        return name
-    inner = ",".join(f'{k}="{v}"' for k, v in labels)
-    return f"{name}{{{inner}}}"
-
-
-def bridge_perf_counters(registry: Optional[MetricsRegistry] = None) -> None:
-    """Project the legacy global perf counters onto the registry.
-
-    Old call sites (``counters.hash_calls += n``) keep working untouched;
-    this sets a ``perf_<field>`` counter per field to the current value,
-    so one registry snapshot carries both the labeled metrics and the
-    legacy bag.  Call it just before exporting.
-    """
-    from repro.perf.counters import counters
-
-    registry = registry if registry is not None else REGISTRY
-    for field, value in counters.snapshot().items():
-        registry.counter(f"perf_{field}").value = value
+def render_labels(labels: LabelsKey,
+                  extra: Optional[tuple[str, str]] = None) -> str:
+    """``{k="v",...}`` Prometheus-style (``extra`` pair last), or ``""``."""
+    pairs = labels if extra is None else labels + (extra,)
+    if not pairs:
+        return ""
+    return "{" + ",".join(f'{k}="{v}"' for k, v in pairs) + "}"
 
 
 #: The process-wide default registry instrumented layers record into.

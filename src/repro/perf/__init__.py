@@ -4,8 +4,9 @@ The simulator's *results* are functions of simulated time only; this
 package watches the other axis — how much real CPU those results cost.
 Three tools, all zero-dependency and cheap enough to stay on permanently:
 
-* :data:`counters` — global :class:`~repro.perf.counters.PerfCounters`
-  incremented by the event loop, the interfaces, and the stream cipher.
+* :data:`counters` — the :class:`~repro.perf.counters.PerfCounters`
+  view of the declared fields; the event loop, the interfaces, and the
+  stream cipher count into the :mod:`repro.obs.metrics` registry behind it.
 * :func:`timed_section` — a context manager accumulating wall-clock time
   per named section (used by the benchmarks and ``perf-report``).
 * :mod:`repro.perf.profiling` — an opt-in cProfile hook around

@@ -10,9 +10,8 @@ the box makes:
 * ``LOAD_FUNCTION`` **prices** the manifest's declared ask against a
   capacity ledger, atomically;
 * running instances are **scheduled**: cpu milliseconds and network bytes
-  drain through weighted-fair queues (interactive outweighs bulk) plus a
-  per-flow token bucket, with pacing applied at the API gate — never on
-  the per-byte transfer path;
+  drain through weighted-fair queues (interactive outweighs bulk), with
+  pacing applied at the API gate — never on the per-byte transfer path;
 * load is **advertised** through the directory after every admission
   change so slack-aware clients place new work on the emptiest box.
 
@@ -32,13 +31,21 @@ from repro.core.manifest import PRIORITY_CLASSES
 from repro.functions.ddos_defense import AdmissionPuzzle
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.perf.counters import counters as _perf
 from repro.qos.admission import AdmissionController
-from repro.qos.scheduler import FairQueue, TokenBucket
+from repro.qos.scheduler import FairQueue
 from repro.qos.shedding import LoadShedder
+
+_THROTTLES = _metrics.counter("perf_qos_throttles")
 
 #: Fair-share weights per priority class (interactive : bulk = 4 : 1).
 CLASS_WEIGHTS = {"interactive": 4.0, "bulk": 1.0}
+
+#: The fair queues' shared drain rates (per simulated second) and the
+#: per-flow allowance a charge may use before it is paced.
+CPU_RATE_MS = 4000.0
+CPU_BURST_MS = 50.0
+NET_RATE_BYTES = 4 * 1024 * 1024
+NET_BURST_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -46,23 +53,13 @@ class QosConfig:
     """Knobs for one box's serving plane.
 
     ``slots`` defaults to the node policy's ``max_containers``;
-    memory/disk capacity default to the policy totals.  Rates are per
-    simulated second.
+    memory/disk capacity default to the policy totals.
     """
 
     slots: Optional[int] = None
     queue_depth: int = 8
     queue_timeout_s: float = 60.0
     base_retry_after_s: float = 2.0
-    cpu_rate_ms: float = 4000.0          # shared cpu-ms drained per second
-    cpu_burst_ms: float = 50.0           # per-flow call budget before pacing
-    net_rate_bytes: float = 4 * 1024 * 1024  # shared egress bytes per second
-    net_burst_bytes: float = 256 * 1024  # per-charge allowance before pacing
-    client_net_rate: Optional[float] = None  # per-flow token-bucket cap
-    shed_high_watermark: float = 0.75
-    shed_low_watermark: float = 0.25
-    puzzle_difficulty: int = 8           # 0 disables admission puzzles
-    advertise: bool = True               # publish load via the directory
 
 
 class ServingPlane:
@@ -81,19 +78,13 @@ class ServingPlane:
             capacity_memory=policy.max_total_memory,
             capacity_disk=policy.max_total_disk,
             on_evict=self._count_shed)
-        self.shedder = LoadShedder(
-            high_watermark=self.config.shed_high_watermark,
-            low_watermark=self.config.shed_low_watermark,
-            puzzle_difficulty=self.config.puzzle_difficulty)
-        self.cpu_queue = FairQueue(rate=self.config.cpu_rate_ms,
-                                   burst=self.config.cpu_burst_ms)
-        self.net_queue = FairQueue(rate=self.config.net_rate_bytes,
-                                   burst=self.config.net_burst_bytes)
+        self.shedder = LoadShedder()
+        self.cpu_queue = FairQueue(rate=CPU_RATE_MS, burst=CPU_BURST_MS)
+        self.net_queue = FairQueue(rate=NET_RATE_BYTES, burst=NET_BURST_BYTES)
         # The plane's own RNG fork: puzzle challenges draw from here, so
         # enabling the plane never perturbs the server's other streams.
         self.rng = server.rng.fork("qos")
         self._puzzles: dict = {}         # connection -> outstanding puzzle
-        self._buckets: dict = {}         # flow key -> per-client TokenBucket
         self._key_seq = 0                # admission keys, unique per plane
         nick = server.relay.nickname
         self._m_admitted = _metrics.counter("qos_admitted", {"box": nick})
@@ -122,7 +113,6 @@ class ServingPlane:
         if self.shedder.refuses(priority):
             self._count_shed()
             self._m_rejected.value += 1
-            _perf.qos_rejected += 1
             self._advertise()
             raise ServerBusy("shedding load: bulk admissions suspended",
                              retry_after=self.admission.retry_after())
@@ -132,12 +122,10 @@ class ServingPlane:
             waited = yield from self.admission.admit(thread, key, priority)
         except ServerBusy:
             self._m_rejected.value += 1
-            _perf.qos_rejected += 1
             self._after_queue_change()
             raise
         self._h_wait[priority].observe(waited)
         self._m_admitted.value += 1
-        _perf.qos_admitted += 1
         self._after_queue_change()
         return key
 
@@ -156,7 +144,6 @@ class ServingPlane:
         self.admission.unprice(key)
         self.cpu_queue.unregister(key, self.server.sim.now)
         self.net_queue.unregister(key, self.server.sim.now)
-        self._buckets.pop(key, None)
         self._after_queue_change()
 
     def price_manifest(self, instance, manifest) -> None:
@@ -168,14 +155,11 @@ class ServingPlane:
             self.admission.price(key, manifest)
         except ServerBusy:
             self._m_rejected.value += 1
-            _perf.qos_rejected += 1
             raise
         now = self.server.sim.now
         weight = CLASS_WEIGHTS.get(manifest.priority, 1.0)
         self.cpu_queue.register(key, weight, now)
         self.net_queue.register(key, weight, now)
-        if self.config.client_net_rate:
-            self._buckets[key] = TokenBucket(self.config.client_net_rate)
         self._advertise()
 
     # -- puzzles -----------------------------------------------------------
@@ -195,7 +179,6 @@ class ServingPlane:
                                        self.shedder.puzzle_difficulty)
         self._puzzles[conn] = puzzle
         self._m_rejected.value += 1
-        _perf.qos_rejected += 1
         raise PuzzleRequired("admission requires proof of work",
                              challenge=puzzle.challenge,
                              difficulty=puzzle.difficulty_bits)
@@ -213,27 +196,22 @@ class ServingPlane:
 
     def charge_net(self, thread: Actor, instance,
                    nbytes: int) -> None:
-        """Meter egress/ingress bytes through the fair queue + bucket."""
+        """Meter egress/ingress bytes through the fair queue."""
         key = getattr(instance, "qos_key", None)
         if key is None or nbytes <= 0:
             return
-        now = self.server.sim.now
-        delay = self.net_queue.charge(key, float(nbytes), now)
-        bucket = self._buckets.get(key)
-        if bucket is not None:
-            delay = max(delay, bucket.reserve(float(nbytes), now))
+        delay = self.net_queue.charge(key, float(nbytes), self.server.sim.now)
         yield from self._pace(thread, delay)
 
     def _pace(self, thread: Actor, delay: float):
         if delay > 0:
-            _perf.qos_throttles += 1
+            _THROTTLES.value += 1
             yield Sleep(delay)
 
     # -- shedding & advertisement ------------------------------------------
 
     def _count_shed(self, _waiter=None) -> None:
         self._m_shed.value += 1
-        _perf.qos_shed += 1
 
     def _after_queue_change(self) -> None:
         """Re-evaluate shed state and re-advertise after any transition."""
@@ -263,7 +241,5 @@ class ServingPlane:
         }
 
     def _advertise(self) -> None:
-        if not self.config.advertise:
-            return
         self.server.directory.advertise_load(
             self.server.relay.fingerprint, self.load_report())

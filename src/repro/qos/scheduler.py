@@ -6,10 +6,11 @@ API gate, never the per-byte transfer path) decides where to sleep.  That
 keeps the scheduler deterministic, testable without a simulator, and off
 the data-plane hot path.
 
-:class:`TokenBucket` is the per-client rate limiter; :class:`FairQueue`
-is a virtual-time weighted-fair queue (WFQ) that apportions one resource
-(cpu milliseconds, network bytes) across active flows in proportion to
-their priority-class weights.
+:class:`FairQueue` is a virtual-time weighted-fair queue (WFQ) that
+apportions one resource (cpu milliseconds, network bytes) across active
+flows in proportion to their priority-class weights; the serving plane
+runs two.  :class:`TokenBucket` is a per-client rate limiter no plane
+currently attaches.
 """
 
 from __future__ import annotations

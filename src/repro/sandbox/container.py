@@ -82,11 +82,6 @@ class Container:
             self.kill(reason="memory limit exceeded")
             raise
 
-    def release_memory(self, nbytes: int) -> None:
-        """Return previously charged memory to the cgroup."""
-        if self.state is ContainerState.RUNNING:
-            self.cgroup.charge("memory", -nbytes)
-
     def fs_write(self, path: str, data: bytes) -> None:
         """A disk write, charged against the disk quota."""
         self._ensure_running()

@@ -53,11 +53,6 @@ class SeccompPolicy:
         return cls(ALL_SYSCALLS)
 
     @classmethod
-    def deny_all(cls) -> "SeccompPolicy":
-        """A policy permitting nothing."""
-        return cls(())
-
-    @classmethod
     def default_function_policy(cls) -> "SeccompPolicy":
         """The paper's suggested default: everything except fork/execve."""
         return cls(ALL_SYSCALLS - {"fork", "execve"})

@@ -23,7 +23,6 @@ from repro.netsim.connection import Connection, ConnectionClosed
 from repro.netsim.simulator import Actor, Future, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
 from repro.tor.cell import (
     CELL_SIZE,
     RELAY_DATA_SIZE,
@@ -173,7 +172,6 @@ class Circuit:
             for offset in range(0, total, RELAY_DATA_SIZE):
                 self._pending_data.append(
                     (stream_id, view[offset:offset + RELAY_DATA_SIZE]))
-            _perf.bytes_zero_copied += total
             _BYTES_ZERO_COPIED.value += total
         self._pump_data()
 

@@ -19,7 +19,6 @@ from repro.netsim.simulator import (Actor, Future, Sleep, SimTimeoutError,
                                     Wait)
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.perf.counters import counters as _perf
 from repro.tor import ntor
 from repro.tor.cell import RelayCommand
 from repro.tor.circuit import HS_CLIENT, Circuit, CircuitDestroyed
@@ -43,6 +42,7 @@ _HIST_CIRCUIT_BUILD = _metrics.histogram("circuit_build_s")
 _HIST_HS_RENDEZVOUS = _metrics.histogram("hs_rendezvous_s")
 _CTR_BUILD_OK = _metrics.counter("circuit_builds", {"outcome": "ok"})
 _CTR_BUILD_FAIL = _metrics.counter("circuit_builds", {"outcome": "error"})
+_CTR_REBUILT = _metrics.counter("perf_circuits_rebuilt")
 _HIT_CONSENSUS = _metrics.counter("cache_hits", {"layer": "consensus"})
 _MISS_CONSENSUS = _metrics.counter("cache_misses", {"layer": "consensus"})
 _HIT_DESCRIPTOR = _metrics.counter("cache_hits", {"layer": "descriptor"})
@@ -282,7 +282,7 @@ class TorClient:
                 yield Sleep(delay)
                 continue
             if attempt > 0:
-                _perf.circuits_rebuilt += 1
+                _CTR_REBUILT.value += 1
             return circuit
         raise TorError(
             f"circuit build failed after {attempts} attempts: {last}") from last

@@ -28,7 +28,6 @@ import hashlib
 from repro.crypto.kdf import hkdf
 from repro.crypto.stream import StreamCipher
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.perf.counters import counters as _perf
 
 # Hottest counters in the codebase: handles cached at import, one plain
 # attribute add per call (the registry resets values in place).
@@ -123,13 +122,11 @@ class HopCrypto:
 
     def crypt_forward(self, payload: bytes) -> bytes:
         """Apply this hop's forward layer (encrypt at client, strip at relay)."""
-        _perf.cells_crypted += 1
         _CELLS_FWD.value += 1
         return self._layer.forward(payload)
 
     def crypt_backward(self, payload: bytes) -> bytes:
         """Apply this hop's backward layer."""
-        _perf.cells_crypted += 1
         _CELLS_BWD.value += 1
         return self._layer.backward(payload)
 
@@ -139,13 +136,11 @@ class HopCrypto:
         Equivalent to mapping :meth:`crypt_forward`; the cipher stream is
         consumed in list order.
         """
-        _perf.cells_crypted += len(payloads)
         _CELLS_FWD.value += len(payloads)
         return self._layer.forward_many(payloads)
 
     def crypt_backward_many(self, payloads: list[bytes]) -> list[bytes]:
         """Apply the backward layer to consecutive payloads in one batch."""
-        _perf.cells_crypted += len(payloads)
         _CELLS_BWD.value += len(payloads)
         return self._layer.backward_many(payloads)
 

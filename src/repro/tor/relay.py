@@ -32,7 +32,6 @@ from repro.tor.descriptor import (
     RelayDescriptor,
 )
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.perf.counters import counters as _perf
 from repro.tor.directory import DirectoryAuthority
 from repro.tor.exitpolicy import ExitPolicy
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
@@ -95,7 +94,6 @@ class ExitStream:
             view = memoryview(data)
             for offset in range(0, total, RELAY_DATA_SIZE):
                 self.pending.append(view[offset:offset + RELAY_DATA_SIZE])
-            _perf.bytes_zero_copied += total
             _BYTES_ZERO_COPIED.value += total
         self.pump()
 

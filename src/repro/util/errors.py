@@ -9,9 +9,5 @@ class ReproError(Exception):
     """Base class for all errors raised by this library."""
 
 
-class ConfigurationError(ReproError):
-    """A component was constructed or configured with invalid parameters."""
-
-
 class ProtocolError(ReproError):
     """A peer sent a message that violates the protocol state machine."""

@@ -10,6 +10,7 @@ encoding for the JSON-ish data model: ``None``, ``bool``, ``int``, ``float``,
 
 from __future__ import annotations
 
+import hashlib
 import struct
 from typing import Any
 
@@ -38,6 +39,12 @@ def canonical_encode(value: Any) -> bytes:
     out = bytearray()
     _encode_into(value, out)
     return bytes(out)
+
+
+def canonical_digest(value: Any) -> str:
+    """SHA-256 hex digest of the canonical encoding: the identity of a
+    plain-data value (a spec, an overlay, an event program)."""
+    return hashlib.sha256(canonical_encode(value)).hexdigest()
 
 
 def canonical_decode(data: bytes) -> Any:

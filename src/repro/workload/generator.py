@@ -12,11 +12,10 @@ function: the same spec generates the byte-identical event list, which
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 
 from repro.util.rng import DeterministicRandom
-from repro.util.serialization import canonical_encode
+from repro.util.serialization import canonical_digest
 from repro.workload.arrivals import generate_arrivals
 from repro.workload.spec import WorkloadSpec
 
@@ -69,7 +68,7 @@ class Workload:
             "spec": self.spec.digest(),
             "events": [e.to_dict() for e in self.events],
         }
-        return hashlib.sha256(canonical_encode(payload)).hexdigest()
+        return canonical_digest(payload)
 
     def per_tenant(self) -> dict[str, list[WorkloadEvent]]:
         """Events grouped by tenant, preserving time order."""

@@ -39,7 +39,7 @@ from repro.netsim.faults import FaultPlane
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import EventLog, TRACER as _obs
-from repro.perf.counters import counters as _perf
+from repro.perf.counters import FIELDS, counters as _perf
 from repro.tor.testnet import TorTestNetwork
 from repro.util.errors import ReproError
 from repro.workload.generator import Workload, WorkloadEvent, generate
@@ -75,7 +75,6 @@ def run_workload(spec: WorkloadSpec, verbose: bool = False,
         workload = generate(spec)
     elif workload.spec != spec:
         raise ReproError("workload was generated from a different spec")
-    _perf.reset()
     _metrics.reset()
     previous = _obs.log
     if trace_log is not None:
@@ -652,15 +651,8 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
 
     unfinished = sorted(a.name for a in actors if not a.finished)
     snap = _perf.snapshot()
-    counters_out = {name: snap.get(name, 0) for name in (
-        "qos_admitted", "qos_rejected", "qos_shed", "qos_throttles",
-        "faults_injected", "node_crashes", "node_restarts", "links_cut",
-        "links_healed", "latency_spikes", "conns_torn_down", "retries",
-        "session_reconnects", "circuits_rebuilt", "replicas_respawned",
-        "orphans_reaped", "checkpoints_taken", "migrations_started",
-        "migrations_completed", "migrations_failed", "standby_promotions",
-        "chain_embeds", "chain_reembeds", "chain_arc_bytes",
-        "chain_units_delivered")}
+    counters_out = {field.name: snap[field.name] for field in FIELDS
+                    if field.plane in ("qos", "chaos", "migrate", "chain")}
     probe_out = None
     if probe is not None:
         values = probe_state["values"]

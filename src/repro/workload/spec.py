@@ -5,31 +5,19 @@ scenario: which tenants exist (function mix, priority class), how their
 clients arrive (Poisson, diurnal cycles, flash crowds, DDoS bursts,
 churn), which planes are enabled (qos/chaos/migrate), at what scale
 (relays, duration), and which SLOs the run must meet.  Specs are plain
-data end to end:
-
-* :meth:`WorkloadSpec.to_dict` / :meth:`~WorkloadSpec.from_dict` round-trip
-  losslessly (the property tests pin this), and :meth:`~WorkloadSpec.to_json`
-  / :meth:`~WorkloadSpec.from_json` make the spec a reviewable text file;
-* :meth:`WorkloadSpec.digest` hashes the canonical encoding, so two specs
-  are the same scenario iff their digests match;
-* every stochastic choice downstream (arrival times, attack flags,
-  payload bytes) derives from ``seed`` alone — the same spec file replays
-  bit-identically.
-
-Parsing is **strict**: unknown keys and malformed values raise
-:class:`WorkloadSpecError` instead of being silently dropped, because a
-typo'd knob that parses is a scenario you did not mean to run.
+data end to end (:mod:`repro.util.spec`: lossless dict/JSON round-trips,
+a canonical digest that is the scenario's identity, strict parsing that
+raises :class:`WorkloadSpecError`), and every stochastic choice
+downstream (arrival times, attack flags, payload bytes) derives from
+``seed`` alone — the same spec file replays bit-identically.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Mapping
+from dataclasses import dataclass, field
 
 from repro.util.errors import ReproError
-from repro.util.serialization import canonical_encode
+from repro.util.spec import Spec
 
 __all__ = [
     "ARRIVAL_KINDS", "TENANT_FUNCTIONS", "SLO_OPS",
@@ -55,35 +43,17 @@ class WorkloadSpecError(ReproError):
     """A spec failed validation or could not be parsed."""
 
 
-def _require(cond: bool, message: str) -> None:
-    if not cond:
-        raise WorkloadSpecError(message)
+class _WorkloadPart(Spec):
+    """Every dataclass of a workload spec raises the one error class."""
+
+    Error = WorkloadSpecError
 
 
-def _from_mapping(cls, data: Mapping[str, Any], context: str):
-    """Strict dataclass hydration: unknown keys are errors."""
-    _require(isinstance(data, Mapping),
-             f"{context}: expected a mapping, got {type(data).__name__}")
-    known = {f.name: f for f in fields(cls)}
-    unknown = sorted(set(data) - set(known))
-    _require(not unknown, f"{context}: unknown keys {unknown}")
-    kwargs: dict[str, Any] = {}
-    for name, value in data.items():
-        kind = known[name].type
-        # Normalize the scalar types JSON can blur (int written for a
-        # float field) so round-trips are exact.
-        if kind == "float" and isinstance(value, (int, float)) \
-                and not isinstance(value, bool):
-            value = float(value)
-        kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise WorkloadSpecError(f"{context}: {exc}") from exc
+_require = _WorkloadPart._require
 
 
 @dataclass(frozen=True)
-class ArrivalSpec:
+class ArrivalSpec(_WorkloadPart):
     """How one tenant's client sessions arrive over the run.
 
     ``kind`` selects the process; the other fields parameterize it (each
@@ -103,6 +73,8 @@ class ArrivalSpec:
       ``~Exp(churn_lifetime_s)`` and rejoins with probability
       ``churn_rejoin_prob``, so the active population turns over.
     """
+
+    context = "tenant.arrivals"
 
     kind: str
     rate_per_s: float = 0.0
@@ -159,7 +131,7 @@ class ArrivalSpec:
 
 
 @dataclass(frozen=True)
-class TenantSpec:
+class TenantSpec(_WorkloadPart):
     """One tenant: a function deployment plus its client population.
 
     ``function`` picks the workload shape:
@@ -193,6 +165,8 @@ class TenantSpec:
     plane to have something to arbitrate (a zero-hold session releases
     its slot in well under a second).
     """
+
+    context = "tenant"
 
     name: str
     function: str
@@ -235,18 +209,9 @@ class TenantSpec:
             _require(self.function == "kvstore",
                      "only kvstore tenants can be shared")
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "TenantSpec":
-        data = dict(data)
-        arrivals = data.get("arrivals")
-        _require(arrivals is not None, "tenant missing 'arrivals'")
-        data["arrivals"] = _from_mapping(ArrivalSpec, arrivals,
-                                         "tenant.arrivals")
-        return _from_mapping(cls, data, "tenant")
-
 
 @dataclass(frozen=True)
-class PlanesSpec:
+class PlanesSpec(_WorkloadPart):
     """Which planes the scenario enables, and their scenario-level knobs.
 
     With a plane off, its config never reaches the servers and the run is
@@ -259,6 +224,8 @@ class PlanesSpec:
     the drain before the crash is the cross-plane story: the migration
     plane moves the state out of the blast radius before chaos lands.
     """
+
+    context = "planes"
 
     qos: bool = False
     chaos: bool = False
@@ -293,7 +260,7 @@ class PlanesSpec:
 
 
 @dataclass(frozen=True)
-class SloSpec:
+class SloSpec(_WorkloadPart):
     """One machine-checkable assertion over the scenario's SLO report.
 
     ``metric`` is a dotted path into the report dict (e.g.
@@ -302,6 +269,8 @@ class SloSpec:
     or no samples exist) is **skipped**, not violated; a path that does
     not exist at all is a violation — typos must not pass silently.
     """
+
+    context = "slo"
 
     name: str
     metric: str
@@ -318,7 +287,7 @@ class SloSpec:
 
 
 @dataclass(frozen=True)
-class WorkloadSpec:
+class WorkloadSpec(_WorkloadPart):
     """A complete scenario: tenants x arrivals x planes x scale x SLOs."""
 
     name: str
@@ -361,71 +330,3 @@ class WorkloadSpec:
             if tenant.shared:
                 return tenant
         return None
-
-    def session_tenants(self) -> list[TenantSpec]:
-        """Tenants whose arrivals are full sessions through admission."""
-        return [t for t in self.tenants
-                if t.function == "kvstore" and not t.shared]
-
-    # -- serialization -----------------------------------------------------
-
-    def to_dict(self) -> dict:
-        """A plain JSON-able dict; ``from_dict`` inverts it exactly."""
-        out = asdict(self)
-        out["tenants"] = [asdict(t) for t in self.tenants]
-        out["slos"] = [asdict(s) for s in self.slos]
-        return out
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WorkloadSpec":
-        _require(isinstance(data, Mapping),
-                 f"spec: expected a mapping, got {type(data).__name__}")
-        data = dict(data)
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
-        _require(not unknown, f"spec: unknown keys {unknown}")
-        tenants = data.pop("tenants", None)
-        _require(isinstance(tenants, (list, tuple)) and tenants,
-                 "spec needs a non-empty 'tenants' list")
-        planes = data.pop("planes", None)
-        slos = data.pop("slos", ())
-        _require(isinstance(slos, (list, tuple)),
-                 "spec 'slos' must be a list")
-        spec_kwargs = dict(data)
-        spec_kwargs["tenants"] = tuple(TenantSpec.from_dict(t)
-                                       for t in tenants)
-        spec_kwargs["planes"] = (_from_mapping(PlanesSpec, planes, "planes")
-                                 if planes is not None else PlanesSpec())
-        spec_kwargs["slos"] = tuple(_from_mapping(SloSpec, s, "slo")
-                                    for s in slos)
-        if "duration_s" in spec_kwargs and isinstance(
-                spec_kwargs["duration_s"], int):
-            spec_kwargs["duration_s"] = float(spec_kwargs["duration_s"])
-        if "bento_fraction" in spec_kwargs and isinstance(
-                spec_kwargs["bento_fraction"], int):
-            spec_kwargs["bento_fraction"] = float(
-                spec_kwargs["bento_fraction"])
-        try:
-            return cls(**spec_kwargs)
-        except TypeError as exc:
-            raise WorkloadSpecError(f"spec: {exc}") from exc
-
-    def to_json(self) -> str:
-        """The spec as deterministic, reviewable JSON."""
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
-    @classmethod
-    def from_json(cls, text: str) -> "WorkloadSpec":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise WorkloadSpecError(f"spec is not valid JSON: {exc}") from exc
-        return cls.from_dict(data)
-
-    @classmethod
-    def from_file(cls, path: str) -> "WorkloadSpec":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_json(fh.read())
-
-    def digest(self) -> str:
-        """SHA-256 over the canonical encoding: the scenario's identity."""
-        return hashlib.sha256(canonical_encode(self.to_dict())).hexdigest()

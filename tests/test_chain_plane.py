@@ -22,7 +22,6 @@ from repro.chain import (
     ChainSpec,
     ChainSpecError,
     ComponentSpec,
-    EmbedConfig,
     apply_transform,
     embed,
     fanout_chain,
@@ -107,6 +106,28 @@ class TestChainTemplate:
         data["surprise"] = 1
         with pytest.raises(ChainSpecError, match="unknown keys"):
             ChainSpec.from_dict(data)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("components", 0, "max_replicas"), 1.0, "'max_replicas' must be int"),
+        (("components", 2, "stateful"), "no", "'stateful' must be bool"),
+        (("components", 0, "memory_bytes"), True, "'memory_bytes' must be int"),
+        (("arcs", 0, "rate_units_per_s"), "4", "must be float"),
+        (("arcs",), {"cover": "defense"}, "'arcs' must be a list"),
+        (("components", 0), ["cover"], "component: expected a mapping"),
+    ])
+    def test_mistyped_values_rejected(self, path, value, message):
+        data = json.loads(pipeline_chain().to_json())
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(ChainSpecError, match=message):
+            ChainSpec.from_dict(data)
+
+    def test_int_written_for_a_float_is_normalized(self):
+        data = json.loads(pipeline_chain().to_json())
+        data["arcs"][0]["rate_units_per_s"] = 4
+        assert ChainSpec.from_dict(data) == pipeline_chain()
 
     def test_transform_oracle(self):
         assert apply_transform("relay", b"abc") == b"abc"
@@ -242,7 +263,6 @@ class TestEmbed:
         boxes = fake_boxes(3)
         table = {"FP00": {"slots_free": 8, "queue_len": 0, "shedding": True,
                           "mem_free": 64 * 1024 * 1024}}
-        overlay = embed(spec, boxes, {}, EmbedConfig(), )
         overlay = embed(spec, boxes, table)
         assert "FP00" not in overlay.boxes_used()
 

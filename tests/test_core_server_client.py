@@ -87,7 +87,7 @@ class TestProtocolBasics:
             session.send_message(b"stop")
             from repro.core import messages
 
-            final = (yield from session._await(
+            final = (yield from session.await_message(
                 thread, messages.DONE, 120.0))["result"]
             yield from session.shutdown(thread)
             return outputs, final

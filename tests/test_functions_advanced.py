@@ -98,7 +98,7 @@ class TestLoadBalancer:
             shared["onion"] = onion
             from repro.core import messages
 
-            return (yield from session._await(
+            return (yield from session.await_message(
                 thread, messages.DONE, 400.0))["result"]
 
         downloads = []
@@ -249,7 +249,7 @@ class TestDdosDefense:
             shared.update(info)
             from repro.core import messages
 
-            return (yield from session._await(
+            return (yield from session.await_message(
                 thread, messages.DONE, 300.0))["result"]
 
         def honest_visitor(thread):

@@ -189,7 +189,7 @@ class TestDropbox:
             # The budget is spent: the loop exits and DONE arrives.
             from repro.core import messages
 
-            result = (yield from session._await(
+            result = (yield from session.await_message(
                 thread, messages.DONE, 120.0))["result"]
             return result
 

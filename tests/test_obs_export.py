@@ -15,6 +15,7 @@ from repro.obs.export import (
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.span import EventLog
+from repro.perf.counters import FIELDS
 
 
 @pytest.fixture()
@@ -114,7 +115,7 @@ class TestMetricsText:
         registry = MetricsRegistry()
         registry.counter("cells", {"direction": "fwd"}).inc(7)
         registry.gauge("depth").set(3)
-        text = metrics_text(registry, bridge_perf=False)
+        text = metrics_text(registry)
         assert 'cells{direction="fwd"} 7\n' in text
         assert "depth 3\n" in text
 
@@ -123,7 +124,7 @@ class TestMetricsText:
         hist = registry.histogram("lat", buckets=(1.0, 2.0))
         for value in (0.5, 1.5, 9.0):
             hist.observe(value)
-        text = metrics_text(registry, bridge_perf=False)
+        text = metrics_text(registry)
         assert 'lat_bucket{le="1"} 1' in text
         assert 'lat_bucket{le="2"} 2' in text
         assert 'lat_bucket{le="+Inf"} 3' in text
@@ -136,7 +137,10 @@ class TestMetricsText:
         assert "perf_cells_crypted 0" in text
 
     def test_empty_registry(self):
-        assert metrics_text(MetricsRegistry(), bridge_perf=False) == ""
+        # Nothing registered: only the perf view's own lines render.
+        lines = metrics_text(MetricsRegistry()).splitlines()
+        assert len(lines) == len(FIELDS)
+        assert all(line.startswith("perf_") for line in lines)
 
 
 class TestWriteTraceReport:

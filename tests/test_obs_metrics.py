@@ -1,18 +1,29 @@
-"""Metrics registry unit tests: interning, kinds, reset-in-place, bridge."""
+"""Metrics registry unit tests: interning, kinds, reset-in-place, and the
+perf fields as a view of the one store."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.cli import main
+from repro.netsim.scenarios import MeshScenario
+from repro.netsim.shard import ShardedSimulator, fork_available
+from repro.obs.export import metrics_text
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
+    REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    bridge_perf_counters,
 )
-from repro.perf.counters import counters as _perf
+from repro.perf.counters import FIELDS, counters as _perf
+from repro.workload.presets import preset
+from repro.workload.runner import run_workload
 
 
 @pytest.fixture()
@@ -141,23 +152,107 @@ class TestRegistry:
         assert isinstance(registry.gauge("g"), Gauge)
 
 
-class TestPerfBridge:
-    def test_bridge_projects_all_fields(self, registry):
-        _perf.reset()
-        _perf.hash_calls += 11
-        _perf.retries += 2
-        bridge_perf_counters(registry)
-        assert registry.counter("perf_hash_calls").value == 11
-        assert registry.counter("perf_retries").value == 2
-        # Every legacy field is present, even the zero ones.
-        fields = set(_perf.snapshot())
-        bridged = {m.name for m in registry.collect()}
-        assert {f"perf_{f}" for f in fields} <= bridged
+def _perf_lines(text: str) -> dict:
+    """``{field: value}`` from the ``perf_<field>`` lines of a metrics text."""
+    out = {}
+    for line in text.splitlines():
+        name, _sep, value = line.partition(" ")
+        if name.startswith("perf_"):
+            out[name[len("perf_"):]] = int(value)
+    return out
 
-    def test_bridge_is_a_projection_not_a_tap(self, registry):
+
+def _run_cross_plane():
+    run_workload(preset("cross-plane"))
+
+
+class TestOneStore:
+    """The perf fields are a view of the registry, never a second store."""
+
+    @pytest.mark.parametrize("scenario", [
+        lambda: main(["quickstart", "--seed", "2021"]), _run_cross_plane],
+        ids=["quickstart", "cross-plane"])
+    def test_view_export_and_family_agree(self, scenario, capsys):
+        scenario()
+        capsys.readouterr()
+        snapshot = _perf.snapshot()
+        assert list(snapshot) == [field.name for field in FIELDS]
+        assert snapshot["events_processed"] > 0
+        assert _perf_lines(metrics_text()) == snapshot
+        for field in FIELDS:
+            assert snapshot[field.name] == \
+                sum(c.value for c in REGISTRY.family(field.family,
+                                                     field.label))
+        # The per-kind fault fields partition the family they share.
+        assert snapshot["faults_injected"] == snapshot["node_crashes"] \
+            + snapshot["links_cut"] + snapshot["latency_spikes"]
+
+    def test_no_source_module_stores_into_the_view(self):
+        """Every count has one writer path: a registry counter.  An
+        attribute store on ``counters`` or a declared field nobody backs
+        with a ``.counter(<family>)`` call would be a second store."""
+        stores, backed = [], set()
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            views = {alias.asname or alias.name
+                     for node in ast.walk(tree)
+                     if isinstance(node, ast.ImportFrom)
+                     and node.module in ("repro.perf", "repro.perf.counters")
+                     for alias in node.names if alias.name == "counters"}
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) \
+                        and isinstance(node.ctx, ast.Store) \
+                        and isinstance(node.value, ast.Name) \
+                        and node.value.id in views:
+                    stores.append(f"{path}:{node.lineno}")
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "counter" and node.args \
+                        and isinstance(node.args[0], ast.Constant):
+                    backed.add(node.args[0].value)
+        assert stores == []
+        assert {f.name for f in FIELDS if f.family not in backed} == set()
+        with pytest.raises(AttributeError):
+            _perf.hash_calls += 1
+
+    def test_reset_zeroes_counters_only(self):
+        gauge = REGISTRY.gauge("qos_slots_free", {"box": "b0"})
+        gauge.set(8)
+        hist = REGISTRY.histogram("circuit_build_s")
+        hist.observe(1.5)
+        admitted = REGISTRY.counter("qos_admitted", {"box": "b0"})
+        admitted.inc(3)
+        hash_calls = REGISTRY.counter("perf_hash_calls")
+        hash_calls.inc(5)
+        untracked = REGISTRY.counter("cache_hits", {"layer": "image"})
+        untracked.inc(2)
+        assert (_perf.qos_admitted, _perf.hash_calls) == (3, 5)
         _perf.reset()
-        bridge_perf_counters(registry)
-        _perf.hash_calls += 5
-        assert registry.counter("perf_hash_calls").value == 0
-        bridge_perf_counters(registry)
-        assert registry.counter("perf_hash_calls").value == 5
+        assert (_perf.qos_admitted, _perf.hash_calls) == (0, 0)
+        assert (admitted.value, hash_calls.value) == (0, 0)
+        assert gauge.value == 8
+        assert (hist.count, hist.sum) == (1, 1.5)
+        assert untracked.value == 2
+
+    @pytest.mark.skipif(not fork_available(), reason="no fork on platform")
+    def test_forked_shards_merge_to_the_single_process_snapshot(self):
+        scenario = MeshScenario(seed=21, n_sessions=30, n_groups=3,
+                                nodes_per_group=3, messages_per_session=2,
+                                start_window_s=20.0)
+        ShardedSimulator(scenario, workers=1, seed=21).run()
+        single = _perf.snapshot()
+        REGISTRY.reset()
+        forked = ShardedSimulator(scenario, workers=2, seed=21,
+                                  processes=True).run()
+        merged = _perf.snapshot()
+        assert merged["shard_cross_events"] == forked["cross_shard_events"]
+        # A cross-shard event is one more kernel event on the receiving
+        # shard; nothing else may differ outside the shard plane's own
+        # bookkeeping.
+        for field in FIELDS:
+            if field.plane == "shard":
+                continue
+            extra = forked["cross_shard_events"] if field.name in (
+                "events_processed", "events_scheduled") else 0
+            assert merged[field.name] == single[field.name] + extra, \
+                field.name

@@ -6,6 +6,7 @@ import cProfile
 
 import pytest
 
+from repro.obs.metrics import REGISTRY
 from repro.perf.counters import counters
 from repro.perf.profiling import (
     active_profile,
@@ -20,7 +21,7 @@ from repro.perf.timing import reset_sections, section_times, timed_section
 class TestRenderReport:
     def test_lists_every_counter(self):
         counters.reset()
-        counters.hash_calls += 1234
+        REGISTRY.counter("perf_hash_calls").value += 1234
         report = render_report()
         assert report.splitlines()[0] == "perf counters"
         for field in counters.snapshot():

@@ -161,6 +161,36 @@ class TestSpecRoundTrip:
             WorkloadSpec.from_dict(data)
 
 
+class TestMistypedValues:
+    """A wrongly typed scalar must not parse into a scenario nobody meant."""
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("tenants", 0, "ops_per_session"), 1.5,
+         "'ops_per_session' must be int"),
+        (("tenants", 0, "payload_bytes"), True, "'payload_bytes' must be int"),
+        (("tenants", 0, "shared"), 0, "'shared' must be bool"),
+        (("tenants", 0, "arrivals", "rate_per_s"), "0.5", "must be float"),
+        (("tenants", 0, "name"), 7, "'name' must be str"),
+        (("planes", "qos"), "yes", "'qos' must be bool"),
+        (("seed",), 1.0, "'seed' must be int"),
+        (("tenants",), {"a": 1}, "'tenants' must be a list"),
+        (("planes",), [], "planes: expected a mapping"),
+    ])
+    def test_rejected_with_the_specs_own_error(self, path, value, message):
+        data = WorkloadSpec(
+            name="s", seed=1, duration_s=60.0,
+            tenants=(TenantSpec(name="a", function="kvstore",
+                                arrivals=ArrivalSpec(kind="poisson",
+                                                     rate_per_s=0.5)),)
+        ).to_dict()
+        target = data
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(WorkloadSpecError, match=message):
+            WorkloadSpec.from_dict(data)
+
+
 class TestGenerationDeterminism:
     @_settings
     @given(spec=workload_specs())
