@@ -15,29 +15,42 @@ Two execution styles coexist:
 
 Every wake-up flows through the (deterministic) event queue and exactly
 one actor runs at any instant, so fixed seeds replay bit-identical
-schedules.  The order in which a suspension issues its
-:meth:`Simulator.schedule` calls is part of that contract: event sequence
-numbers break ties between same-instant events, so golden traces pin it.
+schedules.  Events run in ``(time, seq)`` order, ``seq`` being the order
+in which they were scheduled, so which calls a suspension makes, and in
+what order, is part of that contract and golden traces pin it.
 
-The event heap stores ``(time, seq, event)`` tuples so ordering
-comparisons run on C-level tuples -- in large runs those comparisons
-used to dominate the profile.  Cancellation stays lazy, but
-:meth:`Simulator.run` compacts the heap whenever cancelled entries
-outnumber live ones (timeout-heavy workloads otherwise accumulate
-far-future garbage without bound).
+The queue is two containers under that one order.  An event due later
+goes into a heap of ``(time, seq, event)`` tuples (comparisons run on
+C-level tuples).  An event due at the instant it is scheduled --
+``schedule(0.0, ...)``, a past ``schedule_at``, every ``Future`` callback
+and so every task wake-up -- needs a place in line, not a priority queue:
+it is appended to a FIFO run queue, sorted by construction (its time is
+``now``, its ``seq`` the largest yet).  :meth:`Simulator.run` takes the
+smaller head: the run queue's, unless a heap entry due at the same
+instant was scheduled first (DESIGN.md §11 has the measurements).
+
+Cancellation is lazy in both: a cancelled entry stays queued as a
+tombstone until it reaches the front or until :meth:`Simulator.run`
+compacts both containers because tombstones outnumber live entries
+(timeout-heavy workloads otherwise accumulate far-future garbage without
+bound).  An event that has left the queue has its ``fn`` replaced by a
+sentinel, so a late ``cancel()`` counts nothing.
 
 Timeouts use a *timer slot* per actor: an actor has at most one
-outstanding wait, so its timeout owns a single reusable heap entry.
-When the awaited future wins the race the slot is disarmed (a cancelled
-tombstone that a later wait resurrects in place) instead of abandoning
-one tombstone per wait -- a recv loop that used to leave thousands of
-far-future entries for ``_compact`` to mop up now keeps the heap at one
-entry per actor.
+outstanding wait, so its timeout owns a single reusable queue entry.
+When the awaited future wins the race the slot is disarmed (a tombstone
+that a later wait resurrects in place) instead of abandoning one
+tombstone per wait.  A wait allocates no closure: the slot stores the
+deadline and the wait's generation, and the wake-up is the bound
+``_wait_woken`` registered with the generation as its argument.  What a
+wait still allocates is what ordering needs: the wake :class:`Event`,
+its queue entry, and the callback record on the future.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from types import GeneratorType
 from typing import Any, Callable, Optional
 
@@ -59,10 +72,12 @@ _HEAP_COMPACTIONS = _metrics.counter("perf_heap_compactions")
 # that compaction cost is amortized over thousands of pops.
 _COMPACT_MIN_CANCELLED = 64
 
+_INF = float("inf")
+
 
 def _discarded() -> None:  # pragma: no cover - never invoked
-    """Sentinel ``fn`` stamped on cancelled events once they leave the heap,
-    so a timer slot knows its tombstone can no longer be resurrected."""
+    """Sentinel ``fn`` stamped on an event once it leaves the queue (run, or
+    dropped as a tombstone): it can no longer be cancelled or resurrected."""
 
 
 class SimulationError(ReproError):
@@ -88,8 +103,9 @@ class Event:
         self._sim = sim
 
     def cancel(self) -> None:
-        """Prevent the callback from running.  Safe to call repeatedly."""
-        if not self.cancelled:
+        """Prevent the callback from running.  Safe to call repeatedly, and
+        a no-op once the event has run."""
+        if not self.cancelled and self.fn is not _discarded:
             self.cancelled = True
             if self._sim is not None:
                 self._sim._cancelled += 1
@@ -103,7 +119,7 @@ class Future:
         self.done = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        self._callbacks: list[Callable[["Future"], None]] = []
+        self._callbacks: list[tuple[Callable, tuple]] = []
 
     def resolve(self, value: Any = None) -> None:
         """Complete the future successfully."""
@@ -120,8 +136,8 @@ class Future:
         self._value = value
         self._exception = exception
         callbacks, self._callbacks = self._callbacks, []
-        for callback in callbacks:
-            self._sim.schedule(0.0, callback, self)
+        for callback, args in callbacks:
+            self._sim._soon(callback, (self, *args))
 
     def result(self) -> Any:
         """The value (or raise the error).  Only valid once done."""
@@ -131,12 +147,12 @@ class Future:
             raise self._exception
         return self._value
 
-    def add_done_callback(self, callback: Callable[["Future"], None]) -> None:
-        """Run ``callback(self)`` (via the event queue) once resolved."""
+    def add_done_callback(self, callback: Callable, *args: Any) -> None:
+        """Run ``callback(self, *args)`` (via the event queue) once resolved."""
         if self.done:
-            self._sim.schedule(0.0, callback, self)
+            self._sim._soon(callback, (self, *args))
         else:
-            self._callbacks.append(callback)
+            self._callbacks.append((callback, args))
 
 
 # -- suspension requests -----------------------------------------------------
@@ -205,10 +221,11 @@ class SimTask:
         # matches, so it cannot resume the actor spuriously.
         self._wait_generation = 0
         # Reusable timeout slot: at most one wait is outstanding per
-        # actor, so one heap entry serves every timeout this actor arms.
+        # actor, so one queued entry serves every timeout this actor arms,
+        # and the slot names the wait it times out by its generation.
         self._timer_event: Optional[Event] = None
         self._timer_deadline: Optional[float] = None
-        self._timer_on_fire: Optional[Callable[[], None]] = None
+        self._timer_generation = 0
         self._fn = fn
         self._args = args
         self._gen: Optional[GeneratorType] = None
@@ -217,19 +234,19 @@ class SimTask:
 
     # -- timer slot -------------------------------------------------------
 
-    def _arm_timer(self, deadline: float, on_fire: Callable[[], None]) -> None:
-        """Point this actor's timer slot at ``deadline``.
+    def _arm_timer(self, deadline: float, generation: int) -> None:
+        """Point this actor's timer slot at ``deadline`` for wait ``generation``.
 
-        Reuses the pending heap entry when possible: a disarmed tombstone
+        Reuses the pending queue entry when possible: a disarmed tombstone
         at or before the new deadline is resurrected in place (the fire
         callback cascades forward to the true deadline when it pops
-        early), so timeout-heavy loops do not grow the heap at all.
+        early), so timeout-heavy loops do not grow the queue at all.
         """
         self._timer_deadline = deadline
-        self._timer_on_fire = on_fire
+        self._timer_generation = generation
         event = self._timer_event
         if event is not None and event.fn is _discarded:
-            event = self._timer_event = None    # left the heap while disarmed
+            event = self._timer_event = None    # left the queue while disarmed
         if event is None:
             self._timer_event = self.sim.schedule_at(deadline, self._timer_fire)
         elif event.time <= deadline:
@@ -243,7 +260,6 @@ class SimTask:
     def _disarm_timer(self) -> None:
         """The awaited future won the race: tombstone the slot entry."""
         self._timer_deadline = None
-        self._timer_on_fire = None
         event = self._timer_event
         if event is not None and not event.cancelled:
             event.cancel()
@@ -258,11 +274,8 @@ class SimTask:
         if deadline > self.sim.now:             # re-armed further out
             self._timer_event = self.sim.schedule_at(deadline, self._timer_fire)
             return
-        on_fire = self._timer_on_fire
         self._timer_deadline = None
-        self._timer_on_fire = None
-        if on_fire is not None:
-            on_fire()
+        self._wait_timed_out(self._timer_generation)
 
     # -- scheduler side -------------------------------------------------
 
@@ -307,8 +320,8 @@ class SimTask:
                 kind = type(request)
                 if kind is Sleep:
                     duration = request.duration
-                    if duration < 0:
-                        exc = ValueError("cannot sleep a negative duration")
+                    if not 0.0 <= duration < _INF:
+                        exc = SimulationError(f"cannot sleep for {duration!r}s")
                         continue
                     future = Future(sim)
                     sim.schedule(duration, future.resolve, None)
@@ -323,6 +336,9 @@ class SimTask:
                     exc = SimulationError(
                         f"task {self.name!r} yielded {request!r}; expected "
                         f"Wait, Sleep, or Join")
+                    continue
+                if timeout is not None and not 0.0 <= timeout < _INF:
+                    exc = SimulationError(f"cannot wait with a timeout of {timeout!r}s")
                     continue
                 if self._suspend(future, timeout):
                     return
@@ -341,16 +357,10 @@ class SimTask:
         a wake event immediately when the future is already done), then
         check completion.
         """
-        self._wait_generation += 1
-        generation = self._wait_generation
-
-        def _wake(_arg: Any) -> None:
-            self._wait_woken(generation)
-
+        generation = self._wait_generation = self._wait_generation + 1
         if timeout is not None:
-            self._arm_timer(self.sim.now + timeout,
-                            lambda: self._wait_timed_out(generation))
-        future.add_done_callback(_wake)
+            self._arm_timer(self.sim.now + timeout, generation)
+        future.add_done_callback(self._wait_woken, generation)
         if future.done:
             if timeout is not None:
                 self._disarm_timer()
@@ -359,7 +369,7 @@ class SimTask:
         self._wait_timeout = timeout
         return True
 
-    def _wait_woken(self, generation: int) -> None:
+    def _wait_woken(self, _future: Future, generation: int) -> None:
         """The awaited future resolved: resume with its result."""
         if self.finished or generation != self._wait_generation:
             return      # stale registration from an abandoned wait
@@ -430,7 +440,8 @@ class Simulator:
     def __init__(self, seed: int | str = 0) -> None:
         self.now = 0.0
         self.rng = DeterministicRandom(seed)
-        self._heap: list[tuple[float, int, Event]] = []
+        self._heap: list[tuple[float, int, Event]] = []      # due later
+        self._ready: deque[tuple[float, int, Event]] = deque()  # due now
         self._seq = 0
         self._seq_counted = 0   # events_scheduled accounted up to this seq
         self._cancelled = 0
@@ -446,25 +457,33 @@ class Simulator:
         """Run ``fn(*args)`` after ``delay`` simulated seconds."""
         if delay < 0:
             raise SimulationError("cannot schedule into the past")
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(self.now + delay, seq, fn, args, self)
-        heapq.heappush(self._heap, (event.time, seq, event))
-        return event
+        return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
         """Run ``fn(*args)`` at absolute simulated time ``time``.
 
-        Past times clamp to now.  Future times are used *exactly* — no
-        round trip through a relative delay — so completion times computed
-        ahead of time (bulk transfers) land on the same floats the chunked
-        event cascade would produce.
+        Past times clamp to now (negative and non-finite ones are refused).
+        Future times are used *exactly* — no round trip through a relative
+        delay — so completion times computed ahead of time (bulk transfers)
+        land on the same floats the chunked event cascade would produce.
         """
+        if not 0.0 <= time < _INF:
+            raise SimulationError(f"cannot schedule at t={time!r}")
+        if time <= self.now:
+            return self._soon(fn, args)
+        seq = self._seq
+        self._seq = seq + 1
+        event = Event(time, seq, fn, args, self)
+        heapq.heappush(self._heap, (time, seq, event))
+        return event
+
+    def _soon(self, fn: Callable, args: tuple) -> Event:
+        """Run ``fn(*args)`` at this instant, after everything already due."""
         now = self.now
         seq = self._seq
         self._seq = seq + 1
-        event = Event(time if time > now else now, seq, fn, args, self)
-        heapq.heappush(self._heap, (event.time, seq, event))
+        event = Event(now, seq, fn, args, self)
+        self._ready.append((now, seq, event))
         return event
 
     # -- actors ------------------------------------------------------------
@@ -496,28 +515,39 @@ class Simulator:
         profile = active_profile()
         if profile is not None:
             profile.enable()
-        heap = self._heap
-        pop = heapq.heappop
+        heap, ready = self._heap, self._ready
+        pop, popleft = heapq.heappop, ready.popleft
+        horizon = _INF if until is None else until
         processed = 0
         try:
-            while heap:
-                time, _seq, event = heap[0]
+            while True:
+                # Next in (time, seq) order: the run queue's head, unless a
+                # heap entry due at the same instant was scheduled before it.
+                from_ready = ready and not (heap and heap[0] < ready[0])
+                if from_ready:
+                    time, _seq, event = ready[0]
+                elif heap:
+                    time, _seq, event = heap[0]
+                else:
+                    break
                 if event.cancelled:
-                    pop(heap)
+                    popleft() if from_ready else pop(heap)
                     event.fn = _discarded
                     self._cancelled -= 1
                     continue
-                if until is not None and time > until:
+                if time > horizon:
                     break
                 if processed >= max_events:
                     raise SimulationError(f"exceeded {max_events} events; runaway simulation?")
-                pop(heap)
+                popleft() if from_ready else pop(heap)
                 self.now = time
-                event.fn(*event.args)
+                fn = event.fn
+                event.fn = _discarded   # left the queue: a late cancel() is a no-op
+                fn(*event.args)
                 processed += 1
-                if self._cancelled >= _COMPACT_MIN_CANCELLED and self._cancelled * 2 > len(heap):
+                cancelled = self._cancelled
+                if cancelled >= _COMPACT_MIN_CANCELLED and cancelled * 2 > len(heap) + len(ready):
                     self._compact()
-                    heap = self._heap
             if until is not None and self.now < until:
                 self.now = until
             return processed
@@ -532,36 +562,47 @@ class Simulator:
                 profile.disable()
 
     def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify.
+        """Drop cancelled entries from both containers, in place.
 
-        Pop order is unaffected: the heap is ordered by the unique
+        Pop order is unaffected: entries are ordered by the unique
         ``(time, seq)`` key, so any valid heap over the live entries
-        yields the same sequence.
+        yields the same sequence, and the run queue keeps its order.
         """
-        live = []
-        for entry in self._heap:
-            if entry[2].cancelled:
-                entry[2].fn = _discarded
-            else:
-                live.append(entry)
-        self._heap = live
+        for queue in (self._heap, self._ready):
+            live = []
+            for entry in queue:
+                if entry[2].cancelled:
+                    entry[2].fn = _discarded
+                else:
+                    live.append(entry)
+            queue.clear()
+            queue.extend(live)
         heapq.heapify(self._heap)
         self._cancelled = 0
         _HEAP_COMPACTIONS.value += 1
+
+    @property
+    def queued(self) -> int:
+        """Entries waiting in the kernel, cancelled tombstones included."""
+        return len(self._heap) + len(self._ready)
 
     def next_event_time(self) -> float:
         """Earliest pending live event time (``inf`` when idle).
 
         Used by the sharded kernel to pick the next epoch horizon; pops
-        cancelled tombstones off the top so the answer reflects work the
+        cancelled tombstones off the front so the answer reflects work the
         loop would actually do.
         """
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            _, _, event = heapq.heappop(heap)
+        heap, ready = self._heap, self._ready
+        while ready or heap:
+            queue = ready if ready and not (heap and heap[0] < ready[0]) else heap
+            time, _seq, event = queue[0]
+            if not event.cancelled:
+                return time
+            ready.popleft() if queue is ready else heapq.heappop(heap)
             event.fn = _discarded
             self._cancelled -= 1
-        return heap[0][0] if heap else float("inf")
+        return _INF
 
     def run_until_done(self, actor: Actor, until: Optional[float] = None) -> Any:
         """Run the simulation until ``actor`` completes, then return its result."""

@@ -1,6 +1,8 @@
 """The discrete-event core: ordering, futures, actors."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.simulator import (
     Future,
@@ -10,7 +12,9 @@ from repro.netsim.simulator import (
     Simulator,
     Sleep,
     Wait,
+    _discarded,
 )
+from repro.perf.counters import counters
 
 
 class TestEventOrdering:
@@ -248,3 +252,148 @@ class TestSimThreads:
             return trace
 
         assert build_and_run() == build_and_run()
+
+
+BAD_TIMES = [float("nan"), float("inf"), float("-inf"), -1.0]
+
+
+def _idle(task):
+    yield Sleep(5.0)
+
+
+class TestNonFiniteTimesRejected:
+    """A ``nan`` passes ``delay < 0`` and, once queued, compares false with
+    everything: the queue stops being ordered and says nothing.  Every way
+    a time enters the kernel refuses what is not a finite, non-negative
+    number."""
+
+    @pytest.mark.parametrize("delay", BAD_TIMES)
+    def test_schedule(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule(delay, lambda: None)
+        assert sim.queued == 0
+
+    @pytest.mark.parametrize("time", BAD_TIMES)
+    def test_schedule_at(self, time):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.schedule_at(time, lambda: None)
+        assert sim.queued == 0
+
+    @pytest.mark.parametrize("delay", BAD_TIMES)
+    def test_spawn_delay(self, delay):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.spawn(_idle, delay=delay)
+        assert sim.queued == 0
+
+    @pytest.mark.parametrize("make_request", [
+        lambda sim, bad: Sleep(bad),
+        lambda sim, bad: Wait(Future(sim), timeout=bad),
+        lambda sim, bad: Join(sim.spawn(_idle), timeout=bad),
+    ], ids=["sleep", "wait", "join"])
+    @pytest.mark.parametrize("bad", BAD_TIMES)
+    def test_thrown_at_the_yield(self, make_request, bad):
+        sim = Simulator()
+
+        def actor(task):
+            try:
+                yield make_request(sim, bad)
+            except SimulationError:
+                yield Sleep(1.0)    # the actor is still usable
+                return "refused", sim.now
+            return "accepted", sim.now
+
+        task = sim.spawn(actor)
+        assert sim.run_until_done(task) == ("refused", 1.0)
+
+
+class TestCancelAccounting:
+    """``_cancelled`` counts the tombstones that are queued, no others: it
+    is what decides when the kernel compacts."""
+
+    def test_cancel_after_fire_is_a_noop(self):
+        sim = Simulator()
+        events = [sim.schedule(float(i % 3), lambda: None) for i in range(100)]
+        assert sim.run() == 100
+        for event in events:
+            event.cancel()
+        assert sim._cancelled == 0
+        assert not any(event.cancelled for event in events)
+        before = counters.heap_compactions
+        sim.schedule(0.0, lambda: None)
+        sim.run()
+        assert counters.heap_compactions == before   # nothing to compact
+
+    def test_handler_cancelling_its_own_event(self):
+        sim = Simulator()
+        holder = []
+        holder.append(sim.schedule(1.0, lambda: holder[0].cancel()))
+        sim.run()
+        assert sim._cancelled == 0
+
+    def test_compaction_trigger_counts_both_containers(self):
+        # 64 tombstones against 124 heap entries alone would compact
+        # (128 > 124); with the five run-queue entries they must not.
+        sim = Simulator()
+        for event in [sim.schedule(100.0, lambda: None) for _ in range(64)]:
+            event.cancel()
+        for _ in range(60):
+            sim.schedule(200.0, lambda: None)
+
+        def again():
+            sim.schedule(0.0, again)
+
+        for _ in range(5):
+            sim.schedule(0.0, again)
+        counters.reset()
+        with pytest.raises(SimulationError):
+            sim.run(max_events=50)
+        assert counters.heap_compactions == 0
+        assert sim.queued == 64 + 60 + 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["schedule", "cancel", "resurrect", "run", "wait"]),
+        st.integers(0, 1000), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
+        max_size=60))
+    def test_counts_queued_tombstones_under_any_mix(self, steps):
+        sim = Simulator()
+        events = []
+        futures = []
+
+        def queued_tombstones():
+            return sum(entry[2].cancelled
+                       for queue in (sim._heap, sim._ready) for entry in queue)
+
+        def waiter(task, timeout):
+            # The timer slot: arm; if the future wins the slot entry is
+            # tombstoned, and the second wait resurrects or replaces it.
+            future = Future(sim)
+            futures.append(future)
+            try:
+                yield Wait(future, timeout=timeout + 0.25)
+                yield Wait(Future(sim), timeout=timeout)
+            except SimTimeoutError:
+                pass
+
+        for kind, pick, amount in steps:
+            if kind == "schedule":
+                events.append(sim.schedule(amount, lambda: None))
+            elif kind == "cancel" and events:       # fired ones included
+                events[pick % len(events)].cancel()
+            elif kind == "resurrect" and events:    # as SimTask._arm_timer does
+                event = events[pick % len(events)]
+                if event.cancelled and event.fn is not _discarded:
+                    event.cancelled = False
+                    sim._cancelled -= 1
+            elif kind == "run":
+                sim.run(until=sim.now + amount)
+            elif kind == "wait":
+                sim.spawn(waiter, amount)
+                if futures and pick % 2:
+                    futures.pop(pick % len(futures)).resolve(None)
+            assert sim._cancelled == queued_tombstones()
+        sim.run()
+        assert sim._cancelled == 0 and sim.queued == 0

@@ -337,7 +337,7 @@ class TestSimulatorHeapCompaction:
         sim.run(until=1.0)
         assert fired == [0.5]
         assert counters.heap_compactions >= 1
-        assert len(sim._heap) == 0   # garbage gone, not merely skipped
+        assert sim.queued == 0   # garbage gone, not merely skipped
 
     def test_compaction_preserves_order(self):
         sim = Simulator(seed=7)

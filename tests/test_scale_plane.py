@@ -48,7 +48,7 @@ class TestTimerSlots:
                 fut = Future(sim)
                 sim.schedule(0.001, fut.resolve, None)
                 yield Wait(fut, timeout=30.0)
-                peak[0] = max(peak[0], len(sim._heap))
+                peak[0] = max(peak[0], sim.queued)
 
         sim.spawn(worker)
         sim.run()
@@ -98,7 +98,7 @@ class TestTimerSlots:
                 fut = Future(sim)
                 sim.schedule(0.003, fut.resolve, None)
                 yield Wait(fut, timeout=60.0)
-                peak[0] = max(peak[0], len(sim._heap))
+                peak[0] = max(peak[0], sim.queued)
 
         for _ in range(4):
             sim.spawn(worker)
