@@ -1,9 +1,10 @@
-"""Pure-Python cryptographic primitives for the Tor and enclave substrates.
+"""Cryptographic primitives for the Tor and enclave substrates.
 
 Real Tor uses AES-CTR, Curve25519 and RSA via OpenSSL.  This reproduction
-runs offline with the standard library only, so it substitutes:
+runs offline with the standard library only.  Its cell cipher is the real
+one, AES-128-CTR on the interpreter's own libcrypto (:mod:`.stream`); for
+the rest it substitutes:
 
-* AES-CTR            -> a SHAKE128 counter-mode stream cipher (:mod:`.stream`)
 * Curve25519 (ntor)  -> classic finite-field Diffie-Hellman (:mod:`.dh`)
 * OpenSSL RSA        -> pure-Python RSA with Miller-Rabin keygen (:mod:`.rsa`)
 

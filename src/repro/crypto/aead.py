@@ -44,6 +44,8 @@ class AeadKey:
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
         """Verify and decrypt; raises :class:`AeadError` on any tampering."""
+        if len(nonce) > 255:
+            raise AeadError("nonce too long")
         if len(sealed) < _MAC_LEN:
             raise AeadError("sealed message too short")
         ciphertext, tag = sealed[:-_MAC_LEN], sealed[-_MAC_LEN:]

@@ -1,37 +1,32 @@
 """Modular exponentiation on the libcrypto the interpreter already loaded.
 
 CPython's ``pow(b, e, m)`` spends ~1 ms on a 1024-bit modulus; OpenSSL's
-``BN_mod_exp`` does it in ~0.1 ms.  ``_hashlib`` links libcrypto for every
-hash in this repo, so the symbols are reached through that extension's own
-dependency tree.  Where they are not exported (static OpenSSL builds) the
-builtin computes the same integers; the choice is made once, at import, from
-what the platform exports.  Neither backend is constant-time (DESIGN.md §2),
-and the scratch numbers are per process, not per thread: actors are tasks on
-one OS thread (``tests/test_netsim_task_kernel.py`` keeps ``threading`` out).
+``BN_mod_exp`` does it in ~0.1 ms (:mod:`repro.crypto.libcrypto` says how it
+is reached).  Where it is not exported the builtin computes the same
+integers; the choice is made once, at import, from what the platform exports.
+Neither backend is constant-time (DESIGN.md §2), and the scratch numbers are
+per process, not per thread: actors are tasks on one OS thread
+(``tests/test_netsim_task_kernel.py`` keeps ``threading`` out).
 """
 
 from __future__ import annotations
 
-import _hashlib
 import ctypes
+
+from repro.crypto.libcrypto import bind
 
 
 def _bind():
     """``(lib, r, b, e, m, ctx)``: declared ``BN_*`` entry points plus this
     process's scratch numbers, or ``None`` when libcrypto is out of reach."""
     ptr, buf, num = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
-    signatures = {
+    lib = bind({
         "BN_new": (ptr,), "BN_CTX_new": (ptr,),
         "BN_bin2bn": (ptr, buf, num, ptr),
         "BN_mod_exp": (num, ptr, ptr, ptr, ptr, ptr),
         "BN_bn2binpad": (num, ptr, buf, num),
-    }
-    try:
-        lib = ctypes.CDLL(_hashlib.__file__)
-        for name, (restype, *argtypes) in signatures.items():
-            fn = getattr(lib, name)
-            fn.restype, fn.argtypes = restype, argtypes
-    except (OSError, AttributeError):
+    })
+    if lib is None:
         return None
     scratch = [lib.BN_new() for _ in range(4)] + [lib.BN_CTX_new()]
     if None in scratch:

@@ -5,14 +5,16 @@ filesystem is launched in an enclave; the container ensures that the
 enclaved filesystem is the only writable filesystem available to the
 function, and therefore that all filesystem writes are encrypted."
 
-Every file is stored as AEAD ciphertext (nonce bound to path + version, so
-replaying an old version of one file into another path fails
-authentication).  :meth:`operator_view` is what the Bento operator can see
-on disk — ciphertext only — which is the paper's plausible-deniability
-argument made concrete (§6.2).
+Every file is stored as AEAD ciphertext (nonce: SHA-256 of path + version,
+so a path of any length fits and replaying an old version of one file into
+another path fails authentication).  :meth:`operator_view` is what the Bento
+operator can see on disk — ciphertext only — which is the paper's
+plausible-deniability argument made concrete (§6.2).
 """
 
 from __future__ import annotations
+
+import hashlib
 
 from repro.crypto.aead import AeadError, AeadKey
 from repro.sandbox.memfs import ChrootView
@@ -22,6 +24,12 @@ from repro.util.serialization import canonical_decode, canonical_encode
 
 class FSProtectError(ReproError):
     """Integrity failures: the operator (or anyone) tampered with a file."""
+
+
+def _nonce(path: str, version: int) -> bytes:
+    """Fixed width whatever the path's length (the AEAD takes <= 255 bytes)."""
+    return hashlib.sha256(
+        canonical_encode({"path": path, "version": version})).digest()
 
 
 class FSProtect:
@@ -37,8 +45,7 @@ class FSProtect:
     def write_file(self, path: str, data: bytes) -> None:
         """Encrypt and store ``data`` at ``path``."""
         version = self._versions.get(path, 0) + 1
-        nonce = canonical_encode({"path": path, "version": version})
-        sealed = self._aead.seal(nonce, data, aad=path.encode())
+        sealed = self._aead.seal(_nonce(path, version), data, aad=path.encode())
         envelope = canonical_encode({"version": version, "sealed": sealed})
         self._backing.write_file(path, envelope)
         self._versions[path] = version
@@ -50,9 +57,9 @@ class FSProtect:
         expected = self._versions.get(path)
         if expected is not None and version != expected:
             raise FSProtectError(f"rollback detected on {path}")
-        nonce = canonical_encode({"path": path, "version": version})
         try:
-            return self._aead.open(nonce, envelope["sealed"], aad=path.encode())
+            return self._aead.open(_nonce(path, version), envelope["sealed"],
+                                   aad=path.encode())
         except (AeadError, KeyError, TypeError) as exc:
             raise FSProtectError(f"integrity check failed on {path}") from exc
 

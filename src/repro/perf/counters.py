@@ -75,10 +75,10 @@ FIELDS = (
     Field("task_switches", "kernel", "fixed", "task_switches"),
     # payload bytes moved as views instead of copies
     Field("bytes_zero_copied", "link", "volume", "bytes_zero_copied"),
-    # hash invocations in StreamCipher keystreams: one XOF call per
-    # 4 KiB batch
+    # calls into the C primitive that makes StreamCipher keystream: one
+    # per EVP_EncryptUpdate, so a process_many batch counts once
     Field("hash_calls", "crypto", "volume"),
-    # keystream bytes generated
+    # bytes StreamCipher processed (exact: AES-CTR makes no more)
     Field("keystream_bytes", "crypto", "volume"),
     # relay-cell layer applications (any direction)
     Field("cells_crypted", "tor", "volume", "cells_crypted"),

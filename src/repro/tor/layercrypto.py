@@ -8,17 +8,17 @@ consumes it.
 
 Two modes share one interface:
 
-* ``real`` — XOF counter-mode keystreams (:mod:`repro.crypto.stream`), the
-  stand-in for AES-CTR at one hash call per 4 KiB.
+* ``real`` — AES-128-CTR (:mod:`repro.crypto.stream`), one C call per cell.
 * ``fast`` — a cached per-hop pad, one big-int XOR per cell.  Structurally
   identical (payloads still mutate per layer, recognition/digests still
-  enforced) but ~1.5x faster end to end; large-scale benchmarks use it.  This
-  is a simulation-performance knob only, never a security claim.
+  enforced) and faster only on long runs of unbatched cells: it costs ten
+  times as much to construct and four times as much per batched cell
+  (measured in ROADMAP item 2, which deletes it).  Never a security claim.
 
 Both modes expose ``crypt_*_many`` batch entry points: a relay draining a
-full stream window crypts all those cells with one keystream pull and one
-big XOR (real mode) instead of per-cell calls.  The ciphertext is
-identical either way; batching only saves Python round trips.
+full stream window crypts all those cells with one call into the cipher
+(real mode) instead of one per cell.  The ciphertext is identical either
+way; batching only saves Python round trips.
 """
 
 from __future__ import annotations

@@ -110,8 +110,8 @@ class TestStreamCipher:
             cipher.keystream(-40)
         assert cipher.keystream(40) != used   # the cursor did not rewind
 
-    # Read sizes reach past two 4 KiB batches so splits land before, on
-    # and after batch boundaries.
+    # Read sizes from nothing to hundreds of blocks, so splits land before,
+    # on and after 16-byte block boundaries.
     @given(st.lists(st.integers(0, 9000), max_size=8))
     def test_any_split_of_reads_equals_one_read(self, sizes):
         split = StreamCipher(b"split-key-16byte", b"n")
@@ -166,6 +166,14 @@ class TestAead:
         key = AeadKey(b"m" * 32)
         sealed = key.seal(b"nonce", b"payload", aad=b"hdr")
         assert key.open(b"nonce", sealed, aad=b"hdr") == b"payload"
+
+    def test_overlong_nonce_refused_both_ways(self):
+        key = AeadKey(b"m" * 32)
+        assert key.open(b"n" * 255, key.seal(b"n" * 255, b"payload")) == b"payload"
+        with pytest.raises(ValueError):
+            key.seal(b"n" * 256, b"payload")
+        with pytest.raises(AeadError):
+            key.open(b"n" * 256, b"s" * 64)
 
     def test_tamper_detected(self):
         key = AeadKey(b"m" * 32)

@@ -196,6 +196,15 @@ class TestFsProtect:
         fsp.write_file("/doc.txt", b"plaintext")
         assert fsp.read_file("/doc.txt") == b"plaintext"
 
+    def test_path_of_any_length(self):
+        fsp = self._fsprotect()
+        short, long = "/" + "n" * 20, "/" + "n" * 4000
+        fsp.write_file(short, b"same size")
+        fsp.write_file(long, b"same size")
+        assert fsp.read_file(long) == b"same size"
+        # The nonce is not stored: the path's length costs the envelope nothing.
+        assert len(fsp.operator_view(long)) == len(fsp.operator_view(short))
+
     def test_operator_sees_only_ciphertext(self):
         fsp = self._fsprotect()
         fsp.write_file("/doc.txt", b"very identifiable content")

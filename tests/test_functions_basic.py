@@ -162,6 +162,27 @@ class TestDropbox:
         stats = run_thread(fn_net, main)
         assert stats["gets_served"] == 2
 
+    @pytest.mark.parametrize("image", ["python", "python-op-sgx"])
+    def test_long_name_stored_and_read_back(self, fn_net, image):
+        """A name FS Protect's path-derived nonce used to choke on: the
+        enclaved image must store what the plain one does."""
+        name = "n" * 230
+
+        def main(thread):
+            session = yield from _session(
+                thread, fn_net, DropboxFunction.SOURCE,
+                DropboxFunction.manifest(image=image))
+            DropboxFunction.start(session, expiry_s=600.0)
+            assert (yield from DropboxFunction.put(
+                thread, session, name, b"long-named"))
+            names = yield from DropboxFunction.list_names(thread, session)
+            data = yield from DropboxFunction.get(thread, session, name)
+            yield from DropboxFunction.close(thread, session)
+            yield from session.shutdown(thread)
+            return names, data
+
+        assert run_thread(fn_net, main) == ([name], b"long-named")
+
     def test_oversize_put_refused(self, fn_net):
         def main(thread):
             session = yield from _session(

@@ -3,10 +3,9 @@
 The batched layer crypto and the coalesced bulk transfer are pure
 optimizations: each must be byte- and float-identical to the
 straightforward implementation it replaced.  The keystream golden hashes
-are frozen next to a reference written from the cipher's definition (they
-were re-recorded once, when the XOF construction replaced SHA-256-counter
-blocks); the coalescing tests compare the fast path against the chunked
-path directly (toggled via :data:`repro.netsim.connection.COALESCE`).
+are frozen next to the pure-Python reference cipher; the coalescing tests
+compare the fast path against the chunked path directly (toggled via
+:data:`repro.netsim.connection.COALESCE`).
 """
 
 import hashlib
@@ -14,7 +13,7 @@ import hashlib
 import pytest
 
 import repro.netsim.connection as connection_mod
-from repro.crypto.stream import StreamCipher, stream_xor
+from repro.crypto.stream import ReferenceCipher, StreamCipher, stream_xor
 from repro.netsim.connection import Connection, LoopbackConnection
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
@@ -31,20 +30,12 @@ def _sha(data: bytes) -> str:
 
 
 def _reference_keystream(key: bytes, nonce: bytes, n: int) -> bytes:
-    """The first ``n`` keystream bytes, written straight from the definition.
-
-    Batch *k* is SHAKE128(prefix || k as 8 big-endian bytes) squeezed to
-    4096 bytes, prefix = SHA256("stream:" || key || ":" || nonce).  Shares
-    no code with :class:`StreamCipher`; the frozen digests below are
-    therefore derivable, not only recorded.
-    """
-    prefix = hashlib.sha256(b"stream:" + key + b":" + nonce).digest()
-    out = b""
-    k = 0
-    while len(out) < n:
-        out += hashlib.shake_128(prefix + k.to_bytes(8, "big")).digest(4096)
-        k += 1
-    return out[:n]
+    """The first ``n`` keystream bytes from the block function written from
+    FIPS-197 (``tests/test_crypto_stream.py`` holds it to the standards'
+    vectors), which shares only the key derivation with the libcrypto
+    binding; the frozen digests below are therefore derivable, not only
+    recorded."""
+    return ReferenceCipher(key, nonce).keystream(n)
 
 
 def _reference_xor(data: bytes, pad: bytes) -> bytes:
@@ -52,35 +43,33 @@ def _reference_xor(data: bytes, pad: bytes) -> bytes:
 
 
 class TestGoldenKeystream:
-    """Frozen vectors of the XOF keystream, each beside the reference."""
+    """Frozen vectors of the AES-128-CTR keystream, each beside the reference."""
 
     KEY, NONCE = b"golden-key-0123456789abcdef", b"nonce-A"
-    # The old block-size cases (706 bytes, then 4096 across the first
-    # boundary), 3390 to land exactly on the end of batch 1, then the batch
-    # boundaries from an aligned start: one short (4095), onto it with one
-    # byte buffered (4096), over it (4097, ends aligned again), two whole
-    # batches plus one byte (8193), and after a partial read (100) one
-    # that straddles the rest of that batch and the next (5000).
+    # Reads that end before, on and after 16-byte block boundaries (1, 31,
+    # 32, 33), a cell (509), nothing, and long reads from an aligned start
+    # (3390 ends on byte 8192) and from an odd one: a partial block, whole
+    # blocks in bulk and a partial block again within one call.
     LENGTHS = (1, 31, 32, 33, 100, 509, 0, 4096,
                3390, 4095, 4096, 4097, 8193, 100, 5000)
     DIGESTS = (
-        "77adfc95029e73b173f60e556f915b0cd8850848111358b1c370fb7c154e61fd",
-        "37fd07104da23bdd8a22863386c5b8950c985bfa0fd5d3f60bd0beffb9888fdd",
-        "f7649cd132f8233daa8ba8151f1fea00683948d7af278c03eb787c4ecbc56bc6",
-        "ecb65b33c0cea284f5ea5e6216cf7ebaf574f146e31f7e74f703f76e05c45c37",
-        "b443c9132d38ba05480b4cbd76de7c803bbf5defb0229773666b234678f83130",
-        "b065d88764ff8190d9216d168584657e1daf2cf04b5aefd7812357a0d275fb6a",
+        "9d1e0e2d9459d06523ad13e28a4093c2316baafe7aec5b25f30eba2e113599c4",
+        "00d4fdc067b45dd9781ee640b03627cbbdce3c34016b24c2798523e79df07f02",
+        "72f80328930a36e39ebe5c8693cf3c753a2e08909ab209a49e8b8fa5caa25b54",
+        "c81935c3a2086bf18068d101947b54bbfe2919bcd02774237551e2e3218f792c",
+        "4022c0f26fa985258765218d9400d2a99d2a3b0222720b66d0c3899e1c2bbfa5",
+        "4cc5ca001a550ebd6002902123df3dde79b53c17b25a6c05c5f82be0955b5102",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-        "cc972489847c29acf0059e229e9cf1804b7b7d76c8b217df9e2bef37c947e32d",
-        "584d89df3a198986e1b583b22b9c0a7718421bba520d4d08391e15f00b646b4f",
-        "dbffe73603c9e1995c3247c206211b0e941dc81aedbb687cb89d1e9e410ceb6e",
-        "44cc13f7801f266fff02bafcb4f0fa7bf68bab5f9f55b379ca5c871b6ca35995",
-        "a68edfc1e6f66311dd211e97f3318eaa2e8df4ba4972acce6ae706ea10e9a96a",
-        "cdd1969d1642113d7efc2b5cf354656ebcd0270f323516a8b909211603722dad",
-        "ea68ebfc3b3e5ddb3a2213218aa18e9e0b40833dbff7f1bbd729c269d4986cf1",
-        "b82a37290d4ab07d0cee32693012478f3606bf02eab44d1ab7a067d4412a0120",
+        "ea5563f36f2170f0802abdabd14565eac46236626b57ec4ab9fe8e8e6ace38da",
+        "5f8881f08c123d823744c46ae131e89b998c7220312e9c56acf51c0daa504981",
+        "a0f383e8df5a33d737a2799473a02be1882703f5ecd8924c7e4833ccd52b1092",
+        "33def7e0fd313152fa9704dfdde9d38b09d7cfb06724699cbc653572251f4dd5",
+        "b6676882ef1540cb1ae8cd2c91ff20dcf7e3c550bc51070b468e35679414e864",
+        "8a141c03193725a5da352511b5975e60e9c95ab9ed8a03e2350682ddf8a04556",
+        "16ecc51bf9b29f39f9a6cf74ebe68601697a1cda7de70b0e9c23bfdc4c144350",
+        "90ac3de7ee81bd1e5da57b38e07c5d448573ce857f235cb08e5e5265e413d0d6",
     )
-    CAT = "6b6ff1b9c06405efe30b7519c577f0dea0c173542b9353f4371a8efd68a564e4"
+    CAT = "e24f71bd76713f50fffa228f5168a0880f865aa3739ff09856b7449dfb5749e4"
 
     def test_incremental_reads_match_frozen_vectors(self):
         cipher = StreamCipher(self.KEY, self.NONCE)
@@ -109,7 +98,7 @@ class TestGoldenKeystream:
         assert out == _reference_xor(
             plain, _reference_keystream(b"k" * 16, b"n2", len(plain)))
         assert _sha(out) == (
-            "8d08346bb97e79818aac0175273f950f577c329277b9f54e4abc04953e14bbb0")
+            "e22161400938b480024728ff7b8f7d0472d93fa6b09dde4febd33b9e38532f89")
 
     def test_process_many_equals_sequential_process(self):
         messages = [bytes([i]) * (50 + 37 * i) for i in range(9)]
@@ -126,7 +115,7 @@ class TestGoldenKeystream:
         assert out == _reference_xor(
             data, _reference_keystream(b"key-material-16b", b"iv", len(data)))
         assert _sha(out) == (
-            "259106b4499fb4665a77a346f983d62fed42ffd809ea9636e753d58f7dd8c431")
+            "2d45db32df1363ae434fcb0e36aa54725a0c04ad6dd219f17dd9550f0d07e9d5")
 
 
 def _mkkeys(tag: bytes) -> CircuitKeys:
@@ -138,12 +127,12 @@ def _mkkeys(tag: bytes) -> CircuitKeys:
 class TestGoldenLayerCrypto:
     """Frozen wire bytes for five forward/backward rounds through one hop.
 
-    The real-mode vector was re-recorded with the XOF keystream; the
-    fast-mode vector never touches the stream cipher and is unchanged.
+    The real-mode vector is derivable from the reference keystream (below);
+    the fast-mode vector never touches the stream cipher.
     """
 
     DIGESTS = {
-        False: "474bf8ca403915c0207f2cfbb1e79adfb86bc6f1388a3c2f12cb0f49cf2ef938",
+        False: "3262f73cb62b5fb39e40ec97778028335a131392879c0751a3e9c14a05a61c87",
         True: "a1ccf225587ebf8ec066c95714f4e685eb413635a1aeec2d47d4cb1a31ea30a6",
     }
 
