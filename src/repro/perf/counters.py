@@ -76,7 +76,8 @@ FIELDS = (
     # payload bytes moved as views instead of copies
     Field("bytes_zero_copied", "link", "volume", "bytes_zero_copied"),
     # calls into the C primitive that makes StreamCipher keystream: one
-    # per EVP_EncryptUpdate, so a process_many batch counts once
+    # per EVP_EncryptUpdate, so a process_many batch counts once, and so
+    # does a train a hop reads ahead over (tor/layercrypto.py)
     Field("hash_calls", "crypto", "volume"),
     # bytes StreamCipher processed (exact: AES-CTR makes no more)
     Field("keystream_bytes", "crypto", "volume"),

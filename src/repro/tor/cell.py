@@ -55,26 +55,38 @@ class RelayCommand(enum.IntEnum):
     INTRODUCE_ACK = 40
 
 
+_RELAY_COMMANDS = {command.value: command for command in RelayCommand}
+
+
 class Cell:
     """One 514-byte cell.  ``payload`` is exactly 509 bytes on the wire.
 
     A plain ``__slots__`` class rather than a dataclass: tens of thousands
     of cells are built per transfer, and slot construction is measurably
     cheaper than dict-backed dataclass instances.
+
+    ``train`` and ``index`` are not on the wire.  A sender that encrypted a
+    burst in one batch passes the batch's output list, and from then on
+    ``train[index] is payload``: it tells each hop which cells follow this
+    one, so it can read ahead (:mod:`repro.tor.layercrypto`).
     """
 
-    __slots__ = ("circ_id", "command", "payload")
+    __slots__ = ("circ_id", "command", "payload", "train", "index")
 
-    def __init__(self, circ_id: int, command: CellCommand, payload: bytes) -> None:
+    def __init__(self, circ_id: int, command: CellCommand, payload: bytes,
+                 train: list[bytes] | None = None, index: int = 0) -> None:
         if len(payload) > RELAY_PAYLOAD_SIZE:
             raise ProtocolError(
                 f"cell payload {len(payload)} exceeds {RELAY_PAYLOAD_SIZE}"
             )
         if len(payload) < RELAY_PAYLOAD_SIZE:
             payload = payload.ljust(RELAY_PAYLOAD_SIZE, b"\x00")
+            train = None  # the padded payload is no longer train[index]
         self.circ_id = circ_id
         self.command = command
         self.payload = payload
+        self.train = train
+        self.index = index
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Cell):
@@ -168,10 +180,9 @@ class RelayCellPayload:
             raise ProtocolError("relay cell not recognized")
         if length > RELAY_DATA_SIZE:
             raise ProtocolError("relay length field out of range")
-        try:
-            relay_command = RelayCommand(command)
-        except ValueError as exc:
-            raise ProtocolError(f"unknown relay command {command}") from exc
+        relay_command = _RELAY_COMMANDS.get(command)
+        if relay_command is None:
+            raise ProtocolError(f"unknown relay command {command}")
         data = payload[RELAY_HEADER_SIZE:RELAY_HEADER_SIZE + length]
         return cls(command=relay_command, stream_id=stream_id,
                    data=data, digest=digest)

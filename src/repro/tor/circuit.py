@@ -220,8 +220,10 @@ class Circuit:
                         for cell in cells]
         for index in range(hop_index, -1, -1):
             payloads = self.hops[index].crypt_forward_many(payloads)
-        for payload in payloads:
-            self._send_cell(Cell(self.circ_id, CellCommand.RELAY, payload))
+        train = payloads if len(payloads) > 1 else None
+        for index, payload in enumerate(payloads):
+            self._send_cell(Cell(self.circ_id, CellCommand.RELAY, payload,
+                                 train, index))
 
     # -- control-cell rendezvous ----------------------------------------------
 
@@ -263,7 +265,7 @@ class Circuit:
             return
         if cell.command != CellCommand.RELAY:
             return
-        self._process_relay(cell.payload)
+        self._process_relay(cell)
 
     def _fast_backward_state(self) -> Optional[tuple]:
         """Cumulative backward pads for the all-fast-hops unwrap shortcut.
@@ -295,7 +297,8 @@ class Circuit:
         self._fast_bwd = (n, state)
         return state
 
-    def _process_relay(self, payload: bytes) -> None:
+    def _process_relay(self, cell: Cell) -> None:
+        payload = cell.payload
         fast = self._fast_backward_state() if self.hops else None
         if fast is not None and len(payload) == RELAY_PAYLOAD_SIZE:
             prefixes, cums = fast
@@ -313,8 +316,11 @@ class Circuit:
                 return  # unrecognized at every layer: drop
             payload = (pint ^ cums[-1]).to_bytes(RELAY_PAYLOAD_SIZE, "big")
         else:
+            # Each hop's unwrap hands the next the train it read ahead over.
+            train = cell.train
             for index, hop in enumerate(self.hops):
-                payload = hop.crypt_backward(payload)
+                payload, train = hop.crypt_backward_ahead(
+                    payload, train, cell.index)
                 parsed = hop.open_payload(payload, BACKWARD)
                 if parsed is not None:
                     self._dispatch(parsed, from_hop=index)

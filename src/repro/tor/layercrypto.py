@@ -8,17 +8,38 @@ consumes it.
 
 Two modes share one interface:
 
-* ``real`` — AES-128-CTR (:mod:`repro.crypto.stream`), one C call per cell.
+* ``real`` — AES-128-CTR (:mod:`repro.crypto.stream`), one C call per burst.
 * ``fast`` — a cached per-hop pad, one big-int XOR per cell.  Structurally
   identical (payloads still mutate per layer, recognition/digests still
-  enforced) and faster only on long runs of unbatched cells: it costs ten
-  times as much to construct and four times as much per batched cell
-  (measured in ROADMAP item 2, which deletes it).  Never a security claim.
+  enforced), ten times the cost to construct and now slower per cell in a
+  burst as well as outside one (measured in ROADMAP item 2, which deletes
+  it).  Never a security claim.
 
-Both modes expose ``crypt_*_many`` batch entry points: a relay draining a
-full stream window crypts all those cells with one call into the cipher
-(real mode) instead of one per cell.  The ciphertext is identical either
-way; batching only saves Python round trips.
+**Who batches.**  The sender of a burst: a client draining its package
+window (``Circuit._send_data_many``) and an exit draining a stream window
+(``Relay._reply_many``) seal each cell, crypt the burst with one
+``crypt_*_many`` call per hop, and put the list the last call returned on
+the cells they build (``Cell.train``, ``Cell.index``): a *train*.
+
+**Who reads ahead.**  Everyone a train then passes: a relay forwarding it
+and the client unwrapping it call ``crypt_*_ahead``.  Handed cell ``i`` of a
+train it is not already inside, a direction runs ``train[i:]`` through the
+cipher in one call and keeps the result; it returns ``output[i]`` and the
+output list, which is the cell's train at the next hop.  Cells ``i+1...``
+arriving in order are answered from the kept list with no cipher call.
+Recognition, digests and flow control stay per cell, at its own delivery.
+
+**The abandon rule.**  A direction's keystream must be consumed in the order
+its cells arrive, and now and then something other than the train's next
+cell does: the relay's own reply, a cell a middle hop answered, a gap.  Any
+such use first *abandons* the read-ahead: the keystream spent on the cells
+not yet handed out is ``source XOR output``, and it goes back to the *front*
+of the direction's stream, to be used up before the cipher is called again.
+So every cell meets exactly the keystream bytes it would have met one call
+at a time, in whatever order cells arrive.  It is rare, and reading ahead
+therefore pays, because a connection is FIFO and is only ever dropped
+whole: a train's cells reach each hop back to back, in the order its cipher
+must consume them, unless a hop speaks up between them.
 """
 
 from __future__ import annotations
@@ -42,28 +63,74 @@ FORWARD = "f"
 BACKWARD = "b"
 
 
+class _Direction:
+    """One direction's cipher, and the train it has read ahead over."""
+
+    __slots__ = ("_cipher", "_source", "_output", "_next", "_unread")
+
+    def __init__(self, key: bytes, nonce: bytes) -> None:
+        self._cipher = StreamCipher(key, nonce=nonce)
+        self._source: list[bytes] | None = None  # train being read ahead
+        self._output: list[bytes] | None = None  # the same cells, crypted
+        self._next = 0                  # first cell of it not yet handed out
+        self._unread = b""              # keystream an abandon gave back
+
+    def _abandon(self) -> None:
+        rest = slice(self._next, None)
+        self._unread = xor_bytes(b"".join(self._source[rest]),
+                                 b"".join(self._output[rest])) + self._unread
+        self._source = self._output = None
+
+    def process(self, payload: bytes) -> bytes:
+        """XOR ``payload`` with the next keystream bytes of this direction."""
+        if self._source is not None:
+            self._abandon()
+        unread = self._unread
+        if not unread:
+            return self._cipher.process(payload)
+        n, k = len(payload), len(unread)
+        self._unread = unread[n:]
+        return (xor_bytes(payload[:k], unread[:n])
+                + self._cipher.process(payload[k:]))
+
+    def process_many(self, payloads: list[bytes]) -> list[bytes]:
+        """:meth:`process` each payload in order: one cipher call, unless
+        keystream an abandon gave back has to be used up first."""
+        if self._source is not None:
+            self._abandon()
+        if not self._unread:
+            return self._cipher.process_many(payloads)
+        return [self.process(payload) for payload in payloads]
+
+    def process_ahead(self, payload: bytes, train: list[bytes] | None,
+                      index: int) -> tuple[bytes, list[bytes] | None]:
+        """:meth:`process` ``payload``, which is ``train[index]``; also
+        returns the train the result belongs to (see the module docstring)."""
+        if train is None:
+            return self.process(payload), None
+        if train is not self._source or index != self._next:
+            crypted = self.process_many(train[index:])
+            self._source, self._output = train, [None] * index + crypted
+        output = self._output
+        self._next = index + 1
+        if index + 1 == len(output):
+            self._source = self._output = None
+        return output[index], output
+
+
 class _RealLayer:
-    """Stateful keystream XOR, independent per direction."""
+    """Stateful keystream XOR, independent per direction.
+
+    Every entry point is its direction's method, bound once: the per-cell
+    path goes straight there, with no frame in between.
+    """
 
     def __init__(self, keys: CircuitKeys) -> None:
-        self._fwd = StreamCipher(keys.kf, nonce=b"layer-f")
-        self._bwd = StreamCipher(keys.kb, nonce=b"layer-b")
-
-    def forward(self, payload: bytes) -> bytes:
-        """Apply the forward-direction layer."""
-        return self._fwd.process(payload)
-
-    def backward(self, payload: bytes) -> bytes:
-        """Apply the backward-direction layer."""
-        return self._bwd.process(payload)
-
-    def forward_many(self, payloads: list[bytes]) -> list[bytes]:
-        """Apply the forward layer to consecutive payloads in one batch."""
-        return self._fwd.process_many(payloads)
-
-    def backward_many(self, payloads: list[bytes]) -> list[bytes]:
-        """Apply the backward layer to consecutive payloads in one batch."""
-        return self._bwd.process_many(payloads)
+        fwd = self._fwd = _Direction(keys.kf, b"layer-f")
+        bwd = self._bwd = _Direction(keys.kb, b"layer-b")
+        self.forward, self.backward = fwd.process, bwd.process
+        self.forward_many, self.backward_many = fwd.process_many, bwd.process_many
+        self.forward_ahead, self.backward_ahead = fwd.process_ahead, bwd.process_ahead
 
 
 class _FastLayer:
@@ -100,6 +167,14 @@ class _FastLayer:
     def backward_many(self, payloads: list[bytes]) -> list[bytes]:
         """Apply the backward layer to each payload."""
         return [self.backward(p) for p in payloads]
+
+    def forward_ahead(self, payload: bytes, _train, _index) -> tuple:
+        """A pad has no stream position to read ahead from: no train."""
+        return self.forward(payload), None
+
+    def backward_ahead(self, payload: bytes, _train, _index) -> tuple:
+        """A pad has no stream position to read ahead from: no train."""
+        return self.backward(payload), None
 
 
 class HopCrypto:
@@ -144,6 +219,22 @@ class HopCrypto:
         _CELLS_BWD.value += len(payloads)
         return self._layer.backward_many(payloads)
 
+    def crypt_forward_ahead(self, payload: bytes, train: list[bytes] | None,
+                            index: int) -> tuple[bytes, list[bytes] | None]:
+        """:meth:`crypt_forward` for a delivered cell: ``payload`` is
+        ``train[index]`` of the burst its sender batched, or ``train`` is
+        ``None``.  Returns the crypted payload and the train it is now
+        part of, for the next hop to read ahead over in its turn."""
+        _CELLS_FWD.value += 1
+        return self._layer.forward_ahead(payload, train, index)
+
+    def crypt_backward_ahead(self, payload: bytes, train: list[bytes] | None,
+                             index: int) -> tuple[bytes, list[bytes] | None]:
+        """:meth:`crypt_backward` for a delivered cell; see
+        :meth:`crypt_forward_ahead`."""
+        _CELLS_BWD.value += 1
+        return self._layer.backward_ahead(payload, train, index)
+
     # -- digests ---------------------------------------------------------
 
     def _digest(self, direction: str, seq: int, payload_zero_digest: bytes) -> bytes:
@@ -184,7 +275,7 @@ class HopCrypto:
         # one copy plus an in-place splice, not two slices and a concat.
         zeroed = bytearray(payload)
         zeroed[4:8] = b"\x00\x00\x00\x00"
-        seq = self._recv_seq[FORWARD if direction == FORWARD else BACKWARD]
+        seq = self._recv_seq[direction]
         expected = self._digest(direction, seq, zeroed)
         if expected != parsed.digest:
             return None

@@ -102,9 +102,10 @@ class ExitStream:
 
         Everything both windows permit is sealed and crypted as one batch
         (one keystream pull for the whole burst) — the cells, their order,
-        and their send times are identical to pumping one at a time.
+        and their send times are identical to pumping one at a time.  Once
+        the origin has closed and the queue is empty, END the stream.
         """
-        while (self.pending and self.open
+        while (self.pending
                and self.package_window > 0 and self.entry.package_window > 0):
             n = min(len(self.pending), self.package_window,
                     self.entry.package_window)
@@ -112,18 +113,18 @@ class ExitStream:
             self.package_window -= n
             self.entry.package_window -= n
             self.relay._reply_many(self.entry, self.stream_id, chunks)
+        if not self.open and not self.pending:
+            self.relay._end_stream(self.entry, self.stream_id, "done")
+            self.entry.streams.pop(self.stream_id, None)
 
     def _on_external_close(self, _conn: Connection) -> None:
+        """The origin is done: half-close.  Nothing more is accepted from
+        it, but what it already sent keeps draining as SENDMEs open the
+        windows, and :meth:`pump` sends END behind the last byte."""
         if not self.open:
             return
-        if self.pending:
-            # Flush whatever flow control permits, then END.
-            self.pump()
         self.open = False
-        self.relay._reply(self.entry, RelayCellPayload(
-            command=RelayCommand.END, stream_id=self.stream_id,
-            data=canonical_encode({"reason": "done"})))
-        self.entry.streams.pop(self.stream_id, None)
+        self.pump()
 
     # -- client -> external (forward) ----------------------------------------
 
@@ -142,8 +143,9 @@ class ExitStream:
                 command=RelayCommand.SENDME, stream_id=self.stream_id, data=b""))
 
     def close(self) -> None:
-        """Tear down from the circuit side."""
+        """Tear down from the circuit side; bytes still queued are dropped."""
         self.open = False
+        self.pending.clear()
         self.conn.close()
 
 
@@ -301,7 +303,8 @@ class Relay:
     # -- relay cell processing ---------------------------------------------------
 
     def _relay_forward(self, entry: CircuitEntry, cell: Cell) -> None:
-        payload = entry.crypto.crypt_forward(cell.payload)
+        payload, train = entry.crypto.crypt_forward_ahead(
+            cell.payload, cell.train, cell.index)
         parsed = entry.crypto.open_payload(payload, FORWARD)
         if parsed is not None:
             self._handle_recognized(entry, parsed)
@@ -311,6 +314,7 @@ class Relay:
             # once it reaches us, and pass-through is the per-cell hot path.
             cell.circ_id = entry.circ_id_next
             cell.payload = payload
+            cell.train = train
             self._send_cell(entry.conn_next, cell)
             return
         if entry.joined is not None:
@@ -324,7 +328,8 @@ class Relay:
 
     def _relay_backward(self, entry: CircuitEntry, cell: Cell) -> None:
         cell.circ_id = entry.circ_id_prev
-        cell.payload = entry.crypto.crypt_backward(cell.payload)
+        cell.payload, cell.train = entry.crypto.crypt_backward_ahead(
+            cell.payload, cell.train, cell.index)
         self._send_cell(entry.conn_prev, cell)
 
     _RELAY_HANDLERS = {
@@ -547,9 +552,11 @@ class Relay:
         ]
         conn_prev = entry.conn_prev
         circ_id_prev = entry.circ_id_prev
-        for payload in crypto.crypt_backward_many(sealed):
-            self._send_cell(conn_prev,
-                            Cell(circ_id_prev, CellCommand.RELAY, payload))
+        payloads = crypto.crypt_backward_many(sealed)
+        train = payloads if len(payloads) > 1 else None
+        for index, payload in enumerate(payloads):
+            self._send_cell(conn_prev, Cell(circ_id_prev, CellCommand.RELAY,
+                                            payload, train, index))
 
     def _send_cell(self, conn: Connection, cell: Cell) -> None:
         try:

@@ -44,3 +44,22 @@ def run_thread(net, fn, name="test", until=None):
     simulation to completion; returns the actor's result."""
     thread = net.sim.spawn(fn, name=name)
     return net.sim.run_until_done(thread, until=until)
+
+
+def bulk_origin(net, body: bytes, host="origin.example", port=80):
+    """A raw origin on ``net``: answers ``b"GET"`` with ``body`` and counts
+    every other byte it is sent into the one-element list it returns."""
+    origin = net.create_node("origin", bandwidth=12_500_000.0)
+    net.network.register_dns(host, origin)
+    sunk = [0]
+
+    def accept(conn):
+        def on_message(_conn, payload, _size):
+            if payload == b"GET":
+                conn.send(origin, body)
+            else:
+                sunk[0] += len(payload)
+        conn.endpoint_of(origin).on_message = on_message
+
+    origin.listen(port, accept)
+    return sunk

@@ -16,13 +16,16 @@ import repro.netsim.connection as connection_mod
 from repro.crypto.stream import ReferenceCipher, StreamCipher, stream_xor
 from repro.netsim.connection import Connection, LoopbackConnection
 from repro.netsim.network import Network
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import Simulator, Sleep
 from repro.perf.counters import counters
 from repro.perf.report import render_report
 from repro.perf.timing import reset_sections, section_times, timed_section
 from repro.tor.cell import RelayCellPayload, RelayCommand
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
 from repro.tor.ntor import CircuitKeys
+from repro.tor.testnet import TorTestNetwork
+
+from conftest import bulk_origin, run_thread
 
 
 def _sha(data: bytes) -> str:
@@ -178,6 +181,40 @@ class TestGoldenLayerCrypto:
         assert batched.crypt_forward_many(list(payloads)) == expect_f
         expect_b = [one_by_one.crypt_backward(p) for p in payloads]
         assert batched.crypt_backward_many(list(payloads)) == expect_b
+
+
+class TestTrainsAreReadAhead:
+    """A bulk transfer calls the cipher once per burst per hop, not once per
+    cell per hop.  Pinned as a count, so a return to peeling cell by cell
+    fails here whatever the machine's speed."""
+
+    @pytest.mark.parametrize("direction", ["put", "get"])
+    def test_one_cipher_call_per_ten_layer_applications(self, direction):
+        size = 1_000_000
+        net = TorTestNetwork(n_relays=6, seed="volume-pin")
+        sunk = bulk_origin(net, bytes(size))
+        client = net.create_client()
+
+        def main(thread):
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("origin.example", 80))
+            stream = yield from circuit.open_stream(
+                thread, "origin.example", 80)
+            counters.reset()
+            if direction == "get":
+                stream.send(b"GET")
+                body = yield from stream.recv(thread, timeout=60.0,
+                                              min_bytes=size)
+                assert len(body) == size
+            else:
+                stream.send(bytes(size))
+                while sunk[0] < size:
+                    yield Sleep(0.05)
+            return counters.snapshot()
+
+        snapshot = run_thread(net, main)
+        assert snapshot["cells_crypted"] > 3 * size // 498
+        assert snapshot["hash_calls"] * 10 <= snapshot["cells_crypted"], snapshot
 
 
 def _two_node_net():

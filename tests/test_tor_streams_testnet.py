@@ -122,6 +122,45 @@ class TestStreamEdgeCases:
         run_thread(net, main)
 
 
+class TestExitHalfClose:
+    """An origin that closes while flow control still holds its bytes at the
+    exit: the client must get every byte, then EOF."""
+
+    BODY = 600_000     # 1205 cells: past the stream window and the circuit's
+
+    @pytest.mark.parametrize("close_after_s", [0.2, 0.5, 1.0])
+    def test_download_is_complete_when_origin_closes_early(self, close_after_s):
+        net = TorTestNetwork(n_relays=6, seed="half-close")
+        origin = net.create_node("origin", bandwidth=12_500_000.0)
+        net.network.register_dns("origin.example", origin)
+
+        def accept(conn):
+            conn.send(origin, bytes(self.BODY))
+            net.sim.schedule(close_after_s, conn.close)
+
+        origin.listen(80, accept)
+        client = net.create_client()
+
+        def main(thread):
+            circuit = yield from client.build_circuit(
+                thread, exit_to=("origin.example", 80))
+            stream = yield from circuit.open_stream(thread, "origin.example", 80)
+            received = 0
+            while True:
+                data = yield from stream.recv(thread, timeout=60.0)
+                if not data:
+                    break
+                received += len(data)
+            exit_streams = [entry.streams for relay in net.relays
+                            for entry, _side in relay._routes.values()]
+            circuit.close()
+            return received, exit_streams
+
+        received, exit_streams = run_thread(net, main)
+        assert received == self.BODY
+        assert not any(exit_streams)   # END was sent, the exit let go
+
+
 class TestImages:
     def test_registry(self):
         from repro.core.errors import ImageUnavailable
