@@ -340,7 +340,7 @@ class Connection:
                 nbytes, self._chunk_arrived, self.latency,
                 (receiver, payload, nbytes, nbytes))
             if on_sent is not None:
-                self.sim.schedule_at(finish, on_sent)
+                self.sim.post_at(finish, on_sent)
             return
         chunk_size = self.chunk_size
         chunks = []
@@ -376,13 +376,13 @@ class Connection:
             uplink.transmit(chunk, self._chunk_arrived, self.latency,
                             (receiver, payload, nbytes, chunk))
             if on_sent is not None:
-                self.sim.schedule_at(uplink._busy_until, on_sent)
+                self.sim.post_at(uplink._busy_until, on_sent)
         else:
             uplink.transmit(chunk, receiver.downlink.transmit, self.latency,
                             (chunk,))
-            self.sim.schedule_at(uplink._busy_until, self._run_chunks, sender,
-                                 receiver, payload, nbytes, on_sent, chunks,
-                                 index + 1)
+            self.sim.post_at(uplink._busy_until, self._run_chunks,
+                             (sender, receiver, payload, nbytes, on_sent,
+                              chunks, index + 1))
 
     def _deliver(self, receiver: Node, payload: Any, size: int) -> None:
         if self.closed:
@@ -508,16 +508,16 @@ class LoopbackConnection:
         """Send bytes to the peer."""
         if self.closed:
             raise ConnectionClosed("send on closed loopback connection")
-        nbytes = _message_size(payload, size)
-
-        def _deliver() -> None:
-            peer = self._peer
-            if peer is not None and not peer.closed:
-                peer._endpoint._deliver(peer, payload, nbytes)
-
-        self.sim.schedule(self.LOOPBACK_DELAY, _deliver)
+        sim = self.sim
+        sim.post_at(sim.now + self.LOOPBACK_DELAY, self._deliver_to_peer,
+                    (payload, _message_size(payload, size)))
         if on_sent is not None:
-            self.sim.schedule(0.0, on_sent)
+            sim.post_at(sim.now, on_sent)
+
+    def _deliver_to_peer(self, payload: Any, nbytes: int) -> None:
+        peer = self._peer
+        if peer is not None and not peer.closed:
+            peer._endpoint._deliver(peer, payload, nbytes)
 
     def receive(self, _node: Node, thread, timeout: Optional[float] = None) -> Any:
         """Blocking receive of the next queued payload."""

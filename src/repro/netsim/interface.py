@@ -74,7 +74,7 @@ class Interface:
             for tap in self._taps:
                 tap(finish, nbytes)
         if then is not None:
-            self.sim.schedule_at(finish + extra_delay, then, *then_args)
+            self.sim.post_at(finish + extra_delay, then, then_args)
         return finish
 
     @property

@@ -187,7 +187,7 @@ class HalfConnection:
             finish = self.local.uplink.transmit(
                 nbytes, self._emit_final, 0.0, (payload, nbytes, nbytes))
             if on_sent is not None:
-                self.sim.schedule_at(finish, on_sent)
+                self.sim.post_at(finish, on_sent)
             return
         chunk_size = self.chunk_size
         chunks = []
@@ -209,11 +209,11 @@ class HalfConnection:
             uplink.transmit(chunk, self._emit_final, 0.0,
                             (payload, nbytes, chunk))
             if on_sent is not None:
-                self.sim.schedule_at(uplink._busy_until, on_sent)
+                self.sim.post_at(uplink._busy_until, on_sent)
         else:
             uplink.transmit(chunk, self._emit_chunk, 0.0, (chunk,))
-            self.sim.schedule_at(uplink._busy_until, self._run_chunks,
-                                 payload, nbytes, on_sent, chunks, index + 1)
+            self.sim.post_at(uplink._busy_until, self._run_chunks,
+                             (payload, nbytes, on_sent, chunks, index + 1))
 
     def _emit_chunk(self, chunk: int) -> None:
         # Runs at the chunk's uplink-finish time; the single-process
@@ -426,8 +426,8 @@ class ShardContext:
         t_complete = self.sim.now + handshake_rtts * 2.0 * latency
         self.emit(remote.shard_id, t_complete,
                   ("dial", key, initiator.name, remote.name, port, latency))
-        self.sim.schedule_at(t_complete, self._dial_complete, future,
-                             initiator, remote, port, latency, key)
+        self.sim.post_at(t_complete, self._dial_complete,
+                         (future, initiator, remote, port, latency, key))
         return future
 
     def _dial_complete(self, future: Future, initiator: Node,
@@ -531,7 +531,7 @@ class _ShardRunner:
         ctx = self.ctx
         ctx.epoch_end = t_end if t_end is not None else math.inf
         for delivery, _origin_shard, _origin_seq, event in incoming:
-            self.sim.schedule_at(delivery, ctx.apply_cross, event)
+            self.sim.post_at(delivery, ctx.apply_cross, (event,))
         processed = self.sim.run(until=t_end, max_events=budget)
         self.events_processed += processed
         outbox, ctx.outbox = ctx.outbox, []

@@ -19,22 +19,30 @@ schedules.  Events run in ``(time, seq)`` order, ``seq`` being the order
 in which they were scheduled, so which calls a suspension makes, and in
 what order, is part of that contract and golden traces pin it.
 
-The queue is two containers under that one order.  An event due later
-goes into a heap of ``(time, seq, event)`` tuples (comparisons run on
-C-level tuples).  An event due at the instant it is scheduled --
-``schedule(0.0, ...)``, a past ``schedule_at``, every ``Future`` callback
-and so every task wake-up -- needs a place in line, not a priority queue:
-it is appended to a FIFO run queue, sorted by construction (its time is
-``now``, its ``seq`` the largest yet).  :meth:`Simulator.run` takes the
-smaller head: the run queue's, unless a heap entry due at the same
-instant was scheduled first (DESIGN.md §11 has the measurements).
+The queue entry is the event: ``(time, seq, fn, args, handle)``, compared
+as a C-level tuple (``seq`` is unique, so comparison never reaches
+``fn``).  ``handle`` is an :class:`Event` only for a caller that may
+cancel -- :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`
+return one, and the timer slots, bulk transfers and fault schedules keep
+it.  Everything else posts through :meth:`Simulator.post_at` and carries
+``None``: every ``Future`` callback and so every task wake-up, ``spawn``,
+``Sleep``, and every link and loopback completion of the network model.
+
+The queue is two containers under that one order.  An entry due later
+goes into a heap.  An entry due at the instant it is scheduled -- a zero
+delay, a past time, every ``Future`` callback -- needs a place in line,
+not a priority queue: it is appended to a FIFO run queue, sorted by
+construction (its time is ``now``, its ``seq`` the largest yet).
+:meth:`Simulator.run` takes the smaller head: the run queue's, unless a
+heap entry due at the same instant was scheduled first (DESIGN.md §11 has
+the measurements).
 
 Cancellation is lazy in both: a cancelled entry stays queued as a
 tombstone until it reaches the front or until :meth:`Simulator.run`
 compacts both containers because tombstones outnumber live entries
 (timeout-heavy workloads otherwise accumulate far-future garbage without
-bound).  An event that has left the queue has its ``fn`` replaced by a
-sentinel, so a late ``cancel()`` counts nothing.
+bound).  A handle whose entry has left the queue loses its back-pointer,
+so a late ``cancel()`` counts nothing.
 
 Timeouts use a *timer slot* per actor: an actor has at most one
 outstanding wait, so its timeout owns a single reusable queue entry.
@@ -43,8 +51,8 @@ that a later wait resurrects in place) instead of abandoning one
 tombstone per wait.  A wait allocates no closure: the slot stores the
 deadline and the wait's generation, and the wake-up is the bound
 ``_wait_woken`` registered with the generation as its argument.  What a
-wait still allocates is what ordering needs: the wake :class:`Event`,
-its queue entry, and the callback record on the future.
+wait still allocates is what ordering needs: the wake's queue entry and
+the callback record on the future.
 """
 
 from __future__ import annotations
@@ -75,11 +83,6 @@ _COMPACT_MIN_CANCELLED = 64
 _INF = float("inf")
 
 
-def _discarded() -> None:  # pragma: no cover - never invoked
-    """Sentinel ``fn`` stamped on an event once it leaves the queue (run, or
-    dropped as a tombstone): it can no longer be cancelled or resurrected."""
-
-
 class SimulationError(ReproError):
     """Raised for scheduler misuse (e.g., blocking outside an actor)."""
 
@@ -89,26 +92,23 @@ class SimTimeoutError(ReproError):
 
 
 class Event:
-    """A scheduled callback.  Returned by :meth:`Simulator.schedule`."""
+    """A cancellable handle on one queue entry.  Returned by
+    :meth:`Simulator.schedule` / :meth:`Simulator.schedule_at`."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "_sim")
+    __slots__ = ("time", "cancelled", "_sim")
 
-    def __init__(self, time: float, seq: int, fn: Callable, args: tuple,
-                 sim: Optional["Simulator"] = None) -> None:
+    def __init__(self, time: float, sim: "Simulator") -> None:
         self.time = time
-        self.seq = seq
-        self.fn = fn
-        self.args = args
         self.cancelled = False
-        self._sim = sim
+        self._sim: Optional["Simulator"] = sim  # None once off the queue
 
     def cancel(self) -> None:
         """Prevent the callback from running.  Safe to call repeatedly, and
         a no-op once the event has run."""
-        if not self.cancelled and self.fn is not _discarded:
+        sim = self._sim
+        if sim is not None and not self.cancelled:
             self.cancelled = True
-            if self._sim is not None:
-                self._sim._cancelled += 1
+            sim._cancelled += 1
 
 
 class Future:
@@ -245,7 +245,7 @@ class SimTask:
         self._timer_deadline = deadline
         self._timer_generation = generation
         event = self._timer_event
-        if event is not None and event.fn is _discarded:
+        if event is not None and event._sim is None:
             event = self._timer_event = None    # left the queue while disarmed
         if event is None:
             self._timer_event = self.sim.schedule_at(deadline, self._timer_fire)
@@ -324,7 +324,7 @@ class SimTask:
                         exc = SimulationError(f"cannot sleep for {duration!r}s")
                         continue
                     future = Future(sim)
-                    sim.schedule(duration, future.resolve, None)
+                    sim.post_at(sim.now + duration, future.resolve, (None,))
                     timeout = None
                 elif kind is Wait:
                     future = request.future
@@ -440,8 +440,8 @@ class Simulator:
     def __init__(self, seed: int | str = 0) -> None:
         self.now = 0.0
         self.rng = DeterministicRandom(seed)
-        self._heap: list[tuple[float, int, Event]] = []      # due later
-        self._ready: deque[tuple[float, int, Event]] = deque()  # due now
+        self._heap: list[tuple] = []            # entries due later
+        self._ready: deque[tuple] = deque()     # entries due now
         self._seq = 0
         self._seq_counted = 0   # events_scheduled accounted up to this seq
         self._cancelled = 0
@@ -460,31 +460,38 @@ class Simulator:
         return self.schedule_at(self.now + delay, fn, *args)
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
-        """Run ``fn(*args)`` at absolute simulated time ``time``.
+        """Run ``fn(*args)`` at absolute simulated time ``time``; returns a
+        handle that can cancel it.
 
         Past times clamp to now (negative and non-finite ones are refused).
         Future times are used *exactly* — no round trip through a relative
         delay — so completion times computed ahead of time (bulk transfers)
         land on the same floats the chunked event cascade would produce.
         """
-        if not 0.0 <= time < _INF:
-            raise SimulationError(f"cannot schedule at t={time!r}")
-        if time <= self.now:
-            return self._soon(fn, args)
-        seq = self._seq
-        self._seq = seq + 1
-        event = Event(time, seq, fn, args, self)
-        heapq.heappush(self._heap, (time, seq, event))
+        event = Event(max(time, self.now), self)
+        self.post_at(time, fn, args, event)
         return event
 
-    def _soon(self, fn: Callable, args: tuple) -> Event:
-        """Run ``fn(*args)`` at this instant, after everything already due."""
-        now = self.now
+    def post_at(self, time: float, fn: Callable, args: tuple = (),
+                handle: Optional[Event] = None) -> None:
+        """:meth:`schedule_at` for a caller that will never cancel: same
+        checks, same place in ``(time, seq)`` order, no :class:`Event`.
+        ``args`` is the argument tuple as is; ``handle`` is how
+        ``schedule_at`` attaches the one it returns."""
+        if not 0.0 <= time < _INF:
+            raise SimulationError(f"cannot schedule at t={time!r}")
         seq = self._seq
         self._seq = seq + 1
-        event = Event(now, seq, fn, args, self)
-        self._ready.append((now, seq, event))
-        return event
+        if time <= self.now:
+            self._ready.append((self.now, seq, fn, args, handle))
+        else:
+            heapq.heappush(self._heap, (time, seq, fn, args, handle))
+
+    def _soon(self, fn: Callable, args: tuple) -> None:
+        """Run ``fn(*args)`` at this instant, after everything already due."""
+        seq = self._seq
+        self._seq = seq + 1
+        self._ready.append((self.now, seq, fn, args, None))
 
     # -- actors ------------------------------------------------------------
 
@@ -492,9 +499,11 @@ class Simulator:
               delay: float = 0.0) -> Actor:
         """Create an actor from a generator function ``fn(task, *args)``;
         it starts after ``delay`` sim-seconds."""
+        if not 0.0 <= delay < _INF:
+            raise SimulationError(f"cannot spawn with a delay of {delay!r}s")
         actor = SimTask(self, name, fn, args)
         _TASKS_SPAWNED.value += 1
-        self.schedule(delay, actor._start)
+        self.post_at(self.now + delay, actor._start)
         return actor
 
     # -- running ------------------------------------------------------------
@@ -525,14 +534,14 @@ class Simulator:
                 # heap entry due at the same instant was scheduled before it.
                 from_ready = ready and not (heap and heap[0] < ready[0])
                 if from_ready:
-                    time, _seq, event = ready[0]
+                    time, _seq, fn, args, handle = ready[0]
                 elif heap:
-                    time, _seq, event = heap[0]
+                    time, _seq, fn, args, handle = heap[0]
                 else:
                     break
-                if event.cancelled:
+                if handle is not None and handle.cancelled:
                     popleft() if from_ready else pop(heap)
-                    event.fn = _discarded
+                    handle._sim = None
                     self._cancelled -= 1
                     continue
                 if time > horizon:
@@ -541,9 +550,9 @@ class Simulator:
                     raise SimulationError(f"exceeded {max_events} events; runaway simulation?")
                 popleft() if from_ready else pop(heap)
                 self.now = time
-                fn = event.fn
-                event.fn = _discarded   # left the queue: a late cancel() is a no-op
-                fn(*event.args)
+                if handle is not None:
+                    handle._sim = None  # left the queue: a late cancel() is a no-op
+                fn(*args)
                 processed += 1
                 cancelled = self._cancelled
                 if cancelled >= _COMPACT_MIN_CANCELLED and cancelled * 2 > len(heap) + len(ready):
@@ -571,8 +580,9 @@ class Simulator:
         for queue in (self._heap, self._ready):
             live = []
             for entry in queue:
-                if entry[2].cancelled:
-                    entry[2].fn = _discarded
+                handle = entry[4]
+                if handle is not None and handle.cancelled:
+                    handle._sim = None
                 else:
                     live.append(entry)
             queue.clear()
@@ -596,11 +606,11 @@ class Simulator:
         heap, ready = self._heap, self._ready
         while ready or heap:
             queue = ready if ready and not (heap and heap[0] < ready[0]) else heap
-            time, _seq, event = queue[0]
-            if not event.cancelled:
+            time, _seq, _fn, _args, handle = queue[0]
+            if handle is None or not handle.cancelled:
                 return time
             ready.popleft() if queue is ready else heapq.heappop(heap)
-            event.fn = _discarded
+            handle._sim = None
             self._cancelled -= 1
         return _INF
 

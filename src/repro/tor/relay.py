@@ -38,7 +38,11 @@ from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
 from repro.tor import ntor
 from repro.crypto.rsa import RsaKeyPair
 from repro.util.errors import ProtocolError
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import (
+    SerializationError,
+    canonical_decode,
+    canonical_encode,
+)
 
 CIRCUIT_PACKAGE_WINDOW = 1000
 CIRCUIT_SENDME_INCREMENT = 100
@@ -49,6 +53,23 @@ _conn_ids = itertools.count(1)
 
 # Cached registry handle (the registry resets in place, so this survives).
 _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
+
+
+def _decode_request(data: bytes, **fields: type) -> list:
+    """The named fields of a relay request, in the order named.  The bytes
+    are the sender's to choose: anything but a dict holding each field with
+    exactly the named type is a :class:`ProtocolError`, which costs the
+    sender its circuit and the relay nothing."""
+    try:
+        request = canonical_decode(data)
+    except SerializationError as exc:
+        raise ProtocolError(f"malformed relay request: {exc}") from exc
+    if not isinstance(request, dict):
+        raise ProtocolError("relay request is not a dict")
+    for name, kind in fields.items():
+        if type(request.get(name)) is not kind:
+            raise ProtocolError(f"relay request needs {kind.__name__} {name!r}")
+    return [request[name] for name in fields]
 
 
 def _conn_uid(conn: Connection) -> int:
@@ -355,9 +376,8 @@ class Relay:
     # -- relay commands -----------------------------------------------------------
 
     def _cmd_extend(self, entry: CircuitEntry, parsed: RelayCellPayload) -> None:
-        request = canonical_decode(parsed.data)
-        address, port = request["address"], int(request["port"])
-        onionskin = request["onionskin"]
+        address, port, onionskin = _decode_request(
+            parsed.data, address=str, port=int, onionskin=bytes)
         new_circ_id = next(self._circ_id_counter) | (1 << 16)
 
         def _with_conn(conn: Connection) -> None:
@@ -390,8 +410,7 @@ class Relay:
         future.add_done_callback(_connected)
 
     def _cmd_begin(self, entry: CircuitEntry, parsed: RelayCellPayload) -> None:
-        request = canonical_decode(parsed.data)
-        host, port = request["host"], int(request["port"])
+        host, port = _decode_request(parsed.data, host=str, port=int)
         stream_id = parsed.stream_id
         try:
             address = self.network.resolve(host)
@@ -473,8 +492,7 @@ class Relay:
 
     def _cmd_establish_intro(self, entry: CircuitEntry,
                              parsed: RelayCellPayload) -> None:
-        request = canonical_decode(parsed.data)
-        auth_key = request["auth"]
+        (auth_key,) = _decode_request(parsed.data, auth=str)
         entry.intro_for = auth_key
         self._intro_circuits[auth_key] = entry
         self._reply(entry, RelayCellPayload(
@@ -482,8 +500,8 @@ class Relay:
 
     def _cmd_introduce1(self, entry: CircuitEntry,
                         parsed: RelayCellPayload) -> None:
-        request = canonical_decode(parsed.data)
-        intro_entry = self._intro_circuits.get(request["service"])
+        service, blob = _decode_request(parsed.data, service=str, blob=bytes)
+        intro_entry = self._intro_circuits.get(service)
         if intro_entry is None or intro_entry.destroyed:
             self._reply(entry, RelayCellPayload(
                 command=RelayCommand.INTRODUCE_ACK, stream_id=0,
@@ -491,30 +509,29 @@ class Relay:
             return
         self._reply(intro_entry, RelayCellPayload(
             command=RelayCommand.INTRODUCE2, stream_id=0,
-            data=canonical_encode({"blob": request["blob"]})))
+            data=canonical_encode({"blob": blob})))
         self._reply(entry, RelayCellPayload(
             command=RelayCommand.INTRODUCE_ACK, stream_id=0,
             data=canonical_encode({"status": "ok"})))
 
     def _cmd_establish_rendezvous(self, entry: CircuitEntry,
                                   parsed: RelayCellPayload) -> None:
-        request = canonical_decode(parsed.data)
-        cookie = request["cookie"]
+        (cookie,) = _decode_request(parsed.data, cookie=bytes)
         self._rend_waiting[cookie] = entry
         self._reply(entry, RelayCellPayload(
             command=RelayCommand.RENDEZVOUS_ESTABLISHED, stream_id=0, data=b""))
 
     def _cmd_rendezvous1(self, entry: CircuitEntry,
                          parsed: RelayCellPayload) -> None:
-        request = canonical_decode(parsed.data)
-        client_entry = self._rend_waiting.pop(request["cookie"], None)
+        cookie, blob = _decode_request(parsed.data, cookie=bytes, blob=bytes)
+        client_entry = self._rend_waiting.pop(cookie, None)
         if client_entry is None or client_entry.destroyed:
             raise ProtocolError("rendezvous cookie unknown")
         entry.joined = client_entry
         client_entry.joined = entry
         self._reply(client_entry, RelayCellPayload(
             command=RelayCommand.RENDEZVOUS2, stream_id=0,
-            data=canonical_encode({"blob": request["blob"]})))
+            data=canonical_encode({"blob": blob})))
 
     # -- helpers ----------------------------------------------------------------
 

@@ -123,7 +123,10 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         (length,) = struct.unpack(">I", _read(data, offset, 4))
         offset += 4
         raw = _read(data, offset, length)
-        return raw.decode("utf-8"), offset + length
+        try:
+            return raw.decode("utf-8"), offset + length
+        except UnicodeDecodeError as exc:
+            raise SerializationError("malformed string") from exc
     if tag == _TAG_BYTES:
         (length,) = struct.unpack(">I", _read(data, offset, 4))
         offset += 4

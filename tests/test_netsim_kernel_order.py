@@ -6,14 +6,19 @@ order: ``(time, seq)``.  The reference below keeps every event in one
 ``heapq`` under that key and nothing else, so it is the order by
 definition.  Random programs run on both and must agree on what ran,
 when, what each ``run()`` returned and what the counters say.
+
+An entry carries a handle only when its caller asked for one
+(``schedule`` / ``schedule_at``; ``post_at`` gives none), so the programs
+mix handled, handle-less, cancelled and resurrected events.
 """
 
 import heapq
+import itertools
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.netsim.simulator import SimulationError, Simulator, _discarded
+from repro.netsim.simulator import SimulationError, Simulator
 from repro.perf.counters import counters
 
 QUEUED, CANCELLED, GONE = "queued", "cancelled", "gone"
@@ -35,6 +40,9 @@ class ReferenceKernel:
         self.seq += 1
         heapq.heappush(self.heap, entry)
         return entry
+
+    def post_at(self, time, fn, args=()):
+        self.schedule_at(time, fn, *args)
 
     def _next_live(self):
         while self.heap and self.heap[0][4] == CANCELLED:
@@ -60,7 +68,8 @@ class ReferenceKernel:
 
 
 class OnReference:
-    """The program's four verbs, on the reference."""
+    """Cancel and resurrect, on the reference (starting and posting are
+    the kernel's own methods)."""
 
     def __init__(self):
         self.kernel = ReferenceKernel()
@@ -89,7 +98,7 @@ class OnSimulator:
         event.cancel()
 
     def resurrect(self, event):
-        if event.cancelled and event.fn is not _discarded:
+        if event.cancelled and event._sim is not None:   # still queued
             event.cancelled = False
             self.kernel._cancelled -= 1
 
@@ -101,15 +110,19 @@ class OnSimulator:
 # when it fires, logs itself and performs its actions; it may only start
 # handlers further down the table, so every program terminates.
 DELAYS = [0.0, 0.0, 0.0, 0.5, 1.0, 1.0, 2.5]
+TIMES = [0.0, 1.0, 2.0, 3.5]    # absolute, so often already past: must clamp
 _action = st.one_of(
     st.tuples(st.just("start"), st.integers(1, 6), st.sampled_from(DELAYS)),
-    st.tuples(st.just("start_at"), st.integers(1, 6), st.sampled_from([0.0, 1.0, 2.0, 3.5])),
+    st.tuples(st.just("start_at"), st.integers(1, 6), st.sampled_from(TIMES)),
+    st.tuples(st.just("post"), st.integers(1, 6), st.sampled_from(DELAYS)),
+    st.tuples(st.just("post_at"), st.integers(1, 6), st.sampled_from(TIMES)),
     st.tuples(st.just("cancel"), st.integers(0, 1000), st.just(0.0)),
     st.tuples(st.just("resurrect"), st.integers(0, 1000), st.just(0.0)),
 )
 _handlers = st.lists(st.lists(_action, max_size=4), min_size=1, max_size=25)
 _script = st.lists(st.one_of(
     st.tuples(st.just("start"), st.integers(0, 24), st.sampled_from(DELAYS)),
+    st.tuples(st.just("post"), st.integers(0, 24), st.sampled_from(DELAYS)),
     st.tuples(st.just("cancel"), st.integers(0, 1000), st.just(0.0)),
     st.tuples(st.just("resurrect"), st.integers(0, 1000), st.just(0.0)),
     st.tuples(st.just("epoch"), st.just(0), st.sampled_from([-1.0, 0.0, 0.5, 1.0, 4.0])),
@@ -122,17 +135,16 @@ def execute(side, handlers, script):
     """Run the program on one side; returns its full transcript."""
     kernel = side.kernel
     log = []
-    started = []        # every event ever scheduled, fired ones included
-
-    def start(index, delay, absolute=False):
-        schedule = kernel.schedule_at if absolute else kernel.schedule
-        started.append(schedule(delay, fire, index, len(started)))
+    started = []        # every handle ever returned, fired ones included
+    serials = itertools.count()
 
     def act(kind, number, amount, base=0):
-        if kind == "start":
-            start(base + number, amount)
-        elif kind == "start_at":
-            start(base + number, amount, absolute=True)
+        if kind in ("start", "start_at"):       # with a handle
+            schedule = kernel.schedule if kind == "start" else kernel.schedule_at
+            started.append(schedule(amount, fire, base + number, next(serials)))
+        elif kind in ("post", "post_at"):       # without one
+            time = kernel.now + amount if kind == "post" else amount
+            kernel.post_at(time, fire, (base + number, next(serials)))
         elif started:
             getattr(side, kind)(started[number % len(started)])
 
@@ -160,7 +172,7 @@ def execute(side, handlers, script):
 
 
 class TestOrderOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(deadline=None)    # max_examples: the profile in conftest.py
     @given(handlers=_handlers, script=_script)
     def test_same_order_as_one_heap(self, handlers, script):
         assert execute(OnSimulator(), handlers, script) == \

@@ -12,7 +12,6 @@ from repro.netsim.simulator import (
     Simulator,
     Sleep,
     Wait,
-    _discarded,
 )
 from repro.perf.counters import counters
 
@@ -281,6 +280,13 @@ class TestNonFiniteTimesRejected:
             sim.schedule_at(time, lambda: None)
         assert sim.queued == 0
 
+    @pytest.mark.parametrize("time", BAD_TIMES)
+    def test_post_at(self, time):
+        sim = Simulator()
+        with pytest.raises(SimulationError):
+            sim.post_at(time, lambda: None)
+        assert sim.queued == 0
+
     @pytest.mark.parametrize("delay", BAD_TIMES)
     def test_spawn_delay(self, delay):
         sim = Simulator()
@@ -355,7 +361,7 @@ class TestCancelAccounting:
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(
-        st.sampled_from(["schedule", "cancel", "resurrect", "run", "wait"]),
+        st.sampled_from(["schedule", "post", "cancel", "resurrect", "run", "wait"]),
         st.integers(0, 1000), st.sampled_from([0.0, 0.5, 1.0, 3.0])),
         max_size=60))
     def test_counts_queued_tombstones_under_any_mix(self, steps):
@@ -364,7 +370,7 @@ class TestCancelAccounting:
         futures = []
 
         def queued_tombstones():
-            return sum(entry[2].cancelled
+            return sum(entry[4] is not None and entry[4].cancelled
                        for queue in (sim._heap, sim._ready) for entry in queue)
 
         def waiter(task, timeout):
@@ -381,11 +387,13 @@ class TestCancelAccounting:
         for kind, pick, amount in steps:
             if kind == "schedule":
                 events.append(sim.schedule(amount, lambda: None))
+            elif kind == "post":                    # an entry with no handle
+                sim.post_at(sim.now + amount, lambda: None)
             elif kind == "cancel" and events:       # fired ones included
                 events[pick % len(events)].cancel()
             elif kind == "resurrect" and events:    # as SimTask._arm_timer does
                 event = events[pick % len(events)]
-                if event.cancelled and event.fn is not _discarded:
+                if event.cancelled and event._sim is not None:
                     event.cancelled = False
                     sim._cancelled -= 1
             elif kind == "run":

@@ -13,9 +13,12 @@ import hashlib
 import pytest
 
 import repro.netsim.connection as connection_mod
+import repro.netsim.simulator as simulator_mod
 from repro.crypto.stream import ReferenceCipher, StreamCipher, stream_xor
 from repro.netsim.connection import Connection, LoopbackConnection
 from repro.netsim.network import Network
+from repro.netsim.scenarios import MeshScenario
+from repro.netsim.shard import ShardedSimulator
 from repro.netsim.simulator import Simulator, Sleep
 from repro.perf.counters import counters
 from repro.perf.report import render_report
@@ -183,6 +186,35 @@ class TestGoldenLayerCrypto:
         assert batched.crypt_backward_many(list(payloads)) == expect_b
 
 
+def _bulk_over_three_hops(direction, size=1_000_000):
+    """One ``size``-byte put or get through three real-crypto hops.  Returns
+    the counters of the transfer alone; ``events_scheduled`` is accounted
+    when ``run()`` returns, so read that one off ``counters`` afterwards,
+    where it covers the whole run."""
+    net = TorTestNetwork(n_relays=6, seed="volume-pin")
+    sunk = bulk_origin(net, bytes(size))
+    client = net.create_client()
+
+    def main(thread):
+        circuit = yield from client.build_circuit(
+            thread, exit_to=("origin.example", 80))
+        stream = yield from circuit.open_stream(
+            thread, "origin.example", 80)
+        counters.reset()
+        if direction == "get":
+            stream.send(b"GET")
+            body = yield from stream.recv(thread, timeout=60.0,
+                                          min_bytes=size)
+            assert len(body) == size
+        else:
+            stream.send(bytes(size))
+            while sunk[0] < size:
+                yield Sleep(0.05)
+        return counters.snapshot()
+
+    return run_thread(net, main)
+
+
 class TestTrainsAreReadAhead:
     """A bulk transfer calls the cipher once per burst per hop, not once per
     cell per hop.  Pinned as a count, so a return to peeling cell by cell
@@ -191,30 +223,47 @@ class TestTrainsAreReadAhead:
     @pytest.mark.parametrize("direction", ["put", "get"])
     def test_one_cipher_call_per_ten_layer_applications(self, direction):
         size = 1_000_000
-        net = TorTestNetwork(n_relays=6, seed="volume-pin")
-        sunk = bulk_origin(net, bytes(size))
-        client = net.create_client()
-
-        def main(thread):
-            circuit = yield from client.build_circuit(
-                thread, exit_to=("origin.example", 80))
-            stream = yield from circuit.open_stream(
-                thread, "origin.example", 80)
-            counters.reset()
-            if direction == "get":
-                stream.send(b"GET")
-                body = yield from stream.recv(thread, timeout=60.0,
-                                              min_bytes=size)
-                assert len(body) == size
-            else:
-                stream.send(bytes(size))
-                while sunk[0] < size:
-                    yield Sleep(0.05)
-            return counters.snapshot()
-
-        snapshot = run_thread(net, main)
+        snapshot = _bulk_over_three_hops(direction, size)
         assert snapshot["cells_crypted"] > 3 * size // 498
         assert snapshot["hash_calls"] * 10 <= snapshot["cells_crypted"], snapshot
+
+
+class TestHandlesAreForCancelling:
+    """A queue entry carries an ``Event`` only for a caller that may cancel
+    it.  Pinned as a count of constructions, so a return to an object per
+    event fails here whatever the machine's speed."""
+
+    @pytest.fixture()
+    def handles(self, monkeypatch):
+        made = []
+
+        class CountedEvent(simulator_mod.Event):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                made.append(1)
+                super().__init__(*args)
+
+        monkeypatch.setattr(simulator_mod, "Event", CountedEvent)
+        return made
+
+    def test_bulk_get_takes_one_handle_per_hundred_events(self, handles):
+        _bulk_over_three_hops("get")
+        assert counters.events_scheduled > 10_000
+        assert len(handles) * 100 <= counters.events_scheduled
+
+    def test_mesh_session_takes_no_more_handles_than_it_arms_timers(
+            self, handles, monkeypatch):
+        arms = []
+        arm_timer = simulator_mod.SimTask._arm_timer
+        monkeypatch.setattr(
+            simulator_mod.SimTask, "_arm_timer",
+            lambda task, *args: arms.append(1) or arm_timer(task, *args))
+        scenario = MeshScenario(seed=5, n_sessions=40, n_groups=2,
+                                nodes_per_group=4, messages_per_session=3)
+        result = ShardedSimulator(scenario, workers=1, seed=5).run()
+        assert len(result["records"]) == 40
+        assert 0 < len(handles) <= len(arms)
 
 
 def _two_node_net():

@@ -89,3 +89,11 @@ class TestRejection:
     def test_unknown_tag_rejected(self):
         with pytest.raises(SerializationError):
             canonical_decode(b"Z")
+
+    def test_string_that_is_not_utf8_rejected(self):
+        # UnicodeDecodeError is a ValueError but not the documented error:
+        # a caller catching SerializationError must see this one too.
+        for blob in (b"S\x00\x00\x00\x02\xff\xfe",
+                     canonical_encode({"k": "v"}).replace(b"v", b"\xff")):
+            with pytest.raises(SerializationError):
+                canonical_decode(blob)
