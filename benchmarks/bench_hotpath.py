@@ -8,8 +8,7 @@ simulated seconds) for the workloads the hot-path optimizations target:
   ``sim.now``) are asserted bit-identical to the pre-optimization
   implementation: every optimization must be timing-invisible.
 * ``fanin``  — N clients download concurrently from one server, which
-  keeps the shared interfaces contended (bulk transfers repeatedly
-  preempted back to the chunked path).
+  keeps the shared interfaces contended.
 * ``micro``  — raw keystream generation throughput.
 
 Results (plus the perf-counter totals) are written to
@@ -165,7 +164,7 @@ def main(argv: list[str] | None = None) -> int:
     assert fast["bytes"] == size and real["bytes"] == size
     # The optimizations must be invisible in simulated time: both crypto
     # modes see identical transfer timing (crypto costs no simulated time),
-    # independent of batching/coalescing decisions.
+    # independent of batching decisions.
     assert fast["elapsed"] == real["elapsed"]
     assert fast["sim_now"] == real["sim_now"]
 
@@ -196,7 +195,6 @@ def test_hotpath_smoke() -> None:
     assert first["elapsed"] == again["elapsed"] == real["elapsed"]
     assert first["sim_now"] == again["sim_now"] == real["sim_now"]
     assert first["counters"]["events_processed"] > 0
-    assert first["counters"]["chunks_coalesced"] > 0
 
 
 if __name__ == "__main__":

@@ -56,11 +56,7 @@ from repro.tor.relay import Relay
 from repro.util.errors import ProtocolError
 from repro.util.serialization import canonical_encode
 
-# Cached registry handles (the registry resets values in place).
-_HIT_IMAGE = _metrics.counter("cache_hits", {"layer": "image"})
-_MISS_IMAGE = _metrics.counter("cache_misses", {"layer": "image"})
-_HIT_POLICY = _metrics.counter("cache_hits", {"layer": "policy"})
-_MISS_POLICY = _metrics.counter("cache_misses", {"layer": "policy"})
+# Cached registry handle (the registry resets values in place).
 _ORPHANS_REAPED = _metrics.counter("perf_orphans_reaped")
 # bento_requests handles by message type, filled on first dispatch of each
 # type — the per-frame hot path skips the registry's label interning.
@@ -261,12 +257,6 @@ class BentoServer:
         # invocation) are killed that many seconds after the last peer
         # drops.  Default None preserves pure §5.3 box fate-sharing.
         self.orphan_grace_s = orphan_grace_s
-        # Control-plane caches.  Both hold only policy-derived verdicts
-        # (the operator's offered-image check; manifest accept/reject),
-        # so the only thing that can stale them is this box losing state
-        # — hence both are dropped on crash along with the functions.
-        self._image_cache: dict[str, ContainerImage] = {}
-        self._manifest_cache: dict[bytes, FunctionManifest] = {}
         # The serving plane is opt-in: pass a QosConfig to enable
         # admission control, fair scheduling, and load shedding.  With
         # qos=None (the default) no plane code runs at all, so existing
@@ -458,16 +448,9 @@ class BentoServer:
 
     def _request_image(self, thread: Actor, framed: FramedStream,
                        message: dict, span=None):
-        name = message.get("image", "python")
-        image = self._image_cache.get(name)
-        if image is not None:
-            _HIT_IMAGE.value += 1
-        else:
-            _MISS_IMAGE.value += 1
-            image = image_by_name(name)
-            if image.name not in self.policy.offered_images:
-                raise ImageUnavailable(f"operator does not offer {image.name}")
-            self._image_cache[name] = image
+        image = image_by_name(message.get("image", "python"))
+        if image.name not in self.policy.offered_images:
+            raise ImageUnavailable(f"operator does not offer {image.name}")
         qos_key = None
         if self.qos is not None:
             # The serving plane replaces the blunt container-limit error:
@@ -570,21 +553,10 @@ class BentoServer:
                        span=None) -> None:
         instance = self._instance_for_invocation(message.get("token", ""))
         instance.note_peer(framed)
-        # Accepted manifests are cached by their canonical wire bytes:
-        # a hit skips both the parse and the policy verdict (manifests
-        # are frozen, so the object is shared safely across instances).
-        # Rejections are never cached — they must re-raise fresh.
-        manifest_key = canonical_encode(message["manifest"])
-        manifest = self._manifest_cache.get(manifest_key)
-        if manifest is not None:
-            _HIT_POLICY.value += 1
-        else:
-            _MISS_POLICY.value += 1
-            manifest = FunctionManifest.from_wire(message["manifest"])
-            reason = self.policy.rejection_reason(manifest)
-            if reason is not None:
-                raise ManifestRejected(reason)
-            self._manifest_cache[manifest_key] = manifest
+        manifest = FunctionManifest.from_wire(message["manifest"])
+        reason = self.policy.rejection_reason(manifest)
+        if reason is not None:
+            raise ManifestRejected(reason)
         if manifest.image != instance.image.name:
             raise ManifestRejected(
                 f"manifest image {manifest.image!r} does not match container "
@@ -763,10 +735,6 @@ class BentoServer:
         network."""
         for instance in list(self._by_invocation.values()):
             instance.kill("box crashed", graceful=False)
-        # A restarted box has lost all state; nothing cached may survive
-        # into its next life.
-        self._image_cache.clear()
-        self._manifest_cache.clear()
         self._moved.clear()
         if self.qos is not None:
             # A dead box cannot serve; stop advertising room it no longer

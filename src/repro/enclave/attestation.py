@@ -24,14 +24,9 @@ from typing import Optional
 
 from repro.netsim.simulator import Sleep
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-from repro.obs.metrics import REGISTRY as _metrics
 from repro.util.errors import ReproError
 from repro.util.rng import DeterministicRandom
 from repro.util.serialization import canonical_encode
-
-# Cached registry handles (the registry resets values in place).
-_HIT_ATTESTATION = _metrics.counter("cache_hits", {"layer": "attestation"})
-_MISS_ATTESTATION = _metrics.counter("cache_misses", {"layer": "attestation"})
 
 TCB_STATUS_OK = "OK"
 TCB_STATUS_OUT_OF_DATE = "GROUP_OUT_OF_DATE"
@@ -148,13 +143,6 @@ class IntelAttestationService:
         self.required_tcb_level = required_tcb_level
         self.latency_s = latency_s
         self.reports_issued = 0
-        # (platform_id, measurement) -> (signed_body, signature) of the
-        # last quote whose platform signature checked out.  A stapled
-        # flow verifies the *same* quote twice — once server-side, once
-        # client-side — and the second check only needs a byte compare.
-        # Reports are always re-signed fresh (timestamps differ), and any
-        # platform lifecycle change evicts the platform's entries.
-        self._quote_cache: dict[tuple[str, str], tuple[bytes, bytes]] = {}
 
     @property
     def public_key(self) -> RsaPublicKey:
@@ -167,26 +155,18 @@ class IntelAttestationService:
                           tcb_level: int) -> None:
         """Record a genuine platform's attestation key and TCB level."""
         self._platforms[platform_id] = _PlatformRecord(key=key, tcb_level=tcb_level)
-        self._evict_platform(platform_id)
 
     def revoke_platform(self, platform_id: str) -> None:
         """EPID revocation (e.g., a compromised platform key)."""
         record = self._platforms.get(platform_id)
         if record is not None:
             record.revoked = True
-        self._evict_platform(platform_id)
 
     def patch_platform(self, platform_id: str, new_tcb_level: int) -> None:
         """A microcode update raised this platform's TCB level."""
         record = self._platforms.get(platform_id)
         if record is not None:
             record.tcb_level = new_tcb_level
-        self._evict_platform(platform_id)
-
-    def _evict_platform(self, platform_id: str) -> None:
-        """Drop cached quote verdicts after any platform lifecycle change."""
-        for key in [k for k in self._quote_cache if k[0] == platform_id]:
-            del self._quote_cache[key]
 
     # -- verification ------------------------------------------------------------
 
@@ -202,19 +182,8 @@ class IntelAttestationService:
             raise AttestationError(f"unknown platform: {quote.platform_id}")
         if record.revoked:
             raise AttestationError(f"platform revoked: {quote.platform_id}")
-        # The platform-signature check is the expensive step; a quote
-        # byte-identical to the last one this platform verified (the
-        # stapled-then-client-checked flow) is vouched for by compare.
-        cache_key = (quote.platform_id, quote.measurement)
-        body = quote.signed_body()
-        cached = self._quote_cache.get(cache_key)
-        if cached is not None and cached == (body, quote.signature):
-            _HIT_ATTESTATION.value += 1
-        else:
-            _MISS_ATTESTATION.value += 1
-            if not record.key.verify(body, quote.signature):
-                raise AttestationError("quote signature invalid")
-            self._quote_cache[cache_key] = (body, quote.signature)
+        if not record.key.verify(quote.signed_body(), quote.signature):
+            raise AttestationError("quote signature invalid")
         if quote.tcb_level != record.tcb_level:
             raise AttestationError("quote TCB level does not match platform record")
         status = (TCB_STATUS_OK if record.tcb_level >= self.required_tcb_level

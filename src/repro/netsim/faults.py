@@ -11,8 +11,8 @@ Fault semantics:
 
 * **Node crash** — the node's listeners are parked (new dials are refused),
   every live :class:`~repro.netsim.connection.Connection` touching it is
-  aborted (in-flight coalesced transfers cancelled, blocked receivers woken
-  with :class:`~repro.netsim.connection.ConnectionClosed`), and the node's
+  aborted (blocked receivers woken with
+  :class:`~repro.netsim.connection.ConnectionClosed`), and the node's
   registered crash listeners fire so host-bound services (Bento servers)
   can drop their in-memory state.  A restart restores the listeners and
   fires restart listeners; the services themselves stay registered, which

@@ -3,16 +3,8 @@
 Each :class:`~repro.netsim.node.Node` has one transmit and one receive
 :class:`Interface`.  An interface serializes chunks at its configured rate;
 concurrent flows share it FIFO, which (with per-flow pacing in
-:class:`~repro.netsim.connection.Connection`) yields approximately fair
+:func:`~repro.netsim.connection.pace_chunks`) yields approximately fair
 bandwidth sharing — the property the Figure 5 experiment depends on.
-
-An interface may also carry one *bulk transfer* (see
-:class:`~repro.netsim.connection._BulkTransfer`): a multi-chunk message
-whose per-chunk event cascade has been folded into a couple of precomputed
-events.  The invariant that keeps fairness intact is enforced here: any
-:meth:`transmit` call on an interface with an active bulk preempts the
-bulk *first*, rolling the interface back to exactly the state the chunked
-cascade would have produced, before the new chunk is serialized.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ class Interface:
         self._busy_until = 0.0
         self.bytes_total = 0
         self._taps: list[Callable[[float, int], None]] = []
-        self._bulk = None   # active _BulkTransfer, if any
 
     def add_tap(self, tap: Callable[[float, int], None]) -> None:
         """Register ``tap(completion_time, nbytes)`` for every chunk serialized."""
@@ -61,10 +52,6 @@ class Interface:
         """
         if nbytes < 0:
             raise ValueError("cannot transmit a negative size")
-        if self._bulk is not None:
-            # Contention: demote the in-flight coalesced transfer to the
-            # chunked path before this chunk claims line time.
-            self._bulk.preempt()
         start = max(self.sim.now, self._busy_until)
         finish = start + nbytes / self.rate
         self._busy_until = finish

@@ -73,11 +73,11 @@ import traceback
 from typing import Any, Callable, Optional
 
 from repro.netsim.connection import (DEFAULT_CHUNK, ConnectionClosed,
-                                     Endpoint)
+                                     Endpoint, pace_chunks)
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node, RemoteNode
 from repro.netsim.partition import Partition, lookahead_s, partition_nodes
-from repro.netsim.simulator import Future, SimulationError, Simulator, Wait
+from repro.netsim.simulator import Future, SimulationError, Simulator
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.obs.span import EventLog
@@ -113,19 +113,17 @@ class HalfConnection:
     scenarios and the fault plane use (``send``/``receive``/``close``/
     ``abort``, ``initiator``/``responder``/``latency``/``closed``), but
     only one endpoint is real; bytes leave through the local node's
-    uplink exactly as the chunked single-process path would serialize
-    them, then cross the shard boundary as ``("chunk", ...)`` events
+    uplink exactly as the single-process path would serialize them
+    (the same :func:`~repro.netsim.connection.pace_chunks`), then cross
+    the shard boundary as ``("chunk", ...)`` events
     whose delivery time is the uplink-finish time plus propagation
     latency — the same float arithmetic ``Connection`` performs, so
     arrival and downlink-serialization times are bit-identical.
 
-    Divergences from ``Connection`` (both invisible to canonical
-    records): multi-chunk sends never coalesce (the coalesced path is
-    timing-identical to the chunked one by construction, so skipping it
-    costs events, not accuracy), and a graceful :meth:`close` reaches
-    the peer as a FIN after one-way latency instead of instantly
-    (:meth:`abort` stays instantaneous on both shards because fault
-    schedules are replicated).
+    Divergence from ``Connection`` (invisible to canonical records): a
+    graceful :meth:`close` reaches the peer as a FIN after one-way
+    latency instead of instantly (:meth:`abort` stays instantaneous on
+    both shards because fault schedules are replicated).
     """
 
     def __init__(self, ctx: "ShardContext", key: tuple, local: Node,
@@ -189,31 +187,21 @@ class HalfConnection:
             if on_sent is not None:
                 self.sim.post_at(finish, on_sent)
             return
-        chunk_size = self.chunk_size
-        chunks = []
-        remaining = nbytes
-        while remaining > chunk_size:
-            chunks.append(chunk_size)
-            remaining -= chunk_size
-        chunks.append(remaining)
-        self._run_chunks(payload, nbytes, on_sent, chunks, 0)
+        self._send_chunked(payload, nbytes, on_sent)
 
-    def _run_chunks(self, payload: Any, nbytes: int,
-                    on_sent: Optional[Callable[[], None]],
-                    chunks: list, index: int) -> None:
-        # Mirrors Connection._run_chunks: same pacing at the uplink's busy
-        # horizon, same transmit calls, so uplink state evolves identically.
+    def _send_chunked(self, payload: Any, nbytes: int,
+                      on_sent: Optional[Callable[[], None]]) -> None:
+        """Multi-chunk message: Connection's pacing, this half's emits."""
         uplink = self.local.uplink
-        chunk = chunks[index]
-        if index == len(chunks) - 1:
-            uplink.transmit(chunk, self._emit_final, 0.0,
-                            (payload, nbytes, chunk))
-            if on_sent is not None:
-                self.sim.post_at(uplink._busy_until, on_sent)
-        else:
-            uplink.transmit(chunk, self._emit_chunk, 0.0, (chunk,))
-            self.sim.post_at(uplink._busy_until, self._run_chunks,
-                             (payload, nbytes, on_sent, chunks, index + 1))
+
+        def put(chunk: int, final: bool) -> None:
+            if final:
+                uplink.transmit(chunk, self._emit_final, 0.0,
+                                (payload, nbytes, chunk))
+            else:
+                uplink.transmit(chunk, self._emit_chunk, 0.0, (chunk,))
+
+        pace_chunks(self.sim, uplink, self.chunk_size, nbytes, put, on_sent)
 
     def _emit_chunk(self, chunk: int) -> None:
         # Runs at the chunk's uplink-finish time; the single-process
@@ -240,17 +228,7 @@ class HalfConnection:
     def receive(self, node: Node, thread,
                 timeout: Optional[float] = None) -> Any:
         """Block (in an actor) until a message for ``node`` arrives."""
-        endpoint = self.endpoint_of(node)
-        if endpoint.on_message is not None:
-            raise RuntimeError("endpoint already has an on_message handler")
-        while not endpoint._queue:
-            if endpoint._closed or self.closed:
-                raise ConnectionClosed("connection closed while receiving")
-            endpoint._waiter = Future(self.sim)
-            yield Wait(endpoint._waiter, timeout)
-            endpoint._waiter = None
-        payload, _size = endpoint._queue.popleft()
-        return payload
+        return self.endpoint_of(node).receive(self, timeout)
 
     # -- teardown ---------------------------------------------------------
 

@@ -61,12 +61,6 @@ FIELDS = (
     Field("heap_compactions", "kernel", "fixed"),
     # individual Interface.transmit calls
     Field("chunks_transmitted", "link", "volume"),
-    # chunks folded into bulk transfers
-    Field("chunks_coalesced", "link", "volume"),
-    # coalesced transfers started
-    Field("bulk_grants", "link", "fixed"),
-    # coalesced transfers demoted to chunked
-    Field("bulk_preemptions", "link", "fixed"),
     # wait() timeouts disarmed because the future won
     Field("timers_cancelled", "kernel", "fixed", "timers_cancelled"),
     # coroutine actors started on the SimTask kernel

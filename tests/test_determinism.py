@@ -91,7 +91,7 @@ def _digest(result) -> str:
 TRACE_REPORT_SHA256 = {
     "events.jsonl": "f7d4d059d7a83b49e5a6688b60869a76d6741ed57e93e9db4cca2ff168c7b67a",
     "trace.json": "a854cf2778bfa3d6ca66bf23e186eaccb7a0e44692ada74aacc59f2fd69df9ef",
-    "metrics.txt": "58eff40a21b247ad1eecde6ef66b5fe55bd9b4d049388abff3f32d4ac4850331",
+    "metrics.txt": "6cbf54b57a5408439ab16f0bea651ec06e77c08ca3410e68bea1da81318ef8e9",
 }
 CHAOS_SOAK_SHA256 = "d21d9b2aea08a5fac5f6ea0f9aeaaf8ca102787e169b3b9427f6ea14614ef29d"
 PRESET_SHA256 = {

@@ -16,8 +16,7 @@ from repro.netsim.simulator import Simulator
 from repro.perf.counters import counters as _perf
 
 
-@pytest.fixture()
-def world():
+def make_world():
     """A 3-node network with a listener on every node, plus its FaultPlane."""
     sim = Simulator(seed="faults")
     net = Network(sim)
@@ -27,6 +26,11 @@ def world():
     plane = FaultPlane(net)
     _perf.reset()
     return sim, net, plane
+
+
+@pytest.fixture()
+def world():
+    return make_world()
 
 
 def dial(sim, net, frm, to):
@@ -165,28 +169,45 @@ class TestScheduleDeterminism:
 
 
 class TestSpikeEdgeCases:
-    def test_spike_during_inflight_coalesced_transfer(self, world):
-        """A spike landing mid-bulk-transfer must not corrupt delivery or
-        leave the latency model raised after it clears."""
-        sim, net, plane = world
+    @staticmethod
+    def _send_1mb_under_spike(other_flow_first):
+        """1 MB a->b with a +0.5 s spike landing 10 ms into it; returns
+        seconds from send to delivery."""
+        sim, net, plane = make_world()
+        a = net.node("a")
         conn = dial(sim, net, "a", "b").result()
+        other = dial(sim, net, "a", "c").result()
         base = conn.latency
+        if other_flow_first:
+            other.send(a, bytes(5_000))    # 0.4 ms of a's uplink
         payload = bytes(1_000_000)
-        conn.send(net.node("a"), payload)
-        assert net.node("a").uplink._bulk is not None  # coalesced path taken
+        sent_at = sim.now
+        conn.send(a, payload)
         sim.schedule(0.01, plane.spike_latency, "a", "b", 0.5, 2.0)
         got = []
 
         def receiver(thread):
             got.append((yield from conn.receive(net.node("b"), thread)))
+            got.append(sim.now - sent_at)
 
         sim.run_until_done(sim.spawn(receiver))
-        assert got == [payload]
+        assert got[0] == payload
         sim.run()  # let the spike expire
         assert conn.latency == pytest.approx(base)
-        assert net.latency(net.node("a"), net.node("b")) == pytest.approx(base)
+        assert net.latency(a, net.node("b")) == pytest.approx(base)
         kinds = [kind for _t, kind, _d in plane.log]
         assert kinds == ["spike", "spike-clear"]
+        return got[1]
+
+    def test_spike_during_inflight_transfer(self):
+        """A fault applies to a transfer in flight: the chunks still to be
+        sent pay the spike (80 ms of serializing + 29 ms of base latency +
+        0.5 s), whether or not an unrelated flow shares the uplink — and
+        nothing stays raised after the spike clears."""
+        assert self._send_1mb_under_spike(False) == pytest.approx(
+            0.6093, abs=5e-5)
+        assert self._send_1mb_under_spike(True) == pytest.approx(
+            0.6097, abs=5e-5)
 
     def test_spike_clears_after_connection_closed(self, world):
         """The scheduled clear must skip closed connections but still
