@@ -168,8 +168,8 @@ class RelayCellPayload:
         """Parse 509 payload bytes; raises :class:`ProtocolError` if malformed.
 
         The *recognized* and digest checks live in
-        :class:`~repro.tor.layercrypto.RelayCryptoState`; this only parses
-        structure.
+        :meth:`~repro.tor.layercrypto.HopCrypto.open_payload`; this only
+        parses structure.
         """
         if len(payload) != RELAY_PAYLOAD_SIZE:
             raise ProtocolError(f"relay payload must be {RELAY_PAYLOAD_SIZE} bytes")

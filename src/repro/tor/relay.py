@@ -6,6 +6,12 @@ state lives in :class:`CircuitEntry`; per-exit-stream state in
 :class:`ExitStream`.  Flow control mirrors Tor's SENDME scheme: a 1000-cell
 circuit package window and 500-cell stream windows, replenished 100/50 at a
 time by SENDMEs from the consuming end.
+
+Each OR connection is a :class:`_Channel`, made when the relay accepts it or
+dials it for an EXTEND.  Its ``circuits`` table maps a circuit id to the entry
+and which side of it this connection is; ``pending`` holds the ids of CREATEs
+sent on it and not yet answered.  A cell is looked up only in the tables of the
+connection it arrived on, so two neighbours may pick the same id.
 """
 
 from __future__ import annotations
@@ -49,10 +55,10 @@ CIRCUIT_SENDME_INCREMENT = 100
 STREAM_PACKAGE_WINDOW = 500
 STREAM_SENDME_INCREMENT = 50
 
-_conn_ids = itertools.count(1)
-
 # Cached registry handle (the registry resets in place, so this survives).
 _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
+# Cached enum member: a lookup on the class is a metaclass call, ~90 ns a cell.
+_RELAY = CellCommand.RELAY
 
 
 def _decode_request(data: bytes, **fields: type) -> list:
@@ -70,15 +76,6 @@ def _decode_request(data: bytes, **fields: type) -> list:
         if type(request.get(name)) is not kind:
             raise ProtocolError(f"relay request needs {kind.__name__} {name!r}")
     return [request[name] for name in fields]
-
-
-def _conn_uid(conn: Connection) -> int:
-    """A stable unique id per connection (attached lazily)."""
-    uid = getattr(conn, "_tor_uid", None)
-    if uid is None:
-        uid = next(_conn_ids)
-        conn._tor_uid = uid  # type: ignore[attr-defined]
-    return uid
 
 
 class ExitStream:
@@ -173,19 +170,64 @@ class ExitStream:
 class CircuitEntry:
     """One relay's state for one circuit passing through it."""
 
-    def __init__(self, conn_prev: Connection, circ_id_prev: int,
+    def __init__(self, chan_prev: "_Channel", circ_id_prev: int,
                  crypto: HopCrypto) -> None:
-        self.conn_prev = conn_prev
+        self.chan_prev = chan_prev
         self.circ_id_prev = circ_id_prev
         self.crypto = crypto
-        self.conn_next: Optional[Connection] = None
+        self.chan_next: Optional[_Channel] = None
         self.circ_id_next: Optional[int] = None
         self.streams: dict[int, ExitStream] = {}
         self.joined: Optional["CircuitEntry"] = None      # rendezvous splice
         self.intro_for: Optional[str] = None              # intro circuit key
+        self.rend_cookie: Optional[bytes] = None          # cookie it waits on
         self.package_window = CIRCUIT_PACKAGE_WINDOW      # backward budget
         self.forward_count = 0                            # for circuit SENDMEs
         self.destroyed = False
+
+
+class _Channel:
+    """One OR connection at a relay, and the circuits it carries."""
+
+    def __init__(self, relay: "Relay", conn: Connection,
+                 dialed: Optional[str] = None) -> None:
+        self.relay, self.conn = relay, conn
+        self.dialed = dialed          # its key in the relay's _or_conns, if any
+        self.circuits: dict[int, tuple[CircuitEntry, bool]] = {}  # bool: from_prev
+        self.pending: dict[int, CircuitEntry] = {}   # CREATE sent, no CREATED
+        relay._channels[conn] = self
+        endpoint = conn.endpoint_of(relay.node)
+        endpoint.on_message, endpoint.on_close = self.on_cell, self.on_close
+
+    def on_cell(self, _conn: Connection, cell: object, _size: int) -> None:
+        if not isinstance(cell, Cell):
+            return  # not a cell; a relay ignores stray traffic
+        relay, command = self.relay, cell.command
+        # No entry: a stale cell for a torn-down circuit, dropped below.
+        entry, from_prev = self.circuits.get(cell.circ_id, (None, False))
+        try:
+            if command == _RELAY and entry is not None:
+                if from_prev:
+                    relay._relay_forward(entry, cell)
+                else:
+                    relay._relay_backward(entry, cell)
+            elif command == CellCommand.CREATE:
+                relay._handle_create(self.conn, cell)
+            elif command == CellCommand.CREATED:
+                relay._handle_created(self, cell)
+            elif command == CellCommand.DESTROY and entry is not None:
+                relay._destroy_entry(entry, notify_prev=not from_prev,
+                                     notify_next=from_prev)
+        except ProtocolError:
+            relay._send_destroy(self.conn, cell.circ_id)
+
+    def on_close(self, _conn: Connection) -> None:
+        del self.relay._channels[self.conn]
+        if self.relay._or_conns.get(self.dialed) is self:
+            del self.relay._or_conns[self.dialed]
+        # A snapshot (each destroy pops ids here), in registration order.
+        for entry, _from_prev in list(self.circuits.values()):
+            self.relay._destroy_entry(entry, notify_prev=True, notify_next=True)
 
 
 class Relay:
@@ -208,10 +250,8 @@ class Relay:
         self.identity = RsaKeyPair.generate(self._rng.fork("identity"))
         self.flags = tuple(flags)
         self.bento_port = bento_port
-        # (conn uid, circ_id) -> (entry, side); side is "prev" or "next".
-        self._routes: dict[tuple[int, int], tuple[CircuitEntry, str]] = {}
-        self._or_conns: dict[str, Connection] = {}   # conns this relay dialed
-        self._pending_creates: dict[tuple[int, int], CircuitEntry] = {}
+        self._channels: dict[Connection, _Channel] = {}   # every live one
+        self._or_conns: dict[str, _Channel] = {}     # those this relay dialed
         self._intro_circuits: dict[str, CircuitEntry] = {}
         self._rend_waiting: dict[bytes, CircuitEntry] = {}
         self._circ_id_counter = itertools.count(1)
@@ -252,48 +292,7 @@ class Relay:
     # -- connection plumbing ---------------------------------------------------
 
     def _accept(self, conn: Connection) -> None:
-        conn.endpoint_of(self.node).on_message = self._on_message
-        conn.endpoint_of(self.node).on_close = self._on_conn_close
-
-    def _on_conn_close(self, conn: Connection) -> None:
-        uid = _conn_uid(conn)
-        # Snapshot entries, not keys: destroying one entry also pops its
-        # other side's key and its spliced rendezvous partner's.
-        dead = [entry for key, (entry, _side) in self._routes.items()
-                if key[0] == uid]
-        for entry in dead:
-            self._destroy_entry(entry, notify_prev=True, notify_next=True)
-
-    def _on_message(self, conn: Connection, payload: object, _size: int) -> None:
-        if not isinstance(payload, Cell):
-            return  # not a cell; a relay ignores stray traffic
-        cell = payload
-        try:
-            self._dispatch_cell(conn, cell)
-        except ProtocolError:
-            self._send_destroy(conn, cell.circ_id)
-
-    def _dispatch_cell(self, conn: Connection, cell: Cell) -> None:
-        key = (_conn_uid(conn), cell.circ_id)
-        if cell.command == CellCommand.CREATE:
-            self._handle_create(conn, cell)
-            return
-        if cell.command == CellCommand.CREATED:
-            self._handle_created(conn, cell)
-            return
-        route = self._routes.get(key)
-        if route is None:
-            return  # stale cell for a torn-down circuit
-        entry, side = route
-        if cell.command == CellCommand.DESTROY:
-            self._destroy_entry(entry, notify_prev=(side == "next"),
-                                notify_next=(side == "prev"))
-            return
-        if cell.command == CellCommand.RELAY:
-            if side == "prev":
-                self._relay_forward(entry, cell)
-            else:
-                self._relay_backward(entry, cell)
+        _Channel(self, conn)
 
     # -- circuit creation ------------------------------------------------------
 
@@ -303,19 +302,19 @@ class Relay:
             self.fingerprint,
             cell.payload,
         )
-        entry = CircuitEntry(conn_prev=conn, circ_id_prev=cell.circ_id,
+        chan = self._channels[conn]
+        entry = CircuitEntry(chan_prev=chan, circ_id_prev=cell.circ_id,
                              crypto=HopCrypto(keys, fast=self.fast_crypto))
-        self._routes[(_conn_uid(conn), cell.circ_id)] = (entry, "prev")
+        chan.circuits[cell.circ_id] = (entry, True)
         self._send_cell(conn, Cell(cell.circ_id, CellCommand.CREATED, reply))
 
-    def _handle_created(self, conn: Connection, cell: Cell) -> None:
-        key = (_conn_uid(conn), cell.circ_id)
-        entry = self._pending_creates.pop(key, None)
+    def _handle_created(self, chan: _Channel, cell: Cell) -> None:
+        entry = chan.pending.pop(cell.circ_id, None)
         if entry is None or entry.destroyed:
             return
-        entry.conn_next = conn
+        entry.chan_next = chan
         entry.circ_id_next = cell.circ_id
-        self._routes[key] = (entry, "next")
+        chan.circuits[cell.circ_id] = (entry, False)
         # Hand the CREATED payload back to the client as EXTENDED.
         self._reply(entry, RelayCellPayload(
             command=RelayCommand.EXTENDED, stream_id=0,
@@ -326,24 +325,27 @@ class Relay:
     def _relay_forward(self, entry: CircuitEntry, cell: Cell) -> None:
         payload, train = entry.crypto.crypt_forward_ahead(
             cell.payload, cell.train, cell.index)
-        parsed = entry.crypto.open_payload(payload, FORWARD)
-        if parsed is not None:
-            self._handle_recognized(entry, parsed)
-            return
-        if entry.conn_next is not None:
+        # open_payload's own first test, made here so that a cell this hop
+        # only passes on costs no call: it can skip the call, never decide.
+        if payload[:2] == b"\x00\x00":
+            parsed = entry.crypto.open_payload(payload, FORWARD)
+            if parsed is not None:
+                self._handle_recognized(entry, parsed)
+                return
+        if entry.chan_next is not None:
             # Reuse the delivered cell object: nothing upstream retains it
             # once it reaches us, and pass-through is the per-cell hot path.
             cell.circ_id = entry.circ_id_next
             cell.payload = payload
             cell.train = train
-            self._send_cell(entry.conn_next, cell)
+            self._send_cell(entry.chan_next.conn, cell)
             return
         if entry.joined is not None:
             peer = entry.joined
             if not peer.destroyed:
                 spliced = peer.crypto.crypt_backward(payload)
-                self._send_cell(peer.conn_prev,
-                                Cell(peer.circ_id_prev, CellCommand.RELAY, spliced))
+                self._send_cell(peer.chan_prev.conn,
+                                Cell(peer.circ_id_prev, _RELAY, spliced))
             return
         raise ProtocolError("unrecognized relay cell at end of circuit")
 
@@ -351,7 +353,7 @@ class Relay:
         cell.circ_id = entry.circ_id_prev
         cell.payload, cell.train = entry.crypto.crypt_backward_ahead(
             cell.payload, cell.train, cell.index)
-        self._send_cell(entry.conn_prev, cell)
+        self._send_cell(entry.chan_prev.conn, cell)
 
     _RELAY_HANDLERS = {
         RelayCommand.EXTEND: "_cmd_extend",
@@ -380,16 +382,16 @@ class Relay:
             parsed.data, address=str, port=int, onionskin=bytes)
         new_circ_id = next(self._circ_id_counter) | (1 << 16)
 
-        def _with_conn(conn: Connection) -> None:
+        def _with_chan(chan: _Channel) -> None:
             if entry.destroyed:
                 return
-            key = (_conn_uid(conn), new_circ_id)
-            self._pending_creates[key] = entry
-            self._send_cell(conn, Cell(new_circ_id, CellCommand.CREATE, onionskin))
+            chan.pending[new_circ_id] = entry
+            self._send_cell(chan.conn,
+                            Cell(new_circ_id, CellCommand.CREATE, onionskin))
 
         cached = self._or_conns.get(f"{address}:{port}")
-        if cached is not None and not cached.closed:
-            _with_conn(cached)
+        if cached is not None:      # live: a channel leaves the cache on close
+            _with_chan(cached)
             return
 
         future = self.network.connect(self.node, address, port)
@@ -402,10 +404,9 @@ class Relay:
                     command=RelayCommand.END, stream_id=0,
                     data=canonical_encode({"reason": "extend-failed"})))
                 return
-            self._or_conns[f"{address}:{port}"] = conn
-            conn.endpoint_of(self.node).on_message = self._on_message
-            conn.endpoint_of(self.node).on_close = self._on_conn_close
-            _with_conn(conn)
+            chan = _Channel(self, conn, dialed=f"{address}:{port}")
+            self._or_conns[chan.dialed] = chan
+            _with_chan(chan)
 
         future.add_done_callback(_connected)
 
@@ -517,6 +518,8 @@ class Relay:
     def _cmd_establish_rendezvous(self, entry: CircuitEntry,
                                   parsed: RelayCellPayload) -> None:
         (cookie,) = _decode_request(parsed.data, cookie=bytes)
+        self._forget_cookie(entry)      # a circuit waits on one at a time
+        entry.rend_cookie = cookie
         self._rend_waiting[cookie] = entry
         self._reply(entry, RelayCellPayload(
             command=RelayCommand.RENDEZVOUS_ESTABLISHED, stream_id=0, data=b""))
@@ -527,6 +530,7 @@ class Relay:
         client_entry = self._rend_waiting.pop(cookie, None)
         if client_entry is None or client_entry.destroyed:
             raise ProtocolError("rendezvous cookie unknown")
+        client_entry.rend_cookie = None
         entry.joined = client_entry
         client_entry.joined = entry
         self._reply(client_entry, RelayCellPayload(
@@ -546,8 +550,8 @@ class Relay:
             return
         payload = entry.crypto.seal_payload(cell, BACKWARD)
         payload = entry.crypto.crypt_backward(payload)
-        self._send_cell(entry.conn_prev,
-                        Cell(entry.circ_id_prev, CellCommand.RELAY, payload))
+        self._send_cell(entry.chan_prev.conn,
+                        Cell(entry.circ_id_prev, _RELAY, payload))
 
     def _reply_many(self, entry: CircuitEntry, stream_id: int,
                     chunks: list[bytes]) -> None:
@@ -567,12 +571,12 @@ class Relay:
                 BACKWARD)
             for chunk in chunks
         ]
-        conn_prev = entry.conn_prev
+        conn_prev = entry.chan_prev.conn
         circ_id_prev = entry.circ_id_prev
         payloads = crypto.crypt_backward_many(sealed)
         train = payloads if len(payloads) > 1 else None
         for index, payload in enumerate(payloads):
-            self._send_cell(conn_prev, Cell(circ_id_prev, CellCommand.RELAY,
+            self._send_cell(conn_prev, Cell(circ_id_prev, _RELAY,
                                             payload, train, index))
 
     def _send_cell(self, conn: Connection, cell: Cell) -> None:
@@ -588,6 +592,11 @@ class Relay:
         except ConnectionClosed:
             pass
 
+    def _forget_cookie(self, entry: CircuitEntry) -> None:
+        """Drop ``entry``'s rendezvous cookie, unless a later circuit holds it."""
+        if self._rend_waiting.get(entry.rend_cookie) is entry:
+            del self._rend_waiting[entry.rend_cookie]
+
     def _destroy_entry(self, entry: CircuitEntry, notify_prev: bool,
                        notify_next: bool) -> None:
         if entry.destroyed:
@@ -598,17 +607,14 @@ class Relay:
         entry.streams.clear()
         if entry.intro_for is not None:
             self._intro_circuits.pop(entry.intro_for, None)
-        self._rend_waiting = {
-            cookie: waiting for cookie, waiting in self._rend_waiting.items()
-            if waiting is not entry
-        }
-        if notify_prev and entry.conn_prev is not None:
-            self._send_destroy(entry.conn_prev, entry.circ_id_prev)
-        if notify_next and entry.conn_next is not None:
-            self._send_destroy(entry.conn_next, entry.circ_id_next)
-        self._routes.pop((_conn_uid(entry.conn_prev), entry.circ_id_prev), None)
-        if entry.conn_next is not None:
-            self._routes.pop((_conn_uid(entry.conn_next), entry.circ_id_next), None)
+        self._forget_cookie(entry)
+        if notify_prev:
+            self._send_destroy(entry.chan_prev.conn, entry.circ_id_prev)
+        if notify_next and entry.chan_next is not None:
+            self._send_destroy(entry.chan_next.conn, entry.circ_id_next)
+        entry.chan_prev.circuits.pop(entry.circ_id_prev, None)
+        if entry.chan_next is not None:
+            entry.chan_next.circuits.pop(entry.circ_id_next, None)
         if entry.joined is not None and not entry.joined.destroyed:
             peer, entry.joined = entry.joined, None
             peer.joined = None
@@ -616,8 +622,12 @@ class Relay:
 
     # -- introspection -------------------------------------------------------------
 
+    def _entries(self):
+        """Every live circuit entry, once: by its client-side registration."""
+        return (entry for chan in self._channels.values()
+                for entry, from_prev in chan.circuits.values() if from_prev)
+
     @property
     def active_circuit_count(self) -> int:
         """Number of live circuit entries at this relay."""
-        entries = {id(entry) for entry, _side in self._routes.values()}
-        return len(entries)
+        return sum(1 for _entry in self._entries())

@@ -11,9 +11,10 @@ from repro.obs.testing import fresh_observability
 from repro.tor.testnet import TorTestNetwork
 
 # The example budget of every property that leaves ``max_examples`` unset.
-# It is sized for the three that run a whole program per example — the
-# kernel order oracle, the link-model properties and the hostile-cell
-# test; nightly.yml runs those three with ``--hypothesis-profile nightly``.
+# It is sized for the four that run a whole program per example — the
+# kernel order oracle, the link-model properties, the relay routing oracle
+# and the hostile-cell test; nightly.yml runs those four with
+# ``--hypothesis-profile nightly``.
 settings.register_profile("default", max_examples=300)
 settings.register_profile("nightly", max_examples=3000)
 

@@ -312,7 +312,7 @@ def test_circuit_dies_mid_train(how, direction):
         path = [relays[descriptor.nickname] for descriptor in circuit.path]
         stream = yield from circuit.open_stream(thread, "origin.example", 80)
         stream.send(b"GET" if direction == "get" else bytes(BODY))
-        (entry, _side), *_ = path[1]._routes.values()
+        entry, *_ = path[1]._entries()
         middle = (entry.crypto._layer._bwd if direction == "get"
                   else entry.crypto._layer._fwd)
         while middle._source is None or middle._next < 100:

@@ -143,18 +143,17 @@ class TestRelayStateMachine:
         _send_relay(rig, RelayCommand.RENDEZVOUS1, 0,
                     canonical_encode({"cookie": b"C" * 20, "blob": b"hs"}),
                     circ_id=8, crypto=crypto8)
-        entries = {id(entry): entry
-                   for entry, _side in rig.relay._routes.values()}
+        entries = list(rig.relay._entries())
         assert len(entries) == 2
-        assert all(e.joined is not None for e in entries.values())
+        assert all(e.joined is not None for e in entries)
+        channel = rig.relay._channels[rig.conn]
 
         rig.conn.abort()    # runs the relay's close handler synchronously
-        assert all(e.destroyed for e in entries.values())
-        assert rig.relay._routes == {}
+        assert all(e.destroyed for e in entries)
+        assert channel.circuits == {} and rig.relay._channels == {}
 
     def test_sendme_replenishes_circuit_window(self, rig):
-        entry, _side = rig.relay._routes[
-            next(iter(rig.relay._routes))]
+        entry = next(rig.relay._entries())
         entry.package_window = 0
         _send_relay(rig, RelayCommand.SENDME, 0, b"")
         assert entry.package_window == 100

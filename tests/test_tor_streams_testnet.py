@@ -152,7 +152,7 @@ class TestExitHalfClose:
                     break
                 received += len(data)
             exit_streams = [entry.streams for relay in net.relays
-                            for entry, _side in relay._routes.values()]
+                            for entry in relay._entries()]
             circuit.close()
             return received, exit_streams
 
