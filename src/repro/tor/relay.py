@@ -400,9 +400,9 @@ class Relay:
             try:
                 conn = fut.result()
             except NetworkError:
-                self._reply(entry, RelayCellPayload(
-                    command=RelayCommand.END, stream_id=0,
-                    data=canonical_encode({"reason": "extend-failed"})))
+                conn = None
+            if conn is None or conn.closed:     # closed: no on_close will come
+                self._end_stream(entry, 0, "extend-failed")
                 return
             chan = _Channel(self, conn, dialed=f"{address}:{port}")
             self._or_conns[chan.dialed] = chan
@@ -518,7 +518,7 @@ class Relay:
     def _cmd_establish_rendezvous(self, entry: CircuitEntry,
                                   parsed: RelayCellPayload) -> None:
         (cookie,) = _decode_request(parsed.data, cookie=bytes)
-        self._forget_cookie(entry)      # a circuit waits on one at a time
+        self._forget_cookie(entry)      # a second ESTABLISH replaces the first
         entry.rend_cookie = cookie
         self._rend_waiting[cookie] = entry
         self._reply(entry, RelayCellPayload(

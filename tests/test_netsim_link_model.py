@@ -231,16 +231,14 @@ def _check_order(world):
     for (conn, sender_name), delivered in world.delivered.items():
         rank = {ident: position for position, ident
                 in enumerate(world.serialized[conn, sender_name])}
+        chunk_s = DEFAULT_CHUNK / RATES[sender_name][0]
         for first, second in zip(delivered, delivered[1:]):
             if rank[first] < rank[second]:
                 continue
             # ``second`` left the uplink first and still arrived second:
-            # only a latency that fell in between does that.  "Between"
-            # opens at ``second``'s send, not its departure: a chunk travels
-            # with the latency read when it is handed to the uplink, and
-            # behind other traffic that is the whole queue earlier.
+            # only a latency that fell between the two departures does that.
             seen = world.latencies_between(
-                conn, world.messages[second]["sent"],
+                conn, world.messages[second]["off_uplink"] - chunk_s,
                 world.messages[first]["off_uplink"])
             assert any(b < a for a, b in zip(seen, seen[1:])), (
                 f"{sender_name}: message {first} overtook {second} "

@@ -16,11 +16,12 @@ import pytest
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import fetch
 from repro.netsim.simulator import Sleep
+from repro.tor import ntor
 from repro.tor.cell import (CELL_SIZE, RELAY_DATA_SIZE, Cell, CellCommand,
                             RelayCellPayload, RelayCommand)
 from repro.tor.layercrypto import BACKWARD
 from repro.tor.testnet import TorTestNetwork
-from repro.util.serialization import canonical_encode
+from repro.util.serialization import canonical_decode, canonical_encode
 
 from conftest import bulk_origin, run_thread
 from test_tor_relay_unit import _create, _send_relay, rig  # noqa: F401
@@ -84,6 +85,27 @@ class TestDeadConnections:
             assert not any(channel.conn.closed
                            for channel in relay._or_conns.values())
         assert [guard.active_circuit_count, exit_.active_circuit_count] == [0, 0]
+
+    def test_a_dial_closed_on_accept_is_a_failed_extend(self, rig):
+        """The dialed listener closes the connection in its accept handler,
+        which runs before the relay's dial callback does: no ``on_close``
+        will ever reach the relay.  It makes no channel for that connection,
+        the client hears END extend-failed, and the next EXTEND to the same
+        address dials again rather than sending CREATE into a dead cache."""
+        slammer, accepted = rig.create_node("slammer"), []
+        slammer.listen(9001, lambda conn: (accepted.append(conn), conn.close()))
+        extend = canonical_encode({"address": slammer.address, "port": 9001,
+                                   "onionskin": bytes(ntor.ONIONSKIN_LEN)})
+        for dials in (1, 2):
+            _send_relay(rig, RelayCommand.EXTEND, 0, extend)
+            end = rig.crypto.open_payload(
+                rig.crypto.crypt_backward(rig.received.pop().payload), BACKWARD)
+            assert (end.command, canonical_decode(end.data)) == \
+                (RelayCommand.END, {"reason": "extend-failed"})
+            assert rig.received == [] and len(accepted) == dials
+            assert all(conn.closed for conn in accepted)
+            assert list(rig.relay._channels) == [rig.conn]
+            assert rig.relay._or_conns == {}
 
 
 class TestRendezvousCookies:
