@@ -1,5 +1,9 @@
 """GF(256) arithmetic and the k-of-N erasure code."""
 
+import functools
+import hashlib
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -10,6 +14,95 @@ from repro.coding.erasure import (
     encode_shards,
 )
 from repro.coding.gf256 import gf_add, gf_div, gf_inv, gf_mul, gf_pow
+from repro.core.loader import build_function_namespace
+from repro.functions.shard import SHARD_SOURCE
+from repro.util.rng import DeterministicRandom
+
+
+# -- a scalar reference, written from the definition ---------------------------
+#
+# No exp/log tables and nothing shared with repro.coding: a product is
+# shift-and-reduce in GF(2)[x] mod 0x11B, the encoder is one multiplication
+# per byte, the decoder Gauss-Jordan on [matrix | data].
+
+@functools.lru_cache(maxsize=None)
+def _ref_mul(a, b):
+    product = 0
+    while b:
+        if b & 1:
+            product ^= a
+        a <<= 1
+        if a & 0x100:
+            a ^= 0x11B
+        b >>= 1
+    return product
+
+
+def _ref_pow(a, n):
+    result = 1
+    for _ in range(n):
+        result = _ref_mul(result, a)
+    return result
+
+
+def _ref_inv(a):
+    return next(b for b in range(1, 256) if _ref_mul(a, b) == 1)
+
+
+def _ref_matrix(n, k):
+    """Identity on top, then parity row i = powers 0..k-1 of (i - k + 2)."""
+    return ([[int(i == j) for j in range(k)] for i in range(k)]
+            + [[_ref_pow(i - k + 2, j) for j in range(k)] for i in range(k, n)])
+
+
+def _ref_encode(data, n, k):
+    if k == 1:
+        return [data] * n
+    stripe_len = max(1, -(-len(data) // k))
+    padded = data + bytes(k * stripe_len - len(data))
+    stripes = [padded[i * stripe_len:(i + 1) * stripe_len] for i in range(k)]
+    pieces = []
+    for row in _ref_matrix(n, k):
+        piece = bytearray(stripe_len)
+        for coefficient, stripe in zip(row, stripes):
+            for pos, byte in enumerate(stripe):
+                piece[pos] ^= _ref_mul(coefficient, byte)
+        pieces.append(bytes(piece))
+    return pieces
+
+
+def _ref_decode(pieces, indices, n, k, length):
+    """The file, or None when the k chosen rows are linearly dependent."""
+    if k == 1:
+        return pieces[indices[0]][:length]
+    matrix = _ref_matrix(n, k)
+    work = [matrix[i] + list(pieces[i]) for i in indices]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if work[r][col]), None)
+        if pivot is None:
+            return None
+        work[col], work[pivot] = work[pivot], work[col]
+        inverse = _ref_inv(work[col][col])
+        work[col] = [_ref_mul(inverse, v) for v in work[col]]
+        for r in range(k):
+            factor = work[r][col]
+            if r != col and factor:
+                work[r] = [v ^ _ref_mul(factor, p)
+                           for v, p in zip(work[r], work[col])]
+    return b"".join(bytes(row[k:]) for row in work)[:length]
+
+
+#: (n, k) with 1 <= k <= n <= 12, and an order over all twelve rows: its
+#: first k entries below n are "any k-subset, in any order".
+_code = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(st.just(n), st.integers(1, n)))
+_order = st.permutations(range(12))
+#: 0-4 KiB.  ``st.binary`` alone stays under ~30 bytes (empty, shorter than
+#: k, not a multiple of k); the seeded arm reaches the long stripes.
+_data = st.one_of(
+    st.binary(max_size=40),
+    st.builds(lambda length, seed: random.Random(seed).randbytes(length),
+              st.integers(0, 4096), st.integers(0, 2**16)))
 
 
 class TestGf256:
@@ -49,6 +142,20 @@ class TestGf256:
     @given(st.integers(0, 255), st.integers(0, 255))
     def test_mul_closed(self, a, b):
         assert 0 <= gf_mul(a, b) <= 255
+
+    def test_mul_equals_the_reference_on_every_pair(self):
+        for a in range(256):
+            for b in range(256):
+                assert gf_mul(a, b) == _ref_mul(a, b), (a, b)
+
+    def test_inv_div_pow_follow_the_reference(self):
+        for a in range(1, 256):
+            assert gf_inv(a) == _ref_inv(a)
+        for a in range(256):
+            for b in (1, 2, 3, 0x53, 0xCA, 255):
+                assert gf_div(a, b) == _ref_mul(a, _ref_inv(b)), (a, b)
+            for n in (0, 1, 2, 7, 254, 255, 256, 300):
+                assert gf_pow(a, n) == _ref_pow(a, n), (a, n)
 
 
 class TestErasureCoding:
@@ -133,3 +240,86 @@ class TestErasureCoding:
                   Shard(index=2, data=pieces[2]),
                   Shard(index=3, data=pieces[3])]
         assert decode_shards(shards, 3, len(data)) == data
+
+
+def check_against_reference(data, n, k, order):
+    """Encode ``data`` and decode the k-subset ``order`` picks, both against
+    the scalar reference."""
+    shards = encode_shards(data, n, k)
+    assert [s.index for s in shards] == list(range(n))
+    pieces = [s.data for s in shards]
+    assert pieces == _ref_encode(data, n, k)
+    indices = [i for i in order if i < n][:k]
+    expected = _ref_decode(pieces, indices, n, k, len(data))
+    if expected is None:
+        # Identity + Vandermonde rows are not MDS for every (n, k): from
+        # (9, 4) on, some k rows are dependent, and the decoder says so.
+        with pytest.raises(CodingError, match="singular"):
+            decode_shards([shards[i] for i in indices], k, len(data))
+    else:
+        assert expected == data
+        assert decode_shards([shards[i] for i in indices], k, len(data)) == data
+
+
+@pytest.fixture(scope="module")
+def uploaded_encode():
+    """``_encode`` as a Bento box runs it: SHARD_SOURCE's module body
+    executed in the sandbox namespace."""
+    namespace = build_function_namespace(api=None)
+    exec(SHARD_SOURCE, namespace)
+    return namespace["_encode"]
+
+
+class TestAgainstReference:
+    @settings(deadline=None)    # max_examples: the profile in conftest.py
+    @given(_data, _code, _order)
+    def test_encoder_and_decoder_agree_with_the_reference(self, data, code,
+                                                          order):
+        check_against_reference(data, *code, order)
+
+    def test_dependent_rows_are_refused_not_mis_decoded(self):
+        """Rows 1, 4, 5, 8 of the 4-of-9 code are linearly dependent (the
+        smallest case; "any k of N" holds only while n - k <= 3 or k <= 3):
+        the reference finds no pivot and the decoder raises."""
+        data = bytes(range(1, 41))
+        assert _ref_decode(_ref_encode(data, 9, 4), [1, 4, 5, 8], 9, 4, 40) is None
+        check_against_reference(data, 9, 4, [1, 4, 5, 8])
+
+    def test_every_subset_where_the_code_is_mds(self):
+        """n - k <= 3 or k <= 3 (up to n = 12): no k rows are dependent."""
+        from itertools import combinations
+
+        data = bytes(range(1, 41))
+        for n, k in [(6, 3), (12, 3), (7, 4), (12, 9), (12, 2)]:
+            pieces = _ref_encode(data, n, k)
+            for indices in combinations(range(n), k):
+                assert _ref_decode(pieces, indices, n, k, 40) == data
+
+    @settings(deadline=None, max_examples=100)
+    @given(_data, _code)
+    def test_uploaded_encoder_is_the_host_encoder(self, uploaded_encode, data,
+                                                  code):
+        """functions/shard.py's claim: "identical in layout"."""
+        n, k = code
+        assert uploaded_encode(data, n, k) == [
+            s.data for s in encode_shards(data, n, k)]
+
+
+# sha256 over the concatenated shards of one seeded input, computed with the
+# numpy coder of a39fabe and committed before it was replaced.
+_PINS = {
+    (6, 3): "2bc14539cd904f04780a7cc0a116ac3e19e4c6ffb226e03fbd149560bbef880d",
+    (5, 2): "cdae77127c1a66f9569b7cc0dd0d9897be553e0b10edf5dc0fbc0d9d6ea78c64",
+    (10, 7): "dc98dc441a9cc0136a2e41afe084d064dd6efe71ff17e11aca1dc1348981c17c",
+    (4, 4): "856cea62a1e73b786c873e6ea18ee1ba2e8c47a88f56e51018c5d2266acff744",
+    (3, 1): "010752f74d43cc18a4247980a959c65e1792fcefe9302faab4a3e4c387bc78d8",
+}
+
+
+@pytest.mark.parametrize("n, k", list(_PINS))
+def test_shard_bytes_are_pinned(n, k):
+    data = DeterministicRandom("coding-pin").randbytes(2**20 + 7)
+    shards = encode_shards(data, n, k)
+    digest = hashlib.sha256(b"".join(s.data for s in shards)).hexdigest()
+    assert digest == _PINS[(n, k)]
+    assert decode_shards(shards[-k:], k, len(data)) == data
