@@ -2,8 +2,8 @@
 
 "Shard uses standard linear encoding techniques to ensure that retrieving
 any k of the N shards suffices to reconstruct the file" — implemented here
-as a systematic Reed-Solomon-style code over GF(256) with numpy-vectorized
-table arithmetic.
+as a systematic Reed-Solomon-style code over GF(256), table-driven on
+``bytes`` (``bytes.translate`` per coefficient, one integer XOR per stripe).
 """
 
 from repro.coding.gf256 import gf_add, gf_div, gf_inv, gf_mul, gf_pow

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.coding.gf256 import gf_inv, gf_mul, gf_mul_vector, gf_pow
 from repro.util.errors import ReproError
+
+_MAX_PARITY = 253   # parity rows take the Vandermonde bases 2..254
 
 
 class CodingError(ReproError):
@@ -29,11 +29,11 @@ class Shard:
     data: bytes
 
 
-def _stripes(data: bytes, k: int) -> np.ndarray:
-    """Split (and zero-pad) data into a k x stripe_len byte matrix."""
-    stripe_len = (len(data) + k - 1) // k if data else 1
-    padded = data.ljust(k * stripe_len, b"\x00")
-    return np.frombuffer(padded, dtype=np.uint8).reshape(k, stripe_len).copy()
+def _stripes(data: bytes, k: int) -> list[bytes]:
+    """Split (and zero-pad) data into ``k`` stripes of equal length."""
+    size = max(1, -(-len(data) // k))       # an empty file pads to one byte
+    return [data[start:start + size].ljust(size, b"\x00")
+            for start in range(0, k * size, size)]
 
 
 def _row_coefficients(index: int, k: int) -> list[int]:
@@ -49,64 +49,72 @@ def _row_coefficients(index: int, k: int) -> list[int]:
     return [gf_pow(a, j) for j in range(k)]
 
 
+def _combine(coefficients: list[int], stripes: list[bytes]) -> bytes:
+    """The GF(256) sum of ``coefficient * stripe`` over equal-length rows."""
+    terms = [(c, stripe) for c, stripe in zip(coefficients, stripes) if c]
+    if len(terms) == 1:
+        return gf_mul_vector(*terms[0])
+    acc = 0
+    for coefficient, stripe in terms:
+        acc ^= int.from_bytes(gf_mul_vector(coefficient, stripe), "big")
+    return acc.to_bytes(len(stripes[0]), "big")
+
+
 def encode_shards(data: bytes, n: int, k: int) -> list[Shard]:
     """Encode ``data`` into ``n`` shards, any ``k`` of which reconstruct it."""
-    if not 1 <= k <= n:
-        raise CodingError(f"need 1 <= k <= n, got k={k} n={n}")
-    if n - k + 1 > 254:
-        raise CodingError("too many parity shards for GF(256)")
+    if not (1 <= k <= n and n - k <= _MAX_PARITY):
+        raise CodingError(f"not 1 <= k <= n <= k + {_MAX_PARITY}: k={k} n={n}")
+    data = bytes(data)      # any bytes-like; bytes itself is not copied
     if k == 1:
-        return [Shard(index=i, data=bytes(data)) for i in range(n)]
-    stripes = _stripes(data, k)
-    shards: list[Shard] = []
-    for index in range(n):
-        coefficients = _row_coefficients(index, k)
-        if index < k:
-            payload = stripes[index].tobytes()
-        else:
-            acc = np.zeros(stripes.shape[1], dtype=np.uint8)
-            for coefficient, stripe in zip(coefficients, stripes):
-                acc ^= gf_mul_vector(coefficient, stripe)
-            payload = acc.tobytes()
-        shards.append(Shard(index=index, data=payload))
-    return shards
+        return [Shard(index=i, data=data) for i in range(n)]
+    pieces = _stripes(data, k)
+    pieces += [_combine(_row_coefficients(index, k), pieces[:k])
+               for index in range(k, n)]
+    return [Shard(index=i, data=piece) for i, piece in enumerate(pieces)]
+
+
+def _invert(matrix: list[list[int]]) -> list[list[int]]:
+    """Gauss-Jordan inverse of a k x k matrix over GF(256)."""
+    k = len(matrix)
+    work = [row + [1 if j == i else 0 for j in range(k)]
+            for i, row in enumerate(matrix)]
+    for col in range(k):
+        pivot = next((r for r in range(col, k) if work[r][col] != 0), None)
+        if pivot is None:
+            raise CodingError("singular decode matrix (duplicate shards?)")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv = gf_inv(work[col][col])
+        work[col] = [gf_mul(inv, v) for v in work[col]]
+        for r in range(k):
+            factor = work[r][col]
+            if r != col and factor != 0:
+                work[r] = [v ^ gf_mul(factor, m)
+                           for v, m in zip(work[r], work[col])]
+    return [row[k:] for row in work]
 
 
 def decode_shards(shards: list[Shard], k: int, original_len: int) -> bytes:
-    """Reconstruct the original bytes from any ``k`` distinct shards."""
+    """Reconstruct the original bytes from any ``k`` distinct shards; an
+    index or a length :func:`encode_shards` cannot have produced is refused
+    (both may be a stranger's choice)."""
+    if k < 1 or original_len < 0:
+        raise CodingError(f"no {original_len}-byte file in {k} stripes")
     if k == 1:
-        if not shards:
-            raise CodingError("no shards supplied")
+        if not shards or len(shards[0].data) < original_len:
+            raise CodingError(f"no replica of {original_len} bytes supplied")
         return shards[0].data[:original_len]
-    chosen: dict[int, Shard] = {}
+    chosen: dict[int, bytes] = {}
     for shard in shards:
-        chosen.setdefault(shard.index, shard)
+        if not (isinstance(shard.index, int)
+                and 0 <= shard.index < k + _MAX_PARITY):
+            raise CodingError(f"no shard index {shard.index!r} for k={k}")
+        chosen.setdefault(shard.index, shard.data)
     if len(chosen) < k:
         raise CodingError(f"need {k} distinct shards, have {len(chosen)}")
-    picked = sorted(chosen.values(), key=lambda s: s.index)[:k]
-    stripe_len = len(picked[0].data)
-    if any(len(s.data) != stripe_len for s in picked):
-        raise CodingError("shards have inconsistent lengths")
-
-    # Solve the k x k system row-reduce style in GF(256).
-    matrix = [list(_row_coefficients(s.index, k)) for s in picked]
-    rows = [np.frombuffer(s.data, dtype=np.uint8).copy() for s in picked]
-
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if matrix[r][col] != 0), None)
-        if pivot is None:
-            raise CodingError("singular decode matrix (duplicate shards?)")
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        inv = gf_inv(matrix[col][col])
-        matrix[col] = [gf_mul(inv, v) for v in matrix[col]]
-        rows[col] = gf_mul_vector(inv, rows[col])
-        for r in range(k):
-            if r != col and matrix[r][col] != 0:
-                factor = matrix[r][col]
-                matrix[r] = [v ^ gf_mul(factor, m)
-                             for v, m in zip(matrix[r], matrix[col])]
-                rows[r] ^= gf_mul_vector(factor, rows[col])
-
-    data = b"".join(row.tobytes() for row in rows)
-    return data[:original_len]
+    indices = sorted(chosen)[:k]
+    pieces = [chosen[index] for index in indices]
+    size = max(1, -(-original_len // k))
+    if any(len(piece) != size for piece in pieces):
+        raise CodingError(f"{original_len} bytes are {k} stripes of {size}")
+    inverse = _invert([_row_coefficients(index, k) for index in indices])
+    return b"".join(_combine(row, pieces) for row in inverse)[:original_len]

@@ -1,18 +1,16 @@
 """GF(2^8) arithmetic with the AES polynomial (0x11B).
 
-Scalar helpers for clarity plus numpy lookup tables for bulk encoding.
+Scalar helpers on exp/log tables, and a whole buffer multiplied by one
+coefficient in a single ``bytes.translate`` pass.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
 _POLY = 0x11B
-_GENERATOR = 0x03
 
-# Build exp/log tables once at import.
-EXP = np.zeros(512, dtype=np.uint8)
-LOG = np.zeros(256, dtype=np.int32)
+# Build exp/log tables once at import (generator 0x03).
+EXP = [0] * 512
+LOG = [0] * 256
 _value = 1
 for _i in range(255):
     EXP[_i] = _value
@@ -22,8 +20,7 @@ for _i in range(255):
     if doubled & 0x100:
         doubled ^= _POLY
     _value = doubled ^ _value
-for _i in range(255, 512):
-    EXP[_i] = EXP[_i - 255]
+EXP[255:] = EXP[:257]
 
 
 def gf_add(a: int, b: int) -> int:
@@ -35,7 +32,7 @@ def gf_mul(a: int, b: int) -> int:
     """Multiplication via log/antilog tables."""
     if a == 0 or b == 0:
         return 0
-    return int(EXP[int(LOG[a]) + int(LOG[b])])
+    return EXP[LOG[a] + LOG[b]]
 
 
 def gf_pow(a: int, n: int) -> int:
@@ -44,33 +41,28 @@ def gf_pow(a: int, n: int) -> int:
         return 1
     if a == 0:
         return 0
-    return int(EXP[(int(LOG[a]) * n) % 255])
+    return EXP[(LOG[a] * n) % 255]
 
 
 def gf_inv(a: int) -> int:
     """Multiplicative inverse; raises on zero."""
     if a == 0:
         raise ZeroDivisionError("zero has no inverse in GF(256)")
-    return int(EXP[255 - int(LOG[a])])
+    return EXP[255 - LOG[a]]
 
 
 def gf_div(a: int, b: int) -> int:
     """Division ``a / b``."""
     if b == 0:
         raise ZeroDivisionError("division by zero in GF(256)")
-    if a == 0:
-        return 0
-    return int(EXP[(int(LOG[a]) - int(LOG[b])) % 255])
+    return gf_mul(a, gf_inv(b))
 
 
-def gf_mul_vector(coefficient: int, data: np.ndarray) -> np.ndarray:
-    """Multiply every byte of ``data`` by ``coefficient`` (vectorized)."""
-    if coefficient == 0:
-        return np.zeros_like(data)
-    if coefficient == 1:
-        return data.copy()
-    log_c = int(LOG[coefficient])
-    nonzero = data != 0
-    out = np.zeros_like(data)
-    out[nonzero] = EXP[log_c + LOG[data[nonzero].astype(np.int32)]]
-    return out
+_ROWS: dict[int, bytes] = {}    # multiplication-table rows, on first use
+
+
+def gf_mul_vector(coefficient: int, data: bytes) -> bytes:
+    """Multiply every byte of ``data`` by ``coefficient`` (one C pass)."""
+    if coefficient not in _ROWS:
+        _ROWS[coefficient] = bytes(gf_mul(coefficient, v) for v in range(256))
+    return data.translate(_ROWS[coefficient])

@@ -7,7 +7,7 @@
 
 The uploaded source embeds a GF(256) encoder *identical in layout* to
 :mod:`repro.coding.erasure` (systematic stripes + Vandermonde parity), so
-the host-side helper can reconstruct with the fast numpy decoder.  The
+the host-side helper can reconstruct with the table-driven decoder.  The
 Dropbox source and manifest arrive as invocation arguments — composition
 without baking one function's code into another's.
 """

@@ -48,6 +48,9 @@ def _message_size(payload: Any, size: Optional[int]) -> int:
 class Endpoint:
     """One side's view of a connection: handlers plus a receive queue."""
 
+    __slots__ = ("on_message", "on_close", "_queue", "_waiter", "_sim",
+                 "_closed")
+
     def __init__(self, sim: Simulator) -> None:
         self.on_message: Optional[MessageHandler] = None
         self.on_close: Optional[CloseHandler] = None

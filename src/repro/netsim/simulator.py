@@ -114,6 +114,8 @@ class Event:
 class Future:
     """A one-shot container for a value that arrives later in sim-time."""
 
+    __slots__ = ("_sim", "done", "_value", "_exception", "_callbacks")
+
     def __init__(self, sim: "Simulator") -> None:
         self._sim = sim
         self.done = False
@@ -207,6 +209,11 @@ class SimTask:
     then ``add_done_callback`` (one wake event, scheduled at once when the
     future is already done), then the completion check.
     """
+
+    __slots__ = ("sim", "name", "finished", "result", "exception",
+                 "_done_future", "_wait_generation", "_timer_event",
+                 "_timer_deadline", "_timer_generation", "_fn", "_args",
+                 "_gen", "_waiting_on", "_wait_timeout", "__weakref__")
 
     def __init__(self, sim: "Simulator", name: str, fn: Callable, args: tuple) -> None:
         self.sim = sim

@@ -15,7 +15,10 @@ from repro.tor.testnet import TorTestNetwork
 # kernel order oracle, the link-model properties, the relay routing oracle
 # and the hostile-cell test; nightly.yml runs those four with
 # ``--hypothesis-profile nightly``.
-settings.register_profile("default", max_examples=300)
+# ``default`` draws the same examples on every run, so tier-1 is a function
+# of the code like every other artifact here; ``nightly`` stays random and
+# is where new counterexamples are looked for.
+settings.register_profile("default", max_examples=300, derandomize=True)
 settings.register_profile("nightly", max_examples=3000)
 
 

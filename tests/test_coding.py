@@ -13,7 +13,15 @@ from repro.coding.erasure import (
     decode_shards,
     encode_shards,
 )
-from repro.coding.gf256 import gf_add, gf_div, gf_inv, gf_mul, gf_pow
+from repro.coding import erasure, gf256
+from repro.coding.gf256 import (
+    gf_add,
+    gf_div,
+    gf_inv,
+    gf_mul,
+    gf_mul_vector,
+    gf_pow,
+)
 from repro.core.loader import build_function_namespace
 from repro.functions.shard import SHARD_SOURCE
 from repro.util.rng import DeterministicRandom
@@ -157,6 +165,13 @@ class TestGf256:
             for n in (0, 1, 2, 7, 254, 255, 256, 300):
                 assert gf_pow(a, n) == _ref_pow(a, n), (a, n)
 
+    def test_mul_vector_is_the_bytewise_map(self):
+        every_value = bytes(range(256)) + bytes(range(255, -1, -1))
+        for c in range(256):
+            assert gf_mul_vector(c, every_value) == bytes(
+                _ref_mul(c, value) for value in every_value), c
+        assert gf_mul_vector(7, b"") == b""
+
 
 class TestErasureCoding:
     def test_any_k_subset_reconstructs(self):
@@ -211,6 +226,60 @@ class TestErasureCoding:
         with pytest.raises(CodingError):
             decode_shards(broken, 2, 12)
 
+    # What a box chose (an index, the file's length) is not trusted.
+
+    SHARDS = encode_shards(b"hello world" * 10, 6, 3)
+
+    @pytest.mark.parametrize("index", [300, 257, 2**40, 256, -1, "3", None,
+                                       3.0], ids=repr)
+    def test_index_encode_cannot_emit_is_refused(self, index):
+        shards = [self.SHARDS[0], Shard(index, self.SHARDS[3].data),
+                  self.SHARDS[4]]
+        with pytest.raises(CodingError, match="no shard index"):
+            decode_shards(shards, 3, 110)
+
+    def test_last_index_encode_can_emit_is_accepted(self):
+        data = b"hello world" * 10
+        shards = encode_shards(data, 3 + 253, 3)
+        assert shards[-1].index == 255
+        assert decode_shards([shards[255], shards[1], shards[254]], 3,
+                             len(data)) == data
+        with pytest.raises(CodingError):
+            encode_shards(data, 3 + 254, 3)
+
+    @pytest.mark.parametrize("length", [10**6, 112, 108, -5, -1])
+    def test_length_the_stripes_do_not_hold_is_refused(self, length):
+        """111 would be the padding byte handed back as data, 108 a file of
+        three 36-byte stripes: neither is what three 37-byte stripes hold."""
+        assert decode_shards(self.SHARDS[:3], 3, 110) == b"hello world" * 10
+        assert len(decode_shards(self.SHARDS[:3], 3, 109)) == 109
+        with pytest.raises(CodingError):
+            decode_shards(self.SHARDS[:3], 3, length)
+
+    def test_negative_length_is_refused_when_one_byte_stripes_match(self):
+        shards = encode_shards(b"ab", 4, 3)      # stripes of 1, like length 0
+        with pytest.raises(CodingError):
+            decode_shards(shards[:3], 3, -2)
+
+    @pytest.mark.parametrize("length", [13, 10**6, -5])
+    def test_replica_length_is_checked(self, length):
+        shards = encode_shards(b"replicate me", 3, 1)
+        with pytest.raises(CodingError):
+            decode_shards(shards[:1], 1, length)
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_is_refused(self, k):
+        with pytest.raises(CodingError):
+            decode_shards(self.SHARDS[:3], k, 110)
+
+    @pytest.mark.parametrize("wrap", [memoryview, bytearray])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_any_bytes_like_encodes(self, wrap, k):
+        data = b"hello world" * 10
+        shards = encode_shards(wrap(data), 6, k)
+        assert shards == encode_shards(data, 6, k)
+        assert all(type(s.data) is bytes for s in shards)
+
     @given(st.binary(min_size=0, max_size=400),
            st.integers(min_value=1, max_value=6),
            st.integers(min_value=0, max_value=4),
@@ -227,7 +296,7 @@ class TestErasureCoding:
 
     def test_function_source_encoder_matches_host_decoder(self):
         """The pure-Python encoder embedded in SHARD_SOURCE produces
-        shards the numpy host decoder reconstructs."""
+        shards the host decoder reconstructs."""
         import repro.functions.shard as shard_module
 
         namespace = {}
@@ -303,6 +372,63 @@ class TestAgainstReference:
         n, k = code
         assert uploaded_encode(data, n, k) == [
             s.data for s in encode_shards(data, n, k)]
+
+
+# The oracle has to be able to fail.  Each mutation below is one way a
+# table-driven coder could be wrong; each must break the fixed example.
+
+def _tables_for_another_polynomial(monkeypatch):
+    exp, log, value = [0] * 512, [0] * 256, 1
+    for i in range(255):
+        exp[i], log[value] = value, i
+        doubled = value << 1
+        if doubled & 0x100:
+            doubled ^= 0x11D        # mutation: not the AES polynomial
+        value ^= doubled
+    exp[255:] = exp[:257]
+    monkeypatch.setattr(gf256, "EXP", exp)
+    monkeypatch.setattr(gf256, "LOG", log)
+
+
+def _vandermonde_base_off_by_one(monkeypatch):
+    rows = erasure._row_coefficients
+
+    def mutant(index, k):       # mutation: a = i - k + 1, so row k is all ones
+        return rows(index, k) if index < k else rows(index - 1, k - 1) + [
+            gf_pow(index - k + 1, k - 1)]
+
+    monkeypatch.setattr(erasure, "_row_coefficients", mutant)
+
+
+def _parity_skips_the_coefficient_one_stripe(monkeypatch):
+    combine = erasure._combine
+
+    def mutant(coefficients, stripes):
+        return combine([0 if c == 1 else c for c in coefficients], stripes)
+
+    monkeypatch.setattr(erasure, "_combine", mutant)
+
+
+class TestOracleHasTeeth:
+    EXAMPLE = (bytes(range(1, 41)), 6, 3, [4, 0, 5])
+
+    @pytest.mark.parametrize("mutate", [
+        _tables_for_another_polynomial,
+        _vandermonde_base_off_by_one,
+        _parity_skips_the_coefficient_one_stripe])
+    def test_mutation_is_caught(self, mutate, monkeypatch):
+        monkeypatch.setattr(gf256, "_ROWS", {})     # no rows from other tables
+        check_against_reference(*self.EXAMPLE)
+        monkeypatch.setattr(gf256, "_ROWS", {})
+        mutate(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_against_reference(*self.EXAMPLE)
+
+    def test_wrong_polynomial_fails_the_exhaustive_product_check(
+            self, monkeypatch):
+        _tables_for_another_polynomial(monkeypatch)
+        with pytest.raises(AssertionError):
+            TestGf256().test_mul_equals_the_reference_on_every_pair()
 
 
 # sha256 over the concatenated shards of one seeded input, computed with the
