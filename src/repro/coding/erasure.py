@@ -67,10 +67,10 @@ def encode_shards(data: bytes, n: int, k: int) -> list[Shard]:
     data = bytes(data)      # any bytes-like; bytes itself is not copied
     if k == 1:
         return [Shard(index=i, data=data) for i in range(n)]
-    pieces = _stripes(data, k)
-    pieces += [_combine(_row_coefficients(index, k), pieces[:k])
-               for index in range(k, n)]
-    return [Shard(index=i, data=piece) for i, piece in enumerate(pieces)]
+    stripes = _stripes(data, k)
+    parity = [_combine(_row_coefficients(index, k), stripes)
+              for index in range(k, n)]
+    return [Shard(i, piece) for i, piece in enumerate(stripes + parity)]
 
 
 def _invert(matrix: list[list[int]]) -> list[list[int]]:

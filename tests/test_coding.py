@@ -7,13 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.coding import erasure, gf256
 from repro.coding.erasure import (
     CodingError,
     Shard,
     decode_shards,
     encode_shards,
 )
-from repro.coding import erasure, gf256
 from repro.coding.gf256 import (
     gf_add,
     gf_div,
@@ -394,8 +394,8 @@ def _vandermonde_base_off_by_one(monkeypatch):
     rows = erasure._row_coefficients
 
     def mutant(index, k):       # mutation: a = i - k + 1, so row k is all ones
-        return rows(index, k) if index < k else rows(index - 1, k - 1) + [
-            gf_pow(index - k + 1, k - 1)]
+        return rows(index, k) if index < k else [
+            gf_pow(index - k + 1, j) for j in range(k)]
 
     monkeypatch.setattr(erasure, "_row_coefficients", mutant)
 
@@ -417,9 +417,8 @@ class TestOracleHasTeeth:
         _vandermonde_base_off_by_one,
         _parity_skips_the_coefficient_one_stripe])
     def test_mutation_is_caught(self, mutate, monkeypatch):
-        monkeypatch.setattr(gf256, "_ROWS", {})     # no rows from other tables
         check_against_reference(*self.EXAMPLE)
-        monkeypatch.setattr(gf256, "_ROWS", {})
+        monkeypatch.setattr(gf256, "_ROWS", {})     # no rows of the real tables
         mutate(monkeypatch)
         with pytest.raises(AssertionError):
             check_against_reference(*self.EXAMPLE)
