@@ -34,7 +34,7 @@ MB = 1024 * 1024
 
 def run_overhead() -> dict:
     net = TorTestNetwork(n_relays=8, seed="conclave-bench",
-                         bento_fraction=0.15, fast_crypto=True)
+                         bento_fraction=0.15)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     BentoServer(net.bento_boxes()[0], net.authority, ias=ias)
     net.create_web_server("o.example", {"/": b"w" * 200_000})

@@ -27,7 +27,7 @@ DURATION = 25.0
 
 def _one_rate(rate: float) -> dict:
     net = TorTestNetwork(n_relays=10, seed=f"cover-{int(rate)}",
-                         bento_fraction=0.3, fast_crypto=True)
+                         bento_fraction=0.3)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     for relay in net.bento_boxes():
         BentoServer(relay, net.authority, ias=ias)

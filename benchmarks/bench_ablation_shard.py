@@ -26,7 +26,7 @@ def run_shard_points() -> dict:
     rows = []
     for n, k in POINTS:
         net = TorTestNetwork(n_relays=14, seed=f"shard-{n}-{k}",
-                             bento_fraction=0.6, fast_crypto=True)
+                             bento_fraction=0.6)
         ias = IntelAttestationService(net.sim.rng.fork("ias"))
         servers = {r.fingerprint: BentoServer(r, net.authority, ias=ias)
                    for r in net.bento_boxes()}

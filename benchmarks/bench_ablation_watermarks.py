@@ -31,7 +31,7 @@ SERVER_BW = 1_200_000.0
 
 def _one_setting(high_water: int) -> dict:
     net = TorTestNetwork(n_relays=14, seed=f"wm-{high_water}",
-                         bento_fraction=0.45, fast_crypto=True)
+                         bento_fraction=0.45)
     net.network.min_latency = 0.015
     net.network.max_latency = 0.05
     ias = IntelAttestationService(net.sim.rng.fork("ias"))

@@ -73,7 +73,7 @@ def _policy() -> MiddleboxNodePolicy:
 
 def _build(seed: int) -> tuple[TorTestNetwork, ChainDeployment]:
     """A testnet with starved box uplinks and an undeployed chain."""
-    net = TorTestNetwork(n_relays=12, seed=seed, fast_crypto=True,
+    net = TorTestNetwork(n_relays=12, seed=seed,
                          bento_fraction=0.5)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     for relay in net.bento_boxes():

@@ -49,8 +49,7 @@ CLIENT_BW = 2_000_000.0
 
 
 def _net(seed):
-    net = TorTestNetwork(n_relays=14, seed=seed, bento_fraction=0.45,
-                         fast_crypto=True)
+    net = TorTestNetwork(n_relays=14, seed=seed, bento_fraction=0.45)
     net.network.min_latency = 0.015
     net.network.max_latency = 0.05
     ias = IntelAttestationService(net.sim.rng.fork("ias"))

@@ -68,7 +68,7 @@ CODE = (
 
 def _build_net(seed: int) -> tuple[TorTestNetwork, object]:
     """A testnet with exactly one Bento box on a throttled uplink."""
-    net = TorTestNetwork(n_relays=8, seed=seed, fast_crypto=True,
+    net = TorTestNetwork(n_relays=8, seed=seed,
                          bento_fraction=0.125)
     (box_relay,) = net.bento_boxes()
     box_relay.node.uplink.rate = float(BOX_UPLINK_BPS)

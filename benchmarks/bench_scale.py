@@ -127,7 +127,7 @@ def run_scale(n_sessions: int, seed: int = 2021,
     """Run N sessions in-process and return the measurement dict."""
     REGISTRY.reset()
     n_clients, per_client = _split_sessions(n_sessions)
-    net = TorTestNetwork(n_relays=12, seed=seed, fast_crypto=True,
+    net = TorTestNetwork(n_relays=12, seed=seed,
                          bento_fraction=0.25)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     # Roomy operator caps: with circuits pooled, clients spend nearly all

@@ -59,7 +59,7 @@ PAPER = {
 
 
 def _build_net():
-    net = TorTestNetwork(n_relays=12, seed="table2", fast_crypto=True,
+    net = TorTestNetwork(n_relays=12, seed="table2",
                          bento_fraction=0.25)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     net.ias = ias

@@ -12,8 +12,8 @@ deliberately not guarded — they do not scale with size.
         --current benchmarks/BENCH_hotpath.json
 
 Exits nonzero if any per-byte counter drifts past the tolerance or any
-hard invariant (zero heap compactions, crypto-mode timing invariance,
-zero-copy coverage of the payload) is violated.
+hard invariant (zero heap compactions, zero-copy coverage of the
+payload) is violated.
 
 Given a ``BENCH_scale.json`` via ``--scale``, the kernel's context-switch
 cost per session must also stay under the frozen budget.
@@ -49,7 +49,7 @@ from repro.perf.counters import FIELDS  # noqa: E402
 #: bouncing through extra suspensions per session.
 SWITCHES_PER_SESSION_BUDGET = 20.0
 
-SECTIONS = ("macro_fast", "macro_real", "fanin")
+SECTIONS = ("macro_real", "fanin")
 
 
 def check(reference: dict, current: dict, tolerance: float) -> list[str]:
@@ -85,16 +85,10 @@ def check(reference: dict, current: dict, tolerance: float) -> list[str]:
         if cur["counters"].get("heap_compactions", 0) != 0:
             problems.append(f"{section}: heap_compactions != 0 — timer "
                             f"slots are leaking tombstones again")
-    fast, real = current.get("macro_fast"), current.get("macro_real")
-    if fast and real:
-        if (fast["elapsed"], fast["sim_now"]) != \
-                (real["elapsed"], real["sim_now"]):
-            problems.append("macro_fast and macro_real disagree on "
-                            "simulated time — an optimization leaked "
-                            "into the event schedule")
-        if fast["counters"].get("bytes_zero_copied", 0) < fast["bytes"]:
-            problems.append("macro_fast: zero-copy path covered less "
-                            "than the payload")
+    real = current.get("macro_real")
+    if real and real["counters"].get("bytes_zero_copied", 0) < real["bytes"]:
+        problems.append("macro_real: zero-copy path covered less "
+                        "than the payload")
     return problems
 
 

@@ -23,8 +23,7 @@ DURATION = 30.0
 
 def profile(seed: str, also_browse: bool) -> list[float]:
     """Per-second downstream byte counts on the client's link."""
-    net = TorTestNetwork(n_relays=10, seed=seed, bento_fraction=0.3,
-                         fast_crypto=True)
+    net = TorTestNetwork(n_relays=10, seed=seed, bento_fraction=0.3)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     for relay in net.bento_boxes():
         BentoServer(relay, net.authority, ias=ias)

@@ -16,8 +16,7 @@ from repro.tor import TorTestNetwork
 
 
 def main() -> None:
-    net = TorTestNetwork(n_relays=12, seed="shard-demo", bento_fraction=0.6,
-                         fast_crypto=True)
+    net = TorTestNetwork(n_relays=12, seed="shard-demo", bento_fraction=0.6)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     servers = {relay.fingerprint: BentoServer(relay, net.authority, ias=ias)
                for relay in net.bento_boxes()}

@@ -26,8 +26,7 @@ SERVER_BW = 1_000_000.0    # T2-class hosts: fair share < per-stream ceiling
 
 
 def build_net(seed):
-    net = TorTestNetwork(n_relays=12, seed=seed, bento_fraction=0.5,
-                         fast_crypto=True)
+    net = TorTestNetwork(n_relays=12, seed=seed, bento_fraction=0.5)
     net.network.min_latency = 0.015
     net.network.max_latency = 0.05
     ias = IntelAttestationService(net.sim.rng.fork("ias"))

@@ -94,8 +94,7 @@ def _run_soak(seed: int, n_relays: int, n_visitors: int,
               verbose: bool, recovery_mode: str = "cold") -> dict:
     if recovery_mode not in ("cold", "standby", "migrate", "tenant-cold"):
         raise ValueError(f"unknown recovery_mode: {recovery_mode!r}")
-    net = TorTestNetwork(n_relays=n_relays, seed=seed, bento_fraction=0.5,
-                         fast_crypto=True)
+    net = TorTestNetwork(n_relays=n_relays, seed=seed, bento_fraction=0.5)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     net.ias = ias
     migrate_cfg = None

@@ -15,7 +15,7 @@ port (the "localhost" exception), or — via
 from __future__ import annotations
 
 import itertools
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.core import messages
 from repro.core.api import FunctionApi
@@ -55,6 +55,10 @@ from repro.tor.directory import DirectoryAuthority
 from repro.tor.relay import Relay
 from repro.util.errors import ProtocolError
 from repro.util.serialization import canonical_encode
+
+if TYPE_CHECKING:
+    from repro.migrate import MigrationConfig
+    from repro.qos import QosConfig
 
 # Cached registry handle (the registry resets values in place).
 _ORPHANS_REAPED = _metrics.counter("perf_orphans_reaped")
@@ -224,7 +228,8 @@ class BentoServer:
                  enclave_host: Optional[EnclaveHost] = None,
                  port: int = BENTO_PORT,
                  orphan_grace_s: Optional[float] = None,
-                 qos=None, migrate=None) -> None:
+                 qos: Optional[QosConfig] = None,
+                 migrate: Optional[MigrationConfig] = None) -> None:
         self.relay = relay
         self.node = relay.node
         self.sim = relay.sim
@@ -243,8 +248,7 @@ class BentoServer:
             f"bento:{relay.nickname}",
             memory=self.policy.max_total_memory,
             disk=self.policy.max_total_disk)
-        self.tor_client = TorClient(self.network, self.node, directory,
-                                    fast_crypto=relay.fast_crypto)
+        self.tor_client = TorClient(self.network, self.node, directory)
         self.controller = Controller(self.tor_client)
         self._tokens = TokenIssuer(seed=f"{relay.nickname}:{relay.fingerprint}")
         self._by_invocation: dict[str, FunctionInstance] = {}
@@ -263,23 +267,18 @@ class BentoServer:
         # fixed-seed runs replay bit-identically.  Imported lazily —
         # repro.qos pulls in repro.core submodules, and a top-level
         # import here would cycle through the package __init__.
+        self.qos = None
         if qos is not None:
-            from repro.qos import QosConfig, ServingPlane
-            if not isinstance(qos, ServingPlane):
-                config = qos if isinstance(qos, QosConfig) else QosConfig()
-                qos = ServingPlane(self, config)
-        self.qos = qos
+            from repro.qos import ServingPlane
+            self.qos = ServingPlane(self, qos)
         # The migration plane is equally opt-in (and equally lazily
-        # imported): pass a MigrationConfig (or a ready plane) to enable
-        # drain-then-migrate and sealed checkpoint/restore.  migrate=None
-        # keeps fixed-seed default runs bit-identical.
+        # imported): pass a MigrationConfig to enable drain-then-migrate
+        # and sealed checkpoint/restore.  migrate=None keeps fixed-seed
+        # default runs bit-identical.
+        self.migrate = None
         if migrate is not None:
-            from repro.migrate import MigrationConfig, MigrationPlane
-            if not isinstance(migrate, MigrationPlane):
-                config = (migrate if isinstance(migrate, MigrationConfig)
-                          else MigrationConfig())
-                migrate = MigrationPlane(self, config)
-        self.migrate = migrate
+            from repro.migrate import MigrationPlane
+            self.migrate = MigrationPlane(self, migrate)
         # Tokens of instances that drained away, mapped to the destination
         # box fingerprint — requests against them get a structured "moved"
         # answer instead of "unknown token".
@@ -399,7 +398,7 @@ class BentoServer:
         elif msg_type == messages.LOAD_FUNCTION:
             self._handle_load(framed, message)
         elif msg_type == messages.INVOKE:
-            instance = self._instance_for_invocation(message.get("token", ""))
+            instance = self._instance_for(message.get("token", ""))
             instance.note_peer(framed)
             log = _obs.log
             if log is not None:
@@ -409,11 +408,11 @@ class BentoServer:
                             n_args=len(message.get("args", [])))
             instance.invoke(list(message.get("args", [])), framed)
         elif msg_type == messages.MSG:
-            instance = self._instance_for_invocation(message.get("token", ""))
+            instance = self._instance_for(message.get("token", ""))
             instance.note_peer(framed)
             instance.deliver(message.get("payload", b""), framed)
         elif msg_type == messages.ATTACH:
-            instance = self._instance_for_invocation(message.get("token", ""))
+            instance = self._instance_for(message.get("token", ""))
             instance.note_peer(framed)
             log = _obs.log
             if log is not None:
@@ -551,7 +550,7 @@ class BentoServer:
 
     def _load_function(self, framed: FramedStream, message: dict,
                        span=None) -> None:
-        instance = self._instance_for_invocation(message.get("token", ""))
+        instance = self._instance_for(message.get("token", ""))
         instance.note_peer(framed)
         manifest = FunctionManifest.from_wire(message["manifest"])
         reason = self.policy.rejection_reason(manifest)
@@ -590,14 +589,7 @@ class BentoServer:
         framed.send_frame(messages.encode_message(messages.LOADED, ok=True))
 
     def _handle_shutdown(self, framed: FramedStream, message: dict) -> None:
-        token = message.get("token", "")
-        instance = self._by_shutdown.get(token)
-        if instance is None:
-            moved_to = self._moved.get(token)
-            if moved_to is not None:
-                raise FunctionMoved("function migrated to another box",
-                                    box_fp=moved_to)
-            raise TokenInvalid("unknown shutdown token")
+        instance = self._instance_for(message.get("token", ""), shutdown=True)
         instance.note_peer(framed)
         instance.kill("shutdown by owner")
         framed.send_frame(messages.encode_message(messages.SHUTDOWN_OK))
@@ -612,14 +604,7 @@ class BentoServer:
         sees plaintext state (§5.4)."""
         from repro.migrate import checkpoint_instance, store_local_checkpoint
 
-        token = message.get("token", "")
-        instance = self._by_shutdown.get(token)
-        if instance is None:
-            moved_to = self._moved.get(token)
-            if moved_to is not None:
-                raise FunctionMoved("function migrated to another box",
-                                    box_fp=moved_to)
-            raise TokenInvalid("unknown shutdown token")
+        instance = self._instance_for(message.get("token", ""), shutdown=True)
         instance.note_peer(framed)
         cp = checkpoint_instance(instance, seq=int(message.get("seq", 0)))
         reply: dict = {"ok": True, "seq": cp.seq}
@@ -645,7 +630,7 @@ class BentoServer:
         from repro.migrate import Checkpoint, restore_instance
         from repro.util.serialization import canonical_decode
 
-        instance = self._instance_for_invocation(message.get("token", ""))
+        instance = self._instance_for(message.get("token", ""))
         instance.note_peer(framed)
         if "sealed_checkpoint" in message:
             if instance.conclave is None or instance.conclave.channel is None:
@@ -690,15 +675,20 @@ class BentoServer:
 
     # -- registry -----------------------------------------------------------------
 
-    def _instance_for_invocation(self, token: str) -> FunctionInstance:
-        instance = self._by_invocation.get(token)
-        if instance is None:
-            moved_to = self._moved.get(token)
-            if moved_to is not None:
-                raise FunctionMoved("function migrated to another box",
-                                    box_fp=moved_to)
-            raise TokenInvalid("unknown invocation token")
-        return instance
+    def _instance_for(self, token: str, shutdown: bool = False) -> FunctionInstance:
+        """The live instance ``token`` names: an invocation token, or with
+        ``shutdown`` the owner's shutdown token.  A token whose instance
+        migrated away raises :class:`FunctionMoved` naming the new box."""
+        table = self._by_shutdown if shutdown else self._by_invocation
+        instance = table.get(token)
+        if instance is not None:
+            return instance
+        moved_to = self._moved.get(token)
+        if moved_to is not None:
+            raise FunctionMoved("function migrated to another box",
+                                box_fp=moved_to)
+        kind = "shutdown" if shutdown else "invocation"
+        raise TokenInvalid(f"unknown {kind} token")
 
     def _forget(self, instance: FunctionInstance) -> None:
         self._by_invocation.pop(instance.tokens.invocation, None)

@@ -85,7 +85,7 @@ class FingerprintLab:
     """Corpus + network + collection in one object."""
 
     def __init__(self, n_sites: int = 100, n_relays: int = 15,
-                 seed: int | str = "fplab", fast_crypto: bool = True,
+                 seed: int | str = "fplab",
                  bento_fraction: float = 0.3,
                  browser_image: str = "python",
                  min_total: int = 30 * 1024,
@@ -94,7 +94,6 @@ class FingerprintLab:
             n_sites, seed=f"{seed}-corpus",
             min_total=min_total, max_total=max_total)
         self.net = TorTestNetwork(n_relays=n_relays, seed=seed,
-                                  fast_crypto=fast_crypto,
                                   bento_fraction=bento_fraction)
         self.browser_image = browser_image
         self.ias = IntelAttestationService(self.net.sim.rng.fork("ias"))

@@ -148,7 +148,7 @@ class ServingPlane:
 
     def price_manifest(self, instance, manifest) -> None:
         """Reserve the manifest's declared ask; register its flows."""
-        key = getattr(instance, "qos_key", None)
+        key = instance.qos_key
         if key is None:
             return
         try:
@@ -188,7 +188,7 @@ class ServingPlane:
     def charge_cpu(self, thread: Actor, instance,
                    cost_ms: float) -> None:
         """Meter cpu milliseconds; sleep out any fair-share pacing delay."""
-        key = getattr(instance, "qos_key", None)
+        key = instance.qos_key
         if key is None or cost_ms <= 0:
             return
         delay = self.cpu_queue.charge(key, cost_ms, self.server.sim.now)
@@ -197,7 +197,7 @@ class ServingPlane:
     def charge_net(self, thread: Actor, instance,
                    nbytes: int) -> None:
         """Meter egress/ingress bytes through the fair queue."""
-        key = getattr(instance, "qos_key", None)
+        key = instance.qos_key
         if key is None or nbytes <= 0:
             return
         delay = self.net_queue.charge(key, float(nbytes), self.server.sim.now)

@@ -26,14 +26,13 @@ from repro.obs.span import TRACER as _obs
 from repro.tor.cell import (
     CELL_SIZE,
     RELAY_DATA_SIZE,
-    RELAY_PAYLOAD_SIZE,
     Cell,
     CellCommand,
     RelayCellPayload,
     RelayCommand,
 )
 from repro.tor.descriptor import RelayDescriptor
-from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto, _FastLayer
+from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
 from repro.tor.relay import (
     CIRCUIT_PACKAGE_WINDOW,
     CIRCUIT_SENDME_INCREMENT,
@@ -87,8 +86,6 @@ class Circuit:
         self._delivered_forward = 0     # received DATA cells, for SENDMEs
         self.cells_sent = 0
         self.cells_received = 0
-        # Fast-mode backward unwrap cache; see _fast_backward_state().
-        self._fast_bwd: Optional[tuple] = None
 
     # -- wiring ------------------------------------------------------------
 
@@ -267,64 +264,16 @@ class Circuit:
             return
         self._process_relay(cell)
 
-    def _fast_backward_state(self) -> Optional[tuple]:
-        """Cumulative backward pads for the all-fast-hops unwrap shortcut.
-
-        With :class:`_FastLayer` hops, the payload after unwrapping hops
-        ``0..i`` is ``p XOR cum_i`` for a fixed per-circuit ``cum_i``, so
-        the *recognized* check at hop ``i`` reduces to comparing the top
-        two payload bytes against ``cum_i``'s — the expensive 509-byte XOR
-        is only materialized for the (at most one, modulo 2^-16 false
-        positives) hop whose prefix matches.  Returns ``(prefixes, cums)``
-        or ``None`` when any hop uses stateful keystreams.
-        """
-        cached = self._fast_bwd
-        n = len(self.hops)
-        if cached is not None and cached[0] == n:
-            return cached[1]
-        prefixes: list[int] = []
-        cums: list[int] = []
-        cum = 0
-        for hop in self.hops:
-            layer = hop._layer
-            if not isinstance(layer, _FastLayer):
-                self._fast_bwd = (n, None)
-                return None
-            cum ^= layer._bwd_int
-            cums.append(cum)
-            prefixes.append(cum >> ((RELAY_PAYLOAD_SIZE - 2) * 8))
-        state = (prefixes, cums)
-        self._fast_bwd = (n, state)
-        return state
-
     def _process_relay(self, cell: Cell) -> None:
         payload = cell.payload
-        fast = self._fast_backward_state() if self.hops else None
-        if fast is not None and len(payload) == RELAY_PAYLOAD_SIZE:
-            prefixes, cums = fast
-            pint = int.from_bytes(payload, "big")
-            top = pint >> ((RELAY_PAYLOAD_SIZE - 2) * 8)
-            for index, prefix in enumerate(prefixes):
-                if top == prefix:
-                    candidate = (pint ^ cums[index]).to_bytes(
-                        RELAY_PAYLOAD_SIZE, "big")
-                    parsed = self.hops[index].open_payload(candidate, BACKWARD)
-                    if parsed is not None:
-                        self._dispatch(parsed, from_hop=index)
-                        return
-            if self.hs_crypto is None:
-                return  # unrecognized at every layer: drop
-            payload = (pint ^ cums[-1]).to_bytes(RELAY_PAYLOAD_SIZE, "big")
-        else:
-            # Each hop's unwrap hands the next the train it read ahead over.
-            train = cell.train
-            for index, hop in enumerate(self.hops):
-                payload, train = hop.crypt_backward_ahead(
-                    payload, train, cell.index)
-                parsed = hop.open_payload(payload, BACKWARD)
-                if parsed is not None:
-                    self._dispatch(parsed, from_hop=index)
-                    return
+        # Each hop's unwrap hands the next the train it read ahead over.
+        train = cell.train
+        for index, hop in enumerate(self.hops):
+            payload, train = hop.crypt_backward_ahead(payload, train, cell.index)
+            parsed = hop.open_payload(payload, BACKWARD)
+            if parsed is not None:
+                self._dispatch(parsed, from_hop=index)
+                return
         if self.hs_crypto is not None:
             if self.hs_role == HS_CLIENT:
                 payload = self.hs_crypto.crypt_backward(payload)

@@ -59,13 +59,11 @@ class TorClient:
 
     def __init__(self, network: Network, node: Node,
                  directory: DirectoryAuthority,
-                 fast_crypto: bool = False,
                  use_entry_guard: bool = False) -> None:
         self.network = network
         self.node = node
         self.sim = node.sim
         self.directory = directory
-        self.fast_crypto = fast_crypto
         # Real Tor clients pin a long-lived entry guard; opt in for
         # experiments where the guard link is the observation point.
         self.use_entry_guard = use_entry_guard
@@ -216,8 +214,7 @@ class TorClient:
             self.note_relay_failure(guard.identity_fp)
             circuit.close()
             raise
-        circuit.add_hop(HopCrypto(state.finish(reply[:ntor.REPLY_LEN]),
-                                  fast=self.fast_crypto))
+        circuit.add_hop(HopCrypto(state.finish(reply[:ntor.REPLY_LEN])))
 
         # Remaining hops: EXTEND/EXTENDED through the partial circuit.
         for position, relay in enumerate(path[1:], start=1):
@@ -251,9 +248,7 @@ class TorClient:
                 self.note_relay_failure(relay.identity_fp)
                 circuit.close()
                 raise
-            circuit.add_hop(HopCrypto(
-                state.finish(info["data"][:ntor.REPLY_LEN]),
-                fast=self.fast_crypto))
+            circuit.add_hop(HopCrypto(state.finish(info["data"][:ntor.REPLY_LEN])))
 
         self.circuits.append(circuit)
         return circuit
@@ -433,7 +428,7 @@ class TorClient:
             raise
         reply = canonical_decode(rend2["data"])["blob"]
         keys = hs_state.finish(reply[:ntor.REPLY_LEN])
-        rend_circuit.attach_hs(HopCrypto(keys, fast=self.fast_crypto), HS_CLIENT)
+        rend_circuit.attach_hs(HopCrypto(keys), HS_CLIENT)
         return rend_circuit
 
     # -- cover traffic --------------------------------------------------------------

@@ -172,8 +172,7 @@ class HiddenService:
             "cookie": request["cookie"],
             "blob": reply,
         }))
-        circuit.attach_hs(HopCrypto(keys, fast=self.client.fast_crypto),
-                          HS_SERVICE)
+        circuit.attach_hs(HopCrypto(keys), HS_SERVICE)
         circuit.on_begin = self._on_begin
         self.rendezvous_circuits.append(circuit)
         return circuit

@@ -6,14 +6,8 @@ forward ciphers outermost-last; each relay applies its own once; whichever
 hop finds the cell *recognized* (leading zeros and a valid rolling digest)
 consumes it.
 
-Two modes share one interface:
-
-* ``real`` — AES-128-CTR (:mod:`repro.crypto.stream`), one C call per burst.
-* ``fast`` — a cached per-hop pad, one big-int XOR per cell.  Structurally
-  identical (payloads still mutate per layer, recognition/digests still
-  enforced), ten times the cost to construct and now slower per cell in a
-  burst as well as outside one (measured in ROADMAP item 2, which deletes
-  it).  Never a security claim.
+There is one layer cipher, AES-128-CTR (:mod:`repro.crypto.stream`), one C
+call per burst, on every hop of every circuit.
 
 **Who batches.**  The sender of a burst: a client draining its package
 window (``Circuit._send_data_many``) and an exit draining a stream window
@@ -46,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.crypto.kdf import hkdf
 from repro.crypto.stream import StreamCipher
 from repro.obs.metrics import REGISTRY as _metrics
 
@@ -54,7 +47,7 @@ from repro.obs.metrics import REGISTRY as _metrics
 # attribute add per call (the registry resets values in place).
 _CELLS_FWD = _metrics.counter("cells_crypted", {"direction": "fwd"})
 _CELLS_BWD = _metrics.counter("cells_crypted", {"direction": "bwd"})
-from repro.tor.cell import RELAY_PAYLOAD_SIZE, RelayCellPayload
+from repro.tor.cell import RelayCellPayload
 from repro.tor.ntor import CircuitKeys
 from repro.util.bytesutil import xor_bytes
 from repro.util.errors import ProtocolError
@@ -118,65 +111,6 @@ class _Direction:
         return output[index], output
 
 
-class _RealLayer:
-    """Stateful keystream XOR, independent per direction.
-
-    Every entry point is its direction's method, bound once: the per-cell
-    path goes straight there, with no frame in between.
-    """
-
-    def __init__(self, keys: CircuitKeys) -> None:
-        fwd = self._fwd = _Direction(keys.kf, b"layer-f")
-        bwd = self._bwd = _Direction(keys.kb, b"layer-b")
-        self.forward, self.backward = fwd.process, bwd.process
-        self.forward_many, self.backward_many = fwd.process_many, bwd.process_many
-        self.forward_ahead, self.backward_ahead = fwd.process_ahead, bwd.process_ahead
-
-
-class _FastLayer:
-    """Cached-pad XOR: one pad per direction, reused every cell.
-
-    The pads are cached both as bytes and as big ints, so the per-cell
-    work in the common full-payload case is a single int XOR.
-    """
-
-    def __init__(self, keys: CircuitKeys) -> None:
-        self._fwd_pad = hkdf(keys.kf, info=b"fast-pad-f", length=RELAY_PAYLOAD_SIZE)
-        self._bwd_pad = hkdf(keys.kb, info=b"fast-pad-b", length=RELAY_PAYLOAD_SIZE)
-        self._fwd_int = int.from_bytes(self._fwd_pad, "big")
-        self._bwd_int = int.from_bytes(self._bwd_pad, "big")
-
-    def forward(self, payload: bytes) -> bytes:
-        """Apply the forward-direction layer."""
-        if len(payload) == RELAY_PAYLOAD_SIZE:
-            return (int.from_bytes(payload, "big") ^ self._fwd_int).to_bytes(
-                RELAY_PAYLOAD_SIZE, "big")
-        return xor_bytes(payload, self._fwd_pad)
-
-    def backward(self, payload: bytes) -> bytes:
-        """Apply the backward-direction layer."""
-        if len(payload) == RELAY_PAYLOAD_SIZE:
-            return (int.from_bytes(payload, "big") ^ self._bwd_int).to_bytes(
-                RELAY_PAYLOAD_SIZE, "big")
-        return xor_bytes(payload, self._bwd_pad)
-
-    def forward_many(self, payloads: list[bytes]) -> list[bytes]:
-        """Apply the forward layer to each payload (pad reuse: no batching gain)."""
-        return [self.forward(p) for p in payloads]
-
-    def backward_many(self, payloads: list[bytes]) -> list[bytes]:
-        """Apply the backward layer to each payload."""
-        return [self.backward(p) for p in payloads]
-
-    def forward_ahead(self, payload: bytes, _train, _index) -> tuple:
-        """A pad has no stream position to read ahead from: no train."""
-        return self.forward(payload), None
-
-    def backward_ahead(self, payload: bytes, _train, _index) -> tuple:
-        """A pad has no stream position to read ahead from: no train."""
-        return self.backward(payload), None
-
-
 class HopCrypto:
     """One hop's cipher state plus rolling digests for recognized cells.
 
@@ -187,8 +121,10 @@ class HopCrypto:
     backward).
     """
 
+    # ``fast`` is ignored: benchmarks/suite/drills.py passes it.
     def __init__(self, keys: CircuitKeys, fast: bool = False) -> None:
-        self._layer = _FastLayer(keys) if fast else _RealLayer(keys)
+        self._fwd = _Direction(keys.kf, b"layer-f")
+        self._bwd = _Direction(keys.kb, b"layer-b")
         self._digest_keys = {FORWARD: keys.df, BACKWARD: keys.db}
         self._send_seq = {FORWARD: 0, BACKWARD: 0}
         self._recv_seq = {FORWARD: 0, BACKWARD: 0}
@@ -198,12 +134,12 @@ class HopCrypto:
     def crypt_forward(self, payload: bytes) -> bytes:
         """Apply this hop's forward layer (encrypt at client, strip at relay)."""
         _CELLS_FWD.value += 1
-        return self._layer.forward(payload)
+        return self._fwd.process(payload)
 
     def crypt_backward(self, payload: bytes) -> bytes:
         """Apply this hop's backward layer."""
         _CELLS_BWD.value += 1
-        return self._layer.backward(payload)
+        return self._bwd.process(payload)
 
     def crypt_forward_many(self, payloads: list[bytes]) -> list[bytes]:
         """Apply the forward layer to consecutive payloads in one batch.
@@ -212,12 +148,12 @@ class HopCrypto:
         consumed in list order.
         """
         _CELLS_FWD.value += len(payloads)
-        return self._layer.forward_many(payloads)
+        return self._fwd.process_many(payloads)
 
     def crypt_backward_many(self, payloads: list[bytes]) -> list[bytes]:
         """Apply the backward layer to consecutive payloads in one batch."""
         _CELLS_BWD.value += len(payloads)
-        return self._layer.backward_many(payloads)
+        return self._bwd.process_many(payloads)
 
     def crypt_forward_ahead(self, payload: bytes, train: list[bytes] | None,
                             index: int) -> tuple[bytes, list[bytes] | None]:
@@ -226,14 +162,14 @@ class HopCrypto:
         ``None``.  Returns the crypted payload and the train it is now
         part of, for the next hop to read ahead over in its turn."""
         _CELLS_FWD.value += 1
-        return self._layer.forward_ahead(payload, train, index)
+        return self._fwd.process_ahead(payload, train, index)
 
     def crypt_backward_ahead(self, payload: bytes, train: list[bytes] | None,
                              index: int) -> tuple[bytes, list[bytes] | None]:
         """:meth:`crypt_backward` for a delivered cell; see
         :meth:`crypt_forward_ahead`."""
         _CELLS_BWD.value += 1
-        return self._layer.backward_ahead(payload, train, index)
+        return self._bwd.process_ahead(payload, train, index)
 
     # -- digests ---------------------------------------------------------
 

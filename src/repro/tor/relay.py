@@ -237,7 +237,6 @@ class Relay:
                  exit_policy: Optional[ExitPolicy] = None,
                  flags: tuple[str, ...] = (),
                  bento_port: Optional[int] = None,
-                 fast_crypto: bool = False,
                  or_port: int = OR_PORT) -> None:
         self.network = network
         self.node = node
@@ -245,7 +244,6 @@ class Relay:
         self.nickname = nickname
         self.or_port = or_port
         self.exit_policy = exit_policy or ExitPolicy.reject_all()
-        self.fast_crypto = fast_crypto
         self._rng = self.sim.rng.fork(f"relay:{nickname}")
         self.identity = RsaKeyPair.generate(self._rng.fork("identity"))
         self.flags = tuple(flags)
@@ -304,7 +302,7 @@ class Relay:
         )
         chan = self._channels[conn]
         entry = CircuitEntry(chan_prev=chan, circ_id_prev=cell.circ_id,
-                             crypto=HopCrypto(keys, fast=self.fast_crypto))
+                             crypto=HopCrypto(keys))
         chan.circuits[cell.circ_id] = (entry, True)
         self._send_cell(conn, Cell(cell.circ_id, CellCommand.CREATED, reply))
 

@@ -29,6 +29,7 @@ SERVER_BW = 12_500_000.0
 class TorTestNetwork:
     """A self-contained Tor deployment on the simulator."""
 
+    # ``fast_crypto`` is ignored: benchmarks/suite/workloads.py passes it.
     def __init__(self, n_relays: int = 12, seed: int | str = 0,
                  fast_crypto: bool = False,
                  exit_fraction: float = 0.5,
@@ -39,7 +40,6 @@ class TorTestNetwork:
             raise ValueError("a Tor network needs at least 3 relays")
         self.sim = Simulator(seed=seed)
         self.network = Network(self.sim)
-        self.fast_crypto = fast_crypto
         self.authority = DirectoryAuthority(self.sim.rng.fork("authority"))
         self.relays: list[Relay] = []
         self._client_count = 0
@@ -62,7 +62,7 @@ class TorTestNetwork:
             bento_port = BENTO_PORT if index >= n_relays - n_bento else None
             relay = Relay(self.network, node, f"relay{index}",
                           exit_policy=policy, flags=tuple(flags),
-                          bento_port=bento_port, fast_crypto=fast_crypto)
+                          bento_port=bento_port)
             relay.register_with(self.authority)
             self.relays.append(relay)
 
@@ -75,8 +75,7 @@ class TorTestNetwork:
         node = self.network.create_node(
             name or f"client{self._client_count}",
             up_bytes_per_s=bandwidth, down_bytes_per_s=bandwidth)
-        return TorClient(self.network, node, self.authority,
-                         fast_crypto=self.fast_crypto)
+        return TorClient(self.network, node, self.authority)
 
     def create_web_server(self, hostname: str,
                           resources: dict[str, object],

@@ -95,8 +95,7 @@ def _kv_manifest(tenant: TenantSpec) -> FunctionManifest:
 def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
     planes = spec.planes
     net = TorTestNetwork(n_relays=spec.n_relays, seed=spec.seed,
-                         bento_fraction=spec.bento_fraction,
-                         fast_crypto=True)
+                         bento_fraction=spec.bento_fraction)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     net.ias = ias
     qos_cfg = None

@@ -82,7 +82,7 @@ class TestCacheInvalidationUnderChaos:
 
     def test_directory_churn_mid_run_invalidates_client_consensus(self):
         net = TorTestNetwork(n_relays=6, seed="cache-churn",
-                             fast_crypto=True, bento_fraction=0.34)
+                             bento_fraction=0.34)
         ias = IntelAttestationService(net.sim.rng.fork("ias"))
         box = net.bento_boxes()[0]
         BentoServer(box, net.authority, ias=ias)

@@ -23,9 +23,9 @@ from repro.tor.testnet import TorTestNetwork
 from conftest import run_thread
 
 
-def _bento_net(seed, n_relays=10, bento_fraction=0.5, fast=True):
+def _bento_net(seed, n_relays=10, bento_fraction=0.5):
     net = TorTestNetwork(n_relays=n_relays, seed=seed,
-                         bento_fraction=bento_fraction, fast_crypto=fast)
+                         bento_fraction=bento_fraction)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     net.ias = ias
     net.servers = [BentoServer(r, net.authority, ias=ias)

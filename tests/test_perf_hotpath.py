@@ -130,22 +130,15 @@ def _mkkeys(tag: bytes) -> CircuitKeys:
 
 
 class TestGoldenLayerCrypto:
-    """Frozen wire bytes for five forward/backward rounds through one hop.
+    """Frozen wire bytes for five forward/backward rounds through one hop,
+    derivable from the reference keystream (below)."""
 
-    The real-mode vector is derivable from the reference keystream (below);
-    the fast-mode vector never touches the stream cipher.
-    """
+    DIGEST = "3262f73cb62b5fb39e40ec97778028335a131392879c0751a3e9c14a05a61c87"
 
-    DIGESTS = {
-        False: "3262f73cb62b5fb39e40ec97778028335a131392879c0751a3e9c14a05a61c87",
-        True: "a1ccf225587ebf8ec066c95714f4e685eb413635a1aeec2d47d4cb1a31ea30a6",
-    }
-
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_wire_bytes_match_frozen_vectors(self, fast):
+    def test_wire_bytes_match_frozen_vectors(self):
         keys = _mkkeys(b"hop")
-        sender = HopCrypto(keys, fast=fast)
-        relay = HopCrypto(keys, fast=fast)
+        sender = HopCrypto(keys)
+        relay = HopCrypto(keys)
         wire = []
         sealed = {FORWARD: [], BACKWARD: []}
         for i in range(5):
@@ -163,21 +156,19 @@ class TestGoldenLayerCrypto:
             wire.append(bwd)
             assert sender.open_payload(
                 sender.crypt_backward(bwd), BACKWARD) is not None
-        assert _sha(b"".join(wire)) == self.DIGESTS[fast]
-        if not fast:
-            # Each direction is its sealed payloads XOR one reference
-            # keystream, so the real-mode digest is derivable too.
-            for direction, key, nonce, cells in (
-                    (FORWARD, keys.kf, b"layer-f", wire[0::2]),
-                    (BACKWARD, keys.kb, b"layer-b", wire[1::2])):
-                plain = b"".join(sealed[direction])
-                assert b"".join(cells) == _reference_xor(
-                    plain, _reference_keystream(key, nonce, len(plain)))
+        assert _sha(b"".join(wire)) == self.DIGEST
+        # Each direction is its sealed payloads XOR one reference
+        # keystream, so the digest is derivable too.
+        for direction, key, nonce, cells in (
+                (FORWARD, keys.kf, b"layer-f", wire[0::2]),
+                (BACKWARD, keys.kb, b"layer-b", wire[1::2])):
+            plain = b"".join(sealed[direction])
+            assert b"".join(cells) == _reference_xor(
+                plain, _reference_keystream(key, nonce, len(plain)))
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_crypt_many_equals_sequential(self, fast):
-        one_by_one = HopCrypto(_mkkeys(b"many"), fast=fast)
-        batched = HopCrypto(_mkkeys(b"many"), fast=fast)
+    def test_crypt_many_equals_sequential(self):
+        one_by_one = HopCrypto(_mkkeys(b"many"))
+        batched = HopCrypto(_mkkeys(b"many"))
         payloads = [bytes([i]) * 509 for i in range(7)]
         expect_f = [one_by_one.crypt_forward(p) for p in payloads]
         assert batched.crypt_forward_many(list(payloads)) == expect_f

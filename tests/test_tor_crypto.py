@@ -71,12 +71,11 @@ class TestNtor:
         assert first.kf != second.kf
 
 
-@pytest.mark.parametrize("fast", [False, True], ids=["real", "fast"])
 class TestHopCrypto:
-    def test_layer_roundtrip(self, fast):
+    def test_layer_roundtrip(self):
         client_keys, server_keys = _handshake()
-        client_hop = HopCrypto(client_keys, fast=fast)
-        relay_hop = HopCrypto(server_keys, fast=fast)
+        client_hop = HopCrypto(client_keys)
+        relay_hop = HopCrypto(server_keys)
         cell = RelayCellPayload(command=RelayCommand.DATA, stream_id=3,
                                 data=b"payload")
         sealed = client_hop.seal_payload(cell, FORWARD)
@@ -85,10 +84,10 @@ class TestHopCrypto:
         opened = relay_hop.open_payload(relay_hop.crypt_forward(wire), FORWARD)
         assert opened is not None and opened.data == b"payload"
 
-    def test_backward_direction_independent(self, fast):
+    def test_backward_direction_independent(self):
         client_keys, server_keys = _handshake()
-        client_hop = HopCrypto(client_keys, fast=fast)
-        relay_hop = HopCrypto(server_keys, fast=fast)
+        client_hop = HopCrypto(client_keys)
+        relay_hop = HopCrypto(server_keys)
         cell = RelayCellPayload(command=RelayCommand.CONNECTED, stream_id=1,
                                 data=b"ok")
         wire = relay_hop.crypt_backward(relay_hop.seal_payload(cell, BACKWARD))
@@ -96,22 +95,22 @@ class TestHopCrypto:
                                          BACKWARD)
         assert opened is not None and opened.command == RelayCommand.CONNECTED
 
-    def test_digest_sequence_enforced(self, fast):
+    def test_digest_sequence_enforced(self):
         """Replaying the same sealed payload fails the rolling digest."""
         client_keys, server_keys = _handshake()
-        client_hop = HopCrypto(client_keys, fast=fast)
-        relay_hop = HopCrypto(server_keys, fast=fast)
+        client_hop = HopCrypto(client_keys)
+        relay_hop = HopCrypto(server_keys)
         cell = RelayCellPayload(command=RelayCommand.DATA, stream_id=1,
                                 data=b"x")
         sealed = client_hop.seal_payload(cell, FORWARD)
         assert relay_hop.open_payload(sealed, FORWARD) is not None
         assert relay_hop.open_payload(sealed, FORWARD) is None
 
-    def test_multi_hop_onion(self, fast):
+    def test_multi_hop_onion(self):
         """Three layers: only the target hop recognizes the cell."""
         hops_keys = [_handshake(seed=f"hop{i}") for i in range(3)]
-        client_hops = [HopCrypto(ck, fast=fast) for ck, _sk in hops_keys]
-        relay_hops = [HopCrypto(sk, fast=fast) for _ck, sk in hops_keys]
+        client_hops = [HopCrypto(ck) for ck, _sk in hops_keys]
+        relay_hops = [HopCrypto(sk) for _ck, sk in hops_keys]
 
         cell = RelayCellPayload(command=RelayCommand.BEGIN, stream_id=9,
                                 data=b"begin")
@@ -130,15 +129,15 @@ class TestHopCrypto:
         opened = relay_hops[2].open_payload(payload, FORWARD)
         assert opened is not None and opened.stream_id == 9
 
-    def test_garbage_not_recognized(self, fast):
+    def test_garbage_not_recognized(self):
         client_keys, _ = _handshake()
-        hop = HopCrypto(client_keys, fast=fast)
+        hop = HopCrypto(client_keys)
         assert hop.open_payload(b"\x00" * 509, FORWARD) is None
 
-    def test_streaming_state_stays_synced(self, fast):
+    def test_streaming_state_stays_synced(self):
         client_keys, server_keys = _handshake()
-        client_hop = HopCrypto(client_keys, fast=fast)
-        relay_hop = HopCrypto(server_keys, fast=fast)
+        client_hop = HopCrypto(client_keys)
+        relay_hop = HopCrypto(server_keys)
         for i in range(20):
             cell = RelayCellPayload(command=RelayCommand.DATA, stream_id=1,
                                     data=f"msg{i}".encode())

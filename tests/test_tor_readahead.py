@@ -163,15 +163,8 @@ class TestReadAheadEqualsPerCell:
         hop, train = HopCrypto(_keys(b"count")), _cells(3, 3)
         for index in range(3):
             hop.crypt_backward_ahead(train[index], train, index)
-        direction = hop._layer._bwd
+        direction = hop._bwd
         assert direction._source is None and direction._output is None
-
-    def test_fast_layer_forms_no_train(self):
-        hop, train = HopCrypto(_keys(b"fast"), fast=True), _cells(3, 4)
-        payload, out = hop.crypt_forward_ahead(train[1], train, 1)
-        assert out is None
-        assert payload == HopCrypto(_keys(b"fast"), fast=True).crypt_forward(
-            train[1])
 
 
 # The property above is only worth having if it notices the three ways the
@@ -313,8 +306,8 @@ def test_circuit_dies_mid_train(how, direction):
         stream = yield from circuit.open_stream(thread, "origin.example", 80)
         stream.send(b"GET" if direction == "get" else bytes(BODY))
         entry, *_ = path[1]._entries()
-        middle = (entry.crypto._layer._bwd if direction == "get"
-                  else entry.crypto._layer._fwd)
+        middle = (entry.crypto._bwd if direction == "get"
+                  else entry.crypto._fwd)
         while middle._source is None or middle._next < 100:
             yield Sleep(0.002)       # until a burst is part-way through
         if how == "destroy":
