@@ -13,14 +13,49 @@ import enum
 import struct
 
 from repro.util.errors import ProtocolError
+from repro.util.serialization import SerializationError, canonical_decode
 
 CELL_SIZE = 514
 CELL_HEADER_SIZE = 5          # circ_id(4) + command(1)
 RELAY_PAYLOAD_SIZE = CELL_SIZE - CELL_HEADER_SIZE   # 509
 RELAY_HEADER_SIZE = 11        # recognized(2)+stream(2)+digest(4)+len(2)+cmd(1)
 RELAY_DATA_SIZE = RELAY_PAYLOAD_SIZE - RELAY_HEADER_SIZE  # 498
+ZERO_DIGEST = b"\x00\x00\x00\x00"
 
 _RELAY_HEADER = struct.Struct(">HH4sHB")
+
+
+def pack_relay(command: int, stream_id: int, data: bytes,
+               digest: bytes = ZERO_DIGEST) -> bytearray:
+    """The one packer: a fresh 509-byte :class:`bytearray`, one copy of
+    ``data`` (bytes-like, a :class:`memoryview` too), the digest field
+    for a sealer to splice into in place."""
+    size = len(data)
+    if size > RELAY_DATA_SIZE:
+        raise ProtocolError(f"relay data {size} exceeds {RELAY_DATA_SIZE}")
+    if len(digest) != 4:
+        raise ProtocolError("relay digest must be 4 bytes")
+    buf = bytearray(RELAY_PAYLOAD_SIZE)
+    _RELAY_HEADER.pack_into(buf, 0, 0, stream_id, digest, size, command)
+    buf[RELAY_HEADER_SIZE:RELAY_HEADER_SIZE + size] = data
+    return buf
+
+
+def decode_request(data: bytes, **fields: type) -> list:
+    """The named fields of a relay request, in the order named.  The bytes
+    are the sender's to choose: anything but a dict holding each field with
+    exactly the named type is a :class:`ProtocolError`, which costs the
+    sender its request and its reader nothing."""
+    try:
+        request = canonical_decode(data)
+    except SerializationError as exc:
+        raise ProtocolError(f"malformed relay request: {exc}") from exc
+    if not isinstance(request, dict):
+        raise ProtocolError("relay request is not a dict")
+    for name, kind in fields.items():
+        if type(request.get(name)) is not kind:
+            raise ProtocolError(f"relay request needs {kind.__name__} {name!r}")
+    return [request[name] for name in fields]
 
 
 class CellCommand(enum.IntEnum):
@@ -113,7 +148,7 @@ class RelayCellPayload:
     __slots__ = ("command", "stream_id", "data", "digest")
 
     def __init__(self, command: RelayCommand, stream_id: int, data: bytes,
-                 digest: bytes = b"\x00\x00\x00\x00") -> None:
+                 digest: bytes = ZERO_DIGEST) -> None:
         self.command = command
         self.stream_id = stream_id
         self.data = data
@@ -135,33 +170,9 @@ class RelayCellPayload:
                 f"stream_id={self.stream_id!r}, data={self.data!r}, "
                 f"digest={self.digest!r})")
 
-    def pack_buf(self, digest: bytes = b"\x00\x00\x00\x00") -> bytearray:
-        """Serialize into a fresh 509-byte :class:`bytearray`.
-
-        One allocation and one copy of ``data`` (which may be any
-        bytes-like object, including a :class:`memoryview`), instead of
-        the concatenate-then-pad double copy.  Callers that need the
-        digest spliced in afterwards (see
-        :meth:`~repro.tor.layercrypto.HopCrypto.seal_payload`) mutate the
-        returned buffer in place.
-        """
-        size = len(self.data)
-        if size > RELAY_DATA_SIZE:
-            raise ProtocolError(
-                f"relay data {size} exceeds {RELAY_DATA_SIZE}"
-            )
-        if len(digest) != 4:
-            raise ProtocolError("relay digest must be 4 bytes")
-        buf = bytearray(RELAY_PAYLOAD_SIZE)
-        _RELAY_HEADER.pack_into(
-            buf, 0, 0, self.stream_id, digest, size, int(self.command)
-        )
-        buf[RELAY_HEADER_SIZE:RELAY_HEADER_SIZE + size] = self.data
-        return buf
-
-    def pack(self, digest: bytes = b"\x00\x00\x00\x00") -> bytes:
+    def pack(self, digest: bytes = ZERO_DIGEST) -> bytes:
         """Serialize to exactly 509 bytes with the given digest field."""
-        return bytes(self.pack_buf(digest))
+        return bytes(pack_relay(self.command, self.stream_id, self.data, digest))
 
     @classmethod
     def unpack(cls, payload: bytes) -> "RelayCellPayload":
@@ -186,8 +197,3 @@ class RelayCellPayload:
         data = payload[RELAY_HEADER_SIZE:RELAY_HEADER_SIZE + length]
         return cls(command=relay_command, stream_id=stream_id,
                    data=data, digest=digest)
-
-    @staticmethod
-    def looks_recognized(payload: bytes) -> bool:
-        """Cheap first-pass check: the recognized field is zero."""
-        return len(payload) == RELAY_PAYLOAD_SIZE and payload[0] == 0 and payload[1] == 0

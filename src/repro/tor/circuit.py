@@ -30,16 +30,17 @@ from repro.tor.cell import (
     CellCommand,
     RelayCellPayload,
     RelayCommand,
+    decode_request,
 )
 from repro.tor.descriptor import RelayDescriptor
-from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
+from repro.tor.layercrypto import BACKWARD, FORWARD, BackwardPeel, HopCrypto
 from repro.tor.relay import (
     CIRCUIT_PACKAGE_WINDOW,
     CIRCUIT_SENDME_INCREMENT,
     STREAM_SENDME_INCREMENT,
 )
 from repro.util.errors import ProtocolError, ReproError
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import canonical_encode
 
 HS_CLIENT = "client"
 HS_SERVICE = "service"
@@ -49,6 +50,8 @@ _CTR_STREAM_OK = _metrics.counter("streams_opened", {"outcome": "ok"})
 _CTR_STREAM_FAIL = _metrics.counter("streams_opened", {"outcome": "error"})
 _HIST_STREAM_OPEN = _metrics.histogram("stream_open_s")
 _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
+# Cached enum members: a lookup on the class is a metaclass call, ~90 ns a cell.
+_RELAY, _DATA = CellCommand.RELAY, RelayCommand.DATA
 
 
 class CircuitDestroyed(ReproError):
@@ -69,6 +72,7 @@ class Circuit:
         self.circ_id = circ_id
         self.path = list(path)
         self.hops: list[HopCrypto] = []
+        self._peel = BackwardPeel(self.hops)
         self.hs_crypto: Optional[HopCrypto] = None
         self.hs_role: str = HS_CLIENT
         self.destroyed = False
@@ -106,11 +110,6 @@ class Circuit:
         self.hs_crypto = crypto
         self.hs_role = role
 
-    @property
-    def endpoint_hop_index(self) -> int:
-        """Index of the innermost circuit hop (the default cell target)."""
-        return len(self.hops) - 1
-
     # -- sending -------------------------------------------------------------
 
     def send_relay(self, command: RelayCommand, stream_id: int, data: bytes,
@@ -131,7 +130,7 @@ class Circuit:
             hop_index = len(self.hops) - 1
         else:
             if hop_index is None:
-                hop_index = self.endpoint_hop_index
+                hop_index = len(self.hops) - 1
             payload = self.hops[hop_index].seal_payload(cell, FORWARD)
         for index in range(hop_index, -1, -1):
             payload = self.hops[index].crypt_forward(payload)
@@ -198,23 +197,13 @@ class Circuit:
         :meth:`send_relay` per cell, one cipher batch per hop)."""
         if self.destroyed:
             raise CircuitDestroyed("circuit is destroyed")
-        to_hs = self.hs_crypto is not None
-        cells = [RelayCellPayload(command=RelayCommand.DATA,
-                                  stream_id=stream_id, data=chunk)
-                 for stream_id, chunk in batch]
-        if to_hs:
-            hs = self.hs_crypto
-            if self.hs_role == HS_CLIENT:
-                payloads = [hs.seal_payload(cell, FORWARD) for cell in cells]
-                payloads = hs.crypt_forward_many(payloads)
-            else:
-                payloads = [hs.seal_payload(cell, BACKWARD) for cell in cells]
-                payloads = hs.crypt_backward_many(payloads)
-            hop_index = len(self.hops) - 1
+        hs, hop_index = self.hs_crypto, len(self.hops) - 1
+        if hs is None:
+            payloads = self.hops[hop_index].seal_many(batch, FORWARD)
+        elif self.hs_role == HS_CLIENT:
+            payloads = hs.crypt_forward_many(hs.seal_many(batch, FORWARD))
         else:
-            hop_index = self.endpoint_hop_index
-            payloads = [self.hops[hop_index].seal_payload(cell, FORWARD)
-                        for cell in cells]
+            payloads = hs.crypt_backward_many(hs.seal_many(batch, BACKWARD))
         for index in range(hop_index, -1, -1):
             payloads = self.hops[index].crypt_forward_many(payloads)
         train = payloads if len(payloads) > 1 else None
@@ -253,42 +242,31 @@ class Circuit:
             return
         cell = payload
         self.cells_received += 1
-        if cell.command == CellCommand.CREATED:
+        if cell.command == _RELAY:
+            self._process_relay(cell)
+        elif cell.command == CellCommand.CREATED:
             if self._created_waiter is not None and not self._created_waiter.done:
                 self._created_waiter.resolve(cell.payload)
-            return
-        if cell.command == CellCommand.DESTROY:
+        elif cell.command == CellCommand.DESTROY:
             self._teardown(notify=False)
-            return
-        if cell.command != CellCommand.RELAY:
-            return
-        self._process_relay(cell)
 
     def _process_relay(self, cell: Cell) -> None:
-        payload = cell.payload
-        # Each hop's unwrap hands the next the train it read ahead over.
-        train = cell.train
-        for index, hop in enumerate(self.hops):
-            payload, train = hop.crypt_backward_ahead(payload, train, cell.index)
-            parsed = hop.open_payload(payload, BACKWARD)
-            if parsed is not None:
-                self._dispatch(parsed, from_hop=index)
-                return
-        if self.hs_crypto is not None:
+        hop, parsed, payload = self._peel.open(cell.payload, cell.train,
+                                               cell.index)
+        hs = self.hs_crypto
+        if parsed is None and hs is not None:
             if self.hs_role == HS_CLIENT:
-                payload = self.hs_crypto.crypt_backward(payload)
-                parsed = self.hs_crypto.open_payload(payload, BACKWARD)
+                parsed = hs.open_payload(hs.crypt_backward(payload), BACKWARD)
             else:
-                payload = self.hs_crypto.crypt_forward(payload)
-                parsed = self.hs_crypto.open_payload(payload, FORWARD)
-            if parsed is not None:
-                self._dispatch(parsed, from_hop=len(self.hops))
-                return
-        # Unrecognized at every layer: corrupted or misrouted; drop it.
+                parsed = hs.open_payload(hs.crypt_forward(payload), FORWARD)
+            hop = len(self.hops)
+        if parsed is not None:
+            self._dispatch(parsed, from_hop=hop)
+        # Else unrecognized at every layer: corrupted or misrouted; dropped.
 
     def _dispatch(self, parsed: RelayCellPayload, from_hop: int) -> None:
         command = parsed.command
-        if command == RelayCommand.DATA:
+        if command == _DATA:
             self._on_data(parsed)
         elif command == RelayCommand.END:
             stream = self.streams.pop(parsed.stream_id, None)
@@ -297,7 +275,12 @@ class Circuit:
         elif command == RelayCommand.CONNECTED:
             stream = self.streams.get(parsed.stream_id)
             if stream is not None:
-                stream._on_connected(canonical_decode(parsed.data))
+                try:
+                    (address,) = decode_request(parsed.data, address=str)
+                except ProtocolError:       # it ends the stream, as END does
+                    self.streams.pop(parsed.stream_id)._on_end()
+                else:
+                    stream._on_connected(address)
         elif command == RelayCommand.SENDME:
             self._on_sendme(parsed)
         elif command == RelayCommand.BEGIN:
@@ -305,7 +288,10 @@ class Circuit:
         elif command == RelayCommand.DROP:
             pass  # cover traffic terminates here by design
         elif command == RelayCommand.INTRODUCE2:
-            blob = canonical_decode(parsed.data)["blob"]
+            try:
+                (blob,) = decode_request(parsed.data, blob=bytes)
+            except ProtocolError:
+                return  # not from an honest intro point: dropped
             if self.on_introduce2 is not None:
                 self.on_introduce2(blob)
             else:
@@ -339,15 +325,20 @@ class Circuit:
 
     def _on_begin_cell(self, parsed: RelayCellPayload) -> None:
         """A BEGIN arriving *at* us: we are the service side of a rendezvous."""
-        request = canonical_decode(parsed.data)
+        to_hs = self.hs_crypto is not None
+        try:
+            host, port = decode_request(parsed.data, host=str, port=int)
+        except ProtocolError:       # answered with END; no stream is made
+            self.send_relay(RelayCommand.END, parsed.stream_id,
+                            canonical_encode({"reason": "bad-begin"}), to_hs=to_hs)
+            return
         stream = self._stream_cls(self, parsed.stream_id)
         self.streams[parsed.stream_id] = stream
         stream.connected = True
         self.send_relay(RelayCommand.CONNECTED, parsed.stream_id,
-                        canonical_encode({"address": "onion"}),
-                        to_hs=self.hs_crypto is not None)
+                        canonical_encode({"address": "onion"}), to_hs=to_hs)
         if self.on_begin is not None:
-            self.on_begin(stream, request.get("host", ""), int(request.get("port", 0)))
+            self.on_begin(stream, host, port)
 
     # -- stream creation (owner side) ----------------------------------------------
 

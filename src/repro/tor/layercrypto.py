@@ -11,17 +11,22 @@ call per burst, on every hop of every circuit.
 
 **Who batches.**  The sender of a burst: a client draining its package
 window (``Circuit._send_data_many``) and an exit draining a stream window
-(``Relay._reply_many``) seal each cell, crypt the burst with one
-``crypt_*_many`` call per hop, and put the list the last call returned on
-the cells they build (``Cell.train``, ``Cell.index``): a *train*.
+(``Relay._reply_many``) seal the burst in one pass
+(:meth:`HopCrypto.seal_many`), crypt it with one ``crypt_*_many`` call per
+hop, and put the list the last call returned on the cells they build
+(``Cell.train``, ``Cell.index``): a *train*.
 
-**Who reads ahead.**  Everyone a train then passes: a relay forwarding it
-and the client unwrapping it call ``crypt_*_ahead``.  Handed cell ``i`` of a
-train it is not already inside, a direction runs ``train[i:]`` through the
-cipher in one call and keeps the result; it returns ``output[i]`` and the
-output list, which is the cell's train at the next hop.  Cells ``i+1...``
-arriving in order are answered from the kept list with no cipher call.
-Recognition, digests and flow control stay per cell, at its own delivery.
+**Who reads ahead.**  Everyone a train then passes.  A relay forwarding it
+calls ``crypt_*_ahead``: handed cell ``i`` of a train it is not already
+inside, a direction runs ``train[i:]`` through the cipher in one call and
+keeps the result; it returns ``output[i]`` and the output list, which is the
+cell's train at the next hop.  Cells ``i+1...`` arriving in order are
+answered from the kept list with no cipher call.  The circuit's owner peels
+all its hops at once (:class:`BackwardPeel`): a train's first cell goes hop
+by hop, every hop reading ahead, and the peel notes the later cells that
+begin ``00 00`` at an outer hop.  Only those go hop by hop again; every
+other one is the innermost hop's output, and moves every hop's cursor.
+Digests and flow control stay per cell, at its own delivery.
 
 **The abandon rule.**  A direction's keystream must be consumed in the order
 its cells arrive, and now and then something other than the train's next
@@ -38,7 +43,8 @@ must consume them, unless a hop speaks up between them.
 
 from __future__ import annotations
 
-import hashlib
+from collections.abc import Iterable
+from hashlib import sha256
 
 from repro.crypto.stream import StreamCipher
 from repro.obs.metrics import REGISTRY as _metrics
@@ -47,7 +53,8 @@ from repro.obs.metrics import REGISTRY as _metrics
 # attribute add per call (the registry resets values in place).
 _CELLS_FWD = _metrics.counter("cells_crypted", {"direction": "fwd"})
 _CELLS_BWD = _metrics.counter("cells_crypted", {"direction": "bwd"})
-from repro.tor.cell import RelayCellPayload
+from repro.tor.cell import (RELAY_PAYLOAD_SIZE, ZERO_DIGEST, RelayCellPayload,
+                            RelayCommand, pack_relay)
 from repro.tor.ntor import CircuitKeys
 from repro.util.bytesutil import xor_bytes
 from repro.util.errors import ProtocolError
@@ -172,48 +179,108 @@ class HopCrypto:
         return self._bwd.process_ahead(payload, train, index)
 
     # -- digests ---------------------------------------------------------
+    # SHA-256(digest key || 8-byte seq || payload, digest field zeroed)[:4]
 
-    def _digest(self, direction: str, seq: int, payload_zero_digest: bytes) -> bytes:
-        # Streaming updates instead of one concatenated material buffer:
-        # same digest, no 500-byte temporary, and bytearray inputs work.
-        digest = hashlib.sha256(self._digest_keys[direction])
-        digest.update(seq.to_bytes(8, "big"))
-        digest.update(payload_zero_digest)
-        return digest.digest()[:4]
+    def seal_many(self, cells: Iterable[tuple[int, bytes]], direction: str,
+                  command: RelayCommand = RelayCommand.DATA) -> list[bytes]:
+        """Pack ``(stream_id, data)`` relay cells, in order, each with the
+        next send digest for ``direction``: one pass over the burst."""
+        key = self._digest_keys[direction]
+        seq = self._send_seq[direction]
+        sealed = []
+        for stream_id, data in cells:
+            buf = pack_relay(command, stream_id, data)
+            digest = sha256(key)
+            digest.update(seq.to_bytes(8, "big"))
+            digest.update(buf)
+            buf[4:8] = digest.digest()[:4]
+            sealed.append(bytes(buf))
+            seq += 1
+        self._send_seq[direction] = seq
+        return sealed
 
     def seal_payload(self, cell: RelayCellPayload, direction: str) -> bytes:
-        """Pack a relay payload with the next send digest for ``direction``."""
-        seq = self._send_seq[direction]
-        self._send_seq[direction] = seq + 1
-        buf = cell.pack_buf()
-        digest = self._digest(direction, seq, buf)
-        # Digest occupies bytes 4..8 of the packed payload; splice it into
-        # the pack buffer in place instead of re-packing (or slicing and
-        # re-concatenating) the whole cell.
-        buf[4:8] = digest
-        return bytes(buf)
+        """Pack one relay payload with the next send digest for ``direction``."""
+        return self.seal_many(((cell.stream_id, cell.data),), direction,
+                              cell.command)[0]
 
     def open_payload(self, payload: bytes, direction: str) -> RelayCellPayload | None:
-        """Recognition check: parse + verify digest, consuming one recv seq.
-
-        Returns the parsed payload if this hop is the intended endpoint,
-        else ``None`` (the caller forwards the cell on).  The receive
-        counter only advances on success, so unrecognized pass-through
-        cells never desynchronise the digest chain.
-        """
-        if not RelayCellPayload.looks_recognized(payload):
+        """The parsed payload if this hop is its endpoint, else ``None``
+        (the caller forwards the cell on).  The digest is checked before
+        the parse, and the receive counter advances only when both pass,
+        so pass-through cells never desynchronise the digest chain."""
+        if len(payload) != RELAY_PAYLOAD_SIZE or payload[0] or payload[1]:
+            return None
+        seq = self._recv_seq[direction]
+        digest = sha256(self._digest_keys[direction])
+        digest.update(seq.to_bytes(8, "big"))
+        digest.update(payload[:4])
+        digest.update(ZERO_DIGEST)
+        digest.update(payload[8:])
+        if digest.digest()[:4] != payload[4:8]:
             return None
         try:
             parsed = RelayCellPayload.unpack(payload)
         except ProtocolError:
             return None
-        # Zero the digest field (bytes 4..8) for the digest computation —
-        # one copy plus an in-place splice, not two slices and a concat.
-        zeroed = bytearray(payload)
-        zeroed[4:8] = b"\x00\x00\x00\x00"
-        seq = self._recv_seq[direction]
-        expected = self._digest(direction, seq, zeroed)
-        if expected != parsed.digest:
-            return None
         self._recv_seq[direction] = seq + 1
         return parsed
+
+
+class BackwardPeel:
+    """A circuit owner's unwrap of what it receives, outermost hop first
+    ("Who reads ahead" above).  It holds the train whose cells have passed
+    every hop, and those that start ``00 00`` at an outer hop
+    (``_stops``), until the train's last cell."""
+
+    __slots__ = ("_hops", "_train", "_next", "_directions", "_outputs",
+                 "_stops")
+
+    def __init__(self, hops: list[HopCrypto]) -> None:
+        self._hops = hops       # the owner's list: a hop it adds counts
+        self._train = None
+
+    def open(self, payload: bytes, train: list[bytes] | None,
+             index: int) -> tuple[int, RelayCellPayload | None, bytes]:
+        """Peel ``payload`` (``train[index]``) until a hop recognises it:
+        that hop's index, the parsed cell and the payload as it left the
+        hop, or the innermost hop's, ``None`` and its output."""
+        hops = self._hops
+        if (train is not None and train is self._train
+                and index == self._next and index not in self._stops):
+            # No outer hop can recognise it: every hop hands it out.  The
+            # peel alone drives its hops' backward directions, so each is
+            # where the peel left it.
+            directions, outputs = self._directions, self._outputs
+            self._next = after = index + 1
+            for direction in directions:
+                direction._next = after
+            if after == len(train):         # the last: let go of it
+                for direction in directions:
+                    direction._source = direction._output = None
+                self._train = self._directions = self._outputs = None
+            _CELLS_BWD.value += len(hops)
+            payload = outputs[-1][index]
+            return len(hops) - 1, hops[-1].open_payload(payload, BACKWARD), payload
+        self._train = self._directions = self._outputs = None
+        inner, source, crypted, parsed = len(hops) - 1, train, [], None
+        for at, hop in enumerate(hops):
+            payload, train = hop.crypt_backward_ahead(payload, train, index)
+            crypted.append(train)
+            parsed = hop.open_payload(payload, BACKWARD)
+            if parsed is not None and at < inner:
+                return at, parsed, payload
+        if crypted and train is not None and index + 1 < len(train):
+            self._hold(source, index, crypted)
+        return inner, parsed, payload
+
+    def _hold(self, train: list[bytes], index: int,
+              outputs: list[list[bytes]]) -> None:
+        # Cell ``index`` of ``train`` has just left the innermost hop, so
+        # every hop is reading ahead over the train.
+        self._train, self._next = train, index + 1
+        self._directions = [hop._bwd for hop in self._hops]
+        self._outputs = outputs
+        self._stops = {later for output in outputs[:-1]
+                       for later in range(index + 1, len(output))
+                       if output[later][:2] == b"\x00\x00"}

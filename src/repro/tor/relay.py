@@ -30,6 +30,7 @@ from repro.tor.cell import (
     CellCommand,
     RelayCellPayload,
     RelayCommand,
+    decode_request,
 )
 from repro.tor.descriptor import (
     FLAG_BENTO,
@@ -44,11 +45,7 @@ from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
 from repro.tor import ntor
 from repro.crypto.rsa import RsaKeyPair
 from repro.util.errors import ProtocolError
-from repro.util.serialization import (
-    SerializationError,
-    canonical_decode,
-    canonical_encode,
-)
+from repro.util.serialization import canonical_encode
 
 CIRCUIT_PACKAGE_WINDOW = 1000
 CIRCUIT_SENDME_INCREMENT = 100
@@ -59,23 +56,6 @@ STREAM_SENDME_INCREMENT = 50
 _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
 # Cached enum member: a lookup on the class is a metaclass call, ~90 ns a cell.
 _RELAY = CellCommand.RELAY
-
-
-def _decode_request(data: bytes, **fields: type) -> list:
-    """The named fields of a relay request, in the order named.  The bytes
-    are the sender's to choose: anything but a dict holding each field with
-    exactly the named type is a :class:`ProtocolError`, which costs the
-    sender its circuit and the relay nothing."""
-    try:
-        request = canonical_decode(data)
-    except SerializationError as exc:
-        raise ProtocolError(f"malformed relay request: {exc}") from exc
-    if not isinstance(request, dict):
-        raise ProtocolError("relay request is not a dict")
-    for name, kind in fields.items():
-        if type(request.get(name)) is not kind:
-            raise ProtocolError(f"relay request needs {kind.__name__} {name!r}")
-    return [request[name] for name in fields]
 
 
 class ExitStream:
@@ -376,7 +356,7 @@ class Relay:
     # -- relay commands -----------------------------------------------------------
 
     def _cmd_extend(self, entry: CircuitEntry, parsed: RelayCellPayload) -> None:
-        address, port, onionskin = _decode_request(
+        address, port, onionskin = decode_request(
             parsed.data, address=str, port=int, onionskin=bytes)
         new_circ_id = next(self._circ_id_counter) | (1 << 16)
 
@@ -409,7 +389,7 @@ class Relay:
         future.add_done_callback(_connected)
 
     def _cmd_begin(self, entry: CircuitEntry, parsed: RelayCellPayload) -> None:
-        host, port = _decode_request(parsed.data, host=str, port=int)
+        host, port = decode_request(parsed.data, host=str, port=int)
         stream_id = parsed.stream_id
         try:
             address = self.network.resolve(host)
@@ -491,7 +471,7 @@ class Relay:
 
     def _cmd_establish_intro(self, entry: CircuitEntry,
                              parsed: RelayCellPayload) -> None:
-        (auth_key,) = _decode_request(parsed.data, auth=str)
+        (auth_key,) = decode_request(parsed.data, auth=str)
         entry.intro_for = auth_key
         self._intro_circuits[auth_key] = entry
         self._reply(entry, RelayCellPayload(
@@ -499,7 +479,7 @@ class Relay:
 
     def _cmd_introduce1(self, entry: CircuitEntry,
                         parsed: RelayCellPayload) -> None:
-        service, blob = _decode_request(parsed.data, service=str, blob=bytes)
+        service, blob = decode_request(parsed.data, service=str, blob=bytes)
         intro_entry = self._intro_circuits.get(service)
         if intro_entry is None or intro_entry.destroyed:
             self._reply(entry, RelayCellPayload(
@@ -515,7 +495,7 @@ class Relay:
 
     def _cmd_establish_rendezvous(self, entry: CircuitEntry,
                                   parsed: RelayCellPayload) -> None:
-        (cookie,) = _decode_request(parsed.data, cookie=bytes)
+        (cookie,) = decode_request(parsed.data, cookie=bytes)
         self._forget_cookie(entry)      # a second ESTABLISH replaces the first
         entry.rend_cookie = cookie
         self._rend_waiting[cookie] = entry
@@ -524,7 +504,7 @@ class Relay:
 
     def _cmd_rendezvous1(self, entry: CircuitEntry,
                          parsed: RelayCellPayload) -> None:
-        cookie, blob = _decode_request(parsed.data, cookie=bytes, blob=bytes)
+        cookie, blob = decode_request(parsed.data, cookie=bytes, blob=bytes)
         client_entry = self._rend_waiting.pop(cookie, None)
         if client_entry is None or client_entry.destroyed:
             raise ProtocolError("rendezvous cookie unknown")
@@ -555,23 +535,17 @@ class Relay:
                     chunks: list[bytes]) -> None:
         """Send a burst of DATA cells backward as one crypto batch.
 
-        Sealing happens per cell in order (the digest chain demands it);
-        the layer cipher runs once over the concatenated burst.  Wire
-        bytes and cell send order match per-cell :meth:`_reply` exactly.
+        The burst is sealed in one pass, in order (the digest chain
+        demands it); the layer cipher runs once over it.  Wire bytes and
+        cell send order match per-cell :meth:`_reply` exactly.
         """
         if entry.destroyed:
             return
         crypto = entry.crypto
-        sealed = [
-            crypto.seal_payload(
-                RelayCellPayload(command=RelayCommand.DATA,
-                                 stream_id=stream_id, data=chunk),
-                BACKWARD)
-            for chunk in chunks
-        ]
         conn_prev = entry.chan_prev.conn
         circ_id_prev = entry.circ_id_prev
-        payloads = crypto.crypt_backward_many(sealed)
+        payloads = crypto.crypt_backward_many(
+            crypto.seal_many(zip(itertools.repeat(stream_id), chunks), BACKWARD))
         train = payloads if len(payloads) > 1 else None
         for index, payload in enumerate(payloads):
             self._send_cell(conn_prev, Cell(circ_id_prev, _RELAY,

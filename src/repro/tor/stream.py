@@ -44,9 +44,9 @@ class TorStream:
         yield Wait(self._connect_waiter, timeout)
         self._connect_waiter = None
 
-    def _on_connected(self, info: dict) -> None:
+    def _on_connected(self, address: str) -> None:
         self.connected = True
-        self.remote_address = info.get("address")
+        self.remote_address = address
         if self._connect_waiter is not None and not self._connect_waiter.done:
             self._connect_waiter.resolve(None)
 

@@ -11,10 +11,10 @@ from repro.obs.testing import fresh_observability
 from repro.tor.testnet import TorTestNetwork
 
 # The example budget of every property that leaves ``max_examples`` unset.
-# It is sized for the four that run a whole program per example — the
-# kernel order oracle, the link-model properties, the relay routing oracle
-# and the hostile-cell test; nightly.yml runs those four with
-# ``--hypothesis-profile nightly``.
+# It is sized for those that run a whole program per example — the kernel
+# order oracle, the link-model properties, the relay routing oracle, the
+# hostile-cell test and the read-ahead and client-peel properties;
+# nightly.yml runs them with ``--hypothesis-profile nightly``.
 # ``default`` draws the same examples on every run, so tier-1 is a function
 # of the code like every other artifact here; ``nightly`` stays random and
 # is where new counterexamples are looked for.

@@ -13,6 +13,8 @@ from repro.tor.cell import (
     RelayCommand,
 )
 from repro.tor.exitpolicy import ExitPolicy, ExitPolicyError
+from repro.tor.layercrypto import FORWARD, HopCrypto
+from repro.tor.ntor import CircuitKeys
 from repro.util.errors import ProtocolError
 
 
@@ -62,11 +64,15 @@ class TestRelayCellPayload:
         with pytest.raises(ProtocolError):
             RelayCellPayload.unpack(bytes(payload))
 
-    def test_looks_recognized(self):
-        good = RelayCellPayload(command=RelayCommand.DATA, stream_id=1,
-                                data=b"d").pack()
-        assert RelayCellPayload.looks_recognized(good)
-        assert not RelayCellPayload.looks_recognized(b"\xff" + good[1:])
+    def test_open_payload_checks_the_recognized_bytes(self):
+        keys = CircuitKeys(kf=b"f" * 32, kb=b"b" * 32, df=b"F" * 32,
+                           db=b"B" * 32)
+        sender, receiver = HopCrypto(keys), HopCrypto(keys)
+        good = sender.seal_payload(RelayCellPayload(
+            command=RelayCommand.DATA, stream_id=1, data=b"d"), FORWARD)
+        assert receiver.open_payload(b"\xff" + good[1:], FORWARD) is None
+        assert receiver.open_payload(good[:-1], FORWARD) is None
+        assert receiver.open_payload(good, FORWARD).data == b"d"
 
     @given(st.integers(min_value=0, max_value=65535),
            st.binary(max_size=RELAY_DATA_SIZE))

@@ -1,10 +1,13 @@
 """ntor handshake and layered relay crypto."""
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.tor import ntor
-from repro.tor.cell import RelayCellPayload, RelayCommand
+from repro.tor.cell import (RELAY_DATA_SIZE, RELAY_PAYLOAD_SIZE,
+                            RelayCellPayload, RelayCommand)
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
 from repro.util.errors import ProtocolError
 from repro.util.rng import DeterministicRandom
@@ -146,3 +149,75 @@ class TestHopCrypto:
             opened = relay_hop.open_payload(relay_hop.crypt_forward(wire),
                                             FORWARD)
             assert opened is not None and opened.data == f"msg{i}".encode()
+
+
+# -- open_payload against the body it replaced ------------------------------
+
+def _reference_open(hop, payload, direction):
+    """``open_payload`` before it checked the digest first: the recognised
+    bytes, then a full parse, then the digest of a zeroed copy."""
+    if not (len(payload) == RELAY_PAYLOAD_SIZE
+            and payload[0] == 0 and payload[1] == 0):
+        return None
+    try:
+        parsed = RelayCellPayload.unpack(payload)
+    except ProtocolError:
+        return None
+    zeroed = bytearray(payload)
+    zeroed[4:8] = b"\x00\x00\x00\x00"
+    seq = hop._recv_seq[direction]
+    digest = hashlib.sha256(hop._digest_keys[direction])
+    digest.update(seq.to_bytes(8, "big"))
+    digest.update(zeroed)
+    if digest.digest()[:4] != parsed.digest:
+        return None
+    hop._recv_seq[direction] = seq + 1
+    return parsed
+
+
+def _digest_of(key: bytes, seq: int, body: bytes) -> bytes:
+    zeroed = bytearray(body)
+    zeroed[4:8] = bytes(4)
+    return hashlib.sha256(key + seq.to_bytes(8, "big") + zeroed).digest()[:4]
+
+
+_MUTATIONS = ["none", "length", "recognized", "length field", "command",
+              "digest", "seq"]
+
+
+class TestOpenPayloadReference:
+    @settings(deadline=None)
+    @given(direction=st.sampled_from([FORWARD, BACKWARD]),
+           data=st.binary(max_size=RELAY_DATA_SIZE),
+           steps=st.lists(st.tuples(st.sampled_from(_MUTATIONS),
+                                    st.integers(0, 65535), st.booleans()),
+                          min_size=1, max_size=12))
+    def test_same_answer_and_same_sequence(self, direction, data, steps):
+        """Each step seals a cell for the receivers' next sequence number,
+        breaks one thing about it, and re-digests the broken bytes or
+        keeps the digest of the sound ones."""
+        client_keys, _ = _handshake()
+        key = client_keys.df if direction == FORWARD else client_keys.db
+        opened, reference = HopCrypto(client_keys), HopCrypto(client_keys)
+        for mutation, value, redigest in steps:
+            sound = RelayCellPayload(RelayCommand.DATA, value, data).pack()
+            body = bytearray(sound)
+            if mutation == "recognized":
+                body[value % 2] = 1 + (value >> 1) % 255
+            elif mutation == "length field":
+                body[8:10] = max(value, RELAY_DATA_SIZE + 1).to_bytes(2, "big")
+            elif mutation == "command":
+                body[10] = value % 256
+            seq = reference._recv_seq[direction]
+            if mutation == "seq":
+                seq += 1 + value % 3
+            body[4:8] = _digest_of(key, seq, body if redigest else sound)
+            if mutation == "digest":
+                body[4 + value % 4] ^= 1 + (value >> 2) % 255
+            elif mutation == "length":
+                body = (body[:value % RELAY_PAYLOAD_SIZE] if value % 2
+                        else body + bytes(1 + value % 8))
+            payload = bytes(body)
+            assert (opened.open_payload(payload, direction)
+                    == _reference_open(reference, payload, direction))
+            assert opened._recv_seq == reference._recv_seq

@@ -5,9 +5,11 @@ import pytest
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import fetch, serve_body
 from repro.netsim.simulator import Sleep
+from repro.tor.cell import RelayCellPayload, RelayCommand
 from repro.tor.hidden_service import HiddenService
 from repro.tor.testnet import TorTestNetwork
 from repro.util.errors import ReproError
+from repro.util.serialization import canonical_decode
 
 from conftest import run_thread
 
@@ -128,6 +130,65 @@ class TestRendezvous:
         for circuit in hs_net.service.rendezvous_circuits:
             assert circuit.conn.peer_of(hs_net.host_client.node).address \
                 in relay_addrs
+
+
+class TestHostileBytesAtACircuitsEnd:
+    """Relay payloads a peer chose, read where a circuit ends (ROADMAP 3,
+    reproduction (i)): each is refused on its own, and the run goes on."""
+
+    def test_a_begin_that_does_not_decode_is_answered_with_end(self, hs_net):
+        visitor = hs_net.create_client("hostile")
+
+        def main(thread):
+            circuit = yield from visitor.connect_to_hidden_service(
+                thread, str(hs_net.service.onion_address))
+            heard, dispatch = [], circuit._dispatch
+            circuit._dispatch = lambda parsed, from_hop: (
+                heard.append((parsed.command, parsed.stream_id, parsed.data)),
+                dispatch(parsed, from_hop))
+            circuit.send_relay(RelayCommand.BEGIN, 9, b"\xff", to_hs=True)
+            yield Sleep(5.0)
+            # The same visitor, honest now, on the same circuit.
+            stream = yield from circuit.open_stream(thread, "", 80)
+            response = yield from fetch(thread, FramedStream(stream), "/")
+            circuit.close()
+            return heard, response
+
+        heard, response = run_thread(hs_net, main)
+        assert [(command, canonical_decode(data)) for command, stream_id, data
+                in heard if stream_id == 9] == \
+            [(RelayCommand.END, {"reason": "bad-begin"})]
+        assert response.body == CONTENT
+        assert not any(9 in circuit.streams
+                       for circuit in hs_net.service.rendezvous_circuits)
+
+    def test_a_connected_that_does_not_decode_ends_its_stream(self, hs_net):
+        visitor = hs_net.create_client("misled")
+
+        def main(thread):
+            circuit = yield from visitor.connect_to_hidden_service(
+                thread, str(hs_net.service.onion_address))
+            yield Sleep(1.0)
+            service_side = hs_net.service.rendezvous_circuits[-1]
+            waiting = circuit._stream_cls(circuit, 7)
+            circuit.streams[7] = waiting
+            service_side.send_relay(RelayCommand.CONNECTED, 7, b"\xff",
+                                    to_hs=True)
+            yield Sleep(5.0)
+            return circuit, waiting
+
+        circuit, waiting = run_thread(hs_net, main)
+        assert waiting.closed and not waiting.connected
+        assert 7 not in circuit.streams
+
+    def test_an_introduce2_that_does_not_decode_is_dropped(self, hs_net):
+        circuit = hs_net.service.intro_circuits[0]
+        before = len(hs_net.service.rendezvous_circuits)
+        circuit._dispatch(RelayCellPayload(RelayCommand.INTRODUCE2, 0, b"\xff"),
+                          from_hop=len(circuit.hops) - 1)
+        hs_net.sim.run()
+        assert len(hs_net.service.rendezvous_circuits) == before
+        assert not circuit._control_backlog
 
 
 class TestManualIntroductions:

@@ -18,8 +18,9 @@ import repro.tor.layercrypto as layercrypto
 from repro.crypto.stream import ReferenceCipher, StreamCipher
 from repro.netsim.simulator import Sleep
 from repro.perf.counters import counters
-from repro.tor.cell import RELAY_PAYLOAD_SIZE, Cell, RelayCommand
-from repro.tor.layercrypto import HopCrypto, _Direction
+from repro.tor.cell import (RELAY_PAYLOAD_SIZE, Cell, RelayCellPayload,
+                            RelayCommand)
+from repro.tor.layercrypto import BACKWARD, BackwardPeel, HopCrypto, _Direction
 from repro.tor.ntor import CircuitKeys
 from repro.tor.testnet import TorTestNetwork
 from repro.util.bytesutil import xor_bytes
@@ -125,12 +126,12 @@ def _ops(max_train: int, max_ops: int):
 
 class TestReadAheadEqualsPerCell:
     @pytest.mark.parametrize("forward", [True, False], ids=["fwd", "bwd"])
-    @settings(max_examples=150, deadline=None)
+    @settings(deadline=None)
     @given(ops=_ops(max_train=40, max_ops=8))
     def test_native(self, forward, ops):
         _run(_Pipeline(forward), ops)
 
-    @settings(max_examples=10, deadline=None)
+    @settings(deadline=None)
     @given(ops=_ops(max_train=4, max_ops=3))
     def test_reference_backend(self, ops):
         with mock.patch.object(layercrypto, "StreamCipher", ReferenceCipher):
@@ -213,6 +214,178 @@ def test_property_notices_each_broken_abandon_rule(name, monkeypatch):
     monkeypatch.setattr(_Direction, attribute, mutant)
     with pytest.raises(AssertionError):
         _run(_Pipeline(True), ops)
+
+
+# -- the client peels a train once -----------------------------------------
+#
+# A schedule is what a 3-hop client receives, in order: ("lone", origin) or
+# ("train", origins, delivered, lones), where the first ``delivered`` cells
+# of the train arrive and each ``(after, origin)`` of ``lones`` arrives
+# right after train cell ``after``.  An origin is the hop that sealed the
+# cell, or ("zero", hop) for a cell no hop recognises that starts ``00 00``
+# at ``hop``'s output.
+
+_KEYS = [_keys(b"guard"), _keys(b"middle"), _keys(b"exit")]
+
+
+def _keystream(hop: int, position: int) -> bytes:
+    """Two bytes of ``hop``'s backward keystream, ``position`` bytes in."""
+    cipher = StreamCipher(_KEYS[hop].kb, nonce=b"layer-b")
+    return cipher.keystream(position + 2)[position:]
+
+
+def _deliveries(schedule) -> list[tuple[bytes, list | None, int]]:
+    """``(payload, train, index)`` for each cell the client receives, made
+    by its relays in that order; cells of a train that never arrive are
+    noise nothing crypted."""
+    relays = [HopCrypto(keys) for keys in _KEYS]
+    used = [0, 0, 0]                    # keystream bytes each relay spent
+    arrivals = []
+
+    def make(origin, tag):
+        noise = _cells(1, tag)[0]
+        if isinstance(origin, int):
+            top, payload = origin, relays[origin].seal_payload(
+                RelayCellPayload(RelayCommand.DATA, 1, noise[:tag % 499]),
+                BACKWARD)
+        else:
+            # Relay 2 on down crypt it; client hop ``hop`` undoes relays
+            # 2 ... hop + 1, so its output starts with their keystream.
+            top, prefix = 2, bytes(2)
+            for hop in range(origin[1] + 1, 3):
+                prefix = xor_bytes(prefix, _keystream(hop, used[hop]))
+            payload = prefix + noise[2:]
+        for hop in range(top, -1, -1):
+            payload = relays[hop].crypt_backward(payload)
+            used[hop] += RELAY_PAYLOAD_SIZE
+        return payload
+
+    for item in schedule:
+        if item[0] == "lone":
+            arrivals.append((make(item[1], len(arrivals)), None, 0))
+            continue
+        _kind, origins, delivered, lones = item
+        train = _cells(len(origins), 200 + len(arrivals))   # the noise
+        for index in range(min(delivered, len(origins))):
+            train[index] = make(origins[index], len(arrivals))
+            arrivals.append((train[index], train, index))
+            arrivals += [(make(origin, len(arrivals)), None, 0)
+                         for after, origin in lones if after == index]
+    return arrivals
+
+
+def _per_cell(hops, payload):
+    """What the client did before it peeled trains: every cell hop by hop,
+    one cipher call per hop."""
+    for at, hop in enumerate(hops):
+        payload = hop.crypt_backward(payload)
+        parsed = hop.open_payload(payload, BACKWARD)
+        if parsed is not None:
+            return at, parsed, payload
+    return len(hops) - 1, None, payload
+
+
+def _peel_equals_per_cell(schedule) -> None:
+    arrivals = _deliveries(schedule)
+    runs = []
+    for peeled in (True, False):
+        hops = [HopCrypto(keys) for keys in _KEYS]
+        peel = BackwardPeel(hops)
+        counters.reset()
+        dispatched = [peel.open(payload, train, index) if peeled
+                      else _per_cell(hops, payload)
+                      for payload, train, index in arrivals]
+        runs.append((dispatched, counters.cells_crypted,
+                     [hop._recv_seq for hop in hops],
+                     [hop.crypt_backward(bytes(RELAY_PAYLOAD_SIZE))
+                      for hop in hops]))
+    assert runs[0] == runs[1]
+
+
+_ORIGIN = st.sampled_from([2, 2, 2, 2, 1, 0, ("zero", 0), ("zero", 1)])
+_SCHEDULE = st.lists(
+    st.tuples(st.just("lone"), _ORIGIN)
+    | st.tuples(st.just("train"), st.lists(_ORIGIN, min_size=2, max_size=12),
+                st.integers(1, 12),
+                st.lists(st.tuples(st.integers(0, 11), _ORIGIN), max_size=2)),
+    min_size=1, max_size=6)
+
+_PEEL_CASES = {
+    "recognised at an outer hop mid-train": [
+        ("train", [2, 2, 1, 2, 0, 2], 6, [])],
+    "a lone cell inside a train": [
+        ("train", [2] * 6, 6, [(2, 2)]), ("lone", 1)],
+    "00 00 at an outer hop by coincidence": [
+        ("train", [2, ("zero", 0), 2, ("zero", 1), 2], 5, [])],
+    "a train cut short": [
+        ("train", [2] * 8, 3, []), ("train", [2] * 4, 4, [])],
+}
+
+
+class TestClientPeelEqualsPerCell:
+    @settings(deadline=None)
+    @given(schedule=_SCHEDULE)
+    def test_property(self, schedule):
+        _peel_equals_per_cell(schedule)
+
+    @pytest.mark.parametrize("name", list(_PEEL_CASES))
+    def test_case(self, name):
+        _peel_equals_per_cell(_PEEL_CASES[name])
+
+    def test_coincidences_are_made(self):
+        """The ("zero", hop) cells do start 00 00 at that hop's output."""
+        schedule = _PEEL_CASES["00 00 at an outer hop by coincidence"]
+        hops = [HopCrypto(keys) for keys in _KEYS]
+        starts = []
+        for payload, _train, _index in _deliveries(schedule):
+            outputs = []
+            for hop in hops:
+                payload = hop.crypt_backward(payload)
+                outputs.append(payload[:2] == b"\x00\x00")
+                if hop.open_payload(payload, BACKWARD) is not None:
+                    break
+            starts.append(outputs)
+        assert starts[1][0] and starts[3][1]
+
+    def test_a_whole_train_goes_hop_by_hop_once_and_is_let_go(self):
+        hops = [HopCrypto(keys) for keys in _KEYS]
+        peel = BackwardPeel(hops)
+        arrivals = _deliveries([("train", [2] * 40, 40, [])])
+        counters.reset()
+        assert all(peel.open(*arrival)[1] is not None for arrival in arrivals)
+        assert counters.hash_calls == 3
+        assert counters.cells_crypted == 3 * 40
+        assert peel._train is None and peel._outputs is None
+        assert all(hop._bwd._source is None for hop in hops)
+
+
+def _hold_no_scan(self, train, index, outputs):
+    _HOLD(self, train, index, outputs)
+    self._stops = set()
+
+
+def _hold_inner_cursor_only(self, train, index, outputs):
+    _HOLD(self, train, index, outputs)
+    self._directions, self._outputs = self._directions[-1:], outputs[-1:]
+
+
+_HOLD = BackwardPeel._hold
+
+_PEEL_MUTANTS = {
+    "00 00 scan skipped": (
+        _hold_no_scan, "recognised at an outer hop mid-train"),
+    "outer hops' cursors never advanced": (
+        _hold_inner_cursor_only, "a lone cell inside a train"),
+}
+
+
+@pytest.mark.parametrize("name", list(_PEEL_MUTANTS))
+def test_peel_property_notices_each_mutant(name, monkeypatch):
+    mutant, case = _PEEL_MUTANTS[name]
+    _peel_equals_per_cell(_PEEL_CASES[case])
+    monkeypatch.setattr(BackwardPeel, "_hold", mutant)
+    with pytest.raises(AssertionError):
+        _peel_equals_per_cell(_PEEL_CASES[case])
 
 
 # -- over a real circuit ---------------------------------------------------

@@ -4,7 +4,8 @@ The routing itself is held to a reference model in
 ``test_tor_relay_routing.py``.  Here: a dead connection leaves the relay,
 rendezvous cookies are popped one at a time and never from a circuit that
 holds them now, the byte test in front of ``open_payload`` only ever skips
-the call, and a forwarded cell costs the five frames it is made of.
+the call, a forwarded cell costs the five frames it is made of, and a
+client peels a train's cells in ten.
 """
 
 import gc
@@ -205,36 +206,36 @@ class TestRecognisedBytesOnlySkip:
 
 class _FrameCounter:
     """``sys.setprofile`` hook: Python frames under ``repro/tor/`` spent on
-    each cell a relay is handed, per connection the cell arrived on.
+    each cell a relay or client is handed, per connection the cell arrived
+    on.
 
-    A cell's handling starts at the ``on_message`` handler the relay put on
-    its end of that connection and ends when that frame returns; sends are
-    events, so nothing another node does is inside it.
+    A cell's handling starts at the ``on_message`` handler the receiver put
+    on its end of that connection and ends when that frame returns; sends
+    are events, so nothing another node does is inside it.
     """
 
-    def __init__(self, relays):
+    def __init__(self, arriving):
         self.entry = {}         # code of a handler -> name of its conn argument
         self.cells = {}         # (handler's self, conn) -> cells handled
         self.frames = {}        # the same key -> frames under repro/tor/
         self.depth, self.key = 0, None
-        for relay in relays:
-            for conn in relay.node.connections:
-                code = self._handler(relay, conn).__func__.__code__
-                self.entry[code] = code.co_varnames[1]
-                key = self._key(relay, conn)
-                self.cells[key] = self.frames[key] = 0
+        for receiver, conn in arriving:
+            code = self._handler(receiver, conn).__func__.__code__
+            self.entry[code] = code.co_varnames[1]
+            key = self._key(receiver, conn)
+            self.cells[key] = self.frames[key] = 0
 
     @staticmethod
-    def _handler(relay, conn):
-        return conn.endpoint_of(relay.node).on_message
+    def _handler(receiver, conn):
+        return conn.endpoint_of(receiver.node).on_message
 
-    def _key(self, relay, conn):
+    def _key(self, receiver, conn):
         # A connection has two ends: the handler's owner says which.
-        return id(self._handler(relay, conn).__self__), conn
+        return id(self._handler(receiver, conn).__self__), conn
 
-    def count(self, relay, conn):
-        """(cells handled, frames spent) by ``relay`` on cells from ``conn``."""
-        key = self._key(relay, conn)
+    def count(self, receiver, conn):
+        """(cells handled, frames spent) by ``receiver`` on cells from ``conn``."""
+        key = self._key(receiver, conn)
         return self.cells[key], self.frames[key]
 
     def __call__(self, frame, event, _arg):
@@ -272,13 +273,15 @@ class TestFramesPerForwardedCell:
                 thread, exit_to=("origin.example", 80))
             guard, middle, exit_ = _hops(net, circuit)
             stream = yield from circuit.open_stream(thread, "origin.example", 80)
-            counter = _FrameCounter([guard, middle])
-            # The connection the train reaches each of the two hops on.
-            arriving = [(guard, _conn(guard, client.node)),
-                        (middle, _conn(middle, guard.node))] \
-                if direction == "forward" else \
-                [(guard, _conn(guard, middle.node)),
-                 (middle, _conn(middle, exit_.node))]
+            # The connection the train reaches each receiver on.
+            arriving = {
+                "forward": [(guard, _conn(guard, client.node)),
+                            (middle, _conn(middle, guard.node))],
+                "backward": [(guard, _conn(guard, middle.node)),
+                             (middle, _conn(middle, exit_.node))],
+                "client": [(client, _conn(client, guard.node))],
+            }[direction]
+            counter = _FrameCounter(arriving)
             sys.setprofile(counter)
             try:
                 if direction == "forward":
@@ -292,7 +295,7 @@ class TestFramesPerForwardedCell:
             finally:
                 sys.setprofile(None)
             circuit.close()
-            return [counter.count(relay, conn) for relay, conn in arriving]
+            return [counter.count(receiver, conn) for receiver, conn in arriving]
 
         counts = run_thread(net, main)
         if direction == "forward":
@@ -304,3 +307,13 @@ class TestFramesPerForwardedCell:
         for cells, frames in self._count(direction):
             assert cells == TRAIN
             assert frames <= 5 * TRAIN + 1
+
+
+def test_a_client_peels_a_train_in_ten_frames_a_cell():
+    """A 3-hop client handed a 100-cell train: only its first cell goes hop
+    by hop, every other one straight to the exit's output and one digest
+    check.  Counted with delivery to the stream and the three SENDMEs the
+    train triggers: 956 frames (hop by hop for every cell: 2,045)."""
+    ((cells, frames),) = TestFramesPerForwardedCell()._count("client")
+    assert cells == TRAIN
+    assert frames <= 10 * TRAIN
