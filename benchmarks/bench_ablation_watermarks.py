@@ -55,11 +55,8 @@ def _one_setting(high_water: int) -> dict:
             thread, session, content, high_water=high_water, low_water=1,
             max_replicas=3, duration_s=300.0, poll_interval=2.0,
             replica_image="python")
-        from repro.core import messages
-
-        done = yield from session.await_message(thread, messages.DONE,
-                                                timeout=600.0)
-        shared["stats"] = done["result"]
+        shared["stats"] = yield from session.await_result(thread,
+                                                          timeout=600.0)
 
     durations = []
 

@@ -145,11 +145,8 @@ def run_with_balancer() -> tuple[dict, dict]:
             thread, session, content, high_water=2, low_water=1,
             max_replicas=3, duration_s=400.0, poll_interval=2.0,
             replica_image="python")
-        from repro.core import messages
-
-        done = yield from session.await_message(thread, messages.DONE,
-                                                timeout=900.0)
-        shared["stats"] = done["result"]
+        shared["stats"] = yield from session.await_result(thread,
+                                                          timeout=900.0)
 
     op_thread = net.sim.spawn(op_main, name="operator")
     net.sim.run(until=60.0)        # let the balancer come up

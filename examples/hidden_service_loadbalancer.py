@@ -96,11 +96,8 @@ def run_with_balancer(content):
             thread, session, content, high_water=2, low_water=1,
             max_replicas=3, duration_s=120.0, poll_interval=2.0,
             replica_image="python")
-        from repro.core import messages
-
-        done = yield from session.await_message(thread, messages.DONE,
-                                                timeout=400.0)
-        shared["stats"] = done["result"]
+        shared["stats"] = yield from session.await_result(thread,
+                                                          timeout=400.0)
 
     times = {}
 

@@ -311,8 +311,8 @@ class ChainDeployment:
         session = self._sessions.get(key)
         if session is None:
             raise ChainDeployError(f"no session for {component}[{index}]")
-        # One in-flight unit per replica session: outputs are answered in
-        # order, so interleaving two units would cross their replies.
+        # One in-flight unit per replica session: the stage works units one
+        # at a time, so a second waits here rather than in its inbox.
         while self._busy[key]:
             if self.sim.now >= deadline_at:
                 raise UnitDeadline(f"{component}[{index}] queue wait "
@@ -327,18 +327,16 @@ class ChainDeployment:
             from repro.core.client import RETRYABLE_ERRORS
 
             def one_op():
-                session.send_message(b"U" + unit)
-                return session.next_output(task, timeout=timeout)
+                # Read by rid: a timed-out read gives its unit up, so a
+                # late reply is dropped, never read as the next unit's.
+                rid = session.send_message(b"U" + unit)
+                return session.next_output(task, timeout=timeout, rid=rid)
 
             try:
                 reply = yield from self.client.retrying(
                     task, one_op, attempts=2, backoff_s=0.5,
                     session=session)
             except RETRYABLE_ERRORS as exc:
-                # A timed-out read may still have a reply in flight;
-                # drop the stream so the next unit on this session
-                # cannot read this unit's late frame.
-                session.drop_transport()
                 raise _StageFailure(component, index,
                                     session.box.identity_fp, exc) from exc
             if reply[:1] != b"U":
@@ -428,15 +426,12 @@ class ChainDeployment:
         """Stop every stage; returns per-replica processed counts."""
         stats: dict = {}
         from repro.core.client import RETRYABLE_ERRORS
-        from repro.core import messages
         for key in sorted(self._sessions):
             session = self._sessions[key]
             label = f"{key[0]}[{key[1]}]"
             try:
                 session.send_message(b"C")
-                done = yield from session.await_message(
-                    task, messages.DONE, timeout=60.0)
-                stats[label] = done.get("result")
+                stats[label] = yield from session.await_result(task, 60.0)
                 yield from session.shutdown(task, timeout=60.0)
             except RETRYABLE_ERRORS:
                 stats[label] = None

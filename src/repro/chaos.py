@@ -166,14 +166,9 @@ def _run_soak(seed: int, n_relays: int, n_visitors: int,
         say(f"loadbalancer serving {onion} from {shared['lb_node']}")
         stats = None
         while stats is None:
-            for index, queued in enumerate(session._pending):
-                if queued["type"] == messages.DONE:
-                    stats = session._pending.pop(index)["result"]
-                    break
-            if stats is not None:
-                break
             try:
-                out = yield from session.next_output(thread, timeout=20.0)
+                frame = yield from session.await_message(
+                    thread, (messages.Output, messages.Done), timeout=20.0)
             except SimTimeoutError:
                 continue
             except RETRYABLE_ERRORS:
@@ -189,8 +184,11 @@ def _run_soak(seed: int, n_relays: int, n_visitors: int,
                     raise
                 say("operator session reattached")
                 continue
+            if isinstance(frame, messages.Done):
+                stats = frame.result
+                continue
             try:
-                note = json.loads(out.decode("utf-8"))
+                note = json.loads(frame.payload.decode("utf-8"))
             except ValueError:
                 continue
             shared["announced"].append(note)

@@ -349,9 +349,9 @@ class FunctionApi:
 
     def __init__(self, instance) -> None:
         self._instance = instance
-        # Per-actor state: which client each of this function's tasks is
-        # answering, populated by _bind and cleared by _unbind.
-        self._task_peer: dict[SimTask, Any] = {}
+        # Per-actor state: the route (client transport and request id) each
+        # task answers, set by _bind and recv() and cleared by _unbind.
+        self._task_route: dict[SimTask, Any] = {}
         self._inbox: list[tuple[bytes, Any]] = []
         self._recv_waiter: Optional[Future] = None
         self._undelivered: list[bytes] = []
@@ -370,24 +370,16 @@ class FunctionApi:
     def _thread(self) -> Optional[Actor]:
         return self._instance.server.sim._current_task
 
-    @property
-    def _current_peer(self):
-        return self._task_peer.get(self._thread)
-
-    @_current_peer.setter
-    def _current_peer(self, peer) -> None:
-        self._task_peer[self._thread] = peer
-
-    def _bind(self, actor: Actor, peer) -> None:
-        self._task_peer[actor] = peer
+    def _bind(self, actor: Actor, route) -> None:
+        self._task_route[actor] = route
 
     def _unbind(self, actor: Actor) -> None:
         """Release a task's context entry (the dict must not grow with
         every hidden-service stream and background fetch ever served)."""
-        self._task_peer.pop(actor, None)
+        self._task_route.pop(actor, None)
 
-    def _push_message(self, payload: bytes, peer) -> None:
-        self._inbox.append((payload, peer))
+    def _push_message(self, payload: bytes, route) -> None:
+        self._inbox.append((payload, route))
         if self._instance.draining:
             # Quiesce: queue the message but leave recv() parked so the
             # function's state stays frozen for the checkpoint.  Queued
@@ -440,18 +432,18 @@ class FunctionApi:
     # -- talking to the client ----------------------------------------------
 
     def send(self, payload: bytes) -> None:
-        """Deliver bytes to the client who sent the message being handled."""
+        """Answer the client message being handled with ``payload``."""
         yield from self._gate("send")
         from repro.core import messages  # late import avoids a cycle
 
-        peer = self._current_peer
-        if peer is None:
+        route = self._task_route.get(self._thread)
+        if route is None:
             raise ApiError("no client attached to send to")
         yield from self._charge_network(len(payload))
         frame = messages.encode_message(
-            messages.OUTPUT, payload=bytes(payload))
+            messages.Output, rid=route.rid, payload=bytes(payload))
         try:
-            peer.send_frame(frame)
+            route.framed.send_frame(frame)
         except Exception:
             # Client went away; outputs are best-effort — but keep a
             # bounded tail so a graceful drain can flush them to the
@@ -479,8 +471,7 @@ class FunctionApi:
             self._recv_waiter = Future(self._instance.server.sim)
             yield Wait(self._recv_waiter, timeout)
             self._recv_waiter = None
-        payload, peer = self._inbox.pop(0)
-        self._current_peer = peer
+        payload, self._task_route[self._thread] = self._inbox.pop(0)
         return payload
 
     def log(self, message: str) -> None:

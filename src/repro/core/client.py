@@ -35,6 +35,7 @@ from repro.tor.client import TorClient, TorError
 from repro.tor.descriptor import RelayDescriptor
 from repro.util.errors import ProtocolError
 from repro.util.rng import DeterministicRandom
+from repro.util.serialization import canonical_decode, canonical_encode
 
 #: Failures worth retrying: transport death, timeouts, circuit teardown,
 #: refused dials, and server-reported errors.  ``ConnectionError`` covers
@@ -236,76 +237,58 @@ class BentoSession:
         self.channel: Optional[SecureChannel] = None
         self._client_pub: Optional[bytes] = None
         self.report: Optional[AttestationReport] = None
-        self._pending: list[dict] = []     # out-of-order frames
+        self._rid = 0                       # the latest request's id
+        self._pending: list[messages.Frame] = []   # read before asked for
+        self._abandoned: set[int] = set()   # requests a read gave up on
 
     # -- low-level framing ------------------------------------------------
 
-    def _request(self, thread: Actor, frame: bytes, expect: str,
-                 timeout: float) -> dict:
-        self.framed.send_frame(frame)
-        return (yield from self.await_message(thread, expect, timeout))
+    def _send(self, kind: type[messages.Frame], **fields: Any) -> int:
+        """Number one request and send it; returns its ``rid``."""
+        self._rid += 1
+        self.framed.send_frame(messages.encode_message(kind, rid=self._rid,
+                                                       **fields))
+        return self._rid
 
-    def await_message(self, thread: Actor, expect: str,
-                      timeout: float = 600.0) -> dict:
-        """Block until the server sends a message of type ``expect``.
+    def await_message(self, thread: Actor, expect, timeout: float = 600.0,
+                      rid: Optional[int] = None) -> messages.Frame:
+        """Block until an ``expect`` frame (a class, or a tuple of them)
+        answers request ``rid``, or without ``rid`` any request not given up.
 
-        Frames of other types arriving first are queued (out-of-order
-        delivery is normal: a long-running function may emit OUTPUT frames
-        while the client waits for DONE) and served to later calls.
-        Raises :class:`BentoError` on a server ERROR frame or when the
-        server closes the connection.
-        """
+        Other frames queue for later calls; an ERROR frame raises the
+        :class:`BentoError` it carries.  A read for ``rid`` that times out
+        gives that request up: its frames, queued or late, are dropped,
+        never handed to a later caller."""
         for index, queued in enumerate(self._pending):
-            if queued["type"] == expect:
+            if isinstance(queued, expect) and rid in (None, queued.rid):
                 return self._pending.pop(index)
         while True:
-            raw = yield from self.framed.recv_frame(thread, timeout=timeout)
+            try:
+                raw = yield from self.framed.recv_frame(thread, timeout=timeout)
+            except SimTimeoutError:
+                if rid is not None:
+                    self._abandoned.add(rid)
+                    self._pending = [f for f in self._pending if f.rid != rid]
+                raise
             if raw is None:
                 raise BentoError("Bento server closed the connection")
             message = messages.decode_message(raw)
-            if message["type"] == expect:
+            if message.rid in self._abandoned:
+                continue
+            if isinstance(message, expect) and rid in (None, message.rid):
                 return message
-            if message["type"] == messages.ERROR:
-                raise self._error_from(message)
+            if isinstance(message, messages.Error):
+                raise messages.error_from(message)
             self._pending.append(message)
-
-    @staticmethod
-    def _error_from(message: dict) -> BentoError:
-        """Map an ERROR frame to the richest exception type it encodes.
-
-        Serving-plane refusals come back typed — :class:`ServerBusy`
-        keeps its ``retry_after``, :class:`PuzzleRequired` its challenge
-        — so callers (and :meth:`BentoClient.retrying`) can act on the
-        structure.  Both subclass :class:`BentoError`, so code that only
-        knows the old contract still catches them.
-        """
-        reason = message.get("reason")
-        detail = message.get("detail", "")
-        text = f"server error: {reason} ({detail})"
-        if reason == "server-busy":
-            return ServerBusy(text,
-                              retry_after=float(message.get("retry_after", 0.0)))
-        if reason == "puzzle-required":
-            try:
-                challenge = bytes.fromhex(str(message.get("challenge", "")))
-            except ValueError:
-                challenge = b""
-            return PuzzleRequired(text, challenge=challenge,
-                                  difficulty=int(message.get("difficulty", 0)))
-        if reason == "moved":
-            return FunctionMoved(text,
-                                 box_fp=str(message.get("box_fp", "")))
-        return BentoError(text)
 
     # -- protocol steps -----------------------------------------------------------
 
     def query_policy(self, thread: Actor,
                      timeout: float = 120.0) -> MiddleboxNodePolicy:
         """Fetch the box's middlebox node policy (§5.5)."""
-        reply = yield from self._request(
-            thread, messages.encode_message(messages.POLICY_QUERY),
-            messages.POLICY, timeout)
-        return MiddleboxNodePolicy.from_wire(reply["policy"])
+        reply = yield from self.await_message(
+            thread, messages.Policy, timeout, self._send(messages.PolicyQuery))
+        return MiddleboxNodePolicy.from_wire(reply.policy)
 
     def request_image(self, thread: Actor, image: str = "python",
                       verify: str = "stapled",
@@ -331,28 +314,27 @@ class BentoSession:
             fields["priority"] = priority
         for puzzle_round in range(3):
             try:
-                reply = yield from self._request(
-                    thread,
-                    messages.encode_message(messages.REQUEST_IMAGE, **fields),
-                    messages.IMAGE_READY, timeout)
+                reply = yield from self.await_message(
+                    thread, messages.ImageReady, timeout,
+                    self._send(messages.RequestImage, **fields))
                 break
             except PuzzleRequired as exc:
                 if not solve_puzzles or puzzle_round == 2:
                     raise
                 from repro.functions.ddos_defense import solve_pow
 
-                fields["pow_challenge"] = exc.challenge.hex()
+                fields["pow_challenge"] = exc.challenge
                 fields["pow_nonce"] = solve_pow(exc.challenge, exc.difficulty)
-        self.invocation_token = reply["invocation"]
-        self.shutdown_token = reply["shutdown"]
-        self.image_name = reply["image"]
+        self.invocation_token = reply.invocation
+        self.shutdown_token = reply.shutdown
+        self.image_name = reply.image
 
         if image_by_name(image).uses_enclave:
             expected = known_measurement(image)
             if verify == "none":
-                report = AttestationReport.from_wire(reply["report"])
+                report = AttestationReport.from_wire(reply.report)
             elif verify == "stapled":
-                report = AttestationReport.from_wire(reply["report"])
+                report = AttestationReport.from_wire(reply.report)
                 if self.client.ias is None:
                     raise AttestationRejected("no IAS key to verify against")
                 if not report.verify(self.client.ias.public_key,
@@ -361,7 +343,7 @@ class BentoSession:
             elif verify == "ias":
                 if self.client.ias is None:
                     raise AttestationRejected("no IAS to verify with")
-                quote = Quote.from_wire(reply["quote"])
+                quote = Quote.from_wire(reply.quote)
                 report = yield from self.client.ias.verify_quote_blocking(
                     thread, quote)
                 if not report.verify(self.client.ias.public_key,
@@ -393,18 +375,18 @@ class BentoSession:
             fields["code"] = code
         if data:
             fields["data"] = dict(data)
-        yield from self._request(
-            thread, messages.encode_message(messages.LOAD_FUNCTION, **fields),
-            messages.LOADED, timeout)
+        yield from self.await_message(
+            thread, messages.Loaded, timeout,
+            self._send(messages.LoadFunction, **fields))
 
     def attach(self, thread: Actor, invocation_token: str,
                timeout: float = 120.0) -> None:
         """Adopt a shared invocation token on a fresh session (§5.3:
         "a client [can] share the invocation token ... with other users")."""
         self.invocation_token = invocation_token
-        yield from self._request(thread, messages.encode_message(
-            messages.ATTACH, token=invocation_token),
-            messages.LOADED, timeout)
+        yield from self.await_message(
+            thread, messages.Loaded, timeout,
+            self._send(messages.Attach, token=invocation_token))
 
     def invoke(self, thread: Actor, args: list,
                timeout: float = 600.0) -> Any:
@@ -413,26 +395,32 @@ class BentoSession:
         Outputs the function emits before returning are queued and remain
         readable via :meth:`next_output`.
         """
-        self.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=self.invocation_token, args=list(args)))
-        done = yield from self.await_message(thread, messages.DONE, timeout)
-        return done["result"]
+        rid = self.invoke_nowait(args)
+        return (yield from self.await_result(thread, timeout, rid))
 
-    def invoke_nowait(self, args: Optional[list] = None) -> None:
-        """Fire an invocation without waiting (for long-running functions)."""
-        self.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=self.invocation_token,
-            args=list(args or [])))
+    def invoke_nowait(self, args: Optional[list] = None) -> int:
+        """Fire an invocation without waiting; returns its ``rid``."""
+        return self._send(messages.Invoke, token=self.invocation_token,
+                          args=list(args or []))
 
-    def send_message(self, payload: bytes) -> None:
-        """An in-band message to the (running) function — api.recv() feed."""
-        self.framed.send_frame(messages.encode_message(
-            messages.MSG, token=self.invocation_token, payload=bytes(payload)))
+    def await_result(self, thread: Actor, timeout: float = 600.0,
+                     rid: Optional[int] = None) -> Any:
+        """The entry function's return value: the next DONE (for ``rid``)."""
+        done = yield from self.await_message(thread, messages.Done, timeout,
+                                             rid)
+        return done.result
 
-    def next_output(self, thread: Actor, timeout: float = 600.0) -> bytes:
-        """The next api.send() payload from the function."""
-        reply = yield from self.await_message(thread, messages.OUTPUT, timeout)
-        return reply["payload"]
+    def send_message(self, payload: bytes) -> int:
+        """A message to the running function's api.recv(); returns its rid."""
+        return self._send(messages.Msg, token=self.invocation_token,
+                          payload=bytes(payload))
+
+    def next_output(self, thread: Actor, timeout: float = 600.0,
+                    rid: Optional[int] = None) -> bytes:
+        """The function's next api.send() payload (answering ``rid``)."""
+        reply = yield from self.await_message(thread, messages.Output,
+                                              timeout, rid)
+        return reply.payload
 
     def reconnect(self, thread: Actor, timeout: float = 240.0,
                   circuit_attempts: int = 3) -> None:
@@ -514,23 +502,20 @@ class BentoSession:
         """
         if self.shutdown_token is None:
             raise BentoError("no shutdown token held to checkpoint with")
-        reply = yield from self._request(thread, messages.encode_message(
-            messages.CHECKPOINT, token=self.shutdown_token, seq=int(seq)),
-            messages.CHECKPOINT_DATA, timeout)
-        if "sealed_checkpoint" in reply:
+        reply = yield from self.await_message(
+            thread, messages.CheckpointData, timeout, self._send(
+                messages.Checkpoint, token=self.shutdown_token, seq=int(seq)))
+        if reply.sealed_checkpoint:
             if self.channel is None:
                 raise BentoError("sealed checkpoint on an unattested session")
-            from repro.util.serialization import canonical_decode
-
-            return canonical_decode(self.channel.open(
-                reply["sealed_checkpoint"]))
-        return reply["checkpoint"]
+            return canonical_decode(self.channel.open(reply.sealed_checkpoint))
+        return reply.checkpoint
 
     def restore_function(self, thread: Actor, checkpoint: Optional[dict],
                          start: bool = False,
                          adopt_invocation: Optional[str] = None,
                          adopt_shutdown: Optional[str] = None,
-                         timeout: float = 240.0) -> dict:
+                         timeout: float = 240.0) -> None:
         """Apply a checkpoint to the function loaded on this session.
 
         ``checkpoint`` is the wire dict from :meth:`checkpoint_function`
@@ -546,8 +531,6 @@ class BentoSession:
                                   "start": bool(start)}
         if checkpoint is not None:
             if self.channel is not None:
-                from repro.util.serialization import canonical_encode
-
                 fields["sealed_checkpoint"] = self.channel.seal(
                     canonical_encode(checkpoint))
             else:
@@ -556,35 +539,19 @@ class BentoSession:
             fields["adopt_invocation"] = adopt_invocation
         if adopt_shutdown:
             fields["adopt_shutdown"] = adopt_shutdown
-        reply = yield from self._request(thread, messages.encode_message(
-            messages.RESTORE, **fields), messages.RESTORED, timeout)
-        self.invocation_token = reply.get("invocation", self.invocation_token)
-        self.shutdown_token = reply.get("shutdown", self.shutdown_token)
-        return reply
+        reply = yield from self.await_message(
+            thread, messages.Restored, timeout,
+            self._send(messages.Restore, **fields))
+        self.invocation_token = reply.invocation
+        self.shutdown_token = reply.shutdown
 
     def shutdown(self, thread: Actor, timeout: float = 120.0) -> None:
         """Spend the shutdown token; the container is reclaimed."""
         if self.shutdown_token is None:
             raise BentoError("no shutdown token held")
-        yield from self._request(thread, messages.encode_message(
-            messages.SHUTDOWN, token=self.shutdown_token),
-            messages.SHUTDOWN_OK, timeout)
-
-    def drop_transport(self) -> None:
-        """Abandon the stream after an ambiguous failure.
-
-        When a read times out, the reply may still be in flight — the
-        next read on this stream could return the *previous* op's frame
-        and silently cross replies.  Closing the transport discards
-        anything in flight (queued out-of-order frames included); the
-        session stays attached, and the next operation's retry path
-        reconnects with a clean stream.
-        """
-        try:
-            self.framed.close()
-        except Exception:
-            pass
-        self._pending.clear()
+        yield from self.await_message(
+            thread, messages.ShutdownOk, timeout,
+            self._send(messages.Shutdown, token=self.shutdown_token))
 
     def close(self) -> None:
         """Drop the transport (the function keeps running; §5.3

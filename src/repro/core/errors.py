@@ -4,19 +4,28 @@ from repro.util.errors import ReproError
 
 
 class BentoError(ReproError):
-    """Base class for Bento-level failures."""
+    """Base class for Bento-level failures; ``reason`` names one on the wire."""
+
+    reason = "request-failed"
+    wire_fields: tuple[str, ...] = ()
 
 
 class ManifestRejected(BentoError):
     """The function's manifest asks for more than the node's policy permits."""
 
+    reason = "manifest-rejected"
+
 
 class TokenInvalid(BentoError):
     """An unknown, spent, or forged invocation/shutdown token."""
 
+    reason = "bad-token"
+
 
 class FunctionCrashed(BentoError):
     """The function raised (or was killed by the sandbox) during execution."""
+
+    reason = "function-crashed"
 
 
 class ImageUnavailable(BentoError):
@@ -28,13 +37,12 @@ class AttestationRejected(BentoError):
 
 
 class ServerBusy(BentoError):
-    """The serving plane refused admission; retry after ``retry_after`` s.
+    """The serving plane refused admission; retry after ``retry_after`` s,
+    which :meth:`~repro.core.client.BentoClient.retrying` honors instead
+    of its exponential backoff."""
 
-    Carried on the wire as an ``error`` frame with reason ``server-busy``
-    and a structured ``retry_after`` field that
-    :meth:`~repro.core.client.BentoClient.retrying` honors instead of its
-    exponential backoff.
-    """
+    reason = "server-busy"
+    wire_fields = ("retry_after",)
 
     def __init__(self, detail: str, retry_after: float = 0.0) -> None:
         self.retry_after = float(retry_after)
@@ -42,14 +50,13 @@ class ServerBusy(BentoError):
 
 
 class FunctionMoved(BentoError):
-    """The function migrated to another box; reattach there.
+    """The function migrated to the box whose identity fingerprint is
+    ``box_fp``; :meth:`~repro.core.client.BentoClient.retrying` retargets
+    the session there before its next reconnect, so callers see a bounded
+    pause rather than a hard failure."""
 
-    Carried as an ``error`` frame with reason ``moved`` and a structured
-    ``box_fp`` field naming the destination box's identity fingerprint.
-    :meth:`~repro.core.client.BentoClient.retrying` retargets the session
-    at ``box_fp`` before its next reconnect, so callers see a bounded
-    pause rather than a hard failure.
-    """
+    reason = "moved"
+    wire_fields = ("box_fp",)
 
     def __init__(self, detail: str, box_fp: str = "") -> None:
         self.box_fp = str(box_fp)
@@ -57,13 +64,13 @@ class FunctionMoved(BentoError):
 
 
 class PuzzleRequired(BentoError):
-    """Under shed pressure the box demands a client puzzle before admitting.
+    """Under shed pressure the box demands a hashcash ``challenge`` of
+    ``difficulty`` bits before admitting; the client solves it (see
+    :mod:`repro.functions.ddos_defense`) and resends the request with
+    ``pow_challenge``/``pow_nonce`` attached."""
 
-    Carried as an ``error`` frame with reason ``puzzle-required`` plus the
-    hashcash ``challenge`` (hex on the wire) and ``difficulty`` bits; the
-    client solves it (see :mod:`repro.functions.ddos_defense`) and resends
-    the request with ``pow_challenge``/``pow_nonce`` attached.
-    """
+    reason = "puzzle-required"
+    wire_fields = ("challenge", "difficulty")
 
     def __init__(self, detail: str, challenge: bytes = b"",
                  difficulty: int = 0) -> None:

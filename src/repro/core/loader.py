@@ -152,8 +152,8 @@ class FunctionRuntime:
                 f"function {self.manifest.name!r} is not checkpointable")
         self.namespace["restore"](state)
 
-    def start(self, args: list, peer) -> None:
-        """Run one invocation in its own actor."""
+    def start(self, args: list, route) -> None:
+        """Run one invocation in its own actor; its answers take ``route``."""
         if self.entry is None:
             raise LoaderError("function not loaded")
         if self.running:
@@ -166,7 +166,7 @@ class FunctionRuntime:
         def _run(task):
             from repro.core.api import FunctionKilled
 
-            api._bind(task, peer)
+            api._bind(task, route)
             try:
                 try:
                     result = yield from self.entry(*args)
@@ -179,10 +179,10 @@ class FunctionRuntime:
                         return
                     self.instance.on_error(
                         FunctionCrashed(f"{type(exc).__name__}: {exc}"),
-                        peer)
+                        route)
                     return
                 self.running = False
-                self.instance.on_done(result, peer)
+                self.instance.on_done(result, route)
             finally:
                 api._unbind(task)
 

@@ -25,10 +25,9 @@ from repro.core.errors import (
     FunctionMoved,
     ImageUnavailable,
     ManifestRejected,
-    PuzzleRequired,
-    ServerBusy,
     TokenInvalid,
 )
+from repro.core.messages import Route
 from repro.core.images import ContainerImage, image_by_name
 from repro.core.loader import FunctionRuntime, LoaderError
 from repro.core.manifest import FunctionManifest
@@ -53,8 +52,7 @@ from repro.tor.client import TorClient
 from repro.tor.descriptor import BENTO_PORT
 from repro.tor.directory import DirectoryAuthority
 from repro.tor.relay import Relay
-from repro.util.errors import ProtocolError
-from repro.util.serialization import canonical_encode
+from repro.util.serialization import canonical_decode, canonical_encode
 
 if TYPE_CHECKING:
     from repro.migrate import MigrationConfig
@@ -62,7 +60,7 @@ if TYPE_CHECKING:
 
 # Cached registry handle (the registry resets values in place).
 _ORPHANS_REAPED = _metrics.counter("perf_orphans_reaped")
-# bento_requests handles by message type, filled on first dispatch of each
+# bento_requests handles by frame class, filled on first dispatch of each
 # type — the per-frame hot path skips the registry's label interning.
 _REQ_COUNTERS: dict = {}
 
@@ -140,7 +138,7 @@ class FunctionInstance:
         self.runtime = FunctionRuntime(self, code, manifest)
         self.runtime.load()
 
-    def invoke(self, args: list, peer: FramedStream) -> None:
+    def invoke(self, args: list, route: Route) -> None:
         """Start the entry function for one invocation."""
         if self.terminated:
             raise TokenInvalid("function already shut down")
@@ -148,34 +146,31 @@ class FunctionInstance:
             raise BentoError("no function loaded")
         if self.runtime.running:
             # A second invoke while running becomes an in-band message.
-            self.api._push_message(canonical_encode({"args": args}), peer)
+            self.api._push_message(canonical_encode({"args": args}), route)
             return
-        self.runtime.start(args, peer)
+        self.runtime.start(args, route)
 
-    def deliver(self, payload: bytes, peer: FramedStream) -> None:
+    def deliver(self, payload: bytes, route: Route) -> None:
         """Route an in-band client message to the function's inbox."""
         if self.terminated:
             raise TokenInvalid("function already shut down")
-        self.api._push_message(payload, peer)
+        self.api._push_message(payload, route)
 
-    def on_done(self, result, peer: FramedStream) -> None:
+    def on_done(self, result, route: Route) -> None:
         """The entry function returned; report its result to the client."""
         try:
             canonical_encode(result)
-            wire_result = result
         except Exception:
-            wire_result = repr(result)
-        self._safe_send(peer, messages.encode_message(
-            messages.DONE, result=wire_result))
+            result = repr(result)
+        self._safe_send(route, messages.Done, result=result)
 
-    def on_error(self, error: FunctionCrashed, peer: FramedStream) -> None:
+    def on_error(self, error: FunctionCrashed, route: Route) -> None:
         """The entry function crashed; report it to the client."""
-        self._safe_send(peer, messages.error_message(
-            "function-crashed", detail=str(error)))
+        self._safe_send(route, messages.Error, **messages.error_fields(error))
 
-    def _safe_send(self, peer: FramedStream, frame: bytes) -> None:
+    def _safe_send(self, route: Route, kind, **fields) -> None:
         try:
-            peer.send_frame(frame)
+            route.send(kind, **fields)
         except Exception:
             pass  # the client has gone; fate-sharing is explicit in §5.3
 
@@ -331,35 +326,17 @@ class BentoServer:
             frames_served += 1
             try:
                 message = messages.decode_message(frame)
-            except ProtocolError as exc:
-                framed.send_frame(messages.error_message("bad-message",
-                                                         detail=str(exc)))
+            except messages.FrameError as exc:
+                Route(framed, exc.rid).send(messages.Error,
+                                            reason="bad-message",
+                                            detail=str(exc))
                 continue
+            reply = Route(framed, message.rid)
             try:
-                yield from self._dispatch(thread, framed, message)
-            except TokenInvalid as exc:
-                framed.send_frame(messages.error_message("bad-token",
-                                                         detail=str(exc)))
-            except ManifestRejected as exc:
-                framed.send_frame(messages.error_message("manifest-rejected",
-                                                         detail=str(exc)))
-            except ServerBusy as exc:
-                # Structured refusal: the client's retry loop reads
-                # retry_after instead of guessing with exponential backoff.
-                framed.send_frame(messages.error_message(
-                    "server-busy", detail=str(exc),
-                    retry_after=exc.retry_after))
-            except PuzzleRequired as exc:
-                framed.send_frame(messages.error_message(
-                    "puzzle-required", detail=str(exc),
-                    challenge=exc.challenge.hex(),
-                    difficulty=exc.difficulty))
-            except FunctionMoved as exc:
-                framed.send_frame(messages.error_message(
-                    "moved", detail=str(exc), box_fp=exc.box_fp))
+                yield from self._dispatch(thread, reply, message)
             except (BentoError, ResourceExceeded, LoaderError) as exc:
-                framed.send_frame(messages.error_message("request-failed",
-                                                         detail=str(exc)))
+                # A refusal keeps its structure, e.g. ServerBusy.retry_after.
+                reply.send(messages.Error, **messages.error_fields(exc))
         if span is not None:
             span.end(self.sim.now, frames=frames_served)
         # This client is gone; sweep for orphans once the grace expires.
@@ -382,72 +359,67 @@ class BentoServer:
         if self._by_invocation and self.node.alive:
             self._arm_reaper()
 
-    def _dispatch(self, thread: Actor, framed: FramedStream,
-                  message: dict):
-        msg_type = message["type"]
-        counter = _REQ_COUNTERS.get(msg_type)
+    def _dispatch(self, thread: Actor, reply: Route, message: messages.Frame):
+        kind = type(message)
+        counter = _REQ_COUNTERS.get(kind)
         if counter is None:
-            counter = _REQ_COUNTERS[msg_type] = _metrics.counter(
-                "bento_requests", {"type": msg_type})
+            counter = _REQ_COUNTERS[kind] = _metrics.counter(
+                "bento_requests", {"type": kind.TYPE})
         counter.value += 1
-        if msg_type == messages.POLICY_QUERY:
-            framed.send_frame(messages.encode_message(
-                messages.POLICY, policy=self.policy.to_wire()))
-        elif msg_type == messages.REQUEST_IMAGE:
-            yield from self._handle_request_image(thread, framed, message)
-        elif msg_type == messages.LOAD_FUNCTION:
-            self._handle_load(framed, message)
-        elif msg_type == messages.INVOKE:
-            instance = self._instance_for(message.get("token", ""))
-            instance.note_peer(framed)
-            log = _obs.log
-            if log is not None:
-                log.instant("core.invoke", self.sim.now,
-                            track=self.relay.nickname,
-                            instance=instance.instance_id,
-                            n_args=len(message.get("args", [])))
-            instance.invoke(list(message.get("args", [])), framed)
-        elif msg_type == messages.MSG:
-            instance = self._instance_for(message.get("token", ""))
-            instance.note_peer(framed)
-            instance.deliver(message.get("payload", b""), framed)
-        elif msg_type == messages.ATTACH:
-            instance = self._instance_for(message.get("token", ""))
-            instance.note_peer(framed)
-            log = _obs.log
-            if log is not None:
-                log.instant("core.attach", self.sim.now,
-                            track=self.relay.nickname,
-                            instance=instance.instance_id)
-            framed.send_frame(messages.encode_message(messages.LOADED, ok=True))
-        elif msg_type == messages.SHUTDOWN:
-            self._handle_shutdown(framed, message)
-        elif msg_type == messages.CHECKPOINT:
-            self._handle_checkpoint(framed, message)
-        elif msg_type == messages.RESTORE:
-            self._handle_restore(framed, message)
-        else:
-            framed.send_frame(messages.error_message(
-                "unexpected-type", detail=msg_type))
+        handler = self._HANDLERS.get(kind)
+        if handler is None:
+            reply.send(messages.Error, reason="unexpected-type",
+                       detail=kind.TYPE)
+            return
+        # request_image waits (a generator); the rest answer at once.
+        step = handler(self, thread, reply, message)
+        if step is not None:
+            yield from step
 
-    # -- handlers ---------------------------------------------------------------
+    # -- handlers: (thread, reply, typed frame) -----------------------------------
 
-    def _handle_request_image(self, thread: Actor, framed: FramedStream,
-                              message: dict):
+    def _handle_policy_query(self, _thread, reply: Route, _message) -> None:
+        reply.send(messages.Policy, policy=self.policy.to_wire())
+
+    def _handle_invoke(self, _thread, reply: Route, message) -> None:
+        instance = self._instance_for(message.token, reply.framed)
+        log = _obs.log
+        if log is not None:
+            log.instant("core.invoke", self.sim.now,
+                        track=self.relay.nickname,
+                        instance=instance.instance_id,
+                        n_args=len(message.args))
+        instance.invoke(message.args, reply)
+
+    def _handle_msg(self, _thread, reply: Route, message) -> None:
+        self._instance_for(message.token, reply.framed).deliver(
+            message.payload, reply)
+
+    def _handle_attach(self, _thread, reply: Route, message) -> None:
+        instance = self._instance_for(message.token, reply.framed)
+        log = _obs.log
+        if log is not None:
+            log.instant("core.attach", self.sim.now,
+                        track=self.relay.nickname,
+                        instance=instance.instance_id)
+        reply.send(messages.Loaded)
+
+    def _handle_request_image(self, thread: Actor, reply: Route,
+                              message: messages.RequestImage):
         log = _obs.log
         span = log.begin_span(
             "core.request_image", self.sim.now, track=self.relay.nickname,
-            image=message.get("image", "python")) if log is not None else None
+            image=message.image) if log is not None else None
         try:
-            yield from self._request_image(thread, framed, message, span)
+            yield from self._request_image(thread, reply, message, span)
         except BaseException as exc:
             if span is not None:
                 span.end(self.sim.now, ok=False, error=type(exc).__name__)
             raise
 
-    def _request_image(self, thread: Actor, framed: FramedStream,
-                       message: dict, span=None):
-        image = image_by_name(message.get("image", "python"))
+    def _request_image(self, thread: Actor, reply: Route,
+                       message: messages.RequestImage, span=None):
+        image = image_by_name(message.image)
         if image.name not in self.policy.offered_images:
             raise ImageUnavailable(f"operator does not offer {image.name}")
         qos_key = None
@@ -455,13 +427,13 @@ class BentoServer:
             # The serving plane replaces the blunt container-limit error:
             # it queues, paces, or refuses with a structured retry_after
             # (and may demand a puzzle under shed pressure).
-            qos_key = yield from self.qos.admit_request(thread, framed,
+            qos_key = yield from self.qos.admit_request(thread, reply.framed,
                                                         message)
         elif len(self._by_invocation) >= self.policy.max_containers:
             raise BentoError("container limit reached")
         try:
-            yield from self._start_instance(thread, framed, message, image,
-                                            qos_key, span)
+            yield from self._start_instance(thread, reply, image, qos_key,
+                                            span)
         except BaseException:
             # Give the slot back unless a registered instance already owns
             # it (setup got as far as registration and failed on the
@@ -472,9 +444,8 @@ class BentoServer:
                 self.qos.release(qos_key)
             raise
 
-    def _start_instance(self, thread: Actor, framed: FramedStream,
-                        message: dict, image: ContainerImage,
-                        qos_key, span=None):
+    def _start_instance(self, thread: Actor, reply: Route,
+                        image: ContainerImage, qos_key, span=None):
         container = Container(
             container_id=f"c{next(self._container_ids)}",
             host_fs=self.host_fs,
@@ -512,7 +483,7 @@ class BentoServer:
 
         tokens = self._tokens.issue()
         instance = FunctionInstance(self, image, container, conclave, tokens)
-        instance.note_peer(framed)
+        instance.note_peer(reply.framed)
         if self.qos is not None and qos_key is not None:
             self.qos.attach_instance(qos_key, instance)
         self._by_invocation[tokens.invocation] = instance
@@ -520,21 +491,17 @@ class BentoServer:
         if span is not None:
             span.end(self.sim.now, ok=True, instance=instance.instance_id,
                      enclave=image.uses_enclave)
-        framed.send_frame(messages.encode_message(
-            messages.IMAGE_READY,
-            container_id=instance.instance_id,
-            invocation=tokens.invocation,
-            shutdown=tokens.shutdown,
-            image=image.name,
-            **reply_fields))
+        reply.send(messages.ImageReady, container_id=instance.instance_id,
+                   invocation=tokens.invocation, shutdown=tokens.shutdown,
+                   image=image.name, **reply_fields)
 
-    def _handle_load(self, framed: FramedStream, message: dict) -> None:
+    def _handle_load(self, _thread, reply: Route, message) -> None:
         log = _obs.log
         span = log.begin_span(
             "core.load_function", self.sim.now,
             track=self.relay.nickname) if log is not None else None
         try:
-            self._load_function(framed, message, span)
+            self._load_function(reply, message, span)
         except ManifestRejected as exc:
             _metrics.counter("manifests_rejected").value += 1
             if log is not None:
@@ -548,11 +515,10 @@ class BentoServer:
                 span.end(self.sim.now, ok=False, error=type(exc).__name__)
             raise
 
-    def _load_function(self, framed: FramedStream, message: dict,
+    def _load_function(self, reply: Route, message: messages.LoadFunction,
                        span=None) -> None:
-        instance = self._instance_for(message.get("token", ""))
-        instance.note_peer(framed)
-        manifest = FunctionManifest.from_wire(message["manifest"])
+        instance = self._instance_for(message.token, reply.framed)
+        manifest = FunctionManifest.from_wire(message.manifest)
         reason = self.policy.rejection_reason(manifest)
         if reason is not None:
             raise ManifestRejected(reason)
@@ -566,16 +532,16 @@ class BentoServer:
             # instance's fair-queue flows under its priority class.
             self.qos.price_manifest(instance, manifest)
 
-        if "sealed_code" in message:
+        if message.sealed_code:
             if instance.conclave is None:
                 raise BentoError("sealed upload requires the enclave image")
-            channel = instance.conclave.complete_channel(message["client_pub"])
-            code = channel.open(message["sealed_code"]).decode("utf-8")
+            channel = instance.conclave.complete_channel(message.client_pub)
+            code = channel.open(message.sealed_code).decode("utf-8")
         else:
-            code = message["code"]
+            code = message.code
 
         instance.load(code, manifest)
-        for path, data in dict(message.get("data", {})).items():
+        for path, data in (message.data or {}).items():
             # Initial data files ride along with the upload (§5.4: "the
             # Bento client then uploads the function, and any associated
             # data to copy to FS Protect").
@@ -586,15 +552,14 @@ class BentoServer:
         if span is not None:
             span.end(self.sim.now, ok=True, instance=instance.instance_id,
                      name=manifest.name)
-        framed.send_frame(messages.encode_message(messages.LOADED, ok=True))
+        reply.send(messages.Loaded)
 
-    def _handle_shutdown(self, framed: FramedStream, message: dict) -> None:
-        instance = self._instance_for(message.get("token", ""), shutdown=True)
-        instance.note_peer(framed)
-        instance.kill("shutdown by owner")
-        framed.send_frame(messages.encode_message(messages.SHUTDOWN_OK))
+    def _handle_shutdown(self, _thread, reply: Route, message) -> None:
+        self._instance_for(message.token, reply.framed,
+                           shutdown=True).kill("shutdown by owner")
+        reply.send(messages.ShutdownOk)
 
-    def _handle_checkpoint(self, framed: FramedStream, message: dict) -> None:
+    def _handle_checkpoint(self, _thread, reply: Route, message) -> None:
         """Snapshot a checkpointable function for its owner.
 
         Gated on the *shutdown* token: the checkpoint carries the
@@ -604,23 +569,22 @@ class BentoServer:
         sees plaintext state (§5.4)."""
         from repro.migrate import checkpoint_instance, store_local_checkpoint
 
-        instance = self._instance_for(message.get("token", ""), shutdown=True)
-        instance.note_peer(framed)
-        cp = checkpoint_instance(instance, seq=int(message.get("seq", 0)))
-        reply: dict = {"ok": True, "seq": cp.seq}
-        if instance.conclave is not None:
-            store_local_checkpoint(instance, cp)
-            channel = instance.conclave.channel
-            if channel is None:
-                raise BentoError("no attested channel to seal checkpoint for")
-            reply["sealed_checkpoint"] = channel.seal(
-                canonical_encode(cp.to_wire()))
-        else:
-            reply["checkpoint"] = cp.to_wire()
-        framed.send_frame(messages.encode_message(
-            messages.CHECKPOINT_DATA, **reply))
+        instance = self._instance_for(message.token, reply.framed,
+                                      shutdown=True)
+        cp = checkpoint_instance(instance, seq=message.seq)
+        if instance.conclave is None:
+            reply.send(messages.CheckpointData, seq=cp.seq,
+                       checkpoint=cp.to_wire())
+            return
+        store_local_checkpoint(instance, cp)
+        channel = instance.conclave.channel
+        if channel is None:
+            raise BentoError("no attested channel to seal checkpoint for")
+        reply.send(messages.CheckpointData, seq=cp.seq,
+                   sealed_checkpoint=channel.seal(
+                       canonical_encode(cp.to_wire())))
 
-    def _handle_restore(self, framed: FramedStream, message: dict) -> None:
+    def _handle_restore(self, _thread, reply: Route, message) -> None:
         """Apply a checkpoint to a freshly loaded instance.
 
         Sent by the migration plane (or a standby's owner) right after
@@ -628,31 +592,22 @@ class BentoServer:
         source instance's token pair so existing capability holders keep
         working after the move."""
         from repro.migrate import Checkpoint, restore_instance
-        from repro.util.serialization import canonical_decode
 
-        instance = self._instance_for(message.get("token", ""))
-        instance.note_peer(framed)
-        if "sealed_checkpoint" in message:
+        instance = self._instance_for(message.token, reply.framed)
+        wire = message.checkpoint
+        if message.sealed_checkpoint:
             if instance.conclave is None or instance.conclave.channel is None:
                 raise BentoError(
                     "sealed restore requires an attested enclave channel")
             wire = canonical_decode(
-                instance.conclave.channel.open(message["sealed_checkpoint"]))
-            cp = Checkpoint.from_wire(wire)
-        elif "checkpoint" in message:
-            cp = Checkpoint.from_wire(message["checkpoint"])
-        else:
-            cp = None
-        restore_instance(instance, cp, framed,
-                         start=bool(message.get("start", False)))
-        adopt_inv = message.get("adopt_invocation", "")
-        adopt_sd = message.get("adopt_shutdown", "")
-        if adopt_inv or adopt_sd:
-            self._adopt_tokens(instance, adopt_inv, adopt_sd)
-        framed.send_frame(messages.encode_message(
-            messages.RESTORED, ok=True,
-            invocation=instance.tokens.invocation,
-            shutdown=instance.tokens.shutdown))
+                instance.conclave.channel.open(message.sealed_checkpoint))
+        cp = None if wire is None else Checkpoint.from_wire(wire)
+        restore_instance(instance, cp, reply, start=message.start)
+        if message.adopt_invocation or message.adopt_shutdown:
+            self._adopt_tokens(instance, message.adopt_invocation,
+                               message.adopt_shutdown)
+        reply.send(messages.Restored, invocation=instance.tokens.invocation,
+                   shutdown=instance.tokens.shutdown)
 
     def _adopt_tokens(self, instance: FunctionInstance, invocation: str,
                       shutdown: str) -> None:
@@ -675,13 +630,16 @@ class BentoServer:
 
     # -- registry -----------------------------------------------------------------
 
-    def _instance_for(self, token: str, shutdown: bool = False) -> FunctionInstance:
-        """The live instance ``token`` names: an invocation token, or with
-        ``shutdown`` the owner's shutdown token.  A token whose instance
-        migrated away raises :class:`FunctionMoved` naming the new box."""
+    def _instance_for(self, token: str, peer: FramedStream,
+                      shutdown: bool = False) -> FunctionInstance:
+        """The live instance ``token`` names (an invocation token, or with
+        ``shutdown`` the owner's shutdown token), now touched by ``peer``.
+        A token whose instance migrated away raises :class:`FunctionMoved`
+        naming the new box."""
         table = self._by_shutdown if shutdown else self._by_invocation
         instance = table.get(token)
         if instance is not None:
+            instance.note_peer(peer)
             return instance
         moved_to = self._moved.get(token)
         if moved_to is not None:
@@ -737,3 +695,13 @@ class BentoServer:
     def active_function_count(self) -> int:
         """Live function instances on this server."""
         return len(self._by_invocation)
+
+    _HANDLERS = {messages.PolicyQuery: _handle_policy_query,
+                 messages.RequestImage: _handle_request_image,
+                 messages.LoadFunction: _handle_load,
+                 messages.Invoke: _handle_invoke,
+                 messages.Msg: _handle_msg,
+                 messages.Attach: _handle_attach,
+                 messages.Shutdown: _handle_shutdown,
+                 messages.Checkpoint: _handle_checkpoint,
+                 messages.Restore: _handle_restore}

@@ -101,14 +101,11 @@ class AvoidanceFunction:
               dst: tuple[str, int], detour_bound: float,
               samples: int = 3, timeout: float = 600.0) -> dict:
         """Run the measurement on the box and return the proof."""
-        from repro.core import messages
-
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token,
-            args=[src[0], src[1], dst[0], dst[1], detour_bound, samples]))
-        raw = yield from session.next_output(thread, timeout=timeout)
+        rid = session.invoke_nowait(
+            [src[0], src[1], dst[0], dst[1], detour_bound, samples])
+        raw = yield from session.next_output(thread, timeout)
         proof = json.loads(raw.decode("utf-8"))
-        yield from session.await_message(thread, messages.DONE, timeout)
+        yield from session.await_result(thread, timeout, rid)
         return proof
 
     @staticmethod

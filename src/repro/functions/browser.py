@@ -16,7 +16,6 @@ real browser would.
 from __future__ import annotations
 
 import zlib
-from typing import Optional
 
 from repro.core.manifest import FunctionManifest
 from repro.netsim.simulator import Actor
@@ -94,16 +93,7 @@ class BrowserFunction:
         ``session`` is a :class:`~repro.core.client.BentoSession` that has
         already loaded :data:`BROWSER_SOURCE`.
         """
-        from repro.core import messages
-
-        session.framed.send_frame(
-            _invoke_frame(session.invocation_token, [url, padding]))
-        blob = yield from session.next_output(thread, timeout=timeout)
-        done = yield from session.await_message(thread, messages.DONE, timeout)
-        return BrowserFunction.unpack(blob), done["result"]
-
-
-def _invoke_frame(token: Optional[str], args: list) -> bytes:
-    from repro.core import messages
-
-    return messages.encode_message(messages.INVOKE, token=token, args=args)
+        rid = session.invoke_nowait([url, padding])
+        blob = yield from session.next_output(thread, timeout)
+        stats = yield from session.await_result(thread, timeout, rid)
+        return BrowserFunction.unpack(blob), stats

@@ -85,11 +85,7 @@ class CoverFunction:
         client pushes a junk message up while the function pushes one
         down — the observable link rate is constant in both directions.
         """
-        from repro.core import messages
-
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token,
-            args=[rate_bytes_per_s, duration_s, chunk_size]))
+        rid = session.invoke_nowait([rate_bytes_per_s, duration_s, chunk_size])
         interval = chunk_size / rate_bytes_per_s
         sent_up = 0
         deadline = thread.sim.now + duration_s
@@ -98,8 +94,7 @@ class CoverFunction:
             session.send_message(junk)
             sent_up += chunk_size
             yield Sleep(interval)
-        result = yield from session.await_message(thread, messages.DONE,
-                                                  timeout=duration_s + 120.0)
-        stats = dict(result["result"])
+        stats = dict((yield from session.await_result(
+            thread, duration_s + 120.0, rid)))
         stats["sent_up_bytes"] = sent_up
         return stats

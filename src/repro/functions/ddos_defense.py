@@ -120,8 +120,6 @@ class AdmissionPuzzle:
         """Verify a solution; a valid one spends the puzzle."""
         if self.spent or bytes(challenge) != self.challenge:
             return False
-        if not isinstance(nonce, int):
-            return False
         if not verify_pow(self.challenge, nonce, self.difficulty_bits):
             return False
         self.spent = True
@@ -153,11 +151,7 @@ class DdosDefenseFunction:
         """Launch the guarded service; returns {"onion", "difficulty"}."""
         import json
 
-        from repro.core import messages
-
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token,
-            args=[difficulty_bits, duration_s, poll_interval]))
+        session.invoke_nowait([difficulty_bits, duration_s, poll_interval])
         session.send_message(content)
         ready = yield from session.next_output(thread, timeout=timeout)
         return json.loads(ready.decode("utf-8"))

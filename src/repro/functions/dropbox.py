@@ -103,11 +103,7 @@ class DropboxFunction:
     def start(session, max_bytes: int = 16 * MB, max_gets: int = 100,
               expiry_s: float = 3600.0) -> None:
         """Kick the dropbox loop off (does not wait)."""
-        from repro.core import messages
-
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token,
-            args=[max_bytes, max_gets, expiry_s]))
+        session.invoke_nowait([max_bytes, max_gets, expiry_s])
 
     @staticmethod
     def put(thread: Actor, session, name: str, data: bytes,
@@ -144,8 +140,5 @@ class DropboxFunction:
     @staticmethod
     def close(thread: Actor, session, timeout: float = 600.0) -> dict:
         """Ask the loop to finish; returns the function's final stats."""
-        from repro.core import messages
-
         session.send_message(json.dumps({"op": "close"}).encode())
-        done = yield from session.await_message(thread, messages.DONE, timeout)
-        return done["result"]
+        return (yield from session.await_result(thread, timeout))

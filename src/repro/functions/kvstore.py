@@ -86,17 +86,14 @@ class KvStoreFunction:
     @staticmethod
     def start(session) -> None:
         """Kick the store loop off (does not wait)."""
-        from repro.core import messages
-
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token, args=[]))
+        session.invoke_nowait([])
 
     @staticmethod
     def op(thread: Actor, session, request: dict,
            timeout: float = 600.0) -> dict:
         """One request/reply round against the running store."""
-        session.send_message(json.dumps(request).encode("utf-8"))
-        reply = yield from session.next_output(thread, timeout=timeout)
+        rid = session.send_message(json.dumps(request).encode("utf-8"))
+        reply = yield from session.next_output(thread, timeout, rid)
         return json.loads(reply.decode("utf-8"))
 
     @classmethod

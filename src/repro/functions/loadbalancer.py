@@ -416,8 +416,6 @@ class LoadBalancerFunction:
                low_water: int, max_replicas: int, duration_s: float,
                poll_interval: float, replica_image: str, timeout: float,
                announce: bool, standbys: int = 0) -> str:
-        from repro.core import messages
-
         cls = LoadBalancerFunction
         sim = session.client.sim
         log = _obs.log
@@ -433,8 +431,7 @@ class LoadBalancerFunction:
             # Appended only when used: the default invoke frame keeps its
             # pre-standby wire bytes, so fixed-seed replays stay identical.
             args.append(int(standbys))
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token, args=args))
+        session.invoke_nowait(args)
         session.send_message(content)
         ready = yield from session.next_output(thread, timeout=timeout)
         onion = json.loads(ready.decode("utf-8"))["onion"]

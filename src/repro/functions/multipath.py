@@ -92,11 +92,6 @@ class MultipathFunction:
     def download(thread: Actor, session, url: str, n_paths: int,
                  timeout: float = 1200.0) -> tuple[bytes, dict]:
         """Invoke a loaded multipath function; returns (body, stats)."""
-        from repro.core import messages
-
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token,
-            args=[url, n_paths]))
-        body = yield from session.next_output(thread, timeout=timeout)
-        done = yield from session.await_message(thread, messages.DONE, timeout)
-        return body, done["result"]
+        rid = session.invoke_nowait([url, n_paths])
+        body = yield from session.next_output(thread, timeout)
+        return body, (yield from session.await_result(thread, timeout, rid))

@@ -120,21 +120,16 @@ class ShardFunction:
                 name: str = "file", expiry_s: float = 3600.0,
                 timeout: float = 1200.0) -> dict:
         """Run the full scatter: returns the placement metadata."""
-        from repro.core import messages
-
         sim = session.client.sim
         log = _obs.log
         span = log.begin_span(
             "functions.shard_scatter", sim.now, track=session.box.nickname,
             n=n, k=k, bytes=len(data)) if log is not None else None
         dropbox_manifest = DropboxFunction.manifest(image="python").to_wire()
-        session.framed.send_frame(messages.encode_message(
-            messages.INVOKE, token=session.invocation_token,
-            args=[n, k, DropboxFunction.SOURCE, dropbox_manifest, name,
-                  expiry_s]))
+        rid = session.invoke_nowait([n, k, DropboxFunction.SOURCE,
+                                     dropbox_manifest, name, expiry_s])
         session.send_message(data)
-        done = yield from session.await_message(thread, messages.DONE, timeout)
-        result = done["result"]
+        result = yield from session.await_result(thread, timeout, rid)
         if span is not None:
             span.end(sim.now, placements=len(result["placements"]))
         return result

@@ -32,6 +32,7 @@ from repro.core.errors import BentoError
 from repro.enclave.sealing import seal_data, unseal_data
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.spec import field_table, read_fields
 
 _CHECKPOINTS_TAKEN = _metrics.counter("perf_checkpoints_taken")
 
@@ -66,25 +67,20 @@ class Checkpoint:
     measurement: str        # enclave measurement ("" outside a conclave)
 
     def to_wire(self) -> dict:
-        return {
-            "name": self.name, "entry": self.entry, "image": self.image,
-            "manifest": dict(self.manifest), "code": self.code,
-            "state": self.state, "args": list(self.args),
-            "files": dict(self.files), "inbox": list(self.inbox),
-            "seq": int(self.seq), "taken_at": float(self.taken_at),
-            "measurement": self.measurement,
-        }
+        return {name: getattr(self, name) for name in _WIRE}
 
     @classmethod
     def from_wire(cls, wire: dict) -> "Checkpoint":
-        return cls(
-            name=wire["name"], entry=wire["entry"], image=wire["image"],
-            manifest=dict(wire["manifest"]), code=wire["code"],
-            state=wire["state"], args=list(wire["args"]),
-            files=dict(wire["files"]), inbox=list(wire["inbox"]),
-            seq=int(wire["seq"]), taken_at=float(wire["taken_at"]),
-            measurement=wire.get("measurement", ""),
-        )
+        try:
+            return cls(**read_fields(wire, _WIRE))
+        except TypeError as exc:
+            raise MigrationError(f"malformed checkpoint: {exc}") from None
+
+
+#: :class:`Checkpoint`'s wire form, field by field.
+_WIRE = field_table(name=str, entry=str, image=str, manifest=dict, code=str,
+                    state=object, args=list, files=dict, inbox=list, seq=int,
+                    taken_at=float, measurement=(str, ""))
 
 
 def _instance_fs(instance):
@@ -128,7 +124,7 @@ def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
         files=files,
         inbox=inbox,
         seq=int(seq),
-        taken_at=instance.server.sim.now,
+        taken_at=float(instance.server.sim.now),
         measurement=(instance.conclave.measurement
                      if instance.conclave is not None else ""),
     )
@@ -136,13 +132,14 @@ def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
     return cp
 
 
-def restore_instance(instance, cp: Optional[Checkpoint], peer,
+def restore_instance(instance, cp: Optional[Checkpoint], route,
                      start: bool = False) -> None:
     """Apply a checkpoint to a freshly loaded instance.
 
     With ``cp=None`` nothing new is staged (a standby promotion re-uses
     the last shipped checkpoint's state, already applied); ``start=True``
-    then (re)starts the entry with the staged args.
+    then (re)starts the entry with the staged args.  Queued messages and
+    the restarted entry answer along ``route``.
     """
     runtime = instance.runtime
     if runtime is None:
@@ -167,11 +164,11 @@ def restore_instance(instance, cp: Optional[Checkpoint], peer,
         runtime.restore_state(cp.state)
         runtime.last_args = list(cp.args)
         for payload in cp.inbox:
-            instance.api._push_message(payload, peer)
+            instance.api._push_message(payload, route)
     if start and not runtime.running:
         if runtime.last_args is None:
             raise MigrationError("no staged args to start the entry with")
-        runtime.start(list(runtime.last_args), peer)
+        runtime.start(list(runtime.last_args), route)
 
 
 # -- sealing ---------------------------------------------------------------

@@ -172,13 +172,13 @@ class MigrationPlane:
         # Tell every still-connected client where the function went *now*:
         # a parked next_output() raises FunctionMoved immediately and the
         # retry path retargets, instead of waiting out its own timeout.
-        from repro.core import messages
+        from repro.core.messages import Error, Route
         for peer in instance._peer_order:
             if not peer.closed:
                 try:
-                    peer.send_frame(messages.error_message(
-                        "moved", detail="function migrated",
-                        box_fp=dest.identity_fp))
+                    Route(peer, 0).send(Error, reason="moved",
+                                        detail="function migrated",
+                                        box_fp=dest.identity_fp)
                 except Exception:
                     pass
         instance.kill("migrated", graceful=True)

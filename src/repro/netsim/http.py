@@ -25,7 +25,9 @@ from repro.netsim.connection import Connection
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node
 from repro.netsim.simulator import Actor
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.errors import ProtocolError
+from repro.util.serialization import canonical_encode
+from repro.util.spec import decode_request
 
 HTTPS_PORT = 443
 HTTP_PORT = 80
@@ -133,14 +135,12 @@ class HttpServer:
             if frame is None or frame == b"":
                 break
             try:
-                request = canonical_decode(frame)
-                path = request["path"]
-            except Exception:
+                path, offset, length = decode_request(
+                    frame, path=str, offset=(int, None), range_length=(int, None))
+            except ProtocolError:
                 break  # malformed request; drop the connection
             self.request_count += 1
-            yield from self._respond(thread, framed, path,
-                                     offset=request.get("offset"),
-                                     length=request.get("range_length"))
+            yield from self._respond(thread, framed, path, offset, length)
         framed.close()
 
     def _respond(self, thread: Actor, framed: FramedStream, path: str,
@@ -153,8 +153,8 @@ class HttpServer:
             body = b"not found"
         total = len(body)
         if status == 200 and offset is not None:
-            end = total if length is None else min(total, int(offset) + int(length))
-            body = body[int(offset):end]
+            end = total if length is None else min(total, offset + length)
+            body = body[offset:end]
             status = 206
         yield from serve_body(thread, framed, status, body, total=total)
 
@@ -205,9 +205,8 @@ def fetch(thread: Actor, framed: FramedStream, path: str,
     header_frame = yield from framed.recv_frame(thread, timeout=timeout)
     if header_frame is None:
         raise NetworkError(f"connection closed before response header ({url})")
-    header = canonical_decode(header_frame)
-    status = int(header["status"])
-    nwindows = int(header["nwindows"])
+    status, length, total, nwindows = decode_request(
+        header_frame, status=int, length=int, total=int, nwindows=int)
     parts: list[bytes] = []
     for index in range(nwindows):
         part = yield from framed.recv_frame(thread, timeout=timeout)
@@ -217,11 +216,10 @@ def fetch(thread: Actor, framed: FramedStream, path: str,
         if index < nwindows - 1:
             framed.send_frame(_ACK)
     body = b"".join(parts)
-    if len(body) != int(header["length"]):
+    if len(body) != length:
         raise NetworkError(f"body length mismatch ({url})")
     return HttpResponse(status=status, body=body, url=url,
-                        elapsed=thread.sim.now - started,
-                        total=int(header.get("total", len(body))))
+                        elapsed=thread.sim.now - started, total=total)
 
 
 def http_get(thread: Actor, network: Network, client: Node, url: str,

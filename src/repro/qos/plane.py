@@ -99,14 +99,14 @@ class ServingPlane:
 
     # -- admission ---------------------------------------------------------
 
-    def admit_request(self, thread: Actor, conn, message: dict) -> object:
-        """Gate one ``request_image``; returns the admission key.
+    def admit_request(self, thread: Actor, conn, message) -> object:
+        """Gate one typed ``RequestImage`` frame; returns the admission key.
 
         The caller must hand the key to :meth:`attach_instance` once the
         container exists, or :meth:`release` it if setup fails.  Raises
         :class:`ServerBusy` or :class:`PuzzleRequired`.
         """
-        priority = message.get("priority", "bulk")
+        priority = message.priority
         if priority not in PRIORITY_CLASSES:
             priority = "bulk"
         self._require_puzzle(conn, message)
@@ -164,17 +164,15 @@ class ServingPlane:
 
     # -- puzzles -----------------------------------------------------------
 
-    def _require_puzzle(self, conn, message: dict) -> None:
+    def _require_puzzle(self, conn, message) -> None:
         """Demand (and verify) a proof of work while shedding."""
         if not self.shedder.demands_puzzle():
             return
         outstanding = self._puzzles.get(conn)
-        if outstanding is not None:
-            challenge = bytes.fromhex(str(message.get("pow_challenge", "")))
-            nonce = message.get("pow_nonce")
-            if isinstance(nonce, int) and outstanding.check(challenge, nonce):
-                del self._puzzles[conn]
-                return
+        if outstanding is not None and outstanding.check(
+                message.pow_challenge, message.pow_nonce):
+            del self._puzzles[conn]
+            return
         puzzle = AdmissionPuzzle.issue(self.rng,
                                        self.shedder.puzzle_difficulty)
         self._puzzles[conn] = puzzle

@@ -13,7 +13,6 @@ import enum
 import struct
 
 from repro.util.errors import ProtocolError
-from repro.util.serialization import SerializationError, canonical_decode
 
 CELL_SIZE = 514
 CELL_HEADER_SIZE = 5          # circ_id(4) + command(1)
@@ -39,23 +38,6 @@ def pack_relay(command: int, stream_id: int, data: bytes,
     _RELAY_HEADER.pack_into(buf, 0, 0, stream_id, digest, size, command)
     buf[RELAY_HEADER_SIZE:RELAY_HEADER_SIZE + size] = data
     return buf
-
-
-def decode_request(data: bytes, **fields: type) -> list:
-    """The named fields of a relay request, in the order named.  The bytes
-    are the sender's to choose: anything but a dict holding each field with
-    exactly the named type is a :class:`ProtocolError`, which costs the
-    sender its request and its reader nothing."""
-    try:
-        request = canonical_decode(data)
-    except SerializationError as exc:
-        raise ProtocolError(f"malformed relay request: {exc}") from exc
-    if not isinstance(request, dict):
-        raise ProtocolError("relay request is not a dict")
-    for name, kind in fields.items():
-        if type(request.get(name)) is not kind:
-            raise ProtocolError(f"relay request needs {kind.__name__} {name!r}")
-    return [request[name] for name in fields]
 
 
 class CellCommand(enum.IntEnum):

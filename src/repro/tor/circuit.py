@@ -30,7 +30,6 @@ from repro.tor.cell import (
     CellCommand,
     RelayCellPayload,
     RelayCommand,
-    decode_request,
 )
 from repro.tor.descriptor import RelayDescriptor
 from repro.tor.layercrypto import BACKWARD, FORWARD, BackwardPeel, HopCrypto
@@ -41,6 +40,7 @@ from repro.tor.relay import (
 )
 from repro.util.errors import ProtocolError, ReproError
 from repro.util.serialization import canonical_encode
+from repro.util.spec import decode_request
 
 HS_CLIENT = "client"
 HS_SERVICE = "service"

@@ -28,8 +28,9 @@ from repro.tor.layercrypto import HopCrypto
 from repro.tor.path import PathSelector
 from repro.tor.stream import TorStream
 from repro.util.bytesutil import int_to_bytes
-from repro.util.errors import ReproError
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.errors import ProtocolError, ReproError
+from repro.util.serialization import canonical_encode
+from repro.util.spec import decode_request
 
 
 class TorError(ReproError):
@@ -413,20 +414,23 @@ class TorClient:
             intro_circuit.close()
             rend_circuit.close()
             raise
-        status = canonical_decode(ack_info["data"]).get("status")
         intro_circuit.close()
-        if status != "ok":
+        try:
+            (status,) = decode_request(ack_info["data"], status=str)
+            if status != "ok":
+                raise TorError(f"introduction failed: {status}")
+        except (ProtocolError, TorError):
             rend_circuit.close()
-            raise TorError(f"introduction failed: {status}")
+            raise
 
         # 3. Wait for the service at the rendezvous point.
         try:
             rend2 = yield from rend_circuit.wait_control(
                 thread, RelayCommand.RENDEZVOUS2, timeout=timeout)
-        except (SimTimeoutError, CircuitDestroyed):
+            (reply,) = decode_request(rend2["data"], blob=bytes)
+        except (SimTimeoutError, CircuitDestroyed, ProtocolError):
             rend_circuit.close()
             raise
-        reply = canonical_decode(rend2["data"])["blob"]
         keys = hs_state.finish(reply[:ntor.REPLY_LEN])
         rend_circuit.attach_hs(HopCrypto(keys), HS_CLIENT)
         return rend_circuit

@@ -30,7 +30,8 @@ from repro.tor.layercrypto import HopCrypto
 from repro.tor.stream import TorStream
 from repro.util.bytesutil import int_from_bytes, int_to_bytes
 from repro.util.errors import ReproError
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import canonical_encode
+from repro.util.spec import decode_request
 
 # handler(stream, host, port) is invoked for every accepted stream.
 StreamHandler = Callable[[TorStream, str, int], None]
@@ -104,11 +105,13 @@ class HiddenService:
     # -- introductions ----------------------------------------------------
 
     def decrypt_introduce_blob(self, blob: bytes) -> dict:
-        """Unseal an INTRODUCE2 payload with the service key."""
-        outer = canonical_decode(blob)
-        ephemeral = self.keypair.decrypt_int(int_from_bytes(outer["c"]))
-        plaintext = AeadKey(int_to_bytes(ephemeral)).open(b"intro", outer["sealed"])
-        return canonical_decode(plaintext)
+        """Unseal an INTRODUCE2 payload; a malformed one is a ProtocolError."""
+        wrapped_key, sealed = decode_request(blob, c=bytes, sealed=bytes)
+        ephemeral = self.keypair.decrypt_int(int_from_bytes(wrapped_key))
+        plaintext = AeadKey(int_to_bytes(ephemeral)).open(b"intro", sealed)
+        fields = {"cookie": bytes, "rp_address": str, "rp_port": int,
+                  "onionskin": bytes, "extra": dict}
+        return dict(zip(fields, decode_request(plaintext, **fields)))
 
     def _on_introduce2(self, blob: bytes) -> None:
         try:

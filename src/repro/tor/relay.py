@@ -30,7 +30,6 @@ from repro.tor.cell import (
     CellCommand,
     RelayCellPayload,
     RelayCommand,
-    decode_request,
 )
 from repro.tor.descriptor import (
     FLAG_BENTO,
@@ -46,6 +45,7 @@ from repro.tor import ntor
 from repro.crypto.rsa import RsaKeyPair
 from repro.util.errors import ProtocolError
 from repro.util.serialization import canonical_encode
+from repro.util.spec import decode_request
 
 CIRCUIT_PACKAGE_WINDOW = 1000
 CIRCUIT_SENDME_INCREMENT = 100

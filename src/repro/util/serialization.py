@@ -24,6 +24,10 @@ _TAG_BYTES = b"B"
 _TAG_LIST = b"L"
 _TAG_DICT = b"M"
 
+#: Deepest nesting :func:`canonical_decode` accepts: past any value built
+#: here, short of the interpreter's stack.
+MAX_DEPTH = 64
+
 
 class SerializationError(ValueError):
     """Raised when a value cannot be encoded, or bytes cannot be decoded."""
@@ -48,8 +52,9 @@ def canonical_digest(value: Any) -> str:
 
 
 def canonical_decode(data: bytes) -> Any:
-    """Decode bytes produced by :func:`canonical_encode`."""
-    value, offset = _decode_from(data, 0)
+    """Decode bytes produced by :func:`canonical_encode`; anything else,
+    nesting deeper than :data:`MAX_DEPTH` too, is a SerializationError."""
+    value, offset = _decode_from(data, 0, 0)
     if offset != len(data):
         raise SerializationError(f"{len(data) - offset} trailing bytes after value")
     return value
@@ -99,7 +104,7 @@ def _read(data: bytes, offset: int, count: int) -> bytes:
     return data[offset:end]
 
 
-def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
+def _decode_from(data: bytes, offset: int, depth: int) -> tuple[Any, int]:
     tag = _read(data, offset, 1)
     offset += 1
     if tag == _TAG_NONE:
@@ -131,12 +136,14 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         (length,) = struct.unpack(">I", _read(data, offset, 4))
         offset += 4
         return bytes(_read(data, offset, length)), offset + length
+    if depth == MAX_DEPTH and tag in (_TAG_LIST, _TAG_DICT):
+        raise SerializationError(f"nested deeper than {MAX_DEPTH}")
     if tag == _TAG_LIST:
         (count,) = struct.unpack(">I", _read(data, offset, 4))
         offset += 4
         items = []
         for _ in range(count):
-            item, offset = _decode_from(data, offset)
+            item, offset = _decode_from(data, offset, depth + 1)
             items.append(item)
         return items, offset
     if tag == _TAG_DICT:
@@ -144,10 +151,10 @@ def _decode_from(data: bytes, offset: int) -> tuple[Any, int]:
         offset += 4
         result: dict[str, Any] = {}
         for _ in range(count):
-            key, offset = _decode_from(data, offset)
+            key, offset = _decode_from(data, offset, depth + 1)
             if not isinstance(key, str):
                 raise SerializationError("dict key must decode to str")
-            value, offset = _decode_from(data, offset)
+            value, offset = _decode_from(data, offset, depth + 1)
             result[key] = value
         return result, offset
     raise SerializationError(f"unknown tag: {tag!r}")

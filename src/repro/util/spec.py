@@ -1,4 +1,4 @@
-"""The one spec idiom: strict, serializable, digestable frozen dataclasses.
+"""The one strict-parsing idiom: spec dataclasses and peer-sent fields.
 
 A spec (a workload scenario, a chain template) is plain data end to end.
 Deriving a frozen dataclass from :class:`Spec` gives it, from its field
@@ -17,19 +17,22 @@ or a float where an int is declared, a string where a bool is) or a
 non-list where a tuple is declared raises the family's own error class —
 the only thing a family parameterises — instead of being silently
 accepted, because a typo'd knob that parses is a spec you did not mean.
-Cross-field rules stay in each class's ``__post_init__``.
+Cross-field rules stay in each class's ``__post_init__``.  The scalar
+rule, :func:`typed`, is the tree's only one: Bento frames and any other
+dict a peer sends (:func:`decode_request`) are checked by it too.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
-from repro.util.errors import ReproError
-from repro.util.serialization import canonical_digest
+from repro.util.errors import ProtocolError, ReproError
+from repro.util.serialization import (SerializationError, canonical_decode,
+                                      canonical_digest)
 
-__all__ = ["Spec"]
+__all__ = ["Spec", "decode_request", "field_table", "read_fields", "typed"]
 
 
 class Spec:
@@ -106,15 +109,11 @@ def _from_plain(cls: type, kind: Any, value: Any, name: str) -> Any:
                      for item in value)
     if issubclass(kind, Spec):
         return _from_mapping(kind, value)
-    # bool is an int to Python and an int is a float to JSON, but a spec
-    # that says ``"shared": 0`` or ``"max_replicas": 1.0`` is a mistake:
-    # only the int-written-for-a-float blur is normalized.
-    if kind is float and type(value) is int:
-        return float(value)
-    cls._require(type(value) is kind,
-                 f"{cls.context}: '{name}' must be {kind.__name__}, "
-                 f"got {value!r}")
-    return value
+    try:
+        return typed(kind, value)
+    except TypeError:
+        raise cls.Error(f"{cls.context}: '{name}' must be {kind.__name__}, "
+                        f"got {value!r}") from None
 
 
 def _plain(value: Any) -> Any:
@@ -123,3 +122,51 @@ def _plain(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
     return value
+
+
+def field_table(**kinds: Any) -> dict[str, tuple[Any, Any]]:
+    """``{field: (kind, default)}`` from ``field=kind`` or a tuple."""
+    return {name: kind if type(kind) is tuple else (kind, MISSING)
+            for name, kind in kinds.items()}
+
+
+def typed(kind: type, value: Any, name: str = "value") -> Any:
+    """``value`` if exactly a ``kind`` (``object``: any), else TypeError: a
+    bool is an int to Python and an int a float to JSON, but ``"seq": true``
+    is a mistake; only an int where a float is declared passes."""
+    if type(value) is kind or kind is object:
+        return value
+    if kind is float and type(value) is int:
+        return float(value)
+    raise TypeError(f"{name!r} must be {kind.__name__}, "
+                    f"got {type(value).__name__}")
+
+
+def read_fields(body: Any, table: Mapping[str, tuple[Any, Any]],
+                exact: bool = False) -> dict:
+    """``table``'s fields out of ``body`` by :func:`typed`, defaults for
+    absent ones (``MISSING``: a TypeError); ``exact`` refuses other keys."""
+    if type(body) is not dict:
+        raise TypeError(f"expected a dict, got {type(body).__name__}")
+    if exact and not body.keys() <= table.keys():
+        raise TypeError(f"unknown keys {sorted(body.keys() - table.keys())}")
+    values = {}
+    for name, (kind, default) in table.items():
+        if name in body:
+            values[name] = typed(kind, body[name], name)
+        elif default is MISSING:
+            raise TypeError(f"missing {kind.__name__} {name!r}")
+        else:
+            values[name] = default
+    return values
+
+
+def decode_request(data: bytes, **kinds: Any) -> list:
+    """The named fields (see :func:`field_table`) of a peer's canonical
+    dict, in order.  Anything else is a :class:`ProtocolError`, which costs
+    the sender its request and its reader nothing."""
+    try:
+        return list(read_fields(canonical_decode(data),
+                                field_table(**kinds)).values())
+    except (SerializationError, TypeError) as exc:
+        raise ProtocolError(f"malformed request: {exc}") from exc

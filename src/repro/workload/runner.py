@@ -21,11 +21,9 @@ counters, and (with ``trace_log``) a byte-identical ``events.jsonl``.
 from __future__ import annotations
 
 import functools
-import json
 from collections import Counter as _TallyCounter
 from typing import Optional
 
-from repro.core import messages
 from repro.core.client import RETRYABLE_ERRORS, BentoClient
 from repro.core.errors import BentoError, ServerBusy
 from repro.core.manifest import FunctionManifest
@@ -314,13 +312,13 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             poll_interval=2.0, replica_image="python", announce=False)
         shared["onions"][tenant.name] = onion
         say(f"loadbalancer '{tenant.name}' serving {onion}")
-        stats = yield from session.await_message(
-            task, messages.DONE, timeout=spec.duration_s + GRACE_S)
+        stats = yield from session.await_result(
+            task, timeout=spec.duration_s + GRACE_S)
         shared["stats"][tenant.name] = {
-            "served_local": stats["result"]["served_local"],
-            "replicas_lost": stats["result"]["replicas_lost"],
+            "served_local": stats["served_local"],
+            "replicas_lost": stats["replicas_lost"],
             "events": dict(sorted(_TallyCounter(
-                e[1] for e in stats["result"]["events"]).items())),
+                e[1] for e in stats["events"]).items())),
         }
         session.close()
 
@@ -429,9 +427,9 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             duration_s=spec.duration_s + 30.0, poll_interval=2.0)
         shared["onions"][tenant.name] = info["onion"]
         say(f"ddos defense '{tenant.name}' guarding {info['onion']}")
-        stats = yield from session.await_message(
-            task, messages.DONE, timeout=spec.duration_s + GRACE_S)
-        shared["stats"][tenant.name] = dict(stats["result"])
+        stats = yield from session.await_result(
+            task, timeout=spec.duration_s + GRACE_S)
+        shared["stats"][tenant.name] = dict(stats)
         session.close()
 
     def ddos_arrival(task: Actor, tenant: TenantSpec,

@@ -5,11 +5,10 @@ import pytest
 from repro.core.apispec import ALL_API_CALLS, API_SYSCALLS, syscalls_for
 from repro.core.manifest import FunctionManifest
 from repro.core.messages import (
-    ERROR,
-    INVOKE,
+    Error,
+    Invoke,
     decode_message,
     encode_message,
-    error_message,
 )
 from repro.core.policy import MiddleboxNodePolicy
 from repro.core.tokens import (
@@ -176,10 +175,9 @@ class TestTokens:
 
 class TestMessages:
     def test_roundtrip(self):
-        frame = encode_message(INVOKE, token="t", args=[1, "x"])
-        message = decode_message(frame)
-        assert message["type"] == INVOKE
-        assert message["args"] == [1, "x"]
+        frame = encode_message(Invoke, rid=7, token="t", args=[1, "x"])
+        assert decode_message(frame) == Invoke(rid=7, token="t",
+                                               args=[1, "x"])
 
     def test_unknown_type_rejected_on_encode(self):
         with pytest.raises(ProtocolError):
@@ -202,6 +200,8 @@ class TestMessages:
             decode_message(canonical_encode({"no_type": 1}))
 
     def test_error_helper(self):
-        message = decode_message(error_message("bad-token", detail="why"))
-        assert message["type"] == ERROR
-        assert message["reason"] == "bad-token"
+        message = decode_message(encode_message(Error, reason="bad-token",
+                                                detail="why"))
+        assert isinstance(message, Error)
+        assert message.reason == "bad-token"
+        assert message.retry_after == 0.0       # an optional field's default

@@ -85,10 +85,7 @@ class TestProtocolBasics:
                 session.send_message(str(n).encode())
                 outputs.append((yield from session.next_output(thread)))
             session.send_message(b"stop")
-            from repro.core import messages
-
-            final = (yield from session.await_message(
-                thread, messages.DONE, 120.0))["result"]
+            final = yield from session.await_result(thread, 120.0)
             yield from session.shutdown(thread)
             return outputs, final
 

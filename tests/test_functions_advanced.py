@@ -96,10 +96,7 @@ class TestLoadBalancer:
                 max_replicas=2, duration_s=120.0, poll_interval=2.0,
                 replica_image="python")
             shared["onion"] = onion
-            from repro.core import messages
-
-            return (yield from session.await_message(
-                thread, messages.DONE, 400.0))["result"]
+            return (yield from session.await_result(thread, 400.0))
 
         downloads = []
 
@@ -247,10 +244,7 @@ class TestDdosDefense:
                 thread, session, content, difficulty_bits=6,
                 duration_s=90.0, poll_interval=2.0)
             shared.update(info)
-            from repro.core import messages
-
-            return (yield from session.await_message(
-                thread, messages.DONE, 300.0))["result"]
+            return (yield from session.await_result(thread, 300.0))
 
         def honest_visitor(thread):
             while "onion" not in shared:

@@ -208,11 +208,7 @@ class TestDropbox:
             assert (yield from DropboxFunction.get(
                 thread, session, "f")) == b"data"
             # The budget is spent: the loop exits and DONE arrives.
-            from repro.core import messages
-
-            result = (yield from session.await_message(
-                thread, messages.DONE, 120.0))["result"]
-            return result
+            return (yield from session.await_result(thread, 120.0))
 
         assert run_thread(fn_net, main)["gets_served"] == 2
 

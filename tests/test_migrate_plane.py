@@ -234,7 +234,7 @@ class TestSealedCheckpoints:
 
         runtime.restore_state({"store": {"clobbered": 1}})
         instance.api._inbox[:] = []
-        restore_instance(instance, cp2, peer=None)
+        restore_instance(instance, cp2, route=None)
         assert runtime.checkpoint_state() == {"store": store}
         assert [payload for payload, _peer in instance.api._inbox] \
             == list(inbox)
@@ -308,7 +308,7 @@ class TestSealedCheckpoints:
                 wire = Checkpoint.from_wire(
                     canonical_decode(canonical_encode(cp.to_wire())))
                 assert wire == cp, name
-                restore_instance(instance, wire, peer=None)
+                restore_instance(instance, wire, route=None)
                 assert instance.runtime.checkpoint_state() == state0, name
                 session.close()
 

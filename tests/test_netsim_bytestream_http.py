@@ -6,12 +6,15 @@ from hypothesis import given, strategies as st
 from repro.netsim.bytestream import DirectByteStream, FramedStream, Framer
 from repro.netsim.http import (
     HttpServer,
+    fetch,
     http_get,
     parse_url,
     plan_windows,
 )
 from repro.netsim.network import Network
 from repro.netsim.simulator import Simulator
+from repro.util.errors import ProtocolError
+from repro.util.serialization import canonical_encode
 
 
 class TestFramer:
@@ -220,3 +223,57 @@ class TestHttp:
 
         assert sim.run_until_done(sim.spawn(main)) == b"AB"
         assert http.request_count == 2
+
+
+class TestHostileHttpPeers:
+    """Request and response headers are read through ``decode_request``:
+    a peer's malformed dict costs that peer, and nobody else."""
+
+    @pytest.mark.parametrize("request_frame", [
+        canonical_encode(["GET", "/"]),
+        canonical_encode({"path": 5}),
+        canonical_encode({"path": "/", "offset": "0"}),
+    ])
+    def test_a_mistyped_request_drops_only_its_connection(self,
+                                                          request_frame):
+        sim, net, client, server = _web()
+        http = HttpServer(server, {"/": b"index!"})
+
+        def main(thread):
+            conn = yield from net.connect_blocking(
+                thread, client, net.resolve("example.com"), 443)
+            framed = FramedStream(DirectByteStream(conn, client))
+            framed.send_frame(request_frame)
+            dropped = (yield from framed.recv_frame(thread, timeout=60.0))
+            honest = yield from http_get(thread, net, client,
+                                         "https://example.com/")
+            return dropped, honest.body
+
+        assert sim.run_until_done(sim.spawn(main)) == (None, b"index!")
+        assert http.request_count == 1 and not sim._failed
+
+    @pytest.mark.parametrize("header", [
+        [200, 0, 0, 1],
+        {"status": "200", "length": 0, "total": 0, "nwindows": 1},
+        {"status": 200, "length": 0, "nwindows": 1},
+    ])
+    def test_a_mistyped_response_header_is_a_protocol_error(self, header):
+        sim, net, client, server = _web()
+
+        def accept(conn):
+            def answer(thread):
+                framed = FramedStream(DirectByteStream(conn, server))
+                yield from framed.recv_frame(thread, timeout=60.0)
+                framed.send_frame(canonical_encode(header))
+            sim.spawn(answer)
+
+        server.listen(443, accept)
+
+        def main(thread):
+            conn = yield from net.connect_blocking(
+                thread, client, net.resolve("example.com"), 443)
+            with pytest.raises(ProtocolError):
+                yield from fetch(thread, FramedStream(
+                    DirectByteStream(conn, client)), "/")
+
+        sim.run_until_done(sim.spawn(main))

@@ -24,6 +24,13 @@ class TestDecoderRobustness:
         except SerializationError:
             pass
 
+    def test_canonical_decode_bounds_its_nesting(self):
+        deep = b"L\x00\x00\x00\x01" * 5000 + b"N"     # 25 KB of lists
+        with pytest.raises(SerializationError, match="nested deeper"):
+            canonical_decode(deep)
+        with pytest.raises(ProtocolError):
+            decode_message(deep)
+
     @given(st.binary(max_size=300))
     def test_message_decode_never_crashes(self, blob):
         try:

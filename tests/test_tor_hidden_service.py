@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.crypto.aead import AeadKey
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.http import fetch, serve_body
 from repro.netsim.simulator import Sleep
 from repro.tor.cell import RelayCellPayload, RelayCommand
 from repro.tor.hidden_service import HiddenService
+from repro.tor.relay import Relay
 from repro.tor.testnet import TorTestNetwork
-from repro.util.errors import ReproError
-from repro.util.serialization import canonical_decode
+from repro.util.bytesutil import int_to_bytes
+from repro.util.errors import ProtocolError, ReproError
+from repro.util.serialization import canonical_decode, canonical_encode
 
 from conftest import run_thread
 
@@ -189,6 +192,56 @@ class TestHostileBytesAtACircuitsEnd:
         hs_net.sim.run()
         assert len(hs_net.service.rendezvous_circuits) == before
         assert not circuit._control_backlog
+
+    def test_an_introduce2_with_mistyped_fields_is_refused(self, hs_net):
+        service = hs_net.service
+        for outer in ([b"key", b"sealed"], {"c": "key", "sealed": b""}):
+            with pytest.raises(ProtocolError):
+                service.decrypt_introduce_blob(canonical_encode(outer))
+        # Sealed properly to the service key, but the cookie is no bytes.
+        ephemeral = 3 ** 100     # 20 bytes of key material, below n
+        inner = {"cookie": "c" * 20, "rp_address": "10.0.0.1", "rp_port": 9001,
+                 "onionskin": b"", "extra": {}}
+        blob = canonical_encode({
+            "c": int_to_bytes(service.keypair.public.encrypt_int(ephemeral)),
+            "sealed": AeadKey(int_to_bytes(ephemeral)).seal(
+                b"intro", canonical_encode(inner))})
+        with pytest.raises(ProtocolError, match="cookie"):
+            service.decrypt_introduce_blob(blob)
+
+    @pytest.mark.parametrize("command, data", [
+        (RelayCommand.INTRODUCE_ACK, canonical_encode(["ok"])),
+        (RelayCommand.INTRODUCE_ACK, canonical_encode({"status": 1})),
+        (RelayCommand.RENDEZVOUS2, canonical_encode({"blob": "reply"})),
+        (RelayCommand.RENDEZVOUS2, canonical_encode(b"reply")),
+    ])
+    def test_a_mistyped_answer_fails_the_rendezvous_and_frees_it(
+            self, hs_net, monkeypatch, command, data):
+        reply = Relay._reply
+
+        def hostile(relay, entry, cell):
+            if cell.command == command:
+                cell = RelayCellPayload(command, 0, data)
+            reply(relay, entry, cell)
+
+        monkeypatch.setattr(Relay, "_reply", hostile)
+        visitor = hs_net.create_client("answered-badly")
+        built, build = [], visitor.build_circuit
+
+        def recording(*args, **kwargs):
+            built.append((yield from build(*args, **kwargs)))
+            return built[-1]
+
+        monkeypatch.setattr(visitor, "build_circuit", recording)
+
+        def main(thread):
+            with pytest.raises(ProtocolError):
+                yield from visitor.connect_to_hidden_service(
+                    thread, str(hs_net.service.onion_address))
+
+        run_thread(hs_net, main)
+        assert len(built) == 2                  # rendezvous, introduction
+        assert all(circuit.destroyed for circuit in built)
 
 
 class TestManualIntroductions:
