@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.core.apispec import ALL_API_CALLS, syscalls_for
+from repro.util.spec import field_table, read_fields, typed
 
 MB = 1024 * 1024
 
@@ -93,14 +94,26 @@ class FunctionManifest:
 
     @classmethod
     def from_wire(cls, wire: dict) -> "FunctionManifest":
-        """Reconstruct from :meth:`to_wire` output."""
+        """Reconstruct from :meth:`to_wire` output.  A peer's dict that is
+        not one raises TypeError (shape, by :func:`read_fields`) or
+        ValueError (content, by ``__post_init__``)."""
+        fields = read_fields(wire, _WIRE, exact=True)
+        for name in ("api_calls", "syscalls"):
+            for item in fields[name]:
+                typed(str, item, name)
         return cls(
-            name=wire["name"],
-            entry=wire["entry"],
-            api_calls=frozenset(wire["api_calls"]),
-            image=wire["image"],
-            memory_bytes=int(wire["memory"]),
-            disk_bytes=int(wire["disk"]),
-            syscalls=frozenset(wire["syscalls"]),
-            priority=str(wire.get("priority", "bulk")),
+            name=fields["name"],
+            entry=fields["entry"],
+            api_calls=frozenset(fields["api_calls"]),
+            image=fields["image"],
+            memory_bytes=fields["memory"],
+            disk_bytes=fields["disk"],
+            syscalls=frozenset(fields["syscalls"]),
+            priority=fields["priority"],
         )
+
+
+#: The wire form :meth:`FunctionManifest.to_wire` writes.
+_WIRE = field_table(name=str, entry=str, api_calls=list, image=str,
+                    memory=int, disk=int, syscalls=list,
+                    priority=(str, "bulk"))

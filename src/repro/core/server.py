@@ -326,14 +326,12 @@ class BentoServer:
             frames_served += 1
             try:
                 message = messages.decode_message(frame)
-            except messages.FrameError as exc:
+                reply = Route(framed, message.rid)
+                yield from self._dispatch(thread, reply, message)
+            except messages.FrameError as exc:  # the frame, or a dict in it
                 Route(framed, exc.rid).send(messages.Error,
                                             reason="bad-message",
                                             detail=str(exc))
-                continue
-            reply = Route(framed, message.rid)
-            try:
-                yield from self._dispatch(thread, reply, message)
             except (BentoError, ResourceExceeded, LoaderError) as exc:
                 # A refusal keeps its structure, e.g. ServerBusy.retry_after.
                 reply.send(messages.Error, **messages.error_fields(exc))
@@ -518,7 +516,11 @@ class BentoServer:
     def _load_function(self, reply: Route, message: messages.LoadFunction,
                        span=None) -> None:
         instance = self._instance_for(message.token, reply.framed)
-        manifest = FunctionManifest.from_wire(message.manifest)
+        try:
+            manifest = FunctionManifest.from_wire(message.manifest)
+        except (TypeError, ValueError) as exc:
+            raise messages.FrameError(f"bad load_function manifest: {exc}",
+                                      message.rid) from None
         reason = self.policy.rejection_reason(manifest)
         if reason is not None:
             raise ManifestRejected(reason)

@@ -7,7 +7,7 @@ construction is reproducible run to run.
 
 from __future__ import annotations
 
-from repro.crypto.modexp import modexp
+from repro.crypto.modexp import Modulus
 from repro.util.bytesutil import int_from_bytes, int_to_bytes
 from repro.util.rng import DeterministicRandom
 
@@ -36,27 +36,31 @@ DH_GROUP_MODP_1024 = int(
 )
 _GENERATOR = 2
 _EXPONENT_BITS = 256  # short exponents are standard practice for these groups
+#: Each RFC group, loaded into libcrypto once for the process.
+_GROUPS = {group: Modulus(group)
+           for group in (DH_GROUP_MODP_1024, DH_GROUP_MODP_2048)}
 
 
 class DiffieHellman:
     """One party's ephemeral DH state."""
 
     def __init__(self, rng: DeterministicRandom, modulus: int = DH_GROUP_MODP_1024) -> None:
-        self._modulus = modulus
+        self._group = _GROUPS.get(modulus) or Modulus(modulus)
         # Force the top bit so the exponent always has full length.
         self._private = rng.getrandbits(_EXPONENT_BITS) | (1 << (_EXPONENT_BITS - 1))
-        self.public = modexp(_GENERATOR, self._private, modulus)
+        self.public = self._group.power(_GENERATOR, self._private)
 
     @property
     def public_bytes(self) -> bytes:
         """The public value encoded big-endian at full group width."""
-        return int_to_bytes(self.public, (self._modulus.bit_length() + 7) // 8)
+        return int_to_bytes(self.public, (self._group.value.bit_length() + 7) // 8)
 
     def shared_secret(self, peer_public: int | bytes) -> bytes:
         """Compute the shared secret with a peer's public value."""
         if isinstance(peer_public, (bytes, bytearray)):
             peer_public = int_from_bytes(bytes(peer_public))
-        if not 2 <= peer_public <= self._modulus - 2:
+        modulus = self._group.value
+        if not 2 <= peer_public <= modulus - 2:
             raise ValueError("peer public value out of range")
-        secret = modexp(peer_public, self._private, self._modulus)
-        return int_to_bytes(secret, (self._modulus.bit_length() + 7) // 8)
+        secret = self._group.power(peer_public, self._private)
+        return int_to_bytes(secret, (modulus.bit_length() + 7) // 8)

@@ -16,7 +16,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 
-from repro.crypto.modexp import modexp
+from repro.crypto.modexp import Modulus, modexp
 from repro.util.bytesutil import int_from_bytes, int_to_bytes
 from repro.util.rng import DeterministicRandom
 
@@ -162,6 +162,8 @@ class RsaKeyPair:
     Private-key operations go through the Chinese remainder theorem: two
     half-width exponentiations with exponents reduced once per key, which
     yields the same integer as ``pow(c, d, n)`` at about half the cost.
+    Each prime is a :class:`~repro.crypto.modexp.Modulus`, loaded with the
+    key and freed with it.
     """
 
     def __init__(self, n: int, e: int, d: int, p: int, q: int) -> None:
@@ -175,6 +177,8 @@ class RsaKeyPair:
         self._dp = d % (p - 1)
         self._dq = d % (q - 1)
         self._qinv = pow(q, -1, p)
+        self._mod_p = Modulus(p)
+        self._mod_q = Modulus(q)
 
     @classmethod
     def generate(cls, rng: DeterministicRandom, bits: int = 512) -> "RsaKeyPair":
@@ -214,10 +218,9 @@ class RsaKeyPair:
 
     def _private_op(self, c: int) -> int:
         """``pow(c, d, n)`` by CRT (Garner's recombination)."""
-        p, q = self._p, self._q
-        m2 = modexp(c, self._dq, q)
-        h = (modexp(c, self._dp, p) - m2) * self._qinv % p
-        return m2 + h * q
+        m2 = self._mod_q.power(c, self._dq)
+        h = (self._mod_p.power(c, self._dp) - m2) * self._qinv % self._p
+        return m2 + h * self._q
 
     def sign(self, message: bytes) -> bytes:
         """Hash-and-sign ``message``."""

@@ -10,7 +10,9 @@ Two backends compute the same bytes, chosen once, at import, from what the
 platform exports.  On libcrypto's EVP interface a cipher owns one
 ``EVP_CIPHER_CTX`` and ``process`` is one ``EVP_EncryptUpdate``: keystream and
 XOR in one C call at AES-NI speed, made from this file so that a profile
-books it here.  Elsewhere a pure-Python block function does it at about a
+books it here.  That call is prepared (:func:`~repro.crypto.libcrypto.bind`):
+the context pointer is wrapped once per cipher, so ctypes converts nothing
+per cell.  Elsewhere a pure-Python block function does it at about a
 millisecond per cell; it is also the oracle the tests hold the binding to.
 """
 
@@ -65,7 +67,7 @@ _evp = bind({
     "EVP_aes_128_ctr": (_PTR,), "EVP_CIPHER_CTX_new": (_PTR,),
     "EVP_CIPHER_CTX_free": (None, _PTR),
     "EVP_EncryptInit_ex": (_INT, _PTR, _PTR, _PTR, _BUF, _BUF),
-    "EVP_EncryptUpdate": (_INT, _PTR, _BUF, ctypes.POINTER(_INT), _BUF, _INT),
+    "EVP_EncryptUpdate": (_INT,),  # (ctx, out, &outl, in, inl), prepared
 })
 NATIVE = _evp is not None
 # The C API's way to make a bytes object for C code to fill in: with a NULL
@@ -90,12 +92,12 @@ class _EvpCipher(_Cipher):
         if _evp.EVP_EncryptInit_ex(ctx, _evp.EVP_aes_128_ctr(), None, key, iv) != 1:
             _evp.EVP_CIPHER_CTX_free(ctx)
             raise ArithmeticError("EVP_EncryptInit_ex failed")
-        self._ctx = ctx
+        self._ctx = ctypes.c_void_p(ctx)
 
     def __del__(self) -> None:
         ctx = getattr(self, "_ctx", None)  # never set when __init__ raised
         if ctx is not None:
-            _evp.EVP_CIPHER_CTX_free(ctx)
+            _evp.EVP_CIPHER_CTX_free(ctx.value)
 
     def __reduce__(self):  # a copy would free the same context again
         raise TypeError("a StreamCipher owns its context: it cannot be copied")

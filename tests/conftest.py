@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -49,6 +51,19 @@ def bento_net():
     net.ias = ias
     net.bento_servers = servers
     return net
+
+
+#: Source of ``peak()`` for a script run in a fresh interpreter: that
+#: process's own peak resident set, in KiB.  Not ``ru_maxrss``, which a
+#: child starts at its spawner's peak: under a pytest process larger than
+#: the script, any growth read as none.
+PEAK_RSS_KIB = (
+    "def peak():\n"
+    "    with open('/proc/self/status') as status:\n"
+    "        return next(int(line.split()[1]) for line in status\n"
+    "                    if line.startswith('VmHWM:'))\n")
+needs_proc = pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                                reason="reads the process's peak from /proc")
 
 
 def run_thread(net, fn, name="test", until=None):

@@ -1,0 +1,230 @@
+"""The dispatch-by-type canonical codec against its first form.
+
+``codec_reference`` keeps the isinstance-chain codec the tree started
+with.  The codec in ``repro.util.serialization`` must write the same bytes
+for every value and, for any input bytes, decode the same value or raise a
+:class:`SerializationError` with the same message.  ``TestOracleHasTeeth``
+shows the property failing on three plausible mistakes.
+"""
+
+import enum
+import math
+import pathlib
+import sys
+import types
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from codec_reference import reference_decode, reference_encode
+from repro.util import serialization
+from repro.util.serialization import MAX_DEPTH, SerializationError
+
+
+class Colour(str, enum.Enum):
+    """A ``(str, Enum)`` key: ``str()`` of it is ``'Colour.RED'``."""
+
+    RED = "red"
+    BLUE = "blue"
+
+
+class Level(enum.IntEnum):
+    LOW = 1
+    HIGH = 20
+
+
+class Loud(str):
+    """A str subclass whose ``str()`` is not its text."""
+
+    def __str__(self) -> str:
+        return self.upper() + "!"
+
+
+class Count(int):
+    pass
+
+
+_leaves = st.one_of(
+    st.none(), st.booleans(),
+    st.integers(), st.integers(-(10 ** 40), 10 ** 40),
+    st.floats(),                                 # NaN and the infinities too
+    st.text(max_size=12), st.binary(max_size=16),
+    st.characters(categories=["Cs"]),            # a lone surrogate
+    st.sampled_from(list(Colour)), st.sampled_from(list(Level)),
+    st.text(max_size=6).map(Loud), st.integers(-99, 99).map(Count),
+    st.binary(max_size=8).map(bytearray), st.binary(max_size=8).map(memoryview),
+)
+_keys = st.one_of(
+    st.text(max_size=6), st.sampled_from(list(Colour)),
+    st.text(max_size=4).map(Loud),
+    st.integers(0, 3) | st.none(),               # refused, and said so
+)
+_values = st.recursive(_leaves, lambda children: st.one_of(
+    st.lists(children, max_size=5),
+    st.lists(children, max_size=3).map(tuple),
+    st.dictionaries(_keys, children, max_size=5),
+    st.dictionaries(st.text(max_size=6), children, max_size=5),
+), max_leaves=25)
+
+
+def _nest(depth: int, kind) -> object:
+    value = "leaf"
+    for _ in range(depth):
+        value = [value] if kind is list else {"k": value}
+    return value
+
+
+#: Values at and just past MAX_DEPTH: encode has no limit, decode does.
+_DEEP = [_nest(depth, kind) for depth in (MAX_DEPTH, MAX_DEPTH + 1)
+         for kind in (list, dict)]
+
+
+def _outcome(fn, arg):
+    try:
+        return "value", fn(arg)
+    except Exception as exc:  # compared below, by class and message
+        return "raised", (type(exc), str(exc))
+
+
+def _same(a, b) -> bool:
+    """Equal values of equal types, NaN equal to itself, dict order kept."""
+    if type(a) is not type(b):
+        return False
+    if type(a) is float:
+        return a == b or (math.isnan(a) and math.isnan(b))
+    if type(a) is list:
+        return len(a) == len(b) and all(map(_same, a, b))
+    if type(a) is dict:
+        return list(a) == list(b) and all(_same(a[k], b[k]) for k in a)
+    return a == b
+
+
+def check_encode(codec, value) -> None:
+    want, got = _outcome(reference_encode, value), _outcome(
+        codec.canonical_encode, value)
+    assert want == got
+
+
+def check_decode(codec, data: bytes) -> None:
+    (want_kind, want), (got_kind, got) = (
+        _outcome(reference_decode, data),
+        _outcome(codec.canonical_decode, data))
+    assert want_kind == got_kind, (want, got)
+    if want_kind == "raised":
+        assert want[0] is SerializationError and got == want
+    else:
+        assert _same(want, got), (want, got)
+
+
+def _encodable(value) -> bool:
+    return _outcome(reference_encode, value)[0] == "value"
+
+
+_encodable_values = _values.filter(_encodable)
+
+#: Inputs made to look like encodings: tag letters, small lengths, digits.
+_wireish = st.lists(st.sampled_from(b"NTFIDSBLM\x00\x00\x00\x01\x02\x05-07\xff"),
+                    max_size=60).map(bytes)
+
+
+@st.composite
+def _damaged(draw):
+    """A valid encoding with one byte changed."""
+    data = reference_encode(draw(_encodable_values))
+    at = draw(st.integers(0, len(data) - 1))
+    return data[:at] + bytes([draw(st.integers(0, 255))]) + data[at + 1:]
+
+
+_inputs = st.one_of(st.binary(max_size=80), _wireish, _damaged(),
+                    _encodable_values.map(reference_encode))
+
+
+@given(_values)
+@example({"type": "msg", "rid": 7, "payload": b"x", "token": "t"})
+@example(float("nan"))
+@example([1.0, float("nan")])
+@example({"b": 1, Colour.RED: 2, Loud("a"): [Level.HIGH, True]})
+@example(10 ** 5000)
+@example(Count(10 ** 5000))    # past str()'s limit
+@example({"k": 1, 2: 3})
+@example({Colour.BLUE: 1, None: 2})
+def test_same_bytes_for_every_value(value):
+    check_encode(serialization, value)
+
+
+@pytest.mark.parametrize("value", _DEEP, ids=["list64", "dict64",
+                                          "list65", "dict65"])
+def test_depth_64_and_65(value):
+    check_encode(serialization, value)
+    check_decode(serialization, reference_encode(value))
+
+
+@given(_inputs)
+@example(b"")
+@example(b"S\x00\x00\x00\x02\xff\xfe")     # not UTF-8
+@example(b"I\x00\x00\x00\x021\x1c")
+@example(b"I\x00\x00\x00\x01x")
+@example(b"M\x00\x00\x00\x01I\x00\x00\x00\x011N")       # int key
+@example(b"L\x00\x00\x00\x02S\x00\x00\x00\x05ab")       # truncated leaf
+@example(b"D\x7f\xf8\x00\x00\x00\x00\x00\x00")
+@example(b"NN")
+@example(b"Q")
+def test_same_value_or_message_for_any_bytes(data):
+    check_decode(serialization, data)
+
+
+@given(_encodable_values)
+@example({"type": "msg", "rid": 7, "payload": b"x", "token": "t"})
+def test_same_value_or_message_for_every_prefix(value):
+    data = reference_encode(value)
+    for cut in range(len(data)):
+        check_decode(serialization, data[:cut])
+
+
+def _mutant(old: str, new: str) -> types.ModuleType:
+    """``repro.util.serialization`` with ``old`` (which must occur once)
+    replaced by ``new``, raising the real SerializationError."""
+    source = pathlib.Path(serialization.__file__).read_text()
+    assert source.count(old) == 1, old
+    module = types.ModuleType("serialization_mutant")
+    exec(compile(source.replace(old, new), "<mutant>", "exec"),
+         module.__dict__)
+    module.SerializationError = SerializationError
+    return module
+
+
+class TestOracleHasTeeth:
+    """Each mutant makes one of the properties above, exactly as written,
+    fail."""
+
+    @pytest.fixture()
+    def fails_under(self, monkeypatch):
+        def check(old: str, new: str, prop) -> None:
+            monkeypatch.setattr(sys.modules[__name__], "serialization",
+                                _mutant(old, new))
+            with pytest.raises((AssertionError, ExceptionGroup)) as failed:
+                prop()
+            if isinstance(failed.value, ExceptionGroup):
+                assert failed.value.split(AssertionError)[1] is None
+        return check
+
+    def test_unsorted_keys_are_caught(self, fails_under):
+        fails_under("for key in sorted(value):\n            raw = key",
+                    "for key in value:\n            raw = key",
+                    test_same_bytes_for_every_value)
+
+    def test_a_length_off_by_one_is_caught(self, fails_under):
+        fails_under("            if offset > size:\n"
+                    "                raise SerializationError(_TRUNCATED)\n"
+                    "            raw = data[start:offset]\n"
+                    "            result[key]",
+                    "            if offset > size + 1:\n"
+                    "                raise SerializationError(_TRUNCATED)\n"
+                    "            raw = data[start:offset]\n"
+                    "            result[key]",
+                    test_same_value_or_message_for_every_prefix)
+
+    def test_str_of_a_str_subclass_is_caught(self, fails_under):
+        fails_under('encoded = value.encode("utf-8")',
+                    'encoded = str(value).encode("utf-8")',
+                    test_same_bytes_for_every_value)

@@ -22,6 +22,12 @@ from conftest import run_thread
 HOSTILE = {
     "load_function without a manifest":
         lambda inv, _sd: {"type": "load_function", "token": inv},
+    "load_function with an empty manifest":
+        lambda inv, _sd: {"type": "load_function", "token": inv,
+                          "manifest": {}, "code": "x"},
+    "load_function with an int manifest name":
+        lambda inv, _sd: {"type": "load_function", "token": inv,
+                          "manifest": {"name": 5}, "code": "x"},
     "invoke with int args":
         lambda inv, _sd: {"type": "invoke", "token": inv, "args": 5},
     "attach with a list token":

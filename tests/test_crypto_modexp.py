@@ -1,20 +1,23 @@
 """``repro.crypto.modexp``: parity with builtin ``pow`` on both backends,
 and the hygiene of the foreign calls behind the native one."""
 
+import copy
 import hashlib
 import os
 import pathlib
+import pickle
 import subprocess
 import sys
 import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from conftest import PEAK_RSS_KIB, needs_proc
 from test_determinism import _full_run
 
 from repro.crypto import modexp as modexp_module
 from repro.crypto.dh import DH_GROUP_MODP_1024, DH_GROUP_MODP_2048, DiffieHellman
-from repro.crypto.modexp import modexp
+from repro.crypto.modexp import Modulus, modexp
 from repro.crypto.rsa import RsaKeyPair
 from repro.util.rng import DeterministicRandom
 
@@ -133,39 +136,113 @@ class TestParity:
             "f8cb7fba83446dd9f0d7fe7fc194697cf9386842bf065f6c56fa1a84ad8ceb66")
 
 
+#: An RSA-sized prime (2 ** 127 - 1) beside the two DH groups.
+PRIME = (1 << 127) - 1
+
+
+@pytest.mark.usefixtures("backend")
+class TestLoadedModulus:
+    """``Modulus(m).power(b, e) == pow(b, e, m)``, whichever backend is
+    active, on the moduli the tree loads: both DH groups and RSA primes."""
+
+    @pytest.mark.parametrize("modulus", [DH_GROUP_MODP_1024, DH_GROUP_MODP_2048,
+                                         PRIME], ids=["modp1024", "modp2048",
+                                                      "prime"])
+    def test_edges_equal_pow(self, modulus):
+        loaded = Modulus(modulus)
+        bases = [0, 1, 2, -1, modulus - 1, modulus, modulus + 2, 3 * modulus,
+                 (1 << 64) - 1, 1 << 64, -(1 << 70)]
+        for base in bases:
+            for exponent in (0, 1, 2, 65537, (1 << 256) - 1):
+                assert loaded.power(base, exponent) == pow(base, exponent,
+                                                           modulus)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([DH_GROUP_MODP_1024, DH_GROUP_MODP_2048, PRIME]),
+           st.integers(-(1 << 2100), 1 << 2100), st.integers(0, 1 << 300))
+    def test_equals_pow(self, modulus, base, exponent):
+        assert Modulus(modulus).power(base, exponent) == pow(base, exponent,
+                                                             modulus)
+
+    @pytest.mark.parametrize("modulus", [1, 2, 4, 1 << 64, -7])
+    def test_no_montgomery_form_is_pow(self, modulus):
+        for base in (0, 1, 3, modulus - 1):
+            assert Modulus(modulus).power(base, 5) == pow(base, 5, modulus)
+
+    def test_raises_what_pow_raises(self):
+        loaded = Modulus(PRIME)
+        with pytest.raises(ValueError) as expected:
+            pow(0, -3, PRIME)
+        with pytest.raises(ValueError) as raised:
+            loaded.power(0, -3)
+        assert str(raised.value) == str(expected.value)
+        assert loaded.power(3, -1) == pow(3, -1, PRIME)
+
+    def test_a_copy_is_its_own_load(self):
+        loaded = Modulus(PRIME)
+        for twin in (copy.copy(loaded), copy.deepcopy(loaded),
+                     pickle.loads(pickle.dumps(loaded))):
+            assert twin is not loaded and twin.value == PRIME
+            if loaded._m is not None:
+                assert twin._m.value != loaded._m.value
+            assert twin.power(3, 1 << 100) == pow(3, 1 << 100, PRIME)
+
+
 def _returns(value):
     """A stand-in for a ctypes function pointer (takes attributes too)."""
     return lambda *args: value
 
 
+#: Each native path, by the exponentiation it ends in: the one-off, and a
+#: loaded modulus with a base that fits a word and one that does not.
+_GROUP = Modulus(DH_GROUP_MODP_1024)
+PATHS = {"BN_mod_exp": lambda: modexp(3, 5, 7),
+         "BN_mod_exp_mont_word": lambda: _GROUP.power(3, 5),
+         "BN_mod_exp_mont": lambda: _GROUP.power(DH_GROUP_MODP_1024 - 2, 5)}
+
+
 @needs_native
 class TestForeignCodeHygiene:
     def _with(self, monkeypatch, **fakes):
+        """Every declared entry point behind a namespace, ``fakes`` in
+        place of their namesakes; the scratch numbers stay the real ones."""
         lib, *scratch = modexp_module._bn
-        names = ("BN_bin2bn", "BN_mod_exp", "BN_bn2binpad")
-        patched = types.SimpleNamespace(
-            **{name: fakes.get(name, getattr(lib, name)) for name in names})
+        patched = types.SimpleNamespace(**{
+            name: fakes.get(name, getattr(lib, name))
+            for name in modexp_module.SIGNATURES})
         monkeypatch.setattr(modexp_module, "_bn", (patched, *scratch))
 
     def test_failed_exponentiation_raises(self, monkeypatch):
-        self._with(monkeypatch, BN_mod_exp=_returns(0))
-        with pytest.raises(ArithmeticError):
-            modexp(3, 5, 7)
+        for name, call in PATHS.items():
+            with monkeypatch.context() as patch:
+                self._with(patch, **{name: _returns(0)})
+                with pytest.raises(ArithmeticError):
+                    call()
 
     def test_short_result_raises(self, monkeypatch):
         self._with(monkeypatch, BN_bn2binpad=_returns(-1))
-        with pytest.raises(ArithmeticError):
-            modexp(3, 5, 7)
+        for call in PATHS.values():
+            with pytest.raises(ArithmeticError):
+                call()
 
     def test_failed_conversion_raises(self, monkeypatch):
         self._with(monkeypatch, BN_bin2bn=_returns(None))
+        for call in PATHS.values():
+            with pytest.raises(MemoryError):
+                call()
+
+    @pytest.mark.parametrize("name", ["BN_new", "BN_MONT_CTX_new",
+                                      "BN_bin2bn", "BN_MONT_CTX_set"])
+    def test_failed_load_raises(self, monkeypatch, name):
+        self._with(monkeypatch, **{name: _returns(None if name.endswith(
+            ("new", "bin2bn")) else 0)})
         with pytest.raises(MemoryError):
-            modexp(3, 5, 7)
+            Modulus(DH_GROUP_MODP_1024)
 
     def test_null_scratch_allocation_raises(self, monkeypatch):
-        class Lib:
-            BN_new = _returns(None)
-            BN_CTX_new = BN_bin2bn = BN_mod_exp = BN_bn2binpad = _returns(1)
+        Lib = type("Lib", (), {name: _returns(1)
+                               for name in modexp_module.SIGNATURES})
+        Lib.BN_new = _returns(None)
 
         monkeypatch.setattr(modexp_module.ctypes, "CDLL", lambda path: Lib)
         with pytest.raises(MemoryError):
@@ -185,9 +262,12 @@ class TestForeignCodeHygiene:
         assert modexp_module._bind() is None
 
     def test_errors_are_not_swallowed_by_callers(self, monkeypatch):
-        self._with(monkeypatch, BN_mod_exp=_returns(0))
+        key = RsaKeyPair.generate(DeterministicRandom("rsa-fail"), 256)
+        self._with(monkeypatch, **dict.fromkeys(PATHS, _returns(0)))
         with pytest.raises(ArithmeticError):
             DiffieHellman(DeterministicRandom("dh-fail"))
+        with pytest.raises(ArithmeticError):
+            key.sign(b"consensus")
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_forked_child_computes_the_parents_values(self):
@@ -208,24 +288,54 @@ class TestForeignCodeHygiene:
         assert verdict == b"1"
         assert [modexp(*case) for case in cases] == expected
 
-    def test_fresh_moduli_do_not_grow_the_process(self):
-        """One candidate modulus per call, as RSA keygen does: nothing may
-        be kept per modulus.  A fresh interpreter, so that the high-water
-        mark read is this loop's and not an earlier test's."""
+    def test_moduli_alive_at_exit_finalize_quietly(self):
         script = (
-            "import resource\n"
-            "from repro.crypto.modexp import modexp\n"
-            "def churn(start, stop):\n"
-            "    for i in range(start, stop):\n"
-            "        modexp(3, 65537, (1 << 255) + 2 * i + 1)\n"
-            "churn(0, 20_000)  # allocator and scratch reach steady size\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
-            "churn(20_000, 120_000)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
+            "import repro.crypto.dh\n"
+            "import repro.crypto.modexp as module\n"
+            "from repro.crypto.rsa import RsaKeyPair\n"
+            "from repro.util.rng import DeterministicRandom\n"
+            "held = RsaKeyPair.generate(DeterministicRandom('exit'), 256)\n"
+            "cycle = [module.Modulus(7)]\n"
+            "cycle.append(cycle)\n"
+            "module.parked = module.Modulus((1 << 127) - 1)\n"
+            "module.Modulus.parked = module.Modulus(11)\n")
         src = str(pathlib.Path(modexp_module.__file__).resolve().parents[2])
         out = subprocess.run([sys.executable, "-c", script], check=True,
                              capture_output=True, text=True, timeout=120,
                              env={**os.environ, "PYTHONPATH": src})
-        unit = 1 if sys.platform == "darwin" else 1024  # bytes there, KiB here
-        # One BIGNUM leaked per modulus would be >= 56 bytes x 1e5 = 5.3 MiB.
-        assert int(out.stdout) * unit < 1 << 20
+        assert out.stderr == ""
+
+    @needs_proc
+    def test_fresh_moduli_do_not_grow_the_process(self):
+        """Neither a modulus per call, as RSA keygen makes, nor an RSA key
+        made and dropped may leave anything behind.  A fresh interpreter,
+        so that the peaks read are these loops' and not an earlier test's;
+        each loop warms up before its peak is taken."""
+        script = PEAK_RSS_KIB + (
+            "from repro.crypto.modexp import modexp\n"
+            "from repro.crypto.rsa import RsaKeyPair\n"
+            "from repro.util.rng import DeterministicRandom\n"
+            "key = RsaKeyPair.generate(DeterministicRandom('churn'), 256)\n"
+            "parts = dict(n=key.public.n, e=key.public.e, d=key._d,\n"
+            "             p=key._p, q=key._q)\n"
+            "def moduli(start, stop):\n"
+            "    for i in range(start, stop):\n"
+            "        modexp(3, 65537, (1 << 255) + 2 * i + 1)\n"
+            "def keys(start, stop):\n"
+            "    for i in range(start, stop):\n"
+            "        RsaKeyPair(**parts).sign(i.to_bytes(4, 'big'))\n"
+            "def grown(churn, warm, total):\n"
+            "    churn(0, warm)  # allocator and scratch reach steady size\n"
+            "    before = peak()\n"
+            "    churn(warm, total)\n"
+            "    return peak() - before\n"
+            "print(grown(moduli, 20_000, 120_000), grown(keys, 5_000, 30_000))\n")
+        src = str(pathlib.Path(modexp_module.__file__).resolve().parents[2])
+        out = subprocess.run([sys.executable, "-c", script], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             env={**os.environ, "PYTHONPATH": src})
+        # One BIGNUM leaked per modulus would be >= 56 bytes x 1e5 = 5.3 MiB;
+        # a key's two BIGNUMs and two Montgomery contexts, >= 400 bytes x
+        # 2.5e4 = 9.5 MiB.
+        for grown in out.stdout.split():
+            assert int(grown) < 1024

@@ -22,6 +22,8 @@ from repro.crypto.stream import (ReferenceCipher, StreamCipher, _EvpCipher,
                                  _encrypt_block, _expand_key)
 from repro.perf.counters import counters
 
+from conftest import PEAK_RSS_KIB, needs_proc
+
 needs_native = pytest.mark.skipif(
     not stream_module.NATIVE, reason="this libcrypto does not export EVP")
 BACKENDS = pytest.mark.parametrize("backend", [
@@ -279,22 +281,21 @@ class TestContextLifetime:
                               capture_output=True, text=True, timeout=120,
                               env={**os.environ, "PYTHONPATH": src})
 
+    @needs_proc
     def test_one_shot_ciphers_do_not_grow_the_process(self):
         """The attested channel makes one cipher per message.  A fresh
-        interpreter, so that the high-water mark read is this loop's."""
-        out = self._run(
-            "import resource\n"
+        interpreter, so that the peak read is this loop's."""
+        out = self._run(PEAK_RSS_KIB + (
             "from repro.crypto.stream import stream_xor\n"
             "def churn(n):\n"
             "    for _ in range(n):\n"
             "        stream_xor(b'k' * 32, b'nonce', b'message')\n"
             "churn(20_000)  # allocator reaches steady size\n"
-            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "before = peak()\n"
             "churn(200_000)\n"
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n")
-        unit = 1 if sys.platform == "darwin" else 1024  # bytes there, KiB here
+            "print(peak() - before)\n"))
         # One leaked EVP_CIPHER_CTX is > 150 bytes: 2e5 of them, > 28 MiB.
-        assert int(out.stdout) * unit < 1 << 20
+        assert int(out.stdout) < 1024
 
     def test_ciphers_alive_at_exit_finalize_quietly(self):
         out = self._run(
