@@ -18,12 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.fingerprint import (
-    FingerprintLab,
-    KnnClassifier,
-    SoftmaxClassifier,
-    evaluate_split,
-)
+from repro.fingerprint import FingerprintLab, KnnClassifier, evaluate_split
 
 from conftest import FULL_SCALE, banner
 
@@ -48,10 +43,8 @@ def run_table1() -> dict:
         X, y = lab.dataset(samples)
         accuracy = 100.0 * evaluate_split(KnnClassifier(k=3), X, y,
                                           train_fraction=0.8)
-        softmax = 100.0 * evaluate_split(SoftmaxClassifier(epochs=250), X, y,
-                                         train_fraction=0.8)
         rows.append({"defense": label, "accuracy": accuracy,
-                     "softmax": softmax, "paper": paper})
+                     "paper": paper})
     return {"n_sites": N_SITES, "visits": VISITS, "rows": rows,
             "chance": 100.0 / N_SITES}
 
@@ -61,10 +54,10 @@ def test_table1_fingerprinting(benchmark, experiment_recorder):
 
     banner(f"TABLE 1 — attack accuracy ({N_SITES} sites x {VISITS} visits; "
            f"chance = {result['chance']:.1f}%)")
-    print(f"{'Defense':48s} {'k-NN':>8s} {'softmax':>8s} {'paper':>7s}")
+    print(f"{'Defense':48s} {'k-NN':>8s} {'paper':>7s}")
     for row in result["rows"]:
         print(f"{row['defense']:48s} {row['accuracy']:7.1f}% "
-              f"{row['softmax']:7.1f}% {row['paper']:6.1f}%")
+              f"{row['paper']:6.1f}%")
 
     experiment_recorder("table1", result)
 

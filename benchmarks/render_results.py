@@ -21,11 +21,11 @@ def main() -> None:
         t1 = data["table1"]
         print(f"## Table 1  ({t1['n_sites']} sites x {t1['visits']} visits, "
               f"chance {t1['chance']:.1f}%)\n")
-        print("| Defense | paper | k-NN | softmax |")
-        print("|---|---|---|---|")
+        print("| Defense | paper | k-NN |")
+        print("|---|---|---|")
         for row in t1["rows"]:
             print(f"| {row['defense']} | {row['paper']:.1f}% "
-                  f"| {row['accuracy']:.1f}% | {row.get('softmax', 0):.1f}% |")
+                  f"| {row['accuracy']:.1f}% |")
         print()
 
     if "table2" in data:

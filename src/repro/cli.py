@@ -48,11 +48,6 @@ def _scenario_quickstart(seed: int) -> None:
 def _scenario_fingerprint(seed: int) -> None:
     """Measure website-fingerprinting attack accuracy with and without
     the Browser defense (§9.2's traffic-analysis evaluation)."""
-    import importlib.util
-
-    if importlib.util.find_spec("numpy") is None:
-        print("fingerprint needs numpy: pip install 'repro[fingerprint]'")
-        raise SystemExit(2)
     from repro.fingerprint import FingerprintLab, KnnClassifier, evaluate_split
 
     lab = FingerprintLab(n_sites=10, n_relays=10, seed=seed)

@@ -172,10 +172,12 @@ class FunctionRuntime:
                     result = yield from self.entry(*args)
                 except BaseException as exc:  # noqa: BLE001 - to client
                     self.running = False
-                    if (self.instance.draining
-                            and isinstance(exc, FunctionKilled)):
-                        # A deliberate drain kill: the instance moved;
-                        # the client hears "moved", not "crashed".
+                    if (isinstance(exc, FunctionKilled)
+                            and (self.instance.draining
+                                 or self.instance.shut_down_by_owner)):
+                        # A deliberate kill: a drain moved the instance
+                        # (the client hears "moved"), or its owner asked
+                        # for the shutdown.  Neither is a crash.
                         return
                     self.instance.on_error(
                         FunctionCrashed(f"{type(exc).__name__}: {exc}"),

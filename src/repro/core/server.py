@@ -87,6 +87,9 @@ class FunctionInstance:
         self.rng = server.rng.fork(self.instance_id)
         self.logs: list[str] = []
         self.terminated = False
+        # Set when the shutdown token is spent: the FunctionKilled that
+        # ends a running invocation then goes unreported.
+        self.shut_down_by_owner = False
         self.qos_key = None     # admission slot, set by the serving plane
         # Set by the migration plane while this instance quiesces: recv()
         # stays parked and the inbox accumulates until the drain resolves.
@@ -557,8 +560,10 @@ class BentoServer:
         reply.send(messages.Loaded)
 
     def _handle_shutdown(self, _thread, reply: Route, message) -> None:
-        self._instance_for(message.token, reply.framed,
-                           shutdown=True).kill("shutdown by owner")
+        instance = self._instance_for(message.token, reply.framed,
+                                      shutdown=True)
+        instance.shut_down_by_owner = True
+        instance.kill("shutdown by owner")
         reply.send(messages.ShutdownOk)
 
     def _handle_checkpoint(self, _thread, reply: Route, message) -> None:

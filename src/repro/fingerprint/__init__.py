@@ -9,16 +9,15 @@ Fingerprinting [73].  This package reproduces the pipeline:
 * :mod:`~repro.fingerprint.lab` -- trace collection at the client-guard
   vantage point, with or without the Browser defense,
 * :mod:`~repro.fingerprint.features` -- CUMUL-style trace features,
-* :mod:`~repro.fingerprint.classifier` -- numpy classifiers (k-NN and a
-  softmax head) standing in for the DF CNN (see DESIGN.md §2: the
-  defense's effect dominates the classifier choice).
+* :mod:`~repro.fingerprint.classifier` -- a k-NN attacker standing in
+  for the DF CNN (see DESIGN.md §2: the defense's effect dominates the
+  classifier choice).
 """
 
 from repro.fingerprint.websites import SiteSpec, build_corpus
-from repro.fingerprint.features import extract_features, features_matrix
+from repro.fingerprint.features import extract_features
 from repro.fingerprint.classifier import (
     KnnClassifier,
-    SoftmaxClassifier,
     confusion_matrix,
     evaluate_open_world,
     evaluate_split,
@@ -30,9 +29,7 @@ __all__ = [
     "SiteSpec",
     "build_corpus",
     "extract_features",
-    "features_matrix",
     "KnnClassifier",
-    "SoftmaxClassifier",
     "confusion_matrix",
     "evaluate_open_world",
     "evaluate_split",

@@ -1,173 +1,70 @@
-"""Closed-world website classifiers (the Deep Fingerprinting stand-in).
+"""Closed-world website classifier (the Deep Fingerprinting stand-in).
 
-Two numpy models sharing a fit/predict interface:
+:class:`KnnClassifier` is k-nearest-neighbours over z-scored CUMUL feature
+vectors from :mod:`repro.fingerprint.features`.  DESIGN.md §2 explains
+why a classical attacker suffices: the Browser defense collapses the
+traffic *shape*, so its effect shows up in any competent classifier.
 
-* :class:`KnnClassifier` -- standardized k-nearest-neighbours; strong on
-  these traces and fully deterministic (the default attacker).
-* :class:`SoftmaxClassifier` -- a one-layer softmax trained by gradient
-  descent; the closest dependency-free relative of the DF CNN's final
-  layer.
-
-Both consume the CUMUL feature vectors from
-:mod:`repro.fingerprint.features`.  DESIGN.md §2 explains why a classical
-attacker suffices: the Browser defense collapses the traffic *shape*, so
-its effect shows up in any competent classifier.
+Feature rows are lists of floats and labels are ints.  Every choice is a
+function of the data: training rows rank by ``(distance, index)`` and a
+tied vote goes to the smallest label.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import heapq
+import math
+from collections import Counter
 
 from repro.util.rng import DeterministicRandom
 
 
-class _Standardizer:
-    """Per-feature z-scoring fitted on the training set."""
-
-    def fit(self, X: np.ndarray) -> None:
-        """Train on (X, y); returns self."""
-        self.mean = X.mean(axis=0)
-        self.std = X.std(axis=0)
-        self.std[self.std < 1e-12] = 1.0
-
-    def transform(self, X: np.ndarray) -> np.ndarray:
-        """Apply the fitted scaling."""
-        return (X - self.mean) / self.std
-
-
 class KnnClassifier:
-    """k-NN over standardized features (Euclidean)."""
+    """k-NN over z-scored features (Euclidean)."""
 
     def __init__(self, k: int = 3) -> None:
         self.k = k
-        self._scaler = _Standardizer()
 
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "KnnClassifier":
+    def fit(self, X: list[list[float]], y: list[int]) -> "KnnClassifier":
         """Train on (X, y); returns self."""
-        self._scaler.fit(X)
-        self._X = self._scaler.transform(X)
-        self._y = np.asarray(y)
+        n = len(X)
+        self._mean, self._std = [], []
+        for column in zip(*X):
+            mean = sum(column) / n
+            deviations = [value - mean for value in column]
+            std = math.sqrt(sum(d * d for d in deviations) / n)
+            self._mean.append(mean)
+            self._std.append(std if std >= 1e-12 else 1.0)
+        self._X = [self._zscore(row) for row in X]
+        self._y = list(y)
         return self
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
+    def _zscore(self, row: list[float]) -> list[float]:
+        return [(value - mean) / std
+                for value, mean, std in zip(row, self._mean, self._std)]
+
+    def predict(self, X: list[list[float]]) -> list[int]:
         """Predicted labels for each row of X."""
-        Xs = self._scaler.transform(np.atleast_2d(X))
-        # Pairwise squared distances without materializing the difference
-        # tensor: |a-b|^2 = |a|^2 + |b|^2 - 2ab.
-        d2 = (np.square(Xs).sum(axis=1)[:, None]
-              + np.square(self._X).sum(axis=1)[None, :]
-              - 2.0 * Xs @ self._X.T)
         k = min(self.k, len(self._y))
-        nearest = np.argpartition(d2, k - 1, axis=1)[:, :k]
-        votes = self._y[nearest]
-        out = np.empty(len(Xs), dtype=self._y.dtype)
-        for i, row in enumerate(votes):
-            values, counts = np.unique(row, return_counts=True)
-            out[i] = values[np.argmax(counts)]
-        return out
+        predictions = []
+        for row in X:
+            query = self._zscore(row)
+            nearest = heapq.nsmallest(
+                k, range(len(self._X)),
+                key=lambda i: (math.dist(query, self._X[i]), i))
+            votes = Counter(self._y[i] for i in nearest)
+            predictions.append(min(votes,
+                                   key=lambda label: (-votes[label], label)))
+        return predictions
 
 
-class SoftmaxClassifier:
-    """One-layer softmax regression with L2, full-batch gradient descent."""
-
-    def __init__(self, epochs: int = 300, learning_rate: float = 0.5,
-                 l2: float = 1e-4, seed: int = 0) -> None:
-        self.epochs = epochs
-        self.learning_rate = learning_rate
-        self.l2 = l2
-        self.seed = seed
-        self._scaler = _Standardizer()
-
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "SoftmaxClassifier":
-        """Train on (X, y); returns self."""
-        self._scaler.fit(X)
-        Xs = self._scaler.transform(X)
-        self.classes_, y_index = np.unique(y, return_inverse=True)
-        n, d = Xs.shape
-        c = len(self.classes_)
-        rng = np.random.default_rng(self.seed)
-        self.W = rng.normal(0, 0.01, size=(d, c))
-        self.b = np.zeros(c)
-        onehot = np.zeros((n, c))
-        onehot[np.arange(n), y_index] = 1.0
-        for _ in range(self.epochs):
-            logits = Xs @ self.W + self.b
-            logits -= logits.max(axis=1, keepdims=True)
-            expl = np.exp(logits)
-            probs = expl / expl.sum(axis=1, keepdims=True)
-            grad = (probs - onehot) / n
-            self.W -= self.learning_rate * (Xs.T @ grad + self.l2 * self.W)
-            self.b -= self.learning_rate * grad.sum(axis=0)
-        return self
-
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Predicted labels for each row of X."""
-        Xs = self._scaler.transform(np.atleast_2d(X))
-        logits = Xs @ self.W + self.b
-        return self.classes_[np.argmax(logits, axis=1)]
-
-
-def confusion_matrix(classifier, X: np.ndarray, y: np.ndarray,
-                     train_fraction: float = 0.7,
-                     seed: int | str = "split") -> tuple[np.ndarray, np.ndarray]:
-    """Stratified split -> (labels, counts) confusion matrix.
-
-    ``counts[i, j]`` is the number of test traces of site ``labels[i]``
-    predicted as site ``labels[j]`` — the per-site view behind the
-    aggregate accuracy (which sites a defense actually protects).
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    train_idx, test_idx = _stratified_indices(y, train_fraction, seed)
-    classifier.fit(X[train_idx], y[train_idx])
-    predictions = classifier.predict(X[test_idx])
-    labels = np.unique(y)
-    index_of = {label: i for i, label in enumerate(labels)}
-    counts = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    for truth, predicted in zip(y[test_idx], predictions):
-        counts[index_of[truth], index_of[predicted]] += 1
-    return labels, counts
-
-
-def evaluate_open_world(classifier, X: np.ndarray, y: np.ndarray,
-                        monitored: set, threshold_frac: float = 0.5,
-                        train_fraction: float = 0.7,
-                        seed: int | str = "ow-split") -> dict:
-    """Open-world evaluation: the attacker monitors a subset of sites.
-
-    Unmonitored traces are labelled as a single background class for
-    training; returns true/false-positive rates for "visited a monitored
-    site" plus the closed-world accuracy on monitored traffic.  This is
-    the evaluation regime most WF papers report alongside Table-1-style
-    closed-world numbers.
-    """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    background = -1
-    collapsed = np.where(np.isin(y, sorted(monitored)), y, background)
-    train_idx, test_idx = _stratified_indices(collapsed, train_fraction, seed)
-    classifier.fit(X[train_idx], collapsed[train_idx])
-    predictions = classifier.predict(X[test_idx])
-    truth = collapsed[test_idx]
-    monitored_mask = truth != background
-    flagged = predictions != background
-    tpr = (float(np.mean(flagged[monitored_mask]))
-           if monitored_mask.any() else 0.0)
-    fpr = (float(np.mean(flagged[~monitored_mask]))
-           if (~monitored_mask).any() else 0.0)
-    correct_site = predictions[monitored_mask] == truth[monitored_mask]
-    return {"tpr": tpr, "fpr": fpr,
-            "monitored_accuracy": (float(np.mean(correct_site))
-                                   if monitored_mask.any() else 0.0)}
-
-
-def _stratified_indices(y: np.ndarray, train_fraction: float,
+def _stratified_indices(y: list[int], train_fraction: float,
                         seed: int | str) -> tuple[list[int], list[int]]:
     rng = DeterministicRandom(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
-    for label in np.unique(y):
-        indices = list(np.nonzero(y == label)[0])
+    for label in sorted(set(y)):
+        indices = [i for i, value in enumerate(y) if value == label]
         rng.shuffle(indices)
         n_train = max(1, int(round(len(indices) * train_fraction)))
         train_idx += indices[:n_train]
@@ -177,7 +74,21 @@ def _stratified_indices(y: np.ndarray, train_fraction: float,
     return train_idx, test_idx
 
 
-def evaluate_split(classifier, X: np.ndarray, y: np.ndarray,
+def _split_predict(classifier, X: list[list[float]], y: list[int],
+                   train_fraction: float,
+                   seed: int | str) -> tuple[list[int], list[int]]:
+    """Stratified split, fit, predict -> (true labels, predictions)."""
+    train_idx, test_idx = _stratified_indices(y, train_fraction, seed)
+    classifier.fit([X[i] for i in train_idx], [y[i] for i in train_idx])
+    return ([y[i] for i in test_idx],
+            classifier.predict([X[i] for i in test_idx]))
+
+
+def _share(flags: list[bool]) -> float:
+    return sum(flags) / len(flags) if flags else 0.0
+
+
+def evaluate_split(classifier, X: list[list[float]], y: list[int],
                    train_fraction: float = 0.7,
                    seed: int | str = "split") -> float:
     """Stratified train/test split -> test accuracy.
@@ -185,9 +96,52 @@ def evaluate_split(classifier, X: np.ndarray, y: np.ndarray,
     Every class contributes at least one training sample; classes with a
     single sample go to training only (they cannot be tested fairly).
     """
-    X = np.asarray(X)
-    y = np.asarray(y)
-    train_idx, test_idx = _stratified_indices(y, train_fraction, seed)
-    classifier.fit(X[train_idx], y[train_idx])
-    predictions = classifier.predict(X[test_idx])
-    return float(np.mean(predictions == y[test_idx]))
+    truth, predictions = _split_predict(classifier, X, y, train_fraction,
+                                        seed)
+    return _share([t == p for t, p in zip(truth, predictions)])
+
+
+def confusion_matrix(classifier, X: list[list[float]], y: list[int],
+                     train_fraction: float = 0.7,
+                     seed: int | str = "split"
+                     ) -> tuple[list[int], list[list[int]]]:
+    """Stratified split -> (labels, counts) confusion matrix.
+
+    ``counts[i][j]`` is the number of test traces of site ``labels[i]``
+    predicted as site ``labels[j]`` — the per-site view behind the
+    aggregate accuracy (which sites a defense actually protects).
+    """
+    truth, predictions = _split_predict(classifier, X, y, train_fraction,
+                                        seed)
+    labels = sorted(set(y))
+    index_of = {label: i for i, label in enumerate(labels)}
+    counts = [[0] * len(labels) for _ in labels]
+    for t, p in zip(truth, predictions):
+        counts[index_of[t]][index_of[p]] += 1
+    return labels, counts
+
+
+def evaluate_open_world(classifier, X: list[list[float]], y: list[int],
+                        monitored: set, train_fraction: float = 0.7,
+                        seed: int | str = "ow-split") -> dict:
+    """Open-world evaluation: the attacker monitors a subset of sites.
+
+    Unmonitored traces are labelled as a single background class for
+    training; returns true/false-positive rates for "visited a monitored
+    site" plus the closed-world accuracy on monitored traffic.  This is
+    the evaluation regime most WF papers report alongside Table-1-style
+    closed-world numbers.
+    """
+    background = -1
+    collapsed = [label if label in monitored else background for label in y]
+    truth, predictions = _split_predict(classifier, X, collapsed,
+                                        train_fraction, seed)
+    on_monitored = [(t, p) for t, p in zip(truth, predictions)
+                    if t != background]
+    return {
+        "tpr": _share([p != background for _, p in on_monitored]),
+        "fpr": _share([p != background
+                       for t, p in zip(truth, predictions)
+                       if t == background]),
+        "monitored_accuracy": _share([t == p for t, p in on_monitored]),
+    }

@@ -9,7 +9,7 @@ padding defenses most directly target.
 
 from __future__ import annotations
 
-import numpy as np
+from itertools import accumulate
 
 from repro.netsim.trace import INCOMING, PacketRecord
 
@@ -17,29 +17,27 @@ N_CUMUL_POINTS = 100
 
 
 def extract_features(records: list[PacketRecord],
-                     n_points: int = N_CUMUL_POINTS) -> np.ndarray:
+                     n_points: int = N_CUMUL_POINTS) -> list[float]:
     """One trace -> one feature vector of ``n_points + 5`` floats."""
     if not records:
-        return np.zeros(n_points + 5, dtype=np.float64)
-    signed = np.array([r.direction * r.size for r in records], dtype=np.float64)
-    cumulative = np.cumsum(signed)
-    positions = np.linspace(0, len(cumulative) - 1, n_points)
-    curve = np.interp(positions, np.arange(len(cumulative)), cumulative)
+        return [0.0] * (n_points + 5)
+    cumulative = list(accumulate(r.direction * r.size for r in records))
+    last = len(cumulative) - 1
+    cumulative.append(cumulative[last])     # flat past the last packet
+    # Linear interpolation at n_points evenly spaced packet positions,
+    # the first at packet 0 and the last exactly at packet ``last``.
+    step = last / (n_points - 1)
+    curve = []
+    for i in range(n_points - 1):
+        position = i * step
+        j = int(position)
+        curve.append(cumulative[j]
+                     + (cumulative[j + 1] - cumulative[j]) * (position - j))
+    curve.append(float(cumulative[last]))
 
-    sizes = np.array([r.size for r in records], dtype=np.float64)
-    directions = np.array([r.direction for r in records])
-    times = np.array([r.time for r in records])
-    total_in = float(sizes[directions == INCOMING].sum())
-    total_out = float(sizes[directions != INCOMING].sum())
-    count_in = float((directions == INCOMING).sum())
-    count_out = float((directions != INCOMING).sum())
-    duration = float(times.max() - times.min())
-    summary = np.array([total_in, total_out, count_in, count_out, duration])
-    return np.concatenate([curve, summary])
-
-
-def features_matrix(traces: list[list[PacketRecord]],
-                    n_points: int = N_CUMUL_POINTS) -> np.ndarray:
-    """Stack per-trace feature vectors into an (n, d) matrix."""
-    return np.vstack([extract_features(records, n_points=n_points)
-                      for records in traces])
+    incoming = [r.size for r in records if r.direction == INCOMING]
+    outgoing = [r.size for r in records if r.direction != INCOMING]
+    times = [r.time for r in records]
+    return curve + [float(sum(incoming)), float(sum(outgoing)),
+                    float(len(incoming)), float(len(outgoing)),
+                    max(times) - min(times)]

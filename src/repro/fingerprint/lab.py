@@ -20,6 +20,7 @@ from typing import Callable, Optional
 from repro.core.client import BentoClient
 from repro.core.server import BentoServer
 from repro.enclave.attestation import IntelAttestationService
+from repro.fingerprint.features import extract_features
 from repro.fingerprint.websites import SiteSpec, build_corpus
 from repro.functions.browser import BrowserFunction
 from repro.netsim.bytestream import FramedStream
@@ -175,12 +176,8 @@ class FingerprintLab:
     # -- dataset helpers --------------------------------------------------------------
 
     @staticmethod
-    def dataset(samples: list[TraceSample]):
-        """Samples -> (features X, labels y) numpy pair."""
-        import numpy as np
-
-        from repro.fingerprint.features import features_matrix
-
-        X = features_matrix([sample.records for sample in samples])
-        y = np.array([sample.site for sample in samples])
-        return X, y
+    def dataset(samples: list[TraceSample]
+                ) -> tuple[list[list[float]], list[int]]:
+        """Samples -> (feature rows X, site labels y)."""
+        return ([extract_features(sample.records) for sample in samples],
+                [sample.site for sample in samples])

@@ -120,6 +120,58 @@ def test_an_abandoned_invocations_result_is_never_handed_on(bento_net):
     assert run_thread(bento_net, main) == 1.0
 
 
+RECV_LOOP = """
+def listen():
+    while True:
+        message = yield from api.recv(timeout=600.0)
+        yield from api.send(message)
+"""
+
+
+def _running_listener(client, thread, calls):
+    """A session whose ``listen`` loop is running; returns it and the
+    invoke's rid."""
+    session = yield from client.connect(thread, client.pick_box())
+    yield from session.request_image(thread, "python")
+    yield from session.load_function(
+        thread, RECV_LOOP, FunctionManifest.create("listen", "listen", calls))
+    return session, session.invoke_nowait([])
+
+
+def test_the_owners_shutdown_is_not_reported_as_a_crash(bento_net):
+    """ROADMAP 3(iii): after ``ShutdownOk`` the box used to send
+    ``Error function-crashed ("FunctionKilled: shutdown by owner")`` on
+    the invoke's rid.  Nothing follows it now."""
+    client = _client(bento_net)
+
+    def main(thread):
+        session, _rid = yield from _running_listener(client, thread, {"recv"})
+        yield from session.shutdown(thread)
+        with pytest.raises(SimTimeoutError):
+            yield from session.framed.recv_frame(thread, timeout=60.0)
+        session.close()
+
+    run_thread(bento_net, main)
+
+
+def test_a_manifest_violation_is_still_reported_as_a_crash(bento_net):
+    client = _client(bento_net)
+
+    def main(thread):
+        session, rid = yield from _running_listener(client, thread, {"recv"})
+        session.send_message(b"echo me")     # api.send is not granted
+        answer = messages.decode_message(
+            (yield from session.framed.recv_frame(thread, timeout=60.0)))
+        session.close()
+        return answer, rid
+
+    answer, rid = run_thread(bento_net, main)
+    assert type(answer) is messages.Error
+    assert (answer.reason, answer.rid) == ("function-crashed", rid)
+    assert answer.detail == ("FunctionKilled: api call 'send' not in "
+                             "manifest")
+
+
 class TestCodec:
     def test_an_undeclared_key_is_refused_with_its_rid(self):
         with pytest.raises(messages.FrameError) as refused:

@@ -1,17 +1,24 @@
 """The fingerprinting pipeline: corpus, features, classifiers, lab."""
 
-import numpy as np
 import pytest
 
-from repro.fingerprint.classifier import (
-    KnnClassifier,
-    SoftmaxClassifier,
-    evaluate_split,
-)
-from repro.fingerprint.features import extract_features, features_matrix
-from repro.fingerprint.lab import FingerprintLab
+from repro.fingerprint.classifier import KnnClassifier, evaluate_split
+from repro.fingerprint.features import extract_features
+from repro.fingerprint.lab import FingerprintLab, TraceSample
 from repro.fingerprint.websites import build_corpus
 from repro.netsim.trace import INCOMING, OUTGOING, PacketRecord
+from repro.util.rng import DeterministicRandom
+
+
+def clustered_dataset(n_classes, per_class, dims, noise, seed):
+    """``per_class`` noisy copies of each of ``n_classes`` random centers."""
+    rng = DeterministicRandom(seed)
+    centers = [[rng.gauss(0.0, 1.0) for _ in range(dims)]
+               for _ in range(n_classes)]
+    X = [[c + noise * rng.gauss(0.0, 1.0) for c in center]
+         for center in centers for _ in range(per_class)]
+    y = [label for label in range(n_classes) for _ in range(per_class)]
+    return X, y
 
 
 class TestCorpus:
@@ -54,10 +61,10 @@ class TestFeatures:
 
     def test_vector_length(self):
         trace = self._trace([(514, OUTGOING), (514, INCOMING)] * 10)
-        assert extract_features(trace, n_points=50).shape == (55,)
+        assert len(extract_features(trace, n_points=50)) == 55
 
     def test_empty_trace(self):
-        assert np.all(extract_features([]) == 0)
+        assert extract_features([]) == [0.0] * 105
 
     def test_summary_fields(self):
         trace = self._trace([(100, OUTGOING), (200, INCOMING),
@@ -69,40 +76,43 @@ class TestFeatures:
     def test_direction_matters(self):
         a = self._trace([(514, OUTGOING)] * 20)
         b = self._trace([(514, INCOMING)] * 20)
-        assert not np.allclose(extract_features(a), extract_features(b))
+        assert extract_features(a) != extract_features(b)
+
+    def test_cumul_curve_interpolates_between_packets(self):
+        trace = self._trace([(100, OUTGOING), (300, INCOMING),
+                             (50, OUTGOING)])
+        # cumulative 100, -200, -150 at packets 0, 1, 2; 5 points land on
+        # packets 0, 0.5, 1, 1.5, 2.
+        assert extract_features(trace, n_points=5)[:5] == [
+            100.0, -50.0, -200.0, -175.0, -150.0]
 
     def test_matrix_stacking(self):
         traces = [self._trace([(514, OUTGOING)] * 5) for _ in range(4)]
-        assert features_matrix(traces).shape == (4, 105)
+        samples = [TraceSample(site=i, defense="none", padding=0,
+                               records=trace, elapsed=0.0)
+                   for i, trace in enumerate(traces)]
+        X, y = FingerprintLab.dataset(samples)
+        assert [len(row) for row in X] == [105] * 4 and y == [0, 1, 2, 3]
 
 
 class TestClassifiers:
     def _toy_dataset(self, n_classes=5, per_class=10, noise=0.05, seed=0):
-        rng = np.random.default_rng(seed)
-        centers = rng.normal(size=(n_classes, 20))
-        X = np.vstack([centers[c] + noise * rng.normal(size=(per_class, 20))
-                       for c in range(n_classes)])
-        y = np.repeat(np.arange(n_classes), per_class)
-        return X, y
+        return clustered_dataset(n_classes, per_class, 20, noise, seed)
 
     def test_knn_separable(self):
         X, y = self._toy_dataset()
         assert evaluate_split(KnnClassifier(k=3), X, y) > 0.95
 
-    def test_softmax_separable(self):
-        X, y = self._toy_dataset()
-        assert evaluate_split(SoftmaxClassifier(epochs=200), X, y) > 0.9
-
     def test_chance_on_pure_noise(self):
-        rng = np.random.default_rng(1)
-        X = rng.normal(size=(200, 30))
-        y = np.repeat(np.arange(20), 10)
+        rng = DeterministicRandom(1)
+        X = [[rng.gauss(0.0, 1.0) for _ in range(30)] for _ in range(200)]
+        y = [i // 10 for i in range(200)]
         accuracy = evaluate_split(KnnClassifier(k=3), X, y)
         assert accuracy < 0.3      # 5% chance + generous slack
 
     def test_split_needs_multiple_visits(self):
-        X = np.zeros((3, 4))
-        y = np.array([0, 1, 2])
+        X = [[0.0] * 4 for _ in range(3)]
+        y = [0, 1, 2]
         with pytest.raises(ValueError):
             evaluate_split(KnnClassifier(), X, y, train_fraction=0.99)
 
