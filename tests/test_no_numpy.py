@@ -8,10 +8,13 @@ import os
 import subprocess
 import sys
 
-_SCRIPT = 'import sys; sys.modules["numpy"] = None\n' + '''
+_SCRIPT = '''
+import sys
+sys.modules["numpy"] = None
+
 import importlib
 for name in ("repro.cli", "repro.functions", "repro.workload.runner",
-             "repro.chaos", "repro.chain", "repro.qos", "repro.fingerprint"):
+             "repro.chaos", "repro.chain", "repro.qos"):
     importlib.import_module(name)
 
 from repro.coding import decode_shards, encode_shards
@@ -24,9 +27,9 @@ from repro.netsim.trace import INCOMING, OUTGOING, PacketRecord
 X, y = [], []
 for visit in range(4):
     for site in range(5):
-        trace = [PacketRecord(time=0.01 * i + 0.001 * visit,
-                              direction=OUTGOING if i % (site + 2) else INCOMING,
-                              size=514 * (1 + site))
+        trace = [PacketRecord(0.01 * i + 0.001 * visit,
+                              OUTGOING if i % (site + 2) else INCOMING,
+                              514 * (1 + site))
                  for i in range(40 + 10 * site)]
         X.append(extract_features(trace))
         y.append(site)
