@@ -338,6 +338,8 @@ class BentoServer:
             except (BentoError, ResourceExceeded, LoaderError) as exc:
                 # A refusal keeps its structure, e.g. ServerBusy.retry_after.
                 reply.send(messages.Error, **messages.error_fields(exc))
+            # Dispatched: let go before waiting up to an hour for the next.
+            frame = message = None
         if span is not None:
             span.end(self.sim.now, frames=frames_served)
         # This client is gone; sweep for orphans once the grace expires.

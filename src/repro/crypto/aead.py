@@ -38,27 +38,35 @@ class AeadKey:
         """Encrypt and authenticate; returns ciphertext || tag."""
         if len(nonce) > 255:
             raise ValueError("nonce too long")
-        ciphertext = stream_xor(self._enc_key, nonce, plaintext)
-        tag = self._tag(nonce, ciphertext, aad)
-        return ciphertext + tag
+        return stream_xor(self._enc_key, nonce, plaintext,
+                          mac=self._mac(nonce, aad))
 
-    def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"") -> bytes:
-        """Verify and decrypt; raises :class:`AeadError` on any tampering."""
+    def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"",
+             start: int = 0, stop: int | None = None) -> bytes:
+        """Verify and decrypt ``sealed[start:stop]``; AeadError if tampered."""
+        span = self.verify(nonce, sealed, aad, start, stop)
+        return stream_xor(self._enc_key, nonce, sealed, span.start, span.stop)
+
+    def verify(self, nonce: bytes, sealed: bytes, aad: bytes = b"",
+               start: int = 0, stop: int | None = None) -> range:
+        """What :meth:`open` checks, decrypting nothing: the ciphertext's span."""
         if len(nonce) > 255:
             raise AeadError("nonce too long")
-        if len(sealed) < _MAC_LEN:
+        start, stop, _ = slice(start, stop).indices(len(sealed))
+        end = stop - _MAC_LEN
+        if end < start:
             raise AeadError("sealed message too short")
-        ciphertext, tag = sealed[:-_MAC_LEN], sealed[-_MAC_LEN:]
-        expected = self._tag(nonce, ciphertext, aad)
-        if not hmac.compare_digest(tag, expected):
-            raise AeadError("authentication failed")
-        return stream_xor(self._enc_key, nonce, ciphertext)
+        mac = self._mac(nonce, aad)
+        with memoryview(sealed) as view:
+            mac.update(view[start:end])
+            if not hmac.compare_digest(view[end:stop], mac.digest()):
+                raise AeadError("authentication failed")
+        return range(start, end)
 
-    def _tag(self, nonce: bytes, ciphertext: bytes, aad: bytes) -> bytes:
+    def _mac(self, nonce: bytes, aad: bytes):  # fed all but the ciphertext
         mac = hmac.new(self._mac_key, digestmod=hashlib.sha256)
         mac.update(len(nonce).to_bytes(1, "big"))
         mac.update(nonce)
         mac.update(len(aad).to_bytes(8, "big"))
         mac.update(aad)
-        mac.update(ciphertext)
-        return mac.digest()
+        return mac

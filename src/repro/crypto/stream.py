@@ -61,6 +61,14 @@ class _Cipher:
             offset = end
         return result
 
+    def _span(self, data: bytes, start: int, stop: int, mac) -> bytes:
+        """``process(data[start:stop])``, then ``mac``'s digest of that."""
+        out = self.process(data[start:stop])
+        if mac is not None:
+            mac.update(out)
+            out += mac.digest()
+        return out
+
 
 _PTR, _BUF, _INT = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
 _evp = bind({
@@ -118,6 +126,25 @@ class _EvpCipher(_Cipher):
             raise ArithmeticError("EVP_EncryptUpdate failed")
         _HASH_CALLS.value += 1
         _KEYSTREAM_BYTES.value += n
+        return out
+
+    def _span(self, data: bytes, start: int, stop: int, mac) -> bytes:
+        n = stop - start
+        if not 0 < n <= _MAX_CALL:
+            return super()._span(data, start, stop, mac)
+        out = _new_bytes(None, n + (mac.digest_size if mac is not None else 0))
+        # A bytes object is passed as its buffer, which never moves.
+        src = _PTR(ctypes.cast(data, _PTR).value + start) if start else data
+        if (_evp.EVP_EncryptUpdate(self._ctx, out, _OUTL_REF, src, n) != 1
+                or _OUTL.value != n):
+            raise ArithmeticError("EVP_EncryptUpdate failed")
+        _HASH_CALLS.value += 1
+        _KEYSTREAM_BYTES.value += n
+        if mac is not None:
+            with memoryview(out) as view:
+                mac.update(view[:n])
+            ctypes.memmove(ctypes.cast(out, _PTR).value + n, mac.digest(),
+                           mac.digest_size)  # nothing else holds ``out`` yet
         return out
 
 
@@ -197,6 +224,11 @@ class ReferenceCipher(_Cipher):
 StreamCipher = _EvpCipher if NATIVE else ReferenceCipher
 
 
-def stream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    """One-shot encryption/decryption with a fresh cipher state."""
-    return StreamCipher(key, nonce).process(data)
+def stream_xor(key: bytes, nonce: bytes, data: bytes, start: int = 0,
+               stop: int | None = None, mac=None) -> bytes:
+    """One-shot en/decryption of ``data[start:stop]``, read in place.  A hash
+    ``mac``, if given, is fed the output, and its digest ends the result."""
+    if type(data) is not bytes:
+        data = bytes(data)
+    start, stop, _ = slice(start, stop).indices(len(data))
+    return StreamCipher(key, nonce)._span(data, start, max(start, stop), mac)

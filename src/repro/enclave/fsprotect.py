@@ -15,15 +15,21 @@ plausible-deniability argument made concrete (§6.2).
 from __future__ import annotations
 
 import hashlib
+from contextlib import suppress
 
 from repro.crypto.aead import AeadError, AeadKey
 from repro.sandbox.memfs import ChrootView
 from repro.util.errors import ReproError
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import (SerializationError, canonical_decode,
+                                      canonical_encode)
 
 
 class FSProtectError(ReproError):
     """Integrity failures: the operator (or anyone) tampered with a file."""
+
+
+# Keys encode sorted: the sealed leaf is first, the version pair last.
+_LEAF = len(canonical_encode({"sealed": b""}))
 
 
 def _nonce(path: str, version: int) -> bytes:
@@ -52,15 +58,25 @@ class FSProtect:
 
     def read_file(self, path: str) -> bytes:
         """Decrypt and verify ``path``; raises on tampering or rollback."""
-        envelope = canonical_decode(self._backing.read_file(path))
-        version = int(envelope["version"])
+        return self._open(path, self._aead.open)
+
+    def _open(self, path: str, how):
+        """The AEAD's ``open`` or ``verify`` of ``path``'s sealed leaf."""
+        envelope = self._backing.read_file(path)
+        stop = _LEAF + int.from_bytes(envelope[_LEAF - 4:_LEAF], "big")
+        rest = {}
+        with suppress(SerializationError):  # a one-pair dict's header first
+            rest = canonical_decode(b"M\0\0\0\1" + envelope[stop:])
+        version = rest.get("version")
+        if type(version) is not int:
+            raise FSProtectError(f"malformed envelope at {path}")
         expected = self._versions.get(path)
         if expected is not None and version != expected:
             raise FSProtectError(f"rollback detected on {path}")
         try:
-            return self._aead.open(_nonce(path, version), envelope["sealed"],
-                                   aad=path.encode())
-        except (AeadError, KeyError, TypeError) as exc:
+            return how(_nonce(path, version), envelope, path.encode(),
+                       _LEAF, stop)
+        except AeadError as exc:
             raise FSProtectError(f"integrity check failed on {path}") from exc
 
     def delete(self, path: str) -> None:
@@ -73,8 +89,8 @@ class FSProtect:
         return self._backing.exists(path)
 
     def file_size(self, path: str) -> int:
-        """Plaintext size (requires decryption, like a real enclaved stat)."""
-        return len(self.read_file(path))
+        """Plaintext size: verified like a read, but nothing is decrypted."""
+        return len(self._open(path, self._aead.verify))
 
     def listdir(self, path: str = "/") -> list[str]:
         """Immediate children of a directory."""

@@ -10,7 +10,8 @@ what lets an exit node splice streams without understanding the protocol
 inside them.
 
 :class:`Framer` provides length-prefixed message framing on top of a byte
-pipe.
+pipe.  A frame costs one full-size buffer while it arrives (a reader gathers
+its rest behind its start) and one copy out of that buffer.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from repro.netsim.node import Node
 from repro.netsim.simulator import Actor, Future, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 
-# Cached registry handle (the registry resets in place, so this survives).
+# Bytes handed over by reference; cached (the registry resets in place).
 _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
 
 
@@ -36,13 +37,13 @@ class ByteStream(Protocol):
         ...  # pragma: no cover - protocol stub
 
     def recv(self, thread: Actor, timeout: Optional[float] = None,
-             min_bytes: int = 1) -> bytes:
+             min_bytes: int = 1, into: Optional[bytearray] = None) -> bytes:
         """Block until at least ``min_bytes`` bytes (or EOF) arrive.
 
         ``b''`` signals EOF.  ``min_bytes`` is a wake-up hint: readers that
         know how many bytes they need (e.g. a framer mid-frame) avoid one
         wake-per-chunk on large transfers.  Implementations may return
-        fewer bytes at EOF.
+        fewer bytes at EOF, and a large read may gather in ``into``.
         """
         ...  # pragma: no cover - protocol stub
 
@@ -72,6 +73,7 @@ class _RecvQueue:
         self._eof = False
         self._waiter: Optional[Future] = None
         self._pending = bytearray()   # partially accumulated large read
+        self._parked = False          # a timed-out large read left bytes
 
     def push(self, data: bytes) -> None:
         """Queue received bytes for the reader."""
@@ -90,7 +92,7 @@ class _RecvQueue:
             self._waiter.resolve(None)
 
     def pop(self, thread: Actor, timeout: Optional[float],
-            min_bytes: int = 1) -> bytes:
+            min_bytes: int = 1, into: Optional[bytearray] = None) -> bytes:
         """Block until ``min_bytes`` bytes (or EOF) are available.
 
         With the default ``min_bytes=1`` this returns exactly one queued
@@ -98,11 +100,12 @@ class _RecvQueue:
         larger hint, the reader only wakes once enough bytes are buffered
         and receives them as one bytes-like object — on a multi-megabyte
         transfer that removes one actor wake-up per network chunk.
+        Given ``into`` (a framer's buffer), a large read gathers there and
+        returns it (``b''`` at EOF if it added nothing); a timeout parks.
         """
         if min_bytes > 1:
             chunks = self._chunks
-            pending = self._pending
-            if not pending and len(chunks) == 1 and self._size >= min_bytes:
+            if not self._parked and len(chunks) == 1 and self._size >= min_bytes:
                 # A single buffered chunk satisfies the read: hand it over
                 # by reference instead of round-tripping it through the
                 # accumulation buffer.
@@ -110,28 +113,34 @@ class _RecvQueue:
                 data = chunks.popleft()
                 _BYTES_ZERO_COPIED.value += len(data)
                 return data
+            buffer, base = (self._pending, 0) if into is None else (into, len(into))
             while True:
                 while chunks:
-                    pending += chunks.popleft()
+                    buffer += chunks.popleft()
                 self._size = 0
-                if len(pending) >= min_bytes or self._eof:
+                got = len(buffer) - base
+                if got >= min_bytes or self._eof:
                     break
-                self._target = min_bytes - len(pending)
+                self._target = min_bytes - got
                 self._waiter = Future(self._sim)
-                # A timeout propagates from here with the accumulated
-                # bytes safely parked in self._pending for the next read.
+                # A timeout propagates from here, the bytes read so far
+                # parked in the buffer for the next read.
+                self._parked = got > 0
                 yield Wait(self._waiter, timeout)
                 self._waiter = None
             self._target = 1
-            if not pending:
+            self._parked = False
+            if not got:
                 return b""  # EOF
-            self._pending = bytearray()
-            return pending
+            if into is None:
+                self._pending = bytearray()
+            return buffer
         if self._pending:
             # A timed-out large read left coalesced bytes behind; serve
             # them first (their original chunk boundaries are gone).
             data = self._pending
             self._pending = bytearray()
+            self._parked = False
             return data
         while not self._chunks and not self._eof:
             self._waiter = Future(self._sim)
@@ -172,9 +181,9 @@ class DirectByteStream:
                            data if isinstance(data, bytes) else bytes(data))
 
     def recv(self, thread: Actor, timeout: Optional[float] = None,
-             min_bytes: int = 1) -> bytes:
+             min_bytes: int = 1, into: Optional[bytearray] = None) -> bytes:
         """Block until ``min_bytes`` bytes arrive; b'' at EOF."""
-        return (yield from self._recv.pop(thread, timeout, min_bytes))
+        return (yield from self._recv.pop(thread, timeout, min_bytes, into))
 
     def close(self) -> None:
         """Close the stream/connection."""
@@ -207,16 +216,18 @@ class Framer:
         return cls._HEADER.pack(len(frame)) + frame
 
     def feed(self, data: bytes) -> list[bytes]:
-        """Add received bytes; return all frames completed by them."""
+        """Add received bytes; return all frames completed by them.  ``data``
+        may be the buffer itself, which a reader appended to in place."""
         header_size = self._HEADER.size
-        if not self._buffer:
-            # Fast path: slice complete frames straight out of ``data``
-            # through a memoryview; only a trailing partial frame is
-            # copied into the reassembly buffer.
-            view = memoryview(data)
+        buffer = self._buffer
+        fresh = not buffer
+        if not fresh and data is not buffer:
+            buffer += data
+        frames: list[bytes] = []
+        offset = 0
+        # Bodies are copied once, out of a view: of ``data`` if it is fresh.
+        with memoryview(data if fresh else buffer) as view:
             total = len(view)
-            frames: list[bytes] = []
-            offset = 0
             while total - offset >= header_size:
                 (length,) = self._HEADER.unpack_from(view, offset)
                 if length > self.MAX_FRAME:
@@ -226,24 +237,12 @@ class Framer:
                     break
                 frames.append(bytes(view[offset + header_size:end]))
                 offset = end
-            if offset < total:
-                self._buffer.extend(view[offset:])
-            if offset:
-                _BYTES_ZERO_COPIED.value += offset
-            return frames
-        self._buffer.extend(data)
-        frames = []
-        while True:
-            if len(self._buffer) < header_size:
-                break
-            (length,) = self._HEADER.unpack_from(self._buffer, 0)
-            if length > self.MAX_FRAME:
-                raise ValueError("incoming frame exceeds maximum size")
-            end = header_size + length
-            if len(self._buffer) < end:
-                break
-            frames.append(bytes(self._buffer[header_size:end]))
-            del self._buffer[:end]
+            if fresh:
+                buffer += view[offset:]
+        if fresh:
+            _BYTES_ZERO_COPIED.value += offset
+        else:
+            del buffer[:offset]
         return frames
 
     @property
@@ -294,13 +293,16 @@ class FramedStream:
         """Block until one complete frame arrives; ``None`` on EOF."""
         if self._ready:
             return self._ready.pop(0)
+        framer = self._framer
         while True:
+            # Mid-frame, the rest of the frame accumulates behind its start.
+            buffer = framer._buffer
             data = yield from self.stream.recv(
-                thread, timeout=timeout,
-                min_bytes=self._framer.needed_bytes)
+                thread, timeout=timeout, min_bytes=framer.needed_bytes,
+                into=buffer if buffer else None)
             if data == b"":
                 return None
-            frames = self._framer.feed(data)
+            frames = framer.feed(data)
             if frames:
                 self._ready.extend(frames[1:])
                 return frames[0]

@@ -61,9 +61,9 @@ class TorStream:
                 self.stream_id, data if isinstance(data, bytes) else bytes(data))
 
     def recv(self, thread: Actor, timeout: Optional[float] = None,
-             min_bytes: int = 1) -> bytes:
+             min_bytes: int = 1, into: Optional[bytearray] = None) -> bytes:
         """Block until ``min_bytes`` bytes arrive; ``b''`` at end of stream."""
-        return (yield from self._recv.pop(thread, timeout, min_bytes))
+        return (yield from self._recv.pop(thread, timeout, min_bytes, into))
 
     def close(self) -> None:
         """Half-close from our side (sends END)."""

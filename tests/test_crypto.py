@@ -1,6 +1,8 @@
 """Unit tests for the crypto substrate: KDF, stream, AEAD, DH, RSA."""
 
 import functools
+import hashlib
+import hmac
 import math
 
 import pytest
@@ -15,6 +17,7 @@ from repro.crypto.dh import (
 from repro.crypto.kdf import hkdf, hkdf_expand, hkdf_extract
 from repro.crypto.rsa import RsaError, RsaKeyPair, _digest_to_int
 from repro.crypto.stream import StreamCipher, stream_xor
+from repro.perf.counters import counters
 from repro.util.bytesutil import int_to_bytes, xor_bytes
 from repro.util.rng import DeterministicRandom
 
@@ -207,6 +210,40 @@ class TestAead:
     def test_roundtrip_property(self, plaintext, nonce):
         key = AeadKey(b"prop" * 8)
         assert key.open(nonce, key.seal(nonce, plaintext)) == plaintext
+
+    @given(st.binary(max_size=1000), st.binary(max_size=16),
+           st.binary(max_size=40))
+    @settings(max_examples=25)
+    def test_sealed_is_ciphertext_then_tag(self, plaintext, nonce, aad):
+        """Encrypt-then-MAC as first written: ``ciphertext + tag``."""
+        key = AeadKey(b"prop" * 8)
+        ciphertext = stream_xor(key._enc_key, nonce, plaintext)
+        tag = hmac.new(key._mac_key, bytes([len(nonce)]) + nonce
+                       + len(aad).to_bytes(8, "big") + aad + ciphertext,
+                       hashlib.sha256).digest()
+        assert key.seal(nonce, plaintext, aad) == ciphertext + tag
+
+    @given(st.binary(max_size=1000), st.binary(max_size=40),
+           st.binary(max_size=40))
+    @settings(max_examples=25)
+    def test_a_span_opens_where_it_lies(self, plaintext, head, tail):
+        key = AeadKey(b"prop" * 8)
+        around = head + key.seal(b"n", plaintext, b"a") + tail
+        span = {"start": len(head), "stop": len(around) - len(tail)}
+        assert key.open(b"n", around, b"a", **span) == plaintext
+        counters.reset()
+        assert len(key.verify(b"n", around, b"a", **span)) == len(plaintext)
+        assert counters.hash_calls == 0
+
+    def test_verify_refuses_what_open_refuses(self):
+        key = AeadKey(b"m" * 32)
+        sealed = key.seal(b"n", b"payload")
+        for bad in (sealed[:-1] + bytes([sealed[-1] ^ 1]),
+                    bytes([sealed[0] ^ 1]) + sealed[1:], sealed[:31]):
+            with pytest.raises(AeadError):
+                key.verify(b"n", bad)
+        with pytest.raises(AeadError):
+            key.verify(b"n", b"xx" + sealed, start=1)
 
 
 class TestDiffieHellman:

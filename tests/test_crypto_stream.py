@@ -150,6 +150,20 @@ class TestInputsAndCounters:
         cipher.process_many([b"y" * 509] * 5)
         assert (counters.hash_calls, counters.keystream_bytes) == (3, 4054)
 
+    def test_a_span_is_read_in_place_and_its_tag_appended(self, backend):
+        data = bytes(range(256)) * 3
+        body = backend(b"k" * 16, b"n").process(data[5:700])
+        counters.reset()
+        out = backend(b"k" * 16, b"n")._span(data, 5, 700,
+                                             hashlib.sha256(b"head"))
+        assert out == body + hashlib.sha256(b"head" + body).digest()
+        assert (counters.hash_calls, counters.keystream_bytes) == (1, 695)
+        tag_only = backend(b"k" * 16, b"n")._span(data, 9, 9,
+                                                  hashlib.sha256(b"head"))
+        assert tag_only == hashlib.sha256(b"head").digest()
+        assert counters.hash_calls == 1
+        assert backend(b"k" * 16, b"n")._span(data, 0, 0, None) == b""
+
 
 @needs_native
 class TestOutputObjects:
@@ -176,6 +190,15 @@ class TestOutputObjects:
         assert StreamCipher(b"k" * 16, b"n").process(data) == expected
         assert counters.hash_calls == -(-len(data) // 100)
         assert counters.keystream_bytes == len(data)
+
+    def test_a_long_span_is_fed_in_bounded_calls(self, monkeypatch):
+        data = bytes(range(251)) * 9
+        expected = StreamCipher(b"k" * 16, b"n").process(data[3:-3])
+        monkeypatch.setattr(stream_module, "_MAX_CALL", 100)
+        counters.reset()
+        assert stream_module.stream_xor(b"k" * 16, b"n", data, 3,
+                                        -3) == expected
+        assert counters.hash_calls == -(-(len(data) - 6) // 100)
 
 
 def _returns(value):

@@ -21,8 +21,10 @@ from repro.enclave.sgx import (
     EnclaveImage,
 )
 from repro.netsim.simulator import Simulator
+from repro.perf.counters import counters
 from repro.sandbox.memfs import MemFS
 from repro.util.rng import DeterministicRandom
+from repro.util.serialization import canonical_decode, canonical_encode
 
 MB = 1024 * 1024
 
@@ -248,6 +250,57 @@ class TestFsProtect:
         fsp.write_file("/x", b"1")
         fsp.delete("/x")
         assert not fsp.exists("/x")
+
+
+class TestFsProtectFileSize:
+    """``file_size`` checks what a read checks, but decrypts nothing."""
+
+    def _stored(self, data: bytes):
+        view = MemFS().chroot("/c")
+        fsp = FSProtect(view, b"k" * 32)
+        fsp.write_file("/f", data)
+        return view, fsp
+
+    @pytest.mark.parametrize("size", [0, 1, 4 * MB])
+    def test_the_plaintext_length_without_a_cipher_pass(self, size):
+        _view, fsp = self._stored(bytes(range(256)) * (size // 256)
+                                  + b"x" * (size % 256))
+        before = counters.hash_calls
+        length = fsp.file_size("/f")
+        assert counters.hash_calls == before
+        assert length == size == len(fsp.read_file("/f"))
+
+    def _flipped(self, view, fsp, at_tag: bool) -> None:
+        raw = bytearray(view.read_file("/f"))
+        sealed = canonical_decode(bytes(raw))["sealed"]
+        leaf = bytes(raw).index(sealed)
+        raw[leaf + len(sealed) - 1 if at_tag else leaf] ^= 1
+        view.write_file("/f", bytes(raw))
+        with pytest.raises(FSProtectError):
+            fsp.file_size("/f")
+
+    def test_a_flipped_ciphertext_byte(self):
+        self._flipped(*self._stored(b"payload"), at_tag=False)
+
+    def test_a_flipped_tag_byte(self):
+        self._flipped(*self._stored(b"payload"), at_tag=True)
+
+    def test_a_rolled_back_version(self):
+        view, fsp = self._stored(b"v1")
+        old = view.read_file("/f")
+        fsp.write_file("/f", b"v2, longer")
+        view.write_file("/f", old)
+        with pytest.raises(FSProtectError):
+            fsp.file_size("/f")
+
+    def test_a_malformed_envelope(self):
+        view, fsp = self._stored(b"payload")
+        whole = view.read_file("/f")
+        for raw in (b"", b"junk", canonical_encode({"version": 1}),
+                    whole[:30], whole + b"N"):
+            view.write_file("/f", raw)
+            with pytest.raises(FSProtectError):
+                fsp.file_size("/f")
 
 
 class TestConclaveChannel:

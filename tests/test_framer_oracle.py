@@ -1,0 +1,192 @@
+"""The receive path against its first form.
+
+``framer_reference`` keeps the queue, framer and ``recv_frame`` the tree
+had before a frame's rest was accumulated behind its start, in the
+framer's own buffer.  Driven by the same byte schedule, both must return
+the same frames, wake their reader the same number of times, time out as
+often, and count the same ``bytes_zero_copied``.  ``TestOracleHasTeeth``
+shows the property failing on three plausible mistakes.
+"""
+
+import pathlib
+import random
+import sys
+import types
+from typing import NamedTuple
+
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from framer_reference import ReferenceFramedReader, ReferenceRecvQueue
+from repro.netsim import bytestream
+from repro.netsim.simulator import SimTimeoutError, Simulator, Sleep
+from repro.perf.counters import counters
+
+KIB = 1024
+BIG = 1024 * KIB
+TIMEOUT = 5.0   # the reader's; a stall is longer
+STALL = 10.0
+
+
+class Schedule(NamedTuple):
+    frames: list        # what the sender framed, in order
+    pushes: list        # (gap before it, chunk) as the stream delivers them
+    pause: float        # how long the reader is away after a timeout
+
+
+def _schedule(sizes, big_at, cuts, cell, rhythm, stall, pause=0.0):
+    """``sizes`` frames with a 1 MiB one inserted at ``big_at``, cut at
+    ``cuts`` and every ``cell`` bytes; the chunk ``stall`` of the way into
+    the big frame arrives after a gap longer than the reader's timeout,
+    the others after ``rhythm``'s gaps in turn."""
+    frames = [random.Random(i).randbytes(n) for i, n in enumerate(sizes)]
+    frames.insert(big_at, random.Random("big").randbytes(BIG))
+    wire = b"".join(bytestream.Framer.encode(f) for f in frames)
+    big_start = sum(4 + len(f) for f in frames[:big_at]) + 4
+    stall_at = big_start + int(stall * BIG)
+    points = {c for c in cuts if 0 < c < len(wire)} | {stall_at}
+    if cell:
+        points.update(range(cell, len(wire), cell))
+    bounds = [0, *sorted(points), len(wire)]
+    pushes = []
+    for i, (start, end) in enumerate(zip(bounds, bounds[1:])):
+        gap = STALL if start == stall_at else rhythm[i % len(rhythm)]
+        pushes.append((gap, wire[start:end]))
+    return Schedule(frames, pushes, pause)
+
+
+@st.composite
+def schedules(draw):
+    sizes = draw(st.lists(st.integers(0, 64 * KIB), max_size=5))
+    wire_size = sum(4 + n for n in sizes) + 4 + BIG
+    return _schedule(
+        sizes, draw(st.integers(0, len(sizes))),
+        draw(st.lists(st.integers(1, wire_size - 1), max_size=24)),
+        draw(st.sampled_from([0, 498, 4096])),
+        draw(st.lists(st.sampled_from([0.0, 0.01, 1.0]), min_size=1,
+                      max_size=6)),
+        draw(st.floats(0.001, 0.999)),
+        draw(st.sampled_from([0.0, 3.0, STALL])))
+
+
+def _back_to_parked_bytes() -> Schedule:
+    """A read times out, then one with bytes parks them and times out too;
+    the rest of the frame arrives in one chunk while the reader is away."""
+    frames = [b"abc", random.Random("big").randbytes(BIG)]
+    wire = b"".join(bytestream.Framer.encode(f) for f in frames)
+    return Schedule(frames, [(0.0, wire[:100_000]),
+                             (1.0, wire[100_000:200_000]),
+                             (24.0, wire[200_000:])], pause=10.0)
+
+
+class _QueueStream:
+    """The receive side of a byte stream: what a Tor stream delivers."""
+
+    def __init__(self, queue) -> None:
+        self._queue = queue
+
+    def recv(self, thread, timeout=None, min_bytes=1, into=None):
+        return (yield from self._queue.pop(thread, timeout, min_bytes, into))
+
+
+def _current(sim):
+    queue = bytestream._RecvQueue(sim)
+    return queue, bytestream.FramedStream(_QueueStream(queue))
+
+
+def _reference(sim):
+    queue = ReferenceRecvQueue(sim)
+    return queue, ReferenceFramedReader(queue)
+
+
+def _receive(schedule: Schedule, build) -> dict:
+    """Deliver ``schedule`` and read frames until EOF, retrying timeouts."""
+    sim = Simulator(seed=1)
+    queue, reader = build(sim)
+    seen = {"frames": [], "timeouts": 0}
+
+    def read(thread):
+        while True:
+            try:
+                frame = yield from reader.recv_frame(thread, timeout=TIMEOUT)
+            except SimTimeoutError:
+                seen["timeouts"] += 1
+                yield Sleep(schedule.pause)
+                continue
+            if frame is None:
+                return
+            seen["frames"].append(frame)
+
+    counters.reset()
+    sim.spawn(read)
+    now = 0.0
+    for gap, chunk in schedule.pushes:
+        now += gap
+        sim.post_at(now, queue.push, (chunk,))
+    sim.post_at(now + 1.0, queue.push_eof)
+    sim.run()
+    seen.update(wakes=counters.task_switches,
+                zero_copied=counters.bytes_zero_copied)
+    return seen
+
+
+# Twelve 498-byte cells of the big frame arrive together, then the rest
+# only after the reader's timeout: the read it interrupts has parked bytes.
+@example(_schedule([3, 70_000], 1, [], 498, [0.0] * 12 + [0.01], 0.5))
+@example(_back_to_parked_bytes())
+@given(schedules())
+@settings(deadline=None)
+def test_same_frames_and_wake_ups_for_every_schedule(schedule):
+    current = _receive(schedule, _current)
+    assert current["frames"] == schedule.frames
+    assert current == _receive(schedule, _reference)
+
+
+def _mutant(old: str, new: str) -> types.ModuleType:
+    """``repro.netsim.bytestream`` with ``old`` (which must occur) replaced
+    by ``new``."""
+    source = pathlib.Path(bytestream.__file__).read_text()
+    assert old in source, old
+    module = types.ModuleType("bytestream_mutant")
+    exec(compile(source.replace(old, new), "<mutant>", "exec"),
+         module.__dict__)
+    return module
+
+
+class TestOracleHasTeeth:
+    """Each mutant makes the property above, exactly as written, fail."""
+
+    @pytest.fixture()
+    def fails_under(self, monkeypatch):
+        def check(old: str, new: str) -> None:
+            monkeypatch.setattr(sys.modules[__name__], "bytestream",
+                                _mutant(old, new))
+            with pytest.raises((AssertionError, ExceptionGroup)) as failed:
+                test_same_frames_and_wake_ups_for_every_schedule()
+            if isinstance(failed.value, ExceptionGroup):
+                assert failed.value.split(AssertionError)[1] is None
+        return check
+
+    def test_dropping_a_timed_out_reads_parked_bytes_is_caught(
+            self, fails_under):
+        fails_under("                yield Wait(self._waiter, timeout)\n"
+                    "                self._waiter = None\n"
+                    "            self._target = 1\n",
+                    "                try:\n"
+                    "                    yield Wait(self._waiter, timeout)\n"
+                    "                except Exception:\n"
+                    "                    del buffer[base:]\n"
+                    "                    raise\n"
+                    "                self._waiter = None\n"
+                    "            self._target = 1\n")
+
+    def test_a_by_reference_read_over_parked_bytes_is_caught(
+            self, fails_under):
+        """Counts, not frames, differ: the chunk is counted as handed over
+        by reference where the first form appended it to parked bytes."""
+        fails_under("if not self._parked and len(chunks) == 1",
+                    "if not self._pending and len(chunks) == 1")
+
+    def test_a_header_offset_off_by_one_is_caught(self, fails_under):
+        fails_under("frames.append(bytes(view[offset + header_size:end]))",
+                    "frames.append(bytes(view[offset + header_size + 1:end]))")
