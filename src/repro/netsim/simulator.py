@@ -53,6 +53,15 @@ deadline and the wait's generation, and the wake-up is the bound
 ``_wait_woken`` registered with the generation as its argument.  What a
 wait still allocates is what ordering needs: the wake's queue entry and
 the callback record on the future.
+
+An actor holds what it can still use.  A *pending* one (spawned, not
+started) is its :class:`SimTask` and its start entry: its join future,
+timer slot and a future's callback list are each made on first use.  A
+*waiting* one is held by the futures it waits on and, under a timeout,
+by its slot's queue entry, so it times out even if nothing else holds
+it.  A *finished* one has dropped its frame and let go of its slot, so a
+tombstone it leaves queued pins nothing; its holders keep it (and
+``check_failures`` a failed one).
 """
 
 from __future__ import annotations
@@ -70,6 +79,9 @@ from repro.util.rng import DeterministicRandom
 # Cached registry handles (the registry resets in place, so these survive).
 _TIMERS_CANCELLED = _metrics.counter("timers_cancelled")
 _TASKS_SPAWNED = _metrics.counter("actors_spawned", labels={"kind": "task"})
+# actors_failed{kind="task"} is registered by the first failure, so a run
+# without one exports no new line (and it is no perf field: no digest).
+_FAILED_LABELS = {"kind": "task"}
 _TASK_SWITCHES = _metrics.counter("task_switches")
 _EVENTS_PROCESSED = _metrics.counter("perf_events_processed")
 _EVENTS_SCHEDULED = _metrics.counter("perf_events_scheduled")
@@ -121,7 +133,7 @@ class Future:
         self.done = False
         self._value: Any = None
         self._exception: Optional[BaseException] = None
-        self._callbacks: list[tuple[Callable, tuple]] = []
+        self._callbacks: Optional[list[tuple[Callable, tuple]]] = None  # lazy
 
     def resolve(self, value: Any = None) -> None:
         """Complete the future successfully."""
@@ -137,8 +149,8 @@ class Future:
         self.done = True
         self._value = value
         self._exception = exception
-        callbacks, self._callbacks = self._callbacks, []
-        for callback, args in callbacks:
+        callbacks, self._callbacks = self._callbacks, None
+        for callback, args in callbacks or ():
             self._sim._soon(callback, (self, *args))
 
     def result(self) -> Any:
@@ -153,6 +165,8 @@ class Future:
         """Run ``callback(self, *args)`` (via the event queue) once resolved."""
         if self.done:
             self._sim._soon(callback, (self, *args))
+        elif self._callbacks is None:
+            self._callbacks = [(callback, args)]
         else:
             self._callbacks.append((callback, args))
 
@@ -195,6 +209,34 @@ class Join:
         self.timeout = timeout
 
 
+class _TimerSlot:
+    """An actor's one reusable timeout entry (see the module docstring):
+    the deadline, the generation of the wait it times out, and the queued
+    :class:`Event`, whose callback is the slot itself (no bound method to
+    allocate).  It holds the actor until the actor finishes, then not."""
+
+    __slots__ = ("task", "deadline", "generation", "event")
+
+    def __init__(self, task: "SimTask") -> None:
+        self.task: Optional[SimTask] = task     # None once it finished
+        self.deadline: Optional[float] = None   # None while disarmed
+        self.generation = 0
+        self.event: Optional[Event] = None
+
+    def __call__(self) -> None:
+        """Slot entry popped: fire the timeout, or cascade to the deadline."""
+        self.event = None
+        deadline = self.deadline
+        if deadline is None:
+            return
+        sim = self.task.sim
+        if deadline > sim.now:                  # re-armed further out
+            self.event = sim.schedule_at(deadline, self)
+            return
+        self.deadline = None
+        self.task._wait_timed_out(self.generation)
+
+
 class SimTask:
     """A coroutine actor: a generator multiplexed onto the event loop.
 
@@ -211,9 +253,9 @@ class SimTask:
     """
 
     __slots__ = ("sim", "name", "finished", "result", "exception",
-                 "_done_future", "_wait_generation", "_timer_event",
-                 "_timer_deadline", "_timer_generation", "_fn", "_args",
-                 "_gen", "_waiting_on", "_wait_timeout", "__weakref__")
+                 "_done_future", "_wait_generation", "_timer", "_fn",
+                 "_args", "_gen", "_waiting_on", "_wait_timeout",
+                 "__weakref__")
 
     def __init__(self, sim: "Simulator", name: str, fn: Callable, args: tuple) -> None:
         self.sim = sim
@@ -221,18 +263,13 @@ class SimTask:
         self.finished = False
         self.result: Any = None
         self.exception: Optional[BaseException] = None
-        self._done_future = Future(sim)
+        self._done_future: Optional[Future] = None    # made by a Join
         # Guards against stale wake-ups: every wait bumps the generation,
         # and a wake callback registered by an earlier wait (e.g. a future
         # that resolves long after its timeout lost the race) no longer
         # matches, so it cannot resume the actor spuriously.
         self._wait_generation = 0
-        # Reusable timeout slot: at most one wait is outstanding per
-        # actor, so one queued entry serves every timeout this actor arms,
-        # and the slot names the wait it times out by its generation.
-        self._timer_event: Optional[Event] = None
-        self._timer_deadline: Optional[float] = None
-        self._timer_generation = 0
+        self._timer: Optional[_TimerSlot] = None    # made by a first timeout
         self._fn = fn
         self._args = args
         self._gen: Optional[GeneratorType] = None
@@ -249,40 +286,42 @@ class SimTask:
         callback cascades forward to the true deadline when it pops
         early), so timeout-heavy loops do not grow the queue at all.
         """
-        self._timer_deadline = deadline
-        self._timer_generation = generation
-        event = self._timer_event
+        slot = self._timer
+        if slot is None:
+            slot = self._timer = _TimerSlot(self)
+        slot.deadline = deadline
+        slot.generation = generation
+        event = slot.event
         if event is not None and event._sim is None:
-            event = self._timer_event = None    # left the queue while disarmed
+            event = slot.event = None           # left the queue while disarmed
         if event is None:
-            self._timer_event = self.sim.schedule_at(deadline, self._timer_fire)
+            slot.event = self.sim.schedule_at(deadline, slot)
         elif event.time <= deadline:
             if event.cancelled:                 # resurrect the tombstone
                 event.cancelled = False
                 self.sim._cancelled -= 1
         else:                                   # pending entry is too late
             event.cancel()
-            self._timer_event = self.sim.schedule_at(deadline, self._timer_fire)
+            slot.event = self.sim.schedule_at(deadline, slot)
 
     def _disarm_timer(self) -> None:
         """The awaited future won the race: tombstone the slot entry."""
-        self._timer_deadline = None
-        event = self._timer_event
+        slot = self._timer
+        slot.deadline = None
+        event = slot.event
         if event is not None and not event.cancelled:
             event.cancel()
             _TIMERS_CANCELLED.value += 1
 
-    def _timer_fire(self) -> None:
-        """Slot entry popped: fire the timeout, or cascade to the deadline."""
-        self._timer_event = None
-        deadline = self._timer_deadline
-        if deadline is None:
-            return
-        if deadline > self.sim.now:             # re-armed further out
-            self._timer_event = self.sim.schedule_at(deadline, self._timer_fire)
-            return
-        self._timer_deadline = None
-        self._wait_timed_out(self._timer_generation)
+    def _join_future(self) -> Future:
+        """The future a :class:`Join` waits on, made by the first one: a
+        finished actor's is made done, so it queues no event itself."""
+        future = self._done_future
+        if future is None:
+            future = self._done_future = Future(self.sim)
+            if self.finished:
+                future._finish(self.result, self.exception)
+        return future
 
     # -- scheduler side -------------------------------------------------
 
@@ -337,7 +376,7 @@ class SimTask:
                     future = request.future
                     timeout = request.timeout
                 elif kind is Join:
-                    future = request.actor._done_future
+                    future = request.actor._join_future()
                     timeout = request.timeout
                 else:
                     exc = SimulationError(
@@ -428,13 +467,14 @@ class SimTask:
         self._fn = None
         self._args = ()
         self._waiting_on = None
+        if self._timer is not None:
+            self._timer.task = None     # its queued tombstone lets go of us
         if exception is not None:
             # Retain failed actors so check_failures() can surface them.
             self.sim._failed.append(self)
-            if not self._done_future.done:
-                self._done_future.reject(exception)
-        elif not self._done_future.done:
-            self._done_future.resolve(result)
+            _metrics.counter("actors_failed", _FAILED_LABELS).value += 1
+        if self._done_future is not None:
+            self._done_future._finish(result, exception)
 
 
 #: The actor handle type blocking operations take as their first argument.

@@ -9,14 +9,15 @@ from hypothesis import settings
 
 from repro.core.server import BentoServer
 from repro.enclave.attestation import IntelAttestationService
+from repro.obs.metrics import REGISTRY
 from repro.obs.testing import fresh_observability
 from repro.tor.testnet import TorTestNetwork
 
 # The example budget of every property that leaves ``max_examples`` unset.
 # It is sized for those that run a whole program per example — the kernel
-# order oracle, the link-model properties, the relay routing oracle, the
-# hostile-cell test and the read-ahead and client-peel properties;
-# nightly.yml runs them with ``--hypothesis-profile nightly``.
+# order and task-kernel oracles, the link-model properties, the relay
+# routing oracle, the hostile-cell test and the read-ahead and client-peel
+# properties; nightly.yml runs them with ``--hypothesis-profile nightly``.
 # ``default`` draws the same examples on every run, so tier-1 is a function
 # of the code like every other artifact here; ``nightly`` stays random and
 # is where new counterexamples are looked for.
@@ -33,6 +34,24 @@ def _fresh_observability():
     """
     with fresh_observability():
         yield
+
+
+@pytest.fixture(autouse=True)
+def _no_unexpected_failed_actor(request, _fresh_observability):
+    """A dead actor is an event: fail any test that leaves one behind
+    (``actors_failed{kind="task"}``, counted by the kernel) unless it is
+    marked ``expects_failed_actors`` -- and a marked test that leaves
+    none, so the marks stay a list of the tests about failing actors."""
+    yield
+    failed = sum(counter.value for counter in REGISTRY.family("actors_failed"))
+    expected = request.node.get_closest_marker("expects_failed_actors")
+    if failed and expected is None:
+        pytest.fail(f"{failed} actor(s) failed; mark the test "
+                    f"expects_failed_actors if that is what it tests",
+                    pytrace=False)
+    if not failed and expected is not None:
+        pytest.fail("marked expects_failed_actors, but no actor failed",
+                    pytrace=False)
 
 
 @pytest.fixture()

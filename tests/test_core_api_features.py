@@ -79,6 +79,7 @@ def main():
         slow = _run_function(api_net, separate, {"http_get", "time"}, [])
         assert fast < slow     # saves two TLS handshakes
 
+    @pytest.mark.expects_failed_actors
     def test_session_respects_iptables(self):
         from repro.core.policy import MiddleboxNodePolicy
         from repro.tor.exitpolicy import ExitPolicy
@@ -142,6 +143,7 @@ def main():
 
 
 class TestHiddenServiceHandler:
+    @pytest.mark.expects_failed_actors
     def test_plain_handler_rejected_at_the_call(self, api_net):
         # Its stream.send/recv calls would be un-iterated generators.
         code = """

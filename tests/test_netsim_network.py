@@ -124,6 +124,7 @@ class TestDialing:
         sim.run_until_done(thread)
         assert received == [(b"hello", 5)]
 
+    @pytest.mark.expects_failed_actors
     def test_connect_refused(self, net):
         sim = net.sim
         a, b = net.create_node("a"), net.create_node("b")
@@ -135,6 +136,7 @@ class TestDialing:
         sim.run()
         assert isinstance(thread.exception, NetworkError)
 
+    @pytest.mark.expects_failed_actors
     def test_connect_unknown_address(self, net):
         sim = net.sim
         a = net.create_node("a")

@@ -163,6 +163,7 @@ class TestSimThreads:
         assert sim.run_until_done(thread) == "ready"
         assert sim.now == 1.0
 
+    @pytest.mark.expects_failed_actors
     def test_wait_timeout(self):
         sim = Simulator()
         future = Future(sim)
@@ -174,6 +175,7 @@ class TestSimThreads:
         sim.run()
         assert isinstance(thread.exception, SimTimeoutError)
 
+    @pytest.mark.expects_failed_actors
     def test_wait_rejected_future_raises_in_thread(self):
         sim = Simulator()
         future = Future(sim)
@@ -212,6 +214,7 @@ class TestSimThreads:
         sim.run()
         assert times == [4.0]
 
+    @pytest.mark.expects_failed_actors
     def test_exception_surfaces_via_run_until_done(self):
         sim = Simulator()
 
@@ -223,6 +226,7 @@ class TestSimThreads:
         with pytest.raises(KeyError):
             sim.run_until_done(thread)
 
+    @pytest.mark.expects_failed_actors
     def test_check_failures(self):
         sim = Simulator()
 

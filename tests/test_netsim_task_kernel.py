@@ -41,6 +41,7 @@ class TestSimTaskKernel:
         sim.run_until_done(handle)
         assert handle.result == "done"
 
+    @pytest.mark.expects_failed_actors
     def test_plain_callable_surfaces_simulation_error(self):
         # A callable that returns no generator cannot suspend; it fails
         # loudly, named, instead of "finishing synchronously".
@@ -164,6 +165,7 @@ class TestSimTaskKernel:
         sim.run_until_done(handle)
         assert handle.result == 7
 
+    @pytest.mark.expects_failed_actors
     def test_bad_yield_surfaces_simulation_error(self):
         sim = Simulator()
 
@@ -174,6 +176,7 @@ class TestSimTaskKernel:
         with pytest.raises(SimulationError):
             sim.run_until_done(handle)
 
+    @pytest.mark.expects_failed_actors
     def test_exception_surfaces_via_run_until_done(self):
         sim = Simulator()
 
