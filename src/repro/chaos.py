@@ -82,7 +82,11 @@ def run_chaos_soak(seed: int = 2021, n_relays: int = 14,
 
 
 def _percentile(samples: list, q: float):
-    """Nearest-rank percentile over simulated-seconds samples."""
+    """The sample at the rounded linear index ``q * (n - 1)``, to 3 places.
+
+    Not nearest-rank: for n=4 and q=0.5 it returns ``ordered[2]`` (index
+    1.5 rounds half to even), where nearest-rank returns ``ordered[1]``.
+    """
     if not samples:
         return None
     ordered = sorted(samples)

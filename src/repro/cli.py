@@ -61,29 +61,17 @@ def _scenario_fingerprint(seed: int) -> None:
 
 
 def _scenario_perf_report(seed: int) -> None:
-    """Run the quickstart scenario with the perf harness on, then report.
+    """Run the quickstart scenario, then print its perf counter table.
 
-    Set ``REPRO_PROFILE=1`` to additionally capture a cProfile of the
-    event loop (printed after the counter table).
+    Where the wall-clock time went, layer by layer, is the benchmark
+    suite's ``benchmarks/suite/run.py --trace``.
     """
-    from repro.perf import (
-        active_profile,
-        counters,
-        profile_to_text,
-        render_report,
-        timed_section,
-    )
-    from repro.perf.timing import reset_sections
+    from repro.perf import counters, render_report
 
     counters.reset()
-    reset_sections()
-    with timed_section("quickstart"):
-        _scenario_quickstart(seed)
+    _scenario_quickstart(seed)
     print()
     print(render_report())
-    if active_profile() is not None:
-        print()
-        print(profile_to_text())
 
 
 def _scenario_chaos_soak(seed: int) -> None:
@@ -126,9 +114,7 @@ def _scenario_trace_report(seed: int, out: str = "trace-report") -> None:
     byte-identical artifacts.
     """
     from repro.obs import REGISTRY, TRACER, write_trace_report
-    from repro.perf.timing import reset_sections
 
-    reset_sections()
     REGISTRY.reset()
     log = TRACER.attach()
     try:
@@ -143,223 +129,17 @@ def _scenario_trace_report(seed: int, out: str = "trace-report") -> None:
     print("load trace.json at ui.perfetto.dev (or chrome://tracing)")
 
 
-def _scenario_scale_report(seed: int, workers: int = 1) -> None:
-    """Run one in-process N=100 session sweep from the scale benchmark
-    and print wall-clock, event-throughput, and cache-hit-rate numbers.
-
-    With ``--workers K`` (K > 1) it instead runs the sharded-kernel
-    mesh quick look: the ``MeshScenario`` at N=10k sessions on K shard
-    workers and on one, printing the parity check, epoch/cross-event
-    counts, and speedup.
-
-    The full subprocess sweep (N in {10, 100, 1000}, with peak-RSS
-    attribution per N and the frozen pre-optimization baseline) lives in
-    ``benchmarks/bench_scale.py``; this scenario is the quick look.
-    """
-    import importlib.util
-    from pathlib import Path
-
-    bench_path = (Path(__file__).resolve().parent.parent.parent
-                  / "benchmarks" / "bench_scale.py")
-    if not bench_path.exists():
-        print("benchmarks/bench_scale.py not found (installed package?); "
-              "run from a source checkout")
-        raise SystemExit(1)
-    spec = importlib.util.spec_from_file_location("bench_scale", bench_path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    if workers > 1:
-        n_sessions = bench.PARALLEL_SMOKE_N
-        base = bench.run_mesh(n_sessions, 1, seed)
-        sharded = bench.run_mesh(n_sessions, workers, seed)
-        parity = sharded["trace_sha256"] == base["trace_sha256"]
-        print(f"scale report (seed={seed}): mesh N={n_sessions} "
-              f"on {workers} shard workers "
-              f"({'fork' if sharded['processes'] else 'inline'} driver)")
-        print(f"  lookahead:         {sharded['lookahead_s'] * 1000:.1f}ms  "
-              f"epochs={sharded['epochs_completed']}  "
-              f"cross={sharded['cross_shard_events']}")
-        print(f"  wall:              {sharded['wall_s']:.2f}s vs "
-              f"{base['wall_s']:.2f}s single-process "
-              f"({base['wall_s'] / sharded['wall_s']:.2f}x)")
-        print(f"  critical path:     {sharded['critical_path_s']:.2f}s "
-              f"(modeled "
-              f"{base['critical_path_s'] / sharded['critical_path_s']:.2f}x "
-              f"with a core per worker)")
-        print(f"  peak rss/worker:   "
-              f"{max(sharded['peak_rss_per_worker_kb'])}kB")
-        print(f"  merged trace:      "
-              f"{'byte-identical to single-process' if parity else 'MISMATCH'}")
-        if not parity:
-            raise SystemExit(1)
-        return
-
-    result = bench.run_scale(100, seed=seed)
-    print(f"scale report (seed={seed}): {result['n_sessions']} sessions, "
-          f"{result['n_clients']} clients")
-    print(f"  wall:              {result['wall_s']:.3f}s "
-          f"(simulated t={result['sim_now']:.1f}s)")
-    print(f"  events:            {result['events_processed']} "
-          f"({result['events_per_s']:.0f}/s)")
-    print(f"  cells crypted:     {result['cells_crypted']}")
-    print(f"  timers cancelled:  {result['timers_cancelled']}")
-    print(f"  bytes zero-copied: {result['bytes_zero_copied']}")
-    for layer, stats in sorted(result["cache_hit_rates"].items()):
-        print(f"  cache[{layer}]: {stats['hits']}/"
-              f"{stats['hits'] + stats['misses']} hit rate "
-              f"{stats['rate'] * 100:.1f}%")
-
-
-def _scenario_qos_report(seed: int) -> None:
-    """Run one in-process 4x-overload cell from the qos benchmark, plane
-    off then on, and print the goodput/latency/shedding contrast.
-
-    The full subprocess sweep (0.5x-4x offered load, with peak-RSS
-    attribution per cell) lives in ``benchmarks/bench_qos.py``; this
-    scenario is the quick look.
-    """
-    import importlib.util
-    from pathlib import Path
-
-    bench_path = (Path(__file__).resolve().parent.parent.parent
-                  / "benchmarks" / "bench_qos.py")
-    if not bench_path.exists():
-        print("benchmarks/bench_qos.py not found (installed package?); "
-              "run from a source checkout")
-        raise SystemExit(1)
-    spec = importlib.util.spec_from_file_location("bench_qos", bench_path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-
-    print(f"qos report (seed={seed}): one starved box at 4x offered load, "
-          f"{bench.DEADLINE_S:.0f}s session deadline")
-    for mode in ("off", "on"):
-        result = bench.run_overload(mode, 4.0, seed, duration=10.0)
-        print(f"  plane {mode}:")
-        print(f"    goodput:   {result['goodput_per_s']:.2f}/s "
-              f"({result['goodput_vs_attainable'] * 100:.1f}% of "
-              f"attainable, capacity {result['capacity_per_s']:.2f}/s)")
-        print(f"    sessions:  {result['good']} good / "
-              f"{result['completed']} completed / "
-              f"{result['n_sessions']} offered "
-              f"(gave up: {result['gave_up']})")
-        print(f"    latency:   p50 {result['p50_s']:.2f}s  "
-              f"p99 {result['p99_s']:.2f}s")
-        print(f"    plane:     admitted={result['qos_admitted']} "
-              f"rejected={result['qos_rejected']} "
-              f"shed={result['qos_shed']}")
-
-
-def _scenario_chain_report(seed: int) -> None:
-    """Embed the stock Cover→Browser-defense→Store chain jointly against
-    the directory's load table, deploy it over attested sessions, push
-    traffic units end to end, and print the joint-vs-greedy placement
-    contrast.
-
-    The full overload sweep (0.5x-4x offered load, with the gated
-    joint-vs-greedy goodput margin) lives in
-    ``benchmarks/bench_chain.py``; this scenario is the quick look.
-    """
-    from repro.chain import ChainDeployment, greedy_embed, pipeline_chain
-    from repro.core import BentoClient, BentoServer
-    from repro.enclave.attestation import IntelAttestationService
-    from repro.migrate import MigrationConfig
-    from repro.perf.counters import counters
-    from repro.tor import TorTestNetwork
-
-    net = TorTestNetwork(n_relays=12, seed=seed, bento_fraction=0.5)
-    ias = IntelAttestationService(net.sim.rng.fork("ias"))
-    servers = [BentoServer(relay, net.authority, ias=ias,
-                           migrate=MigrationConfig(quiesce_poll_s=0.05))
-               for relay in net.bento_boxes()]
-    client = BentoClient(net.create_client("chain-op"), ias=ias)
-    spec = pipeline_chain()
-    dep = ChainDeployment(client, spec,
-                          servers={s.relay.fingerprint: s for s in servers})
-    counters.reset()
-    verified = []
-
-    def flow(thread):
-        """Deploy the chain, stream five units through it, tear down."""
-        yield from dep.deploy(thread)
-        for i in range(5):
-            payload = f"unit-{i}".encode()
-            out = yield from dep.push(thread, payload)
-            verified.append(out == dep.expected_outputs(payload))
-        yield from dep.shutdown(thread)
-
-    net.sim.run_until_done(net.sim.spawn(flow))
-    greedy = greedy_embed(spec, client.discover_boxes(),
-                          client.tor.directory.load_table())
-    print(f"chain report (seed={seed}): template {spec.name!r}, "
-          f"digest {spec.digest()[:16]}…")
-    print(f"  units pushed : {len(verified)} "
-          f"(outputs verified: {sum(verified)}/{len(verified)})")
-    for label, overlay in (("joint", dep.overlay), ("greedy", greedy)):
-        obj = overlay.objective
-        print(f"  {label:6s} embed : {obj['replicas']} replicas on "
-              f"{obj['boxes_used']} boxes, peak box load "
-              f"{obj['peak_box_units_per_s']:.1f} units/s, "
-              f"cross-box {obj['cross_box_bytes_per_s']:.0f} B/s")
-    print(f"  counters     : embeds={counters.chain_embeds} "
-          f"reembeds={counters.chain_reembeds} "
-          f"arc_bytes={counters.chain_arc_bytes} "
-          f"delivered={counters.chain_units_delivered}")
-    print(f"done at simulated t={net.sim.now:.2f}s")
-
-
-def _scenario_migrate_report(seed: int) -> None:
-    """Run the chaos soak once per recovery mode and print how the same
-    losses recover: cold respawn vs warm-standby promotion for the
-    LoadBalancer, cold redeploy vs drain-then-migrate for a stateful
-    kvstore tenant.
-
-    The full comparison (with the plane-off bit-identity re-run and the
-    hard acceptance checks) lives in ``benchmarks/bench_migrate.py``;
-    this scenario is the quick look.
-    """
-    from repro.chaos import run_chaos_soak
-
-    print(f"migrate report (seed={seed}): chaos soak per recovery mode")
-    for mode in ("cold", "standby", "migrate", "tenant-cold"):
-        result = run_chaos_soak(seed=seed, recovery_mode=mode)
-        print(f"  {mode}:")
-        for kind, stats in sorted(result["recovery"].items()):
-            print(f"    {kind:14s} n={stats['count']}  "
-                  f"p50 {stats['p50_s']}s  p99 {stats['p99_s']}s")
-        tenant = result["tenant"]
-        if tenant is not None:
-            print(f"    tenant         recovery {tenant['recovery_s']}s, "
-                  f"state {'preserved' if tenant['state_preserved'] else 'LOST'}, "
-                  f"{tenant['redeploys']} redeploys, "
-                  f"{tenant['ops_ok']} ops ok")
-        interesting = {name: value
-                       for name, value in result["counters"].items()
-                       if value and ("migration" in name or "standby" in name
-                                     or "checkpoint" in name)}
-        if interesting:
-            print(f"    counters       {interesting}")
-
-
 def _scenario_workload_report(seed: int, spec_path: str | None = None,
                               preset_name: str | None = None,
-                              out: str | None = None,
-                              workers: int = 1) -> None:
+                              out: str | None = None) -> None:
     """Run one declarative workload scenario and print its SLO report.
 
     The scenario comes from ``--spec FILE`` (a WorkloadSpec JSON file) or
     ``--preset NAME`` (a stock scenario; default ``qos-flash``).  A spec
     is self-contained — it carries its own seed, tenants, planes, and SLO
     assertions — so ``--seed`` is ignored here; edit the spec to change
-    it.  With ``--out DIR`` the run also writes ``spec.json``,
+    it.  With ``--workload-out DIR`` the run also writes ``spec.json``,
     ``report.json``, and the replay-identity ``events.jsonl``.
-
-    ``--workers K`` runs the scenario as K tenant-partitioned replica
-    fleets (forked processes where available; see
-    :mod:`repro.workload.sharded`) and rolls the merged result into the
-    same SLO report.  The per-run ``events.jsonl`` artifact is a
-    single-fleet replay identity and is skipped for sharded runs.
 
     Exits nonzero when any declared SLO fails.
     """
@@ -370,7 +150,7 @@ def _scenario_workload_report(seed: int, spec_path: str | None = None,
     from repro.obs.export import events_to_jsonl
     from repro.obs.span import EventLog
     from repro.workload import (WorkloadSpec, build_report, render_report,
-                                run_workload, run_workload_sharded)
+                                run_workload)
     from repro.workload.presets import PRESETS, preset
 
     if spec_path is not None:
@@ -382,14 +162,8 @@ def _scenario_workload_report(seed: int, spec_path: str | None = None,
                   + ", ".join(sorted(PRESETS)))
             raise SystemExit(2)
         spec = preset(name)
-    log = None
-    if workers > 1:
-        result = run_workload_sharded(spec, workers)
-        print(f"[{len(result['fleets'])} tenant-partitioned fleets on "
-              f"{workers} workers]")
-    else:
-        log = EventLog()
-        result = run_workload(spec, trace_log=log)
+    log = EventLog()
+    result = run_workload(spec, trace_log=log)
     report = build_report(spec, result)
     print(render_report(report))
     if out is not None:
@@ -397,24 +171,17 @@ def _scenario_workload_report(seed: int, spec_path: str | None = None,
         with open(os.path.join(out, "spec.json"), "w",
                   encoding="utf-8") as fh:
             fh.write(spec.to_json())
-        artifacts = {"report": report}
-        if log is not None:
-            jsonl = events_to_jsonl(log)
-            digest = hashlib.sha256(jsonl.encode("utf-8")).hexdigest()
-            with open(os.path.join(out, "events.jsonl"), "w",
-                      encoding="utf-8") as fh:
-                fh.write(jsonl)
-            artifacts["events_jsonl_sha256"] = digest
+        jsonl = events_to_jsonl(log)
+        digest = hashlib.sha256(jsonl.encode("utf-8")).hexdigest()
+        with open(os.path.join(out, "events.jsonl"), "w",
+                  encoding="utf-8") as fh:
+            fh.write(jsonl)
         with open(os.path.join(out, "report.json"), "w",
                   encoding="utf-8") as fh:
-            json.dump(artifacts, fh, indent=2, sort_keys=True)
+            json.dump({"report": report, "events_jsonl_sha256": digest},
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
-        if log is not None:
-            print(f"artifacts in {out}/ "
-                  f"(events.jsonl sha256 {digest[:16]}…)")
-        else:
-            print(f"artifacts in {out}/ (events.jsonl skipped: sharded "
-                  f"runs have per-fleet logs)")
+        print(f"artifacts in {out}/ (events.jsonl sha256 {digest[:16]}…)")
     if not report["passed"]:
         raise SystemExit(1)
 
@@ -422,10 +189,6 @@ def _scenario_workload_report(seed: int, spec_path: str | None = None,
 SCENARIOS = {
     "quickstart": _scenario_quickstart,
     "workload-report": _scenario_workload_report,
-    "migrate-report": _scenario_migrate_report,
-    "scale-report": _scenario_scale_report,
-    "qos-report": _scenario_qos_report,
-    "chain-report": _scenario_chain_report,
     "fingerprint": _scenario_fingerprint,
     "perf-report": _scenario_perf_report,
     "chaos-soak": _scenario_chaos_soak,
@@ -457,12 +220,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload-out", default=None, metavar="DIR",
                         help="workload-report: also write spec.json, "
                              "report.json, and events.jsonl here")
-    parser.add_argument("--workers", type=int, default=1, metavar="K",
-                        help="scale-report: shard the mesh sim across K "
-                             "worker processes and print the parallel "
-                             "quick-look; workload-report: run K "
-                             "tenant-partitioned replica fleets "
-                             "(default: 1)")
     args = parser.parse_args(argv)
     if args.scenario == "list":
         width = max(len(name) for name in SCENARIOS)
@@ -476,10 +233,7 @@ def main(argv: list[str] | None = None) -> int:
     elif args.scenario == "workload-report":
         SCENARIOS[args.scenario](args.seed, spec_path=args.spec,
                                  preset_name=args.preset,
-                                 out=args.workload_out,
-                                 workers=args.workers)
-    elif args.scenario == "scale-report":
-        SCENARIOS[args.scenario](args.seed, workers=args.workers)
+                                 out=args.workload_out)
     else:
         SCENARIOS[args.scenario](args.seed)
     return 0

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Sequence
 
 from repro.util.rng import DeterministicRandom
 
@@ -68,15 +68,14 @@ def partition_nodes(
     names: Sequence[str],
     n_shards: int,
     edges: Iterable[tuple[str, str, float]] = (),
-    weights: Optional[dict[str, float]] = None,
     seed: int | str = 0,
 ) -> Partition:
     """Deterministically split ``names`` into ``n_shards`` balanced shards.
 
     ``edges`` are undirected ``(a, b, weight)`` affinity hints — expected
     traffic between the pair; the partitioner minimizes the total weight
-    crossing shards.  ``weights`` is per-node load (defaults to 1 each);
-    shard loads stay within :data:`_BALANCE_SLACK` of ideal.
+    crossing shards.  Every node weighs 1; shard loads stay within
+    :data:`_BALANCE_SLACK` of ideal.
     """
     names = list(names)
     if n_shards < 1:
@@ -90,7 +89,6 @@ def partition_nodes(
         return Partition(n_shards, assignment,
                          _cut(edges, assignment) if n_shards > 1 else ())
 
-    load = {name: (weights or {}).get(name, 1.0) for name in names}
     adjacency: dict[str, dict[str, float]] = {name: {} for name in names}
     edge_list = []
     for a, b, weight in edges:
@@ -100,7 +98,7 @@ def partition_nodes(
         adjacency[b][a] = adjacency[b].get(a, 0.0) + weight
         edge_list.append((a, b, weight))
 
-    total = sum(load.values())
+    total = float(len(names))
     ideal = total / n_shards
     cap = _BALANCE_SLACK * ideal
     rng = DeterministicRandom(seed).fork("partition")
@@ -118,7 +116,7 @@ def partition_nodes(
             name = root[name]
         return name
 
-    comm_load = dict(load)
+    comm_load = dict.fromkeys(names, 1.0)
     for a, b, _weight in sorted(edge_list,
                                 key=lambda e: (-e[2], e[0], e[1])):
         ra, rb = _find(a), _find(b)
@@ -141,12 +139,12 @@ def partition_nodes(
         best = min(
             range(n_shards),
             key=lambda s: (-affinity[s],
-                           math.inf if shard_load[s] + load[name] > cap
+                           math.inf if shard_load[s] + 1.0 > cap
                            else shard_load[s], s))
-        if shard_load[best] + load[name] > cap:
+        if shard_load[best] + 1.0 > cap:
             best = min(range(n_shards), key=lambda s: (shard_load[s], s))
         assignment[name] = best
-        shard_load[best] += load[name]
+        shard_load[best] += 1.0
 
     # Largest communities first (LPT keeps the packing balanced), then
     # external edge weight; seeded jitter breaks zero-degree ties so
@@ -201,9 +199,9 @@ def partition_nodes(
             best = max(range(n_shards),
                        key=lambda s: (affinity[s], s == current, -s))
             if best != current and affinity[best] > affinity[current] \
-                    and shard_load[best] + load[name] <= cap:
-                shard_load[current] -= load[name]
-                shard_load[best] += load[name]
+                    and shard_load[best] + 1.0 <= cap:
+                shard_load[current] -= 1.0
+                shard_load[best] += 1.0
                 assignment[name] = best
                 moved = True
         if not moved:

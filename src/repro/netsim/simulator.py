@@ -72,7 +72,6 @@ from types import GeneratorType
 from typing import Any, Callable, Optional
 
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.perf.profiling import active_profile
 from repro.util.errors import ReproError
 from repro.util.rng import DeterministicRandom
 
@@ -568,9 +567,6 @@ class Simulator:
         if self._running:
             raise SimulationError("run() re-entered; use actors to block")
         self._running = True
-        profile = active_profile()
-        if profile is not None:
-            profile.enable()
         heap, ready = self._heap, self._ready
         pop, popleft = heapq.heappop, ready.popleft
         horizon = _INF if until is None else until
@@ -614,8 +610,6 @@ class Simulator:
             # per-call increment is measurable at millions of events.
             _EVENTS_SCHEDULED.value += self._seq - self._seq_counted
             self._seq_counted = self._seq
-            if profile is not None:
-                profile.disable()
 
     def _compact(self) -> None:
         """Drop cancelled entries from both containers, in place.

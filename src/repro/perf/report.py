@@ -1,18 +1,13 @@
-"""Human-readable rendering of the perf counters and section times."""
+"""Human-readable rendering of the perf counters."""
 
 from __future__ import annotations
 
 from repro.perf.counters import counters
-from repro.perf.timing import section_times
 
 
 def render_report() -> str:
-    """The counters (and any timed sections) as an aligned text table."""
+    """The counters as an aligned text table."""
     lines = ["perf counters"]
     for name, value in counters.snapshot().items():
         lines.append(f"  {name:20s} {value:>14,}")
-    if section_times:
-        lines.append("timed sections (wall-clock seconds)")
-        for name in sorted(section_times):
-            lines.append(f"  {name:20s} {section_times[name]:>14.3f}")
     return "\n".join(lines)

@@ -71,8 +71,14 @@ class Spec:
 
     @classmethod
     def from_json(cls, text: str):
+        def reject(constant: str):
+            # json.loads accepts NaN and ±Infinity, which are not JSON; an
+            # infinite duration would run forever.
+            raise cls.Error(f"{cls.context} is not valid JSON: "
+                            f"{constant} is not a number")
+
         try:
-            data = json.loads(text)
+            data = json.loads(text, parse_constant=reject)
         except json.JSONDecodeError as exc:
             raise cls.Error(
                 f"{cls.context} is not valid JSON: {exc}") from exc

@@ -18,7 +18,6 @@ the same matrix double as the cross-plane integration suite.
 
 from repro.workload.generator import Workload, WorkloadEvent, generate
 from repro.workload.runner import run_workload
-from repro.workload.sharded import run_workload_sharded, shard_spec
 from repro.workload.slo import build_report, render_report
 from repro.workload.spec import (ArrivalSpec, PlanesSpec, SloSpec,
                                  TenantSpec, WorkloadSpec,
@@ -27,6 +26,5 @@ from repro.workload.spec import (ArrivalSpec, PlanesSpec, SloSpec,
 __all__ = [
     "ArrivalSpec", "PlanesSpec", "SloSpec", "TenantSpec", "WorkloadSpec",
     "WorkloadSpecError", "Workload", "WorkloadEvent", "generate",
-    "run_workload", "run_workload_sharded", "shard_spec",
-    "build_report", "render_report",
+    "run_workload", "build_report", "render_report",
 ]

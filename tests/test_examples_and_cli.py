@@ -4,6 +4,7 @@ Each example is executed in-process (import + main()) with its output
 captured, so a broken example fails the suite rather than rotting.
 """
 
+import ast
 import importlib.util
 import pathlib
 import sys
@@ -11,6 +12,7 @@ import sys
 import pytest
 
 EXAMPLES_DIR = pathlib.Path(__file__).parent.parent / "examples"
+SRC_DIR = pathlib.Path(__file__).parent.parent / "src" / "repro"
 
 
 def _run_example(name: str, capsys) -> str:
@@ -63,13 +65,22 @@ class TestCli:
                         if ln.startswith(name + " "))
             assert summary in line
 
-    def test_chain_report_scenario(self, capsys):
+    def test_list_names_exactly_the_kept_scenarios(self, capsys):
         from repro.cli import main
 
-        assert main(["chain-report", "--seed", "7"]) == 0
-        out = capsys.readouterr().out
-        assert "joint  embed" in out and "greedy embed" in out
-        assert "outputs verified: 5/5" in out
+        assert main(["list"]) == 0
+        names = [line.split()[0]
+                 for line in capsys.readouterr().out.splitlines()]
+        assert names == ["chaos-soak", "fingerprint", "perf-report",
+                         "quickstart", "trace-report", "workload-report"]
+
+    def test_workers_is_a_usage_error(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["workload-report", "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_quickstart_scenario(self, capsys):
         from repro.cli import main
@@ -82,3 +93,33 @@ class TestCli:
 
         with pytest.raises(SystemExit):
             main(["no-such-scenario"])
+
+
+class TestLayering:
+    def test_no_module_loads_code_from_benchmarks(self):
+        """The package runs installed: nothing in it may load a file by
+        path or name ``benchmarks`` as a directory to reach into."""
+        offenders = []
+        for path in sorted(SRC_DIR.rglob("*.py")):
+            where = path.relative_to(SRC_DIR.parent)
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = getattr(func, "attr", getattr(func, "id", None))
+                    if name == "spec_from_file_location":
+                        offenders.append(f"{where}:{node.lineno} {name}")
+                    operands = node.args
+                elif isinstance(node, ast.BinOp) \
+                        and isinstance(node.op, ast.Div):
+                    operands = [node.left, node.right]
+                else:
+                    continue
+                for operand in operands:
+                    if isinstance(operand, ast.Constant) \
+                            and isinstance(operand.value, str) \
+                            and "benchmarks" in \
+                            pathlib.PurePosixPath(operand.value).parts:
+                        offenders.append(f"{where}:{operand.lineno} "
+                                         f"{operand.value!r}")
+        assert offenders == []

@@ -21,7 +21,6 @@ from repro.netsim.shard import ShardedSimulator
 from repro.netsim.simulator import Simulator, Sleep
 from repro.perf.counters import counters
 from repro.perf.report import render_report
-from repro.perf.timing import reset_sections, section_times, timed_section
 from repro.tor.cell import RelayCellPayload, RelayCommand
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
 from repro.tor.ntor import CircuitKeys
@@ -457,16 +456,6 @@ class TestPerfHarness:
         StreamCipher(b"count-key-16byte", b"count-nonce").keystream(10_000)
         assert counters.keystream_bytes >= 10_000
         assert counters.hash_calls > 0
-
-    def test_timed_sections_accumulate(self):
-        reset_sections()
-        with timed_section("unit-test-section"):
-            pass
-        with timed_section("unit-test-section"):
-            pass
-        assert section_times["unit-test-section"] >= 0.0
-        reset_sections()
-        assert "unit-test-section" not in section_times
 
     def test_render_report_lists_all_counters(self):
         counters.reset()

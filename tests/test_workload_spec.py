@@ -191,6 +191,23 @@ class TestMistypedValues:
             WorkloadSpec.from_dict(data)
 
 
+class TestNonStandardJsonConstants:
+    """``json.loads`` accepts NaN and ±Infinity; a spec file must not."""
+
+    @pytest.mark.parametrize("constant", ["Infinity", "-Infinity", "NaN"])
+    def test_rejected_with_the_specs_own_error(self, constant, tmp_path):
+        text = WorkloadSpec(
+            name="s", seed=1, duration_s=60.0,
+            tenants=(TenantSpec(name="a", function="kvstore",
+                                arrivals=ArrivalSpec(kind="poisson",
+                                                     rate_per_s=0.5)),)
+        ).to_json().replace('"duration_s": 60.0', f'"duration_s": {constant}')
+        path = tmp_path / "spec.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(WorkloadSpecError, match=f"{constant} is not a"):
+            WorkloadSpec.from_file(str(path))
+
+
 class TestGenerationDeterminism:
     @_settings
     @given(spec=workload_specs())
