@@ -46,7 +46,7 @@ def main() -> None:
         session = yield from alice.connect(thread, box)   # ends at box
 
         policy = yield from session.query_policy(thread)
-        print(f"middlebox node policy offers images: {policy.offered_images}")
+        print(f"middlebox node policy offers images: {policy.images}")
 
         # Provision the SGX image; the attestation report is verified
         # against the known runtime measurement before any upload.

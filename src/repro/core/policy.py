@@ -17,6 +17,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.apispec import ALL_API_CALLS
 from repro.sandbox.seccomp import ALL_SYSCALLS
+from repro.util.spec import PeerRecord, field_table
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.core.manifest import FunctionManifest
@@ -25,12 +26,12 @@ MB = 1024 * 1024
 
 
 @dataclass(frozen=True)
-class MiddleboxNodePolicy:
+class MiddleboxNodePolicy(PeerRecord):
     """One operator's statement of what they will do on others' behalf."""
 
-    allowed_api_calls: frozenset = frozenset(ALL_API_CALLS)
-    allowed_syscalls: frozenset = frozenset(ALL_SYSCALLS - {"fork", "execve"})
-    offered_images: tuple = ("python", "python-op-sgx")
+    api_calls: frozenset = frozenset(ALL_API_CALLS)      # allowed
+    syscalls: frozenset = frozenset(ALL_SYSCALLS - {"fork", "execve"})
+    images: tuple = ("python", "python-op-sgx")           # offered
     max_function_memory: int = 64 * MB
     max_function_disk: int = 64 * MB
     max_total_memory: int = 512 * MB
@@ -38,13 +39,18 @@ class MiddleboxNodePolicy:
     max_containers: int = 16
     # The §5.5 "alternative design" hook: API calls that are only permitted
     # when the function runs inside an enclave image.
-    enclave_only_api_calls: frozenset = frozenset()
+    enclave_only: frozenset = frozenset()
+
+    WIRE = field_table(api_calls=frozenset, syscalls=frozenset, images=tuple,
+                       max_function_memory=int, max_function_disk=int,
+                       max_total_memory=int, max_total_disk=int,
+                       max_containers=int, enclave_only=frozenset)
 
     def __post_init__(self) -> None:
-        unknown_api = set(self.allowed_api_calls) - ALL_API_CALLS
+        unknown_api = set(self.api_calls) - ALL_API_CALLS
         if unknown_api:
             raise ValueError(f"unknown api calls in policy: {sorted(unknown_api)}")
-        unknown_sys = set(self.allowed_syscalls) - ALL_SYSCALLS
+        unknown_sys = set(self.syscalls) - ALL_SYSCALLS
         if unknown_sys:
             raise ValueError(f"unknown syscalls in policy: {sorted(unknown_sys)}")
 
@@ -59,9 +65,9 @@ class MiddleboxNodePolicy:
     def no_disk_policy(cls) -> "MiddleboxNodePolicy":
         """§6.2's most-protective stance: functions may never touch disk."""
         return cls(
-            allowed_api_calls=frozenset(
+            api_calls=frozenset(
                 c for c in ALL_API_CALLS if not c.startswith("storage.")),
-            allowed_syscalls=frozenset(
+            syscalls=frozenset(
                 self_call for self_call in ALL_SYSCALLS
                 if self_call not in ("open", "unlink", "fork", "execve")),
             max_function_disk=0,
@@ -71,7 +77,7 @@ class MiddleboxNodePolicy:
     def enclave_storage_policy(cls) -> "MiddleboxNodePolicy":
         """Disk writes allowed only inside the SGX image (encrypted by
         FS Protect), the middle-ground stance §6.2 describes."""
-        return cls(enclave_only_api_calls=frozenset(
+        return cls(enclave_only=frozenset(
             {"storage.put", "storage.get", "storage.list", "storage.delete"}))
 
     @classmethod
@@ -83,7 +89,7 @@ class MiddleboxNodePolicy:
             "stem.new_circuit", "stem.close_circuit", "stem.attach_stream",
             "stem.get_network_statuses", "stem.get_info",
         })
-        return cls(allowed_api_calls=allowed, max_function_disk=0)
+        return cls(api_calls=allowed, max_function_disk=0)
 
     # -- evaluation ------------------------------------------------------------
 
@@ -93,17 +99,17 @@ class MiddleboxNodePolicy:
         Mirrors §5.5: "if the manifest asks for more permissions than the
         node's policy permits, then the function is rejected."
         """
-        if manifest.image not in self.offered_images:
+        if manifest.image not in self.images:
             return f"image {manifest.image!r} not offered"
-        excess_api = set(manifest.api_calls) - set(self.allowed_api_calls)
+        excess_api = set(manifest.api_calls) - set(self.api_calls)
         if excess_api:
             return f"api calls not permitted: {sorted(excess_api)}"
         if manifest.image != "python-op-sgx":
-            enclave_only = set(manifest.api_calls) & set(self.enclave_only_api_calls)
-            if enclave_only:
+            needs_enclave = set(manifest.api_calls) & set(self.enclave_only)
+            if needs_enclave:
                 return (f"api calls permitted only inside an enclave image: "
-                        f"{sorted(enclave_only)}")
-        excess_sys = set(manifest.syscalls) - set(self.allowed_syscalls)
+                        f"{sorted(needs_enclave)}")
+        excess_sys = set(manifest.syscalls) - set(self.syscalls)
         if excess_sys:
             return f"syscalls not permitted: {sorted(excess_sys)}"
         if manifest.memory_bytes > self.max_function_memory:
@@ -117,34 +123,3 @@ class MiddleboxNodePolicy:
     def permits(self, manifest: "FunctionManifest") -> bool:
         """Boolean form of :meth:`rejection_reason`."""
         return self.rejection_reason(manifest) is None
-
-    # -- wire form ----------------------------------------------------------------
-
-    def to_wire(self) -> dict:
-        """A plain-dict form safe to canonically encode."""
-        return {
-            "api_calls": sorted(self.allowed_api_calls),
-            "syscalls": sorted(self.allowed_syscalls),
-            "images": list(self.offered_images),
-            "max_function_memory": self.max_function_memory,
-            "max_function_disk": self.max_function_disk,
-            "max_total_memory": self.max_total_memory,
-            "max_total_disk": self.max_total_disk,
-            "max_containers": self.max_containers,
-            "enclave_only": sorted(self.enclave_only_api_calls),
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "MiddleboxNodePolicy":
-        """Reconstruct from :meth:`to_wire` output."""
-        return cls(
-            allowed_api_calls=frozenset(wire["api_calls"]),
-            allowed_syscalls=frozenset(wire["syscalls"]),
-            offered_images=tuple(wire["images"]),
-            max_function_memory=int(wire["max_function_memory"]),
-            max_function_disk=int(wire["max_function_disk"]),
-            max_total_memory=int(wire["max_total_memory"]),
-            max_total_disk=int(wire["max_total_disk"]),
-            max_containers=int(wire["max_containers"]),
-            enclave_only_api_calls=frozenset(wire["enclave_only"]),
-        )

@@ -423,7 +423,7 @@ class BentoServer:
     def _request_image(self, thread: Actor, reply: Route,
                        message: messages.RequestImage, span=None):
         image = image_by_name(message.image)
-        if image.name not in self.policy.offered_images:
+        if image.name not in self.policy.images:
             raise ImageUnavailable(f"operator does not offer {image.name}")
         qos_key = None
         if self.qos is not None:
@@ -453,7 +453,7 @@ class BentoServer:
             container_id=f"c{next(self._container_ids)}",
             host_fs=self.host_fs,
             parent_cgroup=self.root_cgroup,
-            seccomp=SeccompPolicy(self.policy.allowed_syscalls),
+            seccomp=SeccompPolicy(self.policy.syscalls),
             iptables=IptablesRuleset.from_exit_policy(
                 self.relay.exit_policy, self.node.address,
                 loopback_ports=(self.port,)),

@@ -26,7 +26,7 @@ from repro.netsim.simulator import Sleep
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 from repro.util.errors import ReproError
 from repro.util.rng import DeterministicRandom
-from repro.util.serialization import canonical_encode
+from repro.util.spec import PeerRecord, field_table
 
 TCB_STATUS_OK = "OK"
 TCB_STATUS_OUT_OF_DATE = "GROUP_OUT_OF_DATE"
@@ -40,44 +40,21 @@ class AttestationError(ReproError):
 
 
 @dataclass
-class Quote:
+class Quote(PeerRecord):
     """An enclave's signed statement of its own identity."""
 
-    platform_id: str
+    platform: str
     measurement: str
-    tcb_level: int
+    tcb: int
     report_data: bytes
     signature: bytes = b""
 
-    def signed_body(self) -> bytes:
-        """The canonical bytes covered by the signature."""
-        return canonical_encode({
-            "platform": self.platform_id,
-            "measurement": self.measurement,
-            "tcb": self.tcb_level,
-            "report_data": self.report_data,
-        })
-
-    def to_wire(self) -> dict:
-        """A plain-dict form safe to canonically encode."""
-        return {
-            "platform": self.platform_id,
-            "measurement": self.measurement,
-            "tcb": self.tcb_level,
-            "report_data": self.report_data,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "Quote":
-        """Reconstruct from :meth:`to_wire` output."""
-        return cls(platform_id=wire["platform"], measurement=wire["measurement"],
-                   tcb_level=int(wire["tcb"]), report_data=wire["report_data"],
-                   signature=wire["signature"])
+    WIRE = field_table(platform=str, measurement=str, tcb=int,
+                       report_data=bytes, signature=bytes)
 
 
 @dataclass
-class AttestationReport:
+class AttestationReport(PeerRecord):
     """The IAS's signed verdict on a quote."""
 
     quote: Quote
@@ -85,13 +62,8 @@ class AttestationReport:
     timestamp: float
     signature: bytes = b""
 
-    def signed_body(self) -> bytes:
-        """The canonical bytes covered by the signature."""
-        return canonical_encode({
-            "quote": self.quote.to_wire(),
-            "status": self.status,
-            "timestamp": self.timestamp,
-        })
+    WIRE = field_table(quote=Quote, status=str, timestamp=float,
+                       signature=bytes)
 
     def verify(self, ias_key: RsaPublicKey,
                expected_measurement: Optional[str] = None,
@@ -109,21 +81,6 @@ class AttestationReport:
         if require_ok and self.status != TCB_STATUS_OK:
             return False
         return True
-
-    def to_wire(self) -> dict:
-        """A plain-dict form safe to canonically encode."""
-        return {
-            "quote": self.quote.to_wire(),
-            "status": self.status,
-            "timestamp": self.timestamp,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict) -> "AttestationReport":
-        """Reconstruct from :meth:`to_wire` output."""
-        return cls(quote=Quote.from_wire(wire["quote"]), status=wire["status"],
-                   timestamp=float(wire["timestamp"]), signature=wire["signature"])
 
 
 @dataclass
@@ -177,14 +134,14 @@ class IntelAttestationService:
         a bad platform signature; an out-of-date TCB yields a report whose
         ``status`` says so (clients decide whether to accept it).
         """
-        record = self._platforms.get(quote.platform_id)
+        record = self._platforms.get(quote.platform)
         if record is None:
-            raise AttestationError(f"unknown platform: {quote.platform_id}")
+            raise AttestationError(f"unknown platform: {quote.platform}")
         if record.revoked:
-            raise AttestationError(f"platform revoked: {quote.platform_id}")
+            raise AttestationError(f"platform revoked: {quote.platform}")
         if not record.key.verify(quote.signed_body(), quote.signature):
             raise AttestationError("quote signature invalid")
-        if quote.tcb_level != record.tcb_level:
+        if quote.tcb != record.tcb_level:
             raise AttestationError("quote TCB level does not match platform record")
         status = (TCB_STATUS_OK if record.tcb_level >= self.required_tcb_level
                   else TCB_STATUS_OUT_OF_DATE)

@@ -152,9 +152,9 @@ class Enclave:
 
         self._ensure_live()
         quote = Quote(
-            platform_id=self.host.platform_id,
+            platform=self.host.platform_id,
             measurement=self.measurement,
-            tcb_level=self.host.tcb_level,
+            tcb=self.host.tcb_level,
             report_data=report_data,
         )
         quote.signature = self.host._attestation_key.sign(quote.signed_body())

@@ -19,6 +19,7 @@ import json
 from repro.core.manifest import FunctionManifest
 from repro.core.policy import MiddleboxNodePolicy
 from repro.netsim.simulator import Actor
+from repro.util.errors import ProtocolError
 
 MB = 1024 * 1024
 
@@ -63,4 +64,8 @@ class PolicyQueryFunction:
         """Ask a running PolicyQuery function for the node's policy."""
         session.send_message(b"?")
         reply = yield from session.next_output(thread, timeout=timeout)
-        return MiddleboxNodePolicy.from_wire(json.loads(reply.decode("utf-8")))
+        try:
+            wire = json.loads(reply.decode("utf-8"))
+        except ValueError as exc:
+            raise ProtocolError(f"policy reply is not JSON: {exc}") from None
+        return MiddleboxNodePolicy.from_wire(wire)

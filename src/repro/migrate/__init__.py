@@ -1,4 +1,9 @@
-"""The migration plane: sealed checkpoint/restore, drains, warm standbys.
+"""The migration plane: sealed checkpoint/restore and drains.
+
+A warm standby needs nothing more: a session stages a checkpoint with
+``restore_function(cp, start=False)`` and starts it later; the
+LoadBalancer keeps its own pool of warm replicas for the chaos soak's
+``standby`` mode.
 
 Opt-in like every plane: pass ``migrate=MigrationConfig()`` to
 :class:`~repro.core.server.BentoServer` to enable drain-then-migrate on a
@@ -18,7 +23,6 @@ from repro.migrate.checkpoint import (
     unseal_checkpoint,
 )
 from repro.migrate.plane import MigrationConfig, MigrationPlane
-from repro.migrate.standby import WarmStandby
 
 
 def checkpointable_functions() -> dict:
@@ -39,7 +43,6 @@ __all__ = [
     "MigrationError",
     "MigrationPlane",
     "NotCheckpointable",
-    "WarmStandby",
     "checkpoint_instance",
     "checkpointable_functions",
     "load_local_checkpoint",

@@ -8,7 +8,7 @@ admission → schedule → shed → place fit together.
 from repro.qos.admission import AdmissionController
 from repro.qos.placement import pick_box_by_slack, rank_boxes, slack_key
 from repro.qos.plane import CLASS_WEIGHTS, QosConfig, ServingPlane
-from repro.qos.scheduler import FairQueue, TokenBucket
+from repro.qos.scheduler import FairQueue
 from repro.qos.shedding import LoadShedder
 
 __all__ = [
@@ -18,7 +18,6 @@ __all__ = [
     "LoadShedder",
     "QosConfig",
     "ServingPlane",
-    "TokenBucket",
     "pick_box_by_slack",
     "rank_boxes",
     "slack_key",

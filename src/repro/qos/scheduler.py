@@ -1,6 +1,6 @@
-"""Rate limiting and weighted-fair scheduling primitives.
+"""Weighted-fair scheduling.
 
-Both primitives are pure accounting over simulated time: callers pass the
+The scheduler is pure accounting over simulated time: callers pass the
 current sim clock in and get a *pacing delay* back, and the caller (the
 API gate, never the per-byte transfer path) decides where to sleep.  That
 keeps the scheduler deterministic, testable without a simulator, and off
@@ -9,54 +9,10 @@ the data-plane hot path.
 :class:`FairQueue` is a virtual-time weighted-fair queue (WFQ) that
 apportions one resource (cpu milliseconds, network bytes) across active
 flows in proportion to their priority-class weights; the serving plane
-runs two.  :class:`TokenBucket` is a per-client rate limiter no plane
-currently attaches.
+runs two.
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-
-class TokenBucket:
-    """A classic token bucket: ``rate`` units/s, up to ``burst`` banked.
-
-    :meth:`reserve` always accepts the charge (work already happened; the
-    scheduler only paces, it never drops) and returns how long the caller
-    must sleep to pay the debt off.  The bucket may therefore go negative
-    — that is the debt being amortized.
-    """
-
-    __slots__ = ("rate", "burst", "_tokens", "_updated")
-
-    def __init__(self, rate: float, burst: Optional[float] = None) -> None:
-        if rate <= 0:
-            raise ValueError("token bucket rate must be positive")
-        self.rate = float(rate)
-        self.burst = float(burst) if burst is not None else self.rate
-        self._tokens = self.burst
-        self._updated = 0.0
-
-    def _refill(self, now: float) -> None:
-        if now > self._updated:
-            self._tokens = min(self.burst,
-                               self._tokens + (now - self._updated) * self.rate)
-            self._updated = now
-
-    def reserve(self, cost: float, now: float) -> float:
-        """Charge ``cost`` units; return the pacing delay (0.0 = no wait)."""
-        if cost <= 0:
-            return 0.0
-        self._refill(now)
-        self._tokens -= cost
-        if self._tokens >= 0:
-            return 0.0
-        return -self._tokens / self.rate
-
-    def available(self, now: float) -> float:
-        """Tokens currently banked (may be negative while in debt)."""
-        self._refill(now)
-        return self._tokens
 
 
 class _Flow:

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Optional
 
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
-from repro.util.errors import ProtocolError
 from repro.util.serialization import canonical_encode
+from repro.util.spec import Record, field_table
 
 FLAG_GUARD = "Guard"
 FLAG_EXIT = "Exit"
@@ -26,7 +26,7 @@ BENTO_PORT = 9100
 
 
 @dataclass
-class RelayDescriptor:
+class RelayDescriptor(Record):
     """One relay's self-published entry in the consensus."""
 
     nickname: str
@@ -34,84 +34,39 @@ class RelayDescriptor:
     or_port: int
     identity_fp: str
     bandwidth: float                  # advertised bytes/second
-    exit_policy_text: str
+    exit_policy: str                  # rendered ExitPolicy text
     flags: tuple[str, ...] = ()
     bento_port: Optional[int] = None  # set when the relay hosts a Bento server
-    public_key_n: int = 0
-    public_key_e: int = 0
+    n: int = 0                        # the identity key
+    e: int = 0
     signature: bytes = b""
 
-    def _signed_body(self) -> bytes:
-        return canonical_encode({
-            "nickname": self.nickname,
-            "address": self.address,
-            "or_port": self.or_port,
-            "identity_fp": self.identity_fp,
-            "bandwidth": self.bandwidth,
-            "exit_policy": self.exit_policy_text,
-            "flags": list(self.flags),
-            "bento_port": self.bento_port,
-            "n": self.public_key_n,
-            "e": self.public_key_e,
-        })
+    WIRE = field_table(nickname=str, address=str, or_port=int,
+                       identity_fp=str, bandwidth=float, exit_policy=str,
+                       flags=tuple, bento_port=object, n=int, e=int,
+                       signature=bytes)
 
     def sign(self, keypair: RsaKeyPair) -> None:
         """Fill in the public key fields and signature."""
-        self.public_key_n = keypair.public.n
-        self.public_key_e = keypair.public.e
-        self.signature = keypair.sign(self._signed_body())
+        self.n = keypair.public.n
+        self.e = keypair.public.e
+        self.signature = keypair.sign(self.signed_body())
 
     def verify(self) -> bool:
         """Check the signature and that the fingerprint matches the key."""
         key = self.public_key
         if key.fingerprint() != self.identity_fp:
             return False
-        return key.verify(self._signed_body(), self.signature)
+        return key.verify(self.signed_body(), self.signature)
 
     @property
     def public_key(self) -> RsaPublicKey:
         """The verification key peers should pin."""
-        return RsaPublicKey(n=self.public_key_n, e=self.public_key_e)
+        return RsaPublicKey(n=self.n, e=self.e)
 
     def has_flag(self, flag: str) -> bool:
         """Does this descriptor carry the given flag?"""
         return flag in self.flags
-
-    def to_wire(self) -> dict[str, Any]:
-        """A plain-dict form safe to canonically encode."""
-        return {
-            "nickname": self.nickname,
-            "address": self.address,
-            "or_port": self.or_port,
-            "identity_fp": self.identity_fp,
-            "bandwidth": self.bandwidth,
-            "exit_policy": self.exit_policy_text,
-            "flags": list(self.flags),
-            "bento_port": self.bento_port,
-            "n": self.public_key_n,
-            "e": self.public_key_e,
-            "signature": self.signature,
-        }
-
-    @classmethod
-    def from_wire(cls, wire: dict[str, Any]) -> "RelayDescriptor":
-        """Reconstruct from :meth:`to_wire` output."""
-        try:
-            return cls(
-                nickname=wire["nickname"],
-                address=wire["address"],
-                or_port=int(wire["or_port"]),
-                identity_fp=wire["identity_fp"],
-                bandwidth=float(wire["bandwidth"]),
-                exit_policy_text=wire["exit_policy"],
-                flags=tuple(wire["flags"]),
-                bento_port=wire["bento_port"],
-                public_key_n=int(wire["n"]),
-                public_key_e=int(wire["e"]),
-                signature=wire["signature"],
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"malformed relay descriptor: {exc}") from exc
 
 
 def onion_address_for(key: RsaPublicKey) -> str:
@@ -121,39 +76,33 @@ def onion_address_for(key: RsaPublicKey) -> str:
 
 
 @dataclass
-class HiddenServiceDescriptor:
+class HiddenServiceDescriptor(Record):
     """Maps a ``.onion`` identifier to its introduction points (§2.1)."""
 
-    onion_address: str
+    onion: str
     intro_points: list[str] = field(default_factory=list)   # relay fingerprints
-    service_key_n: int = 0
-    service_key_e: int = 0
+    n: int = 0                        # the service key
+    e: int = 0
     version: int = 0
     signature: bytes = b""
 
-    def _signed_body(self) -> bytes:
-        return canonical_encode({
-            "onion": self.onion_address,
-            "intro_points": list(self.intro_points),
-            "n": self.service_key_n,
-            "e": self.service_key_e,
-            "version": self.version,
-        })
+    WIRE = field_table(onion=str, intro_points=list, n=int, e=int,
+                       version=int, signature=bytes)
 
     def sign(self, keypair: RsaKeyPair) -> None:
         """Fill in the key fields and signature."""
-        self.service_key_n = keypair.public.n
-        self.service_key_e = keypair.public.e
-        self.signature = keypair.sign(self._signed_body())
+        self.n = keypair.public.n
+        self.e = keypair.public.e
+        self.signature = keypair.sign(self.signed_body())
 
     def verify(self) -> bool:
         """Signature valid and onion address actually derived from the key."""
         key = self.service_key
-        if onion_address_for(key) != self.onion_address:
+        if onion_address_for(key) != self.onion:
             return False
-        return key.verify(self._signed_body(), self.signature)
+        return key.verify(self.signed_body(), self.signature)
 
     @property
     def service_key(self) -> RsaPublicKey:
         """The hidden service's public key."""
-        return RsaPublicKey(n=self.service_key_n, e=self.service_key_e)
+        return RsaPublicKey(n=self.n, e=self.e)

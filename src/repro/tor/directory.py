@@ -97,7 +97,7 @@ class Consensus:
         _MISS_DESCRIPTOR.value += 1
         if self._exit_policies is None:
             self._exit_policies = [
-                (router, ExitPolicy.parse(router.exit_policy_text))
+                (router, ExitPolicy.parse(router.exit_policy))
                 for router in self.routers if router.has_flag(FLAG_EXIT)
             ]
         matching = [router for router, policy in self._exit_policies
@@ -207,15 +207,13 @@ class DirectoryAuthority:
         first-served ownership, like onion addresses themselves)."""
         if not descriptor.verify():
             raise DirectoryError("hidden-service descriptor signature invalid")
-        existing = self._hs_descriptors.get(descriptor.onion_address)
+        existing = self._hs_descriptors.get(descriptor.onion)
         if existing is not None:
-            same_key = (existing.service_key_n == descriptor.service_key_n
-                        and existing.service_key_e == descriptor.service_key_e)
-            if not same_key:
+            if existing.service_key != descriptor.service_key:
                 raise DirectoryError("onion address already claimed by another key")
             if descriptor.version <= existing.version:
                 raise ProtocolError("stale hidden-service descriptor version")
-        self._hs_descriptors[descriptor.onion_address] = descriptor
+        self._hs_descriptors[descriptor.onion] = descriptor
 
     def fetch_hs_descriptor(self, onion_address: str) -> HiddenServiceDescriptor:
         """The stored descriptor for an onion address."""

@@ -29,7 +29,7 @@ from repro.tor.descriptor import (
 from repro.tor.layercrypto import HopCrypto
 from repro.tor.stream import TorStream
 from repro.util.bytesutil import int_from_bytes, int_to_bytes
-from repro.util.errors import ReproError
+from repro.util.errors import ProtocolError, ReproError
 from repro.util.serialization import canonical_encode
 from repro.util.spec import decode_request
 
@@ -94,7 +94,7 @@ class HiddenService:
         """(Re)publish the signed descriptor mapping onion -> intro points."""
         self._descriptor_version += 1
         descriptor = HiddenServiceDescriptor(
-            onion_address=str(self.onion_address),
+            onion=str(self.onion_address),
             intro_points=[r.identity_fp for r in self.intro_points],
             version=self._descriptor_version,
         )
@@ -116,7 +116,7 @@ class HiddenService:
     def _on_introduce2(self, blob: bytes) -> None:
         try:
             request = self.decrypt_introduce_blob(blob)
-        except Exception:
+        except (ProtocolError, ValueError):  # RsaError, AeadError included
             return  # forged or corrupted introduction; ignore
         if self.intercept_introduce is not None and self.intercept_introduce(request):
             return  # a load balancer (or similar) took ownership

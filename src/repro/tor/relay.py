@@ -256,7 +256,7 @@ class Relay:
             or_port=self.or_port,
             identity_fp=self.fingerprint,
             bandwidth=bandwidth,
-            exit_policy_text=self.exit_policy.render(),
+            exit_policy=self.exit_policy.render(),
             flags=tuple(sorted(flags)),
             bento_port=self.bento_port,
         )

@@ -20,6 +20,12 @@ accepted, because a typo'd knob that parses is a spec you did not mean.
 Cross-field rules stay in each class's ``__post_init__``.  The scalar
 rule, :func:`typed`, is the tree's only one: Bento frames and any other
 dict a peer sends (:func:`decode_request`) are checked by it too.
+
+A record that crosses a trust boundary (a signed descriptor, an SGX quote,
+an IAS report, a node policy) is a dataclass deriving from :class:`Record`
+whose ``WIRE`` :func:`field_table` names its wire keys, which are its
+attribute names, once; its wire dict and signed body follow from it, and a
+:class:`PeerRecord` also decodes a peer's dict through :func:`read_fields`.
 """
 
 from __future__ import annotations
@@ -30,9 +36,10 @@ from typing import Any, Mapping, get_args, get_origin, get_type_hints
 
 from repro.util.errors import ProtocolError, ReproError
 from repro.util.serialization import (SerializationError, canonical_decode,
-                                      canonical_digest)
+                                      canonical_digest, canonical_encode)
 
-__all__ = ["Spec", "decode_request", "field_table", "read_fields", "typed"]
+__all__ = ["PeerRecord", "Record", "Spec", "decode_request", "field_table",
+           "read_fields", "typed"]
 
 
 class Spec:
@@ -128,6 +135,60 @@ def _plain(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_plain(item) for item in value]
     return value
+
+
+#: How a record attribute of each container kind travels: as a list of
+#: str, sorted for a set.  A nested record travels as its wire dict.
+_LISTED = {tuple: list, frozenset: sorted}
+
+
+class Record:
+    """A record whose ``WIRE`` table (see :func:`field_table`) names its
+    wire keys, each the name of an attribute, in wire order."""
+
+    WIRE: Mapping[str, tuple[Any, Any]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # Per field: its kind, how it is converted out, and its wire kind.
+        cls._fields, cls._sent = [], {}
+        for name, (kind, default) in cls.WIRE.items():
+            nested = issubclass(kind, Record)
+            out = kind.to_wire if nested else _LISTED.get(kind)
+            cls._fields.append((name, kind, out))
+            cls._sent[name] = (dict if nested else list if out else kind,
+                               default)
+
+    def to_wire(self) -> dict:
+        """A plain-dict form safe to canonically encode."""
+        return {name: getattr(self, name) if out is None
+                else out(getattr(self, name)) for name, _, out in self._fields}
+
+    def signed_body(self) -> bytes:
+        """The canonical bytes the ``signature`` field covers: the rest."""
+        wire = self.to_wire()
+        del wire["signature"]
+        return canonical_encode(wire)
+
+
+class PeerRecord(Record):
+    """A record a peer sends: :meth:`from_wire` is a trust boundary."""
+
+    @classmethod
+    def from_wire(cls, wire: Any):
+        """The record a peer's dict carries; any other shape, the content
+        checks of ``__post_init__`` included, is a ProtocolError."""
+        try:
+            values = read_fields(wire, cls._sent, exact=True)
+            for name, kind, out in cls._fields:
+                if kind in _LISTED:
+                    "".join(values[name])   # a TypeError unless all are str
+                    values[name] = kind(values[name])
+                elif out is not None:
+                    values[name] = kind.from_wire(values[name])
+            return cls(**values)
+        except (TypeError, ValueError) as exc:
+            raise ProtocolError(f"malformed {cls.__name__}: {exc}") from None
 
 
 def field_table(**kinds: Any) -> dict[str, tuple[Any, Any]]:

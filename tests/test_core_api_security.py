@@ -72,7 +72,7 @@ class TestSeccomp:
         """An operator filtering `open` kills storage users at the first
         write — even though the *api call* was manifest-approved."""
         policy = MiddleboxNodePolicy(
-            allowed_syscalls=frozenset(
+            syscalls=frozenset(
                 {"read", "write", "socket", "connect", "sendto", "recvfrom",
                  "nanosleep", "clock_gettime", "getrandom"}))
         net = _single_box_net("seccomp", policy=policy)

@@ -106,14 +106,14 @@ class TestPolicy:
         assert reason and "memory" in reason
 
     def test_image_offering(self):
-        policy = MiddleboxNodePolicy(offered_images=("python",))
+        policy = MiddleboxNodePolicy(images=("python",))
         manifest = FunctionManifest.create("f", "f", {"send"},
                                            image="python-op-sgx")
         assert not policy.permits(manifest)
 
     def test_syscall_excess_rejected(self):
         policy = MiddleboxNodePolicy(
-            allowed_syscalls=frozenset({"read", "write"}))
+            syscalls=frozenset({"read", "write"}))
         manifest = FunctionManifest.create("f", "f", {"http_get"})
         reason = policy.rejection_reason(manifest)
         assert reason and "syscalls" in reason
@@ -125,9 +125,9 @@ class TestPolicy:
 
     def test_unknown_entries_rejected(self):
         with pytest.raises(ValueError):
-            MiddleboxNodePolicy(allowed_api_calls=frozenset({"bogus"}))
+            MiddleboxNodePolicy(api_calls=frozenset({"bogus"}))
         with pytest.raises(ValueError):
-            MiddleboxNodePolicy(allowed_syscalls=frozenset({"bogus"}))
+            MiddleboxNodePolicy(syscalls=frozenset({"bogus"}))
 
 
 class TestTokens:

@@ -49,7 +49,7 @@ class TestProtocolBasics:
             return policy
 
         policy = run_thread(bento_net, main)
-        assert "python" in policy.offered_images
+        assert "python" in policy.images
 
     def test_load_invoke_roundtrip(self, bento_net):
         client = _client(bento_net)

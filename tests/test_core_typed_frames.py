@@ -3,6 +3,7 @@
 
 import pathlib
 import re
+from types import SimpleNamespace
 
 import pytest
 
@@ -69,7 +70,30 @@ def test_a_mistyped_frame_is_answered_and_the_session_serves_on(bento_net,
     answer, policy = run_thread(bento_net, main)
     assert type(answer) is messages.Error
     assert (answer.reason, answer.rid) == ("bad-message", 41)
-    assert "python" in policy.offered_images
+    assert "python" in policy.images
+    assert not bento_net.sim._failed
+
+
+def test_a_malformed_policy_costs_one_protocol_error(bento_net, monkeypatch):
+    """A box whose ``Policy`` frame carries ``policy={}``: the client's
+    query raises the retryable ProtocolError (once a KeyError, which
+    killed its actor), and the session serves on."""
+    client = _client(bento_net)
+    box = client.pick_box()
+    server = next(s for s in bento_net.bento_servers
+                  if s.relay.fingerprint == box.identity_fp)
+    monkeypatch.setattr(server, "policy", SimpleNamespace(to_wire=dict))
+
+    def main(thread):
+        session = yield from client.connect(thread, box)
+        with pytest.raises(ProtocolError, match="MiddleboxNodePolicy"):
+            yield from session.query_policy(thread)
+        monkeypatch.undo()
+        yield from session.request_image(thread, "python")
+        session.close()
+        return session.image_name
+
+    assert run_thread(bento_net, main) == "python"
     assert not bento_net.sim._failed
 
 

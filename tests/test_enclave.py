@@ -112,8 +112,8 @@ class TestAttestation:
 
     def test_unknown_platform_rejected(self, sgx):
         _sim, rng, ias, _host = sgx
-        forged = Quote(platform_id="platform-999", measurement=IMAGE.measurement,
-                       tcb_level=2, report_data=b"", signature=b"sig")
+        forged = Quote(platform="platform-999", measurement=IMAGE.measurement,
+                       tcb=2, report_data=b"", signature=b"sig")
         with pytest.raises(AttestationError):
             ias.verify_quote(forged)
 

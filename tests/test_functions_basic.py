@@ -14,6 +14,7 @@ from repro.functions.dropbox import DropboxFunction
 from repro.functions.policyquery import PolicyQueryFunction
 from repro.netsim.trace import INCOMING, OUTGOING, TraceRecorder
 from repro.tor.testnet import TorTestNetwork
+from repro.util.errors import ProtocolError
 
 from conftest import run_thread
 
@@ -243,3 +244,17 @@ class TestPolicyQuery:
             return fetched
 
         assert run_thread(fn_net, main) == operator_policy
+
+    @pytest.mark.parametrize("reply", [b"not json", b"\xff", b"{}",
+                                       b'{"api_calls": 5}'])
+    def test_a_reply_that_is_not_a_policy_is_a_protocol_error(self, reply):
+        class Responder:
+            def send_message(self, payload):
+                pass
+
+            def next_output(self, thread, timeout):
+                return reply
+                yield  # a generator, as the session's is
+
+        with pytest.raises(ProtocolError):
+            next(PolicyQueryFunction.query(None, Responder()))

@@ -1,7 +1,7 @@
-"""Migration plane: sealed checkpoint/restore, drain-then-migrate, warm
-standbys, shed-by-migration — plus the two robustness fixes that ride
-along (the orphan reaper re-arming, graceful kills flushing pending
-outputs)."""
+"""Migration plane: sealed checkpoint/restore, drain-then-migrate, a
+standby's staged restore, shed-by-migration — plus the two robustness
+fixes that ride along (the orphan reaper re-arming, graceful kills
+flushing pending outputs)."""
 
 from __future__ import annotations
 
@@ -21,7 +21,6 @@ from repro.migrate import (
     CHECKPOINT_PATH,
     Checkpoint,
     MigrationConfig,
-    WarmStandby,
     checkpoint_instance,
     checkpointable_functions,
     load_local_checkpoint,
@@ -356,6 +355,9 @@ class TestDrainThenMigrate:
 
 class TestWarmStandby:
     def test_promotion_preserves_state_after_primary_crash(self, migrate_net):
+        """A standby staged with the primary's checkpoint (``start=False``)
+        starts from it under the primary's tokens once the primary's box
+        has crashed: the server half of a standby promotion."""
         net = migrate_net
 
         def main(thread):
@@ -364,39 +366,27 @@ class TestWarmStandby:
             assert (yield from KvStoreFunction.incr(thread, session, "k")) == 1
             assert (yield from KvStoreFunction.incr(thread, session, "k")) == 2
 
-            standby = WarmStandby(client, KvStoreFunction.SOURCE,
-                                  KvStoreFunction.manifest(),
-                                  max_state_lag_s=5.0)
-            standby_fp = yield from standby.provision(
-                thread, exclude=(box.identity_fp,))
-            assert standby_fp != box.identity_fp
-            assert (yield from standby.sync(thread, session)) == 1
-            assert standby.state_lag_s(net.sim.now) <= 5.0
+            standby_box = client.pick_box_by_slack(exclude=(box.identity_fp,))
+            assert standby_box.identity_fp != box.identity_fp
+            standby = yield from client.connect_direct(thread, standby_box)
+            manifest = KvStoreFunction.manifest()
+            yield from standby.request_image(thread, manifest.image)
+            yield from standby.load_function(thread, KvStoreFunction.SOURCE,
+                                             manifest)
+            cp_wire = yield from session.checkpoint_function(thread, seq=1)
+            yield from standby.restore_function(thread, cp_wire, start=False)
             assert _perf.checkpoints_taken >= 1
 
             net.plane.crash_node(primary_server.node.name)
-            promoted = yield from standby.promote(
-                thread, adopt_invocation=session.invocation_token,
+            yield from standby.restore_function(
+                thread, None, start=True,
+                adopt_invocation=session.invocation_token,
                 adopt_shutdown=session.shutdown_token)
+            assert standby.invocation_token == session.invocation_token
             # The shipped counter survived the crash — no cold rebuild.
             assert (yield from KvStoreFunction.incr(
-                thread, promoted, "k")) == 3
-            assert _perf.standby_promotions == 1
-            promoted.close()
-
-        run_thread(net, main)
-
-    def test_promote_before_sync_is_refused(self, migrate_net):
-        net = migrate_net
-
-        def main(thread):
-            client, box, session = yield from kvstore_session(net, thread)
-            standby = WarmStandby(client, KvStoreFunction.SOURCE,
-                                  KvStoreFunction.manifest())
-            yield from standby.provision(thread, exclude=(box.identity_fp,))
-            with pytest.raises(Exception, match="never synced"):
-                yield from standby.promote(thread)
-            session.close()
+                thread, standby, "k")) == 3
+            standby.close()
 
         run_thread(net, main)
 

@@ -15,7 +15,6 @@ from repro.qos import (
     FairQueue,
     LoadShedder,
     QosConfig,
-    TokenBucket,
     rank_boxes,
 )
 from repro.qos.placement import pick_box_by_slack
@@ -29,23 +28,6 @@ from conftest import run_thread
 # ---------------------------------------------------------------------------
 # scheduler primitives
 # ---------------------------------------------------------------------------
-
-class TestTokenBucket:
-    def test_burst_then_paced(self):
-        bucket = TokenBucket(rate=100.0, burst=50.0)
-        assert bucket.reserve(50.0, now=0.0) == 0.0          # burst absorbed
-        delay = bucket.reserve(100.0, now=0.0)               # now in debt
-        assert delay == pytest.approx(1.0)                   # 100 units @ 100/s
-
-    def test_refills_over_time(self):
-        bucket = TokenBucket(rate=10.0, burst=10.0)
-        bucket.reserve(10.0, now=0.0)
-        assert bucket.available(now=1.0) == pytest.approx(10.0)
-
-    def test_rejects_bad_rate(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0)
-
 
 class TestFairQueue:
     def test_interactive_outpaces_bulk(self):

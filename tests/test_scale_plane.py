@@ -224,7 +224,7 @@ class TestConsensusAndDescriptorCaches:
         keypair = RsaKeyPair.generate(DeterministicRandom("scale-hs-key"))
         onion = onion_address_for(keypair.public)
         descriptor = HiddenServiceDescriptor(
-            onion_address=onion, intro_points=["fp1"], version=1)
+            onion=onion, intro_points=["fp1"], version=1)
         descriptor.sign(keypair)
         net.authority.publish_hs_descriptor(descriptor)
         # Prime + hit the client's verified-descriptor cache directly.
@@ -235,7 +235,7 @@ class TestConsensusAndDescriptorCaches:
         # version: a *different object*, so identity-keyed caching cannot
         # serve the stale intro points.
         replacement = HiddenServiceDescriptor(
-            onion_address=onion, intro_points=["fp2"], version=2)
+            onion=onion, intro_points=["fp2"], version=2)
         replacement.sign(keypair)
         net.authority.publish_hs_descriptor(replacement)
         refetched = net.authority.fetch_hs_descriptor(onion)
@@ -247,8 +247,8 @@ class TestAttestationCache:
     check against the platform record as it stands."""
 
     def _quote(self, keypair, platform="p1", tcb=2, report_data=b"chan"):
-        quote = Quote(platform_id=platform, measurement="m" * 64,
-                      tcb_level=tcb, report_data=report_data)
+        quote = Quote(platform=platform, measurement="m" * 64,
+                      tcb=tcb, report_data=report_data)
         quote.signature = keypair.sign(quote.signed_body())
         return quote
 

@@ -7,7 +7,6 @@ from repro.tor.descriptor import (
     FLAG_EXIT,
     FLAG_GUARD,
     HiddenServiceDescriptor,
-    RelayDescriptor,
     onion_address_for,
 )
 from repro.tor.directory import DirectoryAuthority, DirectoryError
@@ -32,12 +31,6 @@ class TestRelayDescriptors:
         assert not descriptor.verify()
         with pytest.raises(DirectoryError):
             net.authority.register_relay(descriptor)
-
-    def test_wire_roundtrip(self, net):
-        descriptor = net.relays[0].descriptor()
-        clone = RelayDescriptor.from_wire(descriptor.to_wire())
-        assert clone.verify()
-        assert clone.identity_fp == descriptor.identity_fp
 
     def test_flags_assigned(self, net):
         consensus = net.authority.consensus()
@@ -80,7 +73,7 @@ class TestHsDescriptors:
     def _descriptor(self, seed="hs-desc", intro=("fp1", "fp2"), version=1):
         keypair = RsaKeyPair.generate(DeterministicRandom(seed))
         descriptor = HiddenServiceDescriptor(
-            onion_address=onion_address_for(keypair.public),
+            onion=onion_address_for(keypair.public),
             intro_points=list(intro), version=version)
         descriptor.sign(keypair)
         return descriptor, keypair
@@ -88,13 +81,13 @@ class TestHsDescriptors:
     def test_publish_and_fetch(self, net):
         descriptor, _ = self._descriptor()
         net.authority.publish_hs_descriptor(descriptor)
-        fetched = net.authority.fetch_hs_descriptor(descriptor.onion_address)
+        fetched = net.authority.fetch_hs_descriptor(descriptor.onion)
         assert fetched.intro_points == ["fp1", "fp2"]
-        net.authority.remove_hs_descriptor(descriptor.onion_address)
+        net.authority.remove_hs_descriptor(descriptor.onion)
 
     def test_wrong_onion_address_rejected(self, net):
         descriptor, keypair = self._descriptor(seed="wrong-onion")
-        descriptor.onion_address = "0" * 16 + ".onion"
+        descriptor.onion = "0" * 16 + ".onion"
         descriptor.sign(keypair)
         assert not descriptor.verify()
         with pytest.raises(DirectoryError):
@@ -108,24 +101,24 @@ class TestHsDescriptors:
         # address anyway) — simulate the strongest attacker: reuse the
         # address with a fresh key.
         impostor, impostor_key = self._descriptor(seed="impostor")
-        impostor.onion_address = descriptor.onion_address
+        impostor.onion = descriptor.onion
         impostor.sign(impostor_key)
         with pytest.raises(DirectoryError):
             net.authority.publish_hs_descriptor(impostor)
-        net.authority.remove_hs_descriptor(descriptor.onion_address)
+        net.authority.remove_hs_descriptor(descriptor.onion)
 
     def test_version_must_increase(self, net):
         descriptor, keypair = self._descriptor(seed="versioned", version=2)
         net.authority.publish_hs_descriptor(descriptor)
         stale = HiddenServiceDescriptor(
-            onion_address=descriptor.onion_address,
+            onion=descriptor.onion,
             intro_points=["fpX"], version=1)
         stale.sign(keypair)
         from repro.util.errors import ProtocolError
 
         with pytest.raises(ProtocolError):
             net.authority.publish_hs_descriptor(stale)
-        net.authority.remove_hs_descriptor(descriptor.onion_address)
+        net.authority.remove_hs_descriptor(descriptor.onion)
 
 
 class TestPathSelection:
@@ -150,7 +143,7 @@ class TestPathSelection:
         path = selector.build_path(length=3, exit_to=("4.4.4.4", 443))
         from repro.tor.exitpolicy import ExitPolicy
 
-        policy = ExitPolicy.parse(path[-1].exit_policy_text)
+        policy = ExitPolicy.parse(path[-1].exit_policy)
         assert policy.allows("4.4.4.4", 443)
 
     def test_final_hop_pinning(self, net):
