@@ -7,7 +7,7 @@ paper *Bento: Safely Bringing Network Function Virtualization to Tor*
 * ``repro.netsim`` -- a deterministic discrete-event network simulator,
 * ``repro.tor``    -- a Tor substrate (cells, circuits, relays, directory,
   exit policies, hidden services) built on the simulator,
-* ``repro.stemlib`` -- a stem-like controller plus the Stem "firewall",
+* ``repro.stemlib`` -- the Stem "firewall": ``api.stem``, one per function,
 * ``repro.sandbox`` -- the OS sandbox substrate (cgroups, chroot memfs,
   seccomp, iptables),
 * ``repro.enclave`` -- the simulated SGX/conclave substrate (measurement,

@@ -24,23 +24,24 @@ simulator's current :class:`SimTask`.
 
 from __future__ import annotations
 
-import inspect
 from typing import Any, Optional
 
 from repro.core.apispec import API_SYSCALLS
 from repro.core.errors import BentoError
 from repro.netsim.bytestream import DirectByteStream
+from repro.netsim.connection import ConnectionClosed
 from repro.netsim.http import HttpResponse, http_get
 from repro.netsim.simulator import (
     Actor,
     Future,
-    Join,
     Sleep,
     SimTask,
     Wait,
 )
 from repro.obs.span import TRACER as _obs
 from repro.sandbox.seccomp import SeccompViolation
+from repro.stemlib.firewall import StemFirewall
+from repro.tor.circuit import CircuitDestroyed
 from repro.util.errors import ReproError
 
 
@@ -163,187 +164,6 @@ class StorageApi:
         return self._fs().exists(path)
 
 
-class StemApi:
-    """``api.stem``: the firewall-mediated controller (§5.3)."""
-
-    def __init__(self, api: "FunctionApi") -> None:
-        self._api = api
-
-    def _firewall(self):
-        return self._api._instance.firewall
-
-    def new_circuit(self, **kwargs) -> str:
-        """Mediated :meth:`Controller.new_circuit`."""
-        yield from self._api._gate("stem.new_circuit")
-        return (yield from self._firewall().new_circuit(
-            self._api._thread, **kwargs))
-
-    def close_circuit(self, circuit_id: str) -> None:
-        """Mediated circuit teardown (ownership enforced)."""
-        yield from self._api._gate("stem.close_circuit")
-        self._firewall().close_circuit(circuit_id)
-
-    def attach_stream(self, circuit_id: str, host: str, port: int):
-        """Mediated stream attach (ownership enforced)."""
-        yield from self._api._gate("stem.attach_stream")
-        return (yield from self._firewall().attach_stream(
-            self._api._thread, circuit_id, host, port))
-
-    def get_network_statuses(self):
-        """Mediated consensus listing."""
-        yield from self._api._gate("stem.get_network_statuses")
-        return self._firewall().get_network_statuses()
-
-    def get_info(self, key: str):
-        """Mediated GETINFO."""
-        yield from self._api._gate("stem.get_info")
-        return self._firewall().get_info(key)
-
-    def create_hidden_service(self, handler, n_intro: int = 3,
-                              key_material: Optional[dict] = None,
-                              establish: bool = True,
-                              manual_introductions: bool = False):
-        """Host a hidden service.  ``handler(stream, host, port)`` runs in
-        its own actor per accepted stream, with the stream gated and
-        byte-accounted like any other function I/O.
-
-        ``key_material`` (from ``service.export_key_material()``) clones an
-        existing service identity; ``establish=False`` makes a detached
-        replica endpoint; ``manual_introductions=True`` queues
-        introductions for :meth:`wait_introduction`.
-        """
-        yield from self._api._gate("stem.create_hidden_service")
-        api = self._api
-        sim = api._instance.server.sim
-
-        wrapped = None
-        if handler is not None:
-            if not inspect.isgeneratorfunction(handler):
-                raise ApiError("hidden-service handler must be a generator "
-                               "function (its stream calls are `yield from`)")
-
-            def wrapped(stream, host, port):  # noqa: ANN001 - duck-typed
-                """Per-stream wrapper: serve each accepted stream in an actor."""
-                sandboxed = SandboxedStream(
-                    api, stream, gate="stem.create_hidden_service")
-
-                def _serve(task):
-                    api._bind(task, None)
-                    try:
-                        yield from handler(sandboxed, host, port)
-                    finally:
-                        api._unbind(task)
-                sim.spawn(_serve, name=f"fn-hs:{api._instance.instance_id}")
-
-        keypair = None
-        if key_material is not None:
-            from repro.crypto.rsa import RsaKeyPair
-            keypair = RsaKeyPair.from_parts(key_material)
-        return (yield from self._firewall().create_hidden_service(
-            self._api._thread, wrapped, n_intro=n_intro, keypair=keypair,
-            establish=establish, manual_introductions=manual_introductions))
-
-    def wait_introduction(self, service, timeout: Optional[float] = None) -> dict:
-        """Next queued introduction on a manual-mode service."""
-        yield from self._api._gate("stem.hs_wait_introduction")
-        return (yield from self._firewall().hs_wait_introduction(
-            self._api._thread, service, timeout=timeout))
-
-    def complete_rendezvous(self, service, request: dict, wait: bool = True):
-        """Answer one introduction from this node (LoadBalancer replicas).
-
-        ``wait=False`` runs the rendezvous-circuit construction in its own
-        actor so a dispatcher can keep serving other clients — the same
-        concurrency an unmodified hidden service gets for free.
-        """
-        yield from self._api._gate("stem.hs_complete_rendezvous")
-        if wait:
-            return (yield from self._firewall().hs_complete_rendezvous(
-                self._api._thread, service, request))
-        api = self._api
-        firewall = self._firewall()
-        sim = api._instance.server.sim
-
-        def _worker(task):
-            from repro.netsim.connection import ConnectionClosed
-            from repro.netsim.network import NetworkError
-            from repro.netsim.simulator import SimTimeoutError
-            from repro.tor.circuit import CircuitDestroyed
-            from repro.tor.client import TorError
-
-            api._bind(task, None)
-            try:
-                yield from firewall.hs_complete_rendezvous(task, service,
-                                                           request)
-            except (TorError, NetworkError, SimTimeoutError,
-                    CircuitDestroyed, ConnectionClosed) as exc:
-                # Fire-and-forget: the client retries through a fresh
-                # rendezvous; a dead relay here must not kill the host.
-                api._instance.logs.append(
-                    f"rendezvous abandoned: {exc}")
-            finally:
-                api._unbind(task)
-
-        sim.spawn(_worker, name=f"rend:{api._instance.instance_id}")
-        return None
-
-    def remove_hidden_service(self, onion_address: str) -> None:
-        """Mediated hidden-service removal (ownership enforced)."""
-        yield from self._api._gate("stem.remove_hidden_service")
-        self._firewall().remove_hidden_service(onion_address)
-
-    def connect_to_hidden_service(self, onion_address: str):
-        """Mediated client-side rendezvous."""
-        yield from self._api._gate("stem.connect_to_hidden_service")
-        return (yield from self._firewall().connect_to_hidden_service(
-            self._api._thread, onion_address))
-
-    def send_padding(self, circuit_id: str, hop_index: Optional[int] = None,
-                     payload: bytes = b"") -> None:
-        """Mediated RELAY_DROP injection (ownership enforced)."""
-        yield from self._api._gate("stem.send_padding")
-        self._firewall().send_padding(circuit_id, hop_index=hop_index,
-                                      payload=payload)
-
-    def fetch(self, circuit_id: str, url: str, offset: Optional[int] = None,
-              length: Optional[int] = None, timeout: float = 600.0) -> dict:
-        """An HTTP(S) GET (optionally ranged) through an owned circuit."""
-        yield from self._api._gate("stem.fetch")
-        return (yield from self._firewall().fetch(
-            self._api._thread, circuit_id, url, offset=offset, length=length,
-            timeout=timeout))
-
-    def fetch_begin(self, circuit_id: str, url: str,
-                    offset: Optional[int] = None,
-                    length: Optional[int] = None,
-                    timeout: float = 600.0):
-        """Start a fetch without blocking; join with :meth:`fetch_join`.
-
-        This is how the multipath function overlaps transfers on several
-        circuits from single-threaded function code.
-        """
-        yield from self._api._gate("stem.fetch")
-        api = self._api
-        firewall = self._firewall()
-        sim = api._instance.server.sim
-
-        def _worker(task):
-            api._bind(task, None)
-            try:
-                return (yield from firewall.fetch(
-                    task, circuit_id, url, offset=offset, length=length,
-                    timeout=timeout))
-            finally:
-                api._unbind(task)
-
-        return sim.spawn(_worker, name=f"fetch:{api._instance.instance_id}")
-
-    def fetch_join(self, handle, timeout: float = 600.0) -> dict:
-        """Wait for a :meth:`fetch_begin` transfer and return its result."""
-        yield from self._api._gate("stem.fetch")
-        return (yield Join(handle, timeout))
-
-
 class FunctionApi:
     """The capability object injected into every function's namespace."""
 
@@ -357,9 +177,8 @@ class FunctionApi:
         self._undelivered: list[bytes] = []
         self._killed = False
         self._kill_reason = ""
-        self.call_log: list[str] = []
         self.storage = StorageApi(self)
-        self.stem = StemApi(self)
+        self.stem = StemFirewall(self)
         self._remote_sessions: dict[str, Any] = {}
         self._remote_ids = 0
 
@@ -399,7 +218,6 @@ class FunctionApi:
         if self._killed:
             raise FunctionKilled(self._kill_reason or "function terminated")
         instance = self._instance
-        self.call_log.append(call_name)
         if call_name not in instance.manifest.api_calls:
             instance.kill(f"api call {call_name!r} not in manifest")
             raise FunctionKilled(f"api call {call_name!r} not in manifest")
@@ -444,7 +262,7 @@ class FunctionApi:
             messages.Output, rid=route.rid, payload=bytes(payload))
         try:
             route.framed.send_frame(frame)
-        except Exception:
+        except (ConnectionClosed, CircuitDestroyed):
             # Client went away; outputs are best-effort — but keep a
             # bounded tail so a graceful drain can flush them to the
             # owner's live connection instead of dropping them.
@@ -458,7 +276,7 @@ class FunctionApi:
             frame = self._undelivered[0]
             try:
                 peer.send_frame(frame)
-            except Exception:
+            except (ConnectionClosed, CircuitDestroyed):
                 break
             self._undelivered.pop(0)
             flushed += 1

@@ -46,11 +46,10 @@ from repro.sandbox.container import Container
 from repro.sandbox.iptables import IptablesRuleset
 from repro.sandbox.memfs import MemFS
 from repro.sandbox.seccomp import SeccompPolicy
-from repro.stemlib.controller import Controller
-from repro.stemlib.firewall import StemFirewall
 from repro.tor.client import TorClient
 from repro.tor.descriptor import BENTO_PORT
 from repro.tor.directory import DirectoryAuthority
+from repro.tor.hidden_service import HiddenService
 from repro.tor.relay import Relay
 from repro.util.serialization import canonical_decode, canonical_encode
 
@@ -82,7 +81,6 @@ class FunctionInstance:
         self.tokens = tokens
         self.manifest: Optional[FunctionManifest] = None
         self.runtime: Optional[FunctionRuntime] = None
-        self.firewall: Optional[StemFirewall] = None
         self.api = FunctionApi(self)
         self.rng = server.rng.fork(self.instance_id)
         self.logs: list[str] = []
@@ -133,11 +131,6 @@ class FunctionInstance:
         self.container.charge_memory(manifest.memory_bytes)
         if self.conclave is not None:
             self.conclave.enclave.grow(manifest.memory_bytes)
-        stem_grant = frozenset(
-            call[len("stem."):] for call in manifest.api_calls
-            if call.startswith("stem."))
-        self.firewall = StemFirewall(self.server.controller, self.instance_id,
-                                     stem_grant)
         self.runtime = FunctionRuntime(self, code, manifest)
         self.runtime.load()
 
@@ -204,8 +197,8 @@ class FunctionInstance:
                         instance=self.instance_id, reason=reason,
                         graceful=graceful)
         self.api._kill(reason)
-        if self.firewall is not None and graceful:
-            self.firewall.release_all()
+        if graceful:
+            self.api.stem.release_all()
         if self.conclave is not None:
             self.conclave.terminate()
         self.container.kill(reason)
@@ -247,7 +240,6 @@ class BentoServer:
             memory=self.policy.max_total_memory,
             disk=self.policy.max_total_disk)
         self.tor_client = TorClient(self.network, self.node, directory)
-        self.controller = Controller(self.tor_client)
         self._tokens = TokenIssuer(seed=f"{relay.nickname}:{relay.fingerprint}")
         self._by_invocation: dict[str, FunctionInstance] = {}
         self._by_shutdown: dict[str, FunctionInstance] = {}
@@ -308,8 +300,8 @@ class BentoServer:
             self.sim.spawn(self._serve, framed,
                            name=f"bento-hs:{self.relay.nickname}")
 
-        service = yield from self.controller.create_hidden_service(thread,
-                                                                   _handler)
+        service = HiddenService(self.tor_client, _handler)
+        yield from service.establish(thread, n_intro=n_intro)
         self.onion_address = str(service.onion_address)
         return self.onion_address
 

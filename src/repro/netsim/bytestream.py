@@ -267,25 +267,15 @@ class Framer:
 
 
 class FramedStream:
-    """Message-oriented view of a byte stream (length-prefixed frames).
+    """Message-oriented view of a byte stream (length-prefixed frames)."""
 
-    ``on_frame`` is an optional accounting tap: when set, it is called
-    with each outgoing frame's payload length before the frame hits the
-    stream.  The serving plane uses it to meter per-connection egress for
-    fair scheduling.  It must never sleep or raise — pacing decisions are
-    made elsewhere (at the API gate), keeping this off the per-byte path.
-    """
-
-    def __init__(self, stream: ByteStream, on_frame=None) -> None:
+    def __init__(self, stream: ByteStream) -> None:
         self.stream = stream
-        self.on_frame = on_frame
         self._framer = Framer()
         self._ready: list[bytes] = []
 
     def send_frame(self, frame: bytes) -> None:
         """Send one frame."""
-        if self.on_frame is not None:
-            self.on_frame(len(frame))
         self.stream.send(Framer.encode(frame))
 
     def recv_frame(self, thread: Actor,

@@ -1,19 +1,16 @@
-"""A stem-like Tor controller plus the Bento Stem "firewall".
+"""The Bento Stem "firewall" (§5.3).
 
 The paper's functions use the stem library to programmatically create
 circuits and launch hidden services; Bento mediates all such access through
-a policy-enforcing firewall (§5.3).  :class:`~repro.stemlib.controller.Controller`
-mirrors the slice of stem's surface the paper's functions need, bound to
-this repository's Tor substrate; :class:`~repro.stemlib.firewall.StemFirewall`
-is the enforcement layer functions actually talk to.
+a policy-enforcing firewall.  :class:`~repro.stemlib.firewall.StemFirewall`
+is that firewall and is ``api.stem`` itself: one per function, holding the
+circuits and hidden services that function built and calling the box's Tor
+client directly.  There is no separate controller.
 """
 
-from repro.stemlib.controller import Controller, ControllerError
 from repro.stemlib.firewall import StemFirewall, StemPolicyViolation
 
 __all__ = [
-    "Controller",
-    "ControllerError",
     "StemFirewall",
     "StemPolicyViolation",
 ]

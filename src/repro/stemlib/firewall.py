@@ -1,4 +1,4 @@
-"""The Stem firewall (§5.3).
+"""The Stem firewall (§5.3): ``api.stem``, one per function.
 
     "To permit safe, shared access to Stem, Bento includes as part of its
     policy enforcement layer a Stem 'firewall' to which functions must
@@ -6,19 +6,32 @@
     about the circuits each function is allowed to access, and the Stem
     routines the function may invoke."
 
-:class:`StemFirewall` fronts one shared :class:`~repro.stemlib.controller.
-Controller` for many functions.  Each function gets its own firewall
-handle; a handle can only name circuits and hidden services it created,
-and can only invoke routines its (manifest ∩ middlebox-policy) grant
-allows.  Every invocation is recorded in an audit log.
+:class:`StemFirewall` is the only path from a function to its box's
+:class:`~repro.tor.client.TorClient`.  Each function gets its own, so its
+circuit and hidden-service tables are that function's alone: circuit ids
+count from 1 per function, a function names only what it built, and
+``get_info("circuit-status")`` lists only its own live circuits.  Which
+routines a function may invoke is the API gate's decision: every routine
+passes ``api._gate("stem.<routine>")``, which kills a function that calls
+outside its manifest (and the manifest was held to the middlebox policy
+at load).
 """
 
 from __future__ import annotations
 
+import inspect
+import itertools
 from typing import Optional
 
-from repro.netsim.simulator import Actor
-from repro.stemlib.controller import Controller, ControllerError
+from repro.netsim.bytestream import FramedStream
+from repro.netsim.connection import ConnectionClosed
+from repro.netsim.http import fetch as http_fetch, parse_url
+from repro.netsim.network import NetworkError
+from repro.netsim.simulator import Actor, Join, SimTimeoutError
+from repro.tor.circuit import Circuit, CircuitDestroyed
+from repro.tor.client import TorError
+from repro.tor.descriptor import RelayDescriptor
+from repro.tor.hidden_service import HiddenService
 from repro.util.errors import ReproError
 
 # The complete set of Stem routines Bento can expose; middlebox node
@@ -40,148 +53,247 @@ STEM_ROUTINES = (
 
 
 class StemPolicyViolation(ReproError):
-    """A function invoked a routine its grant does not allow, or touched
-    a circuit it does not own."""
+    """A function touched a circuit or hidden service it does not own."""
 
 
 class StemFirewall:
-    """One function's mediated view of the shared controller."""
+    """``api.stem``: one function's Stem routines over its own tables."""
 
-    def __init__(self, controller: Controller, function_id: str,
-                 allowed_routines: frozenset[str]) -> None:
-        unknown = set(allowed_routines) - set(STEM_ROUTINES)
-        if unknown:
-            raise ValueError(f"unknown stem routines in grant: {sorted(unknown)}")
-        self._controller = controller
-        self.function_id = function_id
-        self.allowed = frozenset(allowed_routines)
-        self._owned_circuits: set[str] = set()
-        self._owned_services: set[str] = set()
-        self.audit_log: list[tuple[str, tuple]] = []
+    def __init__(self, api) -> None:
+        self._api = api
+        self._circuits: dict[str, Circuit] = {}
+        self._services: dict[str, HiddenService] = {}
+        self._ids = itertools.count(1)
 
-    def _check(self, routine: str, *args) -> None:
-        self.audit_log.append((routine, args))
-        if routine not in self.allowed:
+    def _tor(self):
+        return self._api._instance.server.tor_client
+
+    def _circuit(self, circuit_id: str) -> Circuit:
+        try:
+            return self._circuits[circuit_id]
+        except KeyError:
             raise StemPolicyViolation(
-                f"function {self.function_id} may not invoke stem.{routine}")
+                f"function {self._api._instance.instance_id} does not own "
+                f"circuit {circuit_id}") from None
 
-    def _check_circuit(self, circuit_id: str) -> None:
-        if circuit_id not in self._owned_circuits:
+    def _service(self, onion_address: str) -> HiddenService:
+        try:
+            return self._services[onion_address]
+        except KeyError:
             raise StemPolicyViolation(
-                f"function {self.function_id} does not own circuit {circuit_id}")
+                f"function {self._api._instance.instance_id} does not own "
+                f"{onion_address}") from None
 
-    # -- mediated routines ----------------------------------------------------
+    def _spawn(self, kind: str, body):
+        """Run ``body(task)`` in its own actor that may use this api."""
+        api = self._api
 
-    def new_circuit(self, thread: Actor, **kwargs) -> str:
-        """Mediated :meth:`Controller.new_circuit`."""
-        self._check("new_circuit")
-        circuit_id = yield from self._controller.new_circuit(thread, **kwargs)
-        self._owned_circuits.add(circuit_id)
+        def _run(task):
+            api._bind(task, None)
+            try:
+                return (yield from body(task))
+            finally:
+                api._unbind(task)
+
+        return api._instance.server.sim.spawn(
+            _run, name=f"{kind}:{api._instance.instance_id}")
+
+    # -- circuits -----------------------------------------------------------
+
+    def new_circuit(self, *, path: Optional[list[RelayDescriptor]] = None,
+                    length: int = 3,
+                    exit_to: Optional[tuple[str, int]] = None,
+                    final_hop: Optional[RelayDescriptor] = None) -> str:
+        """Build a circuit; returns this function's id for it."""
+        yield from self._api._gate("stem.new_circuit")
+        circuit = yield from self._tor().build_circuit(
+            self._api._thread, path=path, length=length, exit_to=exit_to,
+            final_hop=final_hop)
+        circuit_id = str(next(self._ids))
+        self._circuits[circuit_id] = circuit
         return circuit_id
 
     def close_circuit(self, circuit_id: str) -> None:
-        """Mediated circuit teardown (ownership enforced)."""
-        self._check("close_circuit", circuit_id)
-        self._check_circuit(circuit_id)
-        self._controller.close_circuit(circuit_id)
-        self._owned_circuits.discard(circuit_id)
+        """Destroy an owned circuit."""
+        yield from self._api._gate("stem.close_circuit")
+        self._circuit(circuit_id).close()
+        del self._circuits[circuit_id]
 
-    def attach_stream(self, thread: Actor, circuit_id: str, host: str,
-                      port: int):
-        """Mediated stream attach (ownership enforced)."""
-        self._check("attach_stream", circuit_id, host, port)
-        self._check_circuit(circuit_id)
-        return (yield from self._controller.attach_stream(
-            thread, circuit_id, host, port))
-
-    def get_network_statuses(self):
-        """Mediated consensus listing."""
-        self._check("get_network_statuses")
-        return self._controller.get_network_statuses()
-
-    def get_info(self, key: str):
-        """Mediated GETINFO."""
-        self._check("get_info", key)
-        return self._controller.get_info(key)
-
-    def create_hidden_service(self, thread: Actor, handler,
-                              n_intro: int = 3, keypair=None,
-                              establish: bool = True,
-                              manual_introductions: bool = False):
-        """Mediated hidden-service creation (ownership recorded)."""
-        self._check("create_hidden_service")
-        service = yield from self._controller.create_hidden_service(
-            thread, handler, n_intro=n_intro, keypair=keypair,
-            establish=establish, manual_introductions=manual_introductions)
-        self._owned_services.add(str(service.onion_address))
-        return service
-
-    def hs_wait_introduction(self, thread: Actor, service,
-                             timeout: Optional[float] = None) -> dict:
-        """Mediated introduction wait (ownership enforced)."""
-        self._check("hs_wait_introduction")
-        self._check_service(str(service.onion_address))
-        return (yield from self._controller.wait_introduction(
-            thread, service, timeout=timeout))
-
-    def hs_complete_rendezvous(self, thread: Actor, service, request: dict):
-        """Mediated rendezvous completion (ownership enforced)."""
-        self._check("hs_complete_rendezvous")
-        self._check_service(str(service.onion_address))
-        return (yield from self._controller.complete_rendezvous(
-            thread, service, request))
-
-    def fetch(self, thread: Actor, circuit_id: str, url: str,
-              offset: Optional[int] = None, length: Optional[int] = None,
-              timeout: float = 600.0) -> dict:
-        """Mediated HTTP fetch through an owned circuit."""
-        self._check("fetch", circuit_id, url)
-        self._check_circuit(circuit_id)
-        return (yield from self._controller.fetch(
-            thread, circuit_id, url, offset=offset, length=length,
-            timeout=timeout))
-
-    def _check_service(self, onion_address: str) -> None:
-        if onion_address not in self._owned_services:
-            raise StemPolicyViolation(
-                f"function {self.function_id} does not own {onion_address}")
-
-    def remove_hidden_service(self, onion_address: str) -> None:
-        """Mediated hidden-service removal (ownership enforced)."""
-        self._check("remove_hidden_service", onion_address)
-        if onion_address not in self._owned_services:
-            raise StemPolicyViolation(
-                f"function {self.function_id} does not own {onion_address}")
-        self._controller.remove_hidden_service(onion_address)
-        self._owned_services.discard(onion_address)
-
-    def connect_to_hidden_service(self, thread: Actor, onion_address: str):
-        """Mediated client-side rendezvous."""
-        self._check("connect_to_hidden_service", onion_address)
-        return (yield from self._controller.connect_to_hidden_service(
-            thread, onion_address))
+    def attach_stream(self, circuit_id: str, host: str, port: int):
+        """Open a stream on an owned circuit (stem's ATTACHSTREAM)."""
+        yield from self._api._gate("stem.attach_stream")
+        return (yield from self._circuit(circuit_id).open_stream(
+            self._api._thread, host, port))
 
     def send_padding(self, circuit_id: str, hop_index: Optional[int] = None,
                      payload: bytes = b"") -> None:
-        """Mediated RELAY_DROP injection (ownership enforced)."""
-        self._check("send_padding", circuit_id)
-        self._check_circuit(circuit_id)
-        self._controller.send_padding(circuit_id, hop_index=hop_index,
-                                      payload=payload)
+        """Inject one RELAY_DROP cell on an owned circuit (Cover's primitive)."""
+        yield from self._api._gate("stem.send_padding")
+        self._tor().send_drop(self._circuit(circuit_id), hop_index=hop_index,
+                              payload=payload)
 
-    # -- cleanup (server side, not function-callable) -----------------------------
+    def fetch(self, circuit_id: str, url: str, offset: Optional[int] = None,
+              length: Optional[int] = None, timeout: float = 600.0) -> dict:
+        """An HTTP(S) GET (optionally ranged) through an owned circuit.
+
+        Returns ``{"status", "body", "total", "elapsed"}``.
+        """
+        yield from self._api._gate("stem.fetch")
+        return (yield from self._fetch(self._api._thread,
+                                       self._circuit(circuit_id), url,
+                                       offset, length, timeout))
+
+    def fetch_begin(self, circuit_id: str, url: str,
+                    offset: Optional[int] = None,
+                    length: Optional[int] = None,
+                    timeout: float = 600.0):
+        """Start a fetch without blocking; join with :meth:`fetch_join`.
+
+        This is how the multipath function overlaps transfers on several
+        circuits from single-threaded function code.
+        """
+        yield from self._api._gate("stem.fetch")
+        circuit = self._circuit(circuit_id)
+        return self._spawn("fetch", lambda task: self._fetch(
+            task, circuit, url, offset, length, timeout))
+
+    def fetch_join(self, handle, timeout: float = 600.0) -> dict:
+        """Wait for a :meth:`fetch_begin` transfer and return its result."""
+        yield from self._api._gate("stem.fetch")
+        return (yield Join(handle, timeout))
+
+    def _fetch(self, thread: Actor, circuit: Circuit, url: str,
+               offset: Optional[int], length: Optional[int],
+               timeout: float) -> dict:
+        parsed = parse_url(url)
+        stream = yield from circuit.open_stream(thread, parsed.host,
+                                                parsed.port)
+        framed = FramedStream(stream)
+        try:
+            response = yield from http_fetch(thread, framed, parsed.path,
+                                             url=url, timeout=timeout,
+                                             offset=offset, length=length)
+        finally:
+            framed.close()
+        return {"status": response.status, "body": response.body,
+                "total": response.total, "elapsed": response.elapsed}
+
+    # -- directory ------------------------------------------------------------
+
+    def get_network_statuses(self):
+        """All relays in the verified consensus."""
+        yield from self._api._gate("stem.get_network_statuses")
+        return list(self._tor().consensus().routers)
+
+    def get_info(self, key: str):
+        """A few of stem's GETINFO keys."""
+        yield from self._api._gate("stem.get_info")
+        if key == "address":
+            return self._tor().node.address
+        if key == "circuit-status":
+            return [circuit_id for circuit_id, circuit
+                    in self._circuits.items() if not circuit.destroyed]
+        if key == "version":
+            return "repro-tor-1.0"
+        from repro.core.api import ApiError   # repro.core imports this module
+        raise ApiError(f"unsupported GETINFO key: {key}")
+
+    # -- hidden services ----------------------------------------------------------
+
+    def create_hidden_service(self, handler, n_intro: int = 3,
+                              key_material: Optional[dict] = None,
+                              establish: bool = True,
+                              manual_introductions: bool = False):
+        """Host a hidden service (stem's create_ephemeral_hidden_service).
+
+        ``handler(stream, host, port)`` runs in its own actor per accepted
+        stream, with the stream gated and byte-accounted like any other
+        function I/O.  ``key_material`` (from
+        ``service.export_key_material()``) clones an existing service
+        identity; ``establish=False`` makes a detached replica endpoint
+        that never publishes a descriptor; ``manual_introductions=True``
+        queues introductions for :meth:`wait_introduction`.
+        """
+        yield from self._api._gate("stem.create_hidden_service")
+        from repro.core.api import ApiError, SandboxedStream
+
+        wrapped = None
+        if handler is not None:
+            if not inspect.isgeneratorfunction(handler):
+                raise ApiError("hidden-service handler must be a generator "
+                               "function (its stream calls are `yield from`)")
+
+            def wrapped(stream, host, port):  # noqa: ANN001 - duck-typed
+                """Per-stream wrapper: serve each accepted stream in an actor."""
+                sandboxed = SandboxedStream(
+                    self._api, stream, gate="stem.create_hidden_service")
+                self._spawn("fn-hs",
+                            lambda _task: handler(sandboxed, host, port))
+
+        keypair = None
+        if key_material is not None:
+            from repro.crypto.rsa import RsaKeyPair
+            keypair = RsaKeyPair.from_parts(key_material)
+        service = HiddenService(self._tor(), wrapped, keypair=keypair)
+        service.manual_introductions = manual_introductions
+        if establish:
+            yield from service.establish(self._api._thread, n_intro=n_intro)
+        self._services[str(service.onion_address)] = service
+        return service
+
+    def wait_introduction(self, service,
+                          timeout: Optional[float] = None) -> dict:
+        """Next queued introduction on an owned manual-mode service."""
+        yield from self._api._gate("stem.hs_wait_introduction")
+        service = self._service(str(service.onion_address))
+        return (yield from service.wait_introduction(self._api._thread,
+                                                     timeout=timeout))
+
+    def complete_rendezvous(self, service, request: dict, wait: bool = True):
+        """Answer one introduction from this node (LoadBalancer replicas).
+
+        ``wait=False`` runs the rendezvous-circuit construction in its own
+        actor so a dispatcher can keep serving other clients — the same
+        concurrency an unmodified hidden service gets for free.
+        """
+        yield from self._api._gate("stem.hs_complete_rendezvous")
+        owned = self._service(str(service.onion_address))
+        if wait:
+            return (yield from owned.complete_rendezvous(self._api._thread,
+                                                         request))
+
+        def _worker(task):
+            try:
+                yield from owned.complete_rendezvous(task, request)
+            except (TorError, NetworkError, SimTimeoutError,
+                    CircuitDestroyed, ConnectionClosed) as exc:
+                # Fire-and-forget: the client retries through a fresh
+                # rendezvous; a dead relay here must not kill the host.
+                self._api._instance.logs.append(
+                    f"rendezvous abandoned: {exc}")
+
+        self._spawn("rend", _worker)
+        return None
+
+    def remove_hidden_service(self, onion_address: str) -> None:
+        """Shut an owned hidden service down."""
+        yield from self._api._gate("stem.remove_hidden_service")
+        self._service(onion_address).shut_down()
+        del self._services[onion_address]
+
+    def connect_to_hidden_service(self, onion_address: str) -> Circuit:
+        """Client-side rendezvous to someone else's hidden service."""
+        yield from self._api._gate("stem.connect_to_hidden_service")
+        return (yield from self._tor().connect_to_hidden_service(
+            self._api._thread, onion_address))
+
+    # -- cleanup (the server calls this on a graceful kill) -----------------------
 
     def release_all(self) -> None:
-        """Tear down everything this function created (on shutdown)."""
-        for circuit_id in list(self._owned_circuits):
-            try:
-                self._controller.close_circuit(circuit_id)
-            except ControllerError:
-                pass
-        self._owned_circuits.clear()
-        for onion in list(self._owned_services):
-            try:
-                self._controller.remove_hidden_service(onion)
-            except ControllerError:
-                pass
-        self._owned_services.clear()
+        """Tear down everything this function created (graceful shutdown)."""
+        for circuit in self._circuits.values():
+            circuit.close()
+        self._circuits.clear()
+        for service in self._services.values():
+            service.shut_down()
+        self._services.clear()

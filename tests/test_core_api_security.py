@@ -206,6 +206,40 @@ class TestIsolation:
 
         run_thread(net, main)
 
+    def test_circuit_status_lists_only_the_callers_circuits(self):
+        net = _single_box_net("stem-status")
+        creator = ("def c():\n"
+                   "    return (yield from api.stem.new_circuit())\n")
+        watcher = ("def w():\n"
+                   "    return (yield from api.stem.get_info('circuit-status'))\n")
+
+        def main(thread):
+            c_session = yield from _loaded_session(
+                thread, net, creator,
+                FunctionManifest.create("c", "c", {"stem.new_circuit"}))
+            circuit_id = yield from c_session.invoke(thread, [])
+            w_session = yield from _loaded_session(
+                thread, net, watcher,
+                FunctionManifest.create("w", "w", {"stem.get_info"}))
+            return circuit_id, (yield from w_session.invoke(thread, []))
+
+        circuit_id, seen = run_thread(net, main)
+        assert circuit_id not in seen
+
+    def test_circuit_ids_are_numbered_per_function(self):
+        net = _single_box_net("stem-ids")
+        creator = ("def c():\n"
+                   "    return (yield from api.stem.new_circuit())\n")
+        manifest = FunctionManifest.create("c", "c", {"stem.new_circuit"})
+
+        def main(thread):
+            first = yield from _loaded_session(thread, net, creator, manifest)
+            yield from first.invoke(thread, [])
+            second = yield from _loaded_session(thread, net, creator, manifest)
+            return (yield from second.invoke(thread, []))
+
+        assert run_thread(net, main) == "1"
+
     def test_function_upload_is_sealed_against_operator(self):
         """With the SGX image, the code crosses the wire only inside the
         attested channel: the LOAD_FUNCTION frame carries no plaintext."""

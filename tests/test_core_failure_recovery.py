@@ -179,7 +179,7 @@ class TestBoxCrash:
             server = server_for(net, box)
             assert (yield from session.invoke(thread, [1])) == 1
             instance = server._by_invocation[session.invocation_token]
-            instance.firewall = SpyFirewall()
+            instance.api.stem = SpyFirewall()
             net.plane.crash_node(server.node.name)
             assert server.active_function_count == 0
             assert instance.terminated
@@ -200,7 +200,7 @@ class TestBoxCrash:
             client, box, session = yield from echo_session(net, thread)
             server = server_for(net, box)
             instance = server._by_invocation[session.invocation_token]
-            instance.firewall = SpyFirewall()
+            instance.api.stem = SpyFirewall()
             instance.kill("test shutdown")
             assert released == [True]
 

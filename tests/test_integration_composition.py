@@ -143,3 +143,40 @@ class TestBentoOverHiddenService:
             return result
 
         assert run_thread(comp_net, main) == "over-onion"
+
+    def test_output_after_the_rendezvous_circuit_died_is_kept(self, comp_net):
+        """An answer that meets a dead Tor transport joins the undelivered
+        tail (for a later drain flush); no actor on the box fails."""
+        server = comp_net.servers[0]
+        onion_holder = {}
+
+        def serve(thread):
+            onion_holder["onion"] = yield from server.serve_via_hidden_service(
+                thread)
+
+        run_thread(comp_net, serve, name="hs-setup")
+        client = BentoClient(comp_net.create_client(), ias=comp_net.ias)
+        slow_echo = ("def slowecho():\n"
+                     "    m = yield from api.recv()\n"
+                     "    yield from api.sleep(3.0)\n"
+                     "    yield from api.send(m)\n")
+
+        def main(thread):
+            session = yield from client.connect_via_onion(
+                thread, onion_holder["onion"])
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, slow_echo, FunctionManifest.create(
+                    "slowecho", "slowecho", {"recv", "sleep", "send"}))
+            instance = server._by_invocation[session.invocation_token]
+            session.invoke_nowait([])
+            session.send_message(b"precious")
+            yield Sleep(2.0)                  # message reaches the box
+            transport = instance._peer_order[-1].stream
+            transport.circuit.conn.abort()    # the box's end of the circuit
+            yield Sleep(5.0)                  # the echo finds it dead
+            assert instance.api._undelivered != []
+            assert not instance.runtime.running
+            session.close()
+
+        run_thread(comp_net, main)
