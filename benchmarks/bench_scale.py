@@ -13,30 +13,12 @@ attributable to that N alone.
 
     PYTHONPATH=src python benchmarks/bench_scale.py            # full sweep
     PYTHONPATH=src python benchmarks/bench_scale.py --smoke    # N=10k only
-    PYTHONPATH=src python benchmarks/bench_scale.py --parallel-smoke
-    PYTHONPATH=src python benchmarks/bench_scale.py --workers-sweep
 
 ``--smoke`` (CI) runs N=10,000 on the coroutine kernel and enforces two
 budgets: total peak RSS under ``SMOKE_RSS_BUDGET_KB``, and per-session
 RSS strictly below what the retired thread-per-actor kernel spent per
 session at N=1,000 (``THREAD_KERNEL_N1000``) — ten times the sessions
 must not cost thread-kernel memory.
-
-``--parallel-smoke`` (CI) is the sharded-kernel parity gate: the
-``MeshScenario`` at N=10,000 sessions on K=2 forked shard workers must
-produce a merged trace byte-identical to the single-process run.
-
-``--workers-sweep`` runs the mesh at N in {10k, 100k} sessions across
-workers in {1, 2, 4, 8} and folds a ``workers_sweep`` section into
-``BENCH_scale.json`` (wall clock, per-worker peak RSS, epochs, cross
-events, and speedup).  Two speedups are reported: ``speedup`` is
-measured wall clock, ``speedup_modeled`` is the critical path the
-epoch barriers expose (sum over epochs of the slowest shard's CPU
-seconds) — the wall clock a host with a core per worker would see.
-The ``PARALLEL_SPEEDUP_FLOOR`` gate at K=4 / N=100k applies to the
-measured speedup when the machine has >= 4 cores and to the modeled
-one otherwise (a core-starved runner cannot show wall-clock
-parallelism, but the critical path it measures is load-independent).
 
 The script runs unmodified on pre-scale-plane trees (it feature-detects
 circuit reuse and the cache metrics), which is how the frozen BASELINE
@@ -46,9 +28,7 @@ numbers below were measured.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
-import os
 import resource
 import subprocess
 import sys
@@ -62,8 +42,6 @@ from dataclasses import replace  # noqa: E402
 from repro.core import BentoClient, BentoServer, FunctionManifest  # noqa: E402
 from repro.core.policy import MiddleboxNodePolicy  # noqa: E402
 from repro.enclave.attestation import IntelAttestationService  # noqa: E402
-from repro.netsim import MeshScenario, ShardedSimulator  # noqa: E402
-from repro.netsim.shard import fork_available  # noqa: E402
 from repro.obs.metrics import REGISTRY  # noqa: E402
 from repro.perf.counters import counters  # noqa: E402
 from repro.tor import TorTestNetwork  # noqa: E402
@@ -87,20 +65,6 @@ SMOKE_RSS_BUDGET_KB = 400_000
 PAYLOAD_BYTES = 32_768
 SWEEP = (10, 100, 1000, 10_000, 100_000)
 SMOKE_N = 10_000
-
-#: The sharded-kernel sweep's mesh: 8 groups of 16 nodes, 5% of sessions
-#: crossing groups over WAN latencies.  Group-aligned partitions keep the
-#: lookahead at the inter-group floor (~85 ms one-way), which is the
-#: regime where conservative parallel simulation pays.
-MESH = dict(n_groups=8, nodes_per_group=16, messages_per_session=3,
-            message_bytes=4096, cross_group_fraction=0.05,
-            start_window_s=60.0)
-MESH_WORKERS = (1, 2, 4, 8)
-MESH_SWEEP_N = (10_000, 100_000)
-PARALLEL_SMOKE_N = 10_000
-#: Required speedup at K=4 workers, N=100k sessions (see module doc for
-#: which of measured/modeled speedup the gate applies to).
-PARALLEL_SPEEDUP_FLOOR = 1.5
 
 CODE = (
     "def blob(n):\n"
@@ -243,148 +207,17 @@ def _run_child(n_sessions: int, seed: int) -> dict:
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def _cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:   # pragma: no cover - non-Linux fallback
-        return os.cpu_count() or 1
-
-
-def run_mesh(n_sessions: int, workers: int, seed: int) -> dict:
-    """One sharded mesh run; returns the measurement dict."""
-    counters.reset()
-    scenario = MeshScenario(n_sessions=n_sessions, seed=seed, **MESH)
-    start = time.perf_counter()
-    result = ShardedSimulator(
-        scenario, workers=workers, seed=seed,
-        processes=workers > 1 and fork_available()).run()
-    wall = time.perf_counter() - start
-    return {
-        "n_sessions": n_sessions,
-        "workers": workers,
-        "processes": result["processes"],
-        "wall_s": round(wall, 3),
-        "critical_path_s": round(result["critical_path_s"], 3),
-        "events_processed": result["events_processed"],
-        "epochs_completed": result["epochs_completed"],
-        "cross_shard_events": result["cross_shard_events"],
-        "barrier_wait_s": round(result["barrier_wait_s"], 3),
-        "lookahead_s": result["lookahead_s"],
-        "sim_time": round(result["sim_time"], 3),
-        "peak_rss_per_worker_kb": result["max_rss_kb"],
-        "records": len(result["records"]),
-        "trace_bytes": len(result["trace"]),
-        "trace_sha256": hashlib.sha256(result["trace"]).hexdigest(),
-    }
-
-
-def run_parallel_smoke(seed: int) -> int:
-    """CI gate: K=2 merged trace must equal the single-process trace."""
-    scenario = MeshScenario(n_sessions=PARALLEL_SMOKE_N, seed=seed, **MESH)
-    base = ShardedSimulator(scenario, workers=1, seed=seed).run()
-    sharded = ShardedSimulator(scenario, workers=2, seed=seed,
-                               processes=fork_available()).run()
-    match = sharded["trace"] == base["trace"]
-    print(f"parallel smoke: N={PARALLEL_SMOKE_N} K=2 "
-          f"({'fork' if sharded['processes'] else 'inline'} driver)  "
-          f"epochs={sharded['epochs_completed']}  "
-          f"cross={sharded['cross_shard_events']}  "
-          f"trace={'byte-identical' if match else 'MISMATCH'}")
-    if not match:
-        print(f"FAIL: K=2 trace ({len(sharded['trace'])} bytes, sha256 "
-              f"{hashlib.sha256(sharded['trace']).hexdigest()}) != K=1 "
-              f"trace ({len(base['trace'])} bytes, sha256 "
-              f"{hashlib.sha256(base['trace']).hexdigest()})")
-    return 0 if match else 1
-
-
-def run_workers_sweep(seed: int, out_path: Path) -> int:
-    """Sweep workers x sessions; fold results into BENCH_scale.json."""
-    cpus = _cpus()
-    section: dict = {
-        "mesh": dict(MESH),
-        "cpus": cpus,
-        "seed": seed,
-        "speedup_floor": {"workers": 4, "n_sessions": 100_000,
-                          "min": PARALLEL_SPEEDUP_FLOOR},
-        "runs": [],
-    }
-    failures = []
-    for n_sessions in MESH_SWEEP_N:
-        base = None
-        for workers in MESH_WORKERS:
-            run = run_mesh(n_sessions, workers, seed)
-            if workers == 1:
-                base = run
-            else:
-                run["speedup"] = round(base["wall_s"] / run["wall_s"], 2)
-                run["speedup_modeled"] = round(
-                    base["critical_path_s"] / run["critical_path_s"], 2)
-                run["parity"] = run["trace_sha256"] == base["trace_sha256"]
-                if not run["parity"]:
-                    failures.append(
-                        f"N={n_sessions} K={workers}: merged trace diverges "
-                        f"from the single-process run")
-            section["runs"].append(run)
-            line = (f"N={n_sessions:6d} K={workers}  "
-                    f"wall={run['wall_s']:7.2f}s  "
-                    f"crit={run['critical_path_s']:7.2f}s  "
-                    f"rss/worker={max(run['peak_rss_per_worker_kb'])}kB")
-            if workers > 1:
-                line += (f"  speedup={run['speedup']}x "
-                         f"(modeled {run['speedup_modeled']}x)  "
-                         f"parity={'ok' if run['parity'] else 'FAIL'}")
-            print(line)
-    gate = section["speedup_floor"]
-    gate["metric"] = "speedup" if cpus >= gate["workers"] else "speedup_modeled"
-    for run in section["runs"]:
-        if (run["workers"] == gate["workers"]
-                and run["n_sessions"] == gate["n_sessions"]):
-            gate["achieved"] = run[gate["metric"]]
-            if run[gate["metric"]] < gate["min"]:
-                failures.append(
-                    f"N={run['n_sessions']} K={run['workers']}: "
-                    f"{gate['metric']} {run[gate['metric']]}x is below the "
-                    f"{gate['min']}x floor")
-    report = {}
-    if out_path.exists():
-        try:
-            report = json.loads(out_path.read_text())
-        except ValueError:
-            report = {}
-    report["workers_sweep"] = section
-    out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {out_path} (workers_sweep: {len(section['runs'])} runs, "
-          f"{gate['metric']} gate at K={gate['workers']}/"
-          f"N={gate['n_sessions']}: {gate.get('achieved', 'n/a')}x "
-          f">= {gate['min']}x on {cpus} cpus)")
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    return 1 if failures else 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--smoke", action="store_true",
                         help=f"run only N={SMOKE_N} and assert the CI "
                              "memory budgets")
-    parser.add_argument("--parallel-smoke", action="store_true",
-                        help=f"sharded-kernel parity gate: K=2 vs K=1 "
-                             f"trace bytes at N={PARALLEL_SMOKE_N}")
-    parser.add_argument("--workers-sweep", action="store_true",
-                        help="mesh sweep over workers x sessions; folds a "
-                             "workers_sweep section into BENCH_scale.json")
     parser.add_argument("--run", type=int, default=None,
                         help=argparse.SUPPRESS)   # subprocess worker mode
     parser.add_argument("--seed", type=int, default=2021)
     parser.add_argument("--out", default=str(Path(__file__).parent
                                              / "BENCH_scale.json"))
     args = parser.parse_args()
-
-    if args.parallel_smoke:
-        return run_parallel_smoke(args.seed)
-    if args.workers_sweep:
-        return run_workers_sweep(args.seed, Path(args.out))
 
     if args.run is not None:
         result = run_scale(args.run, seed=args.seed)
@@ -432,15 +265,6 @@ def main() -> int:
                 f"N={n_sessions}: peak RSS {result['peak_rss_kb']}kB exceeds "
                 f"the smoke budget {SMOKE_RSS_BUDGET_KB}kB")
     out_path = Path(args.out)
-    if out_path.exists():
-        # The workers sweep maintains its own section; a full-stack sweep
-        # must not wipe it (and vice versa — see run_workers_sweep).
-        try:
-            prior = json.loads(out_path.read_text())
-        except ValueError:
-            prior = {}
-        if "workers_sweep" in prior:
-            report["workers_sweep"] = prior["workers_sweep"]
     out_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     print(f"wrote {out_path}")
     for failure in failures:

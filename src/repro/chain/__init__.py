@@ -1,6 +1,6 @@
 """Chain plane: service graphs as the unit of deployment.
 
-The template/overlay split after B-JointSP (see ``DESIGN.md`` §15):
+The template/overlay split after B-JointSP (see ``DESIGN.md`` §14):
 
 * :mod:`repro.chain.template` — :class:`ChainSpec` manifests: components
   with cpu/memory demand and statefulness, directed arcs with per-arc

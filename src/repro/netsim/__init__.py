@@ -13,14 +13,13 @@ this reproduction.  It provides:
 * :mod:`~repro.netsim.trace` -- packet traces for fingerprinting attacks,
 * :class:`~repro.netsim.faults.FaultPlane` -- deterministic fault injection
   (node crashes, link cuts, latency spikes) on a seeded schedule,
-* :class:`~repro.netsim.shard.ShardedSimulator` -- the conservative
-  parallel kernel: nodes partitioned across worker processes
-  (:mod:`~repro.netsim.partition`), epochs bounded by cross-shard
-  lookahead, merged traces byte-identical to single-process runs.
+* :class:`~repro.netsim.scenarios.MeshScenario` -- a request/ack mesh with
+  no Tor or Bento on top, run on one simulator by
+  :class:`~repro.netsim.shard.ShardedSimulator`.
 """
 
 from repro.netsim.simulator import Future, Simulator, SimTimeoutError
-from repro.netsim.node import Node, RemoteNode
+from repro.netsim.node import Node
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.connection import Connection, ConnectionClosed
 from repro.netsim.bytestream import (
@@ -33,13 +32,6 @@ from repro.netsim.bytestream import (
 from repro.netsim.trace import PacketRecord, TraceRecorder
 from repro.netsim.http import HttpResponse, HttpServer, http_get
 from repro.netsim.faults import FaultPlane
-from repro.netsim.partition import Partition, lookahead_s, partition_nodes
-from repro.netsim.shard import (
-    HalfConnection,
-    ShardContext,
-    ShardedSimulator,
-    canonical_trace_bytes,
-)
 from repro.netsim.scenarios import MeshScenario
 
 __all__ = [
@@ -62,13 +54,5 @@ __all__ = [
     "HttpResponse",
     "http_get",
     "FaultPlane",
-    "RemoteNode",
-    "Partition",
-    "partition_nodes",
-    "lookahead_s",
-    "ShardContext",
-    "HalfConnection",
-    "ShardedSimulator",
-    "canonical_trace_bytes",
     "MeshScenario",
 ]

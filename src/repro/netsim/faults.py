@@ -97,20 +97,6 @@ class FaultPlane:
         node = self.network.node(name)
         if not node.alive:
             return
-        if node.is_remote:
-            # Shadow crash: another shard owns this node and applies the
-            # full semantics (its fault schedule is replicated, so it
-            # crashes the real node at this same simulated instant).  The
-            # local shard only mirrors what it can see from outside: the
-            # liveness flag flips (so dials are denied here, immediately)
-            # and local half-connections touching the proxy abort.  The
-            # owner alone appends to the fault log and bumps the fault
-            # counters, so merged artifacts count each fault once.
-            node.alive = False
-            self._abort_connections(list(node.connections))
-            if down_for_s is not None:
-                self.sim.schedule(down_for_s, self.restart_node, name)
-            return
         node.alive = False
         node._saved_listeners = dict(node._listeners)
         node._listeners.clear()
@@ -134,11 +120,6 @@ class FaultPlane:
         """Bring a crashed node back up and restore its parked listeners."""
         node = self.network.node(name)
         if node.alive:
-            return
-        if node.is_remote:
-            # Shadow restart: mirror the owner's restart (same replicated
-            # schedule, same instant); bookkeeping stays with the owner.
-            node.alive = True
             return
         node.alive = True
         if node._saved_listeners is not None:

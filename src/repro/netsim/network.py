@@ -5,7 +5,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.netsim.connection import Connection
-from repro.netsim.node import Node, RemoteNode
+from repro.netsim.node import Node
 from repro.netsim.simulator import Future, Simulator, Wait
 from repro.obs.span import TRACER as _obs
 from repro.util.errors import ReproError
@@ -45,10 +45,6 @@ class Network:
         self._dns: dict[str, str] = {}
         # Installed by repro.netsim.faults.FaultPlane; None means no faults.
         self.fault_plane = None
-        # Installed by the sharded kernel (repro.netsim.shard): routes
-        # dials to RemoteNode proxies across shard boundaries.  None in
-        # ordinary single-process simulations.
-        self.shard_context = None
 
     # -- topology ---------------------------------------------------------
 
@@ -75,35 +71,6 @@ class Network:
         self._nodes[name] = node
         self._by_address[address] = node
         return node
-
-    def register_remote(self, name: str, shard_id: int,
-                        address: Optional[str] = None,
-                        position: Optional[tuple[float, float]] = None
-                        ) -> RemoteNode:
-        """Register a proxy for a node another shard owns.
-
-        Consumes the same auto-address (and, in geo mode, draws the same
-        position) that :meth:`create_node` would, so a sharded build that
-        calls ``create_node``/``register_remote`` for every node in the
-        same global order produces identical addresses and latencies on
-        every shard — the property cross-shard timing parity rests on.
-        """
-        if name in self._nodes:
-            raise NetworkError(f"duplicate node name: {name}")
-        if address is None:
-            host = self._next_host
-            self._next_host += 1
-            address = f"10.{(host >> 16) & 0xFF}.{(host >> 8) & 0xFF}.{host & 0xFF}"
-        if address in self._by_address:
-            raise NetworkError(f"duplicate address: {address}")
-        if position is None and self.geo_latency_s_per_unit is not None:
-            pos_rng = self._rng.fork(f"pos:{name}")
-            position = (pos_rng.uniform(0.0, 1.0), pos_rng.uniform(0.0, 1.0))
-        remote = RemoteNode(self.sim, name, address, shard_id,
-                            position=position)
-        self._nodes[name] = remote
-        self._by_address[address] = remote
-        return remote
 
     def node(self, name: str) -> Node:
         """Look a node up by name."""
@@ -189,12 +156,6 @@ class Network:
         except NetworkError as exc:
             self.sim.schedule(0.0, future.reject, exc)
             return future
-        if responder.is_remote:
-            # Another shard owns the responder: the shard context resolves
-            # the dial locally (replicated liveness + declared listeners)
-            # and ships the accept to the owner as a cross-shard event.
-            return self.shard_context.dial(initiator, responder, port,
-                                           handshake_rtts)
         latency = self.latency(initiator, responder)
         log = _obs.log
         span = log.begin_span(

@@ -28,8 +28,6 @@ class Node:
     restart listeners to reset that state in step with the host.
     """
 
-    is_remote = False
-
     def __init__(
         self,
         sim: Simulator,
@@ -86,43 +84,3 @@ class Node:
     def __repr__(self) -> str:
         return f"<Node {self.name} addr={self.address}>"
 
-
-class RemoteNode:
-    """A proxy for a node owned by another shard of a sharded simulation.
-
-    Carries just enough of the :class:`Node` surface for the *local*
-    shard's bookkeeping: identity and address (so dials resolve), the
-    replicated ``alive`` flag (so fault checks work without asking the
-    owner), the set of ports the owner declared listeners on (so refused
-    dials are refused locally, at the same simulated instant the owner
-    would refuse them), and the local half-connections that touch it (so
-    shadow faults can abort them).  It has no interfaces and no actors —
-    bytes destined for it leave the shard as cross-shard events.
-    """
-
-    is_remote = True
-
-    def __init__(self, sim: Simulator, name: str, address: str,
-                 shard_id: int,
-                 position: Optional[tuple[float, float]] = None) -> None:
-        self.sim = sim
-        self.name = name
-        self.address = address
-        self.shard_id = shard_id
-        self.position = position
-        self.alive = True
-        #: Ports the owning shard declared listeners on (replicated at
-        #: build time; dynamic listen/unlisten does not cross shards).
-        self.listening: set[int] = set()
-        # Local half-connections touching this proxy (insertion-ordered,
-        # like Node.connections, for deterministic fault iteration).
-        self.connections: dict = {}
-        self.trace_recorders: list = []
-
-    def listener_for(self, port: int) -> Optional[bool]:
-        """Whether the owner declared a listener on ``port`` (proxy view)."""
-        return True if port in self.listening else None
-
-    def __repr__(self) -> str:
-        return (f"<RemoteNode {self.name} addr={self.address} "
-                f"shard={self.shard_id}>")

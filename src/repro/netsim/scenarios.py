@@ -1,18 +1,14 @@
-"""Self-contained netsim scenarios for the sharded kernel.
+"""A self-contained netsim scenario with no Tor and no Bento on top.
 
-:class:`MeshScenario` is the reference workload for
-:class:`~repro.netsim.shard.ShardedSimulator`: a locality-structured
-request/ack mesh whose sessions are mostly intra-group (cheap, low
-latency) with a seeded fraction crossing groups over WAN-like latencies.
-Partitioning by group keeps cross-shard traffic to that fraction and the
-lookahead at the (large) inter-group latency floor, which is exactly the
-regime where conservative parallel simulation pays.
+:class:`MeshScenario` is a locality-structured request/ack mesh: its
+sessions are mostly intra-group (cheap, low latency) with a seeded
+fraction crossing groups over WAN-like latencies.  It exercises the
+event kernel, the link model and the fault plane and nothing else;
+:class:`~repro.netsim.shard.ShardedSimulator` runs it.
 
 Everything the scenario derives — node names, session placement, pair
 latencies, fault schedules — is a pure function of its parameters and
-seed via *named* RNG forks, so every shard reconstructs the identical
-world and the identical schedule without communicating (the replication
-property the sharded kernel's determinism rests on).
+seed via *named* RNG forks.
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from typing import Optional
 from repro.netsim.connection import ConnectionClosed
 from repro.netsim.faults import FaultPlane
 from repro.netsim.network import Network, NetworkError
-from repro.netsim.simulator import SimTimeoutError
+from repro.netsim.simulator import Simulator, SimTimeoutError
 from repro.util.rng import DeterministicRandom
 
 __all__ = ["MeshScenario", "MESH_PORT"]
@@ -42,10 +38,6 @@ class MeshScenario:
     the failure stage).  Groups model racks/regions: intra-group pairs
     get low latencies, inter-group pairs WAN-like ones, and only
     ``cross_group_fraction`` of sessions leave their group.
-
-    The object is picklable (plain data only) so fork-based shard
-    workers can carry it; ``build(ctx)`` follows the sharded scenario
-    protocol but runs unchanged on one shard too.
     """
 
     n_sessions: int = 1000
@@ -62,8 +54,7 @@ class MeshScenario:
     receive_timeout_s: float = 120.0
     node_rate_bytes_per_s: float = 1_250_000.0
     seed: int = 0
-    #: Optional kwargs for FaultPlane.schedule_random (minus node_names);
-    #: replicated verbatim on every shard.
+    #: Optional kwargs for FaultPlane.schedule_random (minus node_names).
     faults: Optional[dict] = field(default=None)
 
     # -- derived topology (pure functions of the parameters) ---------------
@@ -110,33 +101,35 @@ class MeshScenario:
             out.append((f"s{s:06d}", client, server, start))
         return out
 
-    def topology(self) -> tuple:
-        """Node names plus affinity edges = every communicating pair.
+    # -- world construction ------------------------------------------------
 
-        Listing every session pair (weighted by its session count) is
-        load-bearing twice over: the partitioner keeps chatty pairs
-        co-located, and the lookahead derivation sees every latency that
-        can ever carry cross-shard traffic.
+    def build(self, sim: Simulator) -> list:
+        """Build the mesh on ``sim``; returns the list its sessions record to.
+
+        A record is ``(time, node, node_seq, kind, attrs)``, where
+        ``node_seq`` counts that node's records, so ``(time, node,
+        node_seq)`` orders the list totally.
         """
-        weights: dict = {}
-        for _sid, client, server, _start in self.sessions():
-            key = (client, server) if client <= server else (server, client)
-            weights[key] = weights.get(key, 0) + 1
-        edges = [(a, b, float(w)) for (a, b), w in sorted(weights.items())]
-        return self.node_names(), edges
-
-    # -- world construction (runs once per shard) --------------------------
-
-    def build(self, ctx) -> None:
         lo = min(self.intra_latency_s[0], self.inter_latency_s[0])
         hi = max(self.intra_latency_s[1], self.inter_latency_s[1])
-        network = ctx.use_network(
-            Network(ctx.sim, min_latency_s=lo, max_latency_s=hi))
+        network = Network(sim, min_latency_s=lo, max_latency_s=hi)
+        records: list = []
+        counts: dict = {}
+
+        def record(node, kind: str, **attrs) -> None:
+            seq = counts.get(node.name, 0)
+            counts[node.name] = seq + 1
+            records.append((sim.now, node.name, seq, kind, attrs))
+
+        def accept(conn) -> None:
+            sim.spawn(self._serve, conn, name=f"serve:{conn.responder.name}")
+
         names = self.node_names()
         for name in names:
-            ctx.create_node(name,
-                            up_bytes_per_s=self.node_rate_bytes_per_s,
-                            down_bytes_per_s=self.node_rate_bytes_per_s)
+            network.create_node(
+                name, up_bytes_per_s=self.node_rate_bytes_per_s,
+                down_bytes_per_s=self.node_rate_bytes_per_s,
+            ).listen(MESH_PORT, accept)
         sessions = self.sessions()
         pinned = set()
         for _sid, client, server, _start in sessions:
@@ -145,25 +138,17 @@ class MeshScenario:
                 pinned.add(key)
                 network.set_latency(key[0], key[1],
                                     self.latency_of(key[0], key[1]))
-        for name in names:
-            ctx.listen(name, MESH_PORT, self._make_acceptor(ctx))
         for session_id, client, server, start in sessions:
-            if ctx.owns(client):
-                ctx.sim.spawn(self._client, ctx, session_id, client, server,
-                              name=f"client:{session_id}", delay=start)
+            sim.spawn(self._client, network, record, session_id, client,
+                      server, name=f"client:{session_id}", delay=start)
         if self.faults:
-            plane = FaultPlane(network)     # rng: named fork, shard-identical
+            plane = FaultPlane(network)     # rng: a named fork
             plane.schedule_random(node_names=names, **self.faults)
+        return records
 
     # -- actors ------------------------------------------------------------
 
-    def _make_acceptor(self, ctx):
-        def _accept(conn):
-            ctx.sim.spawn(self._serve, ctx, conn,
-                          name=f"serve:{conn.responder.name}")
-        return _accept
-
-    def _serve(self, task, ctx, conn):
+    def _serve(self, task, conn):
         node = conn.responder
         ack = b"a" * self.ack_bytes
         try:
@@ -174,8 +159,8 @@ class MeshScenario:
         except (ConnectionClosed, SimTimeoutError):
             return
 
-    def _client(self, task, ctx, session_id, client_name, server_name):
-        network = ctx.network
+    def _client(self, task, network, record, session_id, client_name,
+                server_name):
         node = network.node(client_name)
         address = network.node(server_name).address
         payload = b"m" * self.message_bytes
@@ -185,8 +170,8 @@ class MeshScenario:
                 handshake_rtts=self.handshake_rtts,
                 timeout=self.receive_timeout_s)
         except (NetworkError, SimTimeoutError) as exc:
-            ctx.record(node, "fail", session=session_id, stage="dial",
-                       err=type(exc).__name__)
+            record(node, "fail", session=session_id, stage="dial",
+                   err=type(exc).__name__)
             return
         try:
             for _ in range(self.messages_per_session):
@@ -194,7 +179,7 @@ class MeshScenario:
                 yield from conn.receive(node, task,
                                         timeout=self.receive_timeout_s)
             conn.close()
-            ctx.record(node, "done", session=session_id, server=server_name)
+            record(node, "done", session=session_id, server=server_name)
         except (ConnectionClosed, NetworkError, SimTimeoutError) as exc:
-            ctx.record(node, "fail", session=session_id, stage="exchange",
-                       err=type(exc).__name__)
+            record(node, "fail", session=session_id, stage="exchange",
+                   err=type(exc).__name__)

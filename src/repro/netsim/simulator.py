@@ -561,8 +561,7 @@ class Simulator:
         this returns with an empty queue every actor is parked or done.
         ``max_events`` is an exact bound: the run raises before event
         ``max_events + 1`` would execute.  Returns the number of events
-        processed by this call (sharded runs sum these across epochs so
-        one merged cap can cover K shards).
+        processed by this call.
         """
         if self._running:
             raise SimulationError("run() re-entered; use actors to block")
@@ -640,9 +639,8 @@ class Simulator:
     def next_event_time(self) -> float:
         """Earliest pending live event time (``inf`` when idle).
 
-        Used by the sharded kernel to pick the next epoch horizon; pops
-        cancelled tombstones off the front so the answer reflects work the
-        loop would actually do.
+        Pops cancelled tombstones off the front so the answer reflects
+        work the loop would actually do.
         """
         heap, ready = self._heap, self._ready
         while ready or heap:

@@ -233,63 +233,6 @@ class MetricsRegistry:
         for metric in self._metrics.values():
             metric._reset()
 
-    # -- snapshot / merge (sharded-kernel support) ------------------------
-
-    def state(self) -> list[dict]:
-        """Serializable full state: one plain dict per metric, sorted.
-
-        Unlike :meth:`snapshot` (a rendered view), this round-trips: a
-        worker process sends ``state()`` over a pipe and the parent feeds
-        it to :meth:`merge_state`.  Everything inside is JSON/pickle-safe
-        plain data.
-        """
-        out: list[dict] = []
-        for key in sorted(self._metrics):
-            metric = self._metrics[key]
-            entry: dict = {"name": metric.name,
-                           "labels": [list(pair) for pair in metric.labels]}
-            if isinstance(metric, Histogram):
-                entry["kind"] = "histogram"
-                entry["bounds"] = list(metric.bounds)
-                entry["bucket_counts"] = list(metric.bucket_counts)
-                entry["count"] = metric.count
-                entry["sum"] = metric.sum
-            else:
-                entry["kind"] = ("counter" if isinstance(metric, Counter)
-                                 else "gauge")
-                entry["value"] = metric.value
-            out.append(entry)
-        return out
-
-    def merge_state(self, state: list[dict]) -> None:
-        """Fold one :meth:`state` snapshot into this registry **in place**.
-
-        Counters and gauges add, histograms merge bucket-wise (bounds
-        must agree for an existing histogram).  Existing metric objects
-        are mutated rather than replaced, so handles cached before the
-        merge keep reading the merged values.  Merging K disjoint worker
-        snapshots counts each observation exactly once — each worker
-        resets its registry before running, so a snapshot never contains
-        another worker's (or the parent's) observations.
-        """
-        for entry in state:
-            labels = dict(entry["labels"]) if entry["labels"] else None
-            if entry["kind"] == "histogram":
-                metric = self.histogram(entry["name"], labels,
-                                        buckets=entry["bounds"])
-                if list(metric.bounds) != list(entry["bounds"]):
-                    raise ValueError(
-                        f"histogram {entry['name']} bucket bounds differ; "
-                        f"cannot merge")
-                for i, n in enumerate(entry["bucket_counts"]):
-                    metric.bucket_counts[i] += n
-                metric.count += entry["count"]
-                metric.sum += entry["sum"]
-            elif entry["kind"] == "counter":
-                self.counter(entry["name"], labels).value += entry["value"]
-            else:
-                self.gauge(entry["name"], labels).value += entry["value"]
-
     def __len__(self) -> int:
         return len(self._metrics)
 

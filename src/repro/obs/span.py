@@ -146,52 +146,6 @@ class EventLog:
         self.events.clear()
         self._next_id = 1
 
-    # -- snapshot / merge (sharded-kernel support) ------------------------
-
-    def state(self) -> dict:
-        """Serializable full state (plain data; round-trips via merge).
-
-        A sharded worker ships this over a pipe; the parent folds it into
-        its own log with :meth:`merge_state`.
-        """
-        return {
-            "spans": [[s.span_id, s.parent_id, s.name, s.t_begin, s.t_end,
-                       dict(s.attrs)] for s in self.spans],
-            "events": [[e.event_id, e.name, e.time, dict(e.attrs)]
-                       for e in self.events],
-        }
-
-    def merge_state(self, state: dict, track_prefix: str = "") -> None:
-        """Append one :meth:`state` snapshot to this log **in place**.
-
-        Ids are rebased past this log's sequence (parent links remapped
-        with them) so merged ids stay unique and emission order inside
-        each snapshot is preserved; the log object itself — and anything
-        holding a reference to it — survives the merge.  Merging K worker
-        snapshots therefore concatenates K disjoint runs without ever
-        duplicating a span.  ``track_prefix`` is prepended to each item's
-        ``track`` attribute (e.g. ``"shard3/"``) so per-shard timelines
-        stay distinguishable in the exported trace.
-        """
-        offset = self._next_id - 1
-        highest = 0
-        for span_id, parent_id, name, t_begin, t_end, attrs in state["spans"]:
-            if track_prefix and "track" in attrs:
-                attrs = dict(attrs, track=f"{track_prefix}{attrs['track']}")
-            span = Span(span_id + offset,
-                        parent_id + offset if parent_id is not None else None,
-                        name, t_begin, attrs)
-            span.t_end = t_end
-            self.spans.append(span)
-            highest = max(highest, span_id)
-        for event_id, name, time, attrs in state["events"]:
-            if track_prefix and "track" in attrs:
-                attrs = dict(attrs, track=f"{track_prefix}{attrs['track']}")
-            self.events.append(InstantEvent(event_id + offset, name, time,
-                                            attrs))
-            highest = max(highest, event_id)
-        self._next_id = offset + highest + 1
-
     def __len__(self) -> int:
         return len(self.spans) + len(self.events)
 

@@ -108,8 +108,8 @@ FIELDS = (
     Field("orphans_reaped", "chaos", "fixed"),
     # -- serving plane (qos) ---------------------------------------------
     # Every plane-off-zero field stays 0 with its plane disabled; the
-    # hot-path regression guard pins that, so scheduling, sharding,
-    # migration and chain routing can never re-enter the per-byte path.
+    # hot-path regression guard pins that, so scheduling, migration and
+    # chain routing can never re-enter the per-byte path.
     # manifests admitted by the admission controller
     Field("qos_admitted", "qos", "plane-off-zero", "qos_admitted"),
     # admissions refused with a RETRY_AFTER
@@ -118,13 +118,9 @@ FIELDS = (
     Field("qos_shed", "qos", "plane-off-zero", "qos_shed"),
     # fair-scheduler pacing sleeps inserted
     Field("qos_throttles", "qos", "plane-off-zero"),
-    # -- sharded kernel ----------------------------------------------------
-    # Barrier/IPC bookkeeping, not per-byte work: 0 in one-process runs.
-    # epoch barriers crossed by a sharded run
+    # -- sharded kernel, deleted: always 0; benchmarks/suite/rep.py reads them
     Field("shard_epochs_completed", "shard", "plane-off-zero"),
-    # cross-shard dial/chunk/close events routed
     Field("shard_cross_events", "shard", "plane-off-zero"),
-    # wall-clock µs the parent spent at barriers
     Field("shard_barrier_wait_us", "shard", "plane-off-zero"),
     # -- migration plane ---------------------------------------------------
     # function state snapshots serialized

@@ -1,40 +1,31 @@
-"""Sharded-kernel tests: partitioning, snapshot merges, and trace parity.
+"""The one-process mesh runner, and the partitioner the suite still maps.
 
-The acceptance bar for the parallel kernel is *byte* equality: for any
-seed, the canonical merged trace of a K-sharded run must equal the
-single-process trace of the same scenario.  The hypothesis tests sweep
-random topologies and seeds through K∈{2,4}; the chaos test repeats the
-comparison with the fault plane injecting crashes, cuts, and latency
-spikes; one test exercises the real fork-process driver end to end.
+``ShardedSimulator`` runs a :class:`MeshScenario` on one simulator; its
+byte trace is pinned to what the partitioned kernel's one-worker path
+produced before that kernel was deleted.  ``repro.netsim.partition`` is
+kept only because the benchmark suite's layer map names it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.netsim.partition import lookahead_s, partition_nodes
 from repro.netsim.scenarios import MeshScenario
-from repro.netsim.shard import (ShardContext, ShardedSimulator,
-                                canonical_trace_bytes, fork_available)
-from repro.netsim.simulator import SimulationError, Simulator
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.span import EventLog
-from repro.perf.counters import counters as _perf
+from repro.netsim.shard import ShardedSimulator
+from repro.netsim.simulator import Simulator
 
 
 def run_plain(scenario, seed):
-    """The scenario on a bare Simulator — no sharding machinery at all."""
+    """The scenario on a bare Simulator: its events and sorted records."""
     sim = Simulator(seed)
-    names, _edges = scenario.topology()
-    ctx = ShardContext(sim, 0, partition_nodes(names, 1), math.inf)
-    scenario.build(ctx)
-    sim.run()
+    records = scenario.build(sim)
+    processed = sim.run()
     sim.check_failures()
-    return ctx.records
+    return processed, sorted(records, key=lambda r: (r[0], r[1], r[2]))
 
 
 class TestPartition:
@@ -87,201 +78,51 @@ class TestPartition:
             lookahead_s(part, lambda a, b: 0.0)
 
 
-class TestSnapshotMerge:
-    """The obs-plane snapshot/merge satellite: K worker states, no
-    double-counting, cached handles surviving the merge."""
-
-    def _worker_state(self, shard):
-        registry = MetricsRegistry()
-        registry.counter("cells", {"dir": "fwd"}).inc(10 * (shard + 1))
-        registry.gauge("depth").set(shard)
-        hist = registry.histogram("lat", buckets=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5 * (shard + 1))
-        return registry.state()
-
-    def test_merge_counts_each_observation_once(self):
-        parent = MetricsRegistry()
-        for shard in range(3):
-            parent.merge_state(self._worker_state(shard))
-        assert parent.counter("cells", {"dir": "fwd"}).value == 10 + 20 + 30
-        hist = parent.histogram("lat", buckets=(0.1, 1.0))
-        assert hist.count == 6
-        assert sum(hist.bucket_counts) == hist.count
-
-    def test_merge_preserves_cached_handles(self):
-        parent = MetricsRegistry()
-        handle = parent.counter("cells", {"dir": "fwd"})
-        handle.inc(5)
-        parent.merge_state(self._worker_state(0))
-        assert handle.value == 15           # same object, merged value
-        assert parent.counter("cells", {"dir": "fwd"}) is handle
-
-    def test_merge_rejects_mismatched_histogram_bounds(self):
-        parent = MetricsRegistry()
-        parent.histogram("lat", buckets=(0.5, 2.0))
-        with pytest.raises(ValueError):
-            parent.merge_state(self._worker_state(0))
-
-    def test_state_round_trips(self):
-        a = MetricsRegistry()
-        a.counter("c").inc(7)
-        a.histogram("h", buckets=(1.0,)).observe(2.0)
-        b = MetricsRegistry()
-        b.merge_state(a.state())
-        assert b.snapshot() == a.snapshot()
-
-    def test_eventlog_merge_rebases_ids_and_parents(self):
-        parent = EventLog()
-        parent.begin_span("root", 0.0)      # id 1
-        worker = EventLog()
-        outer = worker.begin_span("w.outer", 1.0, track="n1")    # id 1
-        inner = worker.begin_span("w.inner", 2.0, parent=outer)  # id 2
-        inner.end(3.0)
-        outer.end(4.0)
-        worker.instant("w.evt", 2.5, track="n1")                 # id 3
-        parent.merge_state(worker.state(), track_prefix="shard1/")
-        assert [s.span_id for s in parent.spans] == [1, 2, 3]
-        assert parent.spans[2].parent_id == 2   # remapped past offset
-        assert parent.spans[1].attrs["track"] == "shard1/n1"
-        assert parent.events[0].event_id == 4
-        # Post-merge emission continues past the merged ids.
-        assert parent.begin_span("next", 5.0).span_id == 5
-
-    def test_eventlog_merge_no_duplication_across_workers(self):
-        parent = EventLog()
-        states = []
-        for _ in range(3):
-            worker = EventLog()
-            worker.begin_span("op", 0.0).end(1.0)
-            states.append(worker.state())
-        for state in states:
-            parent.merge_state(state)
-        assert len(parent.spans) == 3
-        assert len({s.span_id for s in parent.spans}) == 3
-
-
 SMALL = dict(n_sessions=30, n_groups=3, nodes_per_group=3,
              messages_per_session=2, start_window_s=20.0)
+
+PINNED = dict(seed=5, n_sessions=400, n_groups=4, nodes_per_group=8,
+              messages_per_session=3)
+FAULTS = {"start_s": 5.0, "end_s": 50.0, "n_crashes": 2, "n_link_cuts": 2,
+          "n_latency_spikes": 2}
 
 
 class TestShardedParity:
     def test_workers1_equals_plain_simulator(self):
         scenario = MeshScenario(seed=5, **SMALL)
-        plain = canonical_trace_bytes(run_plain(scenario, 5))
+        _processed, plain = run_plain(scenario, 5)
         result = ShardedSimulator(scenario, workers=1, seed=5).run()
-        assert result["trace"] == plain
-        assert result["epochs_completed"] == 0
-        assert result["cross_shard_events"] == 0
-
-    @pytest.mark.parametrize("workers", [2, 4])
-    def test_sharded_trace_byte_identical(self, workers):
-        scenario = MeshScenario(seed=42, **SMALL)
-        base = ShardedSimulator(scenario, workers=1, seed=42).run()
-        sharded = ShardedSimulator(scenario, workers=workers, seed=42,
-                                   processes=False).run()
-        assert sharded["trace"] == base["trace"]
-        assert sharded["epochs_completed"] > 0
-        assert len(sharded["records"]) == scenario.n_sessions
-
-    def test_sharded_run_is_deterministic(self):
-        scenario = MeshScenario(seed=9, **SMALL)
-        a = ShardedSimulator(scenario, workers=2, seed=9,
-                             processes=False).run()
-        b = ShardedSimulator(scenario, workers=2, seed=9,
-                             processes=False).run()
-        assert a["trace"] == b["trace"]
-        assert a["epochs_completed"] == b["epochs_completed"]
-        assert a["cross_shard_events"] == b["cross_shard_events"]
-
-    @given(seed=st.integers(min_value=0, max_value=10_000),
-           workers=st.sampled_from([2, 4]),
-           n_groups=st.integers(min_value=2, max_value=3),
-           nodes_per_group=st.integers(min_value=2, max_value=3),
-           n_sessions=st.integers(min_value=6, max_value=16),
-           cross=st.floats(min_value=0.05, max_value=0.5))
-    @settings(max_examples=12, deadline=None)
-    def test_random_topologies_and_seeds(self, seed, workers, n_groups,
-                                         nodes_per_group, n_sessions, cross):
-        scenario = MeshScenario(
-            seed=seed, n_sessions=n_sessions, n_groups=n_groups,
-            nodes_per_group=nodes_per_group, messages_per_session=2,
-            cross_group_fraction=cross, start_window_s=15.0)
-        base = ShardedSimulator(scenario, workers=1, seed=seed).run()
-        sharded = ShardedSimulator(scenario, workers=workers, seed=seed,
-                                   processes=False).run()
-        assert sharded["trace"] == base["trace"]
-
-    def test_chaos_soak_parity(self):
-        faults = dict(start_s=3.0, end_s=30.0, n_crashes=4, n_link_cuts=4,
-                      n_latency_spikes=4, mean_downtime_s=8.0)
-        scenario = MeshScenario(seed=11, n_sessions=60, n_groups=4,
-                                nodes_per_group=4, messages_per_session=2,
-                                start_window_s=30.0,
-                                cross_group_fraction=0.2, faults=faults)
-        base = ShardedSimulator(scenario, workers=1, seed=11).run()
-        kinds = {record[3] for record in base["records"]}
-        assert "fail" in kinds or "done" in kinds
-        for workers in (2, 4):
-            sharded = ShardedSimulator(scenario, workers=workers, seed=11,
-                                       processes=False).run()
-            assert sharded["trace"] == base["trace"]
-
-    @pytest.mark.skipif(not fork_available(), reason="no fork on platform")
-    def test_fork_process_driver_parity(self):
-        scenario = MeshScenario(seed=21, **SMALL)
-        base = ShardedSimulator(scenario, workers=1, seed=21).run()
-        forked = ShardedSimulator(scenario, workers=2, seed=21,
-                                  processes=True).run()
-        assert forked["processes"] is True
-        assert forked["trace"] == base["trace"]
-        assert len(forked["max_rss_kb"]) == 2
-        assert all(rss and rss > 0 for rss in forked["max_rss_kb"])
+        assert result["records"] == plain
+        assert len(plain) == scenario.n_sessions
 
 
 class TestEngineSemantics:
-    def test_max_events_exact_for_single_worker(self):
-        scenario = MeshScenario(seed=5, **SMALL)
-        full = ShardedSimulator(scenario, workers=1, seed=5).run()
-        with pytest.raises(SimulationError, match="exceeded"):
-            ShardedSimulator(
-                scenario, workers=1, seed=5,
-                max_events=full["events_processed"] - 1).run()
-        # The exact budget passes.
-        ShardedSimulator(scenario, workers=1, seed=5,
-                         max_events=full["events_processed"]).run()
-
-    def test_max_events_caps_merged_run(self):
-        scenario = MeshScenario(seed=5, **SMALL)
-        with pytest.raises(SimulationError, match="exceeded"):
-            ShardedSimulator(scenario, workers=2, seed=5, processes=False,
-                             max_events=50).run()
-
-    def test_perf_counters_surfaced(self):
-        scenario = MeshScenario(seed=5, **SMALL)
-        before = (_perf.shard_epochs_completed, _perf.shard_cross_events)
-        result = ShardedSimulator(scenario, workers=2, seed=5,
-                                  processes=False).run()
-        assert result["epochs_completed"] > 0
-        assert result["cross_shard_events"] > 0
-        assert result["barrier_wait_s"] >= 0.0
-        assert _perf.shard_epochs_completed - before[0] == \
-            result["epochs_completed"]
-        assert _perf.shard_cross_events - before[1] == \
-            result["cross_shard_events"]
-
     def test_events_processed_matches_plain_run(self):
         scenario = MeshScenario(seed=5, **SMALL)
         result = ShardedSimulator(scenario, workers=1, seed=5).run()
-        sim = Simulator(5)
-        names, _ = scenario.topology()
-        ctx = ShardContext(sim, 0, partition_nodes(names, 1), math.inf)
-        scenario.build(ctx)
-        assert sim.run() == result["events_processed"]
+        processed, _records = run_plain(scenario, 5)
+        assert processed == result["events_processed"]
 
-    def test_lookahead_reported(self):
-        scenario = MeshScenario(seed=5, **SMALL)
-        sharded = ShardedSimulator(scenario, workers=2, seed=5,
-                                   processes=False).run()
-        assert sharded["lookahead_s"] is not None
-        assert sharded["lookahead_s"] >= scenario.intra_latency_s[0]
+
+class TestOneProcessRunner:
+    """The trace bytes the partitioned kernel's one-worker path wrote."""
+
+    def test_trace_is_pinned(self):
+        result = ShardedSimulator(MeshScenario(**PINNED), workers=1,
+                                  seed=5).run()
+        assert hashlib.sha256(result["trace"]).hexdigest() == (
+            "4bc16283f2c7265bffb97bb8b87d08ee0c347a89b3e0fc8b180cd009c081b3ad")
+        assert all(record[3] == "done" for record in result["records"])
+
+    def test_trace_under_faults_is_pinned(self):
+        result = ShardedSimulator(MeshScenario(**PINNED, faults=FAULTS),
+                                  workers=1, seed=5).run()
+        assert hashlib.sha256(result["trace"]).hexdigest() == (
+            "15d0335814f4996036f6577375012abe87de0cda0710e8016261d95322526b18")
+        kinds = [record[3] for record in result["records"]]
+        assert len(kinds) == 400 and kinds.count("fail") == 7
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_more_than_one_worker_is_refused(self, workers):
+        with pytest.raises(ValueError, match="ROADMAP item 5"):
+            ShardedSimulator(MeshScenario(seed=5, **SMALL), workers=workers)

@@ -10,8 +10,6 @@ import pytest
 
 import repro
 from repro.cli import main
-from repro.netsim.scenarios import MeshScenario
-from repro.netsim.shard import ShardedSimulator, fork_available
 from repro.obs.export import metrics_text
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
@@ -233,26 +231,3 @@ class TestOneStore:
         assert gauge.value == 8
         assert (hist.count, hist.sum) == (1, 1.5)
         assert untracked.value == 2
-
-    @pytest.mark.skipif(not fork_available(), reason="no fork on platform")
-    def test_forked_shards_merge_to_the_single_process_snapshot(self):
-        scenario = MeshScenario(seed=21, n_sessions=30, n_groups=3,
-                                nodes_per_group=3, messages_per_session=2,
-                                start_window_s=20.0)
-        ShardedSimulator(scenario, workers=1, seed=21).run()
-        single = _perf.snapshot()
-        REGISTRY.reset()
-        forked = ShardedSimulator(scenario, workers=2, seed=21,
-                                  processes=True).run()
-        merged = _perf.snapshot()
-        assert merged["shard_cross_events"] == forked["cross_shard_events"]
-        # A cross-shard event is one more kernel event on the receiving
-        # shard; nothing else may differ outside the shard plane's own
-        # bookkeeping.
-        for field in FIELDS:
-            if field.plane == "shard":
-                continue
-            extra = forked["cross_shard_events"] if field.name in (
-                "events_processed", "events_scheduled") else 0
-            assert merged[field.name] == single[field.name] + extra, \
-                field.name
