@@ -16,6 +16,9 @@ sandbox").  Every method:
 A function killed by the sandbox (or shut down by its owner) sees
 :class:`FunctionKilled` from its next API call.
 
+A failure a function may survive reaches it as ``api.Error`` or one of
+its members, ``api.Timeout``, ``api.PeerGone`` and ``api.NotFound``.
+
 Every gated API method is a generator function: function code delegates
 to it with ``yield from api.recv()``.  Sandboxed code passes no actor
 argument, so the api resolves the executing actor itself — it is the
@@ -24,18 +27,22 @@ simulator's current :class:`SimTask`.
 
 from __future__ import annotations
 
+import functools
+import inspect
 from typing import Any, Optional
 
 from repro.core.apispec import API_SYSCALLS
 from repro.core.errors import BentoError
-from repro.netsim.bytestream import DirectByteStream
+from repro.netsim.bytestream import DirectByteStream, FramedStream
 from repro.netsim.connection import ConnectionClosed
-from repro.netsim.http import HttpResponse, http_get
+from repro.netsim.http import HttpResponse, fetch, http_get, parse_url
+from repro.netsim.network import NetworkError
 from repro.netsim.simulator import (
     Actor,
     Future,
     Sleep,
     SimTask,
+    SimTimeoutError,
     Wait,
 )
 from repro.obs.span import TRACER as _obs
@@ -58,6 +65,48 @@ class FunctionKilled(ReproError):
     """The sandbox or the owner terminated this function."""
 
 
+class Error(BentoError):
+    """``api.Error``: a failure a function may catch, by one of its names."""
+
+
+class Timeout(Error):
+    """``api.Timeout``: a wait ran out."""
+
+
+class PeerGone(Error):
+    """``api.PeerGone``: the connection, circuit, stream or box is gone."""
+
+
+class NotFound(Error):
+    """``api.NotFound``: no such remote handle, or no box to deploy to."""
+
+
+#: Internal class -> the name a function catches it by.  Anything else
+#: (``FunctionKilled`` above all) passes through unchanged.
+_VOCABULARY = {SimTimeoutError: Timeout, NetworkError: PeerGone,
+               ConnectionClosed: PeerGone, CircuitDestroyed: PeerGone}
+
+
+def speaks_vocabulary(cls):
+    """Re-raise what each public generator routine of ``cls`` raises under
+    its vocabulary name, the internal error as its cause (in place)."""
+    def renamed(routine):
+        @functools.wraps(routine)
+        def call(*args, **kwargs):
+            try:
+                return (yield from routine(*args, **kwargs))
+            except tuple(_VOCABULARY) as exc:
+                raise next(_VOCABULARY[kind] for kind in type(exc).__mro__
+                           if kind in _VOCABULARY)(str(exc)) from exc
+        return call
+
+    for name, routine in list(vars(cls).items()):
+        if not name.startswith("_") and inspect.isgeneratorfunction(routine):
+            setattr(cls, name, renamed(routine))
+    return cls
+
+
+@speaks_vocabulary
 class SandboxedStream:
     """A byte stream handed to a function, gated and byte-accounted.
 
@@ -89,6 +138,7 @@ class SandboxedStream:
         self._stream.close()
 
 
+@speaks_vocabulary
 class HttpSessionApi:
     """``api.http_session(...)``: keep-alive GETs over one connection."""
 
@@ -99,8 +149,6 @@ class HttpSessionApi:
     def get(self, path: str, timeout: float = 600.0) -> HttpResponse:
         """One GET on the persistent connection."""
         yield from self._api._gate("http_get")
-        from repro.netsim.http import fetch
-
         response = yield from fetch(self._api._thread, self._framed, path,
                                     timeout=timeout)
         yield from self._api._charge_network(len(response.body))
@@ -111,6 +159,7 @@ class HttpSessionApi:
         self._framed.close()
 
 
+@speaks_vocabulary
 class StorageApi:
     """``api.storage``: the chrooted (and, in a conclave, encrypted) store."""
 
@@ -164,8 +213,12 @@ class StorageApi:
         return self._fs().exists(path)
 
 
+@speaks_vocabulary
 class FunctionApi:
     """The capability object injected into every function's namespace."""
+
+    # The error vocabulary, as function code names it: ``api.Timeout``.
+    Error, Timeout, PeerGone, NotFound = Error, Timeout, PeerGone, NotFound
 
     def __init__(self, instance) -> None:
         self._instance = instance
@@ -213,10 +266,14 @@ class FunctionApi:
         if self._recv_waiter is not None and not self._recv_waiter.done:
             self._recv_waiter.reject(FunctionKilled(reason))
 
-    def _gate(self, call_name: str):
-        """The enforcement choke point every API call passes through."""
+    def _alive(self) -> None:
+        """A killed function (its container terminated) is told so."""
         if self._killed:
             raise FunctionKilled(self._kill_reason or "function terminated")
+
+    def _gate(self, call_name: str):
+        """The enforcement choke point every API call passes through."""
+        self._alive()
         instance = self._instance
         if call_name not in instance.manifest.api_calls:
             instance.kill(f"api call {call_name!r} not in manifest")
@@ -241,6 +298,7 @@ class FunctionApi:
 
     def _charge_network(self, nbytes: int):
         """Byte-account one transfer: cgroup charge plus fair-share pacing."""
+        self._alive()    # a transfer that outlived its box crash
         instance = self._instance
         instance.container.charge_network(nbytes)
         plane = instance.server.qos
@@ -320,8 +378,6 @@ class FunctionApi:
         """Fetch a URL directly from this Bento box (like ``requests.get``)."""
         yield from self._gate("http_get")
         instance = self._instance
-        from repro.netsim.http import parse_url
-
         parsed = parse_url(url)
         address = instance.server.network.resolve(parsed.host)
         instance.container.iptables.check(address, parsed.port)
@@ -345,8 +401,6 @@ class FunctionApi:
         conn = yield from instance.server.network.connect_blocking(
             self._thread, instance.server.node, address, port,
             handshake_rtts=2.0 if port == 443 else 1.0, timeout=timeout)
-        from repro.netsim.bytestream import FramedStream
-
         framed = FramedStream(DirectByteStream(conn, instance.server.node))
         return HttpSessionApi(self, framed)
 
@@ -404,7 +458,7 @@ class FunctionApi:
             if spread:        # prefer unused boxes, fall back if exhausted
                 boxes = spread
         if not boxes:
-            raise ApiError("no eligible Bento box to deploy to")
+            raise NotFound("no eligible Bento box to deploy to")
         if target_fingerprint:
             box = boxes[0]
         else:
@@ -450,7 +504,7 @@ class FunctionApi:
         try:
             return self._remote_sessions[handle]
         except KeyError:
-            raise ApiError(f"unknown remote handle: {handle}") from None
+            raise NotFound(f"unknown remote handle: {handle}") from None
 
     def remote_invoke(self, handle: str, args: list,
                       timeout: float = 600.0) -> Any:
@@ -504,3 +558,6 @@ class FunctionApi:
     def invocation_token(self) -> str:
         """This function's own invocation token (shareable capability)."""
         return self._instance.tokens.invocation
+
+
+speaks_vocabulary(StemFirewall)     # api.stem: it cannot import this module

@@ -271,7 +271,7 @@ class BentoSession:
                     self._pending = [f for f in self._pending if f.rid != rid]
                 raise
             if raw is None:
-                raise BentoError("Bento server closed the connection")
+                raise ConnectionClosed("Bento server closed the connection")
             message = messages.decode_message(raw)
             if message.rid in self._abandoned:
                 continue

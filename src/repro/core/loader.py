@@ -40,7 +40,7 @@ _SAFE_BUILTIN_NAMES = (
     "iter", "len", "list", "map", "max", "min", "next", "object", "oct",
     "ord", "pow", "print", "range", "repr", "reversed", "round", "set",
     "slice", "sorted", "str", "sum", "tuple", "zip",
-    # exceptions functions might reasonably raise/catch
+    # exceptions for a function's own logic; api failures are api.Error
     "ArithmeticError", "AssertionError", "AttributeError", "BaseException",
     "Exception", "IndexError", "KeyError", "LookupError", "OverflowError",
     "RuntimeError", "StopIteration", "TypeError", "ValueError",

@@ -43,7 +43,7 @@ def guarded_service(difficulty_bits, duration_s, poll_interval):
                 yield from stream.send(
                     len(content).to_bytes(8, "big") + content)
                 state["served"] += 1
-        except Exception:
+        except api.Error:
             pass
         state["active"] -= 1
         stream.close()
@@ -61,7 +61,7 @@ def guarded_service(difficulty_bits, duration_s, poll_interval):
         try:
             request = yield from api.stem.wait_introduction(
                 service, timeout=min(poll_interval, remaining))
-        except Exception:
+        except api.Timeout:
             continue
         extra = request.get("extra", {})
         nonce = extra.get("pow_nonce")

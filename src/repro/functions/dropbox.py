@@ -40,12 +40,12 @@ def dropbox(max_bytes, max_gets, expiry_s):
             break
         try:
             raw = yield from api.recv(timeout=remaining)
-        except Exception:
+        except api.Timeout:
             break
         try:
             request = json.loads(raw.decode("utf-8"))
             op = request.get("op")
-        except Exception:
+        except (ValueError, AttributeError):
             continue
         if op == "put":
             data = yield from api.recv(timeout=60.0)

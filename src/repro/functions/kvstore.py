@@ -47,7 +47,7 @@ def kvstore():
         try:
             request = json.loads(raw.decode("utf-8"))
             op = request.get("op")
-        except Exception:
+        except (ValueError, AttributeError):
             continue
         if op == "put":
             _store[request["key"]] = request.get("value")

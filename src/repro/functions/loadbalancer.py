@@ -15,11 +15,6 @@ Two uploaded artifacts: the balancer and the replica it clones itself
 into.  Content is served over hidden-service streams with a tiny
 length-prefixed GET protocol; clients hold their stream open (ending with
 ``DONE``) so "active" counts reflect live downloads.
-
-The uploaded sources are coroutine-style: every api call is a blocking
-generator delegated to with ``yield from``, so the whole balancer (and
-each replica, and each per-stream handler) runs as one
-:class:`~repro.netsim.simulator.SimTask`.
 """
 
 from __future__ import annotations
@@ -48,7 +43,7 @@ def _make_handler(content, state):
                     if mark == b"" or mark[:4] == b"DONE":
                         break
                 state["served"] += 1
-        except Exception:
+        except api.Error:
             pass
         state["active"] -= 1
         stream.close()
@@ -71,7 +66,7 @@ def replica(key_material, expected_bytes):
         raw = yield from api.recv()
         try:
             request = json.loads(raw.decode("utf-8"))
-        except Exception:
+        except ValueError:
             continue
         op = request.get("op")
         if op == "load":
@@ -98,64 +93,82 @@ def loadbalancer(replica_source, replica_manifest, high_water, low_water,
                  max_replicas, duration_s, poll_interval, announce=False,
                  standbys=0):
     content = yield from api.recv(timeout=300.0)
-    state = {"active": 0, "served": 0}
+    # An instance's load is max(active, assigned - served): dispatches
+    # count at once, "served" from the handler or a replica's report.
+    state = {"active": 0, "served": 0, "assigned": 0}
     service = yield from api.stem.create_hidden_service(
         _make_handler(content, state),
         n_intro=3, manual_introductions=True)
     yield from api.send(
         json.dumps({"onion": str(service.onion_address)}).encode("utf-8"))
     key_material = service.export_key_material()
-
-    # Load model: each instance's in-flight estimate is assigned - served.
-    # "assigned" counts dispatches (known instantly); "served" comes from
-    # the local handler state or replica load reports (refreshed on idle
-    # ticks) — so dispatch never blocks on a poll round.
-    local = {"assigned": 0}
-    replicas = []
-    standby_pool = []
+    replicas = []       # provisioning or ready: what dispatch may pick
+    standby = []        # provisioned, never dispatched to until promoted
     dead_boxes = []
-    lost = {"count": 0}
     events = [[(yield from api.time()), "start", 1]]
 
-    def tell(payload):
-        # Operational announcements (replica placements / losses) for the
-        # operator's session; off by default to keep the wire quiet.
-        if announce:
-            yield from api.send(json.dumps(payload).encode("utf-8"))
+    # The replica state table: event -> (state a replica enters, the key
+    # the operator hears it under).  A standby is provisioned up front; a
+    # replica is provisioning until its {"ready": true} is read, and ends
+    # lost (its box or the path there died) or stopping.
+    MOVES = {"scale-up": ("provisioning", "replica_box"),
+             "respawn": ("provisioning", "replica_box"),
+             "standby-up": ("standby", "standby_box"),
+             "standby-promoted": ("provisioning", "standby_promoted"),
+             "ready": ("ready", None), "standby-lost": ("lost", None),
+             "replica-lost": ("lost", "replica_lost"),
+             "scale-down": ("stopping", None),
+             "dispatch": (None, None), "spawn-failed": (None, None)}
+    HOLDS = {"provisioning": replicas, "ready": replicas, "standby": standby}
+
+    def move(rep, event):
+        # Every state change, events entry and announcement; rep is None
+        # for a dispatch to the local instance and for spawn-failed.
+        entered, told = MOVES[event]
+        was = rep and rep["state"]
+        if entered:
+            held, holds = HOLDS.get(was, []), HOLDS.get(entered, [])
+            if held is not holds:
+                if rep in held:
+                    held.remove(rep)
+                holds.append(rep)
+            rep["state"] = entered
+        if event in ("ready", "standby-lost"):
+            return
+        if event == "dispatch":
+            detail = "replica" if rep else "local"
+        else:
+            detail = len(standby) if entered == "standby" else 1 + len(replicas)
+        events.append([(yield from api.time()), event, detail])
+        if announce and told:
+            said = {told: rep["box_fp"]}
+            if was is None:
+                said["event"] = event     # a new replica names its event
+            yield from api.send(json.dumps(said).encode("utf-8"))
 
     def estimate(instance):
-        if instance["kind"] == "local":
-            return max(state["active"],
-                       local["assigned"] - state["served"])
-        rep = instance["rep"]
-        return max(rep["active"], rep["assigned"] - rep["served"])
+        return max(instance["active"],
+                   instance["assigned"] - instance["served"])
 
     def poll_loads():
         for rep in list(replicas):
-            if not rep["ready"]:
+            if rep["state"] != "ready":
                 continue     # the only pending output would be "ready"
             try:
                 yield from api.remote_send(rep["handle"], b'{"op": "load"}')
                 raw = yield from api.remote_recv(rep["handle"], timeout=60.0)
-                info = json.loads(raw.decode("utf-8"))
-            except Exception:
-                yield from lose_replica(rep)
+            except api.Error:
+                yield from lose(rep)
                 continue
+            info = json.loads(raw.decode("utf-8"))
             rep["active"] = info["active"]
             rep["served"] = info["served"]
 
-    def spawn_replica(kind="scale-up"):
-        # Deploy and push the key material + content, but do NOT wait for
-        # the replica to come up: the content transfer proceeds while we
-        # keep dispatching; the first dispatch to this replica waits.
-        # Replicas are the operator's own infrastructure: the key and
-        # content copy goes direct (the paper's LB copied files between
-        # its own EC2 hosts), not through an anonymity circuit.  Boxes
-        # that already ate a replica are excluded, and placement consults
-        # the directory's serving-plane load reports (prefer_slack) so a
-        # respawn lands on the box advertising the most free capacity —
-        # not merely any box that is not known-dead.  Without reports the
-        # pick falls back to the old uniform draw.
+    def spawn(event):
+        # Push code, key and content without waiting for the replica: the
+        # first dispatch to it waits.  The copy goes direct (the paper's
+        # LB copied between its own EC2 hosts), off boxes that already
+        # lost one, onto the box reporting the most slack if any does.
         for _attempt in range(4):
             try:
                 handle = yield from api.deploy(replica_source, replica_manifest,
@@ -166,135 +179,86 @@ def loadbalancer(replica_source, replica_manifest, high_water, low_water,
                 yield from api.remote_invoke_nowait(
                     handle, [key_material, len(content)])
                 yield from api.remote_send(handle, content)
-            except Exception:
+            except api.Error:
                 continue
-            replicas.append({"handle": handle, "active": 0, "served": 0,
-                             "assigned": 0, "ready": False,
-                             "box_fp": info["box_fp"]})
-            events.append([(yield from api.time()), kind, 1 + len(replicas)])
-            yield from tell({"replica_box": info["box_fp"], "event": kind})
-            return True
-        events.append([(yield from api.time()), "spawn-failed",
-                       1 + len(replicas)])
-        return False
+            yield from move({"handle": handle, "box_fp": info["box_fp"],
+                             "state": None, "active": 0, "served": 0,
+                             "assigned": 0}, event)
+            return
+        if event != "standby-up":
+            yield from move(None, "spawn-failed")
 
-    def spawn_standby():
-        # A warm standby: fully provisioned (code, key material, and
-        # content already pushed) but never dispatched to.  Promoting it
-        # after a replica loss is instant — no copy, no provisioning —
-        # which is the whole point of paying for it up front.
-        for _attempt in range(4):
-            try:
-                handle = yield from api.deploy(replica_source, replica_manifest,
-                                               direct=True,
-                                               exclude_fingerprints=dead_boxes,
-                                               prefer_slack=True)
-                info = yield from api.remote_info(handle)
-                yield from api.remote_invoke_nowait(
-                    handle, [key_material, len(content)])
-                yield from api.remote_send(handle, content)
-            except Exception:
-                continue
-            standby_pool.append({"handle": handle, "active": 0, "served": 0,
-                                 "assigned": 0, "ready": False,
-                                 "box_fp": info["box_fp"]})
-            events.append([(yield from api.time()), "standby-up",
-                           len(standby_pool)])
-            yield from tell({"standby_box": info["box_fp"],
-                             "event": "standby-up"})
-            return True
-        return False
-
-    def lose_replica(rep):
-        # A replica stopped answering: its box died (or the path to it).
-        # Remember the box so redeployment avoids it, then re-replicate —
-        # promote a warm standby when one is up (instant), else respawn
-        # cold, the paper's LB behavior.
+    def lose(rep):
+        # Avoid the dead box from now on, then promote a warm standby
+        # (instant) or respawn cold, the paper's LB behavior.
         if rep not in replicas:
             return
-        replicas.remove(rep)
-        if rep.get("box_fp"):
-            dead_boxes.append(rep["box_fp"])
-        lost["count"] += 1
-        events.append([(yield from api.time()), "replica-lost",
-                       1 + len(replicas)])
-        yield from tell({"replica_lost": rep.get("box_fp", "")})
+        dead_boxes.append(rep["box_fp"])
+        yield from move(rep, "replica-lost")
         if len(replicas) < max_replicas:
-            promoted = None
-            while standby_pool and promoted is None:
-                candidate = standby_pool.pop(0)
-                if candidate.get("box_fp") in dead_boxes:
-                    continue    # the standby died with the same box
-                promoted = candidate
-            if promoted is not None:
-                replicas.append(promoted)
-                events.append([(yield from api.time()), "standby-promoted",
-                               1 + len(replicas)])
-                yield from tell({"standby_promoted":
-                                 promoted.get("box_fp", "")})
-                yield from spawn_standby()   # replenish the pool
+            while standby and standby[0]["box_fp"] in dead_boxes:
+                yield from move(standby[0], "standby-lost")
+            if standby:
+                yield from move(standby[0], "standby-promoted")
+                yield from spawn("standby-up")      # refill the pool
             else:
-                yield from spawn_replica(kind="respawn")
+                yield from spawn("respawn")
 
     def ensure_ready(rep, timeout=300.0):
-        """Wait for a replica's {"ready": true}; with a tiny timeout this
-        is a non-blocking readiness poll.  A dead transport (anything but
-        a timeout) loses the replica."""
-        if not rep["ready"]:
+        # With a tiny timeout, a non-blocking readiness poll.
+        if rep["state"] == "provisioning":
             try:
                 yield from api.remote_recv(rep["handle"], timeout=timeout)
-                rep["ready"] = True
-            except Exception as exc:
-                # The sandbox has no type() and no timeout exception
-                # class to catch by name; repr() carries the class name.
-                if "SimTimeoutError" not in repr(exc):
-                    yield from lose_replica(rep)
-        return rep["ready"]
+            except api.Timeout:
+                pass
+            except api.Error:
+                yield from lose(rep)
+            else:
+                yield from move(rep, "ready")
+        return rep["state"] == "ready"
+
+    def stop(rep):
+        try:
+            yield from api.remote_send(rep["handle"], b'{"op": "stop"}')
+            yield from api.remote_shutdown(rep["handle"])
+        except api.Error:
+            pass       # a replica that is gone is stopped
 
     def dispatch(request):
-        # Only *ready* instances are dispatch candidates: waiting for a
-        # replica mid-provisioning would stall every queued client.
-        instances = [{"kind": "local"}]
+        # Only ready instances are candidates: waiting for one still
+        # provisioning would stall every queued client.
+        instances = [state]
         for rep in list(replicas):
-            ready = yield from ensure_ready(rep, timeout=0.05)
-            if ready:
-                instances.append({"kind": "replica", "rep": rep})
+            if (yield from ensure_ready(rep, timeout=0.05)):
+                instances.append(rep)
         least = min(instances, key=estimate)
         if estimate(least) >= high_water and len(replicas) < max_replicas:
-            # Start a replica for *future* load, but serve this request
-            # from existing capacity — the new instance is still copying
-            # the content and key material.
-            yield from spawn_replica()
-        if least["kind"] == "local":
-            local["assigned"] += 1
-            yield from api.stem.complete_rendezvous(service, request,
-                                                    wait=False)
-        else:
-            rep = least["rep"]
-            rep["assigned"] += 1
+            # Start one for future load; this request is served from
+            # existing capacity while the new one copies its content.
+            yield from spawn("scale-up")
+        if least is not state:
+            least["assigned"] += 1
             try:
-                yield from ensure_ready(rep)
-                yield from api.remote_send(rep["handle"], json.dumps(
+                yield from ensure_ready(least)
+                yield from api.remote_send(least["handle"], json.dumps(
                     {"op": "rendezvous", "req": {
                         "cookie": request["cookie"].hex(),
                         "rp_address": request["rp_address"],
                         "rp_port": int(request["rp_port"]),
                         "onionskin": request["onionskin"].hex(),
                     }}).encode("utf-8"))
-                yield from api.remote_recv(rep["handle"], timeout=120.0)
-            except Exception:
-                # The replica died under us: serve this client locally so
-                # the request still completes, then replace the replica.
-                yield from lose_replica(rep)
-                local["assigned"] += 1
-                yield from api.stem.complete_rendezvous(service, request,
-                                                        wait=False)
-                events.append([(yield from api.time()), "dispatch", "local"])
+                yield from api.remote_recv(least["handle"], timeout=120.0)
+            except api.Error:
+                yield from lose(least)      # and serve this one locally
+            else:
+                yield from move(least, "dispatch")
                 return
-        events.append([(yield from api.time()), "dispatch", least["kind"]])
+        state["assigned"] += 1
+        yield from api.stem.complete_rendezvous(service, request, wait=False)
+        yield from move(None, "dispatch")
 
     for _n in range(standbys):
-        yield from spawn_standby()
+        yield from spawn("standby-up")
 
     end = (yield from api.time()) + duration_s
     while (yield from api.time()) < end:
@@ -302,7 +266,7 @@ def loadbalancer(replica_source, replica_manifest, high_water, low_water,
         try:
             request = yield from api.stem.wait_introduction(
                 service, timeout=min(poll_interval, remaining))
-        except Exception:
+        except api.Timeout:
             request = None
         if request is not None:
             yield from dispatch(request)
@@ -311,44 +275,31 @@ def loadbalancer(replica_source, replica_manifest, high_water, low_water,
         for rep in replicas:
             yield from ensure_ready(rep, timeout=0.05)
         yield from poll_loads()
-        total_active = state["active"] + sum(r["active"] for r in replicas)
         idle = [r for r in replicas
-                if r["ready"] and r["active"] == 0
+                if r["state"] == "ready" and r["active"] == 0
                 and r["assigned"] <= r["served"]]
-        if idle and total_active <= low_water:
-            rep = idle[-1]
-            replicas.remove(rep)
-            try:
-                yield from api.remote_send(rep["handle"], b'{"op": "stop"}')
-                yield from api.remote_shutdown(rep["handle"])
-            except Exception:
-                pass
-            events.append([(yield from api.time()), "scale-down",
-                           1 + len(replicas)])
+        if idle and sum(i["active"] for i in [state] + replicas) <= low_water:
+            yield from stop(idle[-1])
+            yield from move(idle[-1], "scale-down")
 
-    # Drain: the service window is over, but in-flight downloads finish
-    # before any instance is decommissioned.
+    # Drain: in-flight downloads finish before any instance goes.
     drain_deadline = (yield from api.time()) + 600.0
     while (yield from api.time()) < drain_deadline:
         for rep in replicas:
             yield from ensure_ready(rep, timeout=1.0)
         yield from poll_loads()
-        busy = state["active"] + sum(r["active"] for r in replicas)
-        waiting = (local["assigned"] - state["served"]) + sum(
-            r["assigned"] - r["served"] for r in replicas)
-        if all(r["ready"] for r in replicas) and busy <= 0 and waiting <= 0:
+        busy = sum(i["active"] for i in [state] + replicas)
+        waiting = sum(i["assigned"] - i["served"] for i in [state] + replicas)
+        if (all(r["state"] == "ready" for r in replicas)
+                and busy <= 0 and waiting <= 0):
             break
         yield from api.sleep(poll_interval)
 
-    for rep in replicas + standby_pool:
-        try:
-            yield from api.remote_send(rep["handle"], b'{"op": "stop"}')
-            yield from api.remote_shutdown(rep["handle"])
-        except Exception:
-            pass
+    for rep in replicas + standby:
+        yield from stop(rep)
     return {"events": events, "served_local": state["served"],
             "replicas_at_end": len(replicas),
-            "replicas_lost": lost["count"]}
+            "replicas_lost": sum(e[1] == "replica-lost" for e in events)}
 '''
 
 
@@ -407,16 +358,6 @@ class LoadBalancerFunction:
         key material already pushed, never dispatched to); a lost replica
         promotes one instantly instead of respawning cold.
         """
-        return cls._start(thread, session, content, high_water, low_water,
-                          max_replicas, duration_s, poll_interval,
-                          replica_image, timeout, announce, standbys)
-
-    @staticmethod
-    def _start(thread: Actor, session, content: bytes, high_water: int,
-               low_water: int, max_replicas: int, duration_s: float,
-               poll_interval: float, replica_image: str, timeout: float,
-               announce: bool, standbys: int = 0) -> str:
-        cls = LoadBalancerFunction
         sim = session.client.sim
         log = _obs.log
         span = log.begin_span(

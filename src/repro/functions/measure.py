@@ -31,7 +31,7 @@ def measure(targets, rtt_samples, bw_probe_url, bw_probe_bytes):
                 now = yield from api.time()
                 total += now - start
                 stream.close()
-            except Exception:
+            except api.Error:
                 failures += 1
         ok = rtt_samples - failures
         results.append({"host": host, "port": port,

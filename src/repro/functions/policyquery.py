@@ -29,10 +29,7 @@ import json
 def policy_query(policy_json, max_queries):
     answered = 0
     while answered < max_queries:
-        try:
-            yield from api.recv()
-        except Exception:
-            break
+        yield from api.recv()
         yield from api.send(policy_json.encode("utf-8"))
         answered += 1
     return {"answered": answered}

@@ -14,7 +14,7 @@ count from 1 per function, a function names only what it built, and
 routines a function may invoke is the API gate's decision: every routine
 passes ``api._gate("stem.<routine>")``, which kills a function that calls
 outside its manifest (and the manifest was held to the middlebox policy
-at load).
+at load).  Its routines raise the api's error vocabulary.
 """
 
 from __future__ import annotations
@@ -85,13 +85,18 @@ class StemFirewall:
                 f"{onion_address}") from None
 
     def _spawn(self, kind: str, body):
-        """Run ``body(task)`` in its own actor that may use this api."""
+        """Run ``body(task)`` in its own actor that may use this api; the
+        function's kill ends it quietly (the main invocation reports it)."""
+        from repro.core.api import FunctionKilled  # repro.core imports us
+
         api = self._api
 
         def _run(task):
             api._bind(task, None)
             try:
                 return (yield from body(task))
+            except FunctionKilled:
+                return None
             finally:
                 api._unbind(task)
 

@@ -212,3 +212,124 @@ def main():
             yield from session.shutdown(thread)
 
         run_thread(api_net, main)
+
+
+class TestErrorVocabulary:
+    """What a function can catch: ``api.Error`` and its three members.
+
+    Each row uploads one function that makes a call and reports the name
+    it caught; the internal class behind it never reaches the function.
+    """
+
+    WRAPPER = """
+def main(arg):
+    try:
+        return (yield from attempt(arg))
+    except api.Timeout:
+        return "Timeout"
+    except api.PeerGone:
+        return "PeerGone"
+    except api.NotFound:
+        return "NotFound"
+    except api.Error:
+        return "Error"
+"""
+    REMOTE = "def main():\n    yield from api.recv()\n"
+    CALLS = {"recv", "send", "deploy", "remote_invoke", "remote_recv",
+             "stem.close_circuit"}
+
+    @pytest.fixture()
+    def vocab_net(self, api_net):
+        from repro.netsim.faults import FaultPlane
+
+        api_net.plane = FaultPlane(api_net.network)
+        return api_net
+
+    def _outcome(self, net, attempt, arg=None, after_output=None):
+        """The uploaded function's result, or the crash it ended with.
+
+        ``after_output(payload)`` runs host-side on the function's first
+        output, before the host answers it with one message.
+        """
+        client = BentoClient(net.create_client(), ias=net.ias)
+        manifest = FunctionManifest.create("t", "main", self.CALLS)
+
+        def main(thread):
+            session = yield from client.connect(thread, client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(thread, attempt + self.WRAPPER,
+                                             manifest)
+            session.invoke_nowait([arg])
+            if after_output is not None:
+                after_output((yield from session.next_output(thread)))
+                session.send_message(b"go")
+            try:
+                return (yield from session.await_result(thread))
+            except BentoError as exc:
+                return str(exc)
+
+        return run_thread(net, main)
+
+    def _crash(self, net, fingerprint):
+        box = next(s for s in net.servers
+                   if s.relay.fingerprint == fingerprint)
+        net.plane.crash_node(box.node.name)
+
+    def test_an_expired_recv_is_timeout(self, api_net):
+        attempt = """
+def attempt(arg):
+    yield from api.recv(timeout=1.0)
+"""
+        assert self._outcome(api_net, attempt) == "Timeout"
+
+    def test_remote_recv_from_a_crashed_box_is_peer_gone(self, vocab_net):
+        attempt = """
+def attempt(remote):
+    handle = yield from api.deploy(remote, %r, direct=True)
+    info = yield from api.remote_info(handle)
+    yield from api.remote_invoke_nowait(handle, [])
+    yield from api.send(info["box_fp"].encode())
+    yield from api.recv()
+    yield from api.remote_recv(handle, timeout=60.0)
+""" % FunctionManifest.create("r", "main", {"recv"}).to_wire()
+        outcome = self._outcome(
+            vocab_net, attempt, self.REMOTE,
+            after_output=lambda fp: self._crash(vocab_net, fp.decode()))
+        assert outcome == "PeerGone"
+
+    def test_deploy_to_an_unreachable_box_is_peer_gone(self, vocab_net):
+        target = vocab_net.servers[-1].relay.fingerprint
+        self._crash(vocab_net, target)
+        attempt = """
+def attempt(target):
+    yield from api.deploy("def main():\\n    yield\\n", %r,
+                          target_fingerprint=target, direct=True)
+""" % FunctionManifest.create("r", "main", {"recv"}).to_wire()
+        assert self._outcome(vocab_net, attempt, target) == "PeerGone"
+
+    def test_an_unknown_remote_handle_is_not_found(self, api_net):
+        attempt = """
+def attempt(arg):
+    yield from api.remote_info("remote-99")
+"""
+        assert self._outcome(api_net, attempt) == "NotFound"
+
+    def test_a_kill_is_not_an_api_error(self, api_net):
+        from repro.core.api import Error, FunctionKilled
+
+        assert not issubclass(FunctionKilled, Error)
+        attempt = """
+def attempt(arg):
+    yield from api.log("not in the manifest")
+"""
+        assert self._outcome(api_net, attempt).endswith(
+            "function-crashed (FunctionKilled: api call 'log' not in "
+            "manifest)")
+
+    def test_an_unmapped_error_crashes_under_its_own_name(self, api_net):
+        attempt = """
+def attempt(arg):
+    yield from api.stem.close_circuit("7")
+"""
+        assert "function-crashed (StemPolicyViolation: function " in \
+            self._outcome(api_net, attempt)

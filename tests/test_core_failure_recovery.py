@@ -189,6 +189,45 @@ class TestBoxCrash:
 
         run_thread(net, main)
 
+    def test_a_handler_under_a_crash_ends_quietly(self, net):
+        """A hidden-service handler with no ``try`` whose box crashes under
+        a live stream: its next stream call is the function's kill, and
+        the handler's actor ends without failing."""
+        code = """
+def main():
+    def handler(stream, host, port):
+        yield from stream.send(b"hi")
+        while True:
+            data = yield from stream.recv()
+            if data == b"":
+                break
+    service = yield from api.stem.create_hidden_service(handler)
+    yield from api.send(str(service.onion_address).encode())
+    yield from api.sleep(3600.0)
+"""
+        client = BentoClient(net.create_client(), ias=net.ias)
+        visitor = net.create_client("visitor")
+
+        def main(thread):
+            box = client.pick_box()
+            session = yield from client.connect(thread, box)
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, code, FunctionManifest.create(
+                    "hs", "main", {"send", "sleep",
+                                   "stem.create_hidden_service"}))
+            session.invoke_nowait([])
+            onion = (yield from session.next_output(thread)).decode()
+            circuit = yield from visitor.connect_to_hidden_service(thread,
+                                                                   onion)
+            stream = yield from circuit.open_stream(thread, "", 80)
+            assert (yield from stream.recv(thread)) == b"hi"
+            net.plane.crash_node(server_for(net, box).node.name)
+            yield Sleep(30.0)
+
+        run_thread(net, main)
+        assert net.sim._failed == []
+
     def test_graceful_kill_releases_firewall(self, net):
         released = []
 

@@ -4,16 +4,21 @@ These protect the property that makes the functions credible: each SOURCE
 string must load in the restricted namespace, define its manifest's entry
 point, and request no more API calls than its manifest declares (the
 manifest is what the operator's policy judges, so an undeclared call would
-be a lie that gets the function killed at runtime anyway).
+be a lie that gets the function killed at runtime anyway).  A function
+catches failures by their ``api`` names, never broadly.
 """
 
+import ast
 import re
 
 import pytest
 
+from repro.chain.deploy import ChainStageFunction
+from repro.chain.template import ComponentSpec
 from repro.core.apispec import ALL_API_CALLS
 from repro.core.loader import build_function_namespace
 from repro.core.policy import MiddleboxNodePolicy
+from repro.functions.kvstore import KvStoreFunction
 from repro.functions import (
     AvoidanceFunction,
     BrowserFunction,
@@ -21,6 +26,7 @@ from repro.functions import (
     DdosDefenseFunction,
     DropboxFunction,
     LoadBalancerFunction,
+    MeasureFunction,
     MultipathFunction,
     PolicyQueryFunction,
     ShardFunction,
@@ -42,7 +48,34 @@ ARTIFACTS = [
     ("avoidance", AvoidanceFunction.SOURCE, AvoidanceFunction.manifest()),
     ("ddos-defense", DdosDefenseFunction.SOURCE,
      DdosDefenseFunction.manifest()),
+    ("kvstore", KvStoreFunction.SOURCE, KvStoreFunction.manifest()),
+    ("measure", MeasureFunction.SOURCE, MeasureFunction.manifest()),
+    ("chain-stage", ChainStageFunction.SOURCE,
+     ChainStageFunction.manifest(ComponentSpec(name="stage"))),
 ]
+
+
+def broad_catches(source: str) -> list[str]:
+    """Each handler that catches broadly or sorts what it caught by repr()."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = [] if node.type is None else (
+            node.type.elts if isinstance(node.type, ast.Tuple)
+            else [node.type])
+        names = {getattr(kind, "id", None) for kind in caught}
+        if not caught or names & {"Exception", "BaseException"}:
+            found.append(f"line {node.lineno}: " + (
+                f"except {ast.unparse(node.type)}" if caught
+                else "bare except"))
+        for inner in ast.walk(node):
+            if (node.name and isinstance(inner, ast.Call)
+                    and getattr(inner.func, "id", None) == "repr"
+                    and any(getattr(arg, "id", None) == node.name
+                            for arg in inner.args)):
+                found.append(f"line {inner.lineno}: repr({node.name})")
+    return found
 
 
 class _RecordingApi:
@@ -99,6 +132,11 @@ class TestFunctionArtifacts:
 
     def test_manifest_accepted_by_open_policy(self, name, source, manifest):
         assert MiddleboxNodePolicy.open_policy().permits(manifest)
+
+    def test_catches_by_name(self, name, source, manifest):
+        """``api.Error`` and its members are what a function may catch; a
+        broad catch would swallow the sandbox's kill with the rest."""
+        assert broad_catches(source) == []
 
     def test_source_imports_only_safe_modules(self, name, source, manifest):
         from repro.core.loader import SAFE_MODULES
