@@ -8,7 +8,8 @@ event kernel, the link model and the fault plane and nothing else;
 
 Everything the scenario derives — node names, session placement, pair
 latencies, fault schedules — is a pure function of its parameters and
-seed via *named* RNG forks.
+seed via *named* RNG forks.  Sessions are released a window ahead of
+their start, so the kernel holds one window's pending clients, not all.
 """
 
 from __future__ import annotations
@@ -26,6 +27,11 @@ __all__ = ["MeshScenario", "MESH_PORT"]
 
 #: The port every mesh node serves on.
 MESH_PORT = 9000
+
+#: How far ahead of its start a session is spawned: one release event per
+#: simulated second keeps a second's sessions queued (about 420 of the
+#: suite's 25,000 over 60 s), where spawning at build kept them all.
+_RELEASE_SPACING_S = 1.0
 
 
 @dataclass
@@ -66,7 +72,7 @@ class MeshScenario:
 
     @staticmethod
     def group_of(name: str) -> int:
-        return int(name[1:3])
+        return int(name[1:name.index("n")])
 
     def latency_of(self, a: str, b: str) -> float:
         """Deterministic one-way latency for a pair (name-keyed draw)."""
@@ -106,6 +112,10 @@ class MeshScenario:
     def build(self, sim: Simulator) -> list:
         """Build the mesh on ``sim``; returns the list its sessions record to.
 
+        Each session is spawned ``_RELEASE_SPACING_S`` ahead of its start
+        by a release event, and starts on the float it would if spawned
+        here.
+
         A record is ``(time, node, node_seq, kind, attrs)``, where
         ``node_seq`` counts that node's records, so ``(time, node,
         node_seq)`` orders the list totally.
@@ -138,9 +148,25 @@ class MeshScenario:
                 pinned.add(key)
                 network.set_latency(key[0], key[1],
                                     self.latency_of(key[0], key[1]))
-        for session_id, client, server, start in sessions:
-            sim.spawn(self._client, network, record, session_id, client,
-                      server, name=f"client:{session_id}", delay=start)
+        at = sim.now
+        # Due order, ties in session order (stable); pop() takes the next.
+        sessions.sort(key=lambda session: at + session[3])
+        sessions.reverse()
+
+        def release(until: float, at_build: bool = False) -> None:
+            while sessions and at + sessions[-1][3] <= until:
+                session_id, client, server, start = sessions.pop()
+                # At build, spawned as always.  At a release instant
+                # t = sim.now it is due at a = at + start, t < a <= until
+                # <= 2t (t >= spacing), so a - t is exact (Sterbenz) and
+                # t + (a - t) == a: the same float, never delay 0.
+                sim.spawn(self._client, network, record, session_id,
+                          client, server, name=f"client:{session_id}",
+                          delay=start if at_build else at + start - sim.now)
+            if sessions:
+                sim.post_at(until, release, (until + _RELEASE_SPACING_S,))
+
+        release(at + _RELEASE_SPACING_S, at_build=True)
         if self.faults:
             plane = FaultPlane(network)     # rng: a named fork
             plane.schedule_random(node_names=names, **self.faults)

@@ -50,17 +50,20 @@ class ShardedSimulator:
         """Build, run to completion, and return the sorted records.
 
         ``trace`` is one JSON line per record in ``(time, node,
-        node_seq)`` order; a failed actor re-raises its exception.
+        node_seq)`` order, written once into a ``bytearray``; a failed
+        actor re-raises its exception.
         """
         sim = Simulator(self.seed)
         records = self.scenario.build(sim)
         processed = sim.run()
         sim.check_failures()
         records.sort(key=_ORDER)
-        trace = "".join(_ENCODER.encode(record) + "\n" for record in records)
+        trace = bytearray()
+        for record in records:
+            trace += (_ENCODER.encode(record) + "\n").encode()
         return {
             "records": records,
-            "trace": trace.encode(),
+            "trace": trace,
             "sim_time": sim.now,
             "events_processed": processed,
         }

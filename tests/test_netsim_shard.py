@@ -12,9 +12,11 @@ import hashlib
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsim.partition import lookahead_s, partition_nodes
-from repro.netsim.scenarios import MeshScenario
+from repro.netsim.scenarios import _RELEASE_SPACING_S, MeshScenario
 from repro.netsim.shard import ShardedSimulator
 from repro.netsim.simulator import Simulator
 
@@ -126,3 +128,89 @@ class TestOneProcessRunner:
     def test_more_than_one_worker_is_refused(self, workers):
         with pytest.raises(ValueError, match="ROADMAP item 5"):
             ShardedSimulator(MeshScenario(seed=5, **SMALL), workers=workers)
+
+
+class TestGroupNames:
+    def test_a_three_digit_group_is_read_whole(self):
+        # Group 100 once read as group 10, and g10-g100 passed for an
+        # intra-group pair.
+        scenario = MeshScenario(n_groups=101, nodes_per_group=2)
+        assert scenario.group_of("g100n000") == 100
+        assert scenario.group_of("g07n001") == 7
+        lo, hi = scenario.inter_latency_s
+        assert lo <= scenario.latency_of("g10n000", "g100n000") <= hi
+
+
+@st.composite
+def _plans(draw):
+    """``(build time, starts)``: the starts a release could get wrong."""
+    build_time = draw(st.sampled_from([0.0, 2**-53, 0.3, 1.0, 7.25,
+                                       1000.1])
+                      | st.floats(0.0, 50.0))
+    instants = [build_time + _RELEASE_SPACING_S]
+    while len(instants) < 6:
+        instants.append(instants[-1] + _RELEASE_SPACING_S)
+    start = st.one_of(
+        st.sampled_from([5e-324, 2**-53, 1 + 2**-52, 1.0, 2.0]),
+        st.sampled_from([instant - build_time for instant in instants]),
+        st.floats(0.0, 8.0, exclude_min=True))
+    starts = draw(st.lists(start, min_size=1, max_size=12))
+    duplicates = draw(st.lists(st.sampled_from(starts), max_size=4))
+    return build_time, starts + duplicates
+
+
+class TestRelease:
+    """Sessions are spawned a window ahead of their start, not at build."""
+
+    def test_pending_sessions_stay_a_window_deep(self):
+        scenario = MeshScenario(n_sessions=2000, n_groups=4,
+                                nodes_per_group=4, seed=5)
+        sim = Simulator(5)
+        records = scenario.build(sim)
+        depths = [sim.queued]
+
+        def probe():
+            depths.append(sim.queued)
+            if sim.now < scenario.start_window_s:
+                sim.post_at(sim.now + 0.5, probe)
+
+        sim.post_at(0.5, probe)
+        sim.run()
+        assert len(records) == 2000
+        assert len(depths) > 100
+        assert max(depths) < 2000 // 10
+
+    @settings(deadline=None)    # max_examples: the profile in conftest.py
+    @given(_plans())
+    def test_a_session_starts_on_the_float_it_was_planned_for(self, plan):
+        build_time, starts = plan
+        ids = [f"s{i:06d}" for i in range(len(starts))]
+        scenario = MeshScenario(n_groups=1, nodes_per_group=2, seed=3)
+        scenario.sessions = lambda: [(sid, "g00n000", "g00n001", start)
+                                     for sid, start in zip(ids, starts)]
+        started, delays = [], []
+
+        def client(task, _network, _record, session_id, _client, _server):
+            started.append((session_id, task.sim.now))
+            return
+            yield
+
+        scenario._client = client
+        sim = Simulator(3)
+        sim.run(until=build_time)
+        spawn = sim.spawn
+
+        def spawning(fn, *args, name="actor", delay=0.0):
+            delays.append(delay)
+            return spawn(fn, *args, name=name, delay=delay)
+
+        sim.spawn = spawning
+        scenario.build(sim)
+        sim.run()
+        assert 0.0 not in delays
+        due = {sid: build_time + start for sid, start in zip(ids, starts)}
+        # Bit for bit, and in the order all-at-build spawning gave:
+        # by due time, ties in session order.
+        assert [(sid, when.hex()) for sid, when in started] == sorted(
+            ((sid, when.hex()) for sid, when in due.items()),
+            key=lambda item: (due[item[0]], item[0]))
