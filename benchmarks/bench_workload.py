@@ -1,13 +1,15 @@
 """Workload sweep: the stock scenario matrix with enforced SLO reports.
 
 Runs the preset scenarios (one per plane story — qos flash crowd, chaos
-recovery, migrate handoff, plus the ddos burst and the everything-on
-cross-plane mix), rolls each into its SLO report, and enforces the
-acceptance criteria as hard checks:
+recovery, migrate handoff, the two chaos soaks, plus the ddos burst and
+the everything-on cross-plane mix), rolls each into its SLO report, and
+enforces the acceptance criteria as hard checks:
 
 1. every scenario's declared SLOs pass — including at least one per
    plane: qos goodput under the flash crowd, chaos recovery p99, migrate
-   state-preservation;
+   state-preservation, the soak's LoadBalancer replacing a lost replica
+   (a warm standby faster than a cold respawn) and Shard surviving two
+   lost placements;
 2. a fixed-seed scenario replays bit-identically — the events.jsonl
    export of two runs has the identical sha256;
 3. the migrate ablation: the same handoff scenario with the migration
@@ -15,7 +17,7 @@ acceptance criteria as hard checks:
    it).
 
 Results land in ``BENCH_workload.json``.  ``--smoke`` (CI) runs the
-three-scenario smoke sweep at smoke scale; the default runs the full
+six-scenario smoke sweep at smoke scale; the default runs the full
 matrix; ``--full`` additionally scales durations and rates up for the
 nightly job.
 """
@@ -46,6 +48,10 @@ PLANE_ASSERTIONS = {
                   ("qos.rejected", ">=", 1.0)],
     "chaos-recovery": [("chaos.recovery_p99", "<=", 120.0)],
     "migrate-handoff": [("probe.state_preserved", "==", 1.0)],
+    "chaos-soak": [("counters.replicas_respawned", ">=", 1.0),
+                   ("tenants.vault.goodput", "==", 1.0)],
+    "chaos-soak-standby": [("counters.standby_promotions", ">=", 1.0),
+                           ("chaos.recovery_p50", "<=", 0.1)],
 }
 
 

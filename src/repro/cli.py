@@ -74,37 +74,6 @@ def _scenario_perf_report(seed: int) -> None:
     print(render_report())
 
 
-def _scenario_chaos_soak(seed: int) -> None:
-    """Run the deterministic fault-injection soak and check its invariants.
-
-    Exits nonzero if any acceptance predicate fails (insufficient faults,
-    an unrecovered client request, a corrupted Shard reconstruction, or a
-    LoadBalancer replica that was never respawned).
-    """
-    from repro.chaos import check_soak, run_chaos_soak
-
-    result = run_chaos_soak(seed=seed, verbose=True)
-    print(f"chaos soak (seed={result['seed']}, {result['n_relays']} relays) "
-          f"finished at simulated t={result['sim_time']:.1f}s")
-    print(f"  faults injected:   {result['faults_injected']} "
-          f"{dict(result['fault_log'])}")
-    print(f"  client requests:   {result['requests_recovered']}/"
-          f"{result['requests_attempted']} recovered")
-    print(f"  shard retrieval:   "
-          f"{'bit-identical' if result['shard_ok'] else 'CORRUPTED'}")
-    print(f"  replicas lost:     {result['replicas_lost']}")
-    print(f"  lb events:         {dict(result['lb_events'])}")
-    print("  counters:")
-    for name, value in sorted(result["counters"].items()):
-        print(f"    {name:22s} {value}")
-    problems = check_soak(result)
-    if problems:
-        for problem in problems:
-            print(f"FAIL: {problem}")
-        raise SystemExit(1)
-    print("all soak invariants hold")
-
-
 def _scenario_trace_report(seed: int, out: str = "trace-report") -> None:
     """Run the quickstart flow with the observability plane attached and
     write the trace artifacts: a Perfetto-loadable Chrome trace, the raw
@@ -168,19 +137,14 @@ def _scenario_workload_report(seed: int, spec_path: str | None = None,
     print(render_report(report))
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        with open(os.path.join(out, "spec.json"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(spec.to_json())
         jsonl = events_to_jsonl(log)
         digest = hashlib.sha256(jsonl.encode("utf-8")).hexdigest()
-        with open(os.path.join(out, "events.jsonl"), "w",
-                  encoding="utf-8") as fh:
-            fh.write(jsonl)
-        with open(os.path.join(out, "report.json"), "w",
-                  encoding="utf-8") as fh:
-            json.dump({"report": report, "events_jsonl_sha256": digest},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        summary = json.dumps({"report": report, "events_jsonl_sha256": digest},
+                             indent=2, sort_keys=True) + "\n"
+        for name, text in (("spec.json", spec.to_json()),
+                           ("events.jsonl", jsonl), ("report.json", summary)):
+            with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+                fh.write(text)
         print(f"artifacts in {out}/ (events.jsonl sha256 {digest[:16]}…)")
     if not report["passed"]:
         raise SystemExit(1)
@@ -191,7 +155,6 @@ SCENARIOS = {
     "workload-report": _scenario_workload_report,
     "fingerprint": _scenario_fingerprint,
     "perf-report": _scenario_perf_report,
-    "chaos-soak": _scenario_chaos_soak,
     "trace-report": _scenario_trace_report,
 }
 

@@ -3,8 +3,8 @@
 The simplest function whose value *is* its state: counters and small
 values accumulated across many client messages.  Losing the instance to
 a cold respawn loses the store; the migration plane's checkpoint
-protocol preserves it across drains and standby promotions, which is
-exactly what ``bench_migrate.py`` measures.
+protocol preserves it across drains, which is exactly what the
+``migrate-handoff`` workload preset checks.
 
 The source exports the checkpoint protocol: plain ``checkpoint()`` /
 ``restore(state)`` callables over a module-level dict (no api access

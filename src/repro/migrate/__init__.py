@@ -2,8 +2,8 @@
 
 A warm standby needs nothing more: a session stages a checkpoint with
 ``restore_function(cp, start=False)`` and starts it later; the
-LoadBalancer keeps its own pool of warm replicas for the chaos soak's
-``standby`` mode.
+LoadBalancer keeps its own pool of warm replicas (a tenant's
+``standbys``, as in the ``chaos-soak-standby`` workload preset).
 
 Opt-in like every plane: pass ``migrate=MigrationConfig()`` to
 :class:`~repro.core.server.BentoServer` to enable drain-then-migrate on a

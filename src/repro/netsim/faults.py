@@ -4,8 +4,8 @@ A :class:`FaultPlane` sits beside a :class:`~repro.netsim.network.Network`
 and perturbs it on a seeded schedule — crashing and restarting nodes,
 severing and healing links, and injecting latency spikes.  Every fault is
 a plain simulator event, so a fixed seed reproduces the exact same fault
-sequence, interleaving, and recovery behavior run after run (the property
-the chaos-soak acceptance test asserts).
+sequence, interleaving, and recovery behavior run after run.  Which
+boxes a workload run's faults hit is :mod:`repro.chaos`'s policy.
 
 Fault semantics:
 

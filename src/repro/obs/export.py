@@ -14,7 +14,7 @@ time, so a seeded run exports byte-identically run after run:
   :class:`~repro.obs.metrics.MetricsRegistry`, Prometheus-flavoured.
 
 :func:`write_trace_report` bundles all three into a directory — the
-``repro trace-report`` CLI scenario and the chaos soak both use it.
+``repro trace-report`` CLI scenario uses it.
 """
 
 from __future__ import annotations

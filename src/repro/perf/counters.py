@@ -134,9 +134,11 @@ FIELDS = (
     # drains aborted (no destination, quiesce timeout)
     Field("migrations_failed", "migrate", "plane-off-zero",
           "migrations_failed"),
-    # warm standbys promoted instead of cold respawn
-    Field("standby_promotions", "migrate", "plane-off-zero",
-          "standby_promotions"),
+    # LoadBalancer warm standbys promoted instead of a cold respawn: a
+    # chaos field like replicas_respawned (the balancer's own pool, no
+    # server plane involved), declared here to keep the snapshot order
+    # that fixed-seed digests hash
+    Field("standby_promotions", "chaos", "fixed", "standby_promotions"),
     # -- chain plane --------------------------------------------------------
     # overlays computed (joint or greedy engine)
     Field("chain_embeds", "chain", "plane-off-zero", "chain_embeds"),

@@ -14,14 +14,23 @@ changes (a scheduler tweak shifting latencies), not for noise.
 
 from __future__ import annotations
 
-from repro.workload.spec import (ArrivalSpec, PlanesSpec, SloSpec,
-                                 TenantSpec, WorkloadSpec)
+import functools
+
+from repro.workload.spec import (ArrivalSpec, CrashSpec, PlanesSpec,
+                                 SloSpec, TenantSpec, WorkloadSpec)
 
 __all__ = ["PRESETS", "preset", "smoke_names", "sweep_names"]
 
 
 def _scaled(full: bool, smoke_value: float, full_value: float) -> float:
     return full_value if full else smoke_value
+
+
+def _slos(*rows: tuple) -> tuple[SloSpec, ...]:
+    """SLOs from ``(name, metric, op, threshold)`` rows, then the one every
+    preset declares: every actor ran to its end."""
+    return tuple(SloSpec(*row) for row in rows + (
+        ("no-deadlock", "sim.all_finished", "==", 1.0),))
 
 
 def qos_flash(full: bool = False) -> WorkloadSpec:
@@ -57,18 +66,12 @@ def qos_flash(full: bool = False) -> WorkloadSpec:
         ),
         planes=PlanesSpec(qos=True, qos_slots=2, qos_queue_depth=2,
                           qos_queue_timeout_s=8.0),
-        slos=(
-            SloSpec(name="qos-goodput", metric="sessions.goodput",
-                    op=">=", threshold=0.75),
-            SloSpec(name="qos-engaged", metric="qos.rejected",
-                    op=">=", threshold=1.0),
+        slos=_slos(
+            ("qos-goodput", "sessions.goodput", ">=", 0.75),
+            ("qos-engaged", "qos.rejected", ">=", 1.0),
             # Completion latency bounds at admission deadline (60s) plus
             # the session's own work and 12s slot hold, with margin.
-            SloSpec(name="interactive-p99",
-                    metric="latency.interactive.p99", op="<=",
-                    threshold=90.0),
-            SloSpec(name="no-deadlock", metric="sim.all_finished",
-                    op="==", threshold=1.0),
+            ("interactive-p99", "latency.interactive.p99", "<=", 90.0),
         ),
     )
 
@@ -103,15 +106,12 @@ def chaos_recovery(full: bool = False) -> WorkloadSpec:
         planes=PlanesSpec(chaos=True, chaos_link_cuts=2,
                           chaos_latency_spikes=2,
                           chaos_mean_downtime_s=12.0,
-                          chaos_crash_at_s=duration * 0.55),
-        slos=(
-            SloSpec(name="recovery-p99", metric="chaos.recovery_p99",
-                    op="<=", threshold=120.0),
-            SloSpec(name="probe-serves-on",
-                    metric="probe.ops_ok", op=">=",
-                    threshold=_scaled(full, 8.0, 60.0)),
-            SloSpec(name="no-deadlock", metric="sim.all_finished",
-                    op="==", threshold=1.0),
+                          chaos_crashes=(
+                              CrashSpec("probe-home", duration * 0.55),)),
+        slos=_slos(
+            ("recovery-p99", "chaos.recovery_p99", "<=", 120.0),
+            ("probe-serves-on", "probe.ops_ok", ">=",
+             _scaled(full, 8.0, 60.0)),
         ),
     )
 
@@ -144,17 +144,13 @@ def migrate_handoff(full: bool = False) -> WorkloadSpec:
                           chaos_link_cuts=0, chaos_latency_spikes=1,
                           chaos_mean_downtime_s=10.0,
                           migrate_drain_at_s=duration * 0.35,
-                          chaos_crash_at_s=duration * 0.6),
-        slos=(
-            SloSpec(name="state-preserved",
-                    metric="probe.state_preserved", op="==",
-                    threshold=1.0),
-            SloSpec(name="migration-completed",
-                    metric="migrate.completed", op=">=", threshold=1.0),
-            SloSpec(name="no-failed-migrations",
-                    metric="migrate.failed", op="==", threshold=0.0),
-            SloSpec(name="no-deadlock", metric="sim.all_finished",
-                    op="==", threshold=1.0),
+                          chaos_crashes=(
+                              CrashSpec("probe-home", duration * 0.6),)),
+        slos=_slos(
+            ("state-preserved", "probe.state_preserved", "==", 1.0),
+            ("migration-completed", "migrate.completed", ">=", 1.0),
+            ("no-failed-migrations", "migrate.failed", "==", 0.0),
+            ("no-redeploys", "probe.redeploys", "==", 0.0),
         ),
     )
 
@@ -185,15 +181,9 @@ def ddos_burst(full: bool = False) -> WorkloadSpec:
                            burst_arrivals=int(_scaled(full, 12, 40)))),
         ),
         planes=PlanesSpec(),
-        slos=(
-            SloSpec(name="attacks-rejected",
-                    metric="ddos.guard.rejection_rate", op=">=",
-                    threshold=1.0),
-            SloSpec(name="honest-served",
-                    metric="ddos.guard.honest_goodput", op=">=",
-                    threshold=0.9),
-            SloSpec(name="no-deadlock", metric="sim.all_finished",
-                    op="==", threshold=1.0),
+        slos=_slos(
+            ("attacks-rejected", "ddos.guard.rejection_rate", ">=", 1.0),
+            ("honest-served", "ddos.guard.honest_goodput", ">=", 0.9),
         ),
     )
 
@@ -264,20 +254,14 @@ def cross_plane(full: bool = False) -> WorkloadSpec:
                           chaos=True, chaos_link_cuts=2,
                           chaos_latency_spikes=2,
                           chaos_mean_downtime_s=10.0,
-                          chaos_crash_at_s=duration * 0.7,
+                          chaos_crashes=(
+                              CrashSpec("probe-home", duration * 0.7),),
                           migrate=True,
                           migrate_drain_at_s=duration * 0.3),
-        slos=(
-            SloSpec(name="overall-goodput", metric="sessions.goodput",
-                    op=">=", threshold=0.6),
-            SloSpec(name="state-preserved",
-                    metric="probe.state_preserved", op="==",
-                    threshold=1.0),
-            SloSpec(name="attacks-rejected",
-                    metric="ddos.guard.rejection_rate", op=">=",
-                    threshold=1.0),
-            SloSpec(name="no-deadlock", metric="sim.all_finished",
-                    op="==", threshold=1.0),
+        slos=_slos(
+            ("overall-goodput", "sessions.goodput", ">=", 0.6),
+            ("state-preserved", "probe.state_preserved", "==", 1.0),
+            ("attacks-rejected", "ddos.guard.rejection_rate", ">=", 1.0),
         ),
     )
 
@@ -309,16 +293,82 @@ def chain_pipeline(full: bool = False) -> WorkloadSpec:
         ),
         planes=PlanesSpec(qos=True, qos_slots=8, qos_queue_depth=8,
                           qos_queue_timeout_s=8.0),
-        slos=(
-            SloSpec(name="chain-goodput", metric="tenants.pipeline.goodput",
-                    op=">=", threshold=0.9),
-            SloSpec(name="chain-deployed", metric="chain.embeds",
-                    op=">=", threshold=1.0),
-            SloSpec(name="chain-units", metric="chain.units_delivered",
-                    op=">=", threshold=1.0),
-            SloSpec(name="no-deadlock", metric="sim.all_finished",
-                    op="==", threshold=1.0),
+        slos=_slos(
+            ("chain-goodput", "tenants.pipeline.goodput", ">=", 0.9),
+            ("chain-deployed", "chain.embeds", ">=", 1.0),
+            ("chain-units", "chain.units_delivered", ">=", 1.0),
         ),
+    )
+
+
+def chaos_soak(name: str, standbys: int, full: bool = False) -> WorkloadSpec:
+    """The chaos soak: a LoadBalancer and a Shard tenant under faults.
+
+    A burst of bulk downloads pushes the LoadBalancer into scaling up,
+    and the box of a replica in service then dies for good; the balancer
+    must replace it (a cold respawn, or with ``standbys`` a warm-standby
+    promotion) while every download completes.  A plain relay crash and
+    seeded link cuts and latency spikes land on top, then two Shard
+    placement boxes die for good, and the file must still be gathered
+    bit-identical from the three survivors afterwards.  Each check comes
+    with a count that cannot be zero when it passes, so none passes by
+    being skipped.  The fault script is timed to this load, so ``full``
+    runs the same scenario.
+    """
+    if standbys:
+        # A promotion is instant; the cold preset's respawn reads 0.47 s.
+        recovery = (("standby-promoted", "counters.standby_promotions",
+                     ">=", 1.0),
+                    ("recoveries", "chaos.recoveries", ">=", 1.0),
+                    ("recovery-p50", "chaos.recovery_p50", "<=", 0.1))
+    else:
+        recovery = (("replica-respawned", "counters.replicas_respawned",
+                     ">=", 1.0),)
+    duration = 300.0
+    return WorkloadSpec(
+        name=name,
+        seed=2021,
+        duration_s=duration,
+        n_relays=14,
+        bento_fraction=0.6,
+        tenants=(
+            TenantSpec(name="cdn", function="loadbalancer",
+                       priority="bulk", payload_bytes=1_000_000,
+                       standbys=standbys,
+                       arrivals=ArrivalSpec(
+                           kind="burst", burst_at_s=30.0,
+                           burst_duration_s=40.0, burst_arrivals=8)),
+            TenantSpec(name="vault", function="shard", priority="bulk",
+                       payload_bytes=60_000, shard_n=5, shard_k=3,
+                       arrivals=ArrivalSpec(
+                           kind="burst", burst_at_s=duration * 0.8,
+                           burst_duration_s=duration * 0.1,
+                           burst_arrivals=2)),
+        ),
+        planes=PlanesSpec(chaos=True, chaos_link_cuts=3,
+                          chaos_latency_spikes=4,
+                          chaos_mean_downtime_s=30.0,
+                          chaos_crashes=(
+                              CrashSpec("lb-replica", 40.0),
+                              CrashSpec("relay", duration * 0.5),
+                              CrashSpec("shard-placement", duration * 0.6),
+                              CrashSpec("shard-placement", duration * 0.6),
+                          )),
+        slos=_slos(
+            ("faults", "chaos.faults_injected", ">=", 10.0),
+            ("crashes", "counters.node_crashes", ">=", 3.0),
+            ("cuts", "counters.links_cut", ">=", 1.0),
+            ("spikes", "counters.latency_spikes", ">=", 1.0),
+            ("lb-visitors", "tenants.cdn.arrivals", ">=", 1.0),
+            ("lb-goodput", "tenants.cdn.goodput", "==", 1.0),
+            ("shard-gathers", "tenants.vault.arrivals", ">=", 1.0),
+            ("shard-goodput", "tenants.vault.goodput", "==", 1.0),
+            ("conns-torn-down", "counters.conns_torn_down", ">=", 1.0),
+            ("retries", "counters.retries", ">=", 1.0),
+            ("orphans-reaped", "counters.orphans_reaped", ">=", 1.0),
+            ("migrate-plane-silent", "counters.migrations_started",
+             "==", 0.0),
+            *recovery),
     )
 
 
@@ -329,6 +379,9 @@ PRESETS = {
     "ddos-burst": ddos_burst,
     "cross-plane": cross_plane,
     "chain-pipeline": chain_pipeline,
+    "chaos-soak": functools.partial(chaos_soak, "chaos-soak", standbys=0),
+    "chaos-soak-standby": functools.partial(chaos_soak, "chaos-soak-standby",
+                                            standbys=1),
 }
 
 
@@ -340,7 +393,7 @@ def preset(name: str, full: bool = False) -> WorkloadSpec:
 def smoke_names() -> list[str]:
     """The CI smoke sweep: one scenario per plane story."""
     return ["qos-flash", "chaos-recovery", "migrate-handoff",
-            "chain-pipeline"]
+            "chain-pipeline", "chaos-soak", "chaos-soak-standby"]
 
 
 def sweep_names() -> list[str]:

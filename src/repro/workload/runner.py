@@ -24,6 +24,7 @@ import functools
 from collections import Counter as _TallyCounter
 from typing import Optional
 
+from repro import chaos
 from repro.core.client import RETRYABLE_ERRORS, BentoClient
 from repro.core.errors import BentoError, ServerBusy
 from repro.core.manifest import FunctionManifest
@@ -90,6 +91,33 @@ def _kv_manifest(tenant: TenantSpec) -> FunctionManifest:
         memory_bytes=2 * MB, priority=tenant.priority)
 
 
+def _count_lb_events(events: list, recovery_samples: list) -> None:
+    """Surface what a LoadBalancer did, from its DONE events list.
+
+    The sandboxed balancer cannot reach host counters or the tracer, so
+    its respawns and standby promotions are counted here, each respawn is
+    an instant stamped with the event's own simulated time, and each
+    lost replica's gap to the next replacement joins the recovery samples.
+    """
+    log = _obs.log
+    lost: list[float] = []
+    for event_t, kind, detail in events:
+        if kind == "replica-lost":
+            lost.append(float(event_t))
+            continue
+        if kind == "respawn":
+            _metrics.counter("lb_respawns").value += 1
+            if log is not None:
+                log.instant("functions.lb_respawn", float(event_t),
+                            track="loadbalancer", replicas=detail)
+        elif kind == "standby-promoted":
+            _metrics.counter("standby_promotions").value += 1
+        else:
+            continue
+        if lost:
+            recovery_samples.append(float(event_t) - lost.pop(0))
+
+
 def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
     planes = spec.planes
     net = TorTestNetwork(n_relays=spec.n_relays, seed=spec.seed,
@@ -123,6 +151,9 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         "busy_fps": set(),      # boxes hosting tenant services: do not crash
         "operators_ready": 0,
         "crashed": set(),       # node names crashed permanently
+        "fp_to_node": fp_to_node,
+        "shards": {},           # tenant -> scatter metadata
+        "chains": {},           # tenant -> ChainDeployment
         "onions": {},           # tenant -> onion address
         "contents": {},         # tenant -> served payload
         "stats": {},            # tenant -> function DONE result
@@ -134,6 +165,8 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             {"index": e.index, "t": round(e.t, 6), "kind": e.kind,
              "done": None, "outcome": "pending", "retried": False}
             for e in per_tenant_events[tenant.name]]
+    # Client-visible outage lengths: a probe op's disrupted wait, and a
+    # LoadBalancer's lost-replica-to-replacement gap.
     recovery_samples: list[float] = []
     probe_state = {"values": [], "redeploys": 0}
 
@@ -283,9 +316,12 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                 pass
             session.close()
 
-    # -- loadbalancer tenants: bulk hidden-service downloads ----------------
+    # -- operated services: one operator deploys, arrivals use it ----------
 
-    def lb_operator(task: Actor, tenant: TenantSpec):
+    def deploy_service(task: Actor, tenant: TenantSpec, source: str,
+                       manifest: FunctionManifest):
+        """Draw the tenant's content, then load its service on a box that
+        holds no other tenant's service: (content, box, session)."""
         content = bytes(net.sim.rng.fork(
             f"content:{tenant.name}").randbytes(tenant.payload_bytes))
         shared["contents"][tenant.name] = content
@@ -297,23 +333,41 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                 exclude=tuple(sorted(shared["busy_fps"])))
             session = yield from client.connect_direct(task, box)
             yield from session.request_image(task, "python", verify="none")
-            yield from session.load_function(
-                task, LoadBalancerFunction.SOURCE,
-                LoadBalancerFunction.manifest(image="python"))
+            yield from session.load_function(task, source, manifest)
             return box, session
 
         box, session = yield from client.retrying(task, setup, attempts=5,
                                                   backoff_s=2.0)
+        return content, box, session
+
+    def service_up(tenant: TenantSpec, table: str, record: dict):
+        """Wait for the tenant's service to appear in ``shared[table]``;
+        False, with the arrival failed, if it never came up."""
+        while tenant.name not in shared[table]:
+            if net.sim.now > spec.duration_s + 120.0:
+                record["outcome"] = "failed"
+                return False
+            yield Sleep(1.0)
+        return True
+
+    # -- loadbalancer tenants: bulk hidden-service downloads ----------------
+
+    def lb_operator(task: Actor, tenant: TenantSpec):
+        content, box, session = yield from deploy_service(
+            task, tenant, LoadBalancerFunction.SOURCE,
+            LoadBalancerFunction.manifest(image="python"))
         shared["busy_fps"].add(box.identity_fp)
         shared["operators_ready"] += 1
         onion = yield from LoadBalancerFunction.start(
             task, session, content, high_water=2, low_water=1,
             max_replicas=2, duration_s=spec.duration_s + 30.0,
-            poll_interval=2.0, replica_image="python", announce=False)
+            poll_interval=2.0, replica_image="python", announce=False,
+            standbys=tenant.standbys)
         shared["onions"][tenant.name] = onion
         say(f"loadbalancer '{tenant.name}' serving {onion}")
         stats = yield from session.await_result(
             task, timeout=spec.duration_s + GRACE_S)
+        _count_lb_events(stats["events"], recovery_samples)
         shared["stats"][tenant.name] = {
             "served_local": stats["served_local"],
             "replicas_lost": stats["replicas_lost"],
@@ -324,11 +378,8 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
 
     def lb_visitor(task: Actor, tenant: TenantSpec, event: WorkloadEvent,
                    record: dict):
-        while tenant.name not in shared["onions"]:
-            if net.sim.now > spec.duration_s + 120.0:
-                record["outcome"] = "failed"   # service never came up
-                return
-            yield Sleep(1.0)
+        if not (yield from service_up(tenant, "onions", record)):
+            return
         client = BentoClient(
             net.create_client(f"{tenant.name}-{event.index}"), ias=ias)
         onion = shared["onions"][tenant.name]
@@ -351,28 +402,13 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
     # -- shard tenants: scatter once, arrivals gather ----------------------
 
     def shard_operator(task: Actor, tenant: TenantSpec):
-        payload = bytes(net.sim.rng.fork(
-            f"content:{tenant.name}").randbytes(tenant.payload_bytes))
-        shared["contents"][tenant.name] = payload
-        client = BentoClient(net.create_client(f"{tenant.name}-op"),
-                             ias=ias)
-
-        def setup():
-            box = client.pick_box(
-                exclude=tuple(sorted(shared["busy_fps"])))
-            session = yield from client.connect_direct(task, box)
-            yield from session.request_image(task, "python", verify="none")
-            yield from session.load_function(task, ShardFunction.SOURCE,
-                                             ShardFunction.manifest())
-            return session
-
-        session = yield from client.retrying(task, setup, attempts=5,
-                                             backoff_s=2.0)
+        payload, _box, session = yield from deploy_service(
+            task, tenant, ShardFunction.SOURCE, ShardFunction.manifest())
         metadata = yield from ShardFunction.scatter(
             task, session, payload, n=tenant.shard_n, k=tenant.shard_k,
             name=tenant.name)
         session.close()
-        shared[f"shard:{tenant.name}"] = metadata
+        shared["shards"][tenant.name] = metadata
         shared["busy_fps"].update(p["box_fp"]
                                   for p in metadata["placements"])
         shared["operators_ready"] += 1
@@ -381,16 +417,13 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
 
     def shard_visitor(task: Actor, tenant: TenantSpec,
                       event: WorkloadEvent, record: dict):
-        while f"shard:{tenant.name}" not in shared:
-            if net.sim.now > spec.duration_s + 120.0:
-                record["outcome"] = "failed"
-                return
-            yield Sleep(1.0)
+        if not (yield from service_up(tenant, "shards", record)):
+            return
         client = BentoClient(
             net.create_client(f"{tenant.name}-{event.index}"), ias=ias)
         try:
             restored = yield from ShardFunction.gather(
-                task, client, shared[f"shard:{tenant.name}"], timeout=60.0)
+                task, client, shared["shards"][tenant.name], timeout=60.0)
         except _CLIENT_ERRORS:
             record["outcome"] = "gave_up"
             return
@@ -401,24 +434,9 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
     # -- ddos tenants: the §9.4 puzzle-guarded service under a burst -------
 
     def ddos_operator(task: Actor, tenant: TenantSpec):
-        content = bytes(net.sim.rng.fork(
-            f"content:{tenant.name}").randbytes(tenant.payload_bytes))
-        shared["contents"][tenant.name] = content
-        client = BentoClient(net.create_client(f"{tenant.name}-op"),
-                             ias=ias)
-
-        def setup():
-            box = client.pick_box(
-                exclude=tuple(sorted(shared["busy_fps"])))
-            session = yield from client.connect_direct(task, box)
-            yield from session.request_image(task, "python", verify="none")
-            yield from session.load_function(
-                task, DdosDefenseFunction.SOURCE,
-                DdosDefenseFunction.manifest(image="python"))
-            return box, session
-
-        box, session = yield from client.retrying(task, setup, attempts=5,
-                                                  backoff_s=2.0)
+        content, box, session = yield from deploy_service(
+            task, tenant, DdosDefenseFunction.SOURCE,
+            DdosDefenseFunction.manifest(image="python"))
         shared["busy_fps"].add(box.identity_fp)
         shared["operators_ready"] += 1
         info = yield from DdosDefenseFunction.start(
@@ -434,11 +452,8 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
 
     def ddos_arrival(task: Actor, tenant: TenantSpec,
                      event: WorkloadEvent, record: dict):
-        while tenant.name not in shared["onions"]:
-            if net.sim.now > spec.duration_s + 120.0:
-                record["outcome"] = "failed"
-                return
-            yield Sleep(1.0)
+        if not (yield from service_up(tenant, "onions", record)):
+            return
         onion = shared["onions"][tenant.name]
         tor = net.create_client(f"{tenant.name}-{event.index}")
         if event.kind == "attack":
@@ -491,7 +506,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         yield from client.retrying(task, lambda: dep.deploy(task),
                                    attempts=5, backoff_s=2.0)
         shared["busy_fps"].update(dep.overlay.boxes_used())
-        shared[f"chain:{tenant.name}"] = dep
+        shared["chains"][tenant.name] = dep
         shared["operators_ready"] += 1
         say(f"chain '{tenant.name}': {len(dep.overlay.replicas)} replicas "
             f"on {len(dep.overlay.boxes_used())} boxes")
@@ -515,12 +530,9 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                       event: WorkloadEvent, record: dict):
         from repro.chain import ChainDeployError
 
-        while f"chain:{tenant.name}" not in shared:
-            if net.sim.now > spec.duration_s + 120.0:
-                record["outcome"] = "failed"
-                return
-            yield Sleep(1.0)
-        dep = shared[f"chain:{tenant.name}"]
+        if not (yield from service_up(tenant, "chains", record)):
+            return
+        dep = shared["chains"][tenant.name]
         payload = bytes(net.sim.rng.fork(
             f"unit:{tenant.name}:{event.index}").randbytes(
                 min(tenant.payload_bytes, 4096)))
@@ -538,40 +550,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         record["outcome"] = "ok" if out == expect else "failed"
 
     # -- plane directors ---------------------------------------------------
-
-    def chaos_director(task: Actor):
-        start_s = 0.1 * spec.duration_s
-        while net.sim.now < start_s:
-            yield Sleep(1.0)
-        relay_names = [r.node.name for r in net.relays]
-        fault_plane.schedule_random(
-            node_names=relay_names, start_s=net.sim.now,
-            end_s=0.7 * spec.duration_s,
-            n_link_cuts=planes.chaos_link_cuts,
-            n_latency_spikes=planes.chaos_latency_spikes,
-            mean_downtime_s=planes.chaos_mean_downtime_s,
-            spike_extra_s=0.2)
-        say(f"chaos: {planes.chaos_link_cuts} link cuts, "
-            f"{planes.chaos_latency_spikes} latency spikes scheduled")
-        if planes.chaos_crash_at_s <= 0.0:
-            return
-        while net.sim.now < planes.chaos_crash_at_s:
-            yield Sleep(1.0)
-        target = shared.get("probe_home")
-        if target is not None:
-            # The probe's home box goes down for good.  If the migration
-            # plane drained the probe out first, the state already left
-            # the blast radius; otherwise the owner redeploys cold.
-            fault_plane.crash_node(target)
-            shared["crashed"].add(target)
-            say(f"chaos: crashed probe home {target} (permanent)")
-        else:
-            plain = [r.node.name for r in net.relays
-                     if r.bento_port is None]
-            if plain:
-                victim = fault_plane.rng.choice(plain)
-                fault_plane.crash_node(victim, down_for_s=30.0)
-                say(f"chaos: crashed middle relay {victim} (30s)")
 
     def migrate_director(task: Actor):
         while not shared["probe_ready"] \
@@ -631,7 +609,10 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                                   record=record),
                 name=f"{tenant.name}:{event.index}", delay=event.t))
     if fault_plane is not None:
-        actors.append(net.sim.spawn(chaos_director, name="chaos-director"))
+        actors.append(net.sim.spawn(
+            functools.partial(chaos.direct, spec=spec, net=net,
+                              plane=fault_plane, shared=shared, say=say),
+            name="chaos-director"))
     if planes.migrate and planes.migrate_drain_at_s > 0.0 \
             and probe is not None:
         actors.append(net.sim.spawn(migrate_director,

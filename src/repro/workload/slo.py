@@ -146,6 +146,7 @@ def build_report(spec: WorkloadSpec, result: dict) -> dict:
             "faults_injected": counters["faults_injected"],
             "fault_log": result["fault_log"],
             "conns_torn_down": counters["conns_torn_down"],
+            "standby_promotions": counters["standby_promotions"],
             "recoveries": len(samples),
             "recovery_p50": (round(percentile(samples, 50.0), 6)
                              if samples else None),
@@ -173,7 +174,6 @@ def build_report(spec: WorkloadSpec, result: dict) -> dict:
             "completed": counters["migrations_completed"],
             "failed": counters["migrations_failed"],
             "checkpoints": counters["checkpoints_taken"],
-            "standby_promotions": counters["standby_promotions"],
         }
 
     probe = result["probe"]
@@ -201,6 +201,7 @@ def build_report(spec: WorkloadSpec, result: dict) -> dict:
         "chain": chain_section,
         "probe": probe_section,
         "ddos": ddos_section or None,
+        "counters": dict(counters),
         "sim": {
             "time": result["sim_time"],
             "all_finished": int(result["all_finished"]),

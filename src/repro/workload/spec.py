@@ -20,9 +20,9 @@ from repro.util.errors import ReproError
 from repro.util.spec import Spec
 
 __all__ = [
-    "ARRIVAL_KINDS", "TENANT_FUNCTIONS", "SLO_OPS",
-    "ArrivalSpec", "TenantSpec", "PlanesSpec", "SloSpec", "WorkloadSpec",
-    "WorkloadSpecError",
+    "ARRIVAL_KINDS", "CRASH_ROLES", "TENANT_FUNCTIONS", "SLO_OPS",
+    "ArrivalSpec", "CrashSpec", "TenantSpec", "PlanesSpec", "SloSpec",
+    "WorkloadSpec", "WorkloadSpecError",
 ]
 
 #: Supported arrival processes (see :mod:`repro.workload.arrivals`).
@@ -32,6 +32,15 @@ ARRIVAL_KINDS = ("poisson", "diurnal", "flash", "burst", "churn")
 #: chain plane's service graphs).
 TENANT_FUNCTIONS = ("kvstore", "loadbalancer", "shard", "ddos_defense",
                     "chain")
+
+#: What a scheduled crash takes down, by the role the box plays in the run
+#: (see :mod:`repro.chaos`, which resolves each role to a node).
+CRASH_ROLES = ("probe-home", "lb-replica", "shard-placement", "relay")
+
+#: The tenant a crash role needs in the spec: (function, its description).
+_ROLE_NEEDS = {"probe-home": ("probe", "a shared kvstore probe"),
+               "lb-replica": ("loadbalancer", "a loadbalancer tenant"),
+               "shard-placement": ("shard", "a shard tenant")}
 
 #: Comparison operators an SLO assertion may use.
 SLO_OPS = ("<=", ">=", "==")
@@ -147,6 +156,8 @@ class TenantSpec(_WorkloadPart):
       it), and its counter values prove whether state survived.
     * ``loadbalancer`` — an operator serves ``payload_bytes`` of content
       behind a hidden-service LoadBalancer; arrivals are bulk downloads.
+      ``standbys`` warm replicas are provisioned up front, and a lost
+      replica promotes one instead of respawning cold.
     * ``shard`` — an operator scatters ``payload_bytes`` across
       ``shard_n`` dropboxes (any ``shard_k`` reconstruct); arrivals are
       gathers that must be bit-identical.
@@ -181,6 +192,7 @@ class TenantSpec(_WorkloadPart):
     pow_difficulty: int = 6
     shard_n: int = 4
     shard_k: int = 2
+    standbys: int = 0
 
     def __post_init__(self) -> None:
         _require(bool(self.name) and self.name.isidentifier(),
@@ -208,6 +220,28 @@ class TenantSpec(_WorkloadPart):
         if self.shared:
             _require(self.function == "kvstore",
                      "only kvstore tenants can be shared")
+        _require(0 <= self.standbys <= 4, "standbys must be in [0, 4]")
+        if self.function != "loadbalancer":
+            _require(self.standbys == 0,
+                     "standbys only applies to loadbalancer tenants")
+
+
+@dataclass(frozen=True)
+class CrashSpec(_WorkloadPart):
+    """One scheduled crash: the box playing ``role`` (one of
+    :data:`CRASH_ROLES`) goes down at ``at_s``.  :mod:`repro.chaos` says
+    which box plays each role and whether it comes back."""
+
+    context = "planes.chaos_crashes"
+
+    role: str
+    at_s: float
+
+    def __post_init__(self) -> None:
+        _require(self.role in CRASH_ROLES,
+                 f"crash role must be one of {CRASH_ROLES}, "
+                 f"got {self.role!r}")
+        _require(self.at_s >= 0.0, "crash at_s must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -218,11 +252,12 @@ class PlanesSpec(_WorkloadPart):
     bit-identical to one where the plane's code does not exist (the same
     opt-in contract every plane has honored since PR 5).
 
-    ``chaos_crash_at_s`` crashes the shared kvstore probe's *home* box
-    permanently at that time (0 disables).  ``migrate_drain_at_s`` drains
-    the probe to a slack-rich box at that time (0 disables).  Scheduling
-    the drain before the crash is the cross-plane story: the migration
-    plane moves the state out of the blast radius before chaos lands.
+    ``chaos_crashes`` lists the crashes the chaos plane schedules on top
+    of its random link cuts and latency spikes (:class:`CrashSpec`).
+    ``migrate_drain_at_s`` drains the probe to a slack-rich box at that
+    time (0 disables).  Scheduling the drain before a ``probe-home``
+    crash is the cross-plane story: the migration plane moves the state
+    out of the blast radius before chaos lands.
     """
 
     context = "planes"
@@ -236,7 +271,7 @@ class PlanesSpec(_WorkloadPart):
     chaos_link_cuts: int = 2
     chaos_latency_spikes: int = 2
     chaos_mean_downtime_s: float = 15.0
-    chaos_crash_at_s: float = 0.0
+    chaos_crashes: tuple[CrashSpec, ...] = ()
     migrate_drain_at_s: float = 0.0
 
     def __post_init__(self) -> None:
@@ -248,12 +283,14 @@ class PlanesSpec(_WorkloadPart):
                  "chaos fault counts must be >= 0")
         _require(self.chaos_mean_downtime_s > 0.0,
                  "chaos_mean_downtime_s must be > 0")
-        _require(self.chaos_crash_at_s >= 0.0, "chaos_crash_at_s must be >= 0")
+        if not isinstance(self.chaos_crashes, tuple):
+            object.__setattr__(self, "chaos_crashes",
+                               tuple(self.chaos_crashes))
         _require(self.migrate_drain_at_s >= 0.0,
                  "migrate_drain_at_s must be >= 0")
         if not self.chaos:
-            _require(self.chaos_crash_at_s == 0.0,
-                     "chaos_crash_at_s needs the chaos plane enabled")
+            _require(not self.chaos_crashes,
+                     "chaos_crashes needs the chaos plane enabled")
         if not self.migrate:
             _require(self.migrate_drain_at_s == 0.0,
                      "migrate_drain_at_s needs the migrate plane enabled")
@@ -263,8 +300,8 @@ class PlanesSpec(_WorkloadPart):
 class SloSpec(_WorkloadPart):
     """One machine-checkable assertion over the scenario's SLO report.
 
-    ``metric`` is a dotted path into the report dict (e.g.
-    ``tenants.api.p99_s`` or ``planes.qos.goodput_ratio``); booleans read
+    ``metric`` is a dotted path into the report's ``metrics`` (e.g.
+    ``tenants.api.latency.p99`` or ``qos.admission_rate``); booleans read
     as 0/1.  A path whose *final* value is ``None`` (the plane was off,
     or no samples exist) is **skipped**, not violated; a path that does
     not exist at all is a violation — typos must not pass silently.
@@ -317,10 +354,17 @@ class WorkloadSpec(_WorkloadPart):
         _require(4 <= self.n_relays <= 64, "n_relays must be in [4, 64]")
         _require(0.0 < self.bento_fraction <= 1.0,
                  "bento_fraction must be in (0, 1]")
-        for t_s in (self.planes.chaos_crash_at_s,
-                    self.planes.migrate_drain_at_s):
+        for t_s in (self.planes.migrate_drain_at_s,
+                    *(c.at_s for c in self.planes.chaos_crashes)):
             _require(t_s < self.duration_s,
                      f"plane action at t={t_s} lies past duration_s")
+        functions = {t.function for t in self.tenants}
+        if self.shared_probe() is not None:
+            functions.add("probe")
+        for crash in self.planes.chaos_crashes:
+            function, tenant = _ROLE_NEEDS.get(crash.role, (None, ""))
+            _require(function is None or function in functions,
+                     f"a {crash.role} crash needs {tenant}")
 
     # -- tenant views ------------------------------------------------------
 

@@ -71,8 +71,8 @@ class TestCli:
         assert main(["list"]) == 0
         names = [line.split()[0]
                  for line in capsys.readouterr().out.splitlines()]
-        assert names == ["chaos-soak", "fingerprint", "perf-report",
-                         "quickstart", "trace-report", "workload-report"]
+        assert names == ["fingerprint", "perf-report", "quickstart",
+                         "trace-report", "workload-report"]
 
     def test_workers_is_a_usage_error(self, capsys):
         from repro.cli import main

@@ -23,6 +23,7 @@ from repro.workload import (ArrivalSpec, PlanesSpec, SloSpec, TenantSpec,
                             WorkloadSpec, build_report, generate,
                             render_report, run_workload)
 from repro.workload.slo import resolve_metric
+from repro.workload.spec import CrashSpec
 
 
 def _tiny_qos_spec() -> WorkloadSpec:
@@ -66,7 +67,7 @@ def _cross_plane_spec() -> WorkloadSpec:
                           chaos=True, chaos_link_cuts=1,
                           chaos_latency_spikes=1,
                           chaos_mean_downtime_s=8.0,
-                          chaos_crash_at_s=80.0,
+                          chaos_crashes=(CrashSpec("probe-home", 80.0),),
                           migrate=True, migrate_drain_at_s=40.0))
 
 
@@ -88,6 +89,14 @@ class TestWorkloadRun:
         assert metrics["tenants"]["api"]["latency"]["p99"] > 0.0
         # The rendering never crashes and names the verdict.
         assert "verdict" in render_report(report)
+
+    def test_docstring_example_paths_resolve(self):
+        # The two paths SloSpec's docstring offers as examples.
+        spec = _tiny_qos_spec()
+        metrics = build_report(spec, run_workload(spec))["metrics"]
+        for path in ("tenants.api.latency.p99", "qos.admission_rate"):
+            found, value = resolve_metric(metrics, path)
+            assert found and value is not None, path
 
     def test_slo_typo_is_a_failure_not_a_skip(self):
         spec = _tiny_qos_spec()

@@ -21,6 +21,7 @@ from repro.util.serialization import canonical_encode
 from repro.workload import (ArrivalSpec, PlanesSpec, SloSpec, TenantSpec,
                             Workload, WorkloadSpec, WorkloadSpecError,
                             generate)
+from repro.workload.spec import CrashSpec
 from repro.workload.arrivals import MAX_ARRIVALS, generate_arrivals
 from repro.workload.spec import ARRIVAL_KINDS
 
@@ -81,6 +82,8 @@ def tenant_specs(draw, name: str, shared: bool = False) -> TenantSpec:
         n = draw(st.integers(2, 8))
         kwargs["shard_n"] = n
         kwargs["shard_k"] = draw(st.integers(2, n))
+    if function == "loadbalancer":
+        kwargs["standbys"] = draw(st.integers(0, 4))
     return TenantSpec(**kwargs)
 
 
@@ -89,22 +92,29 @@ def workload_specs(draw) -> WorkloadSpec:
     duration = draw(st.floats(10.0, 120.0, allow_nan=False))
     chaos = draw(st.booleans())
     migrate = draw(st.booleans())
-    planes = PlanesSpec(
-        qos=draw(st.booleans()), chaos=chaos, migrate=migrate,
-        qos_slots=draw(st.integers(1, 12)),
-        qos_queue_depth=draw(st.integers(0, 8)),
-        chaos_crash_at_s=(draw(st.floats(1.0, 0.9 * duration,
-                                         allow_nan=False))
-                          if chaos and draw(st.booleans()) else 0.0),
-        migrate_drain_at_s=(draw(st.floats(1.0, 0.9 * duration,
-                                           allow_nan=False))
-                            if migrate and draw(st.booleans()) else 0.0),
-    )
     names = draw(st.lists(_name, min_size=1, max_size=4, unique=True))
     with_probe = draw(st.booleans())
     tenants = [draw(tenant_specs(name=n)) for n in names]
     if with_probe:
         tenants.append(draw(tenant_specs(name="zprobe", shared=True)))
+    # Only roles some tenant of this spec plays.
+    functions = {t.function for t in tenants}
+    roles = ["relay"] + [role for role, needs in (
+        ("probe-home", with_probe), ("lb-replica", "loadbalancer" in functions),
+        ("shard-placement", "shard" in functions)) if needs]
+    crashes = draw(st.lists(st.builds(
+        CrashSpec, role=st.sampled_from(roles),
+        at_s=st.floats(0.0, 0.9 * duration, allow_nan=False)),
+        max_size=4)) if chaos else []
+    planes = PlanesSpec(
+        qos=draw(st.booleans()), chaos=chaos, migrate=migrate,
+        qos_slots=draw(st.integers(1, 12)),
+        qos_queue_depth=draw(st.integers(0, 8)),
+        chaos_crashes=tuple(crashes),
+        migrate_drain_at_s=(draw(st.floats(1.0, 0.9 * duration,
+                                           allow_nan=False))
+                            if migrate and draw(st.booleans()) else 0.0),
+    )
     slos = tuple(
         SloSpec(name=f"slo{i}",
                 metric=draw(st.sampled_from(
@@ -321,7 +331,8 @@ class TestStrictValidation:
 
     def test_plane_knobs_need_their_plane(self):
         with pytest.raises(WorkloadSpecError, match="chaos plane"):
-            PlanesSpec(chaos=False, chaos_crash_at_s=10.0)
+            PlanesSpec(chaos=False,
+                       chaos_crashes=(CrashSpec("relay", 10.0),))
         with pytest.raises(WorkloadSpecError, match="migrate plane"):
             PlanesSpec(migrate=False, migrate_drain_at_s=10.0)
 
@@ -332,8 +343,46 @@ class TestStrictValidation:
         with pytest.raises(WorkloadSpecError, match="past duration"):
             WorkloadSpec(name="s", seed=1, duration_s=30.0,
                          tenants=(tenant,),
-                         planes=PlanesSpec(chaos=True,
-                                           chaos_crash_at_s=45.0))
+                         planes=PlanesSpec(chaos=True, chaos_crashes=(
+                             CrashSpec("relay", 45.0),)))
+
+    def test_crash_role_and_time_are_checked(self):
+        with pytest.raises(WorkloadSpecError, match="crash role"):
+            CrashSpec("box", 10.0)
+        with pytest.raises(WorkloadSpecError, match="at_s must be >= 0"):
+            CrashSpec("relay", -1.0)
+        data = WorkloadSpec(
+            name="s", seed=1, duration_s=60.0,
+            tenants=(TenantSpec(name="a", function="kvstore",
+                                arrivals=ArrivalSpec(kind="poisson",
+                                                     rate_per_s=0.5)),),
+            planes=PlanesSpec(chaos=True, chaos_crashes=(
+                CrashSpec("relay", 10.0),))).to_dict()
+        data["planes"]["chaos_crashes"][0]["role"] = "switch"
+        with pytest.raises(WorkloadSpecError, match="crash role"):
+            WorkloadSpec.from_dict(data)
+
+    @pytest.mark.parametrize("role, message", [
+        ("lb-replica", "a loadbalancer tenant"),
+        ("shard-placement", "a shard tenant"),
+        ("probe-home", "a shared kvstore probe"),
+    ])
+    def test_crash_role_needs_its_tenant(self, role, message):
+        tenant = TenantSpec(name="t", function="kvstore",
+                            arrivals=ArrivalSpec(kind="poisson",
+                                                 rate_per_s=1.0))
+        with pytest.raises(WorkloadSpecError, match=message):
+            WorkloadSpec(name="s", seed=1, duration_s=30.0,
+                         tenants=(tenant,),
+                         planes=PlanesSpec(chaos=True, chaos_crashes=(
+                             CrashSpec(role, 10.0),)))
+
+    def test_standbys_need_a_loadbalancer(self):
+        with pytest.raises(WorkloadSpecError, match="standbys"):
+            TenantSpec(name="t", function="shard", standbys=1,
+                       arrivals=ArrivalSpec(kind="poisson", rate_per_s=1.0))
+        TenantSpec(name="t", function="loadbalancer", standbys=1,
+                   arrivals=ArrivalSpec(kind="poisson", rate_per_s=1.0))
 
     def test_duplicate_tenant_names_rejected(self):
         tenant = TenantSpec(name="t", function="kvstore",
