@@ -227,7 +227,7 @@ class FunctionApi:
         self._task_route: dict[SimTask, Any] = {}
         self._inbox: list[tuple[bytes, Any]] = []
         self._recv_waiter: Optional[Future] = None
-        self._undelivered: list[bytes] = []
+        self._undelivered: list[list] = []   # message pieces
         self._killed = False
         self._kill_reason = ""
         self.storage = StorageApi(self)
@@ -316,10 +316,10 @@ class FunctionApi:
         if route is None:
             raise ApiError("no client attached to send to")
         yield from self._charge_network(len(payload))
-        frame = messages.encode_message(
+        frame = messages.message_pieces(
             messages.Output, rid=route.rid, payload=bytes(payload))
         try:
-            route.framed.send_frame(frame)
+            route.framed.send_frame(*frame)
         except (ConnectionClosed, CircuitDestroyed):
             # Client went away; outputs are best-effort — but keep a
             # bounded tail so a graceful drain can flush them to the
@@ -333,7 +333,7 @@ class FunctionApi:
         while self._undelivered:
             frame = self._undelivered[0]
             try:
-                peer.send_frame(frame)
+                peer.send_frame(*frame)
             except (ConnectionClosed, CircuitDestroyed):
                 break
             self._undelivered.pop(0)

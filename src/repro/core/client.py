@@ -246,8 +246,8 @@ class BentoSession:
     def _send(self, kind: type[messages.Frame], **fields: Any) -> int:
         """Number one request and send it; returns its ``rid``."""
         self._rid += 1
-        self.framed.send_frame(messages.encode_message(kind, rid=self._rid,
-                                                       **fields))
+        self.framed.send_frame(*messages.message_pieces(kind, rid=self._rid,
+                                                        **fields))
         return self._rid
 
     def await_message(self, thread: Actor, expect, timeout: float = 600.0,

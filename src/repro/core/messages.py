@@ -29,7 +29,7 @@ from repro.core.errors import (BentoError, FunctionCrashed, FunctionMoved,
                                TokenInvalid)
 from repro.util.errors import ProtocolError
 from repro.util.serialization import (SerializationError, canonical_decode,
-                                      canonical_encode)
+                                      canonical_pieces)
 from repro.util.spec import field_table, read_fields
 
 _TYPES: dict[str, type[Frame]] = {}
@@ -112,12 +112,18 @@ _REFUSALS = {cls.reason: cls for cls in (
 def encode_message(kind: type[Frame], **fields: Any) -> bytes:
     """One wire frame of type ``kind``: ``fields``, and ``rid`` (0 unless
     given).  An undeclared type or field is a :class:`ProtocolError`."""
+    return b"".join(message_pieces(kind, **fields))
+
+
+def message_pieces(kind: type[Frame], **fields: Any) -> list:
+    """:func:`encode_message`'s frame as the pieces ``send_frame`` joins
+    behind its length: a bulk payload is copied once, onto the wire."""
     if _TYPES.get(getattr(kind, "TYPE", None)) is not kind \
             or not fields.keys() <= kind.FIELDS.keys():
         raise ProtocolError(f"no such frame: {kind!r} with {sorted(fields)}")
     fields.setdefault("rid", 0)
     fields["type"] = kind.TYPE
-    return canonical_encode(fields)
+    return canonical_pieces(fields)
 
 
 def decode_message(frame: bytes) -> Frame:
@@ -147,7 +153,7 @@ class Route(NamedTuple):
     rid: int
 
     def send(self, kind: type[Frame], **fields: Any) -> None:
-        self.framed.send_frame(encode_message(kind, rid=self.rid, **fields))
+        self.framed.send_frame(*message_pieces(kind, rid=self.rid, **fields))
 
 
 def error_fields(exc: BaseException) -> dict:

@@ -38,7 +38,7 @@ from repro.enclave.conclave import Conclave
 from repro.enclave.sgx import EnclaveHost
 from repro.netsim.bytestream import DirectByteStream, FramedStream
 from repro.netsim.connection import Connection
-from repro.netsim.simulator import Actor, Sleep
+from repro.netsim.simulator import Actor, SimTimeoutError, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.sandbox.cgroups import CGroup, ResourceExceeded
@@ -314,7 +314,7 @@ class BentoServer:
         while True:
             try:
                 frame = yield from framed.recv_frame(thread, timeout=3600.0)
-            except Exception:
+            except (SimTimeoutError, ValueError):  # idle; frame > MAX_FRAME
                 break
             if frame is None:
                 break

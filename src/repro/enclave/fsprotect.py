@@ -30,6 +30,7 @@ class FSProtectError(ReproError):
 
 # Keys encode sorted: the sealed leaf is first, the version pair last.
 _LEAF = len(canonical_encode({"sealed": b""}))
+_HEAD = canonical_encode({"sealed": b"", "version": 0})[:_LEAF - 4]
 
 
 def _nonce(path: str, version: int) -> bytes:
@@ -52,7 +53,9 @@ class FSProtect:
         """Encrypt and store ``data`` at ``path``."""
         version = self._versions.get(path, 0) + 1
         sealed = self._aead.seal(_nonce(path, version), data, aad=path.encode())
-        envelope = canonical_encode({"version": version, "sealed": sealed})
+        # canonical_encode({"version": version, "sealed": sealed}), built once
+        envelope = b"".join((_HEAD, len(sealed).to_bytes(4, "big"), sealed,
+                             canonical_encode({"version": version})[5:]))
         self._backing.write_file(path, envelope)
         self._versions[path] = version
 

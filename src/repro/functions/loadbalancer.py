@@ -381,6 +381,18 @@ class LoadBalancerFunction:
         return onion
 
     @staticmethod
+    def receive_body(thread: Actor, stream, timeout: float) -> bytes:
+        """A served body, after its 8-byte length, gathered in one buffer
+        (not ``bytes +=``, a whole copy per cell); EOF: ConnectionError."""
+        data = bytearray()
+        while len(data) < 8 or len(data) < 8 + int.from_bytes(data[:8], "big"):
+            chunk = yield from stream.recv(thread, timeout=timeout)
+            if chunk == b"":
+                raise ConnectionError("service hung up mid-response")
+            data += chunk
+        return bytes(memoryview(data)[8:])
+
+    @staticmethod
     def download(thread: Actor, tor_client: TorClient, onion: str,
                  timeout: float = 1200.0) -> tuple[bytes, float]:
         """One client's full download from the (possibly balanced) service.
@@ -399,19 +411,8 @@ class LoadBalancerFunction:
             stream = yield from circuit.open_stream(thread, "", 80,
                                                     timeout=timeout)
             stream.send(b"GET")
-            buffer = b""
-            while len(buffer) < 8:
-                chunk = yield from stream.recv(thread, timeout=timeout)
-                if chunk == b"":
-                    raise ConnectionError("service hung up before header")
-                buffer += chunk
-            total = int.from_bytes(buffer[:8], "big")
-            body = buffer[8:]
-            while len(body) < total:
-                chunk = yield from stream.recv(thread, timeout=timeout)
-                if chunk == b"":
-                    raise ConnectionError("service hung up mid-body")
-                body += chunk
+            body = yield from LoadBalancerFunction.receive_body(
+                thread, stream, timeout)
             stream.send(b"DONE")
             stream.close()
             circuit.close()

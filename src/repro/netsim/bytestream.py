@@ -22,7 +22,7 @@ from typing import Optional, Protocol
 
 from repro.netsim.connection import Connection, ConnectionClosed
 from repro.netsim.node import Node
-from repro.netsim.simulator import Actor, Future, Wait
+from repro.netsim.simulator import Actor, Future, SimTimeoutError, Wait
 from repro.obs.metrics import REGISTRY as _metrics
 
 # Bytes handed over by reference; cached (the registry resets in place).
@@ -59,10 +59,10 @@ class StreamClosed(ConnectionClosed):
 class _RecvQueue:
     """Shared receive-side machinery: a queue of byte chunks + EOF flag.
 
-    Large reads (``min_bytes > 1``) accumulate into a single persistent
-    :class:`bytearray` as chunks arrive, instead of re-joining the whole
-    deque once at the end — a read interrupted by a timeout keeps its
-    partial bytes buffered, and each chunk is copied exactly once.
+    A large read (``min_bytes > 1``) gathers into one :class:`bytearray`,
+    and while it waits :meth:`push` appends each chunk there: a multi-MiB
+    frame is never also held as thousands of queued cells.  A timed-out
+    read keeps its earlier bytes parked there and re-queues the rest.
     """
 
     def __init__(self, sim) -> None:
@@ -74,10 +74,11 @@ class _RecvQueue:
         self._waiter: Optional[Future] = None
         self._pending = bytearray()   # partially accumulated large read
         self._parked = False          # a timed-out large read left bytes
+        self._put = self._chunks.append   # or a waiting large read's extend
 
     def push(self, data: bytes) -> None:
-        """Queue received bytes for the reader."""
-        self._chunks.append(data)
+        """Queue received bytes, or gather them into the waiting read."""
+        self._put(data)
         self._size += len(data)
         if self._size >= self._target:
             self._wake()
@@ -124,9 +125,19 @@ class _RecvQueue:
                 self._target = min_bytes - got
                 self._waiter = Future(self._sim)
                 # A timeout propagates from here, the bytes read so far
-                # parked in the buffer for the next read.
+                # parked in the buffer for the next read; those pushed into
+                # it while the read waited are queued again, as one chunk.
                 self._parked = got > 0
-                yield Wait(self._waiter, timeout)
+                self._put, mark = buffer.extend, len(buffer)
+                try:
+                    yield Wait(self._waiter, timeout)
+                except SimTimeoutError:
+                    if len(buffer) > mark:
+                        chunks.append(bytes(buffer[mark:]))
+                        del buffer[mark:]
+                    raise
+                finally:
+                    self._put = chunks.append
                 self._waiter = None
             self._target = 1
             self._parked = False
@@ -209,11 +220,12 @@ class Framer:
         self._buffer = bytearray()
 
     @classmethod
-    def encode(cls, frame: bytes) -> bytes:
-        """Prefix ``frame`` with its 4-byte big-endian length."""
-        if len(frame) > cls.MAX_FRAME:
+    def encode(cls, *pieces: bytes) -> bytes:
+        """Join ``pieces``, one frame, behind its 4-byte length: one copy."""
+        size = sum(map(len, pieces))
+        if size > cls.MAX_FRAME:
             raise ValueError("frame too large")
-        return cls._HEADER.pack(len(frame)) + frame
+        return b"".join((cls._HEADER.pack(size), *pieces))
 
     def feed(self, data: bytes) -> list[bytes]:
         """Add received bytes; return all frames completed by them.  ``data``
@@ -274,9 +286,9 @@ class FramedStream:
         self._framer = Framer()
         self._ready: list[bytes] = []
 
-    def send_frame(self, frame: bytes) -> None:
-        """Send one frame."""
-        self.stream.send(Framer.encode(frame))
+    def send_frame(self, *pieces: bytes) -> None:
+        """Send one frame, given whole or as the pieces it joins from."""
+        self.stream.send(Framer.encode(*pieces))
 
     def recv_frame(self, thread: Actor,
                    timeout: Optional[float] = None) -> Optional[bytes]:

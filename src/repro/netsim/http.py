@@ -24,7 +24,7 @@ from repro.netsim.bytestream import ByteStream, DirectByteStream, FramedStream
 from repro.netsim.connection import Connection
 from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node
-from repro.netsim.simulator import Actor
+from repro.netsim.simulator import Actor, SimTimeoutError
 from repro.util.errors import ProtocolError
 from repro.util.serialization import canonical_encode
 from repro.util.spec import decode_request
@@ -130,7 +130,7 @@ class HttpServer:
         while True:
             try:
                 frame = yield from framed.recv_frame(thread, timeout=600.0)
-            except Exception:
+            except (SimTimeoutError, ValueError):  # idle; frame > MAX_FRAME
                 break
             if frame is None or frame == b"":
                 break

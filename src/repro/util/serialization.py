@@ -32,9 +32,18 @@ _DOUBLE = struct.Struct(">d")
 #: here, short of the interpreter's stack.
 MAX_DEPTH = 64
 
+#: A ``bytes`` leaf this long is kept by reference, not copied in place.
+BY_REFERENCE = 64 * 1024
+
 
 class SerializationError(ValueError):
     """Raised when a value cannot be encoded, or bytes cannot be decoded."""
+
+
+class _Encoding(bytearray):
+    """An encoding written in place but for ``leaves``: (offset, leaf)."""
+
+    __slots__ = ("leaves",)
 
 
 def canonical_encode(value: Any) -> bytes:
@@ -44,9 +53,21 @@ def canonical_encode(value: Any) -> bytes:
     hash or sign.  Raises :class:`SerializationError` for unsupported types
     (including non-string dict keys and NaN floats, which break equality).
     """
-    out = bytearray()
+    return b"".join(canonical_pieces(value))
+
+
+def canonical_pieces(value: Any) -> list:
+    """:func:`canonical_encode` as bytes-like pieces to join: the encoding
+    written in place, but each ``bytes`` leaf of :data:`BY_REFERENCE` bytes
+    or more is a piece of its own, copied once, by the join."""
+    out = _Encoding()
+    out.leaves = []
     _encode_into(value, out)
-    return bytes(out)
+    pieces, start = [], 0
+    for offset, leaf in out.leaves:
+        pieces += (out[start:offset], leaf)
+        start = offset
+    return [*pieces, out[start:] if start else out]
 
 
 def canonical_digest(value: Any) -> str:
@@ -100,15 +121,16 @@ def _encode_into(value: Any, out: bytearray) -> None:
             elif cls is int:
                 raw = b"%d" % item
                 out += _TAG_INT + len(raw).to_bytes(4, "big") + raw
-            elif cls is bytes:
+            elif cls is bytes and len(item) < BY_REFERENCE:
                 out += _TAG_BYTES + len(item).to_bytes(4, "big") + item
             else:
                 _encode_into(item, out)
     elif cls is bytes:
-        # One piece, as the first form wrote it: appending a multi-MiB
-        # blob after its header instead leaves glibc holding ~4 MiB more
-        # at get-real's peak.
-        out += _TAG_BYTES + len(value).to_bytes(4, "big") + value
+        out += _TAG_BYTES + len(value).to_bytes(4, "big")
+        if len(value) < BY_REFERENCE:
+            out += value
+        else:
+            out.leaves.append((len(out), value))
     elif cls is int:
         raw = b"%d" % value
         out += _TAG_INT + len(raw).to_bytes(4, "big") + raw

@@ -478,13 +478,8 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             stream = yield from circuit.open_stream(task, "", 80,
                                                     timeout=30.0)
             stream.send(b"GET")
-            buffer = b""
-            while len(buffer) < 8:
-                buffer += yield from stream.recv(task, timeout=60.0)
-            total = int.from_bytes(buffer[:8], "big")
-            body = buffer[8:]
-            while len(body) < total:
-                body += yield from stream.recv(task, timeout=60.0)
+            body = yield from LoadBalancerFunction.receive_body(
+                task, stream, 60.0)
             circuit.close()
         except _CLIENT_ERRORS:
             record["outcome"] = "gave_up"

@@ -1,23 +1,80 @@
-"""A bulk Bento message is held once: its frame is assembled in one buffer
-while it arrives, and the server lets go of it once it is dispatched."""
+"""A bulk Bento message is held once: its frame is encoded in one
+allocation, assembled in one buffer while it arrives, and let go of once
+it is dispatched; FS Protect stores it as one envelope."""
 
 import gc
 import random
+import sys
 import tracemalloc
 import types
 
 from repro.core import messages
-from repro.core.client import BentoClient
+from repro.core.client import BentoClient, BentoSession
 from repro.core.manifest import FunctionManifest
 from repro.core.server import BentoServer
+from repro.enclave.fsprotect import FSProtect
+from repro.netsim import bytestream
 from repro.netsim.bytestream import FramedStream, Framer
 from repro.netsim.simulator import Simulator
+from repro.sandbox.memfs import MemFS
 from repro.tor.stream import TorStream
 
 from conftest import run_thread
 
 MIB = 1 << 20
+KIB = 1 << 10
 CELL = 498   # RELAY_DATA_SIZE: what one DATA cell carries
+
+
+def _traced_peak(fn):
+    """``fn()``'s result and the traced memory it peaked at above where it
+    started (what existed before is not counted)."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_fs_protect_writes_a_4_mib_file_as_one_envelope():
+    """Sealed, then copied once into an envelope of its final size: the
+    write peaks at the sealed file and its envelope.  Encoded through a
+    growing buffer and copied out of it, it peaked at three copies."""
+    plaintext = random.Random(41).randbytes(4 * MIB)
+    fs = FSProtect(MemFS().chroot("/c"), b"k" * 32)
+    _, peak = _traced_peak(lambda: fs.write_file("/drop/f", plaintext))
+    envelope = fs.operator_view("/drop/f")
+    assert peak <= len(plaintext) + len(envelope) + 64 * KIB, peak / MIB
+    assert fs.read_file("/drop/f") == plaintext
+
+
+class _Wire:
+    """The send side of a byte stream: keeps what it is given."""
+
+    def __init__(self) -> None:
+        self.sent = []
+
+    def send(self, data: bytes) -> None:
+        self.sent.append(data)
+
+
+def test_a_4_mib_msg_is_sent_as_one_allocation():
+    """The client's send site hands the payload to one join with the frame's
+    length prefix: beyond the payload, sending allocates one block of the
+    wire's size.  Copied through the encoder's buffer, out of it, and again
+    behind the prefix, it peaked at two."""
+    payload = random.Random(42).randbytes(4 * MIB)
+    wire = _Wire()
+    session = BentoSession(None, FramedStream(wire), None, False, None)
+    session.invocation_token = "t"
+    rid, peak = _traced_peak(lambda: session.send_message(payload))
+    [sent] = wire.sent
+    assert peak <= len(sent) + 64 * KIB, peak / MIB
+    assert sent == Framer.encode(messages.encode_message(
+        messages.Msg, token="t", payload=payload, rid=rid))
 
 ECHO = """
 def echo():
@@ -59,6 +116,57 @@ def test_a_bulk_frame_costs_about_two_copies_of_its_payload():
         tracemalloc.stop()
     assert got == [payload]
     assert peak <= 2.5 * len(payload), peak / len(payload)
+
+
+def test_a_frame_gathers_as_its_cells_arrive(monkeypatch):
+    """While a ``recv_frame`` waits for the rest of a 4 MiB frame, each
+    cell is appended to the frame's buffer as it is pushed: at the wake no
+    cell is queued, and until the frame is copied out the traced peak is
+    that buffer, as allocated (a growing ``bytearray`` keeps up to an
+    eighth spare), and 64 KiB.  Queued and copied in at the wake, the
+    cells were a second frame's worth of memory."""
+    data = Framer.encode(random.Random(43).randbytes(4 * MIB))
+    sim = Simulator(seed=5)
+    stream = TorStream(types.SimpleNamespace(sim=sim), stream_id=1)
+    framed = FramedStream(stream)
+    queue, seen = stream._recv, {}
+    wake, feed = bytestream._RecvQueue._wake, Framer.feed
+
+    def wake_spy(self):
+        if self._target > CELL:  # the wake of the read for the frame's rest
+            seen["queued_at_wake"] = len(self._chunks)
+        wake(self)
+
+    def feed_spy(self, chunk):
+        if len(chunk) > CELL:  # the gathered frame, before it is copied out
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            seen["buffer"] = sys.getsizeof(self._buffer)
+        return feed(self, chunk)
+
+    monkeypatch.setattr(bytestream._RecvQueue, "_wake", wake_spy)
+    monkeypatch.setattr(Framer, "feed", feed_spy)
+    got = []
+
+    def reader(thread):
+        got.append((yield from framed.recv_frame(thread, timeout=60.0)))
+
+    def push(offset):  # a cell's bytes are made as it arrives
+        queue.push(data[offset:offset + CELL])
+
+    for i, offset in enumerate(range(0, len(data), CELL)):
+        sim.post_at(i * 0.001, push, (offset,))
+    sim.spawn(reader)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        sim.run()
+    finally:
+        tracemalloc.stop()
+    assert got == [data[4:]]
+    assert seen["queued_at_wake"] == 0
+    assert seen["peak"] - base <= seen["buffer"] + 64 * KIB, (
+        (seen["peak"] - base - seen["buffer"]) / KIB)
 
 
 def test_the_serve_loop_lets_go_of_a_dispatched_frame(bento_net, monkeypatch):

@@ -4,7 +4,7 @@
 with.  The codec in ``repro.util.serialization`` must write the same bytes
 for every value and, for any input bytes, decode the same value or raise a
 :class:`SerializationError` with the same message.  ``TestOracleHasTeeth``
-shows the property failing on three plausible mistakes.
+shows the properties failing on four plausible mistakes.
 """
 
 import enum
@@ -181,6 +181,31 @@ def test_same_value_or_message_for_every_prefix(value):
         check_decode(serialization, data[:cut])
 
 
+_MIB = 1 << 20
+_BIG = bytes(range(256)) * (2 * _MIB // 256)        # 2 MiB
+_HUGE = b"\xa5" * (3 * _MIB + 7)
+
+#: Bulk ``bytes`` leaves, which the codec hands on by reference: at top
+#: level, in a dict, in a list, and nested with each other and small ones.
+_BULK = [
+    _BIG,
+    {"type": "msg", "rid": 7, "payload": _BIG, "token": "t"},
+    [_HUGE, 1, b"x", "s"],
+    {"a": [{"b": _BIG, "c": b"q" * 70_000}], "d": (_HUGE, _BIG),
+     "e": {"f": [[_BIG]]}, "g": bytearray(_BIG[:90_000])},
+]
+
+
+def test_multi_mib_leaves_encode_as_the_reference_does():
+    for value in _BULK:
+        want = reference_encode(value)
+        assert serialization.canonical_encode(value) == want
+        pieces = serialization.canonical_pieces(value)
+        assert b"".join(pieces) == want
+        assert any(piece is _BIG or piece is _HUGE for piece in pieces)
+        check_decode(serialization, want)
+
+
 def _mutant(old: str, new: str) -> types.ModuleType:
     """``repro.util.serialization`` with ``old`` (which must occur once)
     replaced by ``new``, raising the real SerializationError."""
@@ -223,6 +248,11 @@ class TestOracleHasTeeth:
                     "            raw = data[start:offset]\n"
                     "            result[key]",
                     test_same_value_or_message_for_every_prefix)
+
+    def test_a_by_reference_leaf_out_of_place_is_caught(self, fails_under):
+        fails_under("out.leaves.append((len(out), value))",
+                    "out.leaves.append((len(out) - 1, value))",
+                    test_multi_mib_leaves_encode_as_the_reference_does)
 
     def test_str_of_a_str_subclass_is_caught(self, fails_under):
         fails_under('encoded = value.encode("utf-8")',

@@ -8,6 +8,8 @@ from repro.core.manifest import FunctionManifest
 from repro.core.policy import MiddleboxNodePolicy
 from repro.core.server import BentoServer
 from repro.enclave.attestation import IntelAttestationService
+from repro.netsim.bytestream import Framer
+from repro.netsim.simulator import Sleep
 from repro.tor.testnet import TorTestNetwork
 
 from conftest import run_thread
@@ -129,6 +131,35 @@ class TestProtocolBasics:
             yield from session.shutdown(thread)
 
         run_thread(bento_net, main)
+
+
+class TestServeLoop:
+    @pytest.mark.expects_failed_actors
+    def test_a_receive_bug_fails_the_session_actor(self, bento_net,
+                                                   monkeypatch):
+        """A session ends quietly only on what a receive is expected to
+        raise; a bug under ``recv_frame`` (here a ``Framer.feed`` that
+        raises RuntimeError) fails the box's session actor, and the kernel
+        counts it, instead of closing the session as if the client left."""
+        feed = Framer.feed
+
+        def broken(self, data):
+            if b"poison" in data:
+                raise RuntimeError("framer bug")
+            return feed(self, data)
+
+        monkeypatch.setattr(Framer, "feed", broken)
+        client = _client(bento_net)
+
+        def main(thread):
+            session = yield from client.connect(thread, client.pick_box())
+            session.send_message(b"poison")
+            yield Sleep(5.0)
+
+        run_thread(bento_net, main)
+        [failed] = bento_net.sim._failed
+        assert failed.name.startswith("bento")
+        assert type(failed.exception) is RuntimeError
 
 
 class TestTokens:

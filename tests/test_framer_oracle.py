@@ -2,10 +2,10 @@
 
 ``framer_reference`` keeps the queue, framer and ``recv_frame`` the tree
 had before a frame's rest was accumulated behind its start, in the
-framer's own buffer.  Driven by the same byte schedule, both must return
+framer's own buffer, and gathered there as each chunk is pushed.  Driven by the same byte schedule, both must return
 the same frames, wake their reader the same number of times, time out as
 often, and count the same ``bytes_zero_copied``.  ``TestOracleHasTeeth``
-shows the property failing on three plausible mistakes.
+shows the property failing on five plausible mistakes.
 """
 
 import pathlib
@@ -134,6 +134,14 @@ def _receive(schedule: Schedule, build) -> dict:
 # only after the reader's timeout: the read it interrupts has parked bytes.
 @example(_schedule([3, 70_000], 1, [], 498, [0.0] * 12 + [0.01], 0.5))
 @example(_back_to_parked_bytes())
+# The big frame's 4 KiB cells a second apart: each read gathers four or
+# five while it waits, times out mid-gather, and the next resumes with
+# them parked, at once or after a pause.
+@example(_schedule([], 0, [], 4096, [1.0], 0.5))
+@example(_schedule([40], 1, [], 4096, [1.0], 0.5, pause=3.0))
+# One cell arrives while the read for the frame's rest waits, nothing
+# parked before it: the timeout hands that cell back as it was queued.
+@example(_schedule([], 0, [], 4096, [1.0], (8192 - 4) / BIG))
 @given(schedules())
 @settings(deadline=None)
 def test_same_frames_and_wake_ups_for_every_schedule(schedule):
@@ -169,16 +177,10 @@ class TestOracleHasTeeth:
 
     def test_dropping_a_timed_out_reads_parked_bytes_is_caught(
             self, fails_under):
-        fails_under("                yield Wait(self._waiter, timeout)\n"
-                    "                self._waiter = None\n"
-                    "            self._target = 1\n",
-                    "                try:\n"
-                    "                    yield Wait(self._waiter, timeout)\n"
-                    "                except Exception:\n"
-                    "                    del buffer[base:]\n"
-                    "                    raise\n"
-                    "                self._waiter = None\n"
-                    "            self._target = 1\n")
+        fails_under("                except SimTimeoutError:\n",
+                    "                except SimTimeoutError:\n"
+                    "                    del buffer[base:mark]\n"
+                    "                    mark = base\n")
 
     def test_a_by_reference_read_over_parked_bytes_is_caught(
             self, fails_under):
@@ -186,6 +188,17 @@ class TestOracleHasTeeth:
         by reference where the first form appended it to parked bytes."""
         fails_under("if not self._parked and len(chunks) == 1",
                     "if not self._pending and len(chunks) == 1")
+
+    def test_keeping_what_a_timed_out_read_gathered_is_caught(
+            self, fails_under):
+        fails_under("                    if len(buffer) > mark:\n",
+                    "                    if False:\n")
+
+    def test_gathering_after_a_timeout_is_caught(self, fails_under):
+        fails_under("                finally:\n"
+                    "                    self._put = chunks.append\n",
+                    "                else:\n"
+                    "                    self._put = chunks.append\n")
 
     def test_a_header_offset_off_by_one_is_caught(self, fails_under):
         fails_under("frames.append(bytes(view[offset + header_size:end]))",

@@ -1,6 +1,9 @@
 """Shard, LoadBalancer, and the §9.4 future-work functions."""
 
 import json
+import random
+import time
+import types
 
 import pytest
 
@@ -122,6 +125,56 @@ class TestLoadBalancer:
         assert stats["replicas_at_end"] == 0  # and torn down when idle
         dispatched = [e for e in stats["events"] if e[1] == "dispatch"]
         assert {e[2] for e in dispatched} >= {"local", "replica"}
+
+
+class _CellStream:
+    """A served response (8-byte length, then the body) arriving 498
+    bytes per ``recv``, as DATA cells deliver it, with no network."""
+
+    def __init__(self, body: bytes) -> None:
+        self._data = len(body).to_bytes(8, "big") + body
+        self._at = 0
+        self.recvs = 0
+
+    def send(self, data: bytes) -> None:
+        pass
+
+    def recv(self, thread, timeout=None):
+        self.recvs += 1
+        chunk = self._data[self._at:self._at + 498]
+        self._at += len(chunk)
+        return chunk
+        yield  # a blocking call is a generator
+
+    def open_stream(self, thread, host, port, timeout=None):
+        return self
+        yield
+
+    def close(self) -> None:
+        pass
+
+
+class TestDownloadGather:
+    def test_a_6_mib_body_in_cells_gathers_in_linear_time(self):
+        """``download`` gathers the body in one buffer: 6 MiB in 498-byte
+        cells takes milliseconds.  ``body += chunk`` on ``bytes`` copied
+        the whole body so far per cell, seconds for the same body."""
+        body = random.Random(44).randbytes(6 << 20)
+        stream = _CellStream(body)
+        tor = types.SimpleNamespace(
+            sim=types.SimpleNamespace(now=0.0),
+            node=types.SimpleNamespace(name="visitor"),
+            connect_to_hidden_service=lambda *_a, **_k: stream.open_stream(
+                None, "", 80))
+        started = time.perf_counter()
+        gen = LoadBalancerFunction.download(None, tor, "x.onion")
+        with pytest.raises(StopIteration) as done:
+            next(gen)
+        took = time.perf_counter() - started
+        got, _elapsed = done.value.value
+        assert got == body
+        assert stream.recvs == -(-(8 + len(body)) // 498)   # no extra reads
+        assert took < 1.0, took
 
 
 class TestMultipath:

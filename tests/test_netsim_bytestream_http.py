@@ -12,7 +12,7 @@ from repro.netsim.http import (
     plan_windows,
 )
 from repro.netsim.network import Network
-from repro.netsim.simulator import Simulator
+from repro.netsim.simulator import SimTimeoutError, Simulator
 from repro.util.errors import ProtocolError
 from repro.util.serialization import canonical_encode
 
@@ -137,6 +137,34 @@ class TestHttp:
 
         response = sim.run_until_done(sim.spawn(main))
         assert response.status == 404 and not response.ok
+
+    @pytest.mark.expects_failed_actors
+    def test_a_receive_bug_fails_the_server_actor(self, monkeypatch):
+        """The server drops a connection quietly only on what a receive is
+        expected to raise; a ``Framer.feed`` that raises RuntimeError fails
+        its actor, which the kernel counts."""
+        sim, net, client, server = _web()
+        HttpServer(server, {"/poison": b"x"})
+        feed = Framer.feed
+
+        def broken(self, data):
+            if b"/poison" in data:
+                raise RuntimeError("framer bug")
+            return feed(self, data)
+
+        monkeypatch.setattr(Framer, "feed", broken)
+
+        def main(thread):
+            try:
+                yield from http_get(thread, net, client,
+                                    "https://example.com/poison", timeout=5.0)
+            except SimTimeoutError:
+                return "no answer"
+
+        assert sim.run_until_done(sim.spawn(main)) == "no answer"
+        [failed] = sim._failed
+        assert failed.name.startswith("http:")
+        assert type(failed.exception) is RuntimeError
 
     def test_large_body_intact(self):
         sim, net, client, server = _web()
