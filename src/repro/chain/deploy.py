@@ -185,17 +185,14 @@ class ChainDeployment:
         """Provision every replica of the overlay (embedding on demand)."""
         if self.overlay is None:
             self.compute_overlay(engine=engine)
-        log = _obs.log
-        span = log.begin_span("chain.deploy", self.sim.now,
-                              track=self.client.tor.node.name,
-                              chain=self.spec.name,
-                              engine=self.overlay.engine) if log else None
-        for replica in self.overlay.replicas:
-            yield from self._provision(task, replica.component,
-                                       replica.index, replica.box_fp)
-        if span is not None:
-            span.end(self.sim.now, replicas=len(self.overlay.replicas),
-                     boxes=len(self.overlay.boxes_used()))
+        with _obs.span("chain.deploy", self.sim,
+                       track=self.client.tor.node.name, chain=self.spec.name,
+                       engine=self.overlay.engine) as span:
+            for replica in self.overlay.replicas:
+                yield from self._provision(task, replica.component,
+                                           replica.index, replica.box_fp)
+            span.annotate(replicas=len(self.overlay.replicas),
+                          boxes=len(self.overlay.boxes_used()))
 
     def _descriptor(self, box_fp: str):
         for box in self.client.discover_boxes():
@@ -363,12 +360,9 @@ class ChainDeployment:
         self._excluded.update(exclude_fps)
         self.reembeds += 1
         _metrics.counter("chain_reembeds").value += 1
-        log = _obs.log
-        if log is not None:
-            log.instant("chain.reembed", self.sim.now,
-                        track=self.client.tor.node.name,
-                        chain=self.spec.name,
-                        excluded=sorted(self._excluded))
+        _obs.event("chain.reembed", self.sim.now,
+                   track=self.client.tor.node.name, chain=self.spec.name,
+                   excluded=sorted(self._excluded))
         old = {(r.component, r.index): r.box_fp
                for r in self.overlay.replicas}
         pinned = {key: fp for key, fp in old.items()

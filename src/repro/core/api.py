@@ -472,13 +472,10 @@ class FunctionApi:
                 box = instance.rng.choice(boxes)
         manifest = FunctionManifest.from_wire(manifest_wire)
         sim = instance.server.sim
-        log = _obs.log
-        span = log.begin_span(
-            "functions.deploy", sim.now,
-            track=instance.server.relay.nickname,
-            source=instance.instance_id, target=box.nickname,
-            function=manifest.name, direct=direct) if log is not None else None
-        try:
+        with _obs.span("functions.deploy", sim,
+                       track=instance.server.relay.nickname,
+                       source=instance.instance_id, target=box.nickname,
+                       function=manifest.name, direct=direct) as span:
             if direct:
                 session = yield from client.connect_direct(self._thread, box,
                                                            timeout=timeout)
@@ -489,15 +486,10 @@ class FunctionApi:
                                              timeout=timeout)
             yield from session.load_function(self._thread, code, manifest,
                                              timeout=timeout)
-        except BaseException as exc:
-            if span is not None:
-                span.end(sim.now, ok=False, error=type(exc).__name__)
-            raise
-        self._remote_ids += 1
-        handle = f"remote-{self._remote_ids}"
-        self._remote_sessions[handle] = session
-        if span is not None:
-            span.end(sim.now, ok=True, handle=handle)
+            self._remote_ids += 1
+            handle = f"remote-{self._remote_ids}"
+            self._remote_sessions[handle] = session
+            span.annotate(handle=handle)
         return handle
 
     def _session(self, handle: str):

@@ -192,11 +192,9 @@ class BentoClient:
         for attempt in range(attempts):
             if attempt > 0:
                 _metrics.counter("client_retries").value += 1
-                log = _obs.log
-                if log is not None:
-                    log.instant("core.retry", self.sim.now,
-                                track=self.tor.node.name, attempt=attempt,
-                                error=type(last).__name__ if last else "")
+                _obs.event("core.retry", self.sim.now,
+                           track=self.tor.node.name, attempt=attempt,
+                           error=type(last).__name__ if last else "")
                 if isinstance(last, ServerBusy) and last.retry_after > 0:
                     yield Sleep(last.retry_after)
                 else:
@@ -439,8 +437,8 @@ class BentoSession:
             raise BentoError("no invocation token to reattach with")
         try:
             self.framed.close()
-        except Exception:
-            pass
+        except ConnectionClosed:
+            pass  # a Tor stream's END had no live link to go out on
         if (self._close_circuit and self.circuit is not None
                 and not self.circuit.destroyed):
             self.circuit.close()
@@ -466,11 +464,8 @@ class BentoSession:
         yield from self.attach(thread, self.invocation_token,
                                timeout=timeout)
         _metrics.counter("session_reconnects").value += 1
-        log = _obs.log
-        if log is not None:
-            log.instant("core.session_reconnect", self.client.sim.now,
-                        track=self.client.tor.node.name,
-                        box=self.box.nickname)
+        _obs.event("core.session_reconnect", self.client.sim.now,
+                   track=self.client.tor.node.name, box=self.box.nickname)
 
     def retarget(self, box_fp: str) -> None:
         """Repoint this session at another box (after a migration).
@@ -484,11 +479,9 @@ class BentoSession:
                     and router.bento_port is not None):
                 self.box = router
                 self._pending.clear()
-                log = _obs.log
-                if log is not None:
-                    log.instant("core.session_retarget", self.client.sim.now,
-                                track=self.client.tor.node.name,
-                                box=router.nickname)
+                _obs.event("core.session_retarget", self.client.sim.now,
+                           track=self.client.tor.node.name,
+                           box=router.nickname)
                 return
         raise BentoError(f"moved-to box {box_fp} not in the consensus")
 

@@ -109,6 +109,8 @@ class FunctionRuntime:
             compiled = _compile(self.code, f"<function:{self.manifest.name}>")
             exec(compiled, namespace)  # noqa: S102 - the point of Bento
         except Exception as exc:
+            # The sandbox boundary: tenant code may raise anything, and the
+            # client hears it as a LoaderError (the one broad catch left).
             raise LoaderError(f"function failed to load: {exc!r}") from exc
         entry = namespace.get(self.manifest.entry)
         if not callable(entry):

@@ -37,7 +37,7 @@ from repro.enclave.attestation import IntelAttestationService
 from repro.enclave.conclave import Conclave
 from repro.enclave.sgx import EnclaveHost
 from repro.netsim.bytestream import DirectByteStream, FramedStream
-from repro.netsim.connection import Connection
+from repro.netsim.connection import Connection, ConnectionClosed
 from repro.netsim.simulator import Actor, SimTimeoutError, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
@@ -51,7 +51,8 @@ from repro.tor.descriptor import BENTO_PORT
 from repro.tor.directory import DirectoryAuthority
 from repro.tor.hidden_service import HiddenService
 from repro.tor.relay import Relay
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import (UNENCODABLE, canonical_decode,
+                                      canonical_encode)
 
 if TYPE_CHECKING:
     from repro.migrate import MigrationConfig
@@ -156,8 +157,11 @@ class FunctionInstance:
         """The entry function returned; report its result to the client."""
         try:
             canonical_encode(result)
-        except Exception:
-            result = repr(result)
+        except UNENCODABLE:
+            try:
+                result = repr(result)
+            except UNENCODABLE:  # repr refuses a huge int, deep nesting too
+                result = f"<unprintable {type(result).__name__}>"
         self._safe_send(route, messages.Done, result=result)
 
     def on_error(self, error: FunctionCrashed, route: Route) -> None:
@@ -167,7 +171,7 @@ class FunctionInstance:
     def _safe_send(self, route: Route, kind, **fields) -> None:
         try:
             route.send(kind, **fields)
-        except Exception:
+        except ConnectionClosed:
             pass  # the client has gone; fate-sharing is explicit in §5.3
 
     def kill(self, reason: str, graceful: bool = True) -> None:
@@ -190,12 +194,10 @@ class FunctionInstance:
                          if not p.closed), None)
             if peer is not None:
                 self.api._flush_undelivered(peer)
-        log = _obs.log
-        if log is not None:
-            log.instant("core.instance_kill", self.server.sim.now,
-                        track=self.server.relay.nickname,
-                        instance=self.instance_id, reason=reason,
-                        graceful=graceful)
+        _obs.event("core.instance_kill", self.server.sim.now,
+                   track=self.server.relay.nickname,
+                   instance=self.instance_id, reason=reason,
+                   graceful=graceful)
         self.api._kill(reason)
         if graceful:
             self.api.stem.release_all()
@@ -306,10 +308,11 @@ class BentoServer:
         return self.onion_address
 
     def _serve(self, thread: Actor, framed: FramedStream):
-        log = _obs.log
-        span = log.begin_span(
-            "core.session", self.sim.now, track=self.relay.nickname,
-            relay=self.relay.nickname) if log is not None else None
+        # A lifetime, not an operation: under _obs.span a session still open
+        # at the end of a run would be ended failed whenever the garbage
+        # collector closes its actor, before or after the trace is written.
+        span = _obs.begin("core.session", self.sim.now,
+                          track=self.relay.nickname, relay=self.relay.nickname)
         frames_served = 0
         while True:
             try:
@@ -378,12 +381,8 @@ class BentoServer:
 
     def _handle_invoke(self, _thread, reply: Route, message) -> None:
         instance = self._instance_for(message.token, reply.framed)
-        log = _obs.log
-        if log is not None:
-            log.instant("core.invoke", self.sim.now,
-                        track=self.relay.nickname,
-                        instance=instance.instance_id,
-                        n_args=len(message.args))
+        _obs.event("core.invoke", self.sim.now, track=self.relay.nickname,
+                   instance=instance.instance_id, n_args=len(message.args))
         instance.invoke(message.args, reply)
 
     def _handle_msg(self, _thread, reply: Route, message) -> None:
@@ -392,55 +391,41 @@ class BentoServer:
 
     def _handle_attach(self, _thread, reply: Route, message) -> None:
         instance = self._instance_for(message.token, reply.framed)
-        log = _obs.log
-        if log is not None:
-            log.instant("core.attach", self.sim.now,
-                        track=self.relay.nickname,
-                        instance=instance.instance_id)
+        _obs.event("core.attach", self.sim.now, track=self.relay.nickname,
+                   instance=instance.instance_id)
         reply.send(messages.Loaded)
 
     def _handle_request_image(self, thread: Actor, reply: Route,
                               message: messages.RequestImage):
-        log = _obs.log
-        span = log.begin_span(
-            "core.request_image", self.sim.now, track=self.relay.nickname,
-            image=message.image) if log is not None else None
-        try:
-            yield from self._request_image(thread, reply, message, span)
-        except BaseException as exc:
-            if span is not None:
-                span.end(self.sim.now, ok=False, error=type(exc).__name__)
-            raise
-
-    def _request_image(self, thread: Actor, reply: Route,
-                       message: messages.RequestImage, span=None):
-        image = image_by_name(message.image)
-        if image.name not in self.policy.images:
-            raise ImageUnavailable(f"operator does not offer {image.name}")
-        qos_key = None
-        if self.qos is not None:
-            # The serving plane replaces the blunt container-limit error:
-            # it queues, paces, or refuses with a structured retry_after
-            # (and may demand a puzzle under shed pressure).
-            qos_key = yield from self.qos.admit_request(thread, reply.framed,
-                                                        message)
-        elif len(self._by_invocation) >= self.policy.max_containers:
-            raise BentoError("container limit reached")
-        try:
-            yield from self._start_instance(thread, reply, image, qos_key,
-                                            span)
-        except BaseException:
-            # Give the slot back unless a registered instance already owns
-            # it (setup got as far as registration and failed on the
-            # reply; the instance's own teardown will release it).
-            if qos_key is not None and not any(
-                    inst.qos_key == qos_key
-                    for inst in self._by_invocation.values()):
-                self.qos.release(qos_key)
-            raise
+        with _obs.span("core.request_image", self.sim,
+                       track=self.relay.nickname, image=message.image) as span:
+            image = image_by_name(message.image)
+            if image.name not in self.policy.images:
+                raise ImageUnavailable(f"operator does not offer {image.name}")
+            qos_key = None
+            if self.qos is not None:
+                # The serving plane replaces the blunt container-limit
+                # error: it queues, paces, or refuses with a structured
+                # retry_after (and may demand a puzzle under shed pressure).
+                qos_key = yield from self.qos.admit_request(
+                    thread, reply.framed, message)
+            elif len(self._by_invocation) >= self.policy.max_containers:
+                raise BentoError("container limit reached")
+            try:
+                yield from self._start_instance(thread, reply, image,
+                                                qos_key, span)
+            except BaseException:
+                # Give the slot back unless a registered instance already
+                # owns it (setup got as far as registration and failed on
+                # the reply; the instance's own teardown will release it).
+                if qos_key is not None and not any(
+                        inst.qos_key == qos_key
+                        for inst in self._by_invocation.values()):
+                    self.qos.release(qos_key)
+                raise
 
     def _start_instance(self, thread: Actor, reply: Route,
-                        image: ContainerImage, qos_key, span=None):
+                        image: ContainerImage, qos_key, span):
         container = Container(
             container_id=f"c{next(self._container_ids)}",
             host_fs=self.host_fs,
@@ -483,75 +468,57 @@ class BentoServer:
             self.qos.attach_instance(qos_key, instance)
         self._by_invocation[tokens.invocation] = instance
         self._by_shutdown[tokens.shutdown] = instance
-        if span is not None:
-            span.end(self.sim.now, ok=True, instance=instance.instance_id,
-                     enclave=image.uses_enclave)
+        span.end(self.sim.now, ok=True, instance=instance.instance_id,
+                 enclave=image.uses_enclave)
         reply.send(messages.ImageReady, container_id=instance.instance_id,
                    invocation=tokens.invocation, shutdown=tokens.shutdown,
                    image=image.name, **reply_fields)
 
-    def _handle_load(self, _thread, reply: Route, message) -> None:
-        log = _obs.log
-        span = log.begin_span(
-            "core.load_function", self.sim.now,
-            track=self.relay.nickname) if log is not None else None
-        try:
-            self._load_function(reply, message, span)
-        except ManifestRejected as exc:
-            _metrics.counter("manifests_rejected").value += 1
-            if log is not None:
-                log.instant("core.manifest_rejected", self.sim.now,
-                            track=self.relay.nickname, reason=str(exc))
-            if span is not None:
-                span.end(self.sim.now, ok=False, error="ManifestRejected")
-            raise
-        except BaseException as exc:
-            if span is not None:
-                span.end(self.sim.now, ok=False, error=type(exc).__name__)
-            raise
+    def _handle_load(self, _thread, reply: Route,
+                     message: messages.LoadFunction) -> None:
+        with _obs.span("core.load_function", self.sim,
+                       track=self.relay.nickname) as span:
+            instance = self._instance_for(message.token, reply.framed)
+            try:
+                manifest = FunctionManifest.from_wire(message.manifest)
+            except (TypeError, ValueError) as exc:
+                raise messages.FrameError(
+                    f"bad load_function manifest: {exc}", message.rid) from None
+            reason = self.policy.rejection_reason(manifest)
+            if reason is None and manifest.image != instance.image.name:
+                reason = (f"manifest image {manifest.image!r} does not match "
+                          f"container image {instance.image.name!r}")
+            if reason is not None:
+                _metrics.counter("manifests_rejected").value += 1
+                _obs.event("core.manifest_rejected", self.sim.now,
+                           track=self.relay.nickname, reason=reason)
+                raise ManifestRejected(reason)
+            if self.qos is not None:
+                # Price the declared ask against the capacity ledger before
+                # any real resources are committed; also registers the
+                # instance's fair-queue flows under its priority class.
+                self.qos.price_manifest(instance, manifest)
 
-    def _load_function(self, reply: Route, message: messages.LoadFunction,
-                       span=None) -> None:
-        instance = self._instance_for(message.token, reply.framed)
-        try:
-            manifest = FunctionManifest.from_wire(message.manifest)
-        except (TypeError, ValueError) as exc:
-            raise messages.FrameError(f"bad load_function manifest: {exc}",
-                                      message.rid) from None
-        reason = self.policy.rejection_reason(manifest)
-        if reason is not None:
-            raise ManifestRejected(reason)
-        if manifest.image != instance.image.name:
-            raise ManifestRejected(
-                f"manifest image {manifest.image!r} does not match container "
-                f"image {instance.image.name!r}")
-        if self.qos is not None:
-            # Price the declared ask against the capacity ledger before
-            # any real resources are committed; also registers the
-            # instance's fair-queue flows under its priority class.
-            self.qos.price_manifest(instance, manifest)
+            if message.sealed_code:
+                if instance.conclave is None:
+                    raise BentoError("sealed upload requires the enclave image")
+                channel = instance.conclave.complete_channel(message.client_pub)
+                code = channel.open(message.sealed_code).decode("utf-8")
+            else:
+                code = message.code
 
-        if message.sealed_code:
-            if instance.conclave is None:
-                raise BentoError("sealed upload requires the enclave image")
-            channel = instance.conclave.complete_channel(message.client_pub)
-            code = channel.open(message.sealed_code).decode("utf-8")
-        else:
-            code = message.code
-
-        instance.load(code, manifest)
-        for path, data in (message.data or {}).items():
-            # Initial data files ride along with the upload (§5.4: "the
-            # Bento client then uploads the function, and any associated
-            # data to copy to FS Protect").
-            fs = (instance.conclave.fs if instance.conclave is not None
-                  else instance.container.fs)
-            instance.container.cgroup.charge("disk", len(data))
-            fs.write_file(path, data)
-        if span is not None:
+            instance.load(code, manifest)
+            for path, data in (message.data or {}).items():
+                # Initial data files ride along with the upload (§5.4: "the
+                # Bento client then uploads the function, and any associated
+                # data to copy to FS Protect").
+                fs = (instance.conclave.fs if instance.conclave is not None
+                      else instance.container.fs)
+                instance.container.cgroup.charge("disk", len(data))
+                fs.write_file(path, data)
             span.end(self.sim.now, ok=True, instance=instance.instance_id,
                      name=manifest.name)
-        reply.send(messages.Loaded)
+            reply.send(messages.Loaded)
 
     def _handle_shutdown(self, _thread, reply: Route, message) -> None:
         instance = self._instance_for(message.token, reply.framed,

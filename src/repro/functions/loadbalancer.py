@@ -358,26 +358,23 @@ class LoadBalancerFunction:
         key material already pushed, never dispatched to); a lost replica
         promotes one instantly instead of respawning cold.
         """
-        sim = session.client.sim
-        log = _obs.log
-        span = log.begin_span(
-            "functions.lb_start", sim.now, track=session.box.nickname,
-            box=session.box.nickname,
-            content_bytes=len(content)) if log is not None else None
-        args = [cls.REPLICA_SOURCE,
-                cls.replica_manifest(image=replica_image).to_wire(),
-                high_water, low_water, max_replicas, duration_s,
-                poll_interval, announce]
-        if standbys:
-            # Appended only when used: the default invoke frame keeps its
-            # pre-standby wire bytes, so fixed-seed replays stay identical.
-            args.append(int(standbys))
-        session.invoke_nowait(args)
-        session.send_message(content)
-        ready = yield from session.next_output(thread, timeout=timeout)
-        onion = json.loads(ready.decode("utf-8"))["onion"]
-        if span is not None:
-            span.end(sim.now, onion=onion)
+        with _obs.span("functions.lb_start", session.client.sim,
+                       track=session.box.nickname, box=session.box.nickname,
+                       content_bytes=len(content)) as span:
+            args = [cls.REPLICA_SOURCE,
+                    cls.replica_manifest(image=replica_image).to_wire(),
+                    high_water, low_water, max_replicas, duration_s,
+                    poll_interval, announce]
+            if standbys:
+                # Appended only when used: the default invoke frame keeps
+                # its pre-standby wire bytes, so fixed-seed replays stay
+                # identical.
+                args.append(int(standbys))
+            session.invoke_nowait(args)
+            session.send_message(content)
+            ready = yield from session.next_output(thread, timeout=timeout)
+            onion = json.loads(ready.decode("utf-8"))["onion"]
+            span.annotate(onion=onion)
         return onion
 
     @staticmethod
@@ -401,11 +398,10 @@ class LoadBalancerFunction:
         GET, length-prefixed body, DONE.
         """
         started = tor_client.sim.now
-        log = _obs.log
-        span = log.begin_span(
-            "functions.lb_download", started, track=tor_client.node.name,
-            client=tor_client.node.name) if log is not None else None
-        try:
+        with _obs.span("functions.lb_download", tor_client.sim,
+                       seconds=_metrics.histogram("lb_download_s"),
+                       track=tor_client.node.name,
+                       client=tor_client.node.name) as span:
             circuit = yield from tor_client.connect_to_hidden_service(
                 thread, onion, timeout=timeout)
             stream = yield from circuit.open_stream(thread, "", 80,
@@ -416,13 +412,5 @@ class LoadBalancerFunction:
             stream.send(b"DONE")
             stream.close()
             circuit.close()
-        except BaseException as exc:
-            if span is not None:
-                span.end(tor_client.sim.now, ok=False,
-                         error=type(exc).__name__)
-            raise
-        elapsed = tor_client.sim.now - started
-        _metrics.histogram("lb_download_s").observe(elapsed)
-        if span is not None:
-            span.end(tor_client.sim.now, ok=True, bytes=len(body))
-        return body, elapsed
+            span.annotate(bytes=len(body))
+        return body, tor_client.sim.now - started

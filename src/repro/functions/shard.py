@@ -120,18 +120,16 @@ class ShardFunction:
                 name: str = "file", expiry_s: float = 3600.0,
                 timeout: float = 1200.0) -> dict:
         """Run the full scatter: returns the placement metadata."""
-        sim = session.client.sim
-        log = _obs.log
-        span = log.begin_span(
-            "functions.shard_scatter", sim.now, track=session.box.nickname,
-            n=n, k=k, bytes=len(data)) if log is not None else None
-        dropbox_manifest = DropboxFunction.manifest(image="python").to_wire()
-        rid = session.invoke_nowait([n, k, DropboxFunction.SOURCE,
-                                     dropbox_manifest, name, expiry_s])
-        session.send_message(data)
-        result = yield from session.await_result(thread, timeout, rid)
-        if span is not None:
-            span.end(sim.now, placements=len(result["placements"]))
+        with _obs.span("functions.shard_scatter", session.client.sim,
+                       track=session.box.nickname, n=n, k=k,
+                       bytes=len(data)) as span:
+            dropbox_manifest = DropboxFunction.manifest(
+                image="python").to_wire()
+            rid = session.invoke_nowait([n, k, DropboxFunction.SOURCE,
+                                         dropbox_manifest, name, expiry_s])
+            session.send_message(data)
+            result = yield from session.await_result(thread, timeout, rid)
+            span.annotate(placements=len(result["placements"]))
         return result
 
     @staticmethod
@@ -153,11 +151,6 @@ class ShardFunction:
 
         k = int(metadata["k"])
         sim = bento_client.sim
-        log = _obs.log
-        span = log.begin_span(
-            "functions.shard_gather", sim.now,
-            track=bento_client.tor.node.name,
-            k=k, n=int(metadata["n"])) if log is not None else None
         placements = metadata["placements"]
         by_index = {p["index"]: p for p in placements}
         if use_indices is None:
@@ -168,48 +161,50 @@ class ShardFunction:
             candidates += [p["index"] for p in placements
                            if p["index"] not in set(use_indices)]
         consensus = bento_client.tor.consensus()
-        shards: list[Shard] = []
-        failures: list[str] = []
-        for index in candidates:
-            if len(shards) >= k:
-                break
-            placement = by_index[index]
+        with _obs.span("functions.shard_gather", sim,
+                       track=bento_client.tor.node.name, k=k,
+                       n=int(metadata["n"])) as span:
+            shards: list[Shard] = []
+            failures: list[str] = []
+            for index in candidates:
+                if len(shards) >= k:
+                    break
+                placement = by_index[index]
 
-            def fetch_piece(placement=placement):
-                box = consensus.find(placement["box_fp"])
-                dropbox_session = yield from bento_client.connect(
-                    thread, box, timeout=timeout)
+                def fetch_piece(placement=placement):
+                    box = consensus.find(placement["box_fp"])
+                    dropbox_session = yield from bento_client.connect(
+                        thread, box, timeout=timeout)
+                    try:
+                        yield from dropbox_session.attach(
+                            thread, placement["invocation"])
+                        return (yield from DropboxFunction.get(
+                            thread, dropbox_session, placement["name"],
+                            timeout=timeout))
+                    finally:
+                        dropbox_session.close()
+
                 try:
-                    yield from dropbox_session.attach(
-                        thread, placement["invocation"])
-                    return (yield from DropboxFunction.get(
-                        thread, dropbox_session, placement["name"],
-                        timeout=timeout))
-                finally:
-                    dropbox_session.close()
-
-            try:
-                # A couple of attempts per placement so one unlucky relay
-                # pick doesn't burn a surviving Dropbox; a genuinely dead
-                # box fails fast (its dials are refused) and is skipped.
-                piece = yield from bento_client.retrying(
-                    thread, fetch_piece, attempts=3, backoff_s=1.0)
-            except RETRYABLE_ERRORS as exc:
-                failures.append("%s: %s" % (placement["box_nickname"], exc))
-                continue
-            if not piece:
-                # Dropbox answered but no longer holds the piece.
-                failures.append("%s: empty piece" % placement["box_nickname"])
-                continue
-            shards.append(Shard(index=index, data=piece))
-        if len(shards) < k:
-            if span is not None:
+                    # A couple of attempts per placement so one unlucky
+                    # relay pick doesn't burn a surviving Dropbox; a dead
+                    # box fails fast (its dials are refused) and is skipped.
+                    piece = yield from bento_client.retrying(
+                        thread, fetch_piece, attempts=3, backoff_s=1.0)
+                except RETRYABLE_ERRORS as exc:
+                    failures.append(
+                        "%s: %s" % (placement["box_nickname"], exc))
+                    continue
+                if not piece:
+                    # Dropbox answered but no longer holds the piece.
+                    failures.append(
+                        "%s: empty piece" % placement["box_nickname"])
+                    continue
+                shards.append(Shard(index=index, data=piece))
+            if len(shards) < k:
                 span.end(sim.now, ok=False, retrieved=len(shards),
                          failures=len(failures))
-            raise BentoError(
-                "gather: only %d of %d required shards retrievable (%s)"
-                % (len(shards), k, "; ".join(failures) or "no failures"))
-        if span is not None:
-            span.end(sim.now, ok=True, retrieved=len(shards),
-                     failures=len(failures))
+                raise BentoError(
+                    "gather: only %d of %d required shards retrievable (%s)"
+                    % (len(shards), k, "; ".join(failures) or "no failures"))
+            span.annotate(retrieved=len(shards), failures=len(failures))
         return decode_shards(shards, k, int(metadata["length"]))

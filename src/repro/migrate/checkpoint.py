@@ -31,7 +31,8 @@ from typing import Any, Optional
 from repro.core.errors import BentoError
 from repro.enclave.sealing import seal_data, unseal_data
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import (UNENCODABLE, canonical_decode,
+                                      canonical_encode)
 from repro.util.spec import field_table, read_fields
 
 _CHECKPOINTS_TAKEN = _metrics.counter("perf_checkpoints_taken")
@@ -103,7 +104,7 @@ def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
     state = runtime.checkpoint_state()
     try:
         canonical_encode(state)
-    except Exception as exc:
+    except UNENCODABLE as exc:
         raise MigrationError(
             f"checkpoint state is not canonical-encodable: {exc}") from exc
     fs = _instance_fs(instance)

@@ -31,6 +31,7 @@ from repro.migrate.checkpoint import (
     checkpoint_instance,
     store_local_checkpoint,
 )
+from repro.netsim.connection import ConnectionClosed
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
@@ -68,131 +69,124 @@ class MigrationPlane:
 
     # -- draining ----------------------------------------------------------
 
+    def request_drain(self, instance, dest_fp: Optional[str] = None) -> None:
+        """Fire-and-forget drain in its own actor (event-handler safe).
+
+        A drain that fails returns None, counted and spanned; an error it
+        raises fails the actor, which the kernel counts."""
+        self.server.sim.spawn(self.drain, instance, dest_fp,
+                              name=f"drain:{self.server.relay.nickname}")
+
     def drain(self, thread: Actor, instance,
               dest_fp: Optional[str] = None) -> Optional[str]:
         """Drain ``instance`` to another box; returns the destination
         fingerprint, or None if the drain failed (instance keeps running)."""
-        return (yield from self._drain(thread, instance, dest_fp))
-
-    def request_drain(self, instance, dest_fp: Optional[str] = None) -> None:
-        """Fire-and-forget drain in its own actor (event-handler safe)."""
-        def _actor(task):
-            try:
-                yield from self._drain(task, instance, dest_fp)
-            except Exception:
-                pass  # failures are already counted and spanned
-
-        self.server.sim.spawn(
-            _actor, name=f"drain:{self.server.relay.nickname}")
-
-    def _drain(self, thread: Actor, instance, dest_fp: Optional[str]):
         server = self.server
         sim = server.sim
         started_at = sim.now
         _metrics.counter("migrations_started",
                          {"box": server.relay.nickname}).value += 1
-        log = _obs.log
-        span = log.begin_span(
-            "migrate.drain", sim.now, track=server.relay.nickname,
-            instance=instance.instance_id) if log is not None else None
-        self._draining += 1
-
-        def fail(why: str):
-            _metrics.counter("migrations_failed",
-                             {"box": server.relay.nickname}).value += 1
-            instance.draining = False
-            self._draining -= 1
-            if span is not None:
-                span.end(sim.now, ok=False, error=why)
-            return None
-
-        if instance.terminated:
-            return fail("instance already terminated")
-        if instance.draining:
-            return fail("already draining")
-        if not instance.checkpointable:
-            return fail("not checkpointable")
-        runtime = instance.runtime
-
-        # 1. Quiesce: freeze state at a message boundary.
-        instance.draining = True
-        deadline = sim.now + QUIESCE_TIMEOUT_S
-        while (runtime.running and instance.api._recv_waiter is None
-               and not instance.terminated):
-            if sim.now >= deadline:
-                return fail("quiesce timeout")
-            yield Sleep(self.config.quiesce_poll_s)
-        if instance.terminated:
-            return fail("instance died while quiescing")
-
-        # 2. Checkpoint (and persist sealed-at-rest inside a conclave).
-        try:
-            cp = checkpoint_instance(instance)
-            if instance.conclave is not None:
-                store_local_checkpoint(instance, cp)
-        except MigrationError as exc:
-            return fail(f"checkpoint failed: {exc}")
-        shipped_inbox = len(cp.inbox)
-
-        # 3. Transfer to a slack-rich destination.
-        from repro.core.client import RETRYABLE_ERRORS, BentoClient
-        from repro.qos.placement import rank_boxes
-
-        drain_id = next(self._drain_ids)
-        client = BentoClient(server.tor_client, server.ias,
-                             rng=self.rng.fork(f"drain{drain_id}"))
-        boxes = [b for b in client.discover_boxes()
-                 if b.identity_fp != server.relay.fingerprint]
-        if dest_fp is not None:
-            boxes = [b for b in boxes if b.identity_fp == dest_fp]
-        if not boxes:
-            return fail("no destination box available")
-        ranked = rank_boxes(boxes, server.directory.load_table())
-
-        session = None
-        dest = None
-        for box in ranked[:MAX_DEST_ATTEMPTS]:
+        with _obs.span("migrate.drain", sim, track=server.relay.nickname,
+                       instance=instance.instance_id) as span:
+            self._draining += 1
+            moved = False
             try:
-                session = yield from self._transfer(thread, client, box,
-                                                    instance, cp)
-            except RETRYABLE_ERRORS:
-                session = None
-            if session is not None:
-                dest = box
-                break
-        if session is None:
-            return fail("every destination attempt failed")
+                def fail(why: str):
+                    _metrics.counter("migrations_failed",
+                                     {"box": server.relay.nickname}).value += 1
+                    span.end(sim.now, ok=False, error=why)
+                    return None
 
-        # 4. Cut over: chase stragglers, tombstone, tear down locally.
-        for payload, _peer in instance.api._inbox[shipped_inbox:]:
-            session.send_message(payload)
-        old = instance.tokens
-        server._moved[old.invocation] = dest.identity_fp
-        server._moved[old.shutdown] = dest.identity_fp
-        # Tell every still-connected client where the function went *now*:
-        # a parked next_output() raises FunctionMoved immediately and the
-        # retry path retargets, instead of waiting out its own timeout.
-        from repro.core.messages import Error, Route
-        for peer in instance._peer_order:
-            if not peer.closed:
+                if instance.terminated:
+                    return fail("instance already terminated")
+                if instance.draining:
+                    return fail("already draining")
+                if not instance.checkpointable:
+                    return fail("not checkpointable")
+                runtime = instance.runtime
+
+                # 1. Quiesce: freeze state at a message boundary.
+                instance.draining = True
+                deadline = sim.now + QUIESCE_TIMEOUT_S
+                while (runtime.running and instance.api._recv_waiter is None
+                       and not instance.terminated):
+                    if sim.now >= deadline:
+                        return fail("quiesce timeout")
+                    yield Sleep(self.config.quiesce_poll_s)
+                if instance.terminated:
+                    return fail("instance died while quiescing")
+
+                # 2. Checkpoint (and persist it sealed inside a conclave).
                 try:
-                    Route(peer, 0).send(Error, reason="moved",
-                                        detail="function migrated",
-                                        box_fp=dest.identity_fp)
-                except Exception:
-                    pass
-        instance.kill("migrated", graceful=True)
-        session.close()
-        self._draining -= 1
-        recovery_s = sim.now - started_at
-        _metrics.counter("migrations_completed",
-                         {"box": server.relay.nickname}).value += 1
-        _metrics.histogram("migration_recovery_s",
-                           {"mode": "drain"}).observe(recovery_s)
-        if span is not None:
-            span.end(sim.now, ok=True, dest=dest.nickname,
-                     recovery_s=recovery_s)
-        return dest.identity_fp
+                    cp = checkpoint_instance(instance)
+                    if instance.conclave is not None:
+                        store_local_checkpoint(instance, cp)
+                except MigrationError as exc:
+                    return fail(f"checkpoint failed: {exc}")
+                shipped_inbox = len(cp.inbox)
+
+                # 3. Transfer to a slack-rich destination.
+                from repro.core.client import RETRYABLE_ERRORS, BentoClient
+                from repro.qos.placement import rank_boxes
+
+                drain_id = next(self._drain_ids)
+                client = BentoClient(server.tor_client, server.ias,
+                                     rng=self.rng.fork(f"drain{drain_id}"))
+                boxes = [b for b in client.discover_boxes()
+                         if b.identity_fp != server.relay.fingerprint]
+                if dest_fp is not None:
+                    boxes = [b for b in boxes if b.identity_fp == dest_fp]
+                if not boxes:
+                    return fail("no destination box available")
+                ranked = rank_boxes(boxes, server.directory.load_table())
+
+                session = None
+                dest = None
+                for box in ranked[:MAX_DEST_ATTEMPTS]:
+                    try:
+                        session = yield from self._transfer(
+                            thread, client, box, instance, cp)
+                    except RETRYABLE_ERRORS:
+                        session = None
+                    if session is not None:
+                        dest = box
+                        break
+                if session is None:
+                    return fail("every destination attempt failed")
+
+                # 4. Cut over: chase stragglers, tombstone, tear down locally.
+                for payload, _peer in instance.api._inbox[shipped_inbox:]:
+                    session.send_message(payload)
+                old = instance.tokens
+                server._moved[old.invocation] = dest.identity_fp
+                server._moved[old.shutdown] = dest.identity_fp
+                # Tell every still-connected client where the function went
+                # *now*: a parked next_output() raises FunctionMoved at once
+                # and the retry path retargets, not waiting out its timeout.
+                from repro.core.messages import Error, Route
+                for peer in instance._peer_order:
+                    if not peer.closed:
+                        try:
+                            Route(peer, 0).send(Error, reason="moved",
+                                                detail="function migrated",
+                                                box_fp=dest.identity_fp)
+                        except ConnectionClosed:
+                            pass  # that client has gone; it retargets
+                moved = True
+                instance.kill("migrated", graceful=True)
+                session.close()
+                recovery_s = sim.now - started_at
+                _metrics.counter("migrations_completed",
+                                 {"box": server.relay.nickname}).value += 1
+                _metrics.histogram("migration_recovery_s",
+                                   {"mode": "drain"}).observe(recovery_s)
+                span.annotate(dest=dest.nickname, recovery_s=recovery_s)
+                return dest.identity_fp
+            finally:
+                # Any exit but a move, an error too, thaws the instance.
+                self._draining -= 1
+                if not moved:
+                    instance.draining = False
 
     def _transfer(self, thread: Actor, client, box, instance, cp):
         """Provision + load + restore on one candidate box.
@@ -230,11 +224,8 @@ class MigrationPlane:
         if victim is None:
             return False
         self._last_shed_at = now
-        log = _obs.log
-        if log is not None:
-            log.instant("migrate.shed", now,
-                        track=self.server.relay.nickname,
-                        instance=victim.instance_id)
+        _obs.event("migrate.shed", now, track=self.server.relay.nickname,
+                   instance=victim.instance_id)
         self.request_drain(victim)
         return True
 

@@ -2,38 +2,35 @@
 
 The observability plane answers "what happened inside this circuit build /
 Bento session / chaos run" without print-debugging.  Layers emit into an
-:class:`EventLog` through the process-wide :data:`TRACER`:
+:class:`EventLog` through the process-wide :data:`TRACER`: a **span**
+brackets an operation in simulated time (parent link, key/value
+attributes); an **instant event** marks a point (a fault, a retry).
+Every operation, a generator's ``yield from`` included, is traced so::
 
-* a **span** brackets an operation in simulated time — ``begin_span`` at
-  the start, :meth:`Span.end` when it completes — and carries a parent
-  link plus key/value attributes;
-* an **instant event** marks a point occurrence (a fault injected, a
-  retry, a replica deploy).
+    with TRACER.span("tor.stream_open", sim, ok=_CTR_OK, failed=_CTR_FAIL,
+                     seconds=_HIST_OPEN, track=name) as span:
+        yield from stream.wait_connected(thread)
+        span.annotate(stream_id=stream.stream_id)
 
-Instrumentation must cost nearly nothing when nobody is looking, so every
-call site guards on ``TRACER.log``::
+A normal exit ends the span ``ok=True`` unless the block ended it first
+(the first end wins); a raise, ``GeneratorExit`` included, ends it
+``ok=False`` with the exception's class name and propagates.  The optional
+counters and histogram count the outcome, attached or not.  Detached,
+``span`` yields the one shared :data:`NO_SPAN` and
+``TRACER.event(name, t, **attrs)`` records nothing, so sites hold no guard
+(and none tests ``if log``: an empty :class:`EventLog` is falsy).
 
-    log = TRACER.log
-    span = log.begin_span("tor.circuit_build", sim.now) if log else None
-    ...
-    if span is not None:
-        span.end(sim.now, ok=True)
-
-With no sink attached that is one attribute load and a comparison — no
-allocation, no call.  All timestamps are **simulated seconds**; nothing in
-this module (or the exporters) ever reads the wall clock, so identical
-seeds yield byte-identical trace exports.
-
-Span and event ids are assigned sequentially per :class:`EventLog`; since
-the simulator dispatches events deterministically, the ids — and therefore
-every exported artifact — are deterministic too.
+All timestamps are **simulated seconds**; nothing here or in the exporters
+reads the wall clock, and ids are sequential per log, so identical seeds
+yield byte-identical trace exports.
 """
 
 from __future__ import annotations
 
 from typing import Any, Optional
 
-__all__ = ["Span", "InstantEvent", "EventLog", "Tracer", "TRACER"]
+__all__ = ["Span", "InstantEvent", "EventLog", "Tracer", "TRACER",
+           "NO_SPAN"]
 
 
 class Span:
@@ -154,12 +151,56 @@ class EventLog:
                 f"events={len(self.events)}>")
 
 
+class _NoSpan:
+    """The span a detached :meth:`Tracer.span` yields: accepts and drops."""
+
+    __slots__ = ()
+
+    def annotate(self, **_attrs: Any) -> "_NoSpan":
+        return self
+
+    def end(self, _t_end: float, **_attrs: Any) -> None:
+        pass
+
+
+#: The one shared stand-in for a span when no log is attached.
+NO_SPAN = _NoSpan()
+
+
+class _Operation:
+    """The context manager :meth:`Tracer.span` returns."""
+
+    __slots__ = ("sim", "span", "t0", "ok", "failed", "seconds")
+
+    def __init__(self, sim: Any, span: Any, ok: Any, failed: Any,
+                 seconds: Any) -> None:
+        self.sim, self.span, self.t0 = sim, span, sim.now
+        self.ok, self.failed, self.seconds = ok, failed, seconds
+
+    def __enter__(self) -> Any:
+        return self.span
+
+    def __exit__(self, kind: Any, _exc: Any, _tb: Any) -> bool:
+        now = self.sim.now
+        if kind is not None:
+            if self.failed is not None:
+                self.failed.value += 1
+            self.span.end(now, ok=False, error=kind.__name__)
+            return False
+        if self.ok is not None:
+            self.ok.value += 1
+        if self.seconds is not None:
+            self.seconds.observe(now - self.t0)
+        self.span.end(now, ok=True)
+        return False
+
+
 class Tracer:
     """The process-wide instrumentation hub.
 
     Holds at most one attached :class:`EventLog`.  ``TRACER.log`` is
-    ``None`` when detached — the single cheap check every instrumentation
-    site performs before allocating anything.
+    ``None`` when detached — the check :meth:`span` and :meth:`event`
+    make so that their callers need not.
     """
 
     __slots__ = ("log",)
@@ -183,13 +224,29 @@ class Tracer:
               **attrs: Any) -> Optional[Span]:
         """Open a span if a sink is attached; returns None otherwise.
 
-        Prefer guarding on ``TRACER.log`` at hot sites — this convenience
-        still builds the ``attrs`` dict before the check.
+        For a lifetime its owner ends (a Bento session), where
+        :meth:`span`'s end on ``GeneratorExit`` would mark a session
+        still open at the end of a run as failed.
         """
         log = self.log
         if log is None:
             return None
         return log.begin_span(name, t, parent=parent, **attrs)
+
+    def span(self, name: str, sim: Any, ok: Any = None, failed: Any = None,
+             seconds: Any = None, **attrs: Any) -> _Operation:
+        """Trace one operation on ``sim``'s clock: ``with ... as span:``.
+
+        The span (or :data:`NO_SPAN` when detached) begins now and ends
+        when the block exits: ``ok=True``, or ``ok=False`` with the
+        exception's class name, unless the block ended it first.
+        ``ok`` / ``failed`` are counters bumped on success / failure and
+        ``seconds`` a histogram observing a success's duration.
+        """
+        log = self.log
+        span = (NO_SPAN if log is None
+                else log.begin_span(name, sim.now, **attrs))
+        return _Operation(sim, span, ok, failed, seconds)
 
     def event(self, name: str, t: float, **attrs: Any) -> None:
         """Record an instant event if a sink is attached."""

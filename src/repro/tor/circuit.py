@@ -352,26 +352,14 @@ class Circuit:
         stream_id = next(self._stream_ids)
         stream = self._stream_cls(self, stream_id)
         self.streams[stream_id] = stream
-        log = _obs.log
-        span = log.begin_span(
-            "tor.stream_open", self.sim.now, track=self.owner.node.name,
-            circ_id=self.circ_id, stream_id=stream_id, host=host,
-            port=port) if log is not None else None
-        t0 = self.sim.now
         data = canonical_encode({"host": host, "port": port})
-        try:
+        with _obs.span("tor.stream_open", self.sim, ok=_CTR_STREAM_OK,
+                       failed=_CTR_STREAM_FAIL, seconds=_HIST_STREAM_OPEN,
+                       track=self.owner.node.name, circ_id=self.circ_id,
+                       stream_id=stream_id, host=host, port=port):
             self.send_relay(RelayCommand.BEGIN, stream_id, data,
                             to_hs=self.hs_crypto is not None)
             yield from stream.wait_connected(thread, timeout=timeout)
-        except BaseException as exc:
-            _CTR_STREAM_FAIL.value += 1
-            if span is not None:
-                span.end(self.sim.now, ok=False, error=type(exc).__name__)
-            raise
-        _CTR_STREAM_OK.value += 1
-        _HIST_STREAM_OPEN.observe(self.sim.now - t0)
-        if span is not None:
-            span.end(self.sim.now, ok=True)
         return stream
 
     # -- teardown ---------------------------------------------------------------------

@@ -142,116 +142,95 @@ class TorClient:
         avoids relays recently implicated in build failures; a failed
         CREATE/EXTEND here adds the offending relay to that avoid list.
         """
-        log = _obs.log
-        span = log.begin_span(
-            "tor.circuit_build", self.sim.now, track=self.node.name,
-            client=self.node.name) if log is not None else None
-        t0 = self.sim.now
-        try:
-            circuit = yield from self._build_circuit(
-                thread, path=path, length=length, exit_to=exit_to,
-                final_hop=final_hop, timeout=timeout)
-        except BaseException as exc:
-            _CTR_BUILD_FAIL.value += 1
-            if span is not None:
-                span.end(self.sim.now, ok=False, error=type(exc).__name__)
-            raise
-        _CTR_BUILD_OK.value += 1
-        _HIST_CIRCUIT_BUILD.observe(self.sim.now - t0)
-        if span is not None:
-            span.end(self.sim.now, ok=True, circ_id=circuit.circ_id,
-                     hops=len(circuit.path),
-                     guard=circuit.path[0].nickname)
-        return circuit
+        with _obs.span("tor.circuit_build", self.sim, ok=_CTR_BUILD_OK,
+                       failed=_CTR_BUILD_FAIL, seconds=_HIST_CIRCUIT_BUILD,
+                       track=self.node.name, client=self.node.name) as span:
+            if path is None:
+                if exit_to is not None:
+                    exit_addr = self.network.resolve(exit_to[0])
+                    exit_to = (exit_addr, exit_to[1])
+                selector = self.path_selector()
+                exclude: set[str] = self.avoided_relays()
+                if final_hop is not None:
+                    # A pinned target is the caller's explicit choice.
+                    exclude.discard(final_hop.identity_fp)
+                sticky = None
+                if self.use_entry_guard and length >= 2:
+                    sticky = self._sticky_guard(selector)
+                    if (final_hop is not None
+                            and final_hop.identity_fp == sticky.identity_fp):
+                        sticky = None     # the guard IS the target; rotate once
+                    else:
+                        exclude.add(sticky.identity_fp)
+                path = selector.build_path(
+                    length=length, exit_to=exit_to, final_hop=final_hop,
+                    exclude=exclude)
+                if sticky is not None:
+                    path[0] = sticky
+            if not path:
+                raise TorError("empty circuit path")
 
-    def _build_circuit(self, thread: Actor,
-                       path: Optional[list[RelayDescriptor]] = None,
-                       length: int = 3,
-                       exit_to: Optional[tuple[str, int]] = None,
-                       final_hop: Optional[RelayDescriptor] = None,
-                       timeout: float = 120.0) -> Circuit:
-        if path is None:
-            if exit_to is not None:
-                exit_addr = self.network.resolve(exit_to[0])
-                exit_to = (exit_addr, exit_to[1])
-            selector = self.path_selector()
-            exclude: set[str] = self.avoided_relays()
-            if final_hop is not None:
-                # A pinned target is the caller's explicit choice.
-                exclude.discard(final_hop.identity_fp)
-            sticky = None
-            if self.use_entry_guard and length >= 2:
-                sticky = self._sticky_guard(selector)
-                if (final_hop is not None
-                        and final_hop.identity_fp == sticky.identity_fp):
-                    sticky = None     # the guard IS the target; rotate once
-                else:
-                    exclude.add(sticky.identity_fp)
-            path = selector.build_path(
-                length=length, exit_to=exit_to, final_hop=final_hop,
-                exclude=exclude)
-            if sticky is not None:
-                path[0] = sticky
-        if not path:
-            raise TorError("empty circuit path")
-
-        guard = path[0]
-        try:
-            conn = yield from self.network.connect_blocking(
-                thread, self.node, guard.address, guard.or_port, timeout=timeout)
-        except (NetworkError, SimTimeoutError):
-            self.note_relay_failure(guard.identity_fp)
-            raise
-        circuit = Circuit(self, conn, next(self._circ_ids), path)
-        circuit.attach_connection()
-
-        # First hop: CREATE/CREATED.
-        state = ntor.NtorClientState(
-            self._rng.fork(f"ntor:{circuit.circ_id}:0"), guard.identity_fp)
-        try:
-            created = circuit.send_raw_create(state.onionskin)
-            reply = yield Wait(created, timeout)
-        except (SimTimeoutError, CircuitDestroyed):
-            self.note_relay_failure(guard.identity_fp)
-            circuit.close()
-            raise
-        circuit.add_hop(HopCrypto(state.finish(reply[:ntor.REPLY_LEN])))
-
-        # Remaining hops: EXTEND/EXTENDED through the partial circuit.
-        for position, relay in enumerate(path[1:], start=1):
-            state = ntor.NtorClientState(
-                self._rng.fork(f"ntor:{circuit.circ_id}:{position}"),
-                relay.identity_fp)
-            request = canonical_encode({
-                "address": relay.address,
-                "port": relay.or_port,
-                "onionskin": state.onionskin,
-            })
+            guard = path[0]
             try:
-                extended = circuit.expect_control(RelayCommand.EXTENDED)
-                failed = circuit.expect_control(RelayCommand.END)
-                circuit.send_relay(RelayCommand.EXTEND, 0, request)
-                # Wait on whichever control cell arrives first.
-                race = Future(self.sim)
-                extended.add_done_callback(
-                    lambda fut: race.resolve(("extended", fut)) if not race.done else None)
-                failed.add_done_callback(
-                    lambda fut: race.resolve(("end", fut)) if not race.done else None)
-                kind, fut = yield Wait(race, timeout)
-                if kind == "end":
-                    self.note_relay_failure(relay.identity_fp)
-                    circuit.close()
-                    raise TorError(f"extend to {relay.nickname} failed")
-                info = fut.result()
+                conn = yield from self.network.connect_blocking(
+                    thread, self.node, guard.address, guard.or_port, timeout=timeout)
+            except (NetworkError, SimTimeoutError):
+                self.note_relay_failure(guard.identity_fp)
+                raise
+            circuit = Circuit(self, conn, next(self._circ_ids), path)
+            circuit.attach_connection()
+
+            # First hop: CREATE/CREATED.
+            state = ntor.NtorClientState(
+                self._rng.fork(f"ntor:{circuit.circ_id}:0"), guard.identity_fp)
+            try:
+                created = circuit.send_raw_create(state.onionskin)
+                reply = yield Wait(created, timeout)
             except (SimTimeoutError, CircuitDestroyed):
-                # A dead hop (or a cut link to it) swallows the EXTEND or
-                # kills the partial circuit; blame the hop being added.
-                self.note_relay_failure(relay.identity_fp)
+                self.note_relay_failure(guard.identity_fp)
                 circuit.close()
                 raise
-            circuit.add_hop(HopCrypto(state.finish(info["data"][:ntor.REPLY_LEN])))
+            circuit.add_hop(HopCrypto(state.finish(reply[:ntor.REPLY_LEN])))
 
-        self.circuits.append(circuit)
+            # Remaining hops: EXTEND/EXTENDED through the partial circuit.
+            for position, relay in enumerate(path[1:], start=1):
+                state = ntor.NtorClientState(
+                    self._rng.fork(f"ntor:{circuit.circ_id}:{position}"),
+                    relay.identity_fp)
+                request = canonical_encode({
+                    "address": relay.address,
+                    "port": relay.or_port,
+                    "onionskin": state.onionskin,
+                })
+                try:
+                    extended = circuit.expect_control(RelayCommand.EXTENDED)
+                    failed = circuit.expect_control(RelayCommand.END)
+                    circuit.send_relay(RelayCommand.EXTEND, 0, request)
+                    # Wait on whichever control cell arrives first.
+                    race = Future(self.sim)
+                    extended.add_done_callback(
+                        lambda fut: race.resolve(("extended", fut))
+                        if not race.done else None)
+                    failed.add_done_callback(
+                        lambda fut: race.resolve(("end", fut))
+                        if not race.done else None)
+                    kind, fut = yield Wait(race, timeout)
+                    if kind == "end":
+                        self.note_relay_failure(relay.identity_fp)
+                        circuit.close()
+                        raise TorError(f"extend to {relay.nickname} failed")
+                    info = fut.result()
+                except (SimTimeoutError, CircuitDestroyed):
+                    # A dead hop (or a cut link to it) swallows the EXTEND or
+                    # kills the partial circuit; blame the hop being added.
+                    self.note_relay_failure(relay.identity_fp)
+                    circuit.close()
+                    raise
+                circuit.add_hop(HopCrypto(state.finish(info["data"][:ntor.REPLY_LEN])))
+
+            self.circuits.append(circuit)
+            span.annotate(circ_id=circuit.circ_id, hops=len(circuit.path),
+                          guard=circuit.path[0].nickname)
         return circuit
 
     def build_circuit_with_retry(self, thread: Actor, attempts: int = 3,
@@ -314,125 +293,106 @@ class TorClient:
         be a dict, or a callable ``f(cookie) -> dict`` for extras that
         must be bound to the rendezvous cookie (client puzzles).
         """
-        log = _obs.log
-        span = log.begin_span(
-            "tor.hs_rendezvous", self.sim.now, track=self.node.name,
-            client=self.node.name, onion=onion_address) \
-            if log is not None else None
-        t0 = self.sim.now
-        try:
-            circuit = yield from self._connect_to_hidden_service(
-                thread, onion_address, timeout=timeout,
-                intro_extra=intro_extra)
-        except BaseException as exc:
-            if span is not None:
-                span.end(self.sim.now, ok=False, error=type(exc).__name__)
-            raise
-        _HIST_HS_RENDEZVOUS.observe(self.sim.now - t0)
-        if span is not None:
-            span.end(self.sim.now, ok=True, circ_id=circuit.circ_id)
-        return circuit
+        with _obs.span("tor.hs_rendezvous", self.sim,
+                       seconds=_HIST_HS_RENDEZVOUS, track=self.node.name,
+                       client=self.node.name, onion=onion_address) as span:
+            descriptor = self.directory.fetch_hs_descriptor(onion_address)
+            if self._hs_desc_cache.get(onion_address) is descriptor:
+                _HIT_DESCRIPTOR.value += 1
+            else:
+                _MISS_DESCRIPTOR.value += 1
+                if not descriptor.verify():
+                    raise TorError(
+                        f"bad hidden-service descriptor for {onion_address}")
+                self._hs_desc_cache[onion_address] = descriptor
+            consensus = self.consensus()
+            selector = self.path_selector()
 
-    def _connect_to_hidden_service(self, thread: Actor,
-                                   onion_address: str,
-                                   timeout: float = 240.0,
-                                   intro_extra=None) -> Circuit:
-        descriptor = self.directory.fetch_hs_descriptor(onion_address)
-        if self._hs_desc_cache.get(onion_address) is descriptor:
-            _HIT_DESCRIPTOR.value += 1
-        else:
-            _MISS_DESCRIPTOR.value += 1
-            if not descriptor.verify():
-                raise TorError(
-                    f"bad hidden-service descriptor for {onion_address}")
-            self._hs_desc_cache[onion_address] = descriptor
-        consensus = self.consensus()
-        selector = self.path_selector()
+            # 1. Establish a rendezvous point on a fresh circuit.
+            rp = selector.pick_middle()
+            rend_circuit = yield from self.build_circuit(thread, final_hop=rp,
+                                                         timeout=timeout)
+            cookie = self._rng.randbytes(20)
+            established = rend_circuit.expect_control(
+                RelayCommand.RENDEZVOUS_ESTABLISHED)
+            rend_circuit.send_relay(RelayCommand.ESTABLISH_RENDEZVOUS, 0,
+                                    canonical_encode({"cookie": cookie}))
+            try:
+                yield Wait(established, timeout)
+            except (SimTimeoutError, CircuitDestroyed):
+                rend_circuit.close()
+                raise
 
-        # 1. Establish a rendezvous point on a fresh circuit.
-        rp = selector.pick_middle()
-        rend_circuit = yield from self.build_circuit(thread, final_hop=rp,
-                                                     timeout=timeout)
-        cookie = self._rng.randbytes(20)
-        established = rend_circuit.expect_control(
-            RelayCommand.RENDEZVOUS_ESTABLISHED)
-        rend_circuit.send_relay(RelayCommand.ESTABLISH_RENDEZVOUS, 0,
-                                canonical_encode({"cookie": cookie}))
-        try:
-            yield Wait(established, timeout)
-        except (SimTimeoutError, CircuitDestroyed):
-            rend_circuit.close()
-            raise
-
-        # 2. Introduce ourselves via one of the service's intro points.
-        # Prefer intro points we have not recently seen fail; when none
-        # are known-bad this is the exact same draw as before.
-        avoided = self.avoided_relays()
-        intro_candidates = [fp for fp in descriptor.intro_points
-                            if fp not in avoided] or descriptor.intro_points
-        intro_fp = self._rng.choice(intro_candidates)
-        intro_relay = consensus.find(intro_fp)
-        try:
-            intro_circuit = yield from self.build_circuit(
-                thread, final_hop=intro_relay, timeout=timeout)
-        except (TorError, NetworkError, SimTimeoutError, CircuitDestroyed):
-            self.note_relay_failure(intro_fp)
-            rend_circuit.close()
-            raise
-        hs_state = ntor.NtorClientState(
-            self._rng.fork(f"hs:{onion_address}:{self.sim.now}"), onion_address)
-        if callable(intro_extra):
-            intro_extra = intro_extra(cookie)
-        intro_payload = canonical_encode({
-            "cookie": cookie,
-            "rp_address": rp.address,
-            "rp_port": rp.or_port,
-            "onionskin": hs_state.onionskin,
-            "extra": intro_extra or {},
-        })
-        # Encrypt the payload to the service key (hybrid RSA + AEAD).
-        service_key = descriptor.service_key
-        ephemeral = self._rng.randint(2, service_key.n - 2)
-        sealed = AeadKey(int_to_bytes(ephemeral)).seal(b"intro", intro_payload)
-        blob = canonical_encode({
-            "c": int_to_bytes(service_key.encrypt_int(ephemeral)),
-            "sealed": sealed,
-        })
-        ack = intro_circuit.expect_control(RelayCommand.INTRODUCE_ACK)
-        try:
-            intro_circuit.send_relay(RelayCommand.INTRODUCE1, 0,
-                                     canonical_encode({
-                                         "service": onion_address,
-                                         "blob": blob,
-                                     }))
-            ack_info = yield Wait(ack, timeout)
-        except (SimTimeoutError, CircuitDestroyed, ConnectionClosed):
-            # The intro relay is up but the service's side of the intro
-            # circuit is gone (e.g. the relay crashed and came back
-            # empty): steer later attempts to a different intro point.
-            self.note_relay_failure(intro_fp)
+            # 2. Introduce ourselves via one of the service's intro points.
+            # Prefer intro points we have not recently seen fail; when none
+            # are known-bad this is the exact same draw as before.
+            avoided = self.avoided_relays()
+            intro_candidates = [fp for fp in descriptor.intro_points
+                                if fp not in avoided] or descriptor.intro_points
+            intro_fp = self._rng.choice(intro_candidates)
+            intro_relay = consensus.find(intro_fp)
+            try:
+                intro_circuit = yield from self.build_circuit(
+                    thread, final_hop=intro_relay, timeout=timeout)
+            except (TorError, NetworkError, SimTimeoutError, CircuitDestroyed):
+                self.note_relay_failure(intro_fp)
+                rend_circuit.close()
+                raise
+            hs_state = ntor.NtorClientState(
+                self._rng.fork(f"hs:{onion_address}:{self.sim.now}"), onion_address)
+            if callable(intro_extra):
+                intro_extra = intro_extra(cookie)
+            intro_payload = canonical_encode({
+                "cookie": cookie,
+                "rp_address": rp.address,
+                "rp_port": rp.or_port,
+                "onionskin": hs_state.onionskin,
+                "extra": intro_extra or {},
+            })
+            # Encrypt the payload to the service key (hybrid RSA + AEAD).
+            service_key = descriptor.service_key
+            ephemeral = self._rng.randint(2, service_key.n - 2)
+            sealed = AeadKey(int_to_bytes(ephemeral)).seal(b"intro", intro_payload)
+            blob = canonical_encode({
+                "c": int_to_bytes(service_key.encrypt_int(ephemeral)),
+                "sealed": sealed,
+            })
+            ack = intro_circuit.expect_control(RelayCommand.INTRODUCE_ACK)
+            try:
+                intro_circuit.send_relay(RelayCommand.INTRODUCE1, 0,
+                                         canonical_encode({
+                                             "service": onion_address,
+                                             "blob": blob,
+                                         }))
+                ack_info = yield Wait(ack, timeout)
+            except (SimTimeoutError, CircuitDestroyed, ConnectionClosed):
+                # The intro relay is up but the service's side of the intro
+                # circuit is gone (e.g. the relay crashed and came back
+                # empty): steer later attempts to a different intro point.
+                self.note_relay_failure(intro_fp)
+                intro_circuit.close()
+                rend_circuit.close()
+                raise
             intro_circuit.close()
-            rend_circuit.close()
-            raise
-        intro_circuit.close()
-        try:
-            (status,) = decode_request(ack_info["data"], status=str)
-            if status != "ok":
-                raise TorError(f"introduction failed: {status}")
-        except (ProtocolError, TorError):
-            rend_circuit.close()
-            raise
+            try:
+                (status,) = decode_request(ack_info["data"], status=str)
+                if status != "ok":
+                    raise TorError(f"introduction failed: {status}")
+            except (ProtocolError, TorError):
+                rend_circuit.close()
+                raise
 
-        # 3. Wait for the service at the rendezvous point.
-        try:
-            rend2 = yield from rend_circuit.wait_control(
-                thread, RelayCommand.RENDEZVOUS2, timeout=timeout)
-            (reply,) = decode_request(rend2["data"], blob=bytes)
-        except (SimTimeoutError, CircuitDestroyed, ProtocolError):
-            rend_circuit.close()
-            raise
-        keys = hs_state.finish(reply[:ntor.REPLY_LEN])
-        rend_circuit.attach_hs(HopCrypto(keys), HS_CLIENT)
+            # 3. Wait for the service at the rendezvous point.
+            try:
+                rend2 = yield from rend_circuit.wait_control(
+                    thread, RelayCommand.RENDEZVOUS2, timeout=timeout)
+                (reply,) = decode_request(rend2["data"], blob=bytes)
+            except (SimTimeoutError, CircuitDestroyed, ProtocolError):
+                rend_circuit.close()
+                raise
+            keys = hs_state.finish(reply[:ntor.REPLY_LEN])
+            rend_circuit.attach_hs(HopCrypto(keys), HS_CLIENT)
+            span.annotate(circ_id=rend_circuit.circ_id)
         return rend_circuit
 
     # -- cover traffic --------------------------------------------------------------

@@ -1,25 +1,14 @@
-"""Small shared utilities: errors, ids, byte helpers, RNG, serialization."""
+"""Small shared utilities: errors, byte helpers, RNG, serialization."""
 
 from repro.util.errors import ReproError
-from repro.util.idgen import IdGenerator, token_hex
-from repro.util.bytesutil import (
-    chunk_bytes,
-    int_from_bytes,
-    int_to_bytes,
-    pad_to_multiple,
-    xor_bytes,
-)
+from repro.util.bytesutil import int_from_bytes, int_to_bytes, xor_bytes
 from repro.util.rng import DeterministicRandom
 from repro.util.serialization import canonical_encode, canonical_decode
 
 __all__ = [
     "ReproError",
-    "IdGenerator",
-    "token_hex",
-    "chunk_bytes",
     "int_from_bytes",
     "int_to_bytes",
-    "pad_to_multiple",
     "xor_bytes",
     "DeterministicRandom",
     "canonical_encode",

@@ -33,22 +33,3 @@ class IdGenerator:
             out += hashlib.sha256(material + block.to_bytes(4, "big")).digest()
             block += 1
         return out[:nbytes]
-
-    def next_int(self, lo: int = 0, hi: int = 2**31) -> int:
-        """Return the next identifier as an integer in ``[lo, hi)``."""
-        if hi <= lo:
-            raise ValueError("next_int requires hi > lo")
-        span = hi - lo
-        return lo + int.from_bytes(self.next_bytes(8), "big") % span
-
-
-_GLOBAL = IdGenerator("repro-global")
-
-
-def token_hex(nbytes: int = 16) -> str:
-    """Module-level convenience mirroring ``secrets.token_hex``.
-
-    Deterministic across runs; use an :class:`IdGenerator` instance when a
-    component needs its own id-space.
-    """
-    return _GLOBAL.next_hex(nbytes)

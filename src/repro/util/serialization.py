@@ -39,6 +39,9 @@ BY_REFERENCE = 64 * 1024
 class SerializationError(ValueError):
     """Raised when a value cannot be encoded, or bytes cannot be decoded."""
 
+#: What encoding raises: ValueError (a surrogate, a huge int too), a cycle.
+UNENCODABLE = (ValueError, RecursionError)
+
 
 class _Encoding(bytearray):
     """An encoding written in place but for ``leaves``: (offset, leaf)."""

@@ -99,7 +99,6 @@ def _count_lb_events(events: list, recovery_samples: list) -> None:
     an instant stamped with the event's own simulated time, and each
     lost replica's gap to the next replacement joins the recovery samples.
     """
-    log = _obs.log
     lost: list[float] = []
     for event_t, kind, detail in events:
         if kind == "replica-lost":
@@ -107,9 +106,8 @@ def _count_lb_events(events: list, recovery_samples: list) -> None:
             continue
         if kind == "respawn":
             _metrics.counter("lb_respawns").value += 1
-            if log is not None:
-                log.instant("functions.lb_respawn", float(event_t),
-                            track="loadbalancer", replicas=detail)
+            _obs.event("functions.lb_respawn", float(event_t),
+                       track="loadbalancer", replicas=detail)
         elif kind == "standby-promoted":
             _metrics.counter("standby_promotions").value += 1
         else:

@@ -4,12 +4,17 @@ descriptor ownership."""
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import pytest
 
-from repro.core import BentoClient, BentoServer, FunctionManifest
+from repro.core import BentoClient, BentoServer, FunctionManifest, messages
+from repro.core.client import BentoSession
 from repro.core.errors import BentoError
+from repro.core.server import FunctionInstance
 from repro.crypto.rsa import RsaKeyPair
 from repro.enclave.attestation import IntelAttestationService
+from repro.netsim.connection import ConnectionClosed
 from repro.netsim.faults import FaultPlane
 from repro.netsim.simulator import Sleep
 from repro.perf.counters import counters as _perf
@@ -274,3 +279,49 @@ class TestDescriptorOwnership:
                 net.authority.fetch_hs_descriptor(onion)
 
         run_thread(net, main)
+
+
+class _Raising:
+    """A route / framed stream whose send and close raise ``error``."""
+
+    def __init__(self, error: BaseException) -> None:
+        self.error = error
+
+    def send(self, *_args, **_fields):
+        raise self.error
+
+    close = send
+
+
+class TestNamedCatches:
+    """Each catch names what it expects; anything else is raised."""
+
+    def test_safe_send_swallows_only_a_gone_client(self):
+        FunctionInstance._safe_send(None, _Raising(ConnectionClosed("gone")),
+                                    messages.Done, result=1)
+        with pytest.raises(RuntimeError):
+            FunctionInstance._safe_send(None, _Raising(RuntimeError("bug")),
+                                        messages.Done, result=1)
+
+    def test_unencodable_result_is_reported_as_its_repr(self):
+        looped: list = []
+        looped.append(looped)
+        deep: list = []
+        for _ in range(100_000):
+            deep = [deep]
+        for result, shown in (("\ud800", "'\\ud800'"), (looped, "[[...]]"),
+                              ({1: "int key"}, "{1: 'int key'}"),
+                              (10 ** 5000, "<unprintable int>"),
+                              (deep, "<unprintable list>")):
+            sent = []
+            instance = SimpleNamespace(
+                _safe_send=lambda _route, kind, **fields: sent.append(fields))
+            FunctionInstance.on_done(instance, result, None)
+            assert sent == [{"result": shown}]
+
+    def test_reconnect_raises_what_closing_the_old_stream_raises(self):
+        session = BentoSession(None, _Raising(RuntimeError("bug")), None,
+                               False, box=SimpleNamespace(nickname="box"))
+        session.invocation_token = "inv-1"
+        with pytest.raises(RuntimeError):
+            next(session.reconnect(None))

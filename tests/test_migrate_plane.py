@@ -21,6 +21,7 @@ from repro.migrate import (
     CHECKPOINT_PATH,
     Checkpoint,
     MigrationConfig,
+    MigrationError,
     checkpoint_instance,
     checkpointable_functions,
     load_local_checkpoint,
@@ -29,10 +30,12 @@ from repro.migrate import (
     store_local_checkpoint,
     unseal_checkpoint,
 )
+from repro.migrate.plane import MigrationPlane
 from repro.netsim.faults import FaultPlane
-from repro.netsim.simulator import Sleep
+from repro.netsim.simulator import Simulator, Sleep
 from repro.perf.counters import counters as _perf
 from repro.tor.testnet import TorTestNetwork
+from repro.util.rng import DeterministicRandom
 from repro.util.serialization import canonical_decode, canonical_encode
 
 from conftest import run_thread
@@ -430,3 +433,55 @@ class TestShedByMigration:
             session.close()
 
         run_thread(net, main)
+
+
+class TestNamedCatches:
+    """Each catch names what it expects; anything else is raised."""
+
+    def test_unencodable_state_fails_the_checkpoint(self):
+        looped: list = []
+        looped.append(looped)
+        for state in ("\ud800", looped, {1: "int key"}, 10 ** 5000):
+            instance = SimpleNamespace(
+                checkpointable=True,
+                runtime=SimpleNamespace(checkpoint_state=lambda: state))
+            with pytest.raises(MigrationError):
+                checkpoint_instance(instance)
+
+    @pytest.mark.expects_failed_actors
+    def test_an_error_in_a_requested_drain_fails_its_actor(self):
+        sim = Simulator()
+        server = SimpleNamespace(sim=sim, rng=DeterministicRandom("drain"),
+                                 relay=SimpleNamespace(nickname="box"))
+        plane = MigrationPlane(server)
+
+        def broken(_task, _instance, _dest_fp):
+            raise RuntimeError("bug in the drain")
+            yield  # unreachable: makes this a generator function
+
+        plane.drain = broken
+        plane.request_drain(SimpleNamespace(instance_id="i1"))
+        sim.run()
+        (failed,) = sim._failed
+        assert isinstance(failed.exception, RuntimeError)
+
+    @pytest.mark.expects_failed_actors
+    def test_a_drain_that_raises_thaws_its_instance(self):
+        sim = Simulator()
+        server = SimpleNamespace(sim=sim, rng=DeterministicRandom("drain"),
+                                 relay=SimpleNamespace(nickname="box"))
+        plane = MigrationPlane(server)
+
+        def checkpoint_state():
+            raise KeyError("the tenant's own checkpoint() failed")
+
+        instance = SimpleNamespace(
+            instance_id="i1", terminated=False, draining=False,
+            checkpointable=True,
+            runtime=SimpleNamespace(running=False,
+                                    checkpoint_state=checkpoint_state))
+        plane.request_drain(instance)
+        sim.run()
+        (failed,) = sim._failed
+        assert isinstance(failed.exception, KeyError)
+        assert plane._draining == 0 and instance.draining is False

@@ -71,15 +71,3 @@ class TestIdGenerator:
 
     def test_requested_length(self):
         assert len(IdGenerator("z").next_bytes(40)) == 40
-
-    def test_next_int_in_range(self):
-        gen = IdGenerator("ints")
-        for _ in range(100):
-            value = gen.next_int(10, 20)
-            assert 10 <= value < 20
-
-    def test_next_int_rejects_empty_range(self):
-        import pytest
-
-        with pytest.raises(ValueError):
-            IdGenerator("e").next_int(5, 5)
