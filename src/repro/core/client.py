@@ -129,8 +129,8 @@ class BentoClient:
                 else:
                     # Pooled circuits are owned by the pool, not the
                     # session: close() drops only the stream.
-                    return BentoSession(self, FramedStream(stream), pooled,
-                                        close_circuit=False, box=box)
+                    return BentoSession(self, messages.framed(stream),
+                                        pooled, close_circuit=False, box=box)
             else:
                 _MISS_CIRCUIT.value += 1
         if circuit is None:
@@ -142,7 +142,7 @@ class BentoClient:
         stream = yield from circuit.open_stream(thread, box.address,
                                                 box.bento_port,
                                                 timeout=timeout)
-        return BentoSession(self, FramedStream(stream), circuit,
+        return BentoSession(self, messages.framed(stream), circuit,
                             close_circuit=own_circuit, box=box)
 
     def connect_direct(self, thread: Actor, box: RelayDescriptor,
@@ -159,7 +159,7 @@ class BentoClient:
         conn = yield from self.tor.network.connect_blocking(
             thread, self.tor.node, box.address, box.bento_port,
             timeout=timeout)
-        framed = FramedStream(DirectByteStream(conn, self.tor.node))
+        framed = messages.framed(DirectByteStream(conn, self.tor.node))
         return BentoSession(self, framed, circuit=None, close_circuit=False,
                             box=box)
 
@@ -169,7 +169,7 @@ class BentoClient:
         circuit = yield from self.tor.connect_to_hidden_service(
             thread, onion_address, timeout=timeout)
         stream = yield from circuit.open_stream(thread, "", 0, timeout=timeout)
-        return BentoSession(self, FramedStream(stream), circuit,
+        return BentoSession(self, messages.framed(stream), circuit,
                             close_circuit=True, box=None)
 
     # -- retry ------------------------------------------------------------------
@@ -450,7 +450,8 @@ class BentoSession:
             conn = yield from self.client.tor.network.connect_blocking(
                 thread, self.client.tor.node, self.box.address,
                 self.box.bento_port, timeout=timeout)
-            self.framed = FramedStream(DirectByteStream(conn, self.client.tor.node))
+            self.framed = messages.framed(
+                DirectByteStream(conn, self.client.tor.node))
         else:
             circuit = yield from self.client.tor.build_circuit_with_retry(
                 thread, attempts=circuit_attempts, final_hop=self.box,
@@ -460,7 +461,7 @@ class BentoSession:
                 timeout=timeout)
             self.circuit = circuit
             self._close_circuit = True
-            self.framed = FramedStream(stream)
+            self.framed = messages.framed(stream)
         yield from self.attach(thread, self.invocation_token,
                                timeout=timeout)
         _metrics.counter("session_reconnects").value += 1

@@ -87,6 +87,16 @@ def _compile(source: str, filename: str):
     return compile(source, filename, "exec")
 
 
+def _tenant(what: str, call: Callable, *args: Any) -> Any:
+    """``call(*args)``, tenant code, across the sandbox boundary: it may
+    raise anything, and the client hears it as a LoaderError (the one broad
+    catch in the tree)."""
+    try:
+        return call(*args)
+    except Exception as exc:
+        raise LoaderError(f"function failed to {what}: {exc!r}") from exc
+
+
 class FunctionRuntime:
     """Loads source once, then runs the entry per invocation."""
 
@@ -105,13 +115,8 @@ class FunctionRuntime:
     def load(self) -> None:
         """Compile and execute the module body; locate the entry point."""
         namespace = build_function_namespace(self.instance.api)
-        try:
-            compiled = _compile(self.code, f"<function:{self.manifest.name}>")
-            exec(compiled, namespace)  # noqa: S102 - the point of Bento
-        except Exception as exc:
-            # The sandbox boundary: tenant code may raise anything, and the
-            # client hears it as a LoaderError (the one broad catch left).
-            raise LoaderError(f"function failed to load: {exc!r}") from exc
+        _tenant("load", lambda: exec(  # noqa: S102 - the point of Bento
+            _compile(self.code, f"<function:{self.manifest.name}>"), namespace))
         entry = namespace.get(self.manifest.entry)
         if not callable(entry):
             raise LoaderError(
@@ -145,14 +150,14 @@ class FunctionRuntime:
         if not self.checkpointable:
             raise LoaderError(
                 f"function {self.manifest.name!r} is not checkpointable")
-        return self.namespace["checkpoint"]()
+        return _tenant("checkpoint", self.namespace["checkpoint"])
 
     def restore_state(self, state: Any) -> None:
         """Reinstate a snapshot taken by :meth:`checkpoint_state`."""
         if not self.checkpointable:
             raise LoaderError(
                 f"function {self.manifest.name!r} is not checkpointable")
-        self.namespace["restore"](state)
+        _tenant("restore", self.namespace["restore"], state)
 
     def start(self, args: list, route) -> None:
         """Run one invocation in its own actor; its answers take ``route``."""

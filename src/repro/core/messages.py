@@ -27,6 +27,7 @@ from typing import Any, ClassVar, NamedTuple
 from repro.core.errors import (BentoError, FunctionCrashed, FunctionMoved,
                                ManifestRejected, PuzzleRequired, ServerBusy,
                                TokenInvalid)
+from repro.netsim.bytestream import FramedStream
 from repro.util.errors import ProtocolError
 from repro.util.serialization import (SerializationError, canonical_decode,
                                       canonical_pieces)
@@ -126,11 +127,13 @@ def message_pieces(kind: type[Frame], **fields: Any) -> list:
     return canonical_pieces(fields)
 
 
-def decode_message(frame: bytes) -> Frame:
-    """Parse one wire frame into its typed :class:`Frame`; raises
-    :class:`FrameError` if the bytes are not one."""
+def decode_message(frame) -> Frame:
+    """Parse one wire frame (or a split one, ``(rest, leaf)``: see
+    :class:`~repro.netsim.bytestream.Framer`) into its typed :class:`Frame`;
+    raises :class:`FrameError` if the bytes are not one."""
     try:
-        body = canonical_decode(frame)
+        body = canonical_decode(*frame) if type(frame) is tuple \
+            else canonical_decode(frame)
     except SerializationError as exc:
         raise FrameError(f"undecodable message: {exc}") from exc
     if type(body) is not dict:
@@ -144,6 +147,11 @@ def decode_message(frame: bytes) -> Frame:
         return kind(**read_fields(body, kind.FIELDS, exact=True))
     except TypeError as exc:
         raise FrameError(f"bad {tag} frame: {exc}", rid) from None
+
+
+def framed(stream) -> FramedStream:
+    """A Bento stream over ``stream``: bulk frames travel by reference."""
+    return FramedStream(stream, by_reference=True)
 
 
 class Route(NamedTuple):

@@ -290,7 +290,7 @@ class BentoServer:
     # -- transport ---------------------------------------------------------
 
     def _accept(self, conn: Connection) -> None:
-        framed = FramedStream(DirectByteStream(conn, self.node))
+        framed = messages.framed(DirectByteStream(conn, self.node))
         self.sim.spawn(self._serve, framed, name=f"bento:{self.relay.nickname}")
 
     def serve_via_hidden_service(self, thread: Actor,
@@ -298,7 +298,7 @@ class BentoServer:
         """Also expose this server as a hidden service; returns the onion
         address (the paper's alternative access path, §5)."""
         def _handler(stream, _host, _port) -> None:
-            framed = FramedStream(stream)
+            framed = messages.framed(stream)
             self.sim.spawn(self._serve, framed,
                            name=f"bento-hs:{self.relay.nickname}")
 

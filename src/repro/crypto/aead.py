@@ -13,7 +13,7 @@ import hmac
 from repro.crypto.kdf import hkdf
 from repro.crypto.stream import stream_xor
 
-_MAC_LEN = 32
+MAC_LEN = 32
 _NONCE_LEN = 16
 
 
@@ -34,12 +34,14 @@ class AeadKey:
         self._enc_key = hkdf(key_material, info=b"aead-enc", length=32)
         self._mac_key = hkdf(key_material, info=b"aead-mac", length=32)
 
-    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"") -> bytes:
-        """Encrypt and authenticate; returns ciphertext || tag."""
+    def seal(self, nonce: bytes, plaintext: bytes, aad: bytes = b"",
+             head: bytes = b"", tail: bytes = b"") -> bytes:
+        """Encrypt and authenticate; returns ciphertext || tag, written
+        between ``head`` and ``tail`` in one allocation."""
         if len(nonce) > 255:
             raise ValueError("nonce too long")
         return stream_xor(self._enc_key, nonce, plaintext,
-                          mac=self._mac(nonce, aad))
+                          mac=self._mac(nonce, aad), head=head, tail=tail)
 
     def open(self, nonce: bytes, sealed: bytes, aad: bytes = b"",
              start: int = 0, stop: int | None = None) -> bytes:
@@ -53,7 +55,7 @@ class AeadKey:
         if len(nonce) > 255:
             raise AeadError("nonce too long")
         start, stop, _ = slice(start, stop).indices(len(sealed))
-        end = stop - _MAC_LEN
+        end = stop - MAC_LEN
         if end < start:
             raise AeadError("sealed message too short")
         mac = self._mac(nonce, aad)

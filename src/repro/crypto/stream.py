@@ -23,7 +23,7 @@ import hashlib
 
 from repro.crypto.libcrypto import bind
 from repro.obs.metrics import REGISTRY as _metrics
-from repro.util.bytesutil import xor_bytes
+from repro.util.bytesutil import new_bytes, xor_bytes
 
 _HASH_CALLS = _metrics.counter("perf_hash_calls")
 _KEYSTREAM_BYTES = _metrics.counter("perf_keystream_bytes")
@@ -61,13 +61,15 @@ class _Cipher:
             offset = end
         return result
 
-    def _span(self, data: bytes, start: int, stop: int, mac) -> bytes:
-        """``process(data[start:stop])``, then ``mac``'s digest of that."""
+    def _span(self, data: bytes, start: int, stop: int, mac,
+              head: bytes = b"", tail: bytes = b"") -> bytes:
+        """``head``, ``process(data[start:stop])``, ``mac``'s digest of
+        that, then ``tail``, as one bytes object."""
         out = self.process(data[start:stop])
         if mac is not None:
             mac.update(out)
             out += mac.digest()
-        return out
+        return b"".join((head, out, tail)) if head or tail else out
 
 
 _PTR, _BUF, _INT = ctypes.c_void_p, ctypes.c_char_p, ctypes.c_int
@@ -78,11 +80,6 @@ _evp = bind({
     "EVP_EncryptUpdate": (_INT,),  # (ctx, out, &outl, in, inl), prepared
 })
 NATIVE = _evp is not None
-# The C API's way to make a bytes object for C code to fill in: with a NULL
-# source it is never a shared singleton, and nothing else holds it until
-# ``process`` returns.  A private prototype: ``ctypes.pythonapi`` is shared.
-_new_bytes = ctypes.PYFUNCTYPE(ctypes.py_object, _BUF, ctypes.c_ssize_t)(
-    ("PyBytes_FromStringAndSize", ctypes.pythonapi))
 _OUTL = ctypes.c_int()  # per process, not per thread, like modexp's scratch
 _OUTL_REF = ctypes.byref(_OUTL)
 _MAX_CALL = 1 << 30  # EVP_EncryptUpdate takes its length as a C int
@@ -120,7 +117,7 @@ class _EvpCipher(_Cipher):
         if n > _MAX_CALL:
             return b"".join([self.process(data[i:i + _MAX_CALL])
                              for i in range(0, n, _MAX_CALL)])
-        out = _new_bytes(None, n)
+        out = new_bytes(None, n)
         if (_evp.EVP_EncryptUpdate(self._ctx, out, _OUTL_REF, data, n) != 1
                 or _OUTL.value != n):
             raise ArithmeticError("EVP_EncryptUpdate failed")
@@ -128,23 +125,30 @@ class _EvpCipher(_Cipher):
         _KEYSTREAM_BYTES.value += n
         return out
 
-    def _span(self, data: bytes, start: int, stop: int, mac) -> bytes:
+    def _span(self, data: bytes, start: int, stop: int, mac,
+              head: bytes = b"", tail: bytes = b"") -> bytes:
         n = stop - start
         if not 0 < n <= _MAX_CALL:
-            return super()._span(data, start, stop, mac)
-        out = _new_bytes(None, n + (mac.digest_size if mac is not None else 0))
-        # A bytes object is passed as its buffer, which never moves.
+            return super()._span(data, start, stop, mac, head, tail)
+        at, end = len(head), len(head) + n
+        out = new_bytes(None, end + len(tail)
+                         + (mac.digest_size if mac is not None else 0))
+        # A bytes object is passed as its buffer, which never moves, and
+        # nothing else holds ``out`` until it is returned.
+        base = ctypes.cast(out, _PTR).value
         src = _PTR(ctypes.cast(data, _PTR).value + start) if start else data
-        if (_evp.EVP_EncryptUpdate(self._ctx, out, _OUTL_REF, src, n) != 1
-                or _OUTL.value != n):
+        if (_evp.EVP_EncryptUpdate(self._ctx, _PTR(base + at), _OUTL_REF,
+                                   src, n) != 1 or _OUTL.value != n):
             raise ArithmeticError("EVP_EncryptUpdate failed")
         _HASH_CALLS.value += 1
         _KEYSTREAM_BYTES.value += n
+        ctypes.memmove(base, head, at)
         if mac is not None:
             with memoryview(out) as view:
-                mac.update(view[:n])
-            ctypes.memmove(ctypes.cast(out, _PTR).value + n, mac.digest(),
-                           mac.digest_size)  # nothing else holds ``out`` yet
+                mac.update(view[at:end])
+            ctypes.memmove(base + end, mac.digest(), mac.digest_size)
+            end += mac.digest_size
+        ctypes.memmove(base + end, tail, len(tail))
         return out
 
 
@@ -225,10 +229,13 @@ StreamCipher = _EvpCipher if NATIVE else ReferenceCipher
 
 
 def stream_xor(key: bytes, nonce: bytes, data: bytes, start: int = 0,
-               stop: int | None = None, mac=None) -> bytes:
+               stop: int | None = None, mac=None, head: bytes = b"",
+               tail: bytes = b"") -> bytes:
     """One-shot en/decryption of ``data[start:stop]``, read in place.  A hash
-    ``mac``, if given, is fed the output, and its digest ends the result."""
+    ``mac``, if given, is fed the output, and its digest follows it; the
+    result is written between ``head`` and ``tail``, in one allocation."""
     if type(data) is not bytes:
         data = bytes(data)
     start, stop, _ = slice(start, stop).indices(len(data))
-    return StreamCipher(key, nonce)._span(data, start, max(start, stop), mac)
+    return StreamCipher(key, nonce)._span(data, start, max(start, stop), mac,
+                                          head, tail)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import hashlib
 from contextlib import suppress
 
-from repro.crypto.aead import AeadError, AeadKey
+from repro.crypto.aead import MAC_LEN, AeadError, AeadKey
 from repro.sandbox.memfs import ChrootView
 from repro.util.errors import ReproError
 from repro.util.serialization import (SerializationError, canonical_decode,
@@ -52,10 +52,12 @@ class FSProtect:
     def write_file(self, path: str, data: bytes) -> None:
         """Encrypt and store ``data`` at ``path``."""
         version = self._versions.get(path, 0) + 1
-        sealed = self._aead.seal(_nonce(path, version), data, aad=path.encode())
-        # canonical_encode({"version": version, "sealed": sealed}), built once
-        envelope = b"".join((_HEAD, len(sealed).to_bytes(4, "big"), sealed,
-                             canonical_encode({"version": version})[5:]))
+        # canonical_encode({"version": version, "sealed": sealed}), sealed
+        # in place into the envelope
+        envelope = self._aead.seal(
+            _nonce(path, version), data, aad=path.encode(),
+            head=_HEAD + (len(data) + MAC_LEN).to_bytes(4, "big"),
+            tail=canonical_encode({"version": version})[5:])
         self._backing.write_file(path, envelope)
         self._versions[path] = version
 

@@ -26,6 +26,9 @@ from repro.netsim.simulator import Actor
 
 MB = 1024 * 1024
 
+# A file in flight is the enclave's memory (§7.3), so the loop holds none
+# past its use: an upload is dropped once stored, a reply is sent straight
+# from storage.
 DROPBOX_SOURCE = r'''
 import json
 
@@ -51,6 +54,7 @@ def dropbox(max_bytes, max_gets, expiry_s):
             data = yield from api.recv(timeout=60.0)
             if len(data) <= max_bytes:
                 yield from api.storage.put("/drop/" + request["name"], data)
+                data = None
                 yield from api.send(b'{"ok": true}')
             else:
                 yield from api.send(b'{"ok": false, "error": "too-big"}')
@@ -58,8 +62,7 @@ def dropbox(max_bytes, max_gets, expiry_s):
             gets += 1
             path = "/drop/" + request["name"]
             if (yield from api.storage.exists(path)):
-                piece = yield from api.storage.get(path)
-                yield from api.send(piece)
+                yield from api.send((yield from api.storage.get(path)))
             else:
                 yield from api.send(b"")
         elif op == "list":

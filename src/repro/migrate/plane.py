@@ -26,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from repro.core.loader import LoaderError
 from repro.migrate.checkpoint import (
     MigrationError,
     checkpoint_instance,
@@ -121,7 +122,7 @@ class MigrationPlane:
                     cp = checkpoint_instance(instance)
                     if instance.conclave is not None:
                         store_local_checkpoint(instance, cp)
-                except MigrationError as exc:
+                except (MigrationError, LoaderError) as exc:  # tenant's too
                     return fail(f"checkpoint failed: {exc}")
                 shipped_inbox = len(cp.inbox)
 

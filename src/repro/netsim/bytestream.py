@@ -11,7 +11,9 @@ inside them.
 
 :class:`Framer` provides length-prefixed message framing on top of a byte
 pipe.  A frame costs one full-size buffer while it arrives (a reader gathers
-its rest behind its start) and one copy out of that buffer.
+its rest behind its start) and one copy out of that buffer; on a Bento
+stream a bulk frame's payload is gathered straight into the object it ends
+up as, and sent as the pieces it was encoded as.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ from repro.netsim.connection import Connection, ConnectionClosed
 from repro.netsim.node import Node
 from repro.netsim.simulator import Actor, Future, SimTimeoutError, Wait
 from repro.obs.metrics import REGISTRY as _metrics
+from repro.util.bytesutil import fill_view, new_bytes
+from repro.util.serialization import BY_REFERENCE, leading_leaf
 
 # Bytes handed over by reference; cached (the registry resets in place).
 _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
@@ -32,8 +36,9 @@ _BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
 class ByteStream(Protocol):
     """An ordered, reliable, bidirectional byte pipe."""
 
-    def send(self, data: bytes) -> None:
-        """Queue bytes for the peer."""
+    def send(self, *pieces: bytes) -> None:
+        """Queue bytes for the peer: one message, whole or as the pieces it
+        joins from (a bulk frame's pieces, handed on by reference)."""
         ...  # pragma: no cover - protocol stub
 
     def recv(self, thread: Actor, timeout: Optional[float] = None,
@@ -54,6 +59,14 @@ class ByteStream(Protocol):
 
 class StreamClosed(ConnectionClosed):
     """Raised when sending on a closed byte stream."""
+
+
+def frozen(pieces: tuple) -> tuple:
+    """``pieces`` as ``bytes``: a caller's buffer may change after a send."""
+    for piece in pieces:
+        if type(piece) is not bytes:
+            return tuple(p if type(p) is bytes else bytes(p) for p in pieces)
+    return pieces
 
 
 class _RecvQueue:
@@ -117,7 +130,7 @@ class _RecvQueue:
             buffer, base = (self._pending, 0) if into is None else (into, len(into))
             while True:
                 while chunks:
-                    buffer += chunks.popleft()
+                    buffer.extend(chunks.popleft())
                 self._size = 0
                 got = len(buffer) - base
                 if got >= min_bytes or self._eof:
@@ -180,16 +193,19 @@ class DirectByteStream:
             # Immutable payloads queue by reference — no per-hop copy.
             self._recv.push(payload)
             _BYTES_ZERO_COPIED.value += len(payload)
+        elif type(payload) is tuple:  # one message, sent as its pieces
+            self._recv.push(b"".join(payload))
         elif isinstance(payload, (bytearray, memoryview)):
             self._recv.push(bytes(payload))
 
-    def send(self, data: bytes) -> None:
-        """Send bytes to the peer."""
+    def send(self, *pieces: bytes) -> None:
+        """Send bytes to the peer: pieces leave as one message, by reference."""
         if self.conn.closed:
             raise StreamClosed("send on closed stream")
-        if data:
-            self.conn.send(self.local,
-                           data if isinstance(data, bytes) else bytes(data))
+        pieces = frozen(pieces)
+        if any(pieces):
+            self.conn.send(self.local, pieces if len(pieces) > 1 else pieces[0],
+                           size=sum(map(len, pieces)))
 
     def recv(self, thread: Actor, timeout: Optional[float] = None,
              min_bytes: int = 1, into: Optional[bytearray] = None) -> bytes:
@@ -206,36 +222,106 @@ class DirectByteStream:
         return self.conn.closed
 
 
+class _Gather:
+    """A frame's bulk leaf, gathered through one writable view into
+    ``leaf``, the ``bytes`` object the decoded frame will hold; what follows
+    it goes on into ``rest``, the framer's buffer, behind the frame's head.
+    To :meth:`_RecvQueue.pop` it is the bytearray a read gathers into."""
+
+    __slots__ = ("leaf", "_view", "_filled", "_rest", "_base")
+
+    def __init__(self, rest: bytearray, base: int, stop: int) -> None:
+        self.leaf = new_bytes(None, stop - base)
+        self._view, self._filled = fill_view(self.leaf), 0
+        self._rest, self._base = rest, base
+        there = rest[base:]  # the leaf's first bytes
+        del rest[base:]
+        self.extend(there)
+
+    def __len__(self) -> int:
+        return len(self._rest) + self._filled
+
+    def extend(self, data) -> None:
+        filled = self._filled
+        end = filled + len(data)
+        if end <= len(self.leaf):
+            self._view[filled:end] = data
+            self._filled = end
+        else:
+            room = len(self.leaf) - filled
+            with memoryview(data) as src:
+                self._view[filled:] = src[:room]
+                self._rest += src[room:]
+            self._filled += room
+
+    # ``[mark:]``: what a read gathered since ``mark``, to read or take back.
+    def _at(self, mark: int) -> tuple[int, int]:
+        at = mark - self._base
+        return (at, self._base) if at <= self._filled else (
+            self._filled, self._base + at - self._filled)
+
+    def __getitem__(self, span: slice) -> bytes:
+        at, rest_at = self._at(span.start)
+        return bytes(self._view[at:self._filled]) + self._rest[rest_at:]
+
+    def __delitem__(self, span: slice) -> None:
+        self._filled, rest_at = self._at(span.start)
+        del self._rest[rest_at:]
+
+
 class Framer:
     """Length-prefixed message framing over a byte pipe.
 
     Stateless encode plus a stateful decoder that tolerates frames split
-    across arbitrary chunk boundaries.
+    across arbitrary chunk boundaries.  A ``by_reference`` framer hands a
+    frame whose :func:`~repro.util.serialization.leading_leaf` is there as
+    ``(rest, leaf)``: the leaf gathered straight into the ``bytes`` object
+    it will be, the rest of the frame around it copied out as before.
     """
 
     _HEADER = struct.Struct(">I")
     MAX_FRAME = 256 * 1024 * 1024
 
-    def __init__(self) -> None:
+    def __init__(self, by_reference: bool = False) -> None:
         self._buffer = bytearray()
+        self._by_reference = by_reference
+        self._gather: Optional[_Gather] = None
+
+    @classmethod
+    def length(cls, size: int) -> bytes:
+        """The 4-byte length prefix of a ``size``-byte frame."""
+        if size > cls.MAX_FRAME:
+            raise ValueError("frame too large")
+        return cls._HEADER.pack(size)
 
     @classmethod
     def encode(cls, *pieces: bytes) -> bytes:
         """Join ``pieces``, one frame, behind its 4-byte length: one copy."""
-        size = sum(map(len, pieces))
-        if size > cls.MAX_FRAME:
-            raise ValueError("frame too large")
-        return b"".join((cls._HEADER.pack(size), *pieces))
+        return b"".join((cls.length(sum(map(len, pieces))), *pieces))
 
-    def feed(self, data: bytes) -> list[bytes]:
+    def feed(self, data: bytes) -> list:
         """Add received bytes; return all frames completed by them.  ``data``
-        may be the buffer itself, which a reader appended to in place."""
+        may be the buffer (or leaf) a reader appended to in place."""
         header_size = self._HEADER.size
         buffer = self._buffer
+        frames: list = []
+        gather = self._gather
+        if gather is not None:
+            if data is not gather:
+                gather.extend(data)
+            cut = header_size + self._HEADER.unpack_from(buffer)[0]
+            if len(gather) < cut:
+                return frames
+            cut -= len(gather.leaf)
+            frames.append((bytes(buffer[header_size:cut]), gather.leaf))
+            self._gather = None
+            del buffer[:cut]
+            if not buffer:
+                return frames
+            data = buffer
         fresh = not buffer
         if not fresh and data is not buffer:
             buffer += data
-        frames: list[bytes] = []
         offset = 0
         # Bodies are copied once, out of a view: of ``data`` if it is fresh.
         with memoryview(data if fresh else buffer) as view:
@@ -247,7 +333,13 @@ class Framer:
                 end = offset + header_size + length
                 if end > total:
                     break
-                frames.append(bytes(view[offset + header_size:end]))
+                if leaf := self._leaf(view, offset + header_size, end):
+                    at, stop = leaf
+                    frames.append((b"".join((view[offset + header_size:at],
+                                             view[stop:end])),
+                                   bytes(view[at:stop])))
+                else:
+                    frames.append(bytes(view[offset + header_size:end]))
                 offset = end
             if fresh:
                 buffer += view[offset:]
@@ -255,12 +347,33 @@ class Framer:
             _BYTES_ZERO_COPIED.value += offset
         else:
             del buffer[:offset]
+        if len(buffer) > header_size and (leaf := self._leaf(
+                buffer, header_size,
+                header_size + self._HEADER.unpack_from(buffer)[0])):
+            self._gather = _Gather(buffer, *leaf)
         return frames
+
+    def _leaf(self, data, start: int, end: int) -> Optional[tuple[int, int]]:
+        """The span of ``data`` that the leading leaf of the frame body
+        ``data[start:end]`` fills, if this framer splits and it has one."""
+        at = (self._by_reference and end - start > BY_REFERENCE
+              and leading_leaf(data, start))
+        if at:
+            at += start
+            stop = at + int.from_bytes(data[at - 4:at], "big")
+            if stop <= end:
+                return at, stop
+        return None
+
+    @property
+    def _into(self):
+        """What a read for the current frame's rest gathers into."""
+        return self._gather if self._gather is not None else self._buffer
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered but not yet forming a complete frame."""
-        return len(self._buffer)
+        return len(self._into)
 
     @property
     def needed_bytes(self) -> int:
@@ -269,7 +382,7 @@ class Framer:
         Used as a ``min_bytes`` receive hint.  Always at least 1; once the
         header is buffered, this knows the full frame length.
         """
-        buffered = len(self._buffer)
+        buffered = len(self._into)
         if buffered < self._HEADER.size:
             return self._HEADER.size - buffered
         (length,) = self._HEADER.unpack_from(self._buffer, 0)
@@ -279,29 +392,37 @@ class Framer:
 
 
 class FramedStream:
-    """Message-oriented view of a byte stream (length-prefixed frames)."""
+    """Message-oriented view of a byte stream (length-prefixed frames).
 
-    def __init__(self, stream: ByteStream) -> None:
+    ``by_reference`` (a Bento stream's canonical frames) hands a bulk frame
+    on by reference both ways: it leaves as the pieces it is given, and
+    arrives split as :class:`Framer` says."""
+
+    def __init__(self, stream: ByteStream, by_reference: bool = False) -> None:
         self.stream = stream
-        self._framer = Framer()
-        self._ready: list[bytes] = []
+        self._framer = Framer(by_reference)
+        self._ready: list = []
 
     def send_frame(self, *pieces: bytes) -> None:
         """Send one frame, given whole or as the pieces it joins from."""
-        self.stream.send(Framer.encode(*pieces))
+        size = sum(map(len, pieces))
+        if size >= BY_REFERENCE and self._framer._by_reference:
+            self.stream.send(Framer.length(size), *pieces)
+        else:
+            self.stream.send(Framer.encode(*pieces))
 
-    def recv_frame(self, thread: Actor,
-                   timeout: Optional[float] = None) -> Optional[bytes]:
-        """Block until one complete frame arrives; ``None`` on EOF."""
+    def recv_frame(self, thread: Actor, timeout: Optional[float] = None):
+        """Block until one complete frame arrives; ``None`` on EOF.  On a
+        ``by_reference`` stream it may be ``(rest, leaf)`` (:class:`Framer`)."""
         if self._ready:
             return self._ready.pop(0)
         framer = self._framer
         while True:
             # Mid-frame, the rest of the frame accumulates behind its start.
-            buffer = framer._buffer
+            into = framer._into
             data = yield from self.stream.recv(
                 thread, timeout=timeout, min_bytes=framer.needed_bytes,
-                into=buffer if buffer else None)
+                into=into if into else None)
             if data == b"":
                 return None
             frames = framer.feed(data)

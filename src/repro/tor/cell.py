@@ -10,8 +10,11 @@ exactly as proposed for padding in Tor.
 from __future__ import annotations
 
 import enum
+import itertools
 import struct
+from collections import deque
 
+from repro.obs.metrics import REGISTRY as _metrics
 from repro.util.errors import ProtocolError
 
 CELL_SIZE = 514
@@ -22,6 +25,8 @@ RELAY_DATA_SIZE = RELAY_PAYLOAD_SIZE - RELAY_HEADER_SIZE  # 498
 ZERO_DIGEST = b"\x00\x00\x00\x00"
 
 _RELAY_HEADER = struct.Struct(">HH4sHB")
+# Bytes handed over by reference; cached (the registry resets in place).
+_BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
 
 
 def pack_relay(command: int, stream_id: int, data: bytes,
@@ -38,6 +43,82 @@ def pack_relay(command: int, stream_id: int, data: bytes,
     _RELAY_HEADER.pack_into(buf, 0, 0, stream_id, digest, size, command)
     buf[RELAY_HEADER_SIZE:RELAY_HEADER_SIZE + size] = data
     return buf
+
+
+def _cells(pieces: tuple):
+    """The DATA cells' data of a message longer than one cell, sent as
+    ``pieces``: the cells of cutting their join, each a view of one piece
+    or joined from two."""
+    parts, need = [], RELAY_DATA_SIZE
+    for piece in pieces:
+        view, at = memoryview(piece), 0
+        while len(view) - at >= need:
+            at += need
+            if parts:
+                yield b"".join((*parts, view[at - need:at]))
+                parts, need = [], RELAY_DATA_SIZE
+            else:
+                _BYTES_ZERO_COPIED.value += need
+                yield view[at - need:at]
+        if at < len(view):
+            parts.append(view[at:])
+            need -= len(view) - at
+    if parts:  # the last, short cell
+        if len(parts) == 1:
+            _BYTES_ZERO_COPIED.value += len(parts[0])
+        yield parts[0] if len(parts) == 1 else b"".join(parts)
+
+
+class Fragments:
+    """Stream messages waiting to leave as DATA cells, each cut into cells
+    (:func:`_cells`) only as the windows let them be taken."""
+
+    def __init__(self) -> None:
+        self._messages: deque[list] = deque()   # [key, cells left, cutter]
+        self._cells = 0
+
+    def __len__(self) -> int:
+        """Cells queued."""
+        return self._cells
+
+    def put(self, pieces: tuple, key: int = 0) -> None:
+        """Queue one message (``key``: whose it is, e.g. a stream id)."""
+        size = sum(map(len, pieces))
+        if size <= RELAY_DATA_SIZE:  # one cell, even an empty one
+            cells, cutter = 1, (pieces[0] if len(pieces) == 1
+                                else b"".join(pieces),)
+        else:
+            cells, cutter = -(-size // RELAY_DATA_SIZE), _cells(pieces)
+        self._messages.append([key, cells, cutter])
+        self._cells += cells
+
+    def head(self) -> list:
+        """The first message: its key and the cells it has left."""
+        return self._messages[0]
+
+    def drop(self) -> None:
+        """Forget the first message."""
+        self._cells -= self._messages.popleft()[1]
+
+    def clear(self) -> None:
+        """Forget every message."""
+        self._messages.clear()
+        self._cells = 0
+
+    def take(self, n: int) -> list:
+        """The data of the next ``n`` cells (at most ``len(self)``)."""
+        out: list = []
+        self._cells -= n
+        while n:
+            message = self._messages[0]
+            if message[1] > n:
+                message[1] -= n
+                out += itertools.islice(message[2], n)
+                break
+            self._messages.popleft()
+            out += message[2]  # all it has left
+            n -= message[1]
+        return out
 
 
 class CellCommand(enum.IntEnum):

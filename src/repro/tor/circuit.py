@@ -16,7 +16,6 @@ direction and the service its BACKWARD direction.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Callable, Optional
 
 from repro.netsim.connection import Connection, ConnectionClosed
@@ -25,9 +24,9 @@ from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.tor.cell import (
     CELL_SIZE,
-    RELAY_DATA_SIZE,
     Cell,
     CellCommand,
+    Fragments,
     RelayCellPayload,
     RelayCommand,
 )
@@ -49,7 +48,6 @@ HS_SERVICE = "service"
 _CTR_STREAM_OK = _metrics.counter("streams_opened", {"outcome": "ok"})
 _CTR_STREAM_FAIL = _metrics.counter("streams_opened", {"outcome": "error"})
 _HIST_STREAM_OPEN = _metrics.histogram("stream_open_s")
-_BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
 # Cached enum members: a lookup on the class is a metaclass call, ~90 ns a cell.
 _RELAY, _DATA = CellCommand.RELAY, RelayCommand.DATA
 
@@ -86,7 +84,7 @@ class Circuit:
         self._control_backlog: dict[RelayCommand, list[dict]] = {}
         # Flow control for data the owner *sends* (forward direction).
         self.package_window = CIRCUIT_PACKAGE_WINDOW
-        self._pending_data: deque[tuple[int, bytes]] = deque()
+        self._pending_data = Fragments()
         self._delivered_forward = 0     # received DATA cells, for SENDMEs
         self.cells_sent = 0
         self.cells_received = 0
@@ -153,22 +151,12 @@ class Circuit:
 
     # -- stream data with flow control -------------------------------------------
 
-    def send_stream_data(self, stream_id: int, data: bytes) -> None:
-        """Fragment and send stream bytes, honoring package windows.
-
-        Multi-cell payloads fragment into :class:`memoryview` slices — the
-        bytes are only copied once, straight into each cell's pack buffer,
-        instead of once per fragment and again at packing.
-        """
-        total = len(data)
-        if total <= RELAY_DATA_SIZE:
-            self._pending_data.append((stream_id, data))
-        else:
-            view = memoryview(data)
-            for offset in range(0, total, RELAY_DATA_SIZE):
-                self._pending_data.append(
-                    (stream_id, view[offset:offset + RELAY_DATA_SIZE]))
-            _BYTES_ZERO_COPIED.value += total
+    def send_stream_data(self, stream_id: int, *pieces: bytes) -> None:
+        """Queue one message of stream bytes, given as the pieces it joins
+        from, and send what the package windows allow.  Its cells are cut
+        as they are sent (:class:`~repro.tor.cell.Fragments`): the bytes
+        are copied once, straight into each cell's pack buffer."""
+        self._pending_data.put(pieces, stream_id)
         self._pump_data()
 
     def _pump_data(self) -> None:
@@ -177,18 +165,19 @@ class Circuit:
         # bytes and send order are identical to cell-at-a-time pumping;
         # windows cannot replenish mid-drain (SENDMEs arrive via events).
         batch: list[tuple[int, bytes]] = []
-        while self._pending_data and self.package_window > 0:
-            stream_id, chunk = self._pending_data[0]
+        pending = self._pending_data
+        while pending and self.package_window > 0:
+            stream_id, cells, _ = pending.head()
             stream = self.streams.get(stream_id)
             if stream is None:
-                self._pending_data.popleft()
+                pending.drop()
                 continue
-            if stream.package_window <= 0:
+            n = min(cells, self.package_window, stream.package_window)
+            if n <= 0:
                 break  # head-of-line stream is stalled; wait for its SENDME
-            self._pending_data.popleft()
-            stream.package_window -= 1
-            self.package_window -= 1
-            batch.append((stream_id, chunk))
+            stream.package_window -= n
+            self.package_window -= n
+            batch += zip(itertools.repeat(stream_id), pending.take(n))
         if batch:
             self._send_data_many(batch)
 

@@ -17,7 +17,6 @@ connection it arrived on, so two neighbours may pick the same id.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from typing import Optional
 
 from repro.netsim.connection import Connection, ConnectionClosed, LoopbackConnection
@@ -25,9 +24,9 @@ from repro.netsim.network import Network, NetworkError
 from repro.netsim.node import Node
 from repro.tor.cell import (
     CELL_SIZE,
-    RELAY_DATA_SIZE,
     Cell,
     CellCommand,
+    Fragments,
     RelayCellPayload,
     RelayCommand,
 )
@@ -37,7 +36,6 @@ from repro.tor.descriptor import (
     OR_PORT,
     RelayDescriptor,
 )
-from repro.obs.metrics import REGISTRY as _metrics
 from repro.tor.directory import DirectoryAuthority
 from repro.tor.exitpolicy import ExitPolicy
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
@@ -52,8 +50,6 @@ CIRCUIT_SENDME_INCREMENT = 100
 STREAM_PACKAGE_WINDOW = 500
 STREAM_SENDME_INCREMENT = 50
 
-# Cached registry handle (the registry resets in place, so this survives).
-_BYTES_ZERO_COPIED = _metrics.counter("bytes_zero_copied")
 # Cached enum member: a lookup on the class is a metaclass call, ~90 ns a cell.
 _RELAY = CellCommand.RELAY
 
@@ -70,7 +66,7 @@ class ExitStream:
         self.conn = conn
         self.package_window = STREAM_PACKAGE_WINDOW
         self.delivered_count = 0
-        self.pending: deque[bytes] = deque()
+        self.pending = Fragments()
         self.open = True
         endpoint = conn.endpoint_of(relay.node)
         endpoint.on_message = self._on_external_message
@@ -80,20 +76,14 @@ class ExitStream:
 
     def _on_external_message(self, _conn: Connection, payload: object,
                              _size: int) -> None:
-        if not isinstance(payload, (bytes, bytearray)) or not self.open:
-            return
-        data = payload if isinstance(payload, bytes) else bytes(payload)
-        total = len(data)
-        if total <= RELAY_DATA_SIZE:
-            self.pending.append(data)
-        else:
-            # Fragment through memoryview slices; the bytes are copied
-            # once, into each cell's pack buffer, not once per fragment.
-            view = memoryview(data)
-            for offset in range(0, total, RELAY_DATA_SIZE):
-                self.pending.append(view[offset:offset + RELAY_DATA_SIZE])
-            _BYTES_ZERO_COPIED.value += total
-        self.pump()
+        # A tuple is one message sent as its pieces (DirectByteStream.send).
+        if type(payload) is not tuple:
+            if not isinstance(payload, (bytes, bytearray)):
+                return
+            payload = (bytes(payload),)
+        if self.open:
+            self.pending.put(payload)
+            self.pump()
 
     def pump(self) -> None:
         """Send queued chunks backward while both windows allow.
@@ -107,7 +97,7 @@ class ExitStream:
                and self.package_window > 0 and self.entry.package_window > 0):
             n = min(len(self.pending), self.package_window,
                     self.entry.package_window)
-            chunks = [self.pending.popleft() for _ in range(n)]
+            chunks = self.pending.take(n)
             self.package_window -= n
             self.entry.package_window -= n
             self.relay._reply_many(self.entry, self.stream_id, chunks)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.netsim.bytestream import StreamClosed, _RecvQueue
+from repro.netsim.bytestream import StreamClosed, _RecvQueue, frozen
 from repro.netsim.simulator import Actor, Future, Wait
 from repro.tor.cell import RelayCommand
 from repro.util.errors import ProtocolError
@@ -52,13 +52,13 @@ class TorStream:
 
     # -- ByteStream interface -----------------------------------------------
 
-    def send(self, data: bytes) -> None:
-        """Queue bytes toward the stream endpoint (window-paced)."""
+    def send(self, *pieces: bytes) -> None:
+        """Queue one message toward the stream endpoint (window-paced),
+        whole or as the pieces it joins from."""
         if self.closed:
             raise StreamClosed("send on closed Tor stream")
-        if data:
-            self.circuit.send_stream_data(
-                self.stream_id, data if isinstance(data, bytes) else bytes(data))
+        if any(pieces):
+            self.circuit.send_stream_data(self.stream_id, *frozen(pieces))
 
     def recv(self, thread: Actor, timeout: Optional[float] = None,
              min_bytes: int = 1, into: Optional[bytearray] = None) -> bytes:

@@ -2,7 +2,23 @@
 
 from __future__ import annotations
 
+import ctypes
 from typing import Iterator
+
+# The C API's way to make a bytes object for C code to fill in: with a NULL
+# source a non-empty one is always a fresh object, and nothing else holds it
+# until its maker hands it out.  A private prototype: ``ctypes.pythonapi`` is
+# shared.
+new_bytes = ctypes.PYFUNCTYPE(ctypes.py_object, ctypes.c_char_p,
+                              ctypes.c_ssize_t)(
+    ("PyBytes_FromStringAndSize", ctypes.pythonapi))
+
+
+def fill_view(data: bytes) -> memoryview:
+    """A writable view of ``data``, which :func:`new_bytes` made and which
+    nothing else may see until it is filled: a bytes object is immutable."""
+    return memoryview((ctypes.c_char * len(data)).from_address(
+        ctypes.cast(data, ctypes.c_void_p).value)).cast("B")
 
 
 def xor_bytes(a: bytes, b: bytes) -> bytes:

@@ -79,18 +79,54 @@ def canonical_digest(value: Any) -> str:
     return hashlib.sha256(canonical_encode(value)).hexdigest()
 
 
-def canonical_decode(data: bytes) -> Any:
+def canonical_decode(data: bytes, leaf: bytes | None = None) -> Any:
     """Decode bytes produced by :func:`canonical_encode`; anything else,
-    nesting deeper than :data:`MAX_DEPTH` too, is a SerializationError."""
+    nesting deeper than :data:`MAX_DEPTH` too, is a SerializationError.
+
+    Given ``leaf``, ``data`` is an encoding with its :func:`leading_leaf`'s
+    bytes cut out, and the value is the whole's, ``leaf`` taken by
+    reference: the mirror of :func:`canonical_pieces`."""
     if type(data) is not bytes:
         data = bytes(data)
     try:
-        value, offset = _decode_from(data, 0, 0)
+        if leaf is None:
+            value, offset = _decode_from(data, 0, 0)
+        else:
+            value, offset = _decode_split(data, leaf)
     except UnicodeDecodeError as exc:  # a str leaf; an int reports its own
         raise SerializationError("malformed string") from exc
     if offset != len(data):
         raise SerializationError(f"{len(data) - offset} trailing bytes after value")
     return value
+
+
+def leading_leaf(data, start: int = 0) -> int:
+    """Where the leaf begins, relative to ``start``, if the value encoded
+    from ``data[start]`` on is a dict whose first value is a ``bytes`` leaf
+    of :data:`BY_REFERENCE` bytes or more (its length is the four bytes
+    before); 0 if it is not, or ``data`` ends before that is known."""
+    at = start + 10
+    if (len(data) < at or data[start] != _M or data[start + 5] != _S
+            or not int.from_bytes(data[start + 1:start + 5], "big")):
+        return 0
+    at += int.from_bytes(data[start + 6:at], "big") + 5
+    if (len(data) < at or data[at - 5] != _B
+            or int.from_bytes(data[at - 4:at], "big") < BY_REFERENCE):
+        return 0
+    return at - start
+
+
+def _decode_split(data: bytes, leaf: bytes) -> tuple[dict, int]:
+    """The dict whose leading leaf, cut out of ``data``, is ``leaf``.  Its
+    first key is decoded first and a later equal key wins, as whole."""
+    at = leading_leaf(data)
+    if not at or int.from_bytes(data[at - 4:at], "big") != len(leaf):
+        raise SerializationError("no leading leaf of that length")
+    value = {data[10:at - 5].decode(): leaf}
+    rest, offset = _decode_dict(data, at, 1,
+                                int.from_bytes(data[1:5], "big") - 1)
+    value.update(rest)
+    return value, offset
 
 
 # Both directions dispatch on the exact type (or tag) first, in the order

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from codec_reference import reference_decode, reference_encode
+from repro.netsim import bytestream
 from repro.util import serialization
 from repro.util.serialization import MAX_DEPTH, SerializationError
 
@@ -254,7 +255,116 @@ class TestOracleHasTeeth:
                     "out.leaves.append((len(out) - 1, value))",
                     test_multi_mib_leaves_encode_as_the_reference_does)
 
+    def test_the_first_value_winning_over_a_later_equal_key_is_caught(
+            self, fails_under):
+        fails_under("    value.update(rest)\n",
+                    "    value = {**rest, **value}\n",
+                    test_split_decode_is_the_whole_decode)
+
     def test_str_of_a_str_subclass_is_caught(self, fails_under):
         fails_under('encoded = value.encode("utf-8")',
                     'encoded = str(value).encode("utf-8")',
                     test_same_bytes_for_every_value)
+
+
+# -- a frame's leading leaf taken by reference ------------------------------
+
+_BY_REF = serialization.BY_REFERENCE
+_LEAF_BYTES = bytes(range(256)) * (_BY_REF // 256 + 1)
+
+
+def _u32(n: int) -> bytes:
+    return n.to_bytes(4, "big")
+
+
+@st.composite
+def _leading_leaf_bodies(draw):
+    """A dict's encoding that starts with a big ``bytes`` leaf, or nearly:
+    the leaf one byte short of ``BY_REFERENCE`` or announced past the end,
+    a count of 0, a non-UTF-8 first key, a dict where the leaf would be,
+    and after it well-formed pairs (the first key again among them) or
+    wire-like noise."""
+    key = draw(st.sampled_from([b"payload", b"a", b"", b"\xff\xfe"]))
+    pairs = draw(st.lists(st.tuples(
+        st.sampled_from(["payload", "rid", "zz", key.decode(errors="replace")]),
+        _encodable_values), max_size=3))
+    count = draw(st.sampled_from([len(pairs) + 1, 0, len(pairs) + 2]))
+    size = _BY_REF + draw(st.sampled_from([-1, 0, 3]))
+    short = draw(st.sampled_from([0, 0, 0, 1, 70]))   # bytes missing
+    first = draw(st.sampled_from([b"B", b"B", b"M"]))
+    rest = b"".join(reference_encode(k) + reference_encode(v)
+                    for k, v in pairs) if pairs else draw(_wireish)
+    return (b"M" + _u32(count) + b"S" + _u32(len(key)) + key + first
+            + _u32(size) + _LEAF_BYTES[:size - short] + rest)
+
+
+def _split_decode(body: bytes, cut: int):
+    """``body`` framed, received by a splitting framer in two reads (the
+    first ``cut`` bytes, then the rest), and decoded as a Bento stream
+    decodes it."""
+    framer = bytestream.Framer(by_reference=True)
+    wire = bytestream.Framer.encode(body)
+    frames = framer.feed(wire[:cut]) + framer.feed(wire[cut:])
+    assert len(frames) == 1 and framer.pending_bytes == 0
+    (frame,) = frames
+    if type(frame) is tuple:
+        return serialization.canonical_decode(*frame)
+    return serialization.canonical_decode(frame)
+
+
+def _splits(body: bytes) -> bool:
+    at = serialization.leading_leaf(body)
+    return bool(at) and at + int.from_bytes(body[at - 4:at], "big") <= len(body)
+
+
+def split_check(body: bytes) -> None:
+    """Gathered behind a 40-byte first read, or cut out of one whole read,
+    the frame decodes as the reference decodes the whole body."""
+    want_kind, want = _outcome(reference_decode, body)
+    for cut in (40, len(body) + 4):
+        got_kind, got = _outcome(lambda b: _split_decode(b, cut), body)
+        assert want_kind == got_kind, (want, got)
+        if want_kind == "raised":
+            assert want[0] is SerializationError and got == want
+        else:
+            assert _same(want, got), (want, got)
+
+
+_MSG = reference_encode({"payload": _LEAF_BYTES[:_BY_REF], "rid": 7,
+                         "token": "t", "type": "msg"})
+
+
+@given(_leading_leaf_bodies())
+@example(_MSG)
+# The leaf announced past the frame's end.
+@example(_MSG[:22 + _BY_REF - 5])
+@example(_MSG[:18] + _u32(len(_MSG)) + _MSG[22:])
+# The leaf's key later in the dict: the codec keeps the last value.
+@example(b"M" + _u32(2) + _MSG[5:22 + _BY_REF]
+         + reference_encode("payload") + reference_encode(5))
+# A non-UTF-8 first key.
+@example(b"M" + _u32(1) + b"S" + _u32(2) + b"\xff\xfe" + b"B" + _u32(_BY_REF)
+         + _LEAF_BYTES[:_BY_REF])
+# A leaf one byte under BY_REFERENCE: not split, decoded whole.
+@example(reference_encode({"payload": _LEAF_BYTES[:_BY_REF - 1], "rid": 1}))
+# A dict as the first value.
+@example(reference_encode({"a": {"b": _LEAF_BYTES[:_BY_REF]}, "c": 1}))
+def test_split_decode_is_the_whole_decode(body):
+    split_check(body)
+
+
+def test_the_split_examples_split():
+    """Not vacuous: a leaf of BY_REFERENCE bytes or more that the frame
+    holds is taken by reference, and nothing else is."""
+    assert _splits(_MSG)
+    leaf = dict(serialization.canonical_decode(*_split_parts(_MSG)))["payload"]
+    assert leaf == _LEAF_BYTES[:_BY_REF]
+    assert not _splits(_MSG[:22 + _BY_REF - 5])
+    assert not _splits(reference_encode({"payload": b"x" * (_BY_REF - 1)}))
+    assert not _splits(reference_encode({"a": {"b": _LEAF_BYTES[:_BY_REF]}}))
+
+
+def _split_parts(body: bytes) -> tuple:
+    at = serialization.leading_leaf(body)
+    end = at + int.from_bytes(body[at - 4:at], "big")
+    return body[:at] + body[end:], body[at:end]

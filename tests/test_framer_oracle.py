@@ -21,6 +21,7 @@ from framer_reference import ReferenceFramedReader, ReferenceRecvQueue
 from repro.netsim import bytestream
 from repro.netsim.simulator import SimTimeoutError, Simulator, Sleep
 from repro.perf.counters import counters
+from repro.util.serialization import canonical_encode, leading_leaf
 
 KIB = 1024
 BIG = 1024 * KIB
@@ -34,13 +35,25 @@ class Schedule(NamedTuple):
     pause: float        # how long the reader is away after a timeout
 
 
-def _schedule(sizes, big_at, cuts, cell, rhythm, stall, pause=0.0):
-    """``sizes`` frames with a 1 MiB one inserted at ``big_at``, cut at
-    ``cuts`` and every ``cell`` bytes; the chunk ``stall`` of the way into
-    the big frame arrives after a gap longer than the reader's timeout,
-    the others after ``rhythm``'s gaps in turn."""
+def _bento_big() -> bytes:
+    """A 1 MiB ``Msg`` body: its payload is a leading leaf, which a Bento
+    stream gathers in place."""
+    head = canonical_encode({"payload": b"", "rid": 3, "token": "t",
+                             "type": "msg"})
+    return canonical_encode({"payload": random.Random("big").randbytes(
+        BIG - len(head)), "rid": 3, "token": "t", "type": "msg"})
+
+
+def _schedule(sizes, big_at, cuts, cell, rhythm, stall, pause=0.0,
+              bento=False):
+    """``sizes`` frames with a 1 MiB one inserted at ``big_at`` (a ``Msg``
+    if ``bento``), cut at ``cuts`` and every ``cell`` bytes; the chunk
+    ``stall`` of the way into the big frame arrives after a gap longer
+    than the reader's timeout, the others after ``rhythm``'s gaps in
+    turn."""
     frames = [random.Random(i).randbytes(n) for i, n in enumerate(sizes)]
-    frames.insert(big_at, random.Random("big").randbytes(BIG))
+    frames.insert(big_at, _bento_big() if bento
+                  else random.Random("big").randbytes(BIG))
     wire = b"".join(bytestream.Framer.encode(f) for f in frames)
     big_start = sum(4 + len(f) for f in frames[:big_at]) + 4
     stall_at = big_start + int(stall * BIG)
@@ -66,7 +79,7 @@ def schedules(draw):
         draw(st.lists(st.sampled_from([0.0, 0.01, 1.0]), min_size=1,
                       max_size=6)),
         draw(st.floats(0.001, 0.999)),
-        draw(st.sampled_from([0.0, 3.0, STALL])))
+        draw(st.sampled_from([0.0, 3.0, STALL])), draw(st.booleans()))
 
 
 def _back_to_parked_bytes() -> Schedule:
@@ -77,6 +90,16 @@ def _back_to_parked_bytes() -> Schedule:
     return Schedule(frames, [(0.0, wire[:100_000]),
                              (1.0, wire[100_000:200_000]),
                              (24.0, wire[200_000:])], pause=10.0)
+
+
+def _eof_mid_leaf() -> Schedule:
+    """The sender goes away a third of the way into a ``Msg``'s payload:
+    the frame before it is read, then EOF, and nothing else."""
+    frames = [b"abc", _bento_big()]
+    wire = b"".join(bytestream.Framer.encode(f) for f in frames)
+    cut = 7 + BIG // 3
+    pushes = [(0.01, wire[at:min(at + 498, cut)]) for at in range(0, cut, 498)]
+    return Schedule(frames[:1], pushes, pause=0.0)
 
 
 class _QueueStream:
@@ -94,16 +117,31 @@ def _current(sim):
     return queue, bytestream.FramedStream(_QueueStream(queue))
 
 
+def _split(sim):
+    queue = bytestream._RecvQueue(sim)
+    return queue, bytestream.FramedStream(_QueueStream(queue),
+                                          by_reference=True)
+
+
 def _reference(sim):
     queue = ReferenceRecvQueue(sim)
     return queue, ReferenceFramedReader(queue)
+
+
+def _whole(frame) -> bytes:
+    """A split frame, ``(rest, leaf)``, as the body it was cut from."""
+    if type(frame) is not tuple:
+        return frame
+    rest, leaf = frame
+    at = leading_leaf(rest)
+    return rest[:at] + leaf + rest[at:]
 
 
 def _receive(schedule: Schedule, build) -> dict:
     """Deliver ``schedule`` and read frames until EOF, retrying timeouts."""
     sim = Simulator(seed=1)
     queue, reader = build(sim)
-    seen = {"frames": [], "timeouts": 0}
+    seen = {"frames": [], "timeouts": 0, "split": 0}
 
     def read(thread):
         while True:
@@ -115,7 +153,8 @@ def _receive(schedule: Schedule, build) -> dict:
                 continue
             if frame is None:
                 return
-            seen["frames"].append(frame)
+            seen["split"] += type(frame) is tuple
+            seen["frames"].append(_whole(frame))
 
     counters.reset()
     sim.spawn(read)
@@ -142,12 +181,31 @@ def _receive(schedule: Schedule, build) -> dict:
 # One cell arrives while the read for the frame's rest waits, nothing
 # parked before it: the timeout hands that cell back as it was queued.
 @example(_schedule([], 0, [], 4096, [1.0], (8192 - 4) / BIG))
+# A Bento stream's reads time out mid-leaf, a second apart, and resume;
+# in the second, one times out with the leaf full and its tail begun.
+@example(_schedule([], 0, [], 4096, [1.0], 0.5, bento=True))
+@example(_schedule([], 0, [], 4096, [1.0], (BIG - 20) / BIG, bento=True))
+@example(_schedule([40], 1, [], 4096, [1.0], 0.5, pause=3.0, bento=True))
+# EOF a third of the way into a leaf.
+@example(_eof_mid_leaf())
+# A leaf's last bytes, its frame's tail and the next two frames arrive in
+# one chunk (the tail after a 1 MiB Msg's payload is 47 bytes).
+@example(_schedule([10, 20], 0, [BIG - 200], 0, [0.0], 0.5, bento=True))
 @given(schedules())
 @settings(deadline=None)
 def test_same_frames_and_wake_ups_for_every_schedule(schedule):
+    """A split framer, a Bento stream's, also reads every schedule with the
+    same frames, wake-ups and timeouts; its leaves are not counted as
+    handed over by reference."""
     current = _receive(schedule, _current)
     assert current["frames"] == schedule.frames
-    assert current == _receive(schedule, _reference)
+    reference = _receive(schedule, _reference)
+    assert current == reference
+    split = _receive(schedule, _split)
+    assert split["split"] == sum(1 for f in schedule.frames
+                                 if leading_leaf(f) > 0)
+    del split["zero_copied"], reference["zero_copied"]
+    assert split == {**reference, "split": split["split"]}
 
 
 def _mutant(old: str, new: str) -> types.ModuleType:

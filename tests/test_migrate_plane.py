@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import BentoClient, BentoServer, FunctionManifest
+from repro.core import BentoClient, BentoError, BentoServer, FunctionManifest
 from repro.enclave.attestation import IntelAttestationService
 from repro.enclave.fsprotect import FSProtectError
 from repro.enclave.sealing import SealingError
@@ -435,8 +435,74 @@ class TestShedByMigration:
         run_thread(net, main)
 
 
+# A checkpointable function whose own checkpoint() and restore() raise.
+RAISING = ("def main():\n"
+           "    while True:\n"
+           "        yield from api.recv()\n"
+           "def checkpoint():\n"
+           "    return {}['missing']\n"
+           "def restore(state):\n"
+           "    raise KeyError(state)\n")
+
+
 class TestNamedCatches:
     """Each catch names what it expects; anything else is raised."""
+
+    def test_a_tenant_checkpoint_that_raises_answers_its_owner(
+            self, migrate_net):
+        """Tenant code crosses the loader's boundary: its ``KeyError`` is
+        an ``Error`` frame on the owner's request, not a dead session actor
+        (the owner heard nothing until its own 20 s timeout)."""
+        net = migrate_net
+        manifest = FunctionManifest.create("raising", "main", {"recv"},
+                                           image="python")
+
+        def main(thread):
+            client = BentoClient(net.create_client("owner"), ias=net.ias)
+            session = yield from client.connect_direct(thread,
+                                                       client.pick_box())
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(thread, RAISING, manifest)
+            began = net.sim.now
+            with pytest.raises(BentoError, match="checkpoint: KeyError"):
+                yield from session.checkpoint_function(thread, timeout=20.0)
+            staged = Checkpoint(
+                name="raising", entry="main", image="python",
+                manifest=manifest.to_wire(), code=RAISING, state=7, args=[],
+                files={}, inbox=[], seq=1, taken_at=0.0, measurement="")
+            with pytest.raises(BentoError, match="restore: KeyError"):
+                yield from session.restore_function(
+                    thread, staged.to_wire(), timeout=20.0)
+            yield from session.query_policy(thread, timeout=20.0)  # still served
+            return net.sim.now - began
+
+        assert run_thread(net, main) < 5.0
+
+    def test_a_drain_whose_tenant_checkpoint_raises_fails_the_drain(
+            self, migrate_net):
+        """The drain counts the failed move and the instance keeps running;
+        a ``KeyError`` out of the tenant's ``checkpoint()`` killed the
+        drain's actor with the move neither completed nor failed."""
+        net = migrate_net
+
+        def main(thread):
+            client = BentoClient(net.create_client("owner"), ias=net.ias)
+            box = client.pick_box()
+            session = yield from client.connect_direct(thread, box)
+            yield from session.request_image(thread, "python")
+            yield from session.load_function(
+                thread, RAISING, FunctionManifest.create(
+                    "raising", "main", {"recv"}, image="python"))
+            session.invoke_nowait([])
+            yield Sleep(1.0)
+            server = server_for(net, box)
+            (instance,) = server._by_invocation.values()
+            moved = yield from server.migrate.drain(thread, instance)
+            return moved, instance
+
+        moved, instance = run_thread(net, main)
+        assert moved is None and not instance.draining
+        assert _perf.migrations_failed == 1
 
     def test_unencodable_state_fails_the_checkpoint(self):
         looped: list = []
