@@ -54,7 +54,8 @@ class Endpoint:
     def __init__(self, sim: Simulator) -> None:
         self.on_message: Optional[MessageHandler] = None
         self.on_close: Optional[CloseHandler] = None
-        self._queue: deque[tuple[Any, int]] = deque()
+        # Made by the first message queued: a handler-driven end never is.
+        self._queue: Optional[deque[tuple[Any, int]]] = None
         self._waiter: Optional[Future] = None
         self._sim = sim
         self._closed = False
@@ -63,6 +64,8 @@ class Endpoint:
         if self.on_message is not None:
             self.on_message(conn, payload, size)
             return
+        if self._queue is None:
+            self._queue = deque()
         self._queue.append((payload, size))
         if self._waiter is not None and not self._waiter.done:
             self._waiter.resolve(None)
@@ -83,14 +86,13 @@ class Endpoint:
         """
         if self.on_message is not None:
             raise RuntimeError("endpoint already has an on_message handler")
-        queue = self._queue
-        while not queue:
+        while not self._queue:
             if self._closed or conn.closed:
                 raise ConnectionClosed("connection closed while receiving")
             self._waiter = Future(self._sim)
             yield Wait(self._waiter, timeout)
             self._waiter = None
-        return queue.popleft()[0]
+        return self._queue.popleft()[0]
 
 
 def pace_chunks(sim: Simulator, uplink: Interface, chunk_size: int,

@@ -71,10 +71,14 @@ def _cells(pieces: tuple):
 
 class Fragments:
     """Stream messages waiting to leave as DATA cells, each cut into cells
-    (:func:`_cells`) only as the windows let them be taken."""
+    (:func:`_cells`) only as the windows let them be taken.  A one-cell
+    message is kept whole and leaves uncut."""
+
+    __slots__ = ("_messages", "_cells")
 
     def __init__(self) -> None:
-        self._messages: deque[list] = deque()   # [key, cells left, cutter]
+        # [key, cells left, cutter]; made by the first put.
+        self._messages: deque[list] | None = None
         self._cells = 0
 
     def __len__(self) -> int:
@@ -85,10 +89,12 @@ class Fragments:
         """Queue one message (``key``: whose it is, e.g. a stream id)."""
         size = sum(map(len, pieces))
         if size <= RELAY_DATA_SIZE:  # one cell, even an empty one
-            cells, cutter = 1, (pieces[0] if len(pieces) == 1
-                                else b"".join(pieces),)
+            cells, cutter = 1, (pieces if len(pieces) == 1
+                                else (b"".join(pieces),))
         else:
             cells, cutter = -(-size // RELAY_DATA_SIZE), _cells(pieces)
+        if self._messages is None:
+            self._messages = deque()
         self._messages.append([key, cells, cutter])
         self._cells += cells
 
@@ -102,20 +108,25 @@ class Fragments:
 
     def clear(self) -> None:
         """Forget every message."""
-        self._messages.clear()
+        self._messages = None
         self._cells = 0
 
     def take(self, n: int) -> list:
         """The data of the next ``n`` cells (at most ``len(self)``)."""
-        out: list = []
         self._cells -= n
+        messages = self._messages
+        message = messages[0]
+        if message[1] == n:     # the first message, all it has left
+            messages.popleft()
+            return list(message[2])
+        out: list = []
         while n:
-            message = self._messages[0]
+            message = messages[0]
             if message[1] > n:
                 message[1] -= n
                 out += itertools.islice(message[2], n)
                 break
-            self._messages.popleft()
+            messages.popleft()
             out += message[2]  # all it has left
             n -= message[1]
         return out

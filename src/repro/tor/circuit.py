@@ -56,6 +56,10 @@ class CircuitDestroyed(ReproError):
     """Raised when using a circuit that has been torn down."""
 
 
+def _drop_cell(_conn: Connection, _payload: object, _size: int) -> None:
+    """A torn-down circuit's guard endpoint: a late cell ends here."""
+
+
 class Circuit:
     """One built circuit and everything multiplexed over it."""
 
@@ -217,6 +221,11 @@ class Circuit:
         """Blocking form of :meth:`expect_control`."""
         return (yield Wait(self.expect_control(command), timeout))
 
+    def withdraw_control(self, command: RelayCommand, future: Future) -> None:
+        """Forget a waiter :meth:`expect_control` made that is not wanted."""
+        if future in self._control_waiters.get(command, ()):
+            self._control_waiters[command].remove(future)
+
     def _deliver_control(self, command: RelayCommand, info: dict) -> None:
         waiters = self._control_waiters.get(command)
         if waiters:
@@ -234,8 +243,10 @@ class Circuit:
         if cell.command == _RELAY:
             self._process_relay(cell)
         elif cell.command == CellCommand.CREATED:
-            if self._created_waiter is not None and not self._created_waiter.done:
-                self._created_waiter.resolve(cell.payload)
+            # Taken, so the circuit does not keep the reply once keyed.
+            waiter, self._created_waiter = self._created_waiter, None
+            if waiter is not None and not waiter.done:
+                waiter.resolve(cell.payload)
         elif cell.command == CellCommand.DESTROY:
             self._teardown(notify=False)
 
@@ -257,7 +268,8 @@ class Circuit:
         command = parsed.command
         if command == _DATA:
             self._on_data(parsed)
-        elif command == RelayCommand.END:
+        # END on stream 0 is a refused EXTEND: a control cell (the else).
+        elif command == RelayCommand.END and parsed.stream_id:
             stream = self.streams.pop(parsed.stream_id, None)
             if stream is not None:
                 stream._on_end()
@@ -379,6 +391,11 @@ class Circuit:
                 if not waiter.done:
                     waiter.reject(CircuitDestroyed("circuit destroyed"))
         self._control_waiters.clear()
+        # Let go of the guard endpoint, which would keep us, our hops and
+        # owner reachable; the connection stays open for DESTROY in flight.
+        endpoint = self.conn.endpoint_of(self.owner.node)
+        if endpoint.on_message == self._on_message:
+            endpoint.on_message, endpoint.on_close = _drop_cell, None
         # Drop ourselves from the owner's live-circuit list so rebuilds
         # don't accumulate dead circuits (close_all copes either way).
         owner_circuits = getattr(self.owner, "circuits", None)

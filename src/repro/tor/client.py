@@ -50,6 +50,11 @@ _HIT_DESCRIPTOR = _metrics.counter("cache_hits", {"layer": "descriptor"})
 _MISS_DESCRIPTOR = _metrics.counter("cache_misses", {"layer": "descriptor"})
 
 
+def _first_answer(answer: Future, race: Future) -> None:
+    if not race.done:
+        race.resolve(answer)
+
+
 class TorClient:
     """An onion proxy bound to one simulator node."""
 
@@ -203,23 +208,21 @@ class TorClient:
                     "onionskin": state.onionskin,
                 })
                 try:
+                    # A hop that cannot extend answers END on stream 0.  The
+                    # first answer wakes the build, and the other waiter is
+                    # withdrawn: each refusal answers the EXTEND it refuses.
                     extended = circuit.expect_control(RelayCommand.EXTENDED)
-                    failed = circuit.expect_control(RelayCommand.END)
+                    refused = circuit.expect_control(RelayCommand.END)
                     circuit.send_relay(RelayCommand.EXTEND, 0, request)
-                    # Wait on whichever control cell arrives first.
                     race = Future(self.sim)
-                    extended.add_done_callback(
-                        lambda fut: race.resolve(("extended", fut))
-                        if not race.done else None)
-                    failed.add_done_callback(
-                        lambda fut: race.resolve(("end", fut))
-                        if not race.done else None)
-                    kind, fut = yield Wait(race, timeout)
-                    if kind == "end":
+                    extended.add_done_callback(_first_answer, race)
+                    refused.add_done_callback(_first_answer, race)
+                    if (yield Wait(race, timeout)) is refused:
                         self.note_relay_failure(relay.identity_fp)
                         circuit.close()
                         raise TorError(f"extend to {relay.nickname} failed")
-                    info = fut.result()
+                    circuit.withdraw_control(RelayCommand.END, refused)
+                    info = extended.result()
                 except (SimTimeoutError, CircuitDestroyed):
                     # A dead hop (or a cut link to it) swallows the EXTEND or
                     # kills the partial circuit; blame the hop being added.

@@ -64,16 +64,20 @@ BACKWARD = "b"
 
 
 class _Direction:
-    """One direction's cipher, and the train it has read ahead over."""
+    """One direction's cipher, the train it has read ahead over, and its
+    rolling digest: key, and cells sealed and opened so far."""
 
-    __slots__ = ("_cipher", "_source", "_output", "_next", "_unread")
+    __slots__ = ("_cipher", "_source", "_output", "_next", "_unread",
+                 "_digest_key", "_send_seq", "_recv_seq")
 
-    def __init__(self, key: bytes, nonce: bytes) -> None:
+    def __init__(self, key: bytes, nonce: bytes, digest_key: bytes) -> None:
         self._cipher = StreamCipher(key, nonce=nonce)
         self._source: list[bytes] | None = None  # train being read ahead
         self._output: list[bytes] | None = None  # the same cells, crypted
         self._next = 0                  # first cell of it not yet handed out
         self._unread = b""              # keystream an abandon gave back
+        self._digest_key = digest_key
+        self._send_seq = self._recv_seq = 0
 
     def _abandon(self) -> None:
         rest = slice(self._next, None)
@@ -128,13 +132,12 @@ class HopCrypto:
     backward).
     """
 
+    __slots__ = ("_fwd", "_bwd")
+
     # ``fast`` is ignored: benchmarks/suite/drills.py passes it.
     def __init__(self, keys: CircuitKeys, fast: bool = False) -> None:
-        self._fwd = _Direction(keys.kf, b"layer-f")
-        self._bwd = _Direction(keys.kb, b"layer-b")
-        self._digest_keys = {FORWARD: keys.df, BACKWARD: keys.db}
-        self._send_seq = {FORWARD: 0, BACKWARD: 0}
-        self._recv_seq = {FORWARD: 0, BACKWARD: 0}
+        self._fwd = _Direction(keys.kf, b"layer-f", keys.df)
+        self._bwd = _Direction(keys.kb, b"layer-b", keys.db)
 
     # -- layer cipher -----------------------------------------------------
 
@@ -185,8 +188,8 @@ class HopCrypto:
                   command: RelayCommand = RelayCommand.DATA) -> list[bytes]:
         """Pack ``(stream_id, data)`` relay cells, in order, each with the
         next send digest for ``direction``: one pass over the burst."""
-        key = self._digest_keys[direction]
-        seq = self._send_seq[direction]
+        state = self._fwd if direction == FORWARD else self._bwd
+        key, seq = state._digest_key, state._send_seq
         sealed = []
         for stream_id, data in cells:
             buf = pack_relay(command, stream_id, data)
@@ -196,7 +199,7 @@ class HopCrypto:
             buf[4:8] = digest.digest()[:4]
             sealed.append(bytes(buf))
             seq += 1
-        self._send_seq[direction] = seq
+        state._send_seq = seq
         return sealed
 
     def seal_payload(self, cell: RelayCellPayload, direction: str) -> bytes:
@@ -211,8 +214,9 @@ class HopCrypto:
         so pass-through cells never desynchronise the digest chain."""
         if len(payload) != RELAY_PAYLOAD_SIZE or payload[0] or payload[1]:
             return None
-        seq = self._recv_seq[direction]
-        digest = sha256(self._digest_keys[direction])
+        state = self._fwd if direction == FORWARD else self._bwd
+        seq = state._recv_seq
+        digest = sha256(state._digest_key)
         digest.update(seq.to_bytes(8, "big"))
         digest.update(payload[:4])
         digest.update(ZERO_DIGEST)
@@ -223,7 +227,7 @@ class HopCrypto:
             parsed = RelayCellPayload.unpack(payload)
         except ProtocolError:
             return None
-        self._recv_seq[direction] = seq + 1
+        state._recv_seq = seq + 1
         return parsed
 
 

@@ -140,6 +140,11 @@ class ExitStream:
 class CircuitEntry:
     """One relay's state for one circuit passing through it."""
 
+    __slots__ = ("chan_prev", "circ_id_prev", "crypto", "chan_next",
+                 "circ_id_next", "streams", "joined", "intro_for",
+                 "rend_cookie", "package_window", "forward_count",
+                 "destroyed")
+
     def __init__(self, chan_prev: "_Channel", circ_id_prev: int,
                  crypto: HopCrypto) -> None:
         self.chan_prev = chan_prev
@@ -158,6 +163,8 @@ class CircuitEntry:
 
 class _Channel:
     """One OR connection at a relay, and the circuits it carries."""
+
+    __slots__ = ("relay", "conn", "dialed", "circuits", "pending")
 
     def __init__(self, relay: "Relay", conn: Connection,
                  dialed: Optional[str] = None) -> None:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ctypes
-from typing import Iterator
 
 # The C API's way to make a bytes object for C code to fill in: with a NULL
 # source a non-empty one is always a fresh object, and nothing else holds it
@@ -45,30 +44,3 @@ def int_to_bytes(value: int, length: int | None = None) -> bytes:
 def int_from_bytes(data: bytes) -> int:
     """Decode a big-endian unsigned integer."""
     return int.from_bytes(data, "big")
-
-
-def chunk_bytes(data: bytes, size: int) -> Iterator[bytes]:
-    """Yield consecutive chunks of ``data``, each at most ``size`` bytes.
-
-    The final chunk may be shorter.  ``size`` must be positive.
-    """
-    if size <= 0:
-        raise ValueError("chunk size must be positive")
-    for offset in range(0, len(data), size):
-        yield data[offset:offset + size]
-
-
-def pad_to_multiple(data: bytes, multiple: int, filler: bytes = b"\x00") -> bytes:
-    """Pad ``data`` with ``filler`` bytes up to the next multiple of ``multiple``.
-
-    Data whose length is already an exact multiple is returned unchanged.
-    ``filler`` must be a single byte.
-    """
-    if multiple <= 0:
-        raise ValueError("pad multiple must be positive")
-    if len(filler) != 1:
-        raise ValueError("filler must be a single byte")
-    remainder = len(data) % multiple
-    if remainder == 0:
-        return data
-    return data + filler * (multiple - remainder)

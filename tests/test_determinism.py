@@ -99,20 +99,30 @@ def _digest(result) -> str:
 # migrate-handoff and qos-flash only KvStore sessions' ``done`` times
 # moved, by 6-7 us each.  The two chaos-soak pins were recorded once when
 # the soak became a pair of presets; they replace the soak's own digest.
+# Re-recorded once when a refused EXTEND (END on stream 0) began to fail
+# its build at once instead of after the 120 s timeout
+# (tests/regressions/test_extend_refused.py): in chaos-soak and
+# chaos-soak-standby three cdn and both vault sessions finish sooner (vault
+# 374 -> 16.5 s) and conns_torn_down rises by 3; in cross-plane one cdn
+# session takes 15.0 s, not 74.7; every outcome is unchanged.  In
+# metrics.txt only perf_events_processed / _scheduled fell, 163 -> 161 and
+# 166 -> 164: each EXTEND's refusal waiter is withdrawn once EXTENDED
+# answers, so the circuit's teardown no longer rejects two stale waiters,
+# each of which woke a callback that did nothing.
 TRACE_REPORT_SHA256 = {
     "events.jsonl": "f7d4d059d7a83b49e5a6688b60869a76d6741ed57e93e9db4cca2ff168c7b67a",
     "trace.json": "a854cf2778bfa3d6ca66bf23e186eaccb7a0e44692ada74aacc59f2fd69df9ef",
-    "metrics.txt": "bfff24dc219e3e7b94649d485888c86046e6cf333744d431f7a8803c84652c15",
+    "metrics.txt": "58785a2797fcf7e1edc40f1fe406f5801676772f79a8d1c2bbd8a9c16e52011c",
 }
 PRESET_SHA256 = {
     "qos-flash": "451b436f280eb6e03fd0616b930c29a4b941e84bd34cd29908b25f134b06dca9",
     "chaos-recovery": "e73834262ec58ac60ca2bae636fe1b3de290fa1e57a4ccedf6f9b12e7fb4f01a",
     "migrate-handoff": "effcebcdb35341ea41567d0292cc851ceb78a0ac3af9e27bca9533fe7310483e",
     "ddos-burst": "002481dd94eaffdf37d86b433787cf0a26e1c83475a75970ce00092ed8061361",
-    "cross-plane": "26812d89b010aa1f11a21c7648f40af6bf0be852547fa6dda0def6cc46d428df",
+    "cross-plane": "a6550d6e2c6632596d007f210ae7a3ca02f90fb4d84929a8d5d0f29139a37120",
     "chain-pipeline": "309dcfed8425adeceafc647c0c9687ee824f85637b70b68d8596d40e9abad8ca",
-    "chaos-soak": "33d1780fc51cb852d009c4a7b7016c3adbf13ec012810afdc36b340a0472fac7",
-    "chaos-soak-standby": "b464a49512b9c0acd2a7d8815bd21104503964ef454bac5815c1b04fd9d15701",
+    "chaos-soak": "31950393c1131c262b751589c51e6d5f7f8a6f6e0f053867087c9027657c15b1",
+    "chaos-soak-standby": "294d2048d2ffd8419499aba8bdfbf43ba53c87b072ad014fb2cd7e1fa67c3b32",
 }
 
 

@@ -165,14 +165,19 @@ def _reference_open(hop, payload, direction):
         return None
     zeroed = bytearray(payload)
     zeroed[4:8] = b"\x00\x00\x00\x00"
-    seq = hop._recv_seq[direction]
-    digest = hashlib.sha256(hop._digest_keys[direction])
+    state = hop._fwd if direction == FORWARD else hop._bwd
+    seq = state._recv_seq
+    digest = hashlib.sha256(state._digest_key)
     digest.update(seq.to_bytes(8, "big"))
     digest.update(zeroed)
     if digest.digest()[:4] != parsed.digest:
         return None
-    hop._recv_seq[direction] = seq + 1
+    state._recv_seq = seq + 1
     return parsed
+
+
+def _recv_seqs(hop):
+    return hop._fwd._recv_seq, hop._bwd._recv_seq
 
 
 def _digest_of(key: bytes, seq: int, body: bytes) -> bytes:
@@ -208,7 +213,8 @@ class TestOpenPayloadReference:
                 body[8:10] = max(value, RELAY_DATA_SIZE + 1).to_bytes(2, "big")
             elif mutation == "command":
                 body[10] = value % 256
-            seq = reference._recv_seq[direction]
+            seq = (reference._fwd if direction == FORWARD
+                   else reference._bwd)._recv_seq
             if mutation == "seq":
                 seq += 1 + value % 3
             body[4:8] = _digest_of(key, seq, body if redigest else sound)
@@ -220,4 +226,4 @@ class TestOpenPayloadReference:
             payload = bytes(body)
             assert (opened.open_payload(payload, direction)
                     == _reference_open(reference, payload, direction))
-            assert opened._recv_seq == reference._recv_seq
+            assert _recv_seqs(opened) == _recv_seqs(reference)

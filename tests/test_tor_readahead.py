@@ -296,7 +296,8 @@ def _peel_equals_per_cell(schedule) -> None:
                       else _per_cell(hops, payload)
                       for payload, train, index in arrivals]
         runs.append((dispatched, counters.cells_crypted,
-                     [hop._recv_seq for hop in hops],
+                     [(hop._fwd._recv_seq, hop._bwd._recv_seq)
+                      for hop in hops],
                      [hop.crypt_backward(bytes(RELAY_PAYLOAD_SIZE))
                       for hop in hops]))
     assert runs[0] == runs[1]

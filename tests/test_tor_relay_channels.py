@@ -20,7 +20,7 @@ from repro.netsim.simulator import Sleep
 from repro.tor import ntor
 from repro.tor.cell import (CELL_SIZE, RELAY_DATA_SIZE, Cell, CellCommand,
                             RelayCellPayload, RelayCommand)
-from repro.tor.layercrypto import BACKWARD
+from repro.tor.layercrypto import BACKWARD, HopCrypto
 from repro.tor.testnet import TorTestNetwork
 from repro.util.serialization import canonical_decode, canonical_encode
 
@@ -44,6 +44,10 @@ def _destroy(rig, circ_id):
         yield Sleep(2.0)
 
     rig.sim.run_until_done(rig.sim.spawn(main))
+
+
+def _recv_seqs(hop):
+    return hop._fwd._recv_seq, hop._bwd._recv_seq
 
 
 def _conn(relay, peer):
@@ -155,7 +159,8 @@ class TestRendezvousCookies:
 
 
 class TestRecognisedBytesOnlySkip:
-    def test_zero_bytes_with_a_wrong_digest_are_still_forwarded(self):
+    def test_zero_bytes_with_a_wrong_digest_are_still_forwarded(
+            self, monkeypatch):
         """A cell that peels to ``00 00`` at the middle hop but fails its
         digest there is not the middle hop's: it goes through parse and
         digest, moves no counter, and travels on to the exit."""
@@ -173,10 +178,16 @@ class TestRecognisedBytesOnlySkip:
             middle._send_cell = lambda conn, cell: (
                 forwarded.append((conn.peer_of(middle.node), cell.command)),
                 send(conn, cell))
-            opened, open_payload = [], entry.crypto.open_payload
-            entry.crypto.open_payload = lambda payload, direction: (
-                opened.append(payload[:2]), open_payload(payload, direction))[1]
-            before = dict(entry.crypto._recv_seq)
+            # A HopCrypto has slots: spy on the class, for this hop only.
+            opened, open_payload = [], HopCrypto.open_payload
+
+            def spy(hop, payload, direction):
+                if hop is entry.crypto:
+                    opened.append(payload[:2])
+                return open_payload(hop, payload, direction)
+
+            monkeypatch.setattr(HopCrypto, "open_payload", spy)
+            before = _recv_seqs(entry.crypto)
 
             payload = RelayCellPayload(RelayCommand.DROP, 0, b"").pack(
                 digest=b"\xde\xad\xbe\xef")
@@ -187,7 +198,7 @@ class TestRecognisedBytesOnlySkip:
             yield Sleep(3.0)
 
             assert opened == [b"\x00\x00"]              # it was looked at,
-            assert entry.crypto._recv_seq == before     # found wanting,
+            assert _recv_seqs(entry.crypto) == before   # found wanting,
             assert forwarded == [(exit_.node, CellCommand.RELAY)]   # passed on
             # ... to the exit, which cannot place it and answers DESTROY.
             assert circuit.destroyed
@@ -218,24 +229,21 @@ class _FrameCounter:
         self.entry = {}         # code of a handler -> name of its conn argument
         self.cells = {}         # (handler's self, conn) -> cells handled
         self.frames = {}        # the same key -> frames under repro/tor/
+        # (receiver, conn) -> the key, taken here: a closed circuit has
+        # let go of its handler by the time count() is asked.
+        self.keys = {}
         self.depth, self.key = 0, None
         for receiver, conn in arriving:
-            code = self._handler(receiver, conn).__func__.__code__
+            handler = conn.endpoint_of(receiver.node).on_message
+            code = handler.__func__.__code__
             self.entry[code] = code.co_varnames[1]
-            key = self._key(receiver, conn)
+            # A connection has two ends: the handler's owner says which.
+            key = self.keys[receiver, conn] = id(handler.__self__), conn
             self.cells[key] = self.frames[key] = 0
-
-    @staticmethod
-    def _handler(receiver, conn):
-        return conn.endpoint_of(receiver.node).on_message
-
-    def _key(self, receiver, conn):
-        # A connection has two ends: the handler's owner says which.
-        return id(self._handler(receiver, conn).__self__), conn
 
     def count(self, receiver, conn):
         """(cells handled, frames spent) by ``receiver`` on cells from ``conn``."""
-        key = self._key(receiver, conn)
+        key = self.keys[receiver, conn]
         return self.cells[key], self.frames[key]
 
     def __call__(self, frame, event, _arg):

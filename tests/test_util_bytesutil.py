@@ -3,13 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.util.bytesutil import (
-    chunk_bytes,
-    int_from_bytes,
-    int_to_bytes,
-    pad_to_multiple,
-    xor_bytes,
-)
+from repro.util.bytesutil import int_from_bytes, int_to_bytes, xor_bytes
 
 
 class TestXorBytes:
@@ -47,44 +41,3 @@ class TestIntCoding:
     @given(st.integers(min_value=0, max_value=2**256))
     def test_roundtrip(self, value):
         assert int_from_bytes(int_to_bytes(value)) == value
-
-
-class TestChunkBytes:
-    def test_exact_division(self):
-        assert list(chunk_bytes(b"abcdef", 2)) == [b"ab", b"cd", b"ef"]
-
-    def test_remainder_chunk(self):
-        assert list(chunk_bytes(b"abcde", 2)) == [b"ab", b"cd", b"e"]
-
-    def test_empty_input(self):
-        assert list(chunk_bytes(b"", 4)) == []
-
-    def test_bad_size(self):
-        with pytest.raises(ValueError):
-            list(chunk_bytes(b"abc", 0))
-
-    @given(st.binary(max_size=500), st.integers(min_value=1, max_value=64))
-    def test_reassembly(self, data, size):
-        assert b"".join(chunk_bytes(data, size)) == data
-
-
-class TestPadToMultiple:
-    def test_already_aligned(self):
-        assert pad_to_multiple(b"abcd", 4) == b"abcd"
-
-    def test_pads_up(self):
-        assert pad_to_multiple(b"abc", 4) == b"abc\x00"
-
-    def test_empty_stays_empty(self):
-        assert pad_to_multiple(b"", 8) == b""
-
-    def test_custom_filler(self):
-        assert pad_to_multiple(b"a", 3, filler=b"x") == b"axx"
-
-    def test_bad_filler(self):
-        with pytest.raises(ValueError):
-            pad_to_multiple(b"a", 3, filler=b"xy")
-
-    @given(st.binary(max_size=300), st.integers(min_value=1, max_value=50))
-    def test_result_is_multiple(self, data, multiple):
-        assert len(pad_to_multiple(data, multiple)) % multiple == 0
