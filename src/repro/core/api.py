@@ -49,6 +49,7 @@ from repro.obs.span import TRACER as _obs
 from repro.sandbox.seccomp import SeccompViolation
 from repro.stemlib.firewall import StemFirewall
 from repro.tor.circuit import CircuitDestroyed
+from repro.tor.client import TorError
 from repro.util.errors import ReproError
 
 
@@ -84,7 +85,8 @@ class NotFound(Error):
 #: Internal class -> the name a function catches it by.  Anything else
 #: (``FunctionKilled`` above all) passes through unchanged.
 _VOCABULARY = {SimTimeoutError: Timeout, NetworkError: PeerGone,
-               ConnectionClosed: PeerGone, CircuitDestroyed: PeerGone}
+               ConnectionClosed: PeerGone, CircuitDestroyed: PeerGone,
+               TorError: PeerGone}
 
 
 def speaks_vocabulary(cls):

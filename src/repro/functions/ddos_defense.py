@@ -67,7 +67,10 @@ def guarded_service(difficulty_bits, duration_s, poll_interval):
         nonce = extra.get("pow_nonce")
         if isinstance(nonce, int) and _pow_ok(request["cookie"], nonce,
                                               difficulty_bits):
-            yield from api.stem.complete_rendezvous(service, request)
+            try:
+                yield from api.stem.complete_rendezvous(service, request)
+            except api.PeerGone:
+                continue      # a refused rendezvous: one lost introduction
             accepted += 1
         else:
             rejected += 1     # no rendezvous: the attacker burned an intro

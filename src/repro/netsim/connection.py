@@ -343,7 +343,7 @@ class LoopbackConnection:
         self.closed = True
         self.initiator.connections.pop(self, None)
         self._endpoint._notify_close(self)
-        peer = self._peer
+        peer, self._peer = self._peer, None   # a closed side holds no peer
         if peer is not None and not peer.closed:
             peer.close()
 

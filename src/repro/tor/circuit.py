@@ -19,7 +19,7 @@ import itertools
 from typing import Callable, Optional
 
 from repro.netsim.connection import Connection, ConnectionClosed
-from repro.netsim.simulator import Actor, Future, Wait
+from repro.netsim.simulator import Actor, Future
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.tor.cell import (
@@ -56,21 +56,50 @@ class CircuitDestroyed(ReproError):
     """Raised when using a circuit that has been torn down."""
 
 
-def _drop_cell(_conn: Connection, _payload: object, _size: int) -> None:
-    """A torn-down circuit's guard endpoint: a late cell ends here."""
+class GuardChannel:
+    """A client's connection to one guard, and the circuits it carries:
+    a cell goes to the circuit its id names in ``circuits`` (none: it is
+    dropped unpeeled).  The connection closes with the last circuit, and
+    its close tears down every circuit on it."""
+
+    __slots__ = ("client", "conn", "key", "circuits")
+
+    def __init__(self, client, conn: Connection, key: tuple[str, int]) -> None:
+        self.client, self.conn, self.key = client, conn, key
+        self.circuits: dict[int, Circuit] = {}
+        client._channels[key] = self
+        endpoint = conn.endpoint_of(client.node)
+        endpoint.on_message, endpoint.on_close = self.on_cell, self.on_close
+
+    def on_cell(self, _conn: Connection, cell: object, _size: int) -> None:
+        if not isinstance(cell, Cell):
+            return
+        circuit = self.circuits.get(cell.circ_id)
+        if circuit is None:
+            return  # a late cell for a torn-down circuit
+        if cell.command == _RELAY:
+            circuit._process_relay(cell)
+        else:
+            circuit._on_cell(cell)
+
+    def on_close(self, _conn: Connection) -> None:
+        if self.client._channels.get(self.key) is self:
+            del self.client._channels[self.key]
+        for circuit in list(self.circuits.values()):
+            circuit._teardown()
 
 
 class Circuit:
     """One built circuit and everything multiplexed over it."""
 
-    def __init__(self, owner, conn: Connection, circ_id: int,
+    def __init__(self, owner, channel: GuardChannel, circ_id: int,
                  path: list[RelayDescriptor]) -> None:
         from repro.tor.stream import TorStream  # cycle: stream needs Circuit
 
         self._stream_cls = TorStream
         self.owner = owner              # the TorClient that built this circuit
         self.sim = owner.sim
-        self.conn = conn
+        self.channel, self.conn = channel, channel.conn
         self.circ_id = circ_id
         self.path = list(path)
         self.hops: list[HopCrypto] = []
@@ -81,7 +110,6 @@ class Circuit:
         self.streams: dict[int, "TorStream"] = {}
         self.on_begin: Optional[Callable[["TorStream", str, int], None]] = None
         self.on_introduce2: Optional[Callable[[bytes], None]] = None
-        self.on_destroy: Optional[Callable[["Circuit"], None]] = None
         self._stream_ids = itertools.count(1)
         self._created_waiter: Optional[Future] = None
         self._control_waiters: dict[RelayCommand, list[Future]] = {}
@@ -91,19 +119,10 @@ class Circuit:
         self._pending_data = Fragments()
         self._delivered_forward = 0     # received DATA cells, for SENDMEs
         self.cells_sent = 0
-        self.cells_received = 0
+        channel.circuits[circ_id] = self
+        owner.circuits.append(self)
 
     # -- wiring ------------------------------------------------------------
-
-    def attach_connection(self) -> None:
-        """Point the guard connection's receive path at this circuit."""
-        endpoint = self.conn.endpoint_of(self.owner.node)
-        endpoint.on_message = self._on_message
-        endpoint.on_close = lambda _conn: self._teardown(notify=False)
-
-    def add_hop(self, crypto: HopCrypto) -> None:
-        """Record a freshly negotiated hop (during build)."""
-        self.hops.append(crypto)
 
     def attach_hs(self, crypto: HopCrypto, role: str) -> None:
         """Attach the end-to-end hidden-service layer after rendezvous."""
@@ -150,7 +169,7 @@ class Circuit:
             self.conn.send(self.owner.node, cell, size=CELL_SIZE)
             self.cells_sent += 1
         except ConnectionClosed:
-            self._teardown(notify=False)
+            self._teardown()
             raise CircuitDestroyed("guard connection closed") from None
 
     # -- stream data with flow control -------------------------------------------
@@ -216,11 +235,6 @@ class Circuit:
             self._control_waiters.setdefault(command, []).append(future)
         return future
 
-    def wait_control(self, thread: Actor, command: RelayCommand,
-                     timeout: Optional[float] = 120.0) -> dict:
-        """Blocking form of :meth:`expect_control`."""
-        return (yield Wait(self.expect_control(command), timeout))
-
     def withdraw_control(self, command: RelayCommand, future: Future) -> None:
         """Forget a waiter :meth:`expect_control` made that is not wanted."""
         if future in self._control_waiters.get(command, ()):
@@ -235,20 +249,15 @@ class Circuit:
 
     # -- receiving ---------------------------------------------------------------
 
-    def _on_message(self, _conn: Connection, payload: object, _size: int) -> None:
-        if not isinstance(payload, Cell) or payload.circ_id != self.circ_id:
-            return
-        cell = payload
-        self.cells_received += 1
-        if cell.command == _RELAY:
-            self._process_relay(cell)
-        elif cell.command == CellCommand.CREATED:
+    def _on_cell(self, cell: Cell) -> None:
+        """A cell other than RELAY, from this circuit's channel."""
+        if cell.command == CellCommand.CREATED:
             # Taken, so the circuit does not keep the reply once keyed.
             waiter, self._created_waiter = self._created_waiter, None
             if waiter is not None and not waiter.done:
                 waiter.resolve(cell.payload)
         elif cell.command == CellCommand.DESTROY:
-            self._teardown(notify=False)
+            self._teardown()
 
     def _process_relay(self, cell: Cell) -> None:
         hop, parsed, payload = self._peel.open(cell.payload, cell.train,
@@ -369,15 +378,13 @@ class Circuit:
         """Destroy the circuit (sends DESTROY toward the guard)."""
         if self.destroyed:
             return
-        try:
+        if not self.conn.closed:
             self.conn.send(self.owner.node,
                            Cell(self.circ_id, CellCommand.DESTROY, b""),
                            size=CELL_SIZE)
-        except ConnectionClosed:
-            pass
-        self._teardown(notify=False)
+        self._teardown()
 
-    def _teardown(self, notify: bool) -> None:
+    def _teardown(self) -> None:
         if self.destroyed:
             return
         self.destroyed = True
@@ -391,15 +398,8 @@ class Circuit:
                 if not waiter.done:
                     waiter.reject(CircuitDestroyed("circuit destroyed"))
         self._control_waiters.clear()
-        # Let go of the guard endpoint, which would keep us, our hops and
-        # owner reachable; the connection stays open for DESTROY in flight.
-        endpoint = self.conn.endpoint_of(self.owner.node)
-        if endpoint.on_message == self._on_message:
-            endpoint.on_message, endpoint.on_close = _drop_cell, None
-        # Drop ourselves from the owner's live-circuit list so rebuilds
-        # don't accumulate dead circuits (close_all copes either way).
-        owner_circuits = getattr(self.owner, "circuits", None)
-        if owner_circuits is not None and self in owner_circuits:
-            owner_circuits.remove(self)
-        if self.on_destroy is not None:
-            self.on_destroy(self)
+        self.owner.circuits.remove(self)
+        channel = self.channel
+        del channel.circuits[self.circ_id]
+        if not channel.circuits:
+            channel.conn.close()

@@ -21,7 +21,8 @@ from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
 from repro.tor import ntor
 from repro.tor.cell import RelayCommand
-from repro.tor.circuit import HS_CLIENT, Circuit, CircuitDestroyed
+from repro.tor.circuit import (HS_CLIENT, Circuit, CircuitDestroyed,
+                                GuardChannel)
 from repro.tor.descriptor import RelayDescriptor
 from repro.tor.directory import Consensus, DirectoryAuthority
 from repro.tor.layercrypto import HopCrypto
@@ -80,7 +81,8 @@ class TorClient:
         # the same choices every time).
         self._path_rng = self._rng.fork("paths")
         self._circ_ids = itertools.count(1)
-        self.circuits: list[Circuit] = []
+        self.circuits: list[Circuit] = []      # each live one, built or building
+        self._channels: dict[tuple[str, int], GuardChannel] = {}  # by guard
         # Relays implicated in recent build failures: fp -> sim time noted.
         self.failed_relays: dict[str, float] = {}
         # The last consensus object this client verified.  The authority
@@ -176,65 +178,69 @@ class TorClient:
                 raise TorError("empty circuit path")
 
             guard = path[0]
+            key = (guard.address, guard.or_port)
+            channel = self._channels.get(key)
+            if channel is None:     # live: a channel leaves the cache on close
+                try:
+                    conn = yield from self.network.connect_blocking(
+                        thread, self.node, guard.address, guard.or_port,
+                        timeout=timeout)
+                except (NetworkError, SimTimeoutError):
+                    self.note_relay_failure(guard.identity_fp)
+                    raise
+                channel = GuardChannel(self, conn, key)
+            circuit = Circuit(self, channel, next(self._circ_ids), path)
             try:
-                conn = yield from self.network.connect_blocking(
-                    thread, self.node, guard.address, guard.or_port, timeout=timeout)
-            except (NetworkError, SimTimeoutError):
-                self.note_relay_failure(guard.identity_fp)
-                raise
-            circuit = Circuit(self, conn, next(self._circ_ids), path)
-            circuit.attach_connection()
-
-            # First hop: CREATE/CREATED.
-            state = ntor.NtorClientState(
-                self._rng.fork(f"ntor:{circuit.circ_id}:0"), guard.identity_fp)
-            try:
-                created = circuit.send_raw_create(state.onionskin)
-                reply = yield Wait(created, timeout)
-            except (SimTimeoutError, CircuitDestroyed):
-                self.note_relay_failure(guard.identity_fp)
+                yield from self._handshake(circuit, timeout)
+            except Exception:   # not GeneratorExit: a collected build sends nothing
                 circuit.close()
                 raise
-            circuit.add_hop(HopCrypto(state.finish(reply[:ntor.REPLY_LEN])))
-
-            # Remaining hops: EXTEND/EXTENDED through the partial circuit.
-            for position, relay in enumerate(path[1:], start=1):
-                state = ntor.NtorClientState(
-                    self._rng.fork(f"ntor:{circuit.circ_id}:{position}"),
-                    relay.identity_fp)
-                request = canonical_encode({
-                    "address": relay.address,
-                    "port": relay.or_port,
-                    "onionskin": state.onionskin,
-                })
-                try:
-                    # A hop that cannot extend answers END on stream 0.  The
-                    # first answer wakes the build, and the other waiter is
-                    # withdrawn: each refusal answers the EXTEND it refuses.
-                    extended = circuit.expect_control(RelayCommand.EXTENDED)
-                    refused = circuit.expect_control(RelayCommand.END)
-                    circuit.send_relay(RelayCommand.EXTEND, 0, request)
-                    race = Future(self.sim)
-                    extended.add_done_callback(_first_answer, race)
-                    refused.add_done_callback(_first_answer, race)
-                    if (yield Wait(race, timeout)) is refused:
-                        self.note_relay_failure(relay.identity_fp)
-                        circuit.close()
-                        raise TorError(f"extend to {relay.nickname} failed")
-                    circuit.withdraw_control(RelayCommand.END, refused)
-                    info = extended.result()
-                except (SimTimeoutError, CircuitDestroyed):
-                    # A dead hop (or a cut link to it) swallows the EXTEND or
-                    # kills the partial circuit; blame the hop being added.
-                    self.note_relay_failure(relay.identity_fp)
-                    circuit.close()
-                    raise
-                circuit.add_hop(HopCrypto(state.finish(info["data"][:ntor.REPLY_LEN])))
-
-            self.circuits.append(circuit)
             span.annotate(circ_id=circuit.circ_id, hops=len(circuit.path),
                           guard=circuit.path[0].nickname)
         return circuit
+
+    def _handshake(self, circuit: Circuit, timeout: float):
+        """CREATE, then EXTEND hop by hop; each failure blames its relay."""
+        guard = circuit.path[0]
+        state = ntor.NtorClientState(
+            self._rng.fork(f"ntor:{circuit.circ_id}:0"), guard.identity_fp)
+        try:
+            reply = yield Wait(circuit.send_raw_create(state.onionskin), timeout)
+        except (SimTimeoutError, CircuitDestroyed):
+            self.note_relay_failure(guard.identity_fp)
+            raise
+        circuit.hops.append(HopCrypto(state.finish(reply[:ntor.REPLY_LEN])))
+
+        for position, relay in enumerate(circuit.path[1:], start=1):
+            state = ntor.NtorClientState(
+                self._rng.fork(f"ntor:{circuit.circ_id}:{position}"),
+                relay.identity_fp)
+            request = canonical_encode({
+                "address": relay.address,
+                "port": relay.or_port,
+                "onionskin": state.onionskin,
+            })
+            try:
+                # A hop that cannot extend answers END on stream 0.  The
+                # first answer wakes the build, and the other waiter is
+                # withdrawn: each refusal answers the EXTEND it refuses.
+                extended = circuit.expect_control(RelayCommand.EXTENDED)
+                refused = circuit.expect_control(RelayCommand.END)
+                circuit.send_relay(RelayCommand.EXTEND, 0, request)
+                race = Future(self.sim)
+                extended.add_done_callback(_first_answer, race)
+                refused.add_done_callback(_first_answer, race)
+                if (yield Wait(race, timeout)) is refused:
+                    self.note_relay_failure(relay.identity_fp)
+                    raise TorError(f"extend to {relay.nickname} failed")
+                circuit.withdraw_control(RelayCommand.END, refused)
+                info = extended.result()
+            except (SimTimeoutError, CircuitDestroyed):
+                # A dead hop (or a cut link to it) swallows the EXTEND or
+                # kills the partial circuit; blame the hop being added.
+                self.note_relay_failure(relay.identity_fp)
+                raise
+            circuit.hops.append(HopCrypto(state.finish(info["data"][:ntor.REPLY_LEN])))
 
     def build_circuit_with_retry(self, thread: Actor, attempts: int = 3,
                                  backoff_s: float = 1.0,
@@ -387,8 +393,8 @@ class TorClient:
 
             # 3. Wait for the service at the rendezvous point.
             try:
-                rend2 = yield from rend_circuit.wait_control(
-                    thread, RelayCommand.RENDEZVOUS2, timeout=timeout)
+                rend2 = yield Wait(rend_circuit.expect_control(
+                    RelayCommand.RENDEZVOUS2), timeout)
                 (reply,) = decode_request(rend2["data"], blob=bytes)
             except (SimTimeoutError, CircuitDestroyed, ProtocolError):
                 rend_circuit.close()
@@ -404,11 +410,3 @@ class TorClient:
                   payload: bytes = b"") -> None:
         """Send one RELAY_DROP (padding) cell to a chosen hop."""
         circuit.send_relay(RelayCommand.DROP, 0, payload, hop_index=hop_index)
-
-    # -- teardown ----------------------------------------------------------------------
-
-    def close_all(self) -> None:
-        """Destroy every circuit this client built."""
-        for circuit in list(self.circuits):
-            circuit.close()
-        self.circuits.clear()

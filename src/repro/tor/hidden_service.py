@@ -8,7 +8,7 @@ handshake, and hands accepted streams to the service's handler.
 The LoadBalancer function (§8) subverts exactly one step of this flow:
 instead of connecting to the rendezvous point itself, it instructs a
 *replica* (which holds a copy of the service key material) to do so.
-:meth:`HiddenService.delegate_rendezvous` exposes that seam.
+:meth:`HiddenService.complete_rendezvous` is that seam.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from typing import Callable, Optional
 
 from repro.crypto.aead import AeadKey
 from repro.crypto.rsa import RsaKeyPair
-from repro.netsim.simulator import Actor, Wait
+from repro.netsim.simulator import Actor, Future, Wait
 from repro.tor import ntor
 from repro.tor.cell import RelayCommand
 from repro.tor.circuit import HS_SERVICE, Circuit
@@ -125,14 +125,12 @@ class HiddenService:
             if self._intro_waiter is not None and not self._intro_waiter.done:
                 self._intro_waiter.resolve(None)
             return
-        self.sim.spawn(self._rendezvous_worker, request,
+        self.sim.spawn(self.complete_rendezvous, request,
                        name=f"hs-rend:{self.onion_address[:8]}")
 
     def wait_introduction(self, thread: Actor,
                           timeout: Optional[float] = None) -> dict:
         """Block until an introduction arrives (manual mode only)."""
-        from repro.netsim.simulator import Future
-
         if not self.manual_introductions:
             raise HiddenServiceError("service is not in manual-introduction mode")
         while not self.introduction_queue:
@@ -144,9 +142,6 @@ class HiddenService:
     def export_key_material(self) -> dict:
         """The service identity for replica cloning (§8.2)."""
         return self.keypair.export_parts()
-
-    def _rendezvous_worker(self, thread: Actor, request: dict):
-        yield from self.complete_rendezvous(thread, request)
 
     def complete_rendezvous(self, thread: Actor, request: dict,
                             timeout: float = 240.0) -> Circuit:

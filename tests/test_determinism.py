@@ -109,20 +109,35 @@ def _digest(result) -> str:
 # 166 -> 164: each EXTEND's refusal waiter is withdrawn once EXTENDED
 # answers, so the circuit's teardown no longer rejects two stale waiters,
 # each of which woke a callback that did nothing.
+# Re-recorded once when a client began to keep one channel per guard,
+# closed with its last circuit, and the DDoS defense began to survive a
+# refused rendezvous.  In the trace report the client's guard
+# connection span now ends (3.378 s) instead of staying open, the box's
+# core.session span ends at 3.504 s, not 3.582 s (the guard's close
+# handler destroys the circuit at once), and the cells still in flight
+# on the closed connection are dropped: cells_crypted fwd 48 -> 45,
+# chunks 120 -> 116, events processed / scheduled 161 -> 157 and
+# 164 -> 160.  In the presets every outcome is unchanged: chaos-soak's
+# conns_torn_down falls 52 -> 40 and 7 of its 8 cdn sessions finish up
+# to 0.27 s sooner; chaos-soak-standby's falls 53 -> 35 and its retries
+# 15 -> 13, one cdn download finishes 77.9 s sooner and the two vault
+# sessions up to 0.21 s later; in cross-plane 2 cdn and 5 guard
+# sessions, and in ddos-burst 8 guard sessions, finish up to 2.9 s
+# sooner (a circuit to an open guard channel skips the dial).
 TRACE_REPORT_SHA256 = {
-    "events.jsonl": "f7d4d059d7a83b49e5a6688b60869a76d6741ed57e93e9db4cca2ff168c7b67a",
-    "trace.json": "a854cf2778bfa3d6ca66bf23e186eaccb7a0e44692ada74aacc59f2fd69df9ef",
-    "metrics.txt": "58785a2797fcf7e1edc40f1fe406f5801676772f79a8d1c2bbd8a9c16e52011c",
+    "events.jsonl": "f2a6c22983d014dcf08d483d7fed0a8ec24eaae030a53a2a29cedd6c68245b69",
+    "trace.json": "0cd1a6ff7f1ccd091ecd281739f647d594d24b94d6499fae8cbd96ea240089b3",
+    "metrics.txt": "3a85b94028359adac1010ac0074c717994045abce36499cce9763331126cd144",
 }
 PRESET_SHA256 = {
     "qos-flash": "451b436f280eb6e03fd0616b930c29a4b941e84bd34cd29908b25f134b06dca9",
     "chaos-recovery": "e73834262ec58ac60ca2bae636fe1b3de290fa1e57a4ccedf6f9b12e7fb4f01a",
     "migrate-handoff": "effcebcdb35341ea41567d0292cc851ceb78a0ac3af9e27bca9533fe7310483e",
-    "ddos-burst": "002481dd94eaffdf37d86b433787cf0a26e1c83475a75970ce00092ed8061361",
-    "cross-plane": "a6550d6e2c6632596d007f210ae7a3ca02f90fb4d84929a8d5d0f29139a37120",
+    "ddos-burst": "3c609470a31fc212bc82520faeccd99106f20bafe8ddead09fa28d93391d73f3",
+    "cross-plane": "d3e5e9a89aa384e5ae1c9094b2bb91ec94a5d40fe60aff5b076c8dff7fbf85c4",
     "chain-pipeline": "309dcfed8425adeceafc647c0c9687ee824f85637b70b68d8596d40e9abad8ca",
-    "chaos-soak": "31950393c1131c262b751589c51e6d5f7f8a6f6e0f053867087c9027657c15b1",
-    "chaos-soak-standby": "294d2048d2ffd8419499aba8bdfbf43ba53c87b072ad014fb2cd7e1fa67c3b32",
+    "chaos-soak": "a8192cdf523ede607765e36ca761142cb2c0027e412a4b912ff6b540fceee76e",
+    "chaos-soak-standby": "4c3b68ec3cc3705146cbe60f17af88ac9e5de33c413389759da81a7d3519df7e",
 }
 
 

@@ -1,11 +1,11 @@
 """A circuit's lifetime: once torn down it is unreachable, and while it
 lives it holds only what it can still use.
 
-The guard connection a circuit dialed outlives it (the DESTROY still in
-flight on it must arrive), so teardown detaches the circuit from the
-connection's endpoint instead of closing it.  Before that, every closed
-circuit stayed reachable through its endpoint's ``on_message``, and with
-it its hops' ciphers and the ``TorClient`` that built it.
+A circuit rides its client's channel to the guard and leaves that
+channel's table on teardown; the channel closes its connection with its
+last circuit.  Before circuits let go, every closed circuit stayed
+reachable through its guard endpoint's ``on_message``, and with it its
+hops' ciphers and the ``TorClient`` that built it.
 """
 
 import gc
@@ -66,7 +66,8 @@ class TestATornDownCircuitIsFreed:
 
     def test_a_finished_visitors_tor_client(self):
         """A visitor that makes its own client, uses a circuit and ends
-        leaves neither behind, although its guard connection stays open."""
+        leaves neither behind, and its guard connection closes with the
+        circuit."""
         net = _net()
 
         def visitor(thread):
@@ -75,7 +76,7 @@ class TestATornDownCircuitIsFreed:
             circuit = yield from client.build_circuit(thread)
             circuit.close()
             yield Sleep(2.0)
-            assert [conn.closed for conn in node.connections] == [False]
+            assert circuit.conn.closed and not node.connections
             return weakref.ref(client), weakref.ref(circuit)
 
         refs = run_thread(net, visitor)
@@ -87,7 +88,11 @@ def test_a_late_cell_for_a_dead_circuit_is_not_peeled():
     client = net.create_client()
 
     def main(thread):
-        circuit = yield from client.build_circuit(thread)
+        path = client.consensus().routers[:3]
+        circuit = yield from client.build_circuit(thread, path=path)
+        # A sibling on the same guard keeps the channel, and so the
+        # connection the late cell arrives on, open.
+        sibling = yield from client.build_circuit(thread, path=path)
         circuit.close()
         yield Sleep(2.0)
         before = counters.cells_crypted
@@ -96,6 +101,7 @@ def test_a_late_cell_for_a_dead_circuit_is_not_peeled():
                                            bytes(RELAY_PAYLOAD_SIZE)),
                           size=CELL_SIZE)
         yield Sleep(2.0)
+        sibling.close()
         return counters.cells_crypted - before
 
     assert run_thread(net, main) == 0
