@@ -177,17 +177,7 @@ class StorageApi:
     def put(self, path: str, data: bytes) -> None:
         """Write a file (charged against the disk quota)."""
         yield from self._api._gate("storage.put")
-        instance = self._api._instance
-        fs = self._fs()
-        current = 0
-        if fs.exists(path):
-            current = fs.file_size(path)
-        delta = len(data) - current
-        if delta > 0:
-            instance.container.cgroup.charge("disk", delta)
-        fs.write_file(path, bytes(data))
-        if delta < 0:
-            instance.container.cgroup.charge("disk", delta)
+        self._fs().write_file(path, bytes(data))
 
     def get(self, path: str) -> bytes:
         """Read a file."""
@@ -202,12 +192,7 @@ class StorageApi:
     def delete(self, path: str) -> None:
         """Remove a file (releases quota)."""
         yield from self._api._gate("storage.delete")
-        instance = self._api._instance
-        fs = self._fs()
-        size = fs.file_size(path) if fs.exists(path) else 0
-        fs.delete(path)
-        if size:
-            instance.container.cgroup.charge("disk", -size)
+        self._fs().delete(path)
 
     def exists(self, path: str) -> bool:
         """Does a file exist?  (Gated as a read.)"""

@@ -85,28 +85,6 @@ class BentoClient:
             raise BentoError("no Bento boxes in the consensus")
         return self.rng.choice(boxes)
 
-    def pick_box_by_slack(self, exclude: tuple[str, ...] = ()) -> RelayDescriptor:
-        """The box advertising the most serving-plane slack.
-
-        Consults the directory's load-report side-table and picks
-        greedily: non-shedding boxes first, then most free admission
-        slots, then shortest queue.  Boxes that have never advertised
-        rank first (nothing known against them).  Falls back to the
-        uniform :meth:`pick_box` draw when *no* box has advertised — that
-        path consumes the same RNG draw as before, so fixed-seed runs on
-        plane-less networks replay bit-identically.
-        """
-        boxes = [b for b in self.discover_boxes()
-                 if b.identity_fp not in exclude]
-        if not boxes:
-            raise BentoError("no Bento boxes in the consensus")
-        load_table = self.tor.directory.load_table()
-        if not load_table:
-            return self.rng.choice(boxes)
-        from repro.qos.placement import pick_box_by_slack
-
-        return pick_box_by_slack(boxes, load_table)
-
     # -- connection -------------------------------------------------------------
 
     def connect(self, thread: Actor, box: RelayDescriptor,

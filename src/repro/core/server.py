@@ -130,6 +130,8 @@ class FunctionInstance:
         """Accept a function after the policy check has passed."""
         self.manifest = manifest
         self.container.charge_memory(manifest.memory_bytes)
+        # Manifest ∩ policy: the policy check kept the ask under its cap.
+        self.container.cgroup.limits["disk"] = manifest.disk_bytes
         if self.conclave is not None:
             self.conclave.enclave.grow(manifest.memory_bytes)
         self.runtime = FunctionRuntime(self, code, manifest)
@@ -508,13 +510,12 @@ class BentoServer:
                 code = message.code
 
             instance.load(code, manifest)
+            fs = (instance.conclave.fs if instance.conclave is not None
+                  else instance.container.fs)
             for path, data in (message.data or {}).items():
                 # Initial data files ride along with the upload (§5.4: "the
                 # Bento client then uploads the function, and any associated
                 # data to copy to FS Protect").
-                fs = (instance.conclave.fs if instance.conclave is not None
-                      else instance.container.fs)
-                instance.container.cgroup.charge("disk", len(data))
                 fs.write_file(path, data)
             span.end(self.sim.now, ok=True, instance=instance.instance_id,
                      name=manifest.name)

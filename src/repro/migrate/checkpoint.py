@@ -155,13 +155,7 @@ def restore_instance(instance, cp: Optional[Checkpoint], route,
                 "loaded function does not export checkpoint()/restore(state)")
         fs = _instance_fs(instance)
         for path, data in cp.files.items():
-            current = fs.file_size(path) if fs.exists(path) else 0
-            delta = len(data) - current
-            if delta > 0:
-                instance.container.cgroup.charge("disk", delta)
             fs.write_file(path, bytes(data))
-            if delta < 0:
-                instance.container.cgroup.charge("disk", delta)
         runtime.restore_state(cp.state)
         runtime.last_args = list(cp.args)
         for payload in cp.inbox:

@@ -36,6 +36,7 @@ from repro.netsim.connection import ConnectionClosed
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
+from repro.sandbox.cgroups import ResourceExceeded
 
 
 #: How long a drain waits for the instance to park in recv(), and how
@@ -122,7 +123,8 @@ class MigrationPlane:
                     cp = checkpoint_instance(instance)
                     if instance.conclave is not None:
                         store_local_checkpoint(instance, cp)
-                except (MigrationError, LoaderError) as exc:  # tenant's too
+                except (MigrationError, LoaderError,  # tenant's too
+                        ResourceExceeded) as exc:  # over its disk ask
                     return fail(f"checkpoint failed: {exc}")
                 shipped_inbox = len(cp.inbox)
 

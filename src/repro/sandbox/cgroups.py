@@ -148,7 +148,8 @@ class CGroup:
         return remaining
 
     def charge_hook(self, resource: str):
-        """An adapter for :class:`~repro.sandbox.memfs.MemFS` charge hooks."""
+        """``charge(resource, delta)`` as one callable, for a
+        :class:`~repro.sandbox.memfs.ChrootView`'s ``charge``."""
         def _hook(delta: int) -> None:
             self.charge(resource, delta)
         return _hook

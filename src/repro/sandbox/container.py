@@ -43,7 +43,9 @@ class Container:
         self.cgroup = parent_cgroup.child(
             f"container:{container_id}",
             memory=memory_limit, disk=disk_limit)
-        self.fs: ChrootView = host_fs.chroot(f"/containers/{container_id}")
+        self.fs: ChrootView = host_fs.chroot(
+            f"/containers/{container_id}",
+            charge=self.cgroup.charge_hook("disk"))
         self._base_memory_charged = 0
         self.kill_reason: Optional[str] = None
 
@@ -83,25 +85,14 @@ class Container:
             raise
 
     def fs_write(self, path: str, data: bytes) -> None:
-        """A disk write, charged against the disk quota."""
+        """A disk write (the chroot charges it against the disk quota)."""
         self._ensure_running()
-        current = self.fs.file_size(path) if self.fs.exists(path) else 0
-        delta = len(data) - current
-        if delta > 0:
-            try:
-                self.cgroup.charge("disk", delta)
-            except ResourceExceeded:
-                raise
         self.fs.write_file(path, data)
-        if delta < 0:
-            self.cgroup.charge("disk", delta)
 
     def fs_delete(self, path: str) -> None:
-        """Delete a file and release its disk quota."""
+        """Delete a file (the chroot releases its disk quota)."""
         self._ensure_running()
-        size = self.fs.file_size(path)
         self.fs.delete(path)
-        self.cgroup.charge("disk", -size)
 
     def charge_network(self, nbytes: int) -> None:
         """Account bytes a function puts on the wire."""

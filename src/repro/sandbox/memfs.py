@@ -1,9 +1,10 @@
 """An in-memory filesystem with chroot views and usage accounting.
 
 Containers get a chrooted subtree of their host's filesystem, so "clients
-cannot access any files but their own" (§5.3).  Byte usage is charged to a
-:class:`~repro.sandbox.cgroups.CGroup` so disk quotas are enforced at write
-time.
+cannot access any files but their own" (§5.3).  A chroot charges every
+change in the bytes it holds to its ``charge`` callable (a container's
+:class:`~repro.sandbox.cgroups.CGroup` disk), so disk quotas are enforced
+at write time, where the bytes are stored.
 """
 
 from __future__ import annotations
@@ -34,19 +35,13 @@ def _normalize(path: str) -> str:
 class MemFS:
     """A tree of directories and byte-string files."""
 
-    def __init__(self, charge_hook=None) -> None:
+    def __init__(self) -> None:
         # path -> bytes for files; dirs tracked implicitly plus explicit set.
         self._files: dict[str, bytes] = {}
         self._dirs: set[str] = {"/"}
-        self._charge_hook = charge_hook   # callable(delta_bytes) or None
         self.bytes_used = 0
 
     # -- internals -----------------------------------------------------------
-
-    def _charge(self, delta: int) -> None:
-        if self._charge_hook is not None:
-            self._charge_hook(delta)   # may raise ResourceExceeded
-        self.bytes_used += delta
 
     def _parent_dirs(self, path: str) -> list[str]:
         parts = path.strip("/").split("/")
@@ -54,20 +49,23 @@ class MemFS:
 
     # -- operations --------------------------------------------------------------
 
-    def write_file(self, path: str, data: bytes) -> None:
-        """Create or replace a file, creating parent directories."""
+    def write_file(self, path: str, data: bytes, charge=None) -> None:
+        """Create or replace a file, creating parent directories.
+
+        ``charge(delta)`` is told the change in stored bytes before
+        anything changes, so a refused growth leaves the file as it was.
+        """
         path = _normalize(path)
         if path == "/" or path in self._dirs:
             raise FsError(f"is a directory: {path}")
-        old_size = len(self._files.get(path, b""))
-        delta = len(data) - old_size
-        if delta > 0:
-            self._charge(delta)          # check quota before committing
+        data = bytes(data)
+        delta = len(data) - len(self._files.get(path, b""))
+        if charge is not None and delta:
+            charge(delta)                # may raise ResourceExceeded
         for parent in self._parent_dirs(path):
             self._dirs.add(parent)
-        self._files[path] = bytes(data)
-        if delta < 0:
-            self._charge(delta)
+        self._files[path] = data
+        self.bytes_used += delta
 
     def read_file(self, path: str) -> bytes:
         """The file's contents; :class:`FsError` if absent."""
@@ -77,19 +75,15 @@ class MemFS:
         except KeyError:
             raise FsError(f"no such file: {path}") from None
 
-    def append_file(self, path: str, data: bytes) -> None:
-        """Append to a file, creating it if absent."""
-        path = _normalize(path)
-        existing = self._files.get(path, b"")
-        self.write_file(path, existing + data)
-
-    def delete(self, path: str) -> None:
+    def delete(self, path: str, charge=None) -> None:
         """Remove a file (directories are removed when emptied implicitly)."""
         path = _normalize(path)
         data = self._files.pop(path, None)
         if data is None:
             raise FsError(f"no such file: {path}")
-        self._charge(-len(data))
+        self.bytes_used -= len(data)
+        if charge is not None:
+            charge(-len(data))
 
     def exists(self, path: str) -> bool:
         """Does the path exist?"""
@@ -134,38 +128,40 @@ class MemFS:
 
     # -- chroot ---------------------------------------------------------------
 
-    def chroot(self, path: str) -> "ChrootView":
+    def chroot(self, path: str, charge=None) -> "ChrootView":
         """A view rooted at ``path``; escapes are structurally impossible."""
         path = _normalize(path)
         self.mkdir(path)
-        return ChrootView(self, path)
+        return ChrootView(self, path, charge)
 
 
 class ChrootView:
-    """A :class:`MemFS`-compatible view of one subtree."""
+    """A :class:`MemFS`-compatible view of one subtree.
 
-    def __init__(self, backing: MemFS, root: str) -> None:
+    The one place disk is charged: every write, overwrite, delete and
+    purge tells ``charge(delta)`` how the bytes the view holds changed,
+    growth before it lands.
+    """
+
+    def __init__(self, backing: MemFS, root: str, charge=None) -> None:
         self._backing = backing
         self.root = root
+        self._charge = charge   # callable(delta_bytes) or None
 
     def _real(self, path: str) -> str:
         return _normalize(self.root + _normalize(path))
 
     def write_file(self, path: str, data: bytes) -> None:
         """Write file."""
-        self._backing.write_file(self._real(path), data)
+        self._backing.write_file(self._real(path), data, self._charge)
 
     def read_file(self, path: str) -> bytes:
         """Read file."""
         return self._backing.read_file(self._real(path))
 
-    def append_file(self, path: str, data: bytes) -> None:
-        """Append file."""
-        self._backing.append_file(self._real(path), data)
-
     def delete(self, path: str) -> None:
         """Remove a file."""
-        self._backing.delete(self._real(path))
+        self._backing.delete(self._real(path), self._charge)
 
     def exists(self, path: str) -> bool:
         """Does the path exist?"""
@@ -174,10 +170,6 @@ class ChrootView:
     def is_dir(self, path: str) -> bool:
         """Is dir."""
         return self._backing.is_dir(self._real(path))
-
-    def file_size(self, path: str) -> int:
-        """File size."""
-        return self._backing.file_size(self._real(path))
 
     def mkdir(self, path: str) -> None:
         """Mkdir."""
@@ -202,4 +194,4 @@ class ChrootView:
     def purge(self) -> None:
         """Delete every file in the view (container teardown)."""
         for path in self.walk_files("/"):
-            self._backing.delete(self.root + path)
+            self._backing.delete(self.root + path, self._charge)

@@ -81,6 +81,7 @@ class TorClient:
         # the same choices every time).
         self._path_rng = self._rng.fork("paths")
         self._circ_ids = itertools.count(1)
+        self._services_made = itertools.count()   # HiddenService key labels
         self.circuits: list[Circuit] = []      # each live one, built or building
         self._channels: dict[tuple[str, int], GuardChannel] = {}  # by guard
         # Relays implicated in recent build failures: fp -> sim time noted.

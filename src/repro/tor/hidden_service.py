@@ -53,14 +53,17 @@ class HiddenService:
         self.client = client
         self.sim = client.sim
         self.handler = handler
-        self._rng = client._rng.fork("hidden-service")
+        # A fork depends only on its label: the n-th service a client
+        # makes draws its own key, the first under the original label.
+        n = next(client._services_made)
+        self._rng = client._rng.fork(
+            f"hidden-service:{n}" if n else "hidden-service")
         self.keypair = keypair or RsaKeyPair.generate(self._rng.fork("service-key"))
         self.onion_address = OnionAddress(onion_address_for(self.keypair.public))
         self.intro_circuits: list[Circuit] = []
         self.intro_points: list[RelayDescriptor] = []
         self.rendezvous_circuits: list[Circuit] = []
         self._descriptor_version = 0
-        self.intercept_introduce: Optional[Callable[[dict], bool]] = None
         self.accepted_count = 0
         # Manual mode: introductions queue up for the owner to consume
         # (the LoadBalancer pattern) instead of being answered inline.
@@ -118,8 +121,6 @@ class HiddenService:
             request = self.decrypt_introduce_blob(blob)
         except (ProtocolError, ValueError):  # RsaError, AeadError included
             return  # forged or corrupted introduction; ignore
-        if self.intercept_introduce is not None and self.intercept_introduce(request):
-            return  # a load balancer (or similar) took ownership
         if self.manual_introductions:
             self.introduction_queue.append(request)
             if self._intro_waiter is not None and not self._intro_waiter.done:

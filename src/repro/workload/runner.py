@@ -54,11 +54,6 @@ MB = 1024 * 1024
 #: replicas to go idle before tearing down.
 GRACE_S = 900.0
 
-#: Errors a client actor treats as "the service said no / went away".
-#: RETRYABLE_ERRORS already subsumes BentoError and friends.
-_CLIENT_ERRORS = RETRYABLE_ERRORS
-
-
 def run_workload(spec: WorkloadSpec, verbose: bool = False,
                  trace_log: Optional[EventLog] = None,
                  workload: Optional[Workload] = None) -> dict:
@@ -281,7 +276,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                     reply = yield from client.retrying(
                         task, one_op, attempts=3, backoff_s=2.0,
                         session=holder["session"])
-                except _CLIENT_ERRORS:
+                except RETRYABLE_ERRORS:
                     # The instance (and its state) is gone: cold redeploy
                     # on a surviving box, then retry the op so the gap
                     # measures the real outage.
@@ -291,7 +286,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                     try:
                         yield from deploy()
                         probe_state["redeploys"] += 1
-                    except _CLIENT_ERRORS:
+                    except RETRYABLE_ERRORS:
                         yield Sleep(5.0)
                     continue
                 probe_state["values"].append(int(reply["value"]))
@@ -310,7 +305,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             try:
                 session.send_message(b'{"op": "stop"}')
                 yield from session.shutdown(task)
-            except _CLIENT_ERRORS:
+            except RETRYABLE_ERRORS:
                 pass
             session.close()
 
@@ -394,7 +389,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                                        backoff_s=2.0)
             record["done"] = round(net.sim.now, 6)
             record["outcome"] = "ok"
-        except _CLIENT_ERRORS:
+        except RETRYABLE_ERRORS:
             record["outcome"] = "gave_up"
 
     # -- shard tenants: scatter once, arrivals gather ----------------------
@@ -422,7 +417,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         try:
             restored = yield from ShardFunction.gather(
                 task, client, shared["shards"][tenant.name], timeout=60.0)
-        except _CLIENT_ERRORS:
+        except RETRYABLE_ERRORS:
             record["outcome"] = "gave_up"
             return
         record["done"] = round(net.sim.now, 6)
@@ -479,7 +474,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             body = yield from LoadBalancerFunction.receive_body(
                 task, stream, 60.0)
             circuit.close()
-        except _CLIENT_ERRORS:
+        except RETRYABLE_ERRORS:
             record["outcome"] = "gave_up"
             return
         record["done"] = round(net.sim.now, 6)
@@ -507,7 +502,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             yield Sleep(5.0)
         try:
             stage_stats = yield from dep.shutdown(task)
-        except _CLIENT_ERRORS:
+        except RETRYABLE_ERRORS:
             stage_stats = {}
         shared["stats"][tenant.name] = {
             "engine": dep.overlay.engine,
@@ -536,7 +531,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         except ServerBusy:
             record["outcome"] = "refused"
             return
-        except (ChainDeployError,) + _CLIENT_ERRORS:
+        except (ChainDeployError,) + RETRYABLE_ERRORS:
             record["outcome"] = "gave_up"
             return
         record["done"] = round(net.sim.now, 6)

@@ -5,6 +5,7 @@ flushing pending outputs)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -194,10 +195,12 @@ def conclave_box():
         box = client.pick_box()
         session = yield from client.connect_direct(thread, box)
         yield from session.request_image(thread, "python-op-sgx")
+        # The disk ask covers the sealed checkpoints the tests store.
         yield from session.load_function(
             thread, KvStoreFunction.SOURCE,
-            KvStoreFunction.manifest(image="python-op-sgx",
-                                     memory_bytes=4 * MB))
+            replace(KvStoreFunction.manifest(image="python-op-sgx",
+                                             memory_bytes=4 * MB),
+                    disk_bytes=MB))
         server = next(s for s in servers
                       if s.relay.fingerprint == box.identity_fp)
         holder["instance"] = server._by_invocation[session.invocation_token]
@@ -369,7 +372,7 @@ class TestWarmStandby:
             assert (yield from KvStoreFunction.incr(thread, session, "k")) == 1
             assert (yield from KvStoreFunction.incr(thread, session, "k")) == 2
 
-            standby_box = client.pick_box_by_slack(exclude=(box.identity_fp,))
+            standby_box = client.pick_box(exclude=(box.identity_fp,))
             assert standby_box.identity_fp != box.identity_fp
             standby = yield from client.connect_direct(thread, standby_box)
             manifest = KvStoreFunction.manifest()

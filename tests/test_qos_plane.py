@@ -504,7 +504,8 @@ class TestServingPlaneE2E:
             session = yield from client.connect_direct(thread, descriptor)
             # occupy busy's one slot
             yield from session.request_image(thread, "python")
-            picked = client.pick_box_by_slack()
+            picked = pick_box_by_slack(client.discover_boxes(),
+                                       net.authority.load_table())
             yield from session.shutdown(thread)
             return picked.identity_fp
 

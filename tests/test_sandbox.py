@@ -37,12 +37,6 @@ class TestMemFS:
         fs.write_file("/f", b"12")
         assert fs.bytes_used == 2
 
-    def test_append(self):
-        fs = MemFS()
-        fs.append_file("/log", b"a")
-        fs.append_file("/log", b"b")
-        assert fs.read_file("/log") == b"ab"
-
     def test_listdir(self):
         fs = MemFS()
         fs.write_file("/d/one", b"1")
