@@ -63,10 +63,6 @@ class FSProtect:
 
     def read_file(self, path: str) -> bytes:
         """Decrypt and verify ``path``; raises on tampering or rollback."""
-        return self._open(path, self._aead.open)
-
-    def _open(self, path: str, how):
-        """The AEAD's ``open`` or ``verify`` of ``path``'s sealed leaf."""
         envelope = self._backing.read_file(path)
         stop = _LEAF + int.from_bytes(envelope[_LEAF - 4:_LEAF], "big")
         rest = {}
@@ -79,8 +75,8 @@ class FSProtect:
         if expected is not None and version != expected:
             raise FSProtectError(f"rollback detected on {path}")
         try:
-            return how(_nonce(path, version), envelope, path.encode(),
-                       _LEAF, stop)
+            return self._aead.open(_nonce(path, version), envelope,
+                                   path.encode(), _LEAF, stop)
         except AeadError as exc:
             raise FSProtectError(f"integrity check failed on {path}") from exc
 
@@ -92,10 +88,6 @@ class FSProtect:
     def exists(self, path: str) -> bool:
         """Does the path exist?"""
         return self._backing.exists(path)
-
-    def file_size(self, path: str) -> int:
-        """Plaintext size: verified like a read, but nothing is decrypted."""
-        return len(self._open(path, self._aead.verify))
 
     def listdir(self, path: str = "/") -> list[str]:
         """Immediate children of a directory."""
