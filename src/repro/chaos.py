@@ -25,7 +25,7 @@ runner's ``crashed`` set, which clients exclude when they pick a box.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.netsim.simulator import Actor, Sleep
 
@@ -81,7 +81,7 @@ def _victim(crash: CrashSpec, net: TorTestNetwork, plane: FaultPlane,
 
 
 def direct(task: Actor, spec: WorkloadSpec, net: TorTestNetwork,
-           plane: FaultPlane, shared: dict, say: Callable[[str], None]):
+           plane: FaultPlane, shared: dict):
     """The chaos plane's actor body: noise first, then the crash list.
 
     ``shared`` is the runner's state: ``crashed`` (node names down for
@@ -99,8 +99,6 @@ def direct(task: Actor, spec: WorkloadSpec, net: TorTestNetwork,
         n_latency_spikes=planes.chaos_latency_spikes,
         mean_downtime_s=planes.chaos_mean_downtime_s,
         spike_extra_s=0.2)
-    say(f"chaos: {planes.chaos_link_cuts} link cuts, "
-        f"{planes.chaos_latency_spikes} latency spikes scheduled")
     for crash in sorted(planes.chaos_crashes, key=lambda c: c.at_s):
         while net.sim.now < crash.at_s:
             yield Sleep(1.0)
@@ -109,11 +107,8 @@ def direct(task: Actor, spec: WorkloadSpec, net: TorTestNetwork,
             yield Sleep(1.0)
             victim = _victim(crash, net, plane, shared)
         if victim is None:
-            say(f"chaos: nothing played {crash.role} before the end")
             continue
         node, down_for_s = victim
         plane.crash_node(node, down_for_s=down_for_s)
         if down_for_s is None:
             shared["crashed"].add(node)
-        say(f"chaos: {crash.role} crash on {node} ("
-            + ("permanent)" if down_for_s is None else f"{down_for_s:g}s)"))

@@ -1,8 +1,7 @@
 """The stock scenario matrix: one preset per plane story, plus the sweep.
 
 Each preset is a factory returning a fully-validated
-:class:`~repro.workload.spec.WorkloadSpec` with its SLOs declared inline,
-so ``bench_workload.py`` and the CI smoke step share one source of truth.
+:class:`~repro.workload.spec.WorkloadSpec` with its SLOs declared inline.
 ``full=True`` scales duration and arrival rates up for the nightly sweep;
 the default smoke shape keeps every scenario CI-sized.
 
@@ -19,7 +18,7 @@ import functools
 from repro.workload.spec import (ArrivalSpec, CrashSpec, PlanesSpec,
                                  SloSpec, TenantSpec, WorkloadSpec)
 
-__all__ = ["PRESETS", "preset", "smoke_names", "sweep_names"]
+__all__ = ["PRESETS", "preset", "sweep_names"]
 
 
 def _scaled(full: bool, smoke_value: float, full_value: float) -> float:
@@ -123,8 +122,8 @@ def migrate_handoff(full: bool = False) -> WorkloadSpec:
     the probe's state out of the blast radius, so the permanent crash of
     its home box costs nothing.  ``state_preserved == 1`` is the
     tentpole's per-plane migrate assertion — with migration off this
-    same scenario loses the counter state (the bench's ablation checks
-    exactly that contrast).
+    same scenario loses the counter state (the no-migrate ablation in
+    ``tests/test_workload_runner.py`` checks exactly that contrast).
     """
     duration = _scaled(full, 300.0, 1200.0)
     return WorkloadSpec(
@@ -388,12 +387,6 @@ PRESETS = {
 def preset(name: str, full: bool = False) -> WorkloadSpec:
     """Build a stock scenario by name (raises KeyError on unknown)."""
     return PRESETS[name](full=full)
-
-
-def smoke_names() -> list[str]:
-    """The CI smoke sweep: one scenario per plane story."""
-    return ["qos-flash", "chaos-recovery", "migrate-handoff",
-            "chain-pipeline", "chaos-soak", "chaos-soak-standby"]
 
 
 def sweep_names() -> list[str]:

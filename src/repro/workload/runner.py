@@ -54,7 +54,7 @@ MB = 1024 * 1024
 #: replicas to go idle before tearing down.
 GRACE_S = 900.0
 
-def run_workload(spec: WorkloadSpec, verbose: bool = False,
+def run_workload(spec: WorkloadSpec,
                  trace_log: Optional[EventLog] = None,
                  workload: Optional[Workload] = None) -> dict:
     """Run one scenario; returns the deterministic raw-result dict.
@@ -74,7 +74,7 @@ def run_workload(spec: WorkloadSpec, verbose: bool = False,
     if trace_log is not None:
         _obs.attach(trace_log)
     try:
-        return _run(spec, workload, verbose)
+        return _run(spec, workload)
     finally:
         if trace_log is not None:
             _obs.log = previous
@@ -111,7 +111,7 @@ def _count_lb_events(events: list, recovery_samples: list) -> None:
             recovery_samples.append(float(event_t) - lost.pop(0))
 
 
-def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
+def _run(spec: WorkloadSpec, workload: Workload) -> dict:
     planes = spec.planes
     net = TorTestNetwork(n_relays=spec.n_relays, seed=spec.seed,
                          bento_fraction=spec.bento_fraction)
@@ -162,10 +162,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
     # LoadBalancer's lost-replica-to-replacement gap.
     recovery_samples: list[float] = []
     probe_state = {"values": [], "redeploys": 0}
-
-    def say(text: str) -> None:
-        if verbose:
-            print(f"[t={net.sim.now:8.1f}] {text}")
 
     def crashed_fps() -> set:
         return {fp for fp, node in fp_to_node.items()
@@ -256,7 +252,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             holder["session"] = session
             shared["probe_node"] = fp_to_node[box.identity_fp]
             shared.setdefault("probe_home", shared["probe_node"])
-            say(f"probe '{tenant.name}' on {shared['probe_node']}")
 
         yield from client.retrying(task, deploy, attempts=5, backoff_s=2.0)
         shared["probe_ready"] = True
@@ -282,7 +277,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                     # measures the real outage.
                     disrupted = True
                     record["retried"] = True
-                    say(f"probe '{tenant.name}' redeploying from scratch")
                     try:
                         yield from deploy()
                         probe_state["redeploys"] += 1
@@ -294,7 +288,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
                 moved_to = fp_to_node.get(
                     holder["session"].box.identity_fp)
                 if moved_to and moved_to != shared.get("probe_node"):
-                    say(f"probe '{tenant.name}' now on {moved_to}")
                     shared["probe_node"] = moved_to
             record["done"] = round(net.sim.now, 6)
             record["outcome"] = "ok"
@@ -357,7 +350,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             poll_interval=2.0, replica_image="python", announce=False,
             standbys=tenant.standbys)
         shared["onions"][tenant.name] = onion
-        say(f"loadbalancer '{tenant.name}' serving {onion}")
         stats = yield from session.await_result(
             task, timeout=spec.duration_s + GRACE_S)
         _count_lb_events(stats["events"], recovery_samples)
@@ -405,8 +397,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         shared["busy_fps"].update(p["box_fp"]
                                   for p in metadata["placements"])
         shared["operators_ready"] += 1
-        say(f"shard '{tenant.name}' scattered over " + ", ".join(
-            p["box_nickname"] for p in metadata["placements"]))
 
     def shard_visitor(task: Actor, tenant: TenantSpec,
                       event: WorkloadEvent, record: dict):
@@ -437,7 +427,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
             difficulty_bits=tenant.pow_difficulty,
             duration_s=spec.duration_s + 30.0, poll_interval=2.0)
         shared["onions"][tenant.name] = info["onion"]
-        say(f"ddos defense '{tenant.name}' guarding {info['onion']}")
         stats = yield from session.await_result(
             task, timeout=spec.duration_s + GRACE_S)
         shared["stats"][tenant.name] = dict(stats)
@@ -496,8 +485,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
         shared["busy_fps"].update(dep.overlay.boxes_used())
         shared["chains"][tenant.name] = dep
         shared["operators_ready"] += 1
-        say(f"chain '{tenant.name}': {len(dep.overlay.replicas)} replicas "
-            f"on {len(dep.overlay.boxes_used())} boxes")
         while net.sim.now < spec.duration_s + 30.0:
             yield Sleep(5.0)
         try:
@@ -555,7 +542,6 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
              and not i.terminated),
             None)
         if instance is not None:
-            say(f"migrate: draining probe off {node}")
             server.migrate.request_drain(instance)
 
     # -- spawn everything --------------------------------------------------
@@ -599,7 +585,7 @@ def _run(spec: WorkloadSpec, workload: Workload, verbose: bool) -> dict:
     if fault_plane is not None:
         actors.append(net.sim.spawn(
             functools.partial(chaos.direct, spec=spec, net=net,
-                              plane=fault_plane, shared=shared, say=say),
+                              plane=fault_plane, shared=shared),
             name="chaos-director"))
     if planes.migrate and planes.migrate_drain_at_s > 0.0 \
             and probe is not None:

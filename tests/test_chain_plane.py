@@ -4,12 +4,19 @@ Covers the template/overlay split (strict validation, canonical digests,
 hypothesis round-trip properties), the joint-vs-greedy placement
 contrast, and end-to-end chains through real attested sessions —
 including re-embedding around a crashed box and drain-then-migrate
-delegation for replicas that relocate off live boxes.
+delegation for replicas that relocate off live boxes — and the goodput
+the joint embedding holds over greedy placement under overload.
 """
 
 from __future__ import annotations
 
+import functools
 import json
+import os
+import pathlib
+import subprocess
+import sys
+from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -28,7 +35,9 @@ from repro.chain import (
     greedy_embed,
     pipeline_chain,
 )
+from repro.chain.deploy import ChainDeployError
 from repro.core import BentoClient, BentoServer
+from repro.core.policy import MiddleboxNodePolicy
 from repro.enclave.attestation import IntelAttestationService
 from repro.migrate import MigrationConfig
 from repro.netsim.faults import FaultPlane
@@ -430,3 +439,120 @@ class TestChainDeployment:
         assert _perf.chain_reembeds == 0
         assert _perf.chain_arc_bytes == 0
         assert _perf.chain_units_delivered == 0
+
+
+# -- overload: the joint embedding against greedy placement -------------------
+
+CHAIN_UPLINK_BPS = 512 * 1024    # every box's uplink: 0.5 MiB/s
+UNIT_BYTES = 128 * 1024          # per traffic unit, so transfer >> RTT
+UNIT_DEADLINE_S = 20.0           # a unit delivered later is not goodput
+CHAIN_WINDOW_S = 30.0            # units arrive for this long
+GATE_RATIO = 1.15                # joint goodput over greedy's at 4x
+
+
+def starved_chain():
+    """Twelve relays, half of them Bento boxes on starved uplinks, and the
+    Cover→Browser-defense→Store chain, not yet deployed.  The caps let
+    greedy stack every stage on one box: the collapse under test is
+    bandwidth, not admission."""
+    net = TorTestNetwork(n_relays=12, seed=2021, bento_fraction=0.5)
+    ias = IntelAttestationService(net.sim.rng.fork("ias"))
+    policy = replace(MiddleboxNodePolicy.open_policy(), max_containers=64,
+                     max_total_memory=1 << 30, max_total_disk=1 << 30)
+    for relay in net.bento_boxes():
+        relay.node.uplink.rate = float(CHAIN_UPLINK_BPS)
+        BentoServer(relay, net.authority, ias=ias, policy=policy)
+    client = BentoClient(net.create_client("chain-bench"), ias=ias)
+    return net, ChainDeployment(client, pipeline_chain(),
+                                reembed_on_failure=False)
+
+
+def _unit(i):
+    return i.to_bytes(4, "big") + bytes(UNIT_BYTES - 4)
+
+
+def _drain_rate(engine):
+    """Units per second the idle chain serves one at a time (three pushes
+    back to back).  Pipelining is ignored, so 4x is real overload."""
+    net, dep = starved_chain()
+    durations = []
+
+    def probe(task):
+        yield from dep.deploy(task, engine=engine)
+        for i in range(3):
+            started = net.sim.now
+            out = yield from dep.push(task, _unit(i),
+                                      deadline_s=10 * UNIT_DEADLINE_S)
+            assert out == dep.expected_outputs(_unit(i))
+            durations.append(net.sim.now - started)
+
+    net.sim.spawn(probe, name="probe")
+    net.sim.run()
+    return round(1.0 / (sum(durations) / len(durations)), 3)
+
+
+@functools.lru_cache(maxsize=None)
+def _overload(engine):
+    """Deploy with ``engine``, then push a unit every ``1 / (4 * drain
+    rate)`` s for ``CHAIN_WINDOW_S``.  Returns the goodput (units delivered
+    inside their deadline per second, from the first arrival to the last
+    such delivery), the units delivered, those whose outputs differ from
+    the transform oracle's, and the deployed overlay's digest."""
+    offered = 4 * _drain_rate(engine)
+    net, dep = starved_chain()
+    delivered = []     # (arrived, done)
+    wrong = []
+
+    def unit(task, i):
+        arrived = net.sim.now
+        try:
+            out = yield from dep.push(task, _unit(i),
+                                      deadline_s=UNIT_DEADLINE_S)
+        except ChainDeployError:
+            return     # its queue wait passed the deadline
+        if out != dep.expected_outputs(_unit(i)):
+            wrong.append(i)
+        delivered.append((arrived, net.sim.now))
+
+    def launch(task):
+        # Deploy and launch the arrivals from one live actor: draining the
+        # queue in between would fast-forward through idle timers and
+        # expire the sessions.
+        yield from dep.deploy(task, engine=engine)
+        for i in range(int(offered * CHAIN_WINDOW_S)):
+            net.sim.spawn(unit, i, name=f"unit{i}", delay=i / offered)
+
+    net.sim.spawn(launch, name="launch")
+    net.sim.run(until=CHAIN_WINDOW_S + 90.0)
+    good = [done for arrived, done in delivered
+            if done - arrived <= UNIT_DEADLINE_S]
+    first = min((arrived for arrived, _ in delivered), default=net.sim.now)
+    makespan = max(CHAIN_WINDOW_S, max(good, default=0.0) - first)
+    return {"goodput": len(good) / makespan, "delivered": len(delivered),
+            "wrong": wrong, "digest": dep.overlay.digest()}
+
+
+class TestOverload:
+    """At four times the chain's drain rate greedy's one box carries every
+    arc and units miss their deadline; the joint embedding spreads scaled
+    replicas, so each uplink carries its own arc only."""
+
+    def test_joint_goodput_beats_greedy(self):
+        joint, greedy = _overload("joint"), _overload("greedy")
+        assert joint["delivered"] and greedy["delivered"]
+        assert joint["wrong"] == greedy["wrong"] == []
+        assert joint["goodput"] >= GATE_RATIO * greedy["goodput"], \
+            (joint, greedy)
+
+    def test_joint_overlay_is_the_same_in_fresh_interpreters(self):
+        tests = pathlib.Path(__file__).resolve().parent
+        script = (f"import sys; sys.path.insert(0, {str(tests)!r})\n"
+                  "from test_chain_plane import starved_chain\n"
+                  "dep = starved_chain()[1]\n"
+                  "print(dep.compute_overlay(engine='joint').digest())\n")
+        env = {**os.environ, "PYTHONPATH": str(tests.parent / "src")}
+        digests = {subprocess.run([sys.executable, "-c", script], check=True,
+                                  capture_output=True, text=True,
+                                  timeout=120, env=env).stdout.strip()
+                   for _ in range(2)}
+        assert digests == {_overload("joint")["digest"]}

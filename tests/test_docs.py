@@ -1,5 +1,6 @@
 """The two long documents describe the present, under a line budget, and
-every place that cites one of their sections still finds it.
+every place that cites one of their sections still finds it; every path
+under ``benchmarks/`` the documents and workflows name still exists.
 
 EXPERIMENTS.md holds the paper's tables, one current-numbers table, one
 row per measured change and the method notes; git and CHANGES.md keep the
@@ -19,6 +20,11 @@ BUDGET = {"EXPERIMENTS.md": 1200, "DESIGN.md": 600}
 
 # Where a "DESIGN.md §N" may be written.
 DESIGN_CITERS = ("src", "tests", "benchmarks", "README.md")
+
+# Where a reader is told to run or open something under benchmarks/.
+PATH_CITERS = ("README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md",
+               *sorted(p.relative_to(ROOT).as_posix()
+                       for p in (ROOT / ".github" / "workflows").glob("*.yml")))
 
 # (file, what it says, what EXPERIMENTS.md must therefore still hold): facts
 # cited by pointing at the file rather than at a section.
@@ -103,3 +109,11 @@ def test_a_fact_cited_from_experiments_is_still_there(citer, citation, fact):
     assert citation in _flat(_text(citer)), (
         f"{citer} no longer cites it: drop its row from KEPT_FACTS")
     assert fact in _flat(_text("EXPERIMENTS.md"))
+
+
+def test_every_benchmarks_path_named_exists():
+    missing = [(where, path)
+               for where in PATH_CITERS
+               for path in re.findall(r"benchmarks/[\w./-]*", _text(where))
+               if not (ROOT / path.rstrip(".")).exists()]
+    assert not missing, f"no such file: {missing}"

@@ -6,20 +6,25 @@ golden hashes are frozen next to the pure-Python reference cipher.  The
 link model has one path; its two fixed scenarios are pinned to the floats
 it produced while a coalesced fast path still existed beside it (both
 agreed on every one), so a change to the pacing arithmetic shows here.
+The 10 MB download and its four-client fan-in hold every optimization to
+the simulated time and the per-byte counters the full stack produces.
 """
 
+import functools
 import hashlib
 
 import pytest
 
 import repro.netsim.simulator as simulator_mod
 from repro.crypto.stream import ReferenceCipher, StreamCipher, stream_xor
+from repro.netsim.bytestream import FramedStream
 from repro.netsim.connection import Connection, LoopbackConnection
+from repro.netsim.http import fetch
 from repro.netsim.network import Network
 from repro.netsim.scenarios import MeshScenario
 from repro.netsim.shard import ShardedSimulator
 from repro.netsim.simulator import Simulator, Sleep
-from repro.perf.counters import counters
+from repro.perf.counters import FIELDS, counters
 from repro.perf.report import render_report
 from repro.tor.cell import RelayCellPayload, RelayCommand
 from repro.tor.layercrypto import BACKWARD, FORWARD, HopCrypto
@@ -472,3 +477,103 @@ class TestPerfHarness:
         out = capsys.readouterr().out
         assert "events_processed" in out
         assert "cells_crypted" in out
+
+
+# -- the bulk-download gate ----------------------------------------------------
+
+TEN_MB = 10_000_000
+
+#: The ``volume`` counters of the two runs below, as the hot-path work left
+#: them (each equal to the figure of the full run that work recorded).  Both
+#: runs move 10 MB, so a count is a per-byte rate; each must stay within
+#: ``VOLUME_TOLERANCE`` of its reference.
+VOLUME_REFERENCE = {
+    "macro": {"events_processed": 129202, "events_scheduled": 129204,
+              "chunks_transmitted": 129154, "bytes_zero_copied": 10001229,
+              "hash_calls": 5796, "keystream_bytes": 63230016,
+              "cells_crypted": 124224},
+    "fanin": {"events_processed": 129752, "events_scheduled": 129760,
+              "chunks_transmitted": 129584, "bytes_zero_copied": 10004760,
+              "hash_calls": 5472, "keystream_bytes": 63388824,
+              "cells_crypted": 124536},
+}
+VOLUME_TOLERANCE = 0.25
+
+
+def _download(client, host, responses):
+    """An actor body: a 3-hop circuit to ``host``, one GET of ``/file``,
+    whose response it appends to ``responses``."""
+    def flow(thread):
+        circuit = yield from client.build_circuit(thread,
+                                                  exit_to=(host, 443))
+        stream = yield from client.open_stream(thread, circuit, host, 443)
+        framed = FramedStream(stream)
+        responses.append((yield from fetch(thread, framed, "/file",
+                                           timeout=600.0)))
+        framed.close()
+    return flow
+
+
+@functools.lru_cache(maxsize=None)
+def _bulk_run(kind):
+    """``macro``: one client downloads 10 MB.  ``fanin``: four clients
+    download 2.5 MB each from one server at once, contending for its
+    interfaces.  Returns the bytes, the simulated times and the counters."""
+    responses = []
+    if kind == "macro":
+        net = TorTestNetwork(n_relays=9, seed="bench")
+        net.create_web_server("big.example", {"/file": b"x" * TEN_MB})
+        flow = _download(net.create_client("bench-client"), "big.example",
+                         responses)
+        counters.reset()
+        net.sim.run_until_done(net.sim.spawn(flow))
+    else:
+        net = TorTestNetwork(n_relays=9, seed="bench-fanin")
+        net.create_web_server("busy.example", {"/file": b"y" * (TEN_MB // 4)})
+        for index in range(4):
+            flow = _download(net.create_client(f"fan-{index}"),
+                             "busy.example", responses)
+            net.sim.spawn(flow, name=f"fan-{index}")
+        counters.reset()
+        net.sim.run()
+    return {"bytes": sum(len(r.body) for r in responses),
+            "elapsed": responses[0].elapsed, "sim_now": net.sim.now,
+            "counters": counters.snapshot()}
+
+
+class TestBulkDownloadGate:
+    """No optimization may move simulated time or add per-byte work."""
+
+    def test_ten_megabytes_take_the_frozen_simulated_time(self):
+        # The simulated results of the implementation before any hot-path
+        # optimization, same workload and seed: crypto costs no simulated
+        # time and batching is invisible, so these hold to the last bit.
+        run = _bulk_run("macro")
+        assert run["bytes"] == TEN_MB
+        assert run["elapsed"] == 16.561745253881966
+        assert run["sim_now"] == 18.112774545951705
+
+    @pytest.mark.parametrize("kind", sorted(VOLUME_REFERENCE))
+    def test_volume_counters_per_byte_hold(self, kind):
+        run = _bulk_run(kind)
+        reference = VOLUME_REFERENCE[kind]
+        assert run["bytes"] == TEN_MB
+        assert set(reference) == {f.name for f in FIELDS
+                                  if f.kind == "volume"}
+        drift = {name: run["counters"][name] / count - 1.0
+                 for name, count in reference.items()}
+        assert {name: d for name, d in drift.items()
+                if abs(d) > VOLUME_TOLERANCE} == {}, drift
+
+    @pytest.mark.parametrize("kind", sorted(VOLUME_REFERENCE))
+    def test_no_plane_runs_and_no_timer_tombstone_is_compacted(self, kind):
+        # A plane-off-zero count here means plane code ran in a download
+        # that enabled no plane; a compaction means timer slots leak.
+        zero = [f.name for f in FIELDS if f.kind == "plane-off-zero"]
+        zero.append("heap_compactions")
+        run_counters = _bulk_run(kind)["counters"]
+        assert {n: run_counters[n] for n in zero} == dict.fromkeys(zero, 0)
+
+    def test_the_payload_is_received_zero_copy(self):
+        run = _bulk_run("macro")
+        assert run["counters"]["bytes_zero_copied"] >= run["bytes"]

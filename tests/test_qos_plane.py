@@ -1,10 +1,14 @@
-"""The serving plane: admission, fair scheduling, shedding, placement."""
+"""The serving plane: admission, fair scheduling, shedding, placement, and
+the goodput it holds on a box offered four times what it can serve."""
+
+from dataclasses import replace
 
 import pytest
 
-from repro.core.client import BentoClient
+from repro.core.client import RETRYABLE_ERRORS, BentoClient
 from repro.core.errors import PuzzleRequired, ServerBusy
 from repro.core.manifest import FunctionManifest
+from repro.core.policy import MiddleboxNodePolicy
 from repro.core.server import BentoServer
 from repro.functions.ddos_defense import AdmissionPuzzle, solve_pow
 from repro.netsim.simulator import Simulator, Sleep
@@ -589,3 +593,112 @@ class TestServingPlaneE2E:
         assert run_thread(net, main, until=5000.0) == "ok"
         # 200 * 64 KiB >> the net fair-queue burst: pacing must have fired.
         assert counters.qos_throttles > 0
+
+
+# ---------------------------------------------------------------------------
+# overload: one starved box offered four times the sessions it can drain
+# ---------------------------------------------------------------------------
+
+STARVED_UPLINK_BPS = 512 * 1024    # the bottleneck: 0.5 MiB/s
+SESSION_PAYLOAD = 256 * 1024       # each session downloads this from the box
+SESSION_DEADLINE_S = 20.0          # a session finishing later is not goodput
+RETRY_MARGIN_S = 15.0              # no retry with less than this left
+OVERLOAD_WINDOW_S = 10.0           # arrivals come for this long
+BLOB = FunctionManifest.create("blob", "blob", {"send"}, image="python")
+BLOB_SOURCE = ("def blob(n):\n"
+               "    yield from api.send(b'\\x5a' * int(n))\n"
+               "    return int(n)\n")
+
+
+def _starved_box(qos=None):
+    """One Bento box on a starved uplink.  Its caps are roomy so that with
+    the plane off every arrival gets a container: the collapse under test."""
+    net = TorTestNetwork(n_relays=8, seed=2021, bento_fraction=0.125)
+    (relay,) = net.bento_boxes()
+    relay.node.uplink.rate = float(STARVED_UPLINK_BPS)
+    policy = replace(MiddleboxNodePolicy.open_policy(), max_containers=512,
+                     max_total_memory=4096 * 1024 * 1024,
+                     max_total_disk=1024 * 1024 * 1024)
+    BentoServer(relay, net.authority, policy=policy, qos=qos)
+    return net, relay
+
+
+def _blob_session(thread, client, box):
+    """Connect, load ``blob``, download its payload, shut down, close."""
+    session = yield from client.connect(thread, box)
+    try:
+        yield from session.request_image(thread, "python", verify="none")
+        yield from session.load_function(thread, BLOB_SOURCE, BLOB)
+        result = yield from session.invoke(thread, [SESSION_PAYLOAD])
+        output = yield from session.next_output(thread)
+        assert result == len(output) == SESSION_PAYLOAD
+        yield from session.shutdown(thread)
+    finally:
+        session.close()
+
+
+def _drain_capacity():
+    """Sessions per second the box can complete: its uplink rate over the
+    uplink bytes of one session, measured over four in a row on an idle,
+    plane-off box."""
+    net, relay = _starved_box()
+    client = BentoClient(net.create_client("probe"))
+
+    def probe(thread):
+        box = client.discover_boxes()[0]
+        for _ in range(4):
+            yield from _blob_session(thread, client, box)
+
+    net.sim.spawn(probe, name="probe")
+    net.sim.run()
+    return round(STARVED_UPLINK_BPS / (relay.node.uplink.bytes_total / 4), 3)
+
+
+def _goodput(capacity, qos):
+    """Sessions per second finished inside their deadline, from the first
+    arrival to the last such finish, when one arrives every
+    ``1 / (4 * capacity)`` s for ``OVERLOAD_WINDOW_S``.  A refused arrival
+    waits out the ``retry_after`` it is given (else 1–2 s) and tries again."""
+    offered = 4 * capacity
+    net, _ = _starved_box(qos)
+    good = []
+
+    def arrival(thread, client):
+        arrived = net.sim.now
+        box = client.discover_boxes()[0]
+        while True:
+            try:
+                yield from _blob_session(thread, client, box)
+            except RETRYABLE_ERRORS as exc:
+                waited = net.sim.now - arrived
+                # With less than a service time left, a retry only spends
+                # the uplink on a session that will finish late anyway.
+                if waited >= SESSION_DEADLINE_S - RETRY_MARGIN_S:
+                    return
+                busy = isinstance(exc, ServerBusy) and exc.retry_after > 0
+                delay = exc.retry_after if busy else 1.0 + client.rng.random()
+                yield Sleep(min(delay, SESSION_DEADLINE_S - waited))
+            else:
+                if net.sim.now - arrived <= SESSION_DEADLINE_S:
+                    good.append(net.sim.now)
+                return
+
+    clients = [BentoClient(net.create_client(f"load{i}"))
+               for i in range(int(offered * OVERLOAD_WINDOW_S))]
+    for i, client in enumerate(clients):
+        net.sim.spawn(arrival, client, name=f"arrival{i}", delay=i / offered)
+    net.sim.run(until=OVERLOAD_WINDOW_S + 120.0)
+    return len(good) / max(OVERLOAD_WINDOW_S, max(good, default=0.0))
+
+
+def test_the_plane_holds_goodput_at_four_times_capacity():
+    """Plane off, every arrival shares the starved uplink and most finish
+    past their deadline.  Plane on, slots cap concurrency and the excess is
+    refused early, so the admitted finish in time."""
+    capacity = _drain_capacity()
+    off = _goodput(capacity, qos=None)
+    on = _goodput(capacity, QosConfig(slots=10, queue_depth=8,
+                                      queue_timeout_s=3.0,
+                                      base_retry_after_s=2.0))
+    assert on >= 0.75 * capacity, (on, capacity)
+    assert on >= 1.5 * off, (on, off)

@@ -1,7 +1,14 @@
-"""The scale plane: scheduler timer slots, zero-copy receive buffers, and
-control-plane cache invalidation."""
+"""The scale plane: scheduler timer slots, zero-copy receive buffers,
+control-plane cache invalidation, and a thousand full Bento sessions within
+the kernel's memory and context-switch budgets."""
 
 from __future__ import annotations
+
+import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -23,6 +30,8 @@ from repro.perf.counters import counters
 from repro.tor import TorTestNetwork
 from repro.tor.descriptor import HiddenServiceDescriptor, onion_address_for
 from repro.util.rng import DeterministicRandom
+
+from conftest import PEAK_RSS_KIB, needs_proc
 
 
 def cache_metric(kind: str, layer: str) -> float:
@@ -288,3 +297,97 @@ class TestAttestationCache:
         ias.revoke_platform("p1")
         with pytest.raises(AttestationError):
             ias.verify_quote(patched, now=4.0)
+
+
+#: N full Bento sessions (``sys.argv[1]``) in a fresh interpreter, so the
+#: peak read is theirs: C clients run S sequential sessions each, each a
+#: consensus fetch, a pooled circuit, REQUEST_IMAGE (every 8th session on
+#: the enclave image, its quote verified at the IAS), an upload, an invoke
+#: and a 32 kB download.  Prints the completed sessions, the kernel's task
+#: switches and the peak resident set in KiB.
+SESSIONS = PEAK_RSS_KIB + """
+import json, sys
+from dataclasses import replace
+from repro.core import BentoClient, BentoServer, FunctionManifest
+from repro.core.policy import MiddleboxNodePolicy
+from repro.enclave.attestation import IntelAttestationService
+from repro.perf.counters import counters
+from repro.tor import TorTestNetwork
+
+N = int(sys.argv[1])
+PAYLOAD = 32_768
+CODE = "def blob(n):\\n    yield from api.send(bytes(int(n)))\\n    return int(n)\\n"
+# Near 200 concurrent clients from N=10k on: the boxes' container caps
+# bound concurrency, so more sessions run longer clients, not more.
+per_client = 20 if N < 10_000 else max(50, N // 200)
+n_clients = max(1, N // per_client)
+per_client = N // n_clients
+
+net = TorTestNetwork(n_relays=12, seed=2021, bento_fraction=0.25)
+ias = IntelAttestationService(net.sim.rng.fork("ias"))
+# Roomy caps: concurrent instances per box track concurrent clients.
+policy = replace(MiddleboxNodePolicy.open_policy(), max_containers=64,
+                 max_total_memory=2048 * 1024 * 1024)
+for relay in net.bento_boxes():
+    BentoServer(relay, net.authority, policy=policy, ias=ias)
+manifests = {image: FunctionManifest.create("blob", "blob", {"send"},
+                                            image=image)
+             for image in ("python", "python-op-sgx")}
+completed = [0]
+
+def client_flow(thread, client, index):
+    boxes = client.discover_boxes()
+    box = boxes[index % len(boxes)]
+    for s in range(per_client):
+        sgx = (index * per_client + s) % 8 == 7
+        image = "python-op-sgx" if sgx else "python"
+        session = yield from client.connect(thread, box)
+        yield from session.request_image(thread, image,
+                                         verify="ias" if sgx else "none")
+        yield from session.load_function(thread, CODE, manifests[image])
+        result = yield from session.invoke(thread, [PAYLOAD])
+        output = yield from session.next_output(thread)
+        assert result == PAYLOAD and len(output) == PAYLOAD
+        yield from session.shutdown(thread)
+        session.close()
+        completed[0] += 1
+
+clients = [BentoClient(net.create_client(f"user{i}"), ias=ias,
+                       reuse_circuits=True) for i in range(n_clients)]
+tasks = [net.sim.spawn(client_flow, client, i, name=f"scale{i}",
+                       delay=0.25 * i) for i, client in enumerate(clients)]
+net.sim.run()
+for task in tasks:
+    if task.exception is not None:
+        raise task.exception
+print(json.dumps({"completed": completed[0],
+                  "task_switches": counters.task_switches,
+                  "peak_kib": peak()}))
+"""
+
+#: The retired thread-per-actor kernel's peak resident set at N=1,000
+#: sessions (52,448 KiB), per session: no N may cost that much.
+THREAD_KERNEL_KIB_PER_SESSION = 52.448
+#: Peak resident set for the whole run, at any N up to 10,000.
+RSS_BUDGET_KIB = 400_000
+#: Reads 14.875 at N=1,000 and 14.725 at N=10,000.  One more suspension
+#: on each request a session makes (four at the server, five at the
+#: client) is past it.
+SWITCHES_PER_SESSION_BUDGET = 17.0
+
+
+@needs_proc
+def test_sessions_stay_within_the_kernel_budgets():
+    """``REPRO_SCALE_SESSIONS`` sets N (default 1,000; nightly.yml runs
+    10,000)."""
+    n = int(os.environ.get("REPRO_SCALE_SESSIONS", "1000"))
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-c", SESSIONS, str(n)],
+                         check=True, capture_output=True, text=True,
+                         timeout=120 + n // 10,
+                         env={**os.environ, "PYTHONPATH": src})
+    run = json.loads(out.stdout)
+    assert run["completed"] == n
+    assert run["task_switches"] / n <= SWITCHES_PER_SESSION_BUDGET, run
+    assert run["peak_kib"] / n < THREAD_KERNEL_KIB_PER_SESSION, run
+    assert run["peak_kib"] <= RSS_BUDGET_KIB, run

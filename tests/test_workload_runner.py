@@ -1,4 +1,5 @@
-"""End-to-end workload runs: SLO reports, replay identity, plane mixing.
+"""End-to-end workload runs: SLO reports, replay identity, plane mixing,
+and the per-plane assertions the presets must declare.
 
 These drive :func:`repro.workload.run_workload` against real (small)
 Bento deployments.  The cross-plane case is the repo's first test with
@@ -10,6 +11,7 @@ leaks).
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 
@@ -22,6 +24,7 @@ from repro.util.serialization import canonical_encode
 from repro.workload import (ArrivalSpec, PlanesSpec, SloSpec, TenantSpec,
                             WorkloadSpec, build_report, generate,
                             render_report, run_workload)
+from repro.workload.presets import preset
 from repro.workload.slo import resolve_metric
 from repro.workload.spec import CrashSpec
 
@@ -186,6 +189,41 @@ class TestCrossPlane:
                                       seed=4))
         assert result["all_finished"], result["unfinished"]
         assert result["counters"]["links_cut"] >= 1
+
+
+#: The assertion each plane's story stands on, per preset: a preset edit
+#: that drops or loosens one fails here, not silently.
+PLANE_ASSERTIONS = {
+    "qos-flash": [("sessions.goodput", ">=", 0.75),
+                  ("qos.rejected", ">=", 1.0)],
+    "chaos-recovery": [("chaos.recovery_p99", "<=", 120.0)],
+    "migrate-handoff": [("probe.state_preserved", "==", 1.0)],
+    "chaos-soak": [("counters.replicas_respawned", ">=", 1.0),
+                   ("tenants.vault.goodput", "==", 1.0)],
+    "chaos-soak-standby": [("counters.standby_promotions", ">=", 1.0),
+                           ("chaos.recovery_p50", "<=", 0.1)],
+}
+
+
+class TestPlaneStories:
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("name", sorted(PLANE_ASSERTIONS))
+    def test_the_preset_declares_its_plane_assertions(self, name, full):
+        declared = {(s.metric, s.op, s.threshold)
+                    for s in preset(name, full=full).slos}
+        assert [row for row in PLANE_ASSERTIONS[name]
+                if row not in declared] == []
+
+    def test_without_the_migrate_plane_the_handoff_loses_state(self):
+        # The handoff preset at nightly scale with migration off: the crash
+        # of the probe's home box costs its state, so the plane is what
+        # preserves it in the preset.
+        spec = preset("migrate-handoff", full=True)
+        spec = dataclasses.replace(spec, planes=dataclasses.replace(
+            spec.planes, migrate=False, migrate_drain_at_s=0.0))
+        probe = run_workload(spec)["probe"]
+        assert not probe["state_preserved"]
+        assert probe["redeploys"] >= 1
 
 
 class TestDdosUnderBurst:
