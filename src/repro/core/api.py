@@ -57,11 +57,6 @@ class ApiError(BentoError):
     """Misuse of the function API (bad arguments, unknown handle, ...)."""
 
 
-#: Nominal cpu milliseconds metered per gated API call when the serving
-#: plane is on; the weighted-fair cpu queue paces flows by this currency.
-_QOS_CALL_COST_MS = 1.0
-
-
 class FunctionKilled(ReproError):
     """The sandbox or the owner terminated this function."""
 
@@ -125,14 +120,14 @@ class SandboxedStream:
     def send(self, data: bytes) -> None:
         """Send bytes to the peer."""
         yield from self._api._gate(self._gate_name)
-        yield from self._api._charge_network(len(data))
+        self._api._charge_network(len(data))
         self._stream.send(data)
 
     def recv(self, timeout: Optional[float] = None) -> bytes:
         """Block until the next chunk arrives; b'' at EOF."""
         yield from self._api._gate(self._gate_name)
         data = yield from self._stream.recv(self._api._thread, timeout=timeout)
-        yield from self._api._charge_network(len(data))
+        self._api._charge_network(len(data))
         return data
 
     def close(self) -> None:
@@ -153,7 +148,7 @@ class HttpSessionApi:
         yield from self._api._gate("http_get")
         response = yield from fetch(self._api._thread, self._framed, path,
                                     timeout=timeout)
-        yield from self._api._charge_network(len(response.body))
+        self._api._charge_network(len(response.body))
         return response
 
     def close(self) -> None:
@@ -168,36 +163,30 @@ class StorageApi:
     def __init__(self, api: "FunctionApi") -> None:
         self._api = api
 
-    def _fs(self):
-        instance = self._api._instance
-        if instance.conclave is not None:
-            return instance.conclave.fs
-        return instance.container.fs
-
     def put(self, path: str, data: bytes) -> None:
         """Write a file (charged against the disk quota)."""
         yield from self._api._gate("storage.put")
-        self._fs().write_file(path, bytes(data))
+        self._api._instance.fs.write_file(path, bytes(data))
 
     def get(self, path: str) -> bytes:
         """Read a file."""
         yield from self._api._gate("storage.get")
-        return self._fs().read_file(path)
+        return self._api._instance.fs.read_file(path)
 
     def list(self, path: str = "/") -> list[str]:
         """All file paths under ``path``."""
         yield from self._api._gate("storage.list")
-        return self._fs().walk_files(path)
+        return self._api._instance.fs.walk_files(path)
 
     def delete(self, path: str) -> None:
         """Remove a file (releases quota)."""
         yield from self._api._gate("storage.delete")
-        self._fs().delete(path)
+        self._api._instance.fs.delete(path)
 
     def exists(self, path: str) -> bool:
         """Does a file exist?  (Gated as a read.)"""
         yield from self._api._gate("storage.get")
-        return self._fs().exists(path)
+        return self._api._instance.fs.exists(path)
 
 
 @speaks_vocabulary
@@ -275,22 +264,11 @@ class FunctionApi:
             cost = instance.conclave.invoke_cost()
             if cost > 0:
                 yield Sleep(cost)
-        plane = instance.server.qos
-        if plane is not None:
-            # Meter this call against the instance's weighted-fair cpu
-            # share; the plane sleeps out any pacing delay right here, at
-            # the gate — never on the per-byte transfer path.
-            yield from plane.charge_cpu(self._thread, instance,
-                                        _QOS_CALL_COST_MS)
 
-    def _charge_network(self, nbytes: int):
-        """Byte-account one transfer: cgroup charge plus fair-share pacing."""
+    def _charge_network(self, nbytes: int) -> None:
+        """Byte-account one transfer against the container's cgroup."""
         self._alive()    # a transfer that outlived its box crash
-        instance = self._instance
-        instance.container.charge_network(nbytes)
-        plane = instance.server.qos
-        if plane is not None:
-            yield from plane.charge_net(self._thread, instance, nbytes)
+        self._instance.container.charge_network(nbytes)
 
     # -- talking to the client ----------------------------------------------
 
@@ -302,7 +280,7 @@ class FunctionApi:
         route = self._task_route.get(self._thread)
         if route is None:
             raise ApiError("no client attached to send to")
-        yield from self._charge_network(len(payload))
+        self._charge_network(len(payload))
         frame = messages.message_pieces(
             messages.Output, rid=route.rid, payload=bytes(payload))
         try:
@@ -371,7 +349,7 @@ class FunctionApi:
         response = yield from http_get(self._thread, instance.server.network,
                                        instance.server.node, url,
                                        timeout=timeout)
-        yield from self._charge_network(len(response.body))
+        self._charge_network(len(response.body))
         return response
 
     def http_session(self, host: str, port: int = 443,

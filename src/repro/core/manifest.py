@@ -8,7 +8,10 @@
     more)."
 
 The syscall list is derived from the requested API calls by default, so a
-manifest can only *narrow* from there.
+manifest can only *narrow* from there.  A manifest asks for resources, not
+a scheduling class: the serving plane ranks work at admission, by the
+``request_image`` priority, and a running function is held only to the
+cgroup caps its manifest set at load.
 """
 
 from __future__ import annotations
@@ -21,12 +24,6 @@ from repro.util.spec import field_table, read_fields, typed
 
 MB = 1024 * 1024
 
-#: Serving-plane priority classes a manifest may declare.  "bulk" is the
-#: default and is shed first under overload; "interactive" gets a larger
-#: weighted-fair share and survives shedding longest.
-PRIORITY_CLASSES = ("bulk", "interactive")
-
-
 @dataclass(frozen=True)
 class FunctionManifest:
     """Everything a Bento server needs to know before accepting a function."""
@@ -38,7 +35,6 @@ class FunctionManifest:
     memory_bytes: int = 4 * MB
     disk_bytes: int = 0
     syscalls: frozenset = frozenset()
-    priority: str = "bulk"          # serving-plane class (see PRIORITY_CLASSES)
 
     def __post_init__(self) -> None:
         unknown = set(self.api_calls) - ALL_API_CALLS
@@ -48,8 +44,6 @@ class FunctionManifest:
             raise ValueError("manifest needs a name and an entry point")
         if self.memory_bytes < 0 or self.disk_bytes < 0:
             raise ValueError("resource requests must be non-negative")
-        if self.priority not in PRIORITY_CLASSES:
-            raise ValueError(f"unknown priority class: {self.priority!r}")
         if not self.syscalls:
             object.__setattr__(self, "syscalls", syscalls_for(self.api_calls))
 
@@ -58,14 +52,13 @@ class FunctionManifest:
                image: str = "python", memory_bytes: int = 4 * MB,
                disk_bytes: int = 0,
                syscalls: Optional[Iterable[str]] = None,
-               priority: str = "bulk") -> "FunctionManifest":
+               ) -> "FunctionManifest":
         """The ergonomic constructor (derives syscalls unless given)."""
         return cls(name=name, entry=entry, api_calls=frozenset(api_calls),
                    image=image, memory_bytes=memory_bytes,
                    disk_bytes=disk_bytes,
                    syscalls=frozenset(syscalls) if syscalls is not None
-                   else frozenset(),
-                   priority=priority)
+                   else frozenset())
 
     @property
     def wants_enclave(self) -> bool:
@@ -73,13 +66,8 @@ class FunctionManifest:
         return self.image == "python-op-sgx"
 
     def to_wire(self) -> dict:
-        """A plain-dict form safe to canonically encode.
-
-        ``priority`` is only encoded when it differs from the default so
-        pre-serving-plane manifests keep byte-identical wire encodings
-        (the golden transfer vectors and fixed-seed soaks depend on it).
-        """
-        wire = {
+        """A plain-dict form safe to canonically encode."""
+        return {
             "name": self.name,
             "entry": self.entry,
             "api_calls": sorted(self.api_calls),
@@ -88,9 +76,6 @@ class FunctionManifest:
             "disk": self.disk_bytes,
             "syscalls": sorted(self.syscalls),
         }
-        if self.priority != "bulk":
-            wire["priority"] = self.priority
-        return wire
 
     @classmethod
     def from_wire(cls, wire: dict) -> "FunctionManifest":
@@ -109,11 +94,9 @@ class FunctionManifest:
             memory_bytes=fields["memory"],
             disk_bytes=fields["disk"],
             syscalls=frozenset(fields["syscalls"]),
-            priority=fields["priority"],
         )
 
 
 #: The wire form :meth:`FunctionManifest.to_wire` writes.
 _WIRE = field_table(name=str, entry=str, api_calls=list, image=str,
-                    memory=int, disk=int, syscalls=list,
-                    priority=(str, "bulk"))
+                    memory=int, disk=int, syscalls=list)

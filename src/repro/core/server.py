@@ -120,6 +120,14 @@ class FunctionInstance:
         return self.runtime is None or not self.runtime.running
 
     @property
+    def fs(self):
+        """Where this instance's files live: the conclave's FS Protect
+        store inside an enclave, else the container's chroot."""
+        if self.conclave is not None:
+            return self.conclave.fs
+        return self.container.fs
+
+    @property
     def checkpointable(self) -> bool:
         """Does the loaded function implement the checkpoint protocol?"""
         return self.runtime is not None and self.runtime.checkpointable
@@ -256,7 +264,7 @@ class BentoServer:
         # drops.  Default None preserves pure §5.3 box fate-sharing.
         self.orphan_grace_s = orphan_grace_s
         # The serving plane is opt-in: pass a QosConfig to enable
-        # admission control, fair scheduling, and load shedding.  With
+        # admission control, load shedding, and slack advertisement.  With
         # qos=None (the default) no plane code runs at all, so existing
         # fixed-seed runs replay bit-identically.  Imported lazily —
         # repro.qos pulls in repro.core submodules, and a top-level
@@ -339,6 +347,8 @@ class BentoServer:
             frame = message = None
         if span is not None:
             span.end(self.sim.now, frames=frames_served)
+        if self.qos is not None:
+            self.qos.session_ended(framed)
         # This client is gone; sweep for orphans once the grace expires.
         self._arm_reaper()
 
@@ -407,7 +417,7 @@ class BentoServer:
             qos_key = None
             if self.qos is not None:
                 # The serving plane replaces the blunt container-limit
-                # error: it queues, paces, or refuses with a structured
+                # error: it queues, or refuses with a structured
                 # retry_after (and may demand a puzzle under shed pressure).
                 qos_key = yield from self.qos.admit_request(
                     thread, reply.framed, message)
@@ -466,8 +476,7 @@ class BentoServer:
         tokens = self._tokens.issue()
         instance = FunctionInstance(self, image, container, conclave, tokens)
         instance.note_peer(reply.framed)
-        if self.qos is not None and qos_key is not None:
-            self.qos.attach_instance(qos_key, instance)
+        instance.qos_key = qos_key
         self._by_invocation[tokens.invocation] = instance
         self._by_shutdown[tokens.shutdown] = instance
         span.end(self.sim.now, ok=True, instance=instance.instance_id,
@@ -497,8 +506,7 @@ class BentoServer:
                 raise ManifestRejected(reason)
             if self.qos is not None:
                 # Price the declared ask against the capacity ledger before
-                # any real resources are committed; also registers the
-                # instance's fair-queue flows under its priority class.
+                # any real resources are committed.
                 self.qos.price_manifest(instance, manifest)
 
             if message.sealed_code:
@@ -510,13 +518,11 @@ class BentoServer:
                 code = message.code
 
             instance.load(code, manifest)
-            fs = (instance.conclave.fs if instance.conclave is not None
-                  else instance.container.fs)
             for path, data in (message.data or {}).items():
                 # Initial data files ride along with the upload (§5.4: "the
                 # Bento client then uploads the function, and any associated
                 # data to copy to FS Protect").
-                fs.write_file(path, data)
+                instance.fs.write_file(path, data)
             span.end(self.sim.now, ok=True, instance=instance.instance_id,
                      name=manifest.name)
             reply.send(messages.Loaded)

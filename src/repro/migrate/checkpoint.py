@@ -84,12 +84,6 @@ _WIRE = field_table(name=str, entry=str, image=str, manifest=dict, code=str,
                     taken_at=float, measurement=(str, ""))
 
 
-def _instance_fs(instance):
-    if instance.conclave is not None:
-        return instance.conclave.fs
-    return instance.container.fs
-
-
 def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
     """Snapshot a (quiesced or idle) instance.
 
@@ -107,7 +101,7 @@ def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
     except UNENCODABLE as exc:
         raise MigrationError(
             f"checkpoint state is not canonical-encodable: {exc}") from exc
-    fs = _instance_fs(instance)
+    fs = instance.fs
     files = {}
     for path in fs.walk_files("/"):
         if path.startswith("/.bento/"):
@@ -153,7 +147,7 @@ def restore_instance(instance, cp: Optional[Checkpoint], route,
         if not instance.checkpointable:
             raise NotCheckpointable(
                 "loaded function does not export checkpoint()/restore(state)")
-        fs = _instance_fs(instance)
+        fs = instance.fs
         for path, data in cp.files.items():
             fs.write_file(path, bytes(data))
         runtime.restore_state(cp.state)

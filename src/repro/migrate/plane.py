@@ -45,8 +45,6 @@ QUIESCE_TIMEOUT_S = 60.0
 TRANSFER_TIMEOUT_S = 240.0
 #: Destinations tried, best slack first, before a drain is given up.
 MAX_DEST_ATTEMPTS = 3
-#: The least time between two shed-by-migration drains of one box.
-MIN_SHED_INTERVAL_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -57,7 +55,9 @@ class MigrationConfig:
 
 
 class MigrationPlane:
-    """Per-server driver for drains and shed-by-migration."""
+    """Per-server driver for drains.  A drain is asked for (a workload's
+    handoff, a chain's re-placement); the serving plane never starts one:
+    an overloaded box refuses new work, it does not move tenants away."""
 
     def __init__(self, server, config: Optional[MigrationConfig] = None) -> None:
         self.server = server
@@ -66,8 +66,6 @@ class MigrationPlane:
         # the plane cannot perturb the server's own randomness stream.
         self.rng = server.rng.fork("migrate")
         self._drain_ids = itertools.count(1)
-        self._draining = 0
-        self._last_shed_at: Optional[float] = None
 
     # -- draining ----------------------------------------------------------
 
@@ -90,7 +88,6 @@ class MigrationPlane:
                          {"box": server.relay.nickname}).value += 1
         with _obs.span("migrate.drain", sim, track=server.relay.nickname,
                        instance=instance.instance_id) as span:
-            self._draining += 1
             moved = False
             try:
                 def fail(why: str):
@@ -187,7 +184,6 @@ class MigrationPlane:
                 return dest.identity_fp
             finally:
                 # Any exit but a move, an error too, thaws the instance.
-                self._draining -= 1
                 if not moved:
                     instance.draining = False
 
@@ -210,42 +206,3 @@ class MigrationPlane:
             adopt_invocation=instance.tokens.invocation,
             adopt_shutdown=instance.tokens.shutdown, timeout=timeout)
         return session
-
-    # -- QoS hook: shed by migrating, not refusing -------------------------
-
-    def maybe_shed(self) -> bool:
-        """Called by the serving plane on a shedding rising edge: move one
-        bulk tenant to a slack-rich box instead of refusing work here.
-        Rate-limited; returns True when a drain was kicked off."""
-        if self._draining:
-            return False
-        now = self.server.sim.now
-        if (self._last_shed_at is not None
-                and now - self._last_shed_at < MIN_SHED_INTERVAL_S):
-            return False
-        victim = self._pick_shed_victim()
-        if victim is None:
-            return False
-        self._last_shed_at = now
-        _obs.event("migrate.shed", now, track=self.server.relay.nickname,
-                   instance=victim.instance_id)
-        self.request_drain(victim)
-        return True
-
-    def _pick_shed_victim(self):
-        """The migratable bulk instance with the smallest id (stable)."""
-        candidates = []
-        for instance in self.server._by_invocation.values():
-            if instance.terminated or instance.draining:
-                continue
-            if not instance.checkpointable:
-                continue
-            manifest = instance.manifest
-            if manifest is not None and getattr(manifest, "priority",
-                                                "bulk") == "interactive":
-                continue  # never shed interactive tenants by force
-            candidates.append(instance)
-        if not candidates:
-            return None
-        return min(candidates,
-                   key=lambda i: (len(i.instance_id), i.instance_id))

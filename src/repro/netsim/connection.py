@@ -3,9 +3,10 @@
 A :class:`Connection` models a TCP (or TLS) connection between two nodes.
 Messages are Python objects with an explicit wire size; large messages are
 chunked through the sender's uplink and the receiver's downlink so that
-concurrent connections share bandwidth fairly.  An optional *windowed* send
-models TCP slow start, which is what makes small transfers RTT-bound — the
-effect behind Table 2's "Browser beats standard Tor on small pages" result.
+concurrent connections share bandwidth fairly.  TCP slow start, which is
+what makes small transfers RTT-bound (the effect behind Table 2's "Browser
+beats standard Tor on small pages" result), is not modelled here: HTTP
+responses carry it as ack-paced windows (:mod:`repro.netsim.http`).
 
 There is one link model: every chunk of every message is its own
 :meth:`~repro.netsim.interface.Interface.transmit` on each interface it

@@ -116,8 +116,6 @@ FIELDS = (
     Field("qos_rejected", "qos", "plane-off-zero", "qos_rejected"),
     # work dropped by the load shedder
     Field("qos_shed", "qos", "plane-off-zero", "qos_shed"),
-    # fair-scheduler pacing sleeps inserted
-    Field("qos_throttles", "qos", "plane-off-zero"),
     # -- sharded kernel, deleted: always 0; benchmarks/suite/rep.py reads them
     Field("shard_epochs_completed", "shard", "plane-off-zero"),
     Field("shard_cross_events", "shard", "plane-off-zero"),

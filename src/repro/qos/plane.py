@@ -1,4 +1,4 @@
-"""The serving plane: admission → schedule → shed → place.
+"""The serving plane: admission → shed → place.
 
 :class:`ServingPlane` sits between :class:`~repro.core.server.BentoServer`
 and the sandbox/netsim layers and owns every quality-of-service decision
@@ -9,11 +9,11 @@ the box makes:
   shed pressure — a hashcash **client puzzle**;
 * ``LOAD_FUNCTION`` **prices** the manifest's declared ask against a
   capacity ledger, atomically;
-* running instances are **scheduled**: cpu milliseconds and network bytes
-  drain through weighted-fair queues (interactive outweighs bulk), with
-  pacing applied at the API gate — never on the per-byte transfer path;
 * load is **advertised** through the directory after every admission
   change so slack-aware clients place new work on the emptiest box.
+
+A running function is limited only by its container's cgroup caps, fixed
+at load; the plane never paces it.
 
 Everything is driven by simulated time and the server's forked RNG, so a
 fixed seed replays bit-identically; with the plane absent (the default)
@@ -27,25 +27,16 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.errors import PuzzleRequired, ServerBusy
-from repro.core.manifest import PRIORITY_CLASSES
 from repro.functions.ddos_defense import AdmissionPuzzle
-from repro.netsim.simulator import Actor, Sleep
+from repro.netsim.simulator import Actor
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.qos.admission import AdmissionController
-from repro.qos.scheduler import FairQueue
 from repro.qos.shedding import LoadShedder
 
-_THROTTLES = _metrics.counter("perf_qos_throttles")
-
-#: Fair-share weights per priority class (interactive : bulk = 4 : 1).
-CLASS_WEIGHTS = {"interactive": 4.0, "bulk": 1.0}
-
-#: The fair queues' shared drain rates (per simulated second) and the
-#: per-flow allowance a charge may use before it is paced.
-CPU_RATE_MS = 4000.0
-CPU_BURST_MS = 50.0
-NET_RATE_BYTES = 4 * 1024 * 1024
-NET_BURST_BYTES = 256 * 1024
+#: Admission priority classes a ``request_image`` may name.  "bulk" is the
+#: default and is shed first under overload; "interactive" wakes first
+#: from the admission queue and is never refused by the shedder.
+PRIORITY_CLASSES = ("bulk", "interactive")
 
 
 @dataclass(frozen=True)
@@ -63,7 +54,7 @@ class QosConfig:
 
 
 class ServingPlane:
-    """One box's admission controller, fair scheduler, and load shedder."""
+    """One box's admission controller and load shedder."""
 
     def __init__(self, server, config: Optional[QosConfig] = None) -> None:
         self.server = server
@@ -79,8 +70,6 @@ class ServingPlane:
             capacity_disk=policy.max_total_disk,
             on_evict=self._count_shed)
         self.shedder = LoadShedder()
-        self.cpu_queue = FairQueue(rate=CPU_RATE_MS, burst=CPU_BURST_MS)
-        self.net_queue = FairQueue(rate=NET_RATE_BYTES, burst=NET_BURST_BYTES)
         # The plane's own RNG fork: puzzle challenges draw from here, so
         # enabling the plane never perturbs the server's other streams.
         self.rng = server.rng.fork("qos")
@@ -102,9 +91,9 @@ class ServingPlane:
     def admit_request(self, thread: Actor, conn, message) -> object:
         """Gate one typed ``RequestImage`` frame; returns the admission key.
 
-        The caller must hand the key to :meth:`attach_instance` once the
-        container exists, or :meth:`release` it if setup fails.  Raises
-        :class:`ServerBusy` or :class:`PuzzleRequired`.
+        The caller stores the key as the instance's ``qos_key`` once the
+        container exists, or hands it to :meth:`release` if setup fails.
+        Raises :class:`ServerBusy` or :class:`PuzzleRequired`.
         """
         priority = message.priority
         if priority not in PRIORITY_CLASSES:
@@ -129,10 +118,6 @@ class ServingPlane:
         self._after_queue_change()
         return key
 
-    def attach_instance(self, key: object, instance) -> None:
-        """Bind an admission slot to the instance it produced."""
-        instance.qos_key = key
-
     def release(self, key: object) -> None:
         """Free a slot (instance died, or setup failed before one existed).
 
@@ -141,13 +126,10 @@ class ServingPlane:
         — nothing to count here beyond the queue-state refresh.
         """
         self.admission.release(key)
-        self.admission.unprice(key)
-        self.cpu_queue.unregister(key, self.server.sim.now)
-        self.net_queue.unregister(key, self.server.sim.now)
         self._after_queue_change()
 
     def price_manifest(self, instance, manifest) -> None:
-        """Reserve the manifest's declared ask; register its flows."""
+        """Reserve the manifest's declared ask on the capacity ledger."""
         key = instance.qos_key
         if key is None:
             return
@@ -156,10 +138,6 @@ class ServingPlane:
         except ServerBusy:
             self._m_rejected.value += 1
             raise
-        now = self.server.sim.now
-        weight = CLASS_WEIGHTS.get(manifest.priority, 1.0)
-        self.cpu_queue.register(key, weight, now)
-        self.net_queue.register(key, weight, now)
         self._advertise()
 
     # -- puzzles -----------------------------------------------------------
@@ -181,30 +159,9 @@ class ServingPlane:
                              challenge=puzzle.challenge,
                              difficulty=puzzle.difficulty_bits)
 
-    # -- scheduling --------------------------------------------------------
-
-    def charge_cpu(self, thread: Actor, instance,
-                   cost_ms: float) -> None:
-        """Meter cpu milliseconds; sleep out any fair-share pacing delay."""
-        key = instance.qos_key
-        if key is None or cost_ms <= 0:
-            return
-        delay = self.cpu_queue.charge(key, cost_ms, self.server.sim.now)
-        yield from self._pace(thread, delay)
-
-    def charge_net(self, thread: Actor, instance,
-                   nbytes: int) -> None:
-        """Meter egress/ingress bytes through the fair queue."""
-        key = instance.qos_key
-        if key is None or nbytes <= 0:
-            return
-        delay = self.net_queue.charge(key, float(nbytes), self.server.sim.now)
-        yield from self._pace(thread, delay)
-
-    def _pace(self, thread: Actor, delay: float):
-        if delay > 0:
-            _THROTTLES.value += 1
-            yield Sleep(delay)
+    def session_ended(self, conn) -> None:
+        """Forget ``conn``'s unsolved puzzle: nobody can answer it now."""
+        self._puzzles.pop(conn, None)
 
     # -- shedding & advertisement ------------------------------------------
 
@@ -213,15 +170,8 @@ class ServingPlane:
 
     def _after_queue_change(self) -> None:
         """Re-evaluate shed state and re-advertise after any transition."""
-        was_shedding = self.shedder.shedding
         self.shedder.update(self.admission.queue_len,
                             self.admission.queue_depth)
-        if (self.shedder.shedding and not was_shedding
-                and getattr(self.server, "migrate", None) is not None):
-            # Shedding just engaged: with the migration plane on, try to
-            # *move* a bulk tenant to a slack-rich box instead of only
-            # refusing new work here.
-            self.server.migrate.maybe_shed()
         self._m_queue_depth.set(self.admission.queue_len)
         self._m_slots_free.set(self.admission.slots_free)
         self._advertise()

@@ -83,7 +83,7 @@ def run_workload(spec: WorkloadSpec,
 def _kv_manifest(tenant: TenantSpec) -> FunctionManifest:
     return FunctionManifest.create(
         "kvstore", "kvstore", KvStoreFunction.API_CALLS, image="python",
-        memory_bytes=2 * MB, priority=tenant.priority)
+        memory_bytes=2 * MB)
 
 
 def _count_lb_events(events: list, recovery_samples: list) -> None:

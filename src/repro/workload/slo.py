@@ -131,7 +131,6 @@ def build_report(spec: WorkloadSpec, result: dict) -> dict:
             "admitted": counters["qos_admitted"],
             "rejected": counters["qos_rejected"],
             "shed": counters["qos_shed"],
-            "throttles": counters["qos_throttles"],
             "refusals": outcome_totals.get("refused", 0),
             "refusal_rate": (round(outcome_totals.get("refused", 0)
                                    / n_total, 6) if n_total else None),

@@ -1,7 +1,6 @@
-"""Migration plane: sealed checkpoint/restore, drain-then-migrate, a
-standby's staged restore, shed-by-migration — plus the two robustness
-fixes that ride along (the orphan reaper re-arming, graceful kills
-flushing pending outputs)."""
+"""Migration plane: sealed checkpoint/restore, drain-then-migrate and a
+standby's staged restore — plus the two robustness fixes that ride along
+(the orphan reaper re-arming, graceful kills flushing pending outputs)."""
 
 from __future__ import annotations
 
@@ -397,47 +396,6 @@ class TestWarmStandby:
         run_thread(net, main)
 
 
-class TestShedByMigration:
-    def test_shed_drains_a_bulk_tenant_once(self, migrate_net):
-        net = migrate_net
-
-        def main(thread):
-            client, box, session = yield from kvstore_session(net, thread)
-            server = server_for(net, box)
-            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 1
-
-            assert server.migrate.maybe_shed() is True
-            # A second rising edge while the drain is in flight (and then
-            # inside the rate-limit window) must not start another.
-            assert server.migrate.maybe_shed() is False
-            yield Sleep(60.0)  # the spawned drain actor completes
-            assert _perf.migrations_completed == 1
-            assert session.invocation_token not in server._by_invocation
-            assert server._moved[session.invocation_token]
-            session.close()
-
-        run_thread(net, main)
-
-    def test_shed_needs_a_checkpointable_victim(self, migrate_net):
-        net = migrate_net
-
-        def main(thread):
-            client = BentoClient(net.create_client("c"), ias=net.ias)
-            box = client.pick_box()
-            session = yield from client.connect_direct(thread, box)
-            yield from session.request_image(thread, "python")
-            yield from session.load_function(
-                thread, ECHO,
-                FunctionManifest.create("echo", "echo", set(), image="python"))
-            server = server_for(net, box)
-            # echo exports no checkpoint protocol: nothing to migrate.
-            assert server.migrate.maybe_shed() is False
-            assert _perf.migrations_started == 0
-            session.close()
-
-        run_thread(net, main)
-
-
 # A checkpointable function whose own checkpoint() and restore() raise.
 RAISING = ("def main():\n"
            "    while True:\n"
@@ -553,4 +511,4 @@ class TestNamedCatches:
         sim.run()
         (failed,) = sim._failed
         assert isinstance(failed.exception, KeyError)
-        assert plane._draining == 0 and instance.draining is False
+        assert instance.draining is False

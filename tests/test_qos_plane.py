@@ -1,5 +1,5 @@
-"""The serving plane: admission, fair scheduling, shedding, placement, and
-the goodput it holds on a box offered four times what it can serve."""
+"""The serving plane: admission, shedding, puzzles, placement, and the
+goodput it holds on a box offered four times what it can serve."""
 
 from dataclasses import replace
 
@@ -16,7 +16,6 @@ from repro.obs.metrics import REGISTRY
 from repro.perf.counters import counters
 from repro.qos import (
     AdmissionController,
-    FairQueue,
     LoadShedder,
     QosConfig,
     rank_boxes,
@@ -27,50 +26,6 @@ from repro.tor.testnet import TorTestNetwork
 from repro.util.rng import DeterministicRandom
 
 from conftest import run_thread
-
-
-# ---------------------------------------------------------------------------
-# scheduler primitives
-# ---------------------------------------------------------------------------
-
-class TestFairQueue:
-    def test_interactive_outpaces_bulk(self):
-        fq = FairQueue(rate=1000.0)
-        fq.register("fast", weight=4.0, now=0.0)
-        fq.register("slow", weight=1.0, now=0.0)
-        # Equal charges: the heavier flow accrues 4x less virtual lag.
-        fast_delay = fq.charge("fast", 1000.0, now=0.0)
-        slow_delay = fq.charge("slow", 1000.0, now=0.0)
-        assert slow_delay > fast_delay > 0.0
-        assert slow_delay == pytest.approx(4.0 * fast_delay)
-
-    def test_single_flow_gets_full_rate(self):
-        fq = FairQueue(rate=1000.0)
-        fq.register("only", weight=1.0, now=0.0)
-        # 500 units at 1000/s with W=1: half a second of lag.
-        assert fq.charge("only", 500.0, now=0.0) == pytest.approx(0.5)
-        # After that much real time passes, the flow is caught up.
-        assert fq.charge("only", 0.0, now=0.5) == 0.0
-        assert fq.backlog("only", now=0.5) == pytest.approx(0.0)
-
-    def test_unknown_flow_is_unpaced(self):
-        fq = FairQueue(rate=10.0)
-        assert fq.charge("ghost", 1e9, now=0.0) == 0.0
-
-    def test_unregister_returns_share(self):
-        fq = FairQueue(rate=100.0)
-        fq.register("a", weight=1.0, now=0.0)
-        fq.register("b", weight=1.0, now=0.0)
-        fq.unregister("b", now=0.0)
-        assert fq.active_flows == 1
-        # With b gone, a's delay reflects the whole rate again.
-        assert fq.charge("a", 100.0, now=0.0) == pytest.approx(1.0)
-
-    def test_burst_allowance_defers_pacing(self):
-        fq = FairQueue(rate=100.0, burst=100.0)
-        fq.register("a", weight=1.0, now=0.0)
-        assert fq.charge("a", 100.0, now=0.0) == 0.0     # inside the burst
-        assert fq.charge("a", 100.0, now=0.0) > 0.0      # beyond it
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +452,78 @@ class TestServingPlaneE2E:
         assert run_thread(net, main, until=600.0)
         assert counters.qos_shed >= 1
 
+    def test_an_unsolved_puzzle_leaves_with_its_connection(self):
+        net = _qos_net(slots=4, queue_depth=4)
+        server = net.servers[0]
+        server.qos.shedder.shedding = True
+        descriptor = net.authority.consensus().find(server.relay.fingerprint)
+
+        def main(thread):
+            for i in range(3):
+                client = BentoClient(net.create_client(f"quitter{i}"))
+                session = yield from client.connect_direct(thread, descriptor)
+                with pytest.raises(PuzzleRequired):
+                    yield from session.request_image(
+                        thread, "python", solve_puzzles=False)
+                session.close()
+
+        run_thread(net, main, until=600.0)
+        net.sim.run()
+        # Nobody can answer a puzzle handed to a closed connection.
+        assert server.qos._puzzles == {}
+
+    def test_a_full_queue_engages_shedding_and_a_drained_one_lifts_it(self):
+        # One slot and four queue places: the shedder's high watermark
+        # (0.75) is three parked requests, its low one (0.25) is one.
+        net = _qos_net(slots=1, queue_depth=4)
+        server = net.servers[0]
+        plane = server.qos
+        descriptor = net.authority.consensus().find(server.relay.fingerprint)
+
+        def connect(thread, name):
+            client = BentoClient(net.create_client(name))
+            return (yield from client.connect_direct(thread, descriptor))
+
+        def queued(thread, name):
+            session = yield from connect(thread, name)
+            yield from session.request_image(thread, "python")
+            yield from session.shutdown(thread)
+
+        def main(thread):
+            holder = yield from connect(thread, "holder")
+            yield from holder.request_image(thread, "python")
+            for i in range(4):
+                net.sim.spawn(queued, f"queued{i}", name=f"queued{i}")
+            yield Sleep(10.0)
+            assert plane.admission.queue_len == 4
+
+            # A fifth bulk arrival finds the queue full; its refusal
+            # re-reads the queue, and the box starts shedding.
+            late = yield from connect(thread, "late")
+            with pytest.raises(ServerBusy):
+                yield from late.request_image(thread, "python")
+            assert plane.shedder.shedding
+            with pytest.raises(PuzzleRequired):
+                yield from late.request_image(
+                    thread, "python", solve_puzzles=False)
+            shed = counters.qos_shed
+            with pytest.raises(ServerBusy):     # solved, and still bulk
+                yield from late.request_image(thread, "python")
+            assert counters.qos_shed == shed + 1
+
+            # The holder leaves; the parked four get the slot in turn.
+            yield from holder.shutdown(thread)
+            yield Sleep(60.0)
+            assert plane.admission.queue_len == 0
+            assert not plane.shedder.shedding
+            fresh = yield from connect(thread, "fresh")
+            yield from fresh.request_image(
+                thread, "python", solve_puzzles=False)
+            yield from fresh.shutdown(thread)
+            return plane.shedder.transitions
+
+        assert run_thread(net, main, until=600.0) == 1
+
     def test_load_reports_steer_placement(self):
         net = _qos_net(slots=1, queue_depth=4, n_relays=10, seed="qos-place")
         assert len(net.servers) >= 2
@@ -569,30 +596,6 @@ class TestServingPlaneE2E:
         assert counters.qos_admitted == 0
         assert counters.qos_rejected == 0
         assert counters.qos_shed == 0
-        assert counters.qos_throttles == 0
-
-    def test_fair_scheduler_paces_running_functions(self):
-        net = _qos_net(slots=4, queue_depth=4)
-        box = net.servers[0].relay
-
-        chatty = ("def chatty(n):\n"
-                  "    for _ in range(n):\n"
-                  "        yield from api.send(b'x' * 65536)\n"
-                  "    return 'ok'\n")
-
-        def main(thread):
-            client = BentoClient(net.create_client("chatty"))
-            descriptor = net.authority.consensus().find(box.fingerprint)
-            session = yield from client.connect_direct(thread, descriptor)
-            yield from session.request_image(thread, "python")
-            yield from session.load_function(
-                thread, chatty,
-                FunctionManifest.create("chatty", "chatty", {"send"}))
-            return (yield from session.invoke(thread, [200], timeout=3000.0))
-
-        assert run_thread(net, main, until=5000.0) == "ok"
-        # 200 * 64 KiB >> the net fair-queue burst: pacing must have fired.
-        assert counters.qos_throttles > 0
 
 
 # ---------------------------------------------------------------------------
