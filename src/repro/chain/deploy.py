@@ -8,10 +8,9 @@ end: every replica is a real attested Bento session (``connect_direct``
 real bytes through those sessions, and every failure goes through the
 planes that already exist rather than private recovery code:
 
-* **fan-out arcs** route with the LoadBalancer's wiring discipline —
-  ``split`` arcs weighted-round-robin units across downstream replicas
-  and arcs, ``copy`` arcs scatter a copy down every edge (the Shard
-  pattern);
+* **units go down the line**: each component's replicas take units in
+  round robin (the LoadBalancer's wiring), and what one component emits
+  is what the next one receives;
 * **failures re-embed**: a dead or refusing box is excluded, the joint
   engine recomputes the overlay with every healthy replica *pinned* in
   place, and replicas that must move are handed to the migrate plane's
@@ -118,10 +117,10 @@ class ChainStageFunction:
     API_CALLS = frozenset({"send", "recv", "sleep"})
 
     @classmethod
-    def manifest(cls, component, image: str = "python") -> FunctionManifest:
+    def manifest(cls, component) -> FunctionManifest:
         return FunctionManifest.create(
             name=f"chain-{component.name}", entry="stage",
-            api_calls=cls.API_CALLS, image=image,
+            api_calls=cls.API_CALLS, image="python",
             memory_bytes=component.memory_bytes)
 
 
@@ -138,33 +137,27 @@ class ChainDeployment:
 
     def __init__(self, client, spec: ChainSpec, *,
                  servers: Optional[Mapping[str, object]] = None,
-                 image: str = "python",
                  reembed_on_failure: bool = True) -> None:
         self.client = client
         self.sim = client.sim
         self.spec = spec
         self.servers = dict(servers or {})
-        self.image = image
         self.reembed_on_failure = reembed_on_failure
         self.overlay: Optional[Overlay] = None
-        self.units_pushed = 0
         self.units_delivered = 0
         self.reembeds = 0
         self._sessions: dict[tuple[str, int], object] = {}
         self._busy: dict[tuple[str, int], bool] = {}
         self._replica_cursor: dict[str, int] = {}
-        self._split_cursor: dict[str, int] = {}
         self._excluded: set[str] = set()
 
     # -- embedding ---------------------------------------------------------
 
     def compute_overlay(self, engine: str = "joint",
-                        exclude_fps: Sequence[str] = (),
                         pinned: Optional[Mapping] = None) -> Overlay:
         """Embed the template against the directory's current view."""
-        exclude = set(exclude_fps) | self._excluded
         boxes = [b for b in self.client.discover_boxes()
-                 if b.identity_fp not in exclude]
+                 if b.identity_fp not in self._excluded]
         table = self.client.tor.directory.load_table()
         wall = _time.perf_counter()
         if engine == "joint":
@@ -206,11 +199,10 @@ class ChainDeployment:
         box = self._descriptor(box_fp)
         session = yield from self.client.connect_direct(task, box)
         try:
-            yield from session.request_image(task, self.image,
-                                             verify="none")
+            yield from session.request_image(task, "python", verify="none")
             yield from session.load_function(
                 task, ChainStageFunction.SOURCE,
-                ChainStageFunction.manifest(comp, image=self.image))
+                ChainStageFunction.manifest(comp))
             session.invoke_nowait([comp.transform, comp.cpu_ms_per_unit])
         except BaseException:
             session.close()
@@ -225,22 +217,18 @@ class ChainDeployment:
 
     def push(self, task: Actor, payload: bytes,
              deadline_s: float = 60.0, _retrying: bool = False) -> dict:
-        """Route one traffic unit through the chain.
+        """Send one traffic unit down the chain.
 
-        Returns ``{sink_name: output_bytes}`` for every sink the unit
-        reached.  A box failure mid-unit triggers one re-embed (healthy
-        replicas pinned, movers drained or respawned) and one retry from
-        the top; a second failure propagates.
+        Returns ``{last_component: output_bytes}``.  A box failure
+        mid-unit triggers one re-embed (healthy replicas pinned, movers
+        drained or respawned) and one retry from the top; a second
+        failure propagates.
         """
         if self.overlay is None:
             raise ChainDeployError("push before deploy")
-        if len(self.spec.sources) != 1:
-            raise ChainDeployError("push needs a single-source chain")
-        self.units_pushed += 1 if not _retrying else 0
         deadline_at = self.sim.now + deadline_s
         try:
-            outputs = yield from self._traverse(
-                task, self.spec.sources[0], payload, deadline_at)
+            outputs = yield from self._traverse(task, payload, deadline_at)
         except _StageFailure as failure:
             if _retrying or not self.reembed_on_failure:
                 raise ChainDeployError(str(failure)) from failure.cause
@@ -262,48 +250,19 @@ class ChainDeployment:
         self._replica_cursor[component] = cursor + 1
         return cursor % n
 
-    def _pick_split_arc(self, component: str, arcs):
-        """Weighted round-robin across a component's split arcs."""
-        if len(arcs) == 1:
-            return arcs[0]
-        weights = [a.rate_units_per_s for a in arcs]
-        total = sum(weights)
-        tick = self._split_cursor.get(component, 0)
-        self._split_cursor[component] = tick + 1
-        # Deterministic low-discrepancy walk over the arc shares.
-        point = (tick * total / len(arcs)) % total
-        acc = 0.0
-        for arc, weight in zip(arcs, weights):
-            acc += weight
-            if point < acc:
-                return arc
-        return arcs[-1]
-
-    def _traverse(self, task: Actor, component: str, unit: bytes,
-                  deadline_at: float):
-        index = self._pick_replica(component)
-        out = yield from self._stage_op(task, component, index, unit,
-                                        deadline_at)
-        arcs = sorted(self.spec.arcs_out(component), key=lambda a: a.key)
-        if not arcs:
-            return {component: out}
-        split_arcs = [a for a in arcs if a.mode == "split"]
-        copy_arcs = [a for a in arcs if a.mode == "copy"]
-        chosen = []
-        if split_arcs:
-            chosen.append(self._pick_split_arc(component, split_arcs))
-        chosen.extend(copy_arcs)
-        outputs: dict = {}
-        for arc in chosen:
-            nbytes = len(out)
+    def _traverse(self, task: Actor, unit: bytes, deadline_at: float):
+        """Each component in turn transforms what the one before emitted."""
+        unit = yield from self._stage_op(task, self.spec.components[0].name,
+                                         unit, deadline_at)
+        for arc in self.spec.arcs:
             _metrics.counter("chain_arc_bytes", {"arc": arc.key}).value \
-                += nbytes
-            sub = yield from self._traverse(task, arc.dst, out, deadline_at)
-            outputs.update(sub)
-        return outputs
+                += len(unit)
+            unit = yield from self._stage_op(task, arc.dst, unit, deadline_at)
+        return {self.spec.components[-1].name: unit}
 
-    def _stage_op(self, task: Actor, component: str, index: int,
-                  unit: bytes, deadline_at: float) -> bytes:
+    def _stage_op(self, task: Actor, component: str, unit: bytes,
+                  deadline_at: float) -> bytes:
+        index = self._pick_replica(component)
         key = (component, index)
         session = self._sessions.get(key)
         if session is None:
@@ -412,9 +371,10 @@ class ChainDeployment:
     # -- verification and teardown -----------------------------------------
 
     def expected_outputs(self, payload: bytes) -> dict:
-        """The oracle: what each sink must emit for ``payload``."""
-        return {sink: _fold(self.spec.path_transforms(sink), payload)
-                for sink in self.spec.sinks}
+        """The oracle: what the last component must emit for ``payload``."""
+        for comp in self.spec.components:
+            payload = apply_transform(comp.transform, payload)
+        return {self.spec.components[-1].name: payload}
 
     def shutdown(self, task: Actor) -> dict:
         """Stop every stage; returns per-replica processed counts."""
@@ -433,9 +393,3 @@ class ChainDeployment:
                 session.close()
         self._sessions.clear()
         return stats
-
-
-def _fold(transforms, payload: bytes) -> bytes:
-    for transform in transforms:
-        payload = apply_transform(transform, payload)
-    return payload

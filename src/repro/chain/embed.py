@@ -12,7 +12,7 @@ Two engines live here:
 
 * :func:`embed` — the **joint** engine.  Replica counts come from the
   component's ingress rate against its per-replica capacity; placement
-  walks the graph in deterministic embed order, spending a *capacity
+  walks the components in chain order, spending a *capacity
   ledger* (admission slots and advertised memory debited as replicas
   land), with anti-affinity so a component's replicas spread across
   boxes.  Because the ledger is spent as the walk proceeds, the decision
@@ -122,26 +122,21 @@ def _replica_count(spec: ChainSpec, component: str) -> int:
 
 
 def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
-          exclude_fps: Sequence[str] = (),
           pinned: Optional[Mapping[tuple[str, int], str]] = None) -> Overlay:
     """The joint engine: scale out and place against a spent ledger.
 
-    ``exclude_fps`` removes boxes (crashed, draining) from consideration.
     ``pinned`` maps ``(component, replica_index) -> box_fp`` assignments
     that must survive — re-embedding after a failure pins every replica
     on a still-healthy box so only the broken ones move.
     """
     pinned = dict(pinned or {})
-    excluded = set(exclude_fps)
-    candidates = sorted((b for b in boxes
-                         if b.identity_fp not in excluded),
-                        key=lambda b: b.identity_fp)
+    candidates = sorted(boxes, key=lambda b: b.identity_fp)
     if not candidates:
         raise EmbedError("no candidate boxes to embed on")
     ledger = {b.identity_fp: _box_budget(b.identity_fp, load_table)
               for b in candidates}
     for key, fp in pinned.items():
-        if fp in excluded or fp not in ledger:
+        if fp not in ledger:
             raise EmbedError(f"pinned replica {key} sits on an excluded "
                              f"or unknown box {fp}")
 
@@ -239,13 +234,7 @@ def greedy_embed(spec: ChainSpec, boxes: Sequence,
 
 
 def _route(spec: ChainSpec, counts: Mapping[str, int]) -> list[Flow]:
-    """Split every arc across replica pairs, deterministically.
-
-    A ``split`` arc divides its rate evenly over (src, dst) replica
-    pairs; a ``copy`` arc delivers each unit to one dst replica per
-    source unit but every unit traverses the arc, so the rate divides
-    over source replicas only.
-    """
+    """Split every arc's rate evenly over its (src, dst) replica pairs."""
     flows: list[Flow] = []
     for arc in spec.arcs:
         n_src = counts[arc.src]

@@ -35,7 +35,7 @@ from repro.tor.client import TorClient, TorError
 from repro.tor.descriptor import RelayDescriptor
 from repro.util.errors import ProtocolError
 from repro.util.rng import DeterministicRandom
-from repro.util.serialization import canonical_decode, canonical_encode
+from repro.util.serialization import canonical_encode
 
 #: Failures worth retrying: transport death, timeouts, circuit teardown,
 #: refused dials, and server-reported errors.  ``ConnectionError`` covers
@@ -464,49 +464,29 @@ class BentoSession:
                 return
         raise BentoError(f"moved-to box {box_fp} not in the consensus")
 
-    def checkpoint_function(self, thread: Actor, seq: int = 0,
-                            timeout: float = 240.0) -> dict:
-        """Snapshot the function's migratable state (owner-only).
-
-        Returns the checkpoint's wire dict.  On an attested session the
-        server seals the reply under the secure channel, so the state
-        never transits (or rests) in host-visible plaintext.
-        """
-        if self.shutdown_token is None:
-            raise BentoError("no shutdown token held to checkpoint with")
-        reply = yield from self.await_message(
-            thread, messages.CheckpointData, timeout, self._send(
-                messages.Checkpoint, token=self.shutdown_token, seq=int(seq)))
-        if reply.sealed_checkpoint:
-            if self.channel is None:
-                raise BentoError("sealed checkpoint on an unattested session")
-            return canonical_decode(self.channel.open(reply.sealed_checkpoint))
-        return reply.checkpoint
-
-    def restore_function(self, thread: Actor, checkpoint: Optional[dict],
+    def restore_function(self, thread: Actor, checkpoint: dict,
                          start: bool = False,
                          adopt_invocation: Optional[str] = None,
                          adopt_shutdown: Optional[str] = None,
                          timeout: float = 240.0) -> None:
         """Apply a checkpoint to the function loaded on this session.
 
-        ``checkpoint`` is the wire dict from :meth:`checkpoint_function`
-        (or None to promote previously staged state).  ``start=True``
-        (re)starts the entry with the checkpointed args.  The ``adopt_*``
-        tokens re-key the destination instance under the source's
-        capabilities, so existing holders follow the function across the
-        move; this session's own tokens are updated to match.
+        ``checkpoint`` is a :class:`~repro.migrate.Checkpoint`'s wire
+        dict.  ``start=True`` (re)starts the entry with the checkpointed
+        args.  The ``adopt_*`` tokens re-key the destination instance
+        under the source's capabilities, so existing holders follow the
+        function across the move; this session's own tokens are updated
+        to match.
         """
         if self.invocation_token is None:
             raise BentoError("load_function must succeed before restore")
         fields: dict[str, Any] = {"token": self.invocation_token,
                                   "start": bool(start)}
-        if checkpoint is not None:
-            if self.channel is not None:
-                fields["sealed_checkpoint"] = self.channel.seal(
-                    canonical_encode(checkpoint))
-            else:
-                fields["checkpoint"] = dict(checkpoint)
+        if self.channel is not None:
+            fields["sealed_checkpoint"] = self.channel.seal(
+                canonical_encode(checkpoint))
+        else:
+            fields["checkpoint"] = dict(checkpoint)
         if adopt_invocation:
             fields["adopt_invocation"] = adopt_invocation
         if adopt_shutdown:

@@ -79,8 +79,7 @@ Invoke = _frame("invoke", token=str, args=list)
 Msg = _frame("msg", token=str, payload=bytes)      # the next api.recv()
 Attach = _frame("attach", token=str)               # share a token (§5.3)
 Shutdown = _frame("shutdown", token=str)
-Checkpoint = _frame("checkpoint", token=str, seq=int)   # owner only
-# Neither checkpoint form: promote the one already staged.
+# ``checkpoint``, or ``sealed_checkpoint`` under the attested channel.
 Restore = _frame("restore", token=str, start=bool, checkpoint=(dict, None),
                  sealed_checkpoint=(bytes, b""), adopt_invocation=(str, ""),
                  adopt_shutdown=(str, ""))
@@ -95,8 +94,6 @@ Loaded = _frame("loaded")
 Output = _frame("output", payload=bytes)
 Done = _frame("done", result=object)
 ShutdownOk = _frame("shutdown_ok")
-CheckpointData = _frame("checkpoint_data", seq=int, checkpoint=(dict, None),
-                        sealed_checkpoint=(bytes, b""))
 Restored = _frame("restored", invocation=str, shutdown=str)
 # ``reason`` names the failure's class; the rest is what that class carries.
 Error = _frame("error", reason=str, detail=(str, ""), retry_after=(float, 0.0),

@@ -55,7 +55,7 @@ from repro.util.serialization import (UNENCODABLE, canonical_decode,
                                       canonical_encode)
 
 if TYPE_CHECKING:
-    from repro.migrate import MigrationConfig
+    from repro.migrate import Checkpoint
     from repro.qos import QosConfig
 
 # Cached registry handle (the registry resets values in place).
@@ -145,6 +145,29 @@ class FunctionInstance:
         self.runtime = FunctionRuntime(self, code, manifest)
         self.runtime.load()
 
+    def restore(self, cp: "Checkpoint", route: Optional[Route],
+                start: bool = False) -> None:
+        """Apply a drained instance's checkpoint to this freshly loaded
+        one: its files, state and queued messages (answered along
+        ``route``).  ``start=True`` restarts the entry with its args."""
+        from repro.migrate import MigrationError, NotCheckpointable
+
+        if not self.checkpointable:
+            raise NotCheckpointable(
+                "loaded function does not export checkpoint()/restore(state)")
+        if (cp.name, cp.entry) != (self.manifest.name, self.manifest.entry):
+            raise MigrationError(
+                f"checkpoint is for {cp.name!r}/{cp.entry!r}, "
+                f"not {self.manifest.name!r}/{self.manifest.entry!r}")
+        for path, data in cp.files.items():
+            self.fs.write_file(path, bytes(data))
+        self.runtime.restore_state(cp.state)
+        self.runtime.last_args = list(cp.args)
+        for payload in cp.inbox:
+            self.api._push_message(payload, route)
+        if start and not self.runtime.running:
+            self.runtime.start(list(cp.args), route)
+
     def invoke(self, args: list, route: Route) -> None:
         """Start the entry function for one invocation."""
         if self.terminated:
@@ -232,7 +255,7 @@ class BentoServer:
                  port: int = BENTO_PORT,
                  orphan_grace_s: Optional[float] = None,
                  qos: Optional[QosConfig] = None,
-                 migrate: Optional[MigrationConfig] = None) -> None:
+                 migrate: bool = False) -> None:
         self.relay = relay
         self.node = relay.node
         self.sim = relay.sim
@@ -274,13 +297,12 @@ class BentoServer:
             from repro.qos import ServingPlane
             self.qos = ServingPlane(self, qos)
         # The migration plane is equally opt-in (and equally lazily
-        # imported): pass a MigrationConfig to enable drain-then-migrate
-        # and sealed checkpoint/restore.  migrate=None keeps fixed-seed
-        # default runs bit-identical.
+        # imported): migrate=True enables drain-then-migrate.  The default
+        # keeps fixed-seed runs bit-identical.
         self.migrate = None
-        if migrate is not None:
+        if migrate:
             from repro.migrate import MigrationPlane
-            self.migrate = MigrationPlane(self, migrate)
+            self.migrate = MigrationPlane(self)
         # Tokens of instances that drained away, mapped to the destination
         # box fingerprint — requests against them get a structured "moved"
         # answer instead of "unknown token".
@@ -534,39 +556,13 @@ class BentoServer:
         instance.kill("shutdown by owner")
         reply.send(messages.ShutdownOk)
 
-    def _handle_checkpoint(self, _thread, reply: Route, message) -> None:
-        """Snapshot a checkpointable function for its owner.
-
-        Gated on the *shutdown* token: the checkpoint carries the
-        function's full state, so only the owner capability (not the
-        shareable invocation token) may take one.  Inside a conclave the
-        reply travels sealed under the attested channel — the host never
-        sees plaintext state (§5.4)."""
-        from repro.migrate import checkpoint_instance, store_local_checkpoint
-
-        instance = self._instance_for(message.token, reply.framed,
-                                      shutdown=True)
-        cp = checkpoint_instance(instance, seq=message.seq)
-        if instance.conclave is None:
-            reply.send(messages.CheckpointData, seq=cp.seq,
-                       checkpoint=cp.to_wire())
-            return
-        store_local_checkpoint(instance, cp)
-        channel = instance.conclave.channel
-        if channel is None:
-            raise BentoError("no attested channel to seal checkpoint for")
-        reply.send(messages.CheckpointData, seq=cp.seq,
-                   sealed_checkpoint=channel.seal(
-                       canonical_encode(cp.to_wire())))
-
     def _handle_restore(self, _thread, reply: Route, message) -> None:
         """Apply a checkpoint to a freshly loaded instance.
 
-        Sent by the migration plane (or a standby's owner) right after
-        ``load_function`` on the destination box.  May also adopt the
-        source instance's token pair so existing capability holders keep
-        working after the move."""
-        from repro.migrate import Checkpoint, restore_instance
+        Sent by the migration plane right after ``load_function`` on the
+        destination box.  May also adopt the source instance's token pair
+        so existing capability holders keep working after the move."""
+        from repro.migrate import Checkpoint
 
         instance = self._instance_for(message.token, reply.framed)
         wire = message.checkpoint
@@ -576,8 +572,8 @@ class BentoServer:
                     "sealed restore requires an attested enclave channel")
             wire = canonical_decode(
                 instance.conclave.channel.open(message.sealed_checkpoint))
-        cp = None if wire is None else Checkpoint.from_wire(wire)
-        restore_instance(instance, cp, reply, start=message.start)
+        instance.restore(Checkpoint.from_wire(wire), reply,
+                         start=message.start)
         if message.adopt_invocation or message.adopt_shutdown:
             self._adopt_tokens(instance, message.adopt_invocation,
                                message.adopt_shutdown)
@@ -678,5 +674,4 @@ class BentoServer:
                  messages.Msg: _handle_msg,
                  messages.Attach: _handle_attach,
                  messages.Shutdown: _handle_shutdown,
-                 messages.Checkpoint: _handle_checkpoint,
                  messages.Restore: _handle_restore}

@@ -1,11 +1,12 @@
-"""The migration plane: sealed checkpoint/restore and drains.
+"""The migration plane: sealed checkpoints and drains.
 
-A warm standby needs nothing more: a session stages a checkpoint with
-``restore_function(cp, start=False)`` and starts it later; the
-LoadBalancer keeps its own pool of warm replicas (a tenant's
-``standbys``, as in the ``chaos-soak-standby`` workload preset).
+A drain is the one way state moves: the source box checkpoints a
+quiesced instance and restores it on a destination it picks (the
+``Restore`` frame).  Warm replicas are the LoadBalancer's own pool (a
+tenant's ``standbys``, as in the ``chaos-soak-standby`` workload preset),
+not staged checkpoints.
 
-Opt-in like every plane: pass ``migrate=MigrationConfig()`` to
+Opt-in like every plane: pass ``migrate=True`` to
 :class:`~repro.core.server.BentoServer` to enable drain-then-migrate on a
 box; default runs import nothing from here and stay bit-identical.
 """
@@ -17,12 +18,11 @@ from repro.migrate.checkpoint import (
     NotCheckpointable,
     checkpoint_instance,
     load_local_checkpoint,
-    restore_instance,
     seal_checkpoint,
     store_local_checkpoint,
     unseal_checkpoint,
 )
-from repro.migrate.plane import MigrationConfig, MigrationPlane
+from repro.migrate.plane import MigrationPlane
 
 
 def checkpointable_functions() -> dict:
@@ -39,14 +39,12 @@ def checkpointable_functions() -> dict:
 __all__ = [
     "CHECKPOINT_PATH",
     "Checkpoint",
-    "MigrationConfig",
     "MigrationError",
     "MigrationPlane",
     "NotCheckpointable",
     "checkpoint_instance",
     "checkpointable_functions",
     "load_local_checkpoint",
-    "restore_instance",
     "seal_checkpoint",
     "store_local_checkpoint",
     "unseal_checkpoint",

@@ -26,7 +26,7 @@ Sealing is layered exactly like the paper's storage story (§5.4):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from repro.core.errors import BentoError
 from repro.enclave.sealing import seal_data, unseal_data
@@ -63,7 +63,7 @@ class Checkpoint:
     args: list              # args of the last invocation (restart recipe)
     files: dict             # path -> bytes, the function's file store
     inbox: list             # undelivered client payloads, oldest first
-    seq: int                # shipping sequence (standby lag accounting)
+    seq: int                # sequence number on the wire (a drain ships 0)
     taken_at: float         # sim time of the snapshot
     measurement: str        # enclave measurement ("" outside a conclave)
 
@@ -84,7 +84,7 @@ _WIRE = field_table(name=str, entry=str, image=str, manifest=dict, code=str,
                     taken_at=float, measurement=(str, ""))
 
 
-def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
+def checkpoint_instance(instance) -> Checkpoint:
     """Snapshot a (quiesced or idle) instance.
 
     The function's exported state must canonical-encode — that is checked
@@ -118,46 +118,13 @@ def checkpoint_instance(instance, seq: int = 0) -> Checkpoint:
         args=list(runtime.last_args or []),
         files=files,
         inbox=inbox,
-        seq=int(seq),
+        seq=0,
         taken_at=float(instance.server.sim.now),
         measurement=(instance.conclave.measurement
                      if instance.conclave is not None else ""),
     )
     _CHECKPOINTS_TAKEN.value += 1
     return cp
-
-
-def restore_instance(instance, cp: Optional[Checkpoint], route,
-                     start: bool = False) -> None:
-    """Apply a checkpoint to a freshly loaded instance.
-
-    With ``cp=None`` nothing new is staged (a standby promotion re-uses
-    the last shipped checkpoint's state, already applied); ``start=True``
-    then (re)starts the entry with the staged args.  Queued messages and
-    the restarted entry answer along ``route``.
-    """
-    runtime = instance.runtime
-    if runtime is None:
-        raise MigrationError("no function loaded to restore into")
-    if cp is not None:
-        if cp.name != instance.manifest.name or cp.entry != instance.manifest.entry:
-            raise MigrationError(
-                f"checkpoint is for {cp.name!r}/{cp.entry!r}, "
-                f"not {instance.manifest.name!r}/{instance.manifest.entry!r}")
-        if not instance.checkpointable:
-            raise NotCheckpointable(
-                "loaded function does not export checkpoint()/restore(state)")
-        fs = instance.fs
-        for path, data in cp.files.items():
-            fs.write_file(path, bytes(data))
-        runtime.restore_state(cp.state)
-        runtime.last_args = list(cp.args)
-        for payload in cp.inbox:
-            instance.api._push_message(payload, route)
-    if start and not runtime.running:
-        if runtime.last_args is None:
-            raise MigrationError("no staged args to start the entry with")
-        runtime.start(list(runtime.last_args), route)
 
 
 # -- sealing ---------------------------------------------------------------

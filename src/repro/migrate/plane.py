@@ -23,7 +23,6 @@ The drain protocol (DESIGN.md §12):
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.loader import LoaderError
@@ -45,13 +44,8 @@ QUIESCE_TIMEOUT_S = 60.0
 TRANSFER_TIMEOUT_S = 240.0
 #: Destinations tried, best slack first, before a drain is given up.
 MAX_DEST_ATTEMPTS = 3
-
-
-@dataclass(frozen=True)
-class MigrationConfig:
-    """Knobs for the migration plane (all deterministic)."""
-
-    quiesce_poll_s: float = 0.25   # how often to check for the recv() park
+#: How often a quiescing drain checks for the recv() park.
+QUIESCE_POLL_S = 0.5
 
 
 class MigrationPlane:
@@ -59,9 +53,8 @@ class MigrationPlane:
     handoff, a chain's re-placement); the serving plane never starts one:
     an overloaded box refuses new work, it does not move tenants away."""
 
-    def __init__(self, server, config: Optional[MigrationConfig] = None) -> None:
+    def __init__(self, server) -> None:
         self.server = server
-        self.config = config or MigrationConfig()
         # A dedicated fork: plane-off runs never draw from it, so enabling
         # the plane cannot perturb the server's own randomness stream.
         self.rng = server.rng.fork("migrate")
@@ -111,7 +104,7 @@ class MigrationPlane:
                        and not instance.terminated):
                     if sim.now >= deadline:
                         return fail("quiesce timeout")
-                    yield Sleep(self.config.quiesce_poll_s)
+                    yield Sleep(QUIESCE_POLL_S)
                 if instance.terminated:
                     return fail("instance died while quiescing")
 

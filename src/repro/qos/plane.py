@@ -98,13 +98,13 @@ class ServingPlane:
         priority = message.priority
         if priority not in PRIORITY_CLASSES:
             priority = "bulk"
-        self._require_puzzle(conn, message)
         if self.shedder.refuses(priority):
             self._count_shed()
             self._m_rejected.value += 1
             self._advertise()
             raise ServerBusy("shedding load: bulk admissions suspended",
                              retry_after=self.admission.retry_after())
+        self._require_puzzle(conn, message)
         self._key_seq += 1
         key = ("adm", self._key_seq)
         try:

@@ -124,13 +124,9 @@ def _run(spec: WorkloadSpec, workload: Workload) -> dict:
                             queue_depth=planes.qos_queue_depth,
                             queue_timeout_s=planes.qos_queue_timeout_s,
                             base_retry_after_s=1.0)
-    migrate_cfg = None
-    if planes.migrate:
-        from repro.migrate import MigrationConfig
-        migrate_cfg = MigrationConfig(quiesce_poll_s=0.5)
     net.servers = [BentoServer(r, net.authority, ias=ias,
                                orphan_grace_s=60.0, qos=qos_cfg,
-                               migrate=migrate_cfg)
+                               migrate=planes.migrate)
                    for r in net.bento_boxes()]
     fault_plane = FaultPlane(net.network) if planes.chaos else None
     fp_to_node = {r.fingerprint: r.node.name for r in net.relays}

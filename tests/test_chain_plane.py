@@ -31,7 +31,6 @@ from repro.chain import (
     ComponentSpec,
     apply_transform,
     embed,
-    fanout_chain,
     greedy_embed,
     pipeline_chain,
 )
@@ -39,7 +38,6 @@ from repro.chain.deploy import ChainDeployError
 from repro.core import BentoClient, BentoServer
 from repro.core.policy import MiddleboxNodePolicy
 from repro.enclave.attestation import IntelAttestationService
-from repro.migrate import MigrationConfig
 from repro.netsim.faults import FaultPlane
 from repro.perf.counters import counters as _perf
 from repro.tor.testnet import TorTestNetwork
@@ -85,7 +83,7 @@ class TestChainTemplate:
     def test_rejects_bad_graphs(self):
         a = ComponentSpec(name="a")
         b = ComponentSpec(name="b")
-        with pytest.raises(ChainSpecError, match="cycle"):
+        with pytest.raises(ChainSpecError, match="hops in component order"):
             ChainSpec(name="x",
                       components=(a, b, ComponentSpec(name="c"),
                                   ComponentSpec(name="d")),
@@ -93,22 +91,21 @@ class TestChainTemplate:
                             ArcSpec(src="b", dst="c", rate_units_per_s=1),
                             ArcSpec(src="c", dst="b", rate_units_per_s=1),
                             ArcSpec(src="b", dst="d", rate_units_per_s=1)))
-        with pytest.raises(ChainSpecError, match="dangles"):
+        with pytest.raises(ChainSpecError, match="hops in component order"):
             ChainSpec(name="x", components=(a,),
                       arcs=(ArcSpec(src="a", dst="ghost",
                                     rate_units_per_s=1),))
         with pytest.raises(ChainSpecError, match="zero rate"):
             ArcSpec(src="a", dst="b", rate_units_per_s=0.0)
-        with pytest.raises(ChainSpecError, match="duplicate arc"):
+        with pytest.raises(ChainSpecError, match="hops in component order"):
             ChainSpec(name="x", components=(a, b),
                       arcs=(ArcSpec(src="a", dst="b", rate_units_per_s=1),
                             ArcSpec(src="a", dst="b", rate_units_per_s=2)))
         with pytest.raises(ChainSpecError, match="stateful"):
             ComponentSpec(name="s", stateful=True, max_replicas=2)
-        with pytest.raises(ChainSpecError, match="unreachable"):
+        with pytest.raises(ChainSpecError, match="hops in component order"):
             ChainSpec(name="x", components=(a, b, ComponentSpec(name="c")),
-                      arcs=(ArcSpec(src="a", dst="b", rate_units_per_s=1),),
-                      sources=("a",))
+                      arcs=(ArcSpec(src="a", dst="b", rate_units_per_s=1),))
 
     def test_strict_parsing(self):
         data = json.loads(pipeline_chain().to_json())
@@ -148,16 +145,19 @@ class TestChainTemplate:
 
     def test_path_transforms(self):
         spec = pipeline_chain(pad_bytes=8)
-        assert spec.path_transforms("store") == ["pad:8", "strip:8", "relay"]
-        payload = b"unit-payload"
-        out = payload
-        for t in spec.path_transforms("store"):
-            out = apply_transform(t, out)
-        assert out == payload
+        assert [c.transform for c in spec.components] \
+            == ["pad:8", "strip:8", "relay"]
+        dep = ChainDeployment(SimpleNamespace(sim=None), spec)
+        assert dep.expected_outputs(b"unit-payload") \
+            == {"store": b"unit-payload"}
 
     def test_embed_order_is_topological(self):
-        spec = linear_spec(4)
-        assert spec.embed_order() == ["c0", "c1", "c2", "c3"]
+        names = ("z", "a", "m")
+        spec = ChainSpec(
+            name="zam", components=tuple(ComponentSpec(name=n) for n in names),
+            arcs=(ArcSpec(src="z", dst="a", rate_units_per_s=1),
+                  ArcSpec(src="a", dst="m", rate_units_per_s=1)))
+        assert spec.embed_order() == list(names)
 
 
 # -- hypothesis properties --------------------------------------------------
@@ -187,8 +187,7 @@ def chain_specs(draw):
                          rate_units_per_s=draw(_rates),
                          unit_bytes=draw(st.integers(min_value=64,
                                                      max_value=65536)),
-                         bidirectional=draw(st.booleans()),
-                         mode=draw(st.sampled_from(["split", "copy"])))
+                         bidirectional=draw(st.booleans()))
                  for i in range(n - 1))
     return ChainSpec(name=draw(st.text(
         alphabet="abcdefgh-", min_size=1, max_size=12).filter(
@@ -261,7 +260,8 @@ class TestEmbed:
     def test_exclude_and_pin(self):
         spec = linear_spec()
         boxes = fake_boxes(4)
-        overlay = embed(spec, boxes, {}, exclude_fps=("FP00",))
+        overlay = embed(spec, [b for b in boxes if b.identity_fp != "FP00"],
+                        {})
         assert "FP00" not in overlay.boxes_used()
         pinned = {("c2", 0): "FP03"}
         overlay = embed(spec, boxes, {}, pinned=pinned)
@@ -293,8 +293,7 @@ def chain_net():
                          bento_fraction=0.42)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     net.ias = ias
-    net.servers = [BentoServer(relay, net.authority, ias=ias,
-                               migrate=MigrationConfig(quiesce_poll_s=0.05))
+    net.servers = [BentoServer(relay, net.authority, ias=ias, migrate=True)
                    for relay in net.bento_boxes()]
     net.plane = FaultPlane(net.network)
     _perf.reset()
@@ -335,19 +334,6 @@ class TestChainDeployment:
         assert _perf.chain_arc_bytes > 0
         assert _perf.chain_embeds == 1
         assert dep.overlay.engine == "joint"
-
-    def test_fanout_copy_reaches_every_sink(self, chain_net):
-        spec = fanout_chain(n_dropboxes=2)
-        dep = deployment_for(chain_net, spec)
-
-        def main(task):
-            yield from dep.deploy(task)
-            out = yield from dep.push(task, b"fan-unit")
-            assert out == dep.expected_outputs(b"fan-unit")
-            assert set(out) == {"dropbox0", "dropbox1"}
-            yield from dep.shutdown(task)
-
-        run_thread(chain_net, main)
 
     def test_reembed_after_box_crash(self, chain_net):
         spec = pipeline_chain()

@@ -33,8 +33,10 @@ HOSTILE = {
         lambda inv, _sd: {"type": "invoke", "token": inv, "args": 5},
     "attach with a list token":
         lambda inv, _sd: {"type": "attach", "token": [inv]},
-    "checkpoint with a str seq":
-        lambda _inv, sd: {"type": "checkpoint", "token": sd, "seq": "x"},
+    "restore with a str start":
+        lambda inv, _sd: {"type": "restore", "token": inv, "start": "x"},
+    "checkpoint, a retired frame type":
+        lambda _inv, sd: {"type": "checkpoint", "token": sd, "seq": 0},
 }
 
 SLOW_ECHO = """

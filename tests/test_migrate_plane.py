@@ -1,6 +1,6 @@
-"""Migration plane: sealed checkpoint/restore, drain-then-migrate and a
-standby's staged restore — plus the two robustness fixes that ride along
-(the orphan reaper re-arming, graceful kills flushing pending outputs)."""
+"""Migration plane: sealed checkpoint/restore and drain-then-migrate —
+plus the two robustness fixes that ride along (the orphan reaper
+re-arming, graceful kills flushing pending outputs)."""
 
 from __future__ import annotations
 
@@ -20,12 +20,10 @@ from repro.functions.kvstore import MB, KvStoreFunction
 from repro.migrate import (
     CHECKPOINT_PATH,
     Checkpoint,
-    MigrationConfig,
     MigrationError,
     checkpoint_instance,
     checkpointable_functions,
     load_local_checkpoint,
-    restore_instance,
     seal_checkpoint,
     store_local_checkpoint,
     unseal_checkpoint,
@@ -71,8 +69,7 @@ def migrate_net():
     net = TorTestNetwork(n_relays=9, seed="migrate-plane", bento_fraction=0.34)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
     net.ias = ias
-    net.servers = [BentoServer(relay, net.authority, ias=ias,
-                               migrate=MigrationConfig(quiesce_poll_s=0.05))
+    net.servers = [BentoServer(relay, net.authority, ias=ias, migrate=True)
                    for relay in net.bento_boxes()]
     net.plane = FaultPlane(net.network)
     _perf.reset()
@@ -230,7 +227,7 @@ class TestSealedCheckpoints:
         runtime.restore_state({"store": dict(store)})
         instance.api._inbox[:] = [(payload, None) for payload in inbox]
 
-        cp = checkpoint_instance(instance, seq=7)
+        cp = checkpoint_instance(instance)
         sealed = seal_checkpoint(instance.conclave, cp)
         cp2 = unseal_checkpoint(instance.conclave.enclave.sealing_key(),
                                 sealed, cp.measurement)
@@ -238,7 +235,7 @@ class TestSealedCheckpoints:
 
         runtime.restore_state({"store": {"clobbered": 1}})
         instance.api._inbox[:] = []
-        restore_instance(instance, cp2, route=None)
+        instance.restore(cp2, route=None)
         assert runtime.checkpoint_state() == {"store": store}
         assert [payload for payload, _peer in instance.api._inbox] \
             == list(inbox)
@@ -275,16 +272,19 @@ class TestSealedCheckpoints:
         fs = instance.conclave.fs
         instance.runtime.restore_state({"store": {"v": 1}})
         instance.api._inbox[:] = []
-        store_local_checkpoint(instance, checkpoint_instance(instance, seq=1))
+        store_local_checkpoint(
+            instance, replace(checkpoint_instance(instance), seq=1))
         stale = fs.operator_view(CHECKPOINT_PATH)
 
         instance.runtime.restore_state({"store": {"v": 2}})
-        store_local_checkpoint(instance, checkpoint_instance(instance, seq=2))
+        store_local_checkpoint(
+            instance, replace(checkpoint_instance(instance), seq=2))
         fs._backing.write_file(CHECKPOINT_PATH, stale)  # operator rollback
         with pytest.raises(FSProtectError):
             load_local_checkpoint(instance)
         # A fresh checkpoint recovers the slot.
-        store_local_checkpoint(instance, checkpoint_instance(instance, seq=3))
+        store_local_checkpoint(
+            instance, replace(checkpoint_instance(instance), seq=3))
         assert load_local_checkpoint(instance).seq == 3
 
     def test_every_inventory_function_roundtrips(self, conclave_box):
@@ -312,7 +312,7 @@ class TestSealedCheckpoints:
                 wire = Checkpoint.from_wire(
                     canonical_decode(canonical_encode(cp.to_wire())))
                 assert wire == cp, name
-                restore_instance(instance, wire, route=None)
+                instance.restore(wire, route=None)
                 assert instance.runtime.checkpoint_state() == state0, name
                 session.close()
 
@@ -358,44 +358,6 @@ class TestDrainThenMigrate:
         run_thread(net, main)
 
 
-class TestWarmStandby:
-    def test_promotion_preserves_state_after_primary_crash(self, migrate_net):
-        """A standby staged with the primary's checkpoint (``start=False``)
-        starts from it under the primary's tokens once the primary's box
-        has crashed: the server half of a standby promotion."""
-        net = migrate_net
-
-        def main(thread):
-            client, box, session = yield from kvstore_session(net, thread)
-            primary_server = server_for(net, box)
-            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 1
-            assert (yield from KvStoreFunction.incr(thread, session, "k")) == 2
-
-            standby_box = client.pick_box(exclude=(box.identity_fp,))
-            assert standby_box.identity_fp != box.identity_fp
-            standby = yield from client.connect_direct(thread, standby_box)
-            manifest = KvStoreFunction.manifest()
-            yield from standby.request_image(thread, manifest.image)
-            yield from standby.load_function(thread, KvStoreFunction.SOURCE,
-                                             manifest)
-            cp_wire = yield from session.checkpoint_function(thread, seq=1)
-            yield from standby.restore_function(thread, cp_wire, start=False)
-            assert _perf.checkpoints_taken >= 1
-
-            net.plane.crash_node(primary_server.node.name)
-            yield from standby.restore_function(
-                thread, None, start=True,
-                adopt_invocation=session.invocation_token,
-                adopt_shutdown=session.shutdown_token)
-            assert standby.invocation_token == session.invocation_token
-            # The shipped counter survived the crash — no cold rebuild.
-            assert (yield from KvStoreFunction.incr(
-                thread, standby, "k")) == 3
-            standby.close()
-
-        run_thread(net, main)
-
-
 # A checkpointable function whose own checkpoint() and restore() raise.
 RAISING = ("def main():\n"
            "    while True:\n"
@@ -411,9 +373,10 @@ class TestNamedCatches:
 
     def test_a_tenant_checkpoint_that_raises_answers_its_owner(
             self, migrate_net):
-        """Tenant code crosses the loader's boundary: its ``KeyError`` is
-        an ``Error`` frame on the owner's request, not a dead session actor
-        (the owner heard nothing until its own 20 s timeout)."""
+        """Tenant code crosses the loader's boundary: the ``KeyError`` its
+        ``restore()`` raises is an ``Error`` frame on the owner's request,
+        not a dead session actor (the owner heard nothing until its own
+        20 s timeout)."""
         net = migrate_net
         manifest = FunctionManifest.create("raising", "main", {"recv"},
                                            image="python")
@@ -425,8 +388,6 @@ class TestNamedCatches:
             yield from session.request_image(thread, "python")
             yield from session.load_function(thread, RAISING, manifest)
             began = net.sim.now
-            with pytest.raises(BentoError, match="checkpoint: KeyError"):
-                yield from session.checkpoint_function(thread, timeout=20.0)
             staged = Checkpoint(
                 name="raising", entry="main", image="python",
                 manifest=manifest.to_wire(), code=RAISING, state=7, args=[],
@@ -443,7 +404,9 @@ class TestNamedCatches:
             self, migrate_net):
         """The drain counts the failed move and the instance keeps running;
         a ``KeyError`` out of the tenant's ``checkpoint()`` killed the
-        drain's actor with the move neither completed nor failed."""
+        drain's actor with the move neither completed nor failed.  The
+        tenant's error reaches the drain as a ``LoaderError``, and the
+        owner's session is served on."""
         net = migrate_net
 
         def main(thread):
@@ -458,12 +421,18 @@ class TestNamedCatches:
             yield Sleep(1.0)
             server = server_for(net, box)
             (instance,) = server._by_invocation.values()
+            failed = _perf.migrations_failed
             moved = yield from server.migrate.drain(thread, instance)
+            assert _perf.migrations_failed == failed + 1
+            yield from session.query_policy(thread, timeout=20.0)
+            assert server._by_invocation[session.invocation_token] \
+                is instance and not instance.terminated
             return moved, instance
 
         moved, instance = run_thread(net, main)
-        assert moved is None and not instance.draining
+        assert moved is None and instance.draining is False
         assert _perf.migrations_failed == 1
+        assert not net.sim._failed
 
     def test_unencodable_state_fails_the_checkpoint(self):
         looped: list = []

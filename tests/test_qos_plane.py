@@ -437,16 +437,19 @@ class TestServingPlaneE2E:
             client = BentoClient(net.create_client("refused"))
             descriptor = net.authority.consensus().find(box.fingerprint)
             session = yield from client.connect_direct(thread, descriptor)
-            with pytest.raises(PuzzleRequired) as excinfo:
+            # Bulk work is refused outright (queue capacity is reserved
+            # for interactive), before any proof of work is asked for.
+            with pytest.raises(ServerBusy):
                 yield from session.request_image(
                     thread, "python", solve_puzzles=False)
+
+            # Interactive work must solve the puzzle first.
+            with pytest.raises(PuzzleRequired) as excinfo:
+                yield from session.request_image(
+                    thread, "python", priority="interactive",
+                    solve_puzzles=False)
             assert excinfo.value.difficulty > 0
             assert len(excinfo.value.challenge) == 16
-
-            # Solving the puzzle is not enough for bulk work: the shedder
-            # still refuses it (queue capacity is reserved for interactive).
-            with pytest.raises(ServerBusy):
-                yield from session.request_image(thread, "python")
             return True
 
         assert run_thread(net, main, until=600.0)
@@ -464,7 +467,8 @@ class TestServingPlaneE2E:
                 session = yield from client.connect_direct(thread, descriptor)
                 with pytest.raises(PuzzleRequired):
                     yield from session.request_image(
-                        thread, "python", solve_puzzles=False)
+                        thread, "python", priority="interactive",
+                        solve_puzzles=False)
                 session.close()
 
         run_thread(net, main, until=600.0)
@@ -503,13 +507,15 @@ class TestServingPlaneE2E:
             with pytest.raises(ServerBusy):
                 yield from late.request_image(thread, "python")
             assert plane.shedder.shedding
-            with pytest.raises(PuzzleRequired):
+            shed = counters.qos_shed
+            with pytest.raises(ServerBusy):     # bulk: no puzzle, refused
                 yield from late.request_image(
                     thread, "python", solve_puzzles=False)
-            shed = counters.qos_shed
-            with pytest.raises(ServerBusy):     # solved, and still bulk
-                yield from late.request_image(thread, "python")
             assert counters.qos_shed == shed + 1
+            with pytest.raises(PuzzleRequired):
+                yield from late.request_image(
+                    thread, "python", priority="interactive",
+                    solve_puzzles=False)
 
             # The holder leaves; the parked four get the slot in turn.
             yield from holder.shutdown(thread)
