@@ -9,8 +9,7 @@ The template/overlay split after B-JointSP (see ``DESIGN.md`` §14):
   turns a template into an :class:`Overlay` against the QoS directory's
   advertised slack, plus the greedy per-function baseline;
 * :mod:`repro.chain.deploy` — the orchestrator realizing an overlay
-  through real attested sessions, sending each unit down the line, and
-  re-embedding around failures via the migrate plane.
+  through real attested sessions and sending each unit down the line.
 
 Entirely opt-in: nothing here is imported by the core stack, and the
 ``chain_*`` perf counters stay zero unless a chain is deployed.

@@ -1,35 +1,27 @@
-"""Realize an overlay through the real Bento stack, and keep it alive.
+"""Realize an overlay through the real Bento stack.
 
 :class:`ChainDeployment` takes a :class:`~repro.chain.template.ChainSpec`
 plus an :class:`~repro.chain.embed.Overlay` (computed on demand from the
 QoS directory's advertised slack) and drives the actual machinery end to
 end: every replica is a real attested Bento session (``connect_direct``
-→ ``request_image`` → ``load_function`` → invoke), every traffic unit is
-real bytes through those sessions, and every failure goes through the
-planes that already exist rather than private recovery code:
-
-* **units go down the line**: each component's replicas take units in
-  round robin (the LoadBalancer's wiring), and what one component emits
-  is what the next one receives;
-* **failures re-embed**: a dead or refusing box is excluded, the joint
-  engine recomputes the overlay with every healthy replica *pinned* in
-  place, and replicas that must move are handed to the migrate plane's
-  drain-then-migrate (state travels, tokens are adopted, the session
-  just retargets) — cold respawn is the fallback only when the source
-  box is already gone.
+→ ``request_image`` → ``load_function`` → invoke), and every traffic
+unit is real bytes through those sessions.  Units go down the line: each
+component's replicas take units in round robin (the LoadBalancer's
+wiring), and what one component emits is what the next one receives.
+A stage that fails after the client's own retries fails the unit with a
+:class:`ChainDeployError` naming the component and its box.
 
 The deployed stage function exports ``checkpoint()``/``restore()``, so
-every chain component is migratable by construction.
+a box's migrate plane can drain a chain component like any other.
 """
 
 from __future__ import annotations
 
 import time as _time
-from typing import Mapping, Optional, Sequence
+from typing import Optional
 
 from repro.chain.embed import Overlay, embed, greedy_embed
 from repro.chain.template import ChainSpec, ChainSpecError, apply_transform
-from repro.core.errors import ServerBusy
 from repro.core.manifest import FunctionManifest
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
@@ -47,18 +39,6 @@ class ChainDeployError(ChainSpecError):
 
 class UnitDeadline(ChainDeployError):
     """A traffic unit missed its deadline (not a box failure)."""
-
-
-class _StageFailure(Exception):
-    """Internal: one stage op failed; carries the suspect box."""
-
-    def __init__(self, component: str, index: int, box_fp: str,
-                 cause: BaseException) -> None:
-        super().__init__(f"{component}[{index}] on {box_fp}: {cause}")
-        self.component = component
-        self.index = index
-        self.box_fp = box_fp
-        self.cause = cause
 
 
 #: The generic chain stage: apply this component's transform to each
@@ -125,43 +105,32 @@ class ChainStageFunction:
 
 
 class ChainDeployment:
-    """One deployed chain: sessions per replica, routing, re-embedding.
+    """One deployed chain: sessions per replica, and the units' routing.
 
     ``client`` is the operator's :class:`~repro.core.client.BentoClient`
     (it owns one direct session per replica, the way a LoadBalancer owns
-    its replica fleet).  ``servers`` optionally maps box fingerprints to
-    their in-process :class:`~repro.core.server.BentoServer` so a
-    re-embed can delegate moves to each box's migrate plane; without it
-    (or without the plane) moves fall back to cold respawn.
+    its replica fleet).
     """
 
-    def __init__(self, client, spec: ChainSpec, *,
-                 servers: Optional[Mapping[str, object]] = None,
-                 reembed_on_failure: bool = True) -> None:
+    def __init__(self, client, spec: ChainSpec) -> None:
         self.client = client
         self.sim = client.sim
         self.spec = spec
-        self.servers = dict(servers or {})
-        self.reembed_on_failure = reembed_on_failure
         self.overlay: Optional[Overlay] = None
         self.units_delivered = 0
-        self.reembeds = 0
         self._sessions: dict[tuple[str, int], object] = {}
         self._busy: dict[tuple[str, int], bool] = {}
         self._replica_cursor: dict[str, int] = {}
-        self._excluded: set[str] = set()
 
     # -- embedding ---------------------------------------------------------
 
-    def compute_overlay(self, engine: str = "joint",
-                        pinned: Optional[Mapping] = None) -> Overlay:
+    def compute_overlay(self, engine: str = "joint") -> Overlay:
         """Embed the template against the directory's current view."""
-        boxes = [b for b in self.client.discover_boxes()
-                 if b.identity_fp not in self._excluded]
+        boxes = self.client.discover_boxes()
         table = self.client.tor.directory.load_table()
         wall = _time.perf_counter()
         if engine == "joint":
-            overlay = embed(self.spec, boxes, table, pinned=pinned)
+            overlay = embed(self.spec, boxes, table)
         elif engine == "greedy":
             overlay = greedy_embed(self.spec, boxes, table)
         else:
@@ -216,29 +185,16 @@ class ChainDeployment:
     # -- traffic -----------------------------------------------------------
 
     def push(self, task: Actor, payload: bytes,
-             deadline_s: float = 60.0, _retrying: bool = False) -> dict:
+             deadline_s: float = 60.0) -> dict:
         """Send one traffic unit down the chain.
 
-        Returns ``{last_component: output_bytes}``.  A box failure
-        mid-unit triggers one re-embed (healthy replicas pinned, movers
-        drained or respawned) and one retry from the top; a second
-        failure propagates.
+        Returns ``{last_component: output_bytes}``.  A stage that still
+        fails after the client's retries raises :class:`ChainDeployError`.
         """
         if self.overlay is None:
             raise ChainDeployError("push before deploy")
         deadline_at = self.sim.now + deadline_s
-        try:
-            outputs = yield from self._traverse(task, payload, deadline_at)
-        except _StageFailure as failure:
-            if _retrying or not self.reembed_on_failure:
-                raise ChainDeployError(str(failure)) from failure.cause
-            exclude = ()
-            if not isinstance(failure.cause, ServerBusy):
-                exclude = (failure.box_fp,)
-            yield from self.reembed(task, exclude_fps=exclude)
-            return (yield from self.push(task, payload,
-                                         deadline_s=deadline_at - self.sim.now,
-                                         _retrying=True))
+        outputs = yield from self._traverse(task, payload, deadline_at)
         self.units_delivered += 1
         _UNITS_DELIVERED.value += 1
         return outputs
@@ -293,80 +249,15 @@ class ChainDeployment:
                     task, one_op, attempts=2, backoff_s=0.5,
                     session=session)
             except RETRYABLE_ERRORS as exc:
-                raise _StageFailure(component, index,
-                                    session.box.identity_fp, exc) from exc
+                raise ChainDeployError(
+                    f"{component}[{index}] on {session.box.identity_fp}: "
+                    f"{exc}") from exc
             if reply[:1] != b"U":
                 raise ChainDeployError(f"{component}[{index}] returned a "
                                        f"non-unit frame")
             return bytes(reply[1:])
         finally:
             self._busy[key] = False
-
-    # -- failure handling --------------------------------------------------
-
-    def reembed(self, task: Actor, exclude_fps: Sequence[str] = ()):
-        """Recompute the overlay and move only what must move.
-
-        Stateful replicas on live boxes are pinned where they are — their
-        state anchors them, and only the migrate plane may relocate a
-        stateful component.  Stateless replicas re-place freely against
-        the post-failure ledger.  A replica whose box is excluded
-        (crashed) respawns cold on its new box; a replica the new overlay
-        relocates off a *live* box is drained through that box's migrate
-        plane — state ships sealed, the destination adopts the tokens,
-        and this side just retargets the session.
-        """
-        self._excluded.update(exclude_fps)
-        self.reembeds += 1
-        _metrics.counter("chain_reembeds").value += 1
-        _obs.event("chain.reembed", self.sim.now,
-                   track=self.client.tor.node.name, chain=self.spec.name,
-                   excluded=sorted(self._excluded))
-        old = {(r.component, r.index): r.box_fp
-               for r in self.overlay.replicas}
-        pinned = {key: fp for key, fp in old.items()
-                  if fp not in self._excluded
-                  and self.spec.component(key[0]).stateful}
-        self.compute_overlay(engine="joint", pinned=pinned)
-        for replica in self.overlay.replicas:
-            key = (replica.component, replica.index)
-            old_fp = old.get(key)
-            if old_fp == replica.box_fp:
-                continue
-            moved = False
-            if old_fp is not None and old_fp not in self._excluded:
-                moved = yield from self._migrate_replica(
-                    task, key, old_fp, replica.box_fp)
-            if not moved:
-                yield from self.client.retrying(
-                    task,
-                    lambda key=key, fp=replica.box_fp: self._provision(
-                        task, key[0], key[1], fp),
-                    attempts=3, backoff_s=1.0)
-
-    def _migrate_replica(self, task: Actor, key: tuple[str, int],
-                         old_fp: str, new_fp: str) -> bool:
-        """Drain one replica via its source box's migrate plane."""
-        server = self.servers.get(old_fp)
-        session = self._sessions.get(key)
-        if server is None or session is None \
-                or getattr(server, "migrate", None) is None:
-            return False
-        instance = server._by_invocation.get(session.invocation_token)
-        if instance is None or instance.terminated \
-                or not instance.checkpointable:
-            return False
-        dest = yield from server.migrate.drain(task, instance,
-                                               dest_fp=new_fp)
-        if dest is None:
-            return False
-        from repro.core.client import RETRYABLE_ERRORS
-        try:
-            session.retarget(dest)
-            yield from session.reconnect(task)
-        except RETRYABLE_ERRORS:
-            return False
-        return True
 
     # -- verification and teardown -----------------------------------------
 

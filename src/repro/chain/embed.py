@@ -2,9 +2,8 @@
 
 The embedding problem, after B-JointSP: given a :class:`ChainSpec`
 template, the candidate Bento boxes, and the QoS directory's advertised
-load reports, decide **jointly** (a) how many replicas each component
-needs, (b) which box each replica runs on, and (c) how each template arc
-routes between concrete replicas.  The result is an :class:`Overlay` —
+load reports, decide **jointly** how many replicas each component needs
+and which box each replica runs on.  The result is an :class:`Overlay` —
 plain data with a canonical digest, so the same inputs embed
 bit-identically every time (no RNG anywhere below).
 
@@ -32,13 +31,12 @@ dies), then cross-box arc traffic, then fingerprint order for stability.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from repro.chain.template import ChainPart, ChainSpec, ChainSpecError
 from repro.qos.placement import pick_box_by_slack
 
-__all__ = ["Replica", "Flow", "Overlay", "EmbedError",
-           "embed", "greedy_embed"]
+__all__ = ["Replica", "Overlay", "EmbedError", "embed", "greedy_embed"]
 
 
 class EmbedError(ChainSpecError):
@@ -61,18 +59,8 @@ class Replica(ChainPart):
 
 
 @dataclass(frozen=True)
-class Flow(ChainPart):
-    """One routed slice of a template arc between concrete replicas."""
-
-    arc: str
-    src_index: int
-    dst_index: int
-    rate_units_per_s: float
-
-
-@dataclass(frozen=True)
 class Overlay(ChainPart):
-    """A realized chain: replicas, routes, and the placement score.
+    """A realized chain: replicas and the placement score.
 
     Plain data like the template it realizes: ``digest()`` is its
     canonical identity — same inputs must reproduce these bytes.
@@ -82,14 +70,10 @@ class Overlay(ChainPart):
     chain_digest: str
     engine: str                       # "joint" | "greedy"
     replicas: tuple[Replica, ...]
-    flows: tuple[Flow, ...]
     objective: dict
 
     def replicas_of(self, component: str) -> list[Replica]:
         return [r for r in self.replicas if r.component == component]
-
-    def flows_of(self, arc_key: str) -> list[Flow]:
-        return [f for f in self.flows if f.arc == arc_key]
 
     def boxes_used(self) -> list[str]:
         return sorted({r.box_fp for r in self.replicas})
@@ -121,24 +105,14 @@ def _replica_count(spec: ChainSpec, component: str) -> int:
     return min(need, comp.max_replicas)
 
 
-def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
-          pinned: Optional[Mapping[tuple[str, int], str]] = None) -> Overlay:
-    """The joint engine: scale out and place against a spent ledger.
-
-    ``pinned`` maps ``(component, replica_index) -> box_fp`` assignments
-    that must survive — re-embedding after a failure pins every replica
-    on a still-healthy box so only the broken ones move.
-    """
-    pinned = dict(pinned or {})
+def embed(spec: ChainSpec, boxes: Sequence,
+          load_table: Mapping[str, dict]) -> Overlay:
+    """The joint engine: scale out and place against a spent ledger."""
     candidates = sorted(boxes, key=lambda b: b.identity_fp)
     if not candidates:
         raise EmbedError("no candidate boxes to embed on")
     ledger = {b.identity_fp: _box_budget(b.identity_fp, load_table)
               for b in candidates}
-    for key, fp in pinned.items():
-        if fp not in ledger:
-            raise EmbedError(f"pinned replica {key} sits on an excluded "
-                             f"or unknown box {fp}")
 
     order = spec.embed_order()
     counts = {name: _replica_count(spec, name) for name in order}
@@ -150,9 +124,7 @@ def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
         n = counts[name]
         share = spec.ingress_units_per_s(name) / n
         for index in range(n):
-            fp = pinned.get((name, index))
-            if fp is None:
-                fp = _pick(ledger, name, comp, placements)
+            fp = _pick(ledger, name, comp, placements)
             line = ledger[fp]
             line["slots"] -= 1
             line["mem"] -= comp.memory_bytes
@@ -160,11 +132,10 @@ def embed(spec: ChainSpec, boxes: Sequence, load_table: Mapping[str, dict],
             placements[(name, index)] = fp
             replicas.append(Replica(component=name, index=index, box_fp=fp))
 
-    flows = _route(spec, counts)
     objective = _score(spec, counts, placements, ledger)
     return Overlay(chain=spec.name, chain_digest=spec.digest(),
                    engine="joint", replicas=tuple(replicas),
-                   flows=tuple(flows), objective=objective)
+                   objective=objective)
 
 
 def _pick(ledger: dict, name: str, comp, placements: dict) -> str:
@@ -222,7 +193,6 @@ def greedy_embed(spec: ChainSpec, boxes: Sequence,
         replicas.append(Replica(component=name, index=0,
                                 box_fp=box.identity_fp))
     counts = {name: 1 for name in order}
-    flows = _route(spec, counts)
     ledger = {b.identity_fp: _box_budget(b.identity_fp, load_table)
               for b in candidates}
     for (name, _i), fp in placements.items():
@@ -230,21 +200,7 @@ def greedy_embed(spec: ChainSpec, boxes: Sequence,
     objective = _score(spec, counts, placements, ledger)
     return Overlay(chain=spec.name, chain_digest=spec.digest(),
                    engine="greedy", replicas=tuple(replicas),
-                   flows=tuple(flows), objective=objective)
-
-
-def _route(spec: ChainSpec, counts: Mapping[str, int]) -> list[Flow]:
-    """Split every arc's rate evenly over its (src, dst) replica pairs."""
-    flows: list[Flow] = []
-    for arc in spec.arcs:
-        n_src = counts[arc.src]
-        n_dst = counts[arc.dst]
-        per_pair = arc.rate_units_per_s / (n_src * n_dst)
-        for i in range(n_src):
-            for j in range(n_dst):
-                flows.append(Flow(arc=arc.key, src_index=i, dst_index=j,
-                                  rate_units_per_s=round(per_pair, 9)))
-    return flows
+                   objective=objective)
 
 
 def _score(spec: ChainSpec, counts: Mapping[str, int],

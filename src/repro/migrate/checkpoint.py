@@ -7,20 +7,18 @@ last invocation, every file in its (FS-Protected) store, and any inbox
 messages that arrived after quiesce.  The wire format is a
 canonical-encoded dict, so checkpoints are deterministic byte-for-byte.
 
-Sealing is layered exactly like the paper's storage story (§5.4):
+A conclave's checkpoint is sealed in motion only (§5.4): a drain ships it
+to the enclaved destination under the attested
+:class:`~repro.enclave.conclave.SecureChannel` (``restore_function``), so
+the state crosses the network end-to-end encrypted between the two
+attested enclaves and neither host ever sees plaintext.  Nothing is kept
+at rest: the function's store holds only what the function wrote, within
+its own disk ask.
 
-* **at rest** — :func:`store_local_checkpoint` seals the wire bytes under
-  the enclave's *measurement+platform* sealing key and writes them through
-  FS Protect, whose versioned envelopes give rollback detection.  Only
-  the same enclave code on the same box can unseal; a checkpoint copied
-  to another platform raises :class:`~repro.enclave.sealing.SealingError`
-  rather than silently loading.
-* **in motion** — a drain never ships the platform-sealed blob (it would
-  be useless off-box by construction).  It re-seals the checkpoint under
-  the attested :class:`~repro.enclave.conclave.SecureChannel` to the
-  destination conclave, so the state crosses the network end-to-end
-  encrypted between the two attested enclaves and neither host ever sees
-  plaintext.
+:func:`seal_checkpoint` seals a checkpoint under the enclave's
+*measurement+platform* key instead; only the same enclave code on the
+same box can unseal it, and any other raises
+:class:`~repro.enclave.sealing.SealingError` rather than loading.
 """
 
 from __future__ import annotations
@@ -36,10 +34,6 @@ from repro.util.serialization import (UNENCODABLE, canonical_decode,
 from repro.util.spec import field_table, read_fields
 
 _CHECKPOINTS_TAKEN = _metrics.counter("perf_checkpoints_taken")
-
-#: Where the latest sealed checkpoint rests inside the instance's own
-#: (FS-Protected) store.  Excluded from the files a checkpoint captures.
-CHECKPOINT_PATH = "/.bento/checkpoint.sealed"
 
 
 class MigrationError(BentoError):
@@ -102,11 +96,7 @@ def checkpoint_instance(instance) -> Checkpoint:
         raise MigrationError(
             f"checkpoint state is not canonical-encodable: {exc}") from exc
     fs = instance.fs
-    files = {}
-    for path in fs.walk_files("/"):
-        if path.startswith("/.bento/"):
-            continue
-        files[path] = fs.read_file(path)
+    files = {path: fs.read_file(path) for path in fs.walk_files("/")}
     inbox = [payload for payload, _peer in instance.api._inbox]
     cp = Checkpoint(
         name=instance.manifest.name,
@@ -142,27 +132,3 @@ def unseal_checkpoint(sealing_key: bytes, sealed: bytes,
     wire = canonical_decode(unseal_data(sealing_key, sealed,
                                         aad=measurement.encode("utf-8")))
     return Checkpoint.from_wire(wire)
-
-
-def store_local_checkpoint(instance, cp: Checkpoint) -> None:
-    """Seal and persist a checkpoint at rest, with rollback detection.
-
-    The sealed blob goes through FS Protect, whose versioned envelopes
-    make a swapped-back older checkpoint raise ``rollback detected``
-    instead of loading (§5.4's anti-rollback story).
-    """
-    if instance.conclave is None:
-        raise MigrationError(
-            "local sealed checkpoints require a conclave instance")
-    instance.conclave.fs.write_file(CHECKPOINT_PATH,
-                                    seal_checkpoint(instance.conclave, cp))
-
-
-def load_local_checkpoint(instance) -> Checkpoint:
-    """Read back the locally stored sealed checkpoint."""
-    if instance.conclave is None:
-        raise MigrationError(
-            "local sealed checkpoints require a conclave instance")
-    sealed = instance.conclave.fs.read_file(CHECKPOINT_PATH)
-    return unseal_checkpoint(instance.conclave.enclave.sealing_key(), sealed,
-                             instance.conclave.measurement)

@@ -5,9 +5,7 @@ The drain protocol (DESIGN.md §12):
 1. **quiesce** — mark the instance draining.  Its ``recv()`` stays parked
    (new client messages queue in the inbox without waking it), so the
    function's state freezes at a message boundary.
-2. **checkpoint** — snapshot state + files + queued inbox; inside a
-   conclave, also seal the snapshot to local FS Protect (crash insurance
-   with rollback detection).
+2. **checkpoint** — snapshot state + files + queued inbox.
 3. **transfer** — pick a destination by serving-plane slack
    (:func:`repro.qos.placement.rank_boxes`), provision + load the same
    code there, and RESTORE over the (attested, end-to-end sealed when
@@ -26,16 +24,11 @@ import itertools
 from typing import Optional
 
 from repro.core.loader import LoaderError
-from repro.migrate.checkpoint import (
-    MigrationError,
-    checkpoint_instance,
-    store_local_checkpoint,
-)
+from repro.migrate.checkpoint import MigrationError, checkpoint_instance
 from repro.netsim.connection import ConnectionClosed
 from repro.netsim.simulator import Actor, Sleep
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.obs.span import TRACER as _obs
-from repro.sandbox.cgroups import ResourceExceeded
 
 
 #: How long a drain waits for the instance to park in recv(), and how
@@ -50,8 +43,8 @@ QUIESCE_POLL_S = 0.5
 
 class MigrationPlane:
     """Per-server driver for drains.  A drain is asked for (a workload's
-    handoff, a chain's re-placement); the serving plane never starts one:
-    an overloaded box refuses new work, it does not move tenants away."""
+    handoff); the serving plane never starts one: an overloaded box
+    refuses new work, it does not move tenants away."""
 
     def __init__(self, server) -> None:
         self.server = server
@@ -62,16 +55,15 @@ class MigrationPlane:
 
     # -- draining ----------------------------------------------------------
 
-    def request_drain(self, instance, dest_fp: Optional[str] = None) -> None:
+    def request_drain(self, instance) -> None:
         """Fire-and-forget drain in its own actor (event-handler safe).
 
         A drain that fails returns None, counted and spanned; an error it
         raises fails the actor, which the kernel counts."""
-        self.server.sim.spawn(self.drain, instance, dest_fp,
+        self.server.sim.spawn(self.drain, instance,
                               name=f"drain:{self.server.relay.nickname}")
 
-    def drain(self, thread: Actor, instance,
-              dest_fp: Optional[str] = None) -> Optional[str]:
+    def drain(self, thread: Actor, instance) -> Optional[str]:
         """Drain ``instance`` to another box; returns the destination
         fingerprint, or None if the drain failed (instance keeps running)."""
         server = self.server
@@ -108,13 +100,10 @@ class MigrationPlane:
                 if instance.terminated:
                     return fail("instance died while quiescing")
 
-                # 2. Checkpoint (and persist it sealed inside a conclave).
+                # 2. Checkpoint.
                 try:
                     cp = checkpoint_instance(instance)
-                    if instance.conclave is not None:
-                        store_local_checkpoint(instance, cp)
-                except (MigrationError, LoaderError,  # tenant's too
-                        ResourceExceeded) as exc:  # over its disk ask
+                except (MigrationError, LoaderError) as exc:  # tenant's too
                     return fail(f"checkpoint failed: {exc}")
                 shipped_inbox = len(cp.inbox)
 
@@ -127,8 +116,6 @@ class MigrationPlane:
                                      rng=self.rng.fork(f"drain{drain_id}"))
                 boxes = [b for b in client.discover_boxes()
                          if b.identity_fp != server.relay.fingerprint]
-                if dest_fp is not None:
-                    boxes = [b for b in boxes if b.identity_fp == dest_fp]
                 if not boxes:
                     return fail("no destination box available")
                 ranked = rank_boxes(boxes, server.directory.load_table())

@@ -140,8 +140,6 @@ FIELDS = (
     # -- chain plane --------------------------------------------------------
     # overlays computed (joint or greedy engine)
     Field("chain_embeds", "chain", "plane-off-zero", "chain_embeds"),
-    # re-embeddings triggered by failures
-    Field("chain_reembeds", "chain", "plane-off-zero", "chain_reembeds"),
     # payload bytes routed across chain arcs
     Field("chain_arc_bytes", "chain", "plane-off-zero", "chain_arc_bytes"),
     # traffic units that reached every sink

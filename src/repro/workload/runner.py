@@ -474,8 +474,7 @@ def _run(spec: WorkloadSpec, workload: Workload) -> dict:
         client = BentoClient(net.create_client(f"{tenant.name}-op"),
                              ias=ias)
         template = pipeline_chain(name=f"{tenant.name}-chain", pad_bytes=64)
-        servers = {s.relay.fingerprint: s for s in net.servers}
-        dep = ChainDeployment(client, template, servers=servers)
+        dep = ChainDeployment(client, template)
         yield from client.retrying(task, lambda: dep.deploy(task),
                                    attempts=5, backoff_s=2.0)
         shared["busy_fps"].update(dep.overlay.boxes_used())
@@ -491,7 +490,6 @@ def _run(spec: WorkloadSpec, workload: Workload) -> dict:
             "engine": dep.overlay.engine,
             "replicas": len(dep.overlay.replicas),
             "boxes_used": len(dep.overlay.boxes_used()),
-            "reembeds": dep.reembeds,
             "units_delivered": dep.units_delivered,
             "processed": {label: (s or {}).get("processed")
                           for label, s in sorted(stage_stats.items())},

@@ -157,7 +157,6 @@ def build_report(spec: WorkloadSpec, result: dict) -> dict:
     if any(t.function == "chain" for t in spec.tenants):
         chain_section = {
             "embeds": counters["chain_embeds"],
-            "reembeds": counters["chain_reembeds"],
             "arc_bytes": counters["chain_arc_bytes"],
             "units_delivered": counters["chain_units_delivered"],
             "service_stats": {

@@ -4,7 +4,6 @@ re-arming, graceful kills flushing pending outputs)."""
 
 from __future__ import annotations
 
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -13,19 +12,14 @@ from hypothesis import strategies as st
 
 from repro.core import BentoClient, BentoError, BentoServer, FunctionManifest
 from repro.enclave.attestation import IntelAttestationService
-from repro.enclave.fsprotect import FSProtectError
 from repro.enclave.sealing import SealingError
 from repro.enclave.sgx import EnclaveHost
 from repro.functions.kvstore import MB, KvStoreFunction
 from repro.migrate import (
-    CHECKPOINT_PATH,
     Checkpoint,
     MigrationError,
     checkpoint_instance,
-    checkpointable_functions,
-    load_local_checkpoint,
     seal_checkpoint,
-    store_local_checkpoint,
     unseal_checkpoint,
 )
 from repro.migrate.plane import MigrationPlane
@@ -191,12 +185,10 @@ def conclave_box():
         box = client.pick_box()
         session = yield from client.connect_direct(thread, box)
         yield from session.request_image(thread, "python-op-sgx")
-        # The disk ask covers the sealed checkpoints the tests store.
         yield from session.load_function(
             thread, KvStoreFunction.SOURCE,
-            replace(KvStoreFunction.manifest(image="python-op-sgx",
-                                             memory_bytes=4 * MB),
-                    disk_bytes=MB))
+            KvStoreFunction.manifest(image="python-op-sgx",
+                                     memory_bytes=4 * MB))
         server = next(s for s in servers
                       if s.relay.fingerprint == box.identity_fp)
         holder["instance"] = server._by_invocation[session.invocation_token]
@@ -265,56 +257,33 @@ class TestSealedCheckpoints:
             unseal_checkpoint(other.sealing_key_for(cp.measurement),
                               sealed, cp.measurement)
 
-    def test_stale_checkpoint_swap_is_detected(self, conclave_box):
-        """The operator swapping back an older sealed checkpoint trips FS
-        Protect's rollback detection instead of silently loading."""
-        instance = conclave_box.instance
-        fs = instance.conclave.fs
-        instance.runtime.restore_state({"store": {"v": 1}})
-        instance.api._inbox[:] = []
-        store_local_checkpoint(
-            instance, replace(checkpoint_instance(instance), seq=1))
-        stale = fs.operator_view(CHECKPOINT_PATH)
-
-        instance.runtime.restore_state({"store": {"v": 2}})
-        store_local_checkpoint(
-            instance, replace(checkpoint_instance(instance), seq=2))
-        fs._backing.write_file(CHECKPOINT_PATH, stale)  # operator rollback
-        with pytest.raises(FSProtectError):
-            load_local_checkpoint(instance)
-        # A fresh checkpoint recovers the slot.
-        store_local_checkpoint(
-            instance, replace(checkpoint_instance(instance), seq=3))
-        assert load_local_checkpoint(instance).seq == 3
-
     def test_every_inventory_function_roundtrips(self, conclave_box):
-        """Every in-tree checkpointable function survives checkpoint ->
-        wire encode/decode -> restore with its state intact."""
+        """KvStore, the in-tree checkpointable function, survives
+        checkpoint -> wire encode/decode -> restore with its state
+        intact."""
         net = conclave_box.net
-        inventory = checkpointable_functions()
-        assert inventory  # the migration demo ships at least kvstore
+        manifest = KvStoreFunction.manifest()
 
         def main(thread):
             client = BentoClient(net.create_client("inventory"),
                                  ias=conclave_box.ias)
-            for name in sorted(inventory):
-                source, manifest = inventory[name]
-                box = client.pick_box()
-                session = yield from client.connect_direct(thread, box)
-                yield from session.request_image(thread, manifest.image)
-                yield from session.load_function(thread, source, manifest)
-                server = next(s for s in conclave_box.servers
-                              if s.relay.fingerprint == box.identity_fp)
-                instance = server._by_invocation[session.invocation_token]
-                assert instance.checkpointable, name
-                state0 = instance.runtime.checkpoint_state()
-                cp = checkpoint_instance(instance)
-                wire = Checkpoint.from_wire(
-                    canonical_decode(canonical_encode(cp.to_wire())))
-                assert wire == cp, name
-                instance.restore(wire, route=None)
-                assert instance.runtime.checkpoint_state() == state0, name
-                session.close()
+            box = client.pick_box()
+            session = yield from client.connect_direct(thread, box)
+            yield from session.request_image(thread, manifest.image)
+            yield from session.load_function(thread, KvStoreFunction.SOURCE,
+                                             manifest)
+            server = next(s for s in conclave_box.servers
+                          if s.relay.fingerprint == box.identity_fp)
+            instance = server._by_invocation[session.invocation_token]
+            assert instance.checkpointable
+            state0 = instance.runtime.checkpoint_state()
+            cp = checkpoint_instance(instance)
+            wire = Checkpoint.from_wire(
+                canonical_decode(canonical_encode(cp.to_wire())))
+            assert wire == cp
+            instance.restore(wire, route=None)
+            assert instance.runtime.checkpoint_state() == state0
+            session.close()
 
         run_thread(net, main)
 
@@ -451,7 +420,7 @@ class TestNamedCatches:
                                  relay=SimpleNamespace(nickname="box"))
         plane = MigrationPlane(server)
 
-        def broken(_task, _instance, _dest_fp):
+        def broken(_task, _instance):
             raise RuntimeError("bug in the drain")
             yield  # unreachable: makes this a generator function
 

@@ -2,9 +2,8 @@
 byte it holds to the container's cgroup, against the manifest's disk ask.
 
 The charge covers what the host actually holds, so an FS Protect
-envelope is charged whole (an empty file included) and so is a sealed
-checkpoint at rest; an enclave overwrite or delete sizes nothing, so it
-never verifies the old file.
+envelope is charged whole (an empty file included); an enclave overwrite
+or delete sizes nothing, so it never verifies the old file.
 """
 
 import pytest
@@ -16,8 +15,6 @@ from repro.core.manifest import FunctionManifest
 from repro.core.server import BentoServer
 from repro.crypto.aead import AeadKey
 from repro.enclave.attestation import IntelAttestationService
-from repro.functions.kvstore import KvStoreFunction
-from repro.migrate import checkpoint_instance, store_local_checkpoint
 from repro.sandbox.cgroups import CGroup, ResourceExceeded
 from repro.sandbox.container import Container
 from repro.sandbox.iptables import IptablesRuleset
@@ -157,20 +154,6 @@ class TestSealedFilesAreCharged:
             assert container.disk_used == container.fs.bytes_used \
                 == 2000 * envelope
             yield from session.shutdown(thread)
-
-        run_thread(box, main)
-
-    def test_a_local_checkpoint_is_charged(self, box):
-        def main(thread):
-            _, instance = yield from _load(
-                thread, box, KvStoreFunction.SOURCE, FunctionManifest.create(
-                    "kvstore", "kvstore", KvStoreFunction.API_CALLS,
-                    image="python-op-sgx", disk_bytes=MB))
-            container = instance.container
-            assert container.disk_used == 0
-            store_local_checkpoint(instance, checkpoint_instance(instance))
-            assert container.disk_used == container.fs.bytes_used > 0
-            instance.kill("done")
 
         run_thread(box, main)
 
