@@ -12,7 +12,7 @@ Run:  python examples/cover_traffic.py
 
 from repro.core import BentoClient, BentoServer
 from repro.enclave.attestation import IntelAttestationService
-from repro.functions import CoverFunction
+from repro.functions.cover import CoverFunction
 from repro.netsim.simulator import Sleep
 from repro.netsim.trace import INCOMING, TraceRecorder
 from repro.tor import TorTestNetwork

@@ -10,7 +10,7 @@ Run:  python examples/dropbox_shard.py
 
 from repro.core import BentoClient, BentoServer
 from repro.enclave.attestation import IntelAttestationService
-from repro.functions import ShardFunction
+from repro.functions.shard import ShardFunction
 from repro.netsim.simulator import Sleep
 from repro.tor import TorTestNetwork
 

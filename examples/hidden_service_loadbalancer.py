@@ -12,7 +12,7 @@ Run:  python examples/hidden_service_loadbalancer.py
 
 from repro.core import BentoClient, BentoServer
 from repro.enclave.attestation import IntelAttestationService
-from repro.functions import LoadBalancerFunction
+from repro.functions.loadbalancer import LoadBalancerFunction
 import functools
 
 from repro.netsim.bytestream import FramedStream

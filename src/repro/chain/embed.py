@@ -160,15 +160,12 @@ def _pick(ledger: dict, name: str, comp, placements: dict) -> str:
                 line["queue"],
                 fp)
 
-    usable = [(fp, line) for fp, line in sorted(ledger.items())
+    usable = [(fp, line) for fp, line in ledger.items()
               if line["slots"] >= 1 and line["mem"] >= comp.memory_bytes]
-    if not usable:
-        # Capacity exhausted everywhere: fall back to least-loaded
-        # overcommit rather than failing the whole chain.
-        usable = list(sorted(ledger.items()))
-        if not usable:
-            raise EmbedError(f"no box can host component {name!r}")
-    return min(usable, key=key)[0]
+    # Capacity exhausted everywhere: fall back to least-loaded overcommit
+    # rather than failing the whole chain (``embed`` refuses an empty
+    # ledger).  The key ends in the fingerprint, so no two tie.
+    return min(usable or ledger.items(), key=key)[0]
 
 
 def greedy_embed(spec: ChainSpec, boxes: Sequence,

@@ -66,7 +66,8 @@ def _scenario_perf_report(seed: int) -> None:
     Where the wall-clock time went, layer by layer, is the benchmark
     suite's ``benchmarks/suite/run.py --trace``.
     """
-    from repro.perf import counters, render_report
+    from repro.perf.counters import counters
+    from repro.perf.report import render_report
 
     counters.reset()
     _scenario_quickstart(seed)
@@ -82,7 +83,9 @@ def _scenario_trace_report(seed: int, out: str = "trace-report") -> None:
     All timestamps are simulated seconds — the same seed always produces
     byte-identical artifacts.
     """
-    from repro.obs import REGISTRY, TRACER, write_trace_report
+    from repro.obs.export import write_trace_report
+    from repro.obs.metrics import REGISTRY
+    from repro.obs.span import TRACER
 
     REGISTRY.reset()
     log = TRACER.attach()

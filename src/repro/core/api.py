@@ -29,13 +29,12 @@ from __future__ import annotations
 
 import functools
 import inspect
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from repro.core.apispec import API_SYSCALLS
 from repro.core.errors import BentoError
 from repro.netsim.bytestream import DirectByteStream, FramedStream
 from repro.netsim.connection import ConnectionClosed
-from repro.netsim.http import HttpResponse, fetch, http_get, parse_url
 from repro.netsim.network import NetworkError
 from repro.netsim.simulator import (
     Actor,
@@ -51,6 +50,9 @@ from repro.stemlib.firewall import StemFirewall
 from repro.tor.circuit import CircuitDestroyed
 from repro.tor.client import TorError
 from repro.util.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.http import HttpResponse
 
 
 class ApiError(BentoError):
@@ -145,6 +147,9 @@ class HttpSessionApi:
 
     def get(self, path: str, timeout: float = 600.0) -> HttpResponse:
         """One GET on the persistent connection."""
+        # Imported on use: most processes never speak HTTP.
+        from repro.netsim.http import fetch
+
         yield from self._api._gate("http_get")
         response = yield from fetch(self._api._thread, self._framed, path,
                                     timeout=timeout)
@@ -341,6 +346,9 @@ class FunctionApi:
 
     def http_get(self, url: str, timeout: float = 600.0) -> HttpResponse:
         """Fetch a URL directly from this Bento box (like ``requests.get``)."""
+        # Imported on use: most processes never speak HTTP.
+        from repro.netsim.http import http_get, parse_url
+
         yield from self._gate("http_get")
         instance = self._instance
         parsed = parse_url(url)

@@ -2,9 +2,9 @@
 
 A message is one canonical-encoded dict per
 :class:`~repro.netsim.bytestream.FramedStream` frame.  Its ``type`` names
-a frame type declared below: a frozen dataclass on :class:`Frame` whose
-fields each have a builtin kind (``object``: any canonical value), or
-``(kind, default)`` if optional.  An optional field the sender leaves out
+a frame type declared below: a frozen :class:`Frame` record whose
+``WIRE`` fields each have a builtin kind (``object``: any canonical value),
+or ``(kind, default)`` if optional.  An optional field the sender leaves out
 stays off the wire.
 
 Every frame has ``rid``, the request id.  A client session numbers its
@@ -21,8 +21,7 @@ or a value of the wrong kind by :func:`~repro.util.spec.typed`'s rules: a
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, make_dataclass
-from typing import Any, ClassVar, NamedTuple
+from typing import Any, NamedTuple
 
 from repro.core.errors import (BentoError, FunctionCrashed, FunctionMoved,
                                ManifestRejected, PuzzleRequired, ServerBusy,
@@ -31,7 +30,7 @@ from repro.netsim.bytestream import FramedStream
 from repro.util.errors import ProtocolError
 from repro.util.serialization import (SerializationError, canonical_decode,
                                       canonical_pieces)
-from repro.util.spec import field_table, read_fields
+from repro.util.spec import PeerRecord, field_table, read_fields
 
 _TYPES: dict[str, type[Frame]] = {}
 
@@ -44,24 +43,18 @@ class FrameError(ProtocolError):
         self.rid = rid
 
 
-@dataclass(frozen=True, kw_only=True, slots=True)
-class Frame:
+class Frame(PeerRecord, frozen=True):
     """A Bento message: the base of every type :func:`_frame` declares."""
 
-    TYPE: ClassVar[str] = ""
-    FIELDS: ClassVar[dict] = {}     # name -> (kind, default), rid included
-    rid: int = 0
+    TYPE = ""
 
 
 def _frame(tag: str, **kinds: Any) -> type[Frame]:
-    """Declare frame type ``tag``: a frozen dataclass, its table built once."""
+    """Declare frame type ``tag``: a :class:`Frame` whose ``WIRE`` table
+    (``rid`` included) is built once."""
     table = field_table(rid=(int, 0), **kinds)
-    cls = make_dataclass(
-        tag.title().replace("_", ""),
-        [(name, kind, field(default=default))
-         for name, (kind, default) in table.items() if name != "rid"],
-        bases=(Frame,), frozen=True, kw_only=True, slots=True,
-        namespace={"TYPE": tag, "FIELDS": table, "__module__": __name__})
+    cls = type(tag.title().replace("_", ""), (Frame,), {
+        "__module__": __name__, "TYPE": tag, "WIRE": table})
     _TYPES[tag] = cls
     return cls
 
@@ -117,7 +110,7 @@ def message_pieces(kind: type[Frame], **fields: Any) -> list:
     """:func:`encode_message`'s frame as the pieces ``send_frame`` joins
     behind its length: a bulk payload is copied once, onto the wire."""
     if _TYPES.get(getattr(kind, "TYPE", None)) is not kind \
-            or not fields.keys() <= kind.FIELDS.keys():
+            or not fields.keys() <= kind.WIRE.keys():
         raise ProtocolError(f"no such frame: {kind!r} with {sorted(fields)}")
     fields.setdefault("rid", 0)
     fields["type"] = kind.TYPE
@@ -141,7 +134,7 @@ def decode_message(frame) -> Frame:
     if kind is None:
         raise FrameError(f"unknown message type: {tag!r}", rid)
     try:
-        return kind(**read_fields(body, kind.FIELDS, exact=True))
+        return kind(**read_fields(body, kind.WIRE, exact=True))
     except TypeError as exc:
         raise FrameError(f"bad {tag} frame: {exc}", rid) from None
 

@@ -12,7 +12,6 @@ the co-resident Tor relay keeps a guaranteed share of the machine).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.apispec import ALL_API_CALLS
@@ -25,26 +24,21 @@ if TYPE_CHECKING:  # pragma: no cover
 MB = 1024 * 1024
 
 
-@dataclass(frozen=True)
-class MiddleboxNodePolicy(PeerRecord):
+class MiddleboxNodePolicy(PeerRecord, frozen=True):
     """One operator's statement of what they will do on others' behalf."""
 
-    api_calls: frozenset = frozenset(ALL_API_CALLS)      # allowed
-    syscalls: frozenset = frozenset(ALL_SYSCALLS - {"fork", "execve"})
-    images: tuple = ("python", "python-op-sgx")           # offered
-    max_function_memory: int = 64 * MB
-    max_function_disk: int = 64 * MB
-    max_total_memory: int = 512 * MB
-    max_total_disk: int = 1024 * MB
-    max_containers: int = 16
-    # The §5.5 "alternative design" hook: API calls that are only permitted
-    # when the function runs inside an enclave image.
-    enclave_only: frozenset = frozenset()
-
-    WIRE = field_table(api_calls=frozenset, syscalls=frozenset, images=tuple,
-                       max_function_memory=int, max_function_disk=int,
-                       max_total_memory=int, max_total_disk=int,
-                       max_containers=int, enclave_only=frozenset)
+    WIRE = field_table(
+        api_calls=(frozenset, frozenset(ALL_API_CALLS)),     # allowed
+        syscalls=(frozenset, frozenset(ALL_SYSCALLS - {"fork", "execve"})),
+        images=(tuple, ("python", "python-op-sgx")),        # offered
+        max_function_memory=(int, 64 * MB),
+        max_function_disk=(int, 64 * MB),
+        max_total_memory=(int, 512 * MB),
+        max_total_disk=(int, 1024 * MB),
+        max_containers=(int, 16),
+        # The §5.5 "alternative design" hook: API calls that are only
+        # permitted when the function runs inside an enclave image.
+        enclave_only=(frozenset, frozenset()))
 
     def __post_init__(self) -> None:
         unknown_api = set(self.api_calls) - ALL_API_CALLS

@@ -39,31 +39,18 @@ class AttestationError(ReproError):
     """Bad quotes, unknown platforms, forged reports."""
 
 
-@dataclass
 class Quote(PeerRecord):
     """An enclave's signed statement of its own identity."""
 
-    platform: str
-    measurement: str
-    tcb: int
-    report_data: bytes
-    signature: bytes = b""
-
     WIRE = field_table(platform=str, measurement=str, tcb=int,
-                       report_data=bytes, signature=bytes)
+                       report_data=bytes, signature=(bytes, b""))
 
 
-@dataclass
 class AttestationReport(PeerRecord):
     """The IAS's signed verdict on a quote."""
 
-    quote: Quote
-    status: str
-    timestamp: float
-    signature: bytes = b""
-
     WIRE = field_table(quote=Quote, status=str, timestamp=float,
-                       signature=bytes)
+                       signature=(bytes, b""))
 
     def verify(self, ias_key: RsaPublicKey,
                expected_measurement: Optional[str] = None,

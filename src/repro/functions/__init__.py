@@ -9,43 +9,6 @@ would upload.
 Paper sections: Browser (§7), LoadBalancer (§8), Cover (§9.1),
 Dropbox (§9.2), Shard (§9.3), and the §9.4 future-work ideas
 (multipath routing, geographical avoidance, hidden-service DDoS defense).
+The package re-exports nothing: import a function from its own module
+(``repro.functions.shard``), so a process compiles only what it runs.
 """
-
-from repro.functions.browser import BROWSER_SOURCE, BrowserFunction
-from repro.functions.cover import COVER_SOURCE, CoverFunction
-from repro.functions.dropbox import DROPBOX_SOURCE, DropboxFunction
-from repro.functions.shard import SHARD_SOURCE, ShardFunction
-from repro.functions.loadbalancer import (
-    LOADBALANCER_SOURCE,
-    REPLICA_SOURCE,
-    LoadBalancerFunction,
-)
-from repro.functions.policyquery import POLICY_QUERY_SOURCE, PolicyQueryFunction
-from repro.functions.measure import MEASURE_SOURCE, MeasureFunction
-from repro.functions.multipath import MULTIPATH_SOURCE, MultipathFunction
-from repro.functions.avoidance import AVOIDANCE_SOURCE, AvoidanceFunction
-from repro.functions.ddos_defense import DDOS_DEFENSE_SOURCE, DdosDefenseFunction
-
-__all__ = [
-    "BROWSER_SOURCE",
-    "BrowserFunction",
-    "COVER_SOURCE",
-    "CoverFunction",
-    "DROPBOX_SOURCE",
-    "DropboxFunction",
-    "SHARD_SOURCE",
-    "ShardFunction",
-    "LOADBALANCER_SOURCE",
-    "REPLICA_SOURCE",
-    "LoadBalancerFunction",
-    "POLICY_QUERY_SOURCE",
-    "PolicyQueryFunction",
-    "MEASURE_SOURCE",
-    "MeasureFunction",
-    "MULTIPATH_SOURCE",
-    "MultipathFunction",
-    "AVOIDANCE_SOURCE",
-    "AvoidanceFunction",
-    "DDOS_DEFENSE_SOURCE",
-    "DdosDefenseFunction",
-]

@@ -23,15 +23,12 @@ same box can unseal it, and any other raises
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
-
 from repro.core.errors import BentoError
 from repro.enclave.sealing import seal_data, unseal_data
 from repro.obs.metrics import REGISTRY as _metrics
 from repro.util.serialization import (UNENCODABLE, canonical_decode,
                                       canonical_encode)
-from repro.util.spec import field_table, read_fields
+from repro.util.spec import Record, field_table, read_fields
 
 _CHECKPOINTS_TAKEN = _metrics.counter("perf_checkpoints_taken")
 
@@ -44,38 +41,29 @@ class NotCheckpointable(MigrationError):
     """The function does not export ``checkpoint()``/``restore(state)``."""
 
 
-@dataclass(frozen=True)
-class Checkpoint:
+class Checkpoint(Record, frozen=True):
     """One migratable snapshot of a function instance."""
 
-    name: str               # manifest name (identity check on restore)
-    entry: str              # manifest entry point
-    image: str              # container image name
-    manifest: dict          # full manifest wire dict
-    code: str               # the uploaded source
-    state: Any              # whatever the function's checkpoint() returned
-    args: list              # args of the last invocation (restart recipe)
-    files: dict             # path -> bytes, the function's file store
-    inbox: list             # undelivered client payloads, oldest first
-    seq: int                # sequence number on the wire (a drain ships 0)
-    taken_at: float         # sim time of the snapshot
-    measurement: str        # enclave measurement ("" outside a conclave)
-
-    def to_wire(self) -> dict:
-        return {name: getattr(self, name) for name in _WIRE}
+    WIRE = field_table(
+        name=str,               # manifest name (identity check on restore)
+        entry=str,              # manifest entry point
+        image=str,              # container image name
+        manifest=dict,          # full manifest wire dict
+        code=str,               # the uploaded source
+        state=object,           # whatever the function's checkpoint() returned
+        args=list,              # args of the last invocation (restart recipe)
+        files=dict,             # path -> bytes, the function's file store
+        inbox=list,             # undelivered client payloads, oldest first
+        seq=int,                # sequence number on the wire (a drain ships 0)
+        taken_at=float,         # sim time of the snapshot
+        measurement=(str, ""))  # enclave measurement ("" outside a conclave)
 
     @classmethod
     def from_wire(cls, wire: dict) -> "Checkpoint":
         try:
-            return cls(**read_fields(wire, _WIRE))
+            return cls(**read_fields(wire, cls.WIRE))
         except TypeError as exc:
             raise MigrationError(f"malformed checkpoint: {exc}") from None
-
-
-#: :class:`Checkpoint`'s wire form, field by field.
-_WIRE = field_table(name=str, entry=str, image=str, manifest=dict, code=str,
-                    state=object, args=list, files=dict, inbox=list, seq=int,
-                    taken_at=float, measurement=(str, ""))
 
 
 def checkpoint_instance(instance) -> Checkpoint:

@@ -16,43 +16,6 @@ this reproduction.  It provides:
 * :class:`~repro.netsim.scenarios.MeshScenario` -- a request/ack mesh with
   no Tor or Bento on top, run on one simulator by
   :class:`~repro.netsim.shard.ShardedSimulator`.
+
+The package re-exports nothing: import from the module that defines it.
 """
-
-from repro.netsim.simulator import Future, Simulator, SimTimeoutError
-from repro.netsim.node import Node
-from repro.netsim.network import Network, NetworkError
-from repro.netsim.connection import Connection, ConnectionClosed
-from repro.netsim.bytestream import (
-    ByteStream,
-    DirectByteStream,
-    FramedStream,
-    Framer,
-    StreamClosed,
-)
-from repro.netsim.trace import PacketRecord, TraceRecorder
-from repro.netsim.http import HttpResponse, HttpServer, http_get
-from repro.netsim.faults import FaultPlane
-from repro.netsim.scenarios import MeshScenario
-
-__all__ = [
-    "Simulator",
-    "SimTimeoutError",
-    "Future",
-    "Node",
-    "Network",
-    "NetworkError",
-    "Connection",
-    "ConnectionClosed",
-    "ByteStream",
-    "DirectByteStream",
-    "FramedStream",
-    "Framer",
-    "StreamClosed",
-    "TraceRecorder",
-    "PacketRecord",
-    "HttpServer",
-    "HttpResponse",
-    "http_get",
-    "FaultPlane",
-    "MeshScenario",
-]

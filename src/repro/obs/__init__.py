@@ -13,27 +13,6 @@ Three pieces, used together or alone:
 
 Everything runs on the simulated clock: no exporter output ever contains
 wall time, so a seeded run's artifacts are byte-identical across runs.
+The package re-exports nothing: a process that exports no trace never
+compiles the exporters.
 """
-
-from repro.obs.export import (
-    chrome_trace,
-    events_to_jsonl,
-    metrics_text,
-    write_trace_report,
-)
-from repro.obs.metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    REGISTRY,
-)
-from repro.obs.span import TRACER, EventLog, InstantEvent, Span, Tracer
-
-__all__ = [
-    "Span", "InstantEvent", "EventLog", "Tracer", "TRACER",
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "REGISTRY",
-    "DEFAULT_BUCKETS",
-    "events_to_jsonl", "chrome_trace", "metrics_text", "write_trace_report",
-]

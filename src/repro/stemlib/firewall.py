@@ -25,7 +25,6 @@ from typing import Optional
 
 from repro.netsim.bytestream import FramedStream
 from repro.netsim.connection import ConnectionClosed
-from repro.netsim.http import fetch as http_fetch, parse_url
 from repro.netsim.network import NetworkError
 from repro.netsim.simulator import Actor, Join, SimTimeoutError
 from repro.tor.circuit import Circuit, CircuitDestroyed
@@ -170,14 +169,17 @@ class StemFirewall:
     def _fetch(self, thread: Actor, circuit: Circuit, url: str,
                offset: Optional[int], length: Optional[int],
                timeout: float) -> dict:
+        # Imported on use: most processes never speak HTTP.
+        from repro.netsim.http import fetch, parse_url
+
         parsed = parse_url(url)
         stream = yield from circuit.open_stream(thread, parsed.host,
                                                 parsed.port)
         framed = FramedStream(stream)
         try:
-            response = yield from http_fetch(thread, framed, parsed.path,
-                                             url=url, timeout=timeout,
-                                             offset=offset, length=length)
+            response = yield from fetch(thread, framed, parsed.path, url=url,
+                                        timeout=timeout, offset=offset,
+                                        length=length)
         finally:
             framed.close()
         return {"status": response.status, "body": response.body,

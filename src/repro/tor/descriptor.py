@@ -9,8 +9,6 @@ kind (see :mod:`repro.tor.directory`).
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.crypto.rsa import RsaKeyPair, RsaPublicKey
 from repro.util.serialization import canonical_encode
@@ -25,26 +23,17 @@ OR_PORT = 9001
 BENTO_PORT = 9100
 
 
-@dataclass
 class RelayDescriptor(Record):
     """One relay's self-published entry in the consensus."""
 
-    nickname: str
-    address: str
-    or_port: int
-    identity_fp: str
-    bandwidth: float                  # advertised bytes/second
-    exit_policy: str                  # rendered ExitPolicy text
-    flags: tuple[str, ...] = ()
-    bento_port: Optional[int] = None  # set when the relay hosts a Bento server
-    n: int = 0                        # the identity key
-    e: int = 0
-    signature: bytes = b""
-
-    WIRE = field_table(nickname=str, address=str, or_port=int,
-                       identity_fp=str, bandwidth=float, exit_policy=str,
-                       flags=tuple, bento_port=object, n=int, e=int,
-                       signature=bytes)
+    WIRE = field_table(
+        nickname=str, address=str, or_port=int, identity_fp=str,
+        bandwidth=float,                # advertised bytes/second
+        exit_policy=str,                # rendered ExitPolicy text
+        flags=(tuple, ()),              # of str
+        bento_port=(object, None),      # set where a Bento server runs
+        n=(int, 0), e=(int, 0),         # the identity key
+        signature=(bytes, b""))
 
     def sign(self, keypair: RsaKeyPair) -> None:
         """Fill in the public key fields and signature."""
@@ -75,19 +64,14 @@ def onion_address_for(key: RsaPublicKey) -> str:
     return hashlib.sha256(material).hexdigest()[:16] + ".onion"
 
 
-@dataclass
 class HiddenServiceDescriptor(Record):
     """Maps a ``.onion`` identifier to its introduction points (§2.1)."""
 
-    onion: str
-    intro_points: list[str] = field(default_factory=list)   # relay fingerprints
-    n: int = 0                        # the service key
-    e: int = 0
-    version: int = 0
-    signature: bytes = b""
-
-    WIRE = field_table(onion=str, intro_points=list, n=int, e=int,
-                       version=int, signature=bytes)
+    WIRE = field_table(
+        onion=str,
+        intro_points=list,              # relay fingerprints
+        n=(int, 0), e=(int, 0),         # the service key
+        version=(int, 0), signature=(bytes, b""))
 
     def sign(self, keypair: RsaKeyPair) -> None:
         """Fill in the key fields and signature."""

@@ -8,9 +8,8 @@ Every experiment and example in this repository starts here.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from repro.netsim.http import HttpServer
 from repro.netsim.network import Network
 from repro.netsim.node import Node
 from repro.netsim.simulator import Simulator
@@ -19,6 +18,9 @@ from repro.tor.descriptor import BENTO_PORT, FLAG_GUARD, FLAG_HSDIR
 from repro.tor.directory import DirectoryAuthority
 from repro.tor.exitpolicy import ExitPolicy
 from repro.tor.relay import Relay
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.netsim.http import HttpServer
 
 # EC2-flavored defaults: relays are well connected, clients modest.
 RELAY_BW = 12_500_000.0      # 100 Mbit/s
@@ -81,6 +83,9 @@ class TorTestNetwork:
                           resources: dict[str, object],
                           bandwidth: float = SERVER_BW) -> HttpServer:
         """An origin web server reachable from exits (and directly)."""
+        # Imported on use: most processes never speak HTTP.
+        from repro.netsim.http import HttpServer
+
         self._server_count += 1
         node = self.network.create_node(
             f"web{self._server_count}:{hostname}",

@@ -22,10 +22,12 @@ rule, :func:`typed`, is the tree's only one: Bento frames and any other
 dict a peer sends (:func:`decode_request`) are checked by it too.
 
 A record that crosses a trust boundary (a signed descriptor, an SGX quote,
-an IAS report, a node policy) is a dataclass deriving from :class:`Record`
-whose ``WIRE`` :func:`field_table` names its wire keys, which are its
-attribute names, once; its wire dict and signed body follow from it, and a
-:class:`PeerRecord` also decodes a peer's dict through :func:`read_fields`.
+an IAS report, a node policy, a Bento frame, a function checkpoint) is a
+class deriving from :class:`Record` whose ``WIRE`` :func:`field_table`
+names its fields once: each is a wire key and an attribute, with its kind
+and default.  Its constructor, equality, repr, wire dict and signed body
+follow from that table, with no generated code; a :class:`PeerRecord`
+also decodes a peer's dict through :func:`read_fields`.
 """
 
 from __future__ import annotations
@@ -144,20 +146,67 @@ _LISTED = {tuple: list, frozenset: sorted}
 
 class Record:
     """A record whose ``WIRE`` table (see :func:`field_table`) names its
-    wire keys, each the name of an attribute, in wire order."""
+    fields, each a wire key and an attribute, in wire order.
+
+    ``Record(*values, **fields)`` takes them in that order or by name, a
+    field's default where it has one, then runs ``__post_init__``.  Two
+    records are equal if they are of one class with equal fields.  A
+    class declared ``frozen=True`` refuses assignment and is hashable;
+    any other is mutable and unhashable.
+    """
 
     WIRE: Mapping[str, tuple[Any, Any]] = {}
 
-    def __init_subclass__(cls, **kwargs: Any) -> None:
+    def __init_subclass__(cls, frozen: bool = False, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)
+        if frozen:
+            cls.__setattr__ = cls.__delattr__ = _refuse
+            cls.__hash__ = _hash_fields
+        cls._defaults = {name: default for name, (_, default)
+                         in cls.WIRE.items() if default is not MISSING}
         # Per field: its kind, how it is converted out, and its wire kind.
+        # A peer's wire dict carries every field: none has a default there.
         cls._fields, cls._sent = [], {}
-        for name, (kind, default) in cls.WIRE.items():
+        for name, (kind, _default) in cls.WIRE.items():
             nested = issubclass(kind, Record)
             out = kind.to_wire if nested else _LISTED.get(kind)
             cls._fields.append((name, kind, out))
             cls._sent[name] = (dict if nested else list if out else kind,
-                               default)
+                               MISSING)
+
+    def __init__(self, *values: Any, **fields: Any) -> None:
+        if values or fields.keys() != self.WIRE.keys():
+            fields = self._complete(values, fields)
+        self.__dict__.update(fields)
+        self.__post_init__()
+
+    def _complete(self, values: tuple, fields: dict) -> dict:
+        """Every field: ``values`` by position, ``fields`` by name, and the
+        defaults of the rest; a TypeError if that is not the table."""
+        table = self.WIRE
+        given = dict(zip(table, values))
+        merged = {**self._defaults, **given, **fields}
+        if merged.keys() != table.keys() or len(given) < len(values) \
+                or given.keys() & fields.keys():
+            raise TypeError(f"{type(self).__name__}() takes {list(table)}, "
+                            f"got {len(values)} by position and "
+                            f"{sorted(fields)}")
+        return merged
+
+    def __post_init__(self) -> None:
+        """Cross-field checks; a subclass raises ValueError on a bad one."""
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.WIRE)
+
+    def __eq__(self, other: Any) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(" + ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.WIRE) + ")"
 
     def to_wire(self) -> dict:
         """A plain-dict form safe to canonically encode."""
@@ -169,6 +218,15 @@ class Record:
         wire = self.to_wire()
         del wire["signature"]
         return canonical_encode(wire)
+
+
+def _refuse(self, name: str, *value: Any) -> None:
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or "
+                         f"delete {name!r}")
+
+
+def _hash_fields(self) -> int:
+    return hash(self._values())
 
 
 class PeerRecord(Record):

@@ -16,7 +16,6 @@ import os
 import pathlib
 import subprocess
 import sys
-from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
@@ -405,8 +404,8 @@ def starved_chain():
     bandwidth, not admission."""
     net = TorTestNetwork(n_relays=12, seed=2021, bento_fraction=0.5)
     ias = IntelAttestationService(net.sim.rng.fork("ias"))
-    policy = replace(MiddleboxNodePolicy.open_policy(), max_containers=64,
-                     max_total_memory=1 << 30, max_total_disk=1 << 30)
+    policy = MiddleboxNodePolicy(max_containers=64, max_total_memory=1 << 30,
+                                 max_total_disk=1 << 30)
     for relay in net.bento_boxes():
         relay.node.uplink.rate = float(CHAIN_UPLINK_BPS)
         BentoServer(relay, net.authority, ias=ias, policy=policy)

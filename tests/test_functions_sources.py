@@ -18,19 +18,17 @@ from repro.chain.template import ComponentSpec
 from repro.core.apispec import ALL_API_CALLS
 from repro.core.loader import build_function_namespace
 from repro.core.policy import MiddleboxNodePolicy
+from repro.functions.avoidance import AvoidanceFunction
+from repro.functions.browser import BrowserFunction
+from repro.functions.cover import CoverFunction
+from repro.functions.ddos_defense import DdosDefenseFunction
+from repro.functions.dropbox import DropboxFunction
 from repro.functions.kvstore import KvStoreFunction
-from repro.functions import (
-    AvoidanceFunction,
-    BrowserFunction,
-    CoverFunction,
-    DdosDefenseFunction,
-    DropboxFunction,
-    LoadBalancerFunction,
-    MeasureFunction,
-    MultipathFunction,
-    PolicyQueryFunction,
-    ShardFunction,
-)
+from repro.functions.loadbalancer import LoadBalancerFunction
+from repro.functions.measure import MeasureFunction
+from repro.functions.multipath import MultipathFunction
+from repro.functions.policyquery import PolicyQueryFunction
+from repro.functions.shard import ShardFunction
 
 ARTIFACTS = [
     ("browser", BrowserFunction.SOURCE, BrowserFunction.manifest()),

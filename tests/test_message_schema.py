@@ -69,7 +69,7 @@ def _table(schema):
     """``{field: (wire kind, default)}`` that ``schema`` is read by."""
     if schema in RECORDS:
         return RECORDS[schema]._sent
-    return messages._TYPES[schema].FIELDS
+    return messages._TYPES[schema].WIRE
 
 
 def _receive(schema, body):
@@ -115,7 +115,7 @@ def test_every_well_typed_frame_round_trips(schema, data):
         return
     kind = messages._TYPES[schema]
     fields = {name: data.draw(_OF_KIND[of])
-              for name, (of, default) in kind.FIELDS.items()
+              for name, (of, default) in kind.WIRE.items()
               if default is MISSING or data.draw(st.booleans())}
     frame = messages.decode_message(messages.encode_message(kind, **fields))
     assert type(frame) is kind

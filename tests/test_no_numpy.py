@@ -5,6 +5,7 @@ even where it is installed (ci.yml runs this file by itself as "the whole
 package runs without numpy")."""
 
 import os
+import pathlib
 import subprocess
 import sys
 
@@ -13,8 +14,9 @@ import sys
 sys.modules["numpy"] = None
 
 import importlib
-for name in ("repro.cli", "repro.functions", "repro.workload.runner",
-             "repro.chaos", "repro.chain", "repro.qos"):
+for name in ("repro.cli", "repro.workload.runner", "repro.chaos",
+             "repro.chain", "repro.qos", "repro.obs.export",
+             "repro.perf.report", *sys.argv[2:]):
     importlib.import_module(name)
 
 from repro.coding import decode_shards, encode_shards
@@ -45,9 +47,22 @@ print("ran without numpy")
 '''
 
 
+#: Every function module, by name: the package re-exports none of them.
+FUNCTIONS = ("avoidance", "browser", "cover", "ddos_defense", "dropbox",
+             "kvstore", "loadbalancer", "measure", "multipath",
+             "policyquery", "shard")
+
+
+def test_every_function_module_is_named():
+    package = pathlib.Path(__file__).parents[1] / "src/repro/functions"
+    assert sorted(FUNCTIONS) == sorted(
+        path.stem for path in package.glob("*.py") if path.stem != "__init__")
+
+
 def test_core_imports_and_shards_without_numpy():
     done = subprocess.run([sys.executable, "-c", _SCRIPT,
-                           os.path.dirname(__file__)],
+                           os.path.dirname(__file__),
+                           *(f"repro.functions.{name}" for name in FUNCTIONS)],
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.endswith("ran without numpy\n")

@@ -1,7 +1,6 @@
 """The serving plane: admission, shedding, puzzles, placement, and the
 goodput it holds on a box offered four times what it can serve."""
 
-from dataclasses import replace
 
 import pytest
 
@@ -625,9 +624,9 @@ def _starved_box(qos=None):
     net = TorTestNetwork(n_relays=8, seed=2021, bento_fraction=0.125)
     (relay,) = net.bento_boxes()
     relay.node.uplink.rate = float(STARVED_UPLINK_BPS)
-    policy = replace(MiddleboxNodePolicy.open_policy(), max_containers=512,
-                     max_total_memory=4096 * 1024 * 1024,
-                     max_total_disk=1024 * 1024 * 1024)
+    policy = MiddleboxNodePolicy(max_containers=512,
+                                 max_total_memory=4096 * 1024 * 1024,
+                                 max_total_disk=1024 * 1024 * 1024)
     BentoServer(relay, net.authority, policy=policy, qos=qos)
     return net, relay
 

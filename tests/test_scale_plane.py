@@ -307,7 +307,6 @@ class TestAttestationCache:
 #: switches and the peak resident set in KiB.
 SESSIONS = PEAK_RSS_KIB + """
 import json, sys
-from dataclasses import replace
 from repro.core import BentoClient, BentoServer, FunctionManifest
 from repro.core.policy import MiddleboxNodePolicy
 from repro.enclave.attestation import IntelAttestationService
@@ -326,8 +325,8 @@ per_client = N // n_clients
 net = TorTestNetwork(n_relays=12, seed=2021, bento_fraction=0.25)
 ias = IntelAttestationService(net.sim.rng.fork("ias"))
 # Roomy caps: concurrent instances per box track concurrent clients.
-policy = replace(MiddleboxNodePolicy.open_policy(), max_containers=64,
-                 max_total_memory=2048 * 1024 * 1024)
+policy = MiddleboxNodePolicy(max_containers=64,
+                             max_total_memory=2048 * 1024 * 1024)
 for relay in net.bento_boxes():
     BentoServer(relay, net.authority, policy=policy, ias=ias)
 manifests = {image: FunctionManifest.create("blob", "blob", {"send"},
