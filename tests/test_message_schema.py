@@ -120,3 +120,40 @@ def test_every_well_typed_frame_round_trips(schema, data):
     frame = messages.decode_message(messages.encode_message(kind, **fields))
     assert type(frame) is kind
     assert frame == kind(**fields)
+
+
+def test_records_build_compare_and_freeze_from_their_tables():
+    quote = Quote("p", "m", 1, b"r")                  # by position
+    assert quote == Quote(platform="p", measurement="m", tcb=1,
+                          report_data=b"r", signature=b"")
+    assert quote.signature == b""                     # the table's default
+    assert repr(quote) == ("Quote(platform='p', measurement='m', tcb=1, "
+                           "report_data=b'r', signature=b'')")
+    for bad in (lambda: Quote(1, 2, 3, 4, 5, 6),      # too many values
+                lambda: Quote("p", platform="p", measurement="m", tcb=1,
+                              report_data=b""),       # one field both ways
+                lambda: Quote(platform="p"),          # required ones missing
+                lambda: messages.Invoke(rid=0, token="t", args=[], x=1)):
+        with pytest.raises(TypeError):
+            bad()
+    with pytest.raises(TypeError):
+        hash(quote)                                   # mutable: unhashable
+    quote.tcb = 2
+    assert quote != Quote("p", "m", 1, b"r")
+
+    frame = messages.Invoke(token="t", args=[])
+    assert frame.rid == 0 and frame == messages.Invoke(0, "t", [])
+    assert messages.Msg(token="t", payload=b"x") != \
+        messages.Output(payload=b"x")
+    policy = MiddleboxNodePolicy(max_containers=3)
+    for refused in (lambda: setattr(frame, "token", "u"),
+                    lambda: delattr(frame, "token"),
+                    lambda: setattr(policy, "max_containers", 4)):
+        with pytest.raises(AttributeError):
+            refused()
+    assert policy.max_containers == 3 and policy.max_total_disk == 1024 * 2**20
+    twin = MiddleboxNodePolicy(max_containers=3)
+    assert twin == policy and hash(twin) == hash(policy)
+    assert twin != MiddleboxNodePolicy()
+    with pytest.raises(ValueError):                   # __post_init__ runs
+        MiddleboxNodePolicy(api_calls=frozenset({"no_such_call"}))
